@@ -28,10 +28,7 @@ from .coverage import (
     conditional_interference_spec,
     coverage_at_altitude,
     coverage_over_altitudes,
-    downlink_outage,
     downlink_snr_cdf,
-    outage_map,
-    uplink_outage,
     uplink_snr_pmf,
 )
 from .geometry import (
@@ -53,7 +50,6 @@ from .gpm import (
     GpmSpec,
     LatticeDistribution,
     SteppedCdf,
-    cf_sample,
     enumerate_cdf,
     gaussian_cdf,
     kolmogorov_distance,
@@ -94,7 +90,6 @@ __all__ = [
     "association_pmf",
     "build_hex_layout",
     "build_link_table",
-    "cf_sample",
     "co_channel_interferers",
     "co_channel_set",
     "conditional_interference_spec",
@@ -103,7 +98,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watt",
     "default_channel",
-    "downlink_outage",
     "downlink_snr_cdf",
     "enumerate_cdf",
     "gaussian_cdf",
@@ -117,13 +111,11 @@ __all__ = [
     "load_config",
     "load_spec",
     "mc_cdf",
-    "outage_map",
     "quantization_adjusted_distance",
     "read_layout_csv",
     "sample_region",
     "sweep_pattern",
     "ula_gain",
-    "uplink_outage",
     "uplink_snr_pmf",
     "watt_to_dbm",
     "write_cdf_csv",

@@ -20,7 +20,6 @@ H_b the cone footprint is the disc of radius ``(H_u - H_b) * tan(beamwidth)``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -139,13 +138,3 @@ def sweep_pattern(pattern: UlaPattern, num: int = 721) -> np.ndarray:
         dbi = 10.0 * np.log10(gain)
     return np.column_stack([theta, gain, dbi])
 
-
-def write_pattern_csv(pattern: UlaPattern, path, num: int = 721, comment: str | None = None) -> None:
-    rows = sweep_pattern(pattern, num)
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("theta_deg", "gain_linear", "gain_dBi"))
-        for theta, gain, dbi in rows:
-            writer.writerow([f"{theta:.12g}", f"{gain:.12g}", f"{dbi:.12g}"])

@@ -248,14 +248,12 @@ def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str
 def _number(resolved, section: str, key: str, kind=float):
     raw = resolved[section][key]
     try:
-        value = kind(raw) if kind is not float else float(raw)
-        if kind is int and float(raw) != int(float(raw)):
-            raise ValueError
-        if kind is int:
-            value = int(float(raw))
-        return value
-    except (TypeError, ValueError):
+        value = kind(raw)
+    except ValueError:
         raise ConfigError(f"[{section}] {key} must be a {kind.__name__}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _hash(resolved: dict[str, dict[str, str]], omega_overrides: dict[int, str]) -> str:
@@ -340,6 +338,8 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         )
     if cfg.lattice_target_c0 < 1:
         raise ConfigError(f"[algorithm] lattice_target_c0 must be >= 1, got {cfg.lattice_target_c0}")
+    if cfg.resolution < 1:
+        raise ConfigError(f"[sampling] resolution must be >= 1, got {cfg.resolution}")
     if cfg.altitude_points < 1:
         raise ConfigError(f"[sampling] altitude_points must be >= 1, got {cfg.altitude_points}")
     if cfg.altitude_points > 1 and cfg.altitude_max <= cfg.altitude_min:

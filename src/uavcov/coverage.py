@@ -12,9 +12,10 @@ renormalising).
 
 Downlink: conditioned on an association event, every co-channel GBS other
 than the serving one interferes when active (probability ``omega`` per
-site).  GBSs the event forces into NLoS contribute {0, C_NL} two-point
-summands, the rest contribute {0, C_NL, C_L} three-point summands; the
-conditional interference cdf is then a lattice-approximated sum
+site).  Each interferer is one row of values [0, C_NL, C_L] with
+probabilities [1 - omega, omega (1 - p_L), omega p_L], where p_L is 0 for
+GBSs the event forces into NLoS; the conditional interference cdf is then
+a lattice-approximated sum
 (:func:`uavcov.gpm.la_cdf`) and the SNR cdf follows from
 P{snr <= y} = P{I >= C/y - alpha0} summed over events.
 
@@ -35,7 +36,7 @@ import numpy as np
 from .antenna import UavAntenna
 from .channel import ChannelModel, LinkTable, build_link_table
 from .geometry import NetworkLayout, SamplingRegion, sample_region
-from .gpm import DiscreteSummand, GpmSpec, SteppedCdf, la_cdf
+from .gpm import GpmSpec, SteppedCdf, la_cdf
 
 PROB_SUM_TOL = 1e-9
 
@@ -146,9 +147,11 @@ class UplinkSnrPmf:
 
     def outage(self, threshold: float) -> float:
         """P{snr < threshold} (strict: mass exactly at the threshold is
-        not outage).  Clipped to [0, 1]; the raw sum can overshoot 1 by
-        float roundoff."""
-        return min(1.0, max(0.0, float(self.probs[self.values < threshold].sum())))
+        not outage).  Normalised by the total mass, so it is exactly 0 or
+        1 when no atom or every atom lies below the threshold; clipped to
+        [0, 1] against float roundoff in between."""
+        below = float(self.probs[self.values < threshold].sum())
+        return min(1.0, max(0.0, below / float(self.probs.sum())))
 
     def to_cdf(self) -> SteppedCdf:
         return SteppedCdf(self.values, np.cumsum(self.probs) / self.probs.sum())
@@ -166,10 +169,6 @@ def uplink_snr_pmf(table: LinkTable, beta0: float, eps: float = 0.0) -> UplinkSn
     values = np.array(sorted(acc))
     probs = np.array([acc[v] for v in sorted(acc)])
     return UplinkSnrPmf(values, probs)
-
-
-def uplink_outage(pmf: UplinkSnrPmf, threshold: float) -> float:
-    return pmf.outage(threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +197,19 @@ def conditional_interference_spec(
     """
     if event.serving_id is not None and event.serving_id in co_channel_ids:
         raise ValueError(f"serving GBS {event.serving_id} cannot interfere with itself")
-    summands = []
-    for gbs_id in sorted(co_channel_ids):
-        row = table.row_for(gbs_id)
-        w = _omega_for(omega, gbs_id)
-        if gbs_id in event.forced_nlos_ids:
-            pairs = [(0.0, 1.0 - w), (row.c_nlos, w)]
-        else:
-            pairs = [
-                (0.0, 1.0 - w),
-                (row.c_nlos, w * (1.0 - row.p_los)),
-                (row.c_los, w * row.p_los),
-            ]
-        summands.append(DiscreteSummand.from_pairs(pairs))
-    if not summands:
+    ids = sorted(co_channel_ids)
+    if not ids:
         # A band with no interferer: interference is identically zero.
-        summands.append(DiscreteSummand([0.0], [1.0]))
-    return GpmSpec(summands)
+        return GpmSpec([[0.0]], [[1.0]])
+    at = table.positions(ids)
+    w = np.array([_omega_for(omega, gbs_id) for gbs_id in ids])
+    forced = np.array([gbs_id in event.forced_nlos_ids for gbs_id in ids])
+    p = np.where(forced, 0.0, table.p_los_array()[at])
+    values = np.column_stack(
+        [np.zeros(len(ids)), table.c_nlos_array()[at], table.c_los_array()[at]]
+    )
+    probs = np.column_stack([1.0 - w, w * (1.0 - p), w * p])
+    return GpmSpec(values, probs)
 
 
 @dataclass(frozen=True)
@@ -254,18 +249,21 @@ class DownlinkSnrCdf:
     __call__ = eval
 
     def outage(self, threshold: float) -> float:
-        """P{snr < threshold} (strict).  Clipped to [0, 1]; the event sum
-        can overshoot 1 by float roundoff."""
+        """P{snr < threshold} (strict).  Normalised by the total event
+        probability, so it is exactly 0 or 1 when no event or every event
+        is surely in outage; clipped to [0, 1] against float roundoff."""
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         total = 0.0
+        mass = 0.0
         for term in self.terms:
+            mass += term.probability
             if term.interference is None or term.gain == 0.0:
                 total += term.probability
                 continue
             c = term.gain / threshold - self.alpha0
             total += term.probability * (1.0 - float(term.interference.eval(c)))
-        return min(1.0, max(0.0, total))
+        return min(1.0, max(0.0, total / mass))
 
     def default_grid(self, threshold: float | None = None, n: int = 241) -> np.ndarray:
         """Log-spaced evaluation grid.
@@ -332,10 +330,6 @@ def downlink_snr_cdf(
         _, cdf = la_cdf(spec, c0)
         terms.append(DownlinkEventTerm(event.probability, event.gain, cdf))
     return DownlinkSnrCdf(tuple(terms), alpha0)
-
-
-def downlink_outage(cdf: DownlinkSnrCdf, threshold: float) -> float:
-    return cdf.outage(threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +422,6 @@ def coverage_at_altitude(
     return CoverageResult(
         points, non_outage, float(non_outage.mean()), altitude, link, threshold
     )
-
-
-def outage_map(
-    layout: NetworkLayout,
-    gbs_pattern,
-    uav_antenna: UavAntenna,
-    channel: ChannelModel,
-    **kwargs,
-) -> CoverageResult:
-    """Per-point non-outage raster; same contract as
-    :func:`coverage_at_altitude` (the region argument sets the raster)."""
-    return coverage_at_altitude(layout, gbs_pattern, uav_antenna, channel, **kwargs)
 
 
 def coverage_over_altitudes(

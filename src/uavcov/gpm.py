@@ -1,14 +1,15 @@
 """Distribution of a sum of independent finite-support random variables.
 
-A *spec* is a list of summands, each taking finitely many real values with
-given probabilities (the summands may have different support sizes).  The
-exact distribution of the sum has up to prod(L_i) atoms, so beyond toy
-sizes it is recovered numerically:
+A *spec* holds K summands as two (K, L) arrays, ``values`` and ``probs``,
+one row per summand.  Zero-probability entries are padding, so summands
+with fewer than L values share the arrays; a row need not be ordered and
+may repeat a value (the masses add up).  The exact distribution of the
+sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
 
-  * ``lattice_invert``: when every summand is supported on non-negative
-    integers the sum lives on 0..N-1 and its pmf is recovered *exactly*
-    (up to float roundoff) by an inverse DFT of N characteristic-function
-    samples  q_n = (1/N) * sum_k cf(2 pi k / N) exp(-2 pi i k n / N).
+  * ``lattice_invert``: when row k of a (K, N) matrix is the pmf of
+    summand k on 0..N-1 and the sum stays within 0..N-1, its pmf is
+    *exactly* (up to float roundoff) ifft(prod_k fft(row_k)), the DFT
+    inversion of the characteristic function (Hong 2013, CSDA 59:41-51).
 
   * ``la_cdf``: real-valued summands are offset by their minimum value,
     scaled so the total span becomes ``c0`` lattice units, and rounded to
@@ -31,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -93,92 +94,102 @@ class DiscreteSummand:
     def support_size(self) -> int:
         return int(self.values.size)
 
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float((self.values - m) ** 2 @ self.probs)
-
 
 @dataclass(frozen=True, eq=False)
 class GpmSpec:
-    """The full sum: an immutable tuple of independent summands."""
+    """The full sum: read-only (K, L) ``values`` and ``probs``, one row per
+    summand, each row's probabilities non-negative and summing to 1.
 
-    summands: tuple[DiscreteSummand, ...]
+    ``offset`` A0 is the sum of the per-summand minima and ``span`` A the
+    sum of the per-summand ranges, both over entries with positive mass.
+    """
 
-    def __init__(self, summands: Sequence[DiscreteSummand]) -> None:
-        terms = tuple(summands)
-        if not terms:
-            raise ValueError("spec needs at least one summand")
-        object.__setattr__(self, "summands", terms)
+    values: np.ndarray
+    probs: np.ndarray
+    offset: float
+    span: float
+
+    def __init__(self, values, probs) -> None:
+        v = np.array(values, dtype=float)
+        p = np.array(probs, dtype=float)
+        if v.ndim != 2 or p.shape != v.shape or v.size == 0:
+            raise ValueError("values and probs must be equal-shape (K, L) arrays, non-empty")
+        if not (np.all(np.isfinite(v)) and np.all(p >= 0.0)):
+            raise ValueError("summand values must be finite and probabilities non-negative")
+        sums = p.sum(axis=1)
+        k = int(np.argmax(np.abs(sums - 1.0)))
+        if abs(sums[k] - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"summand {k} probabilities sum to {sums[k]!r}, not 1")
+        v.setflags(write=False)
+        p.setflags(write=False)
+        lo = np.where(p > 0.0, v, np.inf).min(axis=1)
+        hi = np.where(p > 0.0, v, -np.inf).max(axis=1)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "probs", p)
+        # Python's sum adds the float64 scalars strictly left to right in
+        # row order (ndarray.sum adds pairwise), which fixes beta = c0 /
+        # span in la_cdf to the last bit for a given row order.
+        object.__setattr__(self, "offset", float(sum(lo)))
+        object.__setattr__(self, "span", float(sum(hi - lo)))
+
+    @classmethod
+    def from_summands(cls, summands: Sequence[DiscreteSummand]) -> "GpmSpec":
+        """Pack summands into rows, padding short ones with zero mass."""
+        width = max((s.support_size for s in summands), default=0)
+        return cls(
+            [np.pad(s.values, (0, width - s.support_size)) for s in summands],
+            [np.pad(s.probs, (0, width - s.support_size)) for s in summands],
+        )
 
     def __len__(self) -> int:
-        return len(self.summands)
-
-    @property
-    def offset(self) -> float:
-        """A0 = sum of per-summand minima (the smallest possible sum)."""
-        return float(sum(s.values[0] for s in self.summands))
-
-    @property
-    def span(self) -> float:
-        """A = sum of per-summand ranges (largest minus smallest sum)."""
-        return float(sum(s.values[-1] - s.values[0] for s in self.summands))
+        return self.values.shape[0]
 
     def mean(self) -> float:
-        return float(sum(s.mean() for s in self.summands))
+        return float((self.values * self.probs).sum())
 
     def variance(self) -> float:
-        return float(sum(s.variance() for s in self.summands))
-
-    def cf(self, s) -> np.ndarray:
-        return cf_sample(self, s)
+        means = (self.values * self.probs).sum(axis=1, keepdims=True)
+        return float(((self.values - means) ** 2 * self.probs).sum())
 
 
-def cf_sample(spec: GpmSpec, s) -> np.ndarray:
-    """Characteristic function E[exp(i s Z)] at the given frequencies.
+def lattice_invert(rows) -> np.ndarray:
+    """Exact pmf on 0..N-1 of a sum of independent integer-lattice terms.
 
-    Product over summands of sum_l p_l exp(i s a_l); |cf| <= 1 everywhere
-    and cf(0) = 1 exactly.
+    Row k of the (K, N) matrix ``rows`` is the pmf of term k on 0..N-1;
+    the sum's pmf is ifft(prod_k fft(row_k)) up to float noise.  Summed
+    support tops beyond N - 1 would wrap around (aliasing) and raise, as
+    do imaginary residues of ``IMAG_RESIDUE_TOL`` or more and negative
+    mass below -``NEGATIVE_PMF_TOL``; smaller negative dips are clamped.
     """
-    freqs = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.ones(freqs.shape, dtype=complex)
-    for summand in spec.summands:
-        out *= np.exp(1j * np.outer(freqs, summand.values)) @ summand.probs.astype(complex)
-    if np.isscalar(s):
-        return out[0]
-    return out
-
-
-def lattice_invert(cf: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Exact pmf on 0..n-1 of an integer-lattice RV from n cf samples.
-
-    ``cf`` must be the characteristic function of a variable supported on
-    {0, ..., n-1}; sampling at 2 pi k / n for k = 0..n-1 then makes the
-    inverse DFT reproduce the pmf up to float noise.  Negative dips within
-    ``NEGATIVE_PMF_TOL`` are clamped to 0 and imaginary residues within
-    ``IMAG_RESIDUE_TOL`` discarded; anything larger raises, because it
-    signals aliasing (support outside 0..n-1) rather than roundoff.
-    """
-    if n < 1:
-        raise ValueError(f"lattice size must be >= 1, got {n}")
-    phi = np.asarray(cf(2.0 * math.pi * np.arange(n) / n), dtype=complex)
-    if phi.shape != (n,):
-        raise ValueError(f"cf sampler returned shape {phi.shape}, expected ({n},)")
-    raw = np.fft.fft(phi) / n
+    q = np.asarray(rows, dtype=float)
+    if q.ndim != 2 or q.size == 0:
+        raise ValueError(f"rows must be a non-empty (K, N) matrix, got shape {q.shape}")
+    n = q.shape[1]
+    # work through blocks of 2^15 entries (512 KB of spectra), which stay
+    # in cache; one pass over a large (K, N) matrix costs more than
+    # linearly in K
+    block = max(1, 2**15 // n)
+    top = 0
+    phi = np.ones(n, dtype=complex)
+    for start in range(0, len(q), block):
+        part = q[start : start + block]
+        top += int((n - 1 - np.argmax(part[:, ::-1] > 0.0, axis=1)).sum())
+        phi *= np.prod(np.fft.fft(part, axis=1), axis=0)
+    if top > n - 1:
+        raise ValueError(f"summed support reaches {top}, beyond 0..{n - 1} (aliasing)")
+    raw = np.fft.ifft(phi)
     worst_imag = float(np.max(np.abs(raw.imag)))
     if worst_imag >= IMAG_RESIDUE_TOL:
         raise ValueError(
             f"imaginary residue {worst_imag:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}; "
-            "cf is not that of a variable on this lattice"
+            "rows are not pmfs on this lattice"
         )
     pmf = raw.real
     worst_neg = float(pmf.min())
     if worst_neg < -NEGATIVE_PMF_TOL:
         raise ValueError(
             f"negative pmf mass {worst_neg:.3e} exceeds {NEGATIVE_PMF_TOL:.0e}; "
-            "lattice too short for the support (aliasing)"
+            "rows are not pmfs on this lattice"
         )
     pmf = np.where(pmf < 0.0, 0.0, pmf)
     total = pmf.sum()
@@ -282,10 +293,9 @@ class LatticeDistribution:
         """Stepped cdf in original value units, jumps at n/scale + offset;
         evaluating it realises F(x) = F_lattice(scale * (x - offset))."""
         support = np.flatnonzero(self.pmf > 0.0)
-        return SteppedCdf(
-            support / self.scale + self.offset,
-            np.cumsum(self.pmf[support]) / self.pmf[support].sum(),
-        )
+        cum = np.cumsum(self.pmf[support])
+        # dividing by the last partial sum makes the cdf end at exactly 1
+        return SteppedCdf(support / self.scale + self.offset, cum / cum[-1])
 
 
 def _next_pow2(n: int) -> int:
@@ -315,14 +325,17 @@ def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, Step
         dist = LatticeDistribution(a0, 1.0, np.array([1.0]))
         return dist, SteppedCdf(np.array([a0]), np.array([1.0]))
     beta = c0 / span
-    quantized = []
-    total_top = 0
-    for summand in spec.summands:
-        lattice_values = _round_half_away(beta * (summand.values - summand.values[0]))
-        quantized.append(DiscreteSummand.from_pairs(zip(lattice_values, summand.probs)))
-        total_top += int(lattice_values[-1])
+    live = spec.probs > 0.0
+    lo = np.where(live, spec.values, np.inf).min(axis=1, keepdims=True)
+    # padding entries go to lattice point 0 with zero mass; left at their
+    # own values they could round below 0 and wrap around
+    shifted = np.where(live, spec.values - lo, 0.0)
+    lattice = _round_half_away(beta * shifted).astype(np.intp)
+    total_top = int(lattice.max(axis=1).sum())
     n = _next_pow2(total_top + 1)
-    pmf = lattice_invert(GpmSpec(quantized).cf, n)
+    rows = np.zeros((len(spec), n))
+    np.add.at(rows, (np.arange(len(spec))[:, None], lattice), spec.probs)
+    pmf = lattice_invert(rows)
     # FFT round-off leaves ~1e-15 dust on lattice points that carry no
     # mass; without a floor it would surface as spurious cdf jumps
     pmf[pmf < FFT_MASS_FLOOR] = 0.0
@@ -337,18 +350,15 @@ def enumerate_cdf(spec: GpmSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> SteppedC
     Refuses specs with more than ``cap`` joint states; intermediate atom
     lists are coalesced as they grow, which never changes the distribution.
     """
-    states = 1
-    for summand in spec.summands:
-        states *= summand.support_size
-        if states > cap:
-            raise ValueError(
-                f"enumeration needs {states}+ joint states, above the cap of {cap}"
-            )
+    rows = [(v[p > 0.0], p[p > 0.0]) for v, p in zip(spec.values, spec.probs)]
+    states = math.prod(np.unique(v).size for v, _ in rows)
+    if states > cap:
+        raise ValueError(f"enumeration needs {states} joint states, above the cap of {cap}")
     values = np.array([0.0])
     probs = np.array([1.0])
-    for summand in spec.summands:
-        values = (values[:, None] + summand.values[None, :]).ravel()
-        probs = (probs[:, None] * summand.probs[None, :]).ravel()
+    for row_values, row_probs in rows:
+        values = (values[:, None] + row_values[None, :]).ravel()
+        probs = (probs[:, None] * row_probs[None, :]).ravel()
         if values.size > 4096:
             step = SteppedCdf.from_pmf(values, probs)
             values = step.xs
@@ -362,9 +372,9 @@ def mc_cdf(spec: GpmSpec, n_samples: int, seed: int) -> SteppedCdf:
         raise ValueError(f"need at least 1 sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     total = np.zeros(n_samples)
-    for summand in spec.summands:
-        idx = rng.choice(summand.support_size, size=n_samples, p=summand.probs)
-        total += summand.values[idx]
+    for row_values, row_probs in zip(spec.values, spec.probs):
+        idx = rng.choice(row_values.size, size=n_samples, p=row_probs)
+        total += row_values[idx]
     values, counts = np.unique(total, return_counts=True)
     return SteppedCdf(values, np.cumsum(counts) / n_samples)
 
@@ -464,7 +474,7 @@ def load_spec(path) -> GpmSpec:
             summands.append(DiscreteSummand.from_pairs(zip(values, probs)))
     if not summands:
         raise ValueError(f"{path}: no summands found")
-    return GpmSpec(summands)
+    return GpmSpec.from_summands(summands)
 
 
 def write_cdf_csv(cdf: SteppedCdf, path, comment: str | None = None) -> None:

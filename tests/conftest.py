@@ -39,7 +39,7 @@ def random_spec(rng, n_summands, max_support=3, value_scale=1.0):
         probs = rng.uniform(0.2, 1.0, size=size)
         probs = probs / probs.sum()
         summands.append(DiscreteSummand(values, probs))
-    return GpmSpec(summands)
+    return GpmSpec.from_summands(summands)
 
 
 def random_integer_spec(rng, n_summands, max_value=5, max_support=4):
@@ -52,4 +52,4 @@ def random_integer_spec(rng, n_summands, max_value=5, max_support=4):
         probs = rng.uniform(0.1, 1.0, size=size)
         probs = probs / probs.sum()
         summands.append(DiscreteSummand(values, probs))
-    return GpmSpec(summands)
+    return GpmSpec.from_summands(summands)

@@ -130,15 +130,16 @@ def test_fft_inversion_matches_exhaustive_enumeration():
             values = np.sort(rng.choice(6, size=size, replace=False)).astype(float)
             probs = rng.uniform(0.1, 1.0, size=size)
             summands.append(DiscreteSummand(values, probs / probs.sum()))
-        spec = GpmSpec(summands)
-        top = int(sum(s.values[-1] for s in spec.summands))
-        pmf = lattice_invert(spec.cf, top + 1)
+        spec = GpmSpec.from_summands(summands)
+        top = int(np.where(spec.probs > 0, spec.values, 0.0).max(axis=1).sum())
+        rows = np.zeros((len(spec), top + 1))
+        for row, values, probs in zip(rows, spec.values, spec.probs):
+            for v, p in zip(values, probs):
+                row[int(v)] += p
+        pmf = lattice_invert(rows)
         want = np.zeros(top + 1)
         want[0] = 1.0
-        for s in spec.summands:
-            vec = np.zeros(top + 1)
-            for v, p in zip(s.values, s.probs):
-                vec[int(v)] += p
+        for vec in rows:
             want = np.convolve(want, vec)[: top + 1]
         worst = max(worst, float(np.max(np.abs(pmf - want))))
     ok = worst <= 1e-9
@@ -161,7 +162,7 @@ def test_lattice_approximation_accuracy():
                 values = np.sort(rng.uniform(0.0, 1.0, size=3))
             probs = rng.uniform(0.5, 1.0, size=3)
             summands.append(DiscreteSummand(values, probs / probs.sum()))
-        spec = GpmSpec(summands)
+        spec = GpmSpec.from_summands(summands)
         exact = enumerate_cdf(spec)
         _, fine = la_cdf(spec, 1000.0)
         _, coarse = la_cdf(spec, 100.0)
@@ -253,7 +254,7 @@ def test_lattice_runtime_scales_linearly_in_summand_count():
     rng = np.random.default_rng(77)
 
     def synth(m):
-        return GpmSpec([
+        return GpmSpec.from_summands([
             DiscreteSummand.from_pairs(
                 [(0.0, 0.5), (float(rng.uniform(0.5, 1.5)), 0.5)]
             )

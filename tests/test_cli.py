@@ -73,6 +73,18 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, body", [
+    ("downlink-map", "[thresholds]\ndownlink_snr_db = nan\n"),
+    ("layout", "[layout]\ninter_site_distance_m = nan\n"),
+    ("uplink-map", "[sampling]\nresolution = 0\n"),
+])
+def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
+    cfg_path = write_cfg(tmp_path, body)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_argparse_usage_error():
     with pytest.raises(SystemExit):
         main(["validate"])          # --mode is required

@@ -1,10 +1,15 @@
 """Configuration loading: defaults, overrides, strictness, derived units."""
 
 import pickle
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uavcov.config import ConfigError, LoadingMap, load_config
+from uavcov.config import DEFAULTS, ConfigError, LoadingMap, load_config
 from uavcov.geometry import RegionKind, write_layout_csv
 
 
@@ -108,6 +113,36 @@ def test_strict_sections_and_keys(tmp_path):
 def test_value_validation(tmp_path, body):
     with pytest.raises(ConfigError):
         load_config(write_ini(tmp_path, body))
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+NUMERIC_KEYS = sorted(
+    (section, key)
+    for section, keys in DEFAULTS.items()
+    for key, default in keys.items()
+    if _is_number(default)
+) + [("loading", "omega_site_3")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(NUMERIC_KEYS),
+    st.from_regex(re.compile(r"\A[+-]?(nan|inf|infinity)\Z", re.IGNORECASE)),
+)
+def test_non_finite_numbers_are_config_errors(entry, raw):
+    section, key = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
 
 
 def test_builders(tmp_path):

@@ -16,15 +16,14 @@ from uavcov.antenna import UavAntenna, UlaPattern
 from uavcov.channel import LinkRow, LinkTable, build_link_table, default_channel
 from uavcov.coverage import (
     AssociationState,
-    CoverageResult,
     DownlinkSnrCdf,
     LinkDirection,
+    UplinkSnrPmf,
     association_pmf,
     conditional_interference_spec,
     coverage_at_altitude,
     coverage_over_altitudes,
     downlink_snr_cdf,
-    outage_map,
     uplink_snr_pmf,
 )
 from uavcov.geometry import RegionKind, SamplingRegion, build_hex_layout
@@ -261,11 +260,11 @@ def test_interference_summand_shapes():
     events = association_pmf(table)
     los0 = events[0]                     # serving 0, nothing forced
     spec = conditional_interference_spec(los0, table, {1, 2}, 0.5)
-    assert [s.support_size for s in spec.summands] == [3, 3]
+    assert (spec.probs > 0).sum(axis=1).tolist() == [3, 3]
     term = events[-1]                    # rows 0 and 1 forced NLoS
     spec = conditional_interference_spec(term, table, {1, 2}, 0.5)
-    assert [s.support_size for s in spec.summands] == [2, 3]
-    assert spec.summands[0].values.tolist() == [0.0, 3.0]
+    assert (spec.probs > 0).sum(axis=1).tolist() == [2, 3]
+    assert spec.values[0][spec.probs[0] > 0].tolist() == [0.0, 3.0]
 
 
 def test_interference_mean_oracle():
@@ -384,6 +383,18 @@ def test_downlink_zero_gain_term():
     assert model.outage(123.0) == 1.0
 
 
+def test_outage_is_exact_at_both_ends():
+    # in float arithmetic these probabilities add up to 1 - 2^-53
+    pmf = UplinkSnrPmf(np.array([1.0, 2.0, 3.0]), np.array([0.7, 0.2, 0.1]))
+    assert pmf.outage(10.0) == 1.0 and pmf.outage(0.5) == 0.0
+    rng = np.random.default_rng(2718)
+    for _ in range(30):
+        table = random_link_table(rng, int(rng.integers(2, 9)), n_bands=2, zero_row_prob=0.0)
+        for model in (uplink_snr_pmf(table, 1.0), downlink_snr_cdf(table, 0.5, 0.1)):
+            assert model.outage(1e-12) == 0.0      # every atom above the threshold
+            assert model.outage(1e12) == 1.0       # every atom below it
+
+
 def test_downlink_grid_and_validation():
     table = LinkTable(MICRO_ROWS)
     model = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
@@ -478,19 +489,6 @@ def test_parallel_workers_match_serial():
     parallel = coverage_at_altitude(layout, pattern, uav, channel, workers=2, **kwargs)
     np.testing.assert_array_equal(parallel.non_outage, serial.non_outage)
     assert parallel.coverage == serial.coverage
-
-
-def test_outage_map_is_coverage_raster():
-    layout, pattern, uav, channel = make_scene(radius=500.0)
-    kwargs = dict(
-        gbs_height=20.0, altitude=100.0,
-        region=SamplingRegion(RegionKind.TRIANGLE, 2),
-        link=LinkDirection.UPLINK, threshold=15.0, beta0=2.5e10,
-    )
-    a = outage_map(layout, pattern, uav, channel, **kwargs)
-    b = coverage_at_altitude(layout, pattern, uav, channel, **kwargs)
-    assert isinstance(a, CoverageResult)
-    np.testing.assert_array_equal(a.non_outage, b.non_outage)
 
 
 def test_coverage_over_altitudes_aggregate():

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_integer_spec, random_spec
 from uavcov.gpm import (
@@ -19,7 +21,6 @@ from uavcov.gpm import (
     GpmSpec,
     LatticeDistribution,
     SteppedCdf,
-    cf_sample,
     enumerate_cdf,
     gaussian_cdf,
     kolmogorov_distance,
@@ -32,24 +33,34 @@ from uavcov.gpm import (
 )
 
 
+def lattice_rows(spec, length):
+    """Row k: summand k's pmf on the integer lattice 0..length-1."""
+    rows = np.zeros((len(spec), length))
+    for k, (values, probs) in enumerate(zip(spec.values, spec.probs)):
+        for v, p in zip(values, probs):
+            rows[k, int(round(v))] += p
+    return rows
+
+
 def convolve_pmf(spec, length):
     """Exact lattice pmf by iterated convolution (independent oracle)."""
     out = np.zeros(length)
     out[0] = 1.0
-    for summand in spec.summands:
-        vec = np.zeros(length)
-        for v, p in zip(summand.values, summand.probs):
-            vec[int(round(v))] += p
+    for vec in lattice_rows(spec, length):
         out = np.convolve(out, vec)[:length]
     return out
 
 
 def product_atoms(spec):
     """All joint outcomes by brute force (independent oracle)."""
+    rows = [
+        [(v, p) for v, p in zip(values, probs) if p > 0]
+        for values, probs in zip(spec.values, spec.probs)
+    ]
     acc = {}
-    for combo in itertools.product(*[range(s.support_size) for s in spec.summands]):
-        value = sum(s.values[i] for s, i in zip(spec.summands, combo))
-        prob = math.prod(s.probs[i] for s, i in zip(spec.summands, combo))
+    for combo in itertools.product(*rows):
+        value = sum(v for v, _ in combo)
+        prob = math.prod(p for _, p in combo)
         acc[value] = acc.get(value, 0.0) + prob
     return acc
 
@@ -70,16 +81,88 @@ def test_summand_validation():
         DiscreteSummand([0.0, 1.0], [-0.2, 1.2])
 
 
-def test_summand_from_pairs_merges_and_drops():
-    s = DiscreteSummand.from_pairs([(1.0, 0.25), (0.0, 0.5), (1.0, 0.25), (2.0, 0.0)])
-    assert s.values.tolist() == [0.0, 1.0]
-    assert s.probs.tolist() == [0.5, 0.5]
+def test_spec_validation():
+    GpmSpec([[0.0, 1.0]], [[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        GpmSpec([0.0, 1.0], [0.5, 0.5])              # not (K, L)
+    with pytest.raises(ValueError):
+        GpmSpec([[0.0, 1.0]], [[0.5, 0.5, 0.0]])     # shapes differ
+    with pytest.raises(ValueError):
+        GpmSpec([[0.0, 1.0]], [[0.6, 0.6]])          # row does not sum to 1
+    with pytest.raises(ValueError):
+        GpmSpec([[0.0, 1.0]], [[-0.2, 1.2]])
+    with pytest.raises(ValueError):
+        GpmSpec([[0.0, np.nan]], [[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        GpmSpec.from_summands([])
+
+
+def summand_specs():
+    """Random small specs as lists of (values, probs) rows."""
+    row = st.integers(1, 3).flatmap(lambda size: st.tuples(
+        st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=size, max_size=size,
+                 unique=True),
+        st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size),
+    ))
+    return st.lists(row, min_size=1, max_size=4)
+
+
+def spec_from_rows(rows, width):
+    values = np.zeros((len(rows), width))
+    probs = np.zeros((len(rows), width))
+    for k, (v, p) in enumerate(rows):
+        values[k, : len(v)] = v
+        probs[k, : len(p)] = np.asarray(p) / np.sum(p)
+    return GpmSpec(values, probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(summand_specs(), st.randoms(use_true_random=False), st.floats(-5.0, 20.0))
+def test_spec_invariant_under_padding_duplicates_and_permutation(rows, rnd, pad_value):
+    base = spec_from_rows(rows, 3)
+    order = np.argsort([[rnd.random() for _ in range(3)] for _ in rows], axis=1)
+    split = GpmSpec(   # one atom split into two entries with the same value
+        np.hstack([base.values, base.values[:, :1]]),
+        np.hstack([base.probs * [0.5, 1.0, 1.0], base.probs[:, :1] * 0.5]),
+    )
+    variants = [
+        # zero-probability padding entries anywhere, at any value
+        GpmSpec(
+            np.hstack([np.full((len(base), 2), pad_value), base.values]),
+            np.hstack([np.zeros((len(base), 2)), base.probs]),
+        ),
+        split,
+        # from_pairs merges the split atom again and drops the padding
+        GpmSpec.from_summands([
+            DiscreteSummand.from_pairs(zip(v, p)) for v, p in zip(split.values, split.probs)
+        ]),
+        # the entries of every row shuffled
+        GpmSpec(
+            np.take_along_axis(base.values, order, 1), np.take_along_axis(base.probs, order, 1)
+        ),
+    ]
+    _, base_la = la_cdf(base, 200.0)
+    base_enum = enumerate_cdf(base)
+    for spec in variants:
+        assert spec.offset == pytest.approx(base.offset, abs=1e-12)
+        assert spec.span == pytest.approx(base.span, abs=1e-12)
+        assert spec.mean() == pytest.approx(base.mean(), abs=1e-12)
+        assert spec.variance() == pytest.approx(base.variance(), abs=1e-12)
+        enum = enumerate_cdf(spec)
+        assert kolmogorov_distance(enum, base_enum) <= 1e-12
+        _, la = la_cdf(spec, 200.0)
+        assert la.xs.shape == base_la.xs.shape
+        np.testing.assert_allclose(la.xs, base_la.xs, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(la.cum, base_la.cum, rtol=0.0, atol=1e-12)
 
 
 def test_summand_arrays_read_only():
     s = DiscreteSummand([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         s.values[0] = 3.0
+    spec = GpmSpec.from_summands([s])
+    with pytest.raises(ValueError):
+        spec.probs[0, 0] = 1.0
 
 
 def test_spec_moments_match_enumeration():
@@ -91,54 +174,45 @@ def test_spec_moments_match_enumeration():
         var = sum((v - mean) ** 2 * p for v, p in atoms.items())
         assert spec.mean() == pytest.approx(mean, rel=1e-9)
         assert spec.variance() == pytest.approx(var, rel=1e-9, abs=1e-12)
-        lo = sum(s.values[0] for s in spec.summands)
-        hi = sum(s.values[-1] for s in spec.summands)
-        assert spec.offset == pytest.approx(lo)
-        assert spec.span == pytest.approx(hi - lo)
+        assert spec.offset == pytest.approx(min(atoms))
+        assert spec.span == pytest.approx(max(atoms) - min(atoms))
 
 
 # ---------------------------------------------------------------------------
-# Characteristic function and exact inversion
+# Exact inversion
 # ---------------------------------------------------------------------------
-
-def test_cf_bounded_and_one_at_zero():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        spec = random_spec(rng, int(rng.integers(1, 9)))
-        freqs = rng.uniform(-50.0, 50.0, size=64)
-        vals = cf_sample(spec, freqs)
-        assert np.all(np.abs(vals) <= 1.0 + 1e-12)
-        assert cf_sample(spec, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
-
 
 def test_lattice_invert_matches_convolution():
     rng = np.random.default_rng(29)
     for _ in range(50):
         spec = random_integer_spec(rng, int(rng.integers(1, 9)), max_value=5)
-        top = int(sum(s.values[-1] for s in spec.summands))
+        top = int(np.where(spec.probs > 0, spec.values, 0.0).max(axis=1).sum())
         n = top + 1 + int(rng.integers(0, 4))   # exact for any n >= support
-        pmf = lattice_invert(spec.cf, n)
+        pmf = lattice_invert(lattice_rows(spec, n))
         want = convolve_pmf(spec, n)
         assert np.max(np.abs(pmf - want)) < 1e-9
 
 
 def test_lattice_invert_point_mass():
-    spec = GpmSpec([DiscreteSummand([3.0], [1.0])])
-    pmf = lattice_invert(spec.cf, 8)
-    want = np.zeros(8)
-    want[3] = 1.0
-    assert np.max(np.abs(pmf - want)) < 1e-12
+    rows = np.zeros((1, 8))
+    rows[0, 3] = 1.0
+    pmf = lattice_invert(rows)
+    assert np.max(np.abs(pmf - rows[0])) < 1e-12
 
 
-def test_lattice_invert_rejects_off_lattice():
-    spec = GpmSpec([DiscreteSummand([0.0, 0.5], [0.5, 0.5])])
-    with pytest.raises(ValueError):
-        lattice_invert(spec.cf, 8)
+def test_lattice_invert_rejects_short_lattice():
+    # tops 3 + 2 = 5 do not fit on 0..4: the sum would wrap around
+    rows = np.zeros((2, 5))
+    rows[0, [0, 3]] = 0.5
+    rows[1, [0, 2]] = 0.5
+    with pytest.raises(ValueError, match="aliasing"):
+        lattice_invert(rows)
+    lattice_invert(np.hstack([rows, np.zeros((2, 1))]))   # N = 6 fits
 
 
 def test_lattice_invert_rejects_bad_length():
     with pytest.raises(ValueError):
-        lattice_invert(lambda s: np.ones_like(s, dtype=complex), 0)
+        lattice_invert(np.zeros((1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +263,7 @@ def test_lattice_distribution_to_cdf():
 
 def test_la_cdf_frozen_example():
     # two fair summands on {0,1} and {0,2}: the four equally likely sums
-    spec = GpmSpec([
+    spec = GpmSpec.from_summands([
         DiscreteSummand([0.0, 1.0], [0.5, 0.5]),
         DiscreteSummand([0.0, 2.0], [0.5, 0.5]),
     ])
@@ -201,7 +275,7 @@ def test_la_cdf_frozen_example():
 def test_la_exact_when_values_hit_lattice():
     # span 4, c0 1000 -> beta 250: every scaled value is integral, so the
     # approximation must coincide with enumeration to float noise
-    spec = GpmSpec([
+    spec = GpmSpec.from_summands([
         DiscreteSummand([0.0, 1.0], [0.3, 0.7]),
         DiscreteSummand([0.0, 3.0], [0.6, 0.4]),
     ])
@@ -211,7 +285,7 @@ def test_la_exact_when_values_hit_lattice():
 
 
 def test_la_degenerate_span():
-    spec = GpmSpec([DiscreteSummand([4.0], [1.0]), DiscreteSummand([1.5], [1.0])])
+    spec = GpmSpec.from_summands([DiscreteSummand([4.0], [1.0]), DiscreteSummand([1.5], [1.0])])
     dist, cdf = la_cdf(spec, 1000.0)
     assert cdf.xs.tolist() == [5.5]
     assert cdf.cum.tolist() == [1.0]
@@ -219,7 +293,7 @@ def test_la_degenerate_span():
 
 
 def test_la_rejects_small_c0():
-    spec = GpmSpec([DiscreteSummand([0.0, 1.0], [0.5, 0.5])])
+    spec = GpmSpec.from_summands([DiscreteSummand([0.0, 1.0], [0.5, 0.5])])
     with pytest.raises(ValueError):
         la_cdf(spec, 0.5)
 
@@ -269,7 +343,7 @@ def test_enumerate_matches_product_oracle():
 
 
 def test_enumerate_cap():
-    spec = GpmSpec([DiscreteSummand([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])] * 14)
+    spec = GpmSpec.from_summands([DiscreteSummand([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])] * 14)
     with pytest.raises(ValueError):
         enumerate_cdf(spec)
 
@@ -281,7 +355,7 @@ def test_enumerate_coalescing_keeps_distribution():
         DiscreteSummand([0.0, float(rng.uniform(0.5, 1.5))], [0.4, 0.6])
         for _ in range(15)
     ]
-    spec = GpmSpec(summands)
+    spec = GpmSpec.from_summands(summands)
     cdf = enumerate_cdf(spec)
     assert cdf.cum[-1] == pytest.approx(1.0, abs=1e-9)
     assert abs(float(np.diff(cdf.cum, prepend=0.0) @ cdf.xs) - spec.mean()) < 1e-9
@@ -299,7 +373,7 @@ def test_mc_cdf_deterministic_and_convergent():
 
 
 def test_gaussian_cdf_shape():
-    spec = GpmSpec([
+    spec = GpmSpec.from_summands([
         DiscreteSummand([0.0, 1.0], [0.5, 0.5]),
         DiscreteSummand([0.0, 2.0], [0.5, 0.5]),
     ])
@@ -343,7 +417,7 @@ def test_kolmogorov_hand_value():
 
 
 def test_kolmogorov_against_continuous():
-    spec = GpmSpec([DiscreteSummand([0.0, 1.0], [0.5, 0.5])] * 15)
+    spec = GpmSpec.from_summands([DiscreteSummand([0.0, 1.0], [0.5, 0.5])] * 15)
     exact = enumerate_cdf(spec)
     # a 15-trial coin sum is near normal; the gap to its moment-matched
     # gaussian is dominated by half the central atom, about 0.098
@@ -378,8 +452,8 @@ def test_load_spec(tmp_path):
     )
     spec = load_spec(path)
     assert len(spec) == 2
-    assert spec.summands[0].values.tolist() == [0.0, 1.5, 4.0]
-    assert spec.summands[1].probs.tolist() == [0.5, 0.5]
+    assert spec.values[0].tolist() == [0.0, 1.5, 4.0]
+    assert spec.probs[1].tolist() == [0.5, 0.5, 0.0]    # padded to width 3
 
 
 def test_load_spec_errors(tmp_path):

@@ -179,8 +179,7 @@ class LinkTable:
     channel states, sorted by descending LoS gain (ties by ascending id),
     which is the order the association walk consumes.  GBSs outside the
     UAV mainlobe with zero backlobe gain have both gains 0 and sit at the
-    tail.  Column arrays and the id -> row position lookup are built on
-    first use and kept.
+    tail.
     """
 
     rows: tuple[LinkRow, ...]
@@ -200,33 +199,24 @@ class LinkTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _column(self, name: str) -> np.ndarray:
-        columns = self.__dict__.setdefault("_columns", {})
-        if name not in columns:
-            columns[name] = np.array([getattr(r, name) for r in self.rows], dtype=float)
-            columns[name].setflags(write=False)
-        return columns[name]
-
     @cached_property
     def _position(self) -> dict[int, int]:
         return {r.gbs_id: k for k, r in enumerate(self.rows)}
 
     def c_los_array(self) -> np.ndarray:
-        return self._column("c_los")
+        return np.array([r.c_los for r in self.rows])
 
     def c_nlos_array(self) -> np.ndarray:
-        return self._column("c_nlos")
+        return np.array([r.c_nlos for r in self.rows])
 
     def p_los_array(self) -> np.ndarray:
-        return self._column("p_los")
+        return np.array([r.p_los for r in self.rows])
 
     def positions(self, gbs_ids) -> np.ndarray:
         """Row positions of the given GBS ids, in the order given."""
         return np.array([self._position[i] for i in gbs_ids], dtype=np.intp)
 
     def row_for(self, gbs_id: int) -> LinkRow:
-        if gbs_id not in self._position:
-            raise KeyError(f"GBS {gbs_id} not in link table")
         return self.rows[self._position[gbs_id]]
 
     def band_members(self, band: int) -> set[int]:

@@ -205,9 +205,8 @@ def conditional_interference_spec(
     w = np.array([_omega_for(omega, gbs_id) for gbs_id in ids])
     forced = np.array([gbs_id in event.forced_nlos_ids for gbs_id in ids])
     p = np.where(forced, 0.0, table.p_los_array()[at])
-    values = np.column_stack(
-        [np.zeros(len(ids)), table.c_nlos_array()[at], table.c_los_array()[at]]
-    )
+    c_nlos, c_los = table.c_nlos_array()[at], table.c_los_array()[at]
+    values = np.column_stack([np.zeros(len(ids)), c_nlos, c_los])
     probs = np.column_stack([1.0 - w, w * (1.0 - p), w * p])
     return GpmSpec(values, probs)
 
@@ -254,8 +253,7 @@ class DownlinkSnrCdf:
         is surely in outage; clipped to [0, 1] against float roundoff."""
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
-        total = 0.0
-        mass = 0.0
+        total = mass = 0.0
         for term in self.terms:
             mass += term.probability
             if term.interference is None or term.gain == 0.0:

@@ -9,7 +9,7 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
   * ``lattice_invert``: when row k of a (K, N) matrix is the pmf of
     summand k on 0..N-1 and the sum stays within 0..N-1, its pmf is
     *exactly* (up to float roundoff) ifft(prod_k fft(row_k)), the DFT
-    inversion of the characteristic function (Hong 2013, CSDA 59:41-51).
+    inversion of the characteristic function ``cf_sample`` (Hong 2013).
 
   * ``la_cdf``: real-valued summands are offset by their minimum value,
     scaled so the total span becomes ``c0`` lattice units, and rounded to
@@ -100,8 +100,10 @@ class GpmSpec:
     """The full sum: read-only (K, L) ``values`` and ``probs``, one row per
     summand, each row's probabilities non-negative and summing to 1.
 
-    ``offset`` A0 is the sum of the per-summand minima and ``span`` A the
-    sum of the per-summand ranges, both over entries with positive mass.
+    Zero-probability entries are padding: the constructor moves each one
+    to its row's smallest positive-mass value, so every row's min and max
+    are those of its support.  ``offset`` A0 is the sum of the row minima
+    and ``span`` A the sum of the row ranges.
     """
 
     values: np.ndarray
@@ -120,10 +122,12 @@ class GpmSpec:
         k = int(np.argmax(np.abs(sums - 1.0)))
         if abs(sums[k] - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"summand {k} probabilities sum to {sums[k]!r}, not 1")
+        live = p > 0.0
+        lo = np.where(live, v, np.inf).min(axis=1)
+        hi = np.where(live, v, -np.inf).max(axis=1)
+        v = np.where(live, v, lo[:, None])
         v.setflags(write=False)
         p.setflags(write=False)
-        lo = np.where(p > 0.0, v, np.inf).min(axis=1)
-        hi = np.where(p > 0.0, v, -np.inf).max(axis=1)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
         # Python's sum adds the float64 scalars strictly left to right in
@@ -141,6 +145,15 @@ class GpmSpec:
             [np.pad(s.probs, (0, width - s.support_size)) for s in summands],
         )
 
+    @property
+    def summands(self) -> tuple[DiscreteSummand, ...]:
+        """Each row as a summand, duplicate values (and padding) merged."""
+        terms = []
+        for row_values, row_probs in zip(self.values, self.probs):
+            values, at = np.unique(row_values, return_inverse=True)
+            terms.append(DiscreteSummand(values, np.bincount(at, weights=row_probs)))
+        return tuple(terms)
+
     def __len__(self) -> int:
         return self.values.shape[0]
 
@@ -150,6 +163,15 @@ class GpmSpec:
     def variance(self) -> float:
         means = (self.values * self.probs).sum(axis=1, keepdims=True)
         return float(((self.values - means) ** 2 * self.probs).sum())
+
+
+def cf_sample(spec: GpmSpec, s) -> np.ndarray:
+    """Characteristic function E[exp(i s Z)] at the frequencies ``s``: the
+    product over rows of sum_l p_l exp(i s v_l).  On a lattice of length N
+    it is the DFT of the sum's pmf at s = -2 pi k / N, which
+    ``lattice_invert`` builds from the rows' DFTs instead."""
+    phase = np.exp(1j * np.multiply.outer(np.asarray(s, dtype=float), spec.values))
+    return (phase * spec.probs).sum(axis=-1).prod(axis=-1)
 
 
 def lattice_invert(rows) -> np.ndarray:
@@ -165,9 +187,8 @@ def lattice_invert(rows) -> np.ndarray:
     if q.ndim != 2 or q.size == 0:
         raise ValueError(f"rows must be a non-empty (K, N) matrix, got shape {q.shape}")
     n = q.shape[1]
-    # work through blocks of 2^15 entries (512 KB of spectra), which stay
-    # in cache; one pass over a large (K, N) matrix costs more than
-    # linearly in K
+    # blocks of 2^15 entries (512 KB of spectra) stay in cache; one FFT of
+    # a large (K, N) matrix costs more than linearly in K
     block = max(1, 2**15 // n)
     top = 0
     phi = np.ones(n, dtype=complex)
@@ -291,11 +312,14 @@ class LatticeDistribution:
 
     def to_cdf(self) -> SteppedCdf:
         """Stepped cdf in original value units, jumps at n/scale + offset;
-        evaluating it realises F(x) = F_lattice(scale * (x - offset))."""
+        evaluating it realises F(x) = F_lattice(scale * (x - offset)).
+        Lattice points that map to the same float share one jump."""
         support = np.flatnonzero(self.pmf > 0.0)
+        xs = support / self.scale + self.offset
         cum = np.cumsum(self.pmf[support])
+        last = np.append(xs[1:] > xs[:-1], True)
         # dividing by the last partial sum makes the cdf end at exactly 1
-        return SteppedCdf(support / self.scale + self.offset, cum / cum[-1])
+        return SteppedCdf(xs[last], cum[last] / cum[-1])
 
 
 def _next_pow2(n: int) -> int:
@@ -325,11 +349,7 @@ def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, Step
         dist = LatticeDistribution(a0, 1.0, np.array([1.0]))
         return dist, SteppedCdf(np.array([a0]), np.array([1.0]))
     beta = c0 / span
-    live = spec.probs > 0.0
-    lo = np.where(live, spec.values, np.inf).min(axis=1, keepdims=True)
-    # padding entries go to lattice point 0 with zero mass; left at their
-    # own values they could round below 0 and wrap around
-    shifted = np.where(live, spec.values - lo, 0.0)
+    shifted = spec.values - spec.values.min(axis=1, keepdims=True)
     lattice = _round_half_away(beta * shifted).astype(np.intp)
     total_top = int(lattice.max(axis=1).sum())
     n = _next_pow2(total_top + 1)
@@ -350,15 +370,15 @@ def enumerate_cdf(spec: GpmSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> SteppedC
     Refuses specs with more than ``cap`` joint states; intermediate atom
     lists are coalesced as they grow, which never changes the distribution.
     """
-    rows = [(v[p > 0.0], p[p > 0.0]) for v, p in zip(spec.values, spec.probs)]
-    states = math.prod(np.unique(v).size for v, _ in rows)
+    summands = spec.summands
+    states = math.prod(s.support_size for s in summands)
     if states > cap:
         raise ValueError(f"enumeration needs {states} joint states, above the cap of {cap}")
     values = np.array([0.0])
     probs = np.array([1.0])
-    for row_values, row_probs in rows:
-        values = (values[:, None] + row_values[None, :]).ravel()
-        probs = (probs[:, None] * row_probs[None, :]).ravel()
+    for summand in summands:
+        values = (values[:, None] + summand.values[None, :]).ravel()
+        probs = (probs[:, None] * summand.probs[None, :]).ravel()
         if values.size > 4096:
             step = SteppedCdf.from_pmf(values, probs)
             values = step.xs

@@ -21,6 +21,7 @@ from uavcov.gpm import (
     GpmSpec,
     LatticeDistribution,
     SteppedCdf,
+    cf_sample,
     enumerate_cdf,
     gaussian_cdf,
     kolmogorov_distance,
@@ -154,6 +155,18 @@ def test_spec_invariant_under_padding_duplicates_and_permutation(rows, rnd, pad_
         assert la.xs.shape == base_la.xs.shape
         np.testing.assert_allclose(la.xs, base_la.xs, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(la.cum, base_la.cum, rtol=0.0, atol=1e-12)
+        for got, want in zip(spec.summands, base.summands, strict=True):
+            np.testing.assert_array_equal(got.values, want.values)
+            np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
+
+
+def test_padding_sits_on_row_minimum():
+    spec = GpmSpec([[5.0, 2.0, 7.0, 2.0]], [[0.0, 0.25, 0.5, 0.25]])
+    assert spec.values.tolist() == [[2.0, 2.0, 7.0, 2.0]]
+    assert (spec.offset, spec.span) == (2.0, 5.0)
+    (summand,) = spec.summands
+    assert summand.values.tolist() == [2.0, 7.0]
+    assert summand.probs.tolist() == [0.5, 0.5]
 
 
 def test_summand_arrays_read_only():
@@ -179,8 +192,29 @@ def test_spec_moments_match_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# Exact inversion
+# Characteristic function and exact inversion
 # ---------------------------------------------------------------------------
+
+def test_cf_bounded_and_one_at_zero():
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        spec = random_spec(rng, int(rng.integers(1, 9)))
+        freqs = rng.uniform(-50.0, 50.0, size=64)
+        vals = cf_sample(spec, freqs)
+        assert np.all(np.abs(vals) <= 1.0 + 1e-12)
+        assert cf_sample(spec, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+
+
+def test_lattice_invert_spectrum_is_cf():
+    # the DFT of the sum's pmf on 0..N-1 is its cf at -2 pi k / N
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        spec = random_integer_spec(rng, int(rng.integers(1, 9)), max_value=5)
+        n = int(spec.values.max(axis=1).sum()) + 1
+        pmf = lattice_invert(lattice_rows(spec, n))
+        want = cf_sample(spec, -2.0 * math.pi * np.arange(n) / n)
+        assert np.max(np.abs(np.fft.fft(pmf) - want)) < 1e-9
+
 
 def test_lattice_invert_matches_convolution():
     rng = np.random.default_rng(29)
@@ -208,6 +242,15 @@ def test_lattice_invert_rejects_short_lattice():
     with pytest.raises(ValueError, match="aliasing"):
         lattice_invert(rows)
     lattice_invert(np.hstack([rows, np.zeros((2, 1))]))   # N = 6 fits
+
+
+def test_lattice_invert_rejects_rows_that_are_not_pmfs():
+    # both fit on the lattice; the first has a negative entry, the second
+    # cancels so hard that the inverse DFT keeps an imaginary residue
+    with pytest.raises(ValueError, match="negative pmf mass.*not pmfs on this lattice"):
+        lattice_invert([[1.5, -0.5, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="imaginary residue.*not pmfs on this lattice"):
+        lattice_invert([[1e12, -3e12, 2e12 + 1.0, 0, 0, 0, 0, 0, 0]])
 
 
 def test_lattice_invert_rejects_bad_length():

@@ -294,6 +294,9 @@ def test_lattice_distribution_to_cdf():
     cdf = dist.to_cdf()
     assert cdf.xs.tolist() == [10.0, 11.0]     # zero-mass lattice point dropped
     np.testing.assert_allclose(cdf.cum, [0.25, 1.0])
+    # lattice points closer than the float spacing at the offset share a jump
+    tiny = LatticeDistribution(1.0, 1e40, [0.25, 0.0, 0.75]).to_cdf()
+    assert (tiny.xs.tolist(), tiny.cum.tolist()) == ([1.0], [1.0])
     with pytest.raises(ValueError):
         LatticeDistribution(0.0, 0.0, [1.0])
     with pytest.raises(ValueError):

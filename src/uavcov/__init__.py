@@ -4,122 +4,43 @@ Exact uplink SNR distributions, downlink SNR distributions under random
 co-channel interference, and spatial coverage probabilities over a
 hexagonal ground-station grid with tilted array antennas and a
 probabilistic LoS/NLoS air-to-ground channel.
+
+The top level holds the entry points a study needs and the types they
+return; everything else is imported from its module (``uavcov.gpm``,
+``uavcov.geometry``, ``uavcov.channel``, ...).
 """
 
-from .antenna import UavAntenna, UlaPattern, sweep_pattern, ula_gain
-from .channel import (
-    ChannelModel,
-    LinkRow,
-    LinkTable,
-    ParametricAirGroundModel,
-    build_link_table,
-    default_channel,
-    load_channel_coefficients,
-)
+from .channel import LinkTable, build_link_table
 from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import (
     AssociationEvent,
-    AssociationState,
     CoverageResult,
     DownlinkSnrCdf,
     LinkDirection,
     UplinkSnrPmf,
     association_pmf,
-    conditional_interference_spec,
     coverage_at_altitude,
     coverage_over_altitudes,
     downlink_snr_cdf,
     uplink_snr_pmf,
 )
-from .geometry import (
-    GbsSite,
-    NetworkLayout,
-    RegionKind,
-    SamplingRegion,
-    build_hex_layout,
-    co_channel_interferers,
-    co_channel_set,
-    hexagon_corners,
-    layout_from_sites,
-    read_layout_csv,
-    sample_region,
-    write_layout_csv,
-)
-from .gpm import (
-    DiscreteSummand,
-    GpmSpec,
-    LatticeDistribution,
-    SteppedCdf,
-    cf_sample,
-    enumerate_cdf,
-    gaussian_cdf,
-    kolmogorov_distance,
-    la_cdf,
-    lattice_invert,
-    load_spec,
-    mc_cdf,
-    quantization_adjusted_distance,
-    write_cdf_csv,
-)
-from .units import db_to_linear, dbm_to_watt, linear_to_db, watt_to_dbm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssociationEvent",
-    "AssociationState",
-    "ChannelModel",
     "ConfigError",
     "CoverageResult",
-    "DiscreteSummand",
     "DownlinkSnrCdf",
-    "GbsSite",
-    "GpmSpec",
-    "LatticeDistribution",
     "LinkDirection",
-    "LinkRow",
     "LinkTable",
-    "NetworkLayout",
-    "ParametricAirGroundModel",
-    "RegionKind",
-    "SamplingRegion",
     "ScenarioConfig",
-    "SteppedCdf",
-    "UavAntenna",
-    "UlaPattern",
     "UplinkSnrPmf",
     "association_pmf",
-    "build_hex_layout",
     "build_link_table",
-    "cf_sample",
-    "co_channel_interferers",
-    "co_channel_set",
-    "conditional_interference_spec",
     "coverage_at_altitude",
     "coverage_over_altitudes",
-    "db_to_linear",
-    "dbm_to_watt",
-    "default_channel",
     "downlink_snr_cdf",
-    "enumerate_cdf",
-    "gaussian_cdf",
-    "hexagon_corners",
-    "kolmogorov_distance",
-    "la_cdf",
-    "lattice_invert",
-    "layout_from_sites",
-    "linear_to_db",
-    "load_channel_coefficients",
     "load_config",
-    "load_spec",
-    "mc_cdf",
-    "quantization_adjusted_distance",
-    "read_layout_csv",
-    "sample_region",
-    "sweep_pattern",
-    "ula_gain",
     "uplink_snr_pmf",
-    "watt_to_dbm",
-    "write_cdf_csv",
-    "write_layout_csv",
 ]

@@ -128,13 +128,3 @@ class UavAntenna:
         if horizontal_distance <= self.footprint_radius(uav_height, gbs_height):
             return self.mainlobe_gain
         return self.backlobe_gain
-
-
-def sweep_pattern(pattern: UlaPattern, num: int = 721) -> np.ndarray:
-    """(theta_deg, gain_linear, gain_dBi) rows over (-90, 90] for plotting."""
-    theta = np.linspace(-90.0, 90.0, num + 1)[1:]
-    gain = ula_gain(pattern, theta)
-    with np.errstate(divide="ignore"):
-        dbi = 10.0 * np.log10(gain)
-    return np.column_stack([theta, gain, dbi])
-

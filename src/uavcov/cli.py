@@ -31,12 +31,13 @@ from .coverage import (
 )
 from .geometry import write_layout_csv
 from .gpm import (
-    SteppedCdf,
+    displacement_bound,
     enumerate_cdf,
     gaussian_cdf,
     kolmogorov_distance,
     la_cdf,
     mc_cdf,
+    quantization_adjusted_distance,
     write_cdf_csv,
 )
 from .oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
@@ -174,14 +175,18 @@ def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
     return EXIT_OK
 
 
-def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
-    """Link table at the configured UAV position plus the interference
-    spec conditioned on one association event."""
-    layout = cfg.build_layout()
-    table = build_link_table(
-        layout, cfg.build_gbs_pattern(), cfg.build_uav_antenna(), cfg.build_channel(),
-        (cfg.uav_x, cfg.uav_y, cfg.uav_altitude), cfg.gbs_height,
+def _configured_table(cfg: ScenarioConfig):
+    """Link table at the UAV position from the config."""
+    return build_link_table(
+        cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
+        cfg.build_channel(), (cfg.uav_x, cfg.uav_y, cfg.uav_altitude), cfg.gbs_height,
     )
+
+
+def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
+    """One association event at the configured UAV position and the
+    interference spec conditioned on it (one row per co-channel GBS)."""
+    table = _configured_table(cfg)
     events = association_pmf(table, cfg.association_epsilon)
     if not 0 <= event_index < len(events):
         raise ConfigError(
@@ -193,10 +198,7 @@ def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
             "selected association event has no serving GBS (zero-gain case); "
             "no interference law is defined for it"
         )
-    band = table.row_for(event.serving_id).band
-    co_ids = table.band_members(band) - {event.serving_id}
-    spec = conditional_interference_spec(event, table, co_ids, cfg.omega())
-    return table, event, co_ids, spec
+    return event, conditional_interference_spec(event, table, cfg.omega())
 
 
 def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
@@ -208,9 +210,9 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
     if "mc" in methods and args.seed is None:
         raise ConfigError("--seed is required for the mc method")
 
-    table, event, co_ids, spec = _conditioned_spec(cfg, args.event)
+    event, spec = _conditioned_spec(cfg, args.event)
     print(f"event {args.event}: serving GBS {event.serving_id} ({event.state.name}), "
-          f"P={_fmt(event.probability)}, {len(co_ids)} co-channel GBSs, "
+          f"P={_fmt(event.probability)}, {len(spec)} co-channel GBSs, "
           f"interference mean={_fmt(spec.mean())}")
 
     comment = f"config_sha256={cfg.config_hash}"
@@ -238,11 +240,7 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         tolerance = DEFAULT_TOLERANCE.get(mode)
 
     if mode == "uplink-vs-bruteforce":
-        layout = cfg.build_layout()
-        table = build_link_table(
-            layout, cfg.build_gbs_pattern(), cfg.build_uav_antenna(), cfg.build_channel(),
-            (cfg.uav_x, cfg.uav_y, cfg.uav_altitude), cfg.gbs_height,
-        )
+        table = _configured_table(cfg)
         pmf = uplink_snr_pmf(table, cfg.beta0)
         oracle = uplink_pmf_enumeration(table, cfg.beta0)
         if list(pmf.values) != list(oracle.values):
@@ -255,11 +253,7 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         return EXIT_OK if ok else EXIT_FAIL
 
     if mode == "downlink-vs-joint-enum":
-        layout = cfg.build_layout()
-        table = build_link_table(
-            layout, cfg.build_gbs_pattern(), cfg.build_uav_antenna(), cfg.build_channel(),
-            (cfg.uav_x, cfg.uav_y, cfg.uav_altitude), cfg.gbs_height,
-        )
+        table = _configured_table(cfg)
         approx = downlink_snr_cdf(table, cfg.omega(), cfg.alpha0, c0=cfg.lattice_target_c0)
         oracle = downlink_cdf_enumeration(table, cfg.omega(), cfg.alpha0)
         dist = kolmogorov_distance(oracle, approx)
@@ -270,26 +264,29 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
 
     # The remaining modes compare interference-cdf approximations on the
     # spec conditioned on one association event at the configured position.
-    table, event, co_ids, spec = _conditioned_spec(cfg, args.event)
+    event, spec = _conditioned_spec(cfg, args.event)
     print(f"conditioning on event {args.event}: serving GBS {event.serving_id}, "
-          f"{len(co_ids)} co-channel GBSs")
+          f"{len(spec)} co-channel GBSs")
     _, la = la_cdf(spec, cfg.lattice_target_c0)
 
-    if mode == "la-vs-enum":
-        dist = kolmogorov_distance(enumerate_cdf(spec), la)
-        ok = dist <= tolerance
-        print(f"{'PASS' if ok else 'FAIL'} la-vs-enum: "
-              f"Kolmogorov distance={dist:.3e} tolerance={tolerance:.3e}")
-        return EXIT_OK if ok else EXIT_FAIL
-
-    if mode == "la-vs-mc":
-        if args.seed is None:
+    if mode in ("la-vs-enum", "la-vs-mc"):
+        # The lattice moves each atom by at most M / (2 beta) and promises
+        # no more, so the check allows that displacement (widened by 1e-9
+        # relative for float noise); the plain sup distance reads the mass
+        # of any displaced atom and is printed for information only.
+        if mode == "la-vs-enum":
+            oracle, run = enumerate_cdf(spec), ""
+        elif args.seed is None:
             raise ConfigError("--seed is required for la-vs-mc")
-        dist = kolmogorov_distance(mc_cdf(spec, args.samples, args.seed), la)
+        else:
+            oracle = mc_cdf(spec, args.samples, args.seed)
+            run = f" (n={args.samples}, seed={args.seed})"
+        slack = displacement_bound(spec, cfg.lattice_target_c0) * (1.0 + 1e-9)
+        dist = quantization_adjusted_distance(la, oracle, slack)
         ok = dist <= tolerance
-        print(f"{'PASS' if ok else 'FAIL'} la-vs-mc: "
-              f"Kolmogorov distance={dist:.3e} tolerance={tolerance:.3e} "
-              f"(n={args.samples}, seed={args.seed})")
+        print(f"{'PASS' if ok else 'FAIL'} {mode}: distance beyond the M/(2 beta) "
+              f"displacement={dist:.3e} tolerance={tolerance:.3e}{run}; "
+              f"plain Kolmogorov distance={kolmogorov_distance(oracle, la):.3e}")
         return EXIT_OK if ok else EXIT_FAIL
 
     # ga-vs-enum: the Gaussian baseline is expected to be the weaker

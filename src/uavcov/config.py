@@ -97,7 +97,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "altitude_min_m": "30",
         "altitude_max_m": "200",
         "altitude_points": "10",
-        "y_grid_points": "241",
     },
     "algorithm": {
         "association_epsilon": "1e-6",
@@ -156,7 +155,6 @@ class ScenarioConfig:
     altitude_min: float = 30.0
     altitude_max: float = 200.0
     altitude_points: int = 10
-    y_grid_points: int = 241
 
     association_epsilon: float = 1e-6
     lattice_target_c0: float = 1000.0
@@ -268,7 +266,8 @@ def _hash(resolved: dict[str, dict[str, str]], omega_overrides: dict[int, str]) 
 
 def load_config(path: str | None = None) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig` from defaults plus an optional INI
-    file; raises :class:`ConfigError` on any unknown or malformed entry."""
+    file; raises :class:`ConfigError` on any unknown, malformed or
+    out-of-range entry."""
     resolved, omega_raw = _resolve(path)
 
     overrides: dict[int, float] = {}
@@ -319,7 +318,6 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         altitude_min=_number(resolved, "sampling", "altitude_min_m"),
         altitude_max=_number(resolved, "sampling", "altitude_max_m"),
         altitude_points=_number(resolved, "sampling", "altitude_points", int),
-        y_grid_points=_number(resolved, "sampling", "y_grid_points", int),
         association_epsilon=_number(resolved, "algorithm", "association_epsilon"),
         lattice_target_c0=_number(resolved, "algorithm", "lattice_target_c0"),
         config_hash=_hash(resolved, omega_raw),
@@ -338,8 +336,6 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         )
     if cfg.lattice_target_c0 < 1:
         raise ConfigError(f"[algorithm] lattice_target_c0 must be >= 1, got {cfg.lattice_target_c0}")
-    if cfg.resolution < 1:
-        raise ConfigError(f"[sampling] resolution must be >= 1, got {cfg.resolution}")
     if cfg.altitude_points < 1:
         raise ConfigError(f"[sampling] altitude_points must be >= 1, got {cfg.altitude_points}")
     if cfg.altitude_points > 1 and cfg.altitude_max <= cfg.altitude_min:
@@ -348,4 +344,11 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         raise ConfigError(
             f"[uav] altitude_m must exceed the GBS antenna height {cfg.gbs_height}"
         )
+    # the model constructors hold the range checks of their parameters
+    for build in (cfg.build_layout, cfg.build_gbs_pattern, cfg.build_uav_antenna,
+                  cfg.build_channel, cfg.build_region):
+        try:
+            build()
+        except (ValueError, OSError) as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg

@@ -7,11 +7,10 @@ is NLoS, and once the walk reaches rows whose LoS gain falls below the
 best NLoS gain ``C_NL_max`` the realised maximum is ``C_NL_max`` no matter
 what happens further down, which closes the walk with a single terminal
 event.  An optional probability floor ``eps`` truncates the walk early,
-assigning the remaining mass to the terminal event (or dropping it and
-renormalising).
+assigning the remaining mass to the terminal event.
 
-Downlink: conditioned on an association event, every co-channel GBS other
-than the serving one interferes when active (probability ``omega`` per
+Downlink: conditioned on an association event, every other GBS in the
+serving GBS's band interferes when active (probability ``omega`` per
 site).  Each interferer is one row of values [0, C_NL, C_L] with
 probabilities [1 - omega, omega (1 - p_L), omega p_L], where p_L is 0 for
 GBSs the event forces into NLoS; the conditional interference cdf is then
@@ -63,21 +62,14 @@ class AssociationEvent:
     forced_nlos_ids: frozenset[int]
 
 
-def association_pmf(
-    table: LinkTable,
-    eps: float = 0.0,
-    remainder: str = "terminal",
-) -> tuple[AssociationEvent, ...]:
+def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEvent, ...]:
     """Exact (eps = 0) or truncated association distribution.
 
-    ``remainder`` picks what happens to the mass left when the walk is cut
-    by ``eps``: ``"terminal"`` folds it into the terminal event (the sum
-    stays exactly 1), ``"drop"`` discards it and renormalises the rest.
+    When the walk's remaining mass drops below ``eps`` the walk stops and
+    that mass is folded into the terminal event, so the sum stays 1.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if remainder not in ("terminal", "drop"):
-        raise ValueError(f"remainder must be 'terminal' or 'drop', got {remainder!r}")
     if len(table) == 0:
         raise ValueError("cannot associate against an empty link table")
 
@@ -93,12 +85,8 @@ def association_pmf(
 
     events: list[AssociationEvent] = []
     prefix = 1.0
-    truncated = False
     for m, row in enumerate(rows):
-        if row.c_los < c_nlos_max:
-            break
-        if eps > 0.0 and prefix < eps:
-            truncated = True
+        if row.c_los < c_nlos_max or prefix < eps:
             break
         if row.p_los > 0.0 and prefix > 0.0:
             events.append(
@@ -111,8 +99,7 @@ def association_pmf(
                 )
             )
         prefix *= 1.0 - row.p_los
-    keep_remainder = prefix > 0.0 and not (truncated and remainder == "drop")
-    if keep_remainder:
+    if prefix > 0.0:
         events.append(
             AssociationEvent(
                 terminal_row.gbs_id,
@@ -123,12 +110,6 @@ def association_pmf(
             )
         )
     total = sum(e.probability for e in events)
-    if truncated and remainder == "drop":
-        events = [
-            AssociationEvent(e.serving_id, e.state, e.gain, e.probability / total, e.forced_nlos_ids)
-            for e in events
-        ]
-        total = sum(e.probability for e in events)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise AssertionError(f"association probabilities sum to {total!r}")
     return tuple(events)
@@ -152,9 +133,6 @@ class UplinkSnrPmf:
         [0, 1] against float roundoff in between."""
         below = float(self.probs[self.values < threshold].sum())
         return min(1.0, max(0.0, below / float(self.probs.sum())))
-
-    def to_cdf(self) -> SteppedCdf:
-        return SteppedCdf(self.values, np.cumsum(self.probs) / self.probs.sum())
 
 
 def uplink_snr_pmf(table: LinkTable, beta0: float, eps: float = 0.0) -> UplinkSnrPmf:
@@ -183,24 +161,21 @@ def _omega_for(omega, gbs_id: int) -> float:
 
 
 def conditional_interference_spec(
-    event: AssociationEvent,
-    table: LinkTable,
-    co_channel_ids: set[int],
-    omega,
+    event: AssociationEvent, table: LinkTable, omega
 ) -> GpmSpec:
     """Aggregate interference under one association event.
 
-    Each co-channel GBS is silent with probability 1 - omega; when active
-    it contributes its NLoS gain if the event forces it NLoS, otherwise
-    its NLoS/LoS gain split by its LoS probability.  ``omega`` is a scalar
-    or a per-id mapping.  The serving GBS must not be in the set.
+    The interferers are the other GBSs of the serving GBS's band, one row
+    each in ascending id order (a GBS alone in its band gets an empty
+    spec, interference 0).  Each is silent with probability 1 - omega;
+    when active it contributes its NLoS gain if the event forces it NLoS,
+    otherwise its NLoS/LoS gain split by its LoS probability.  ``omega``
+    is a scalar or a per-id mapping.
     """
-    if event.serving_id is not None and event.serving_id in co_channel_ids:
-        raise ValueError(f"serving GBS {event.serving_id} cannot interfere with itself")
-    ids = sorted(co_channel_ids)
-    if not ids:
-        # A band with no interferer: interference is identically zero.
-        return GpmSpec([[0.0]], [[1.0]])
+    if event.serving_id is None:
+        raise ValueError("an event without a serving GBS has no interference law")
+    band = table.row_for(event.serving_id).band
+    ids = sorted(table.band_members(band) - {event.serving_id})
     at = table.positions(ids)
     w = np.array([_omega_for(omega, gbs_id) for gbs_id in ids])
     forced = np.array([gbs_id in event.forced_nlos_ids for gbs_id in ids])
@@ -229,30 +204,7 @@ class DownlinkSnrCdf:
     terms: tuple[DownlinkEventTerm, ...]
     alpha0: float
 
-    def eval(self, y) -> np.ndarray:
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(ys <= 0):
-            raise ValueError("SNR cdf is evaluated at positive y only")
-        out = np.zeros(ys.shape)
-        for term in self.terms:
-            if term.interference is None or term.gain == 0.0:
-                out += term.probability
-                continue
-            c = term.gain / ys - self.alpha0
-            out += term.probability * (1.0 - term.interference.eval_left(c))
-        out = np.clip(out, 0.0, 1.0)
-        if np.isscalar(y):
-            return float(out[0])
-        return out
-
-    __call__ = eval
-
-    def eval_left(self, y) -> np.ndarray:
-        """P{snr < y} (vectorised), the left limit of ``eval``:
-        sum_e P_e * P{I_e > C_e / y - alpha0}.  Normalised by the total
-        event probability, so it is exactly 0 or 1 when no event or every
-        event is surely below ``y``; clipped to [0, 1] against float
-        roundoff."""
+    def _mixture(self, y, strict: bool) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(ys <= 0):
             raise ValueError("SNR cdf is evaluated at positive y only")
@@ -264,48 +216,31 @@ class DownlinkSnrCdf:
                 out += term.probability
                 continue
             c = term.gain / ys - self.alpha0
-            out += term.probability * (1.0 - term.interference.eval(c))
+            # snr <= y iff I >= c, and snr < y iff I > c
+            below_c = term.interference.eval(c) if strict else term.interference.eval_left(c)
+            out += term.probability * (1.0 - below_c)
         out = np.clip(out / mass, 0.0, 1.0)
         if np.isscalar(y):
             return float(out[0])
         return out
 
+    def eval(self, y) -> np.ndarray:
+        """P{snr <= y} (vectorised).  Both ``eval`` and ``eval_left`` are
+        normalised by the total event probability, so they are exactly 0
+        or 1 when no event or every event is surely below ``y``, and
+        clipped to [0, 1] against float roundoff."""
+        return self._mixture(y, strict=False)
+
+    __call__ = eval
+
+    def eval_left(self, y) -> np.ndarray:
+        """P{snr < y} (vectorised), the left limit of ``eval``:
+        sum_e P_e * P{I_e > C_e / y - alpha0}."""
+        return self._mixture(y, strict=True)
+
     def outage(self, threshold: float) -> float:
         """P{snr < threshold} (strict), i.e. ``eval_left(threshold)``."""
         return float(self.eval_left(threshold))
-
-    def default_grid(self, threshold: float | None = None, n: int = 241) -> np.ndarray:
-        """Log-spaced evaluation grid.
-
-        Anchored three decades either side of ``threshold`` when one is
-        given (with the threshold itself inserted exactly); otherwise spans
-        the transition region implied by the event gains.
-        """
-        if threshold is not None:
-            if threshold <= 0:
-                raise ValueError(f"threshold must be positive, got {threshold}")
-            grid = np.geomspace(threshold / 1e3, threshold * 1e3, n)
-            return np.unique(np.append(grid, threshold))
-        gains = [t.gain for t in self.terms if t.gain > 0.0]
-        if not gains:
-            return np.array([1.0])
-        y_hi = 2.0 * max(gains) / self.alpha0
-        spans = []
-        for t in self.terms:
-            if t.gain > 0.0 and t.interference is not None:
-                i_hi = float(t.interference.xs[-1])
-                spans.append(t.gain / (self.alpha0 + i_hi))
-        y_lo = 0.5 * min(spans)
-        return np.geomspace(y_lo, y_hi, n)
-
-    def sample(
-        self, y_grid=None, threshold: float | None = None, n: int = 241
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if y_grid is None:
-            grid = self.default_grid(threshold, n)
-        else:
-            grid = np.asarray(y_grid, dtype=float)
-        return grid, self.eval(grid)
 
 
 def downlink_snr_cdf(
@@ -313,16 +248,11 @@ def downlink_snr_cdf(
     omega,
     alpha0: float,
     *,
-    co_channel: set[int] | None = None,
     eps: float = 0.0,
     c0: float = 1000.0,
 ) -> DownlinkSnrCdf:
-    """Downlink SNR cdf with lattice-approximated conditional interference.
-
-    With ``co_channel=None`` each event draws its interferers from the
-    link table rows sharing the serving GBS's band; an explicit id set
-    overrides that (the serving GBS is excluded from it per event).
-    """
+    """Downlink SNR cdf with lattice-approximated conditional interference
+    (:func:`conditional_interference_spec` per association event)."""
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     terms = []
@@ -330,13 +260,7 @@ def downlink_snr_cdf(
         if event.serving_id is None or event.gain == 0.0:
             terms.append(DownlinkEventTerm(event.probability, 0.0, None))
             continue
-        if co_channel is None:
-            ids = table.band_members(table.row_for(event.serving_id).band)
-        else:
-            ids = set(co_channel)
-        ids.discard(event.serving_id)
-        spec = conditional_interference_spec(event, table, ids, omega)
-        _, cdf = la_cdf(spec, c0)
+        _, cdf = la_cdf(conditional_interference_spec(event, table, omega), c0)
         terms.append(DownlinkEventTerm(event.probability, event.gain, cdf))
     return DownlinkSnrCdf(tuple(terms), alpha0)
 

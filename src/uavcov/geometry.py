@@ -49,15 +49,8 @@ class NetworkLayout:
     def __len__(self) -> int:
         return len(self.sites)
 
-    def positions(self) -> np.ndarray:
-        """Site coordinates as an (n, 2) array ordered by site id."""
-        return np.array([(s.x, s.y) for s in self.sites], dtype=float)
-
     def bands(self) -> np.ndarray:
         return np.array([s.band for s in self.sites], dtype=int)
-
-    def band_of(self, gbs_id: int) -> int:
-        return self.sites[gbs_id].band
 
 
 def _band_key(a: int, b: int, reuse_factor: int) -> tuple[int, int]:
@@ -136,21 +129,6 @@ def layout_from_sites(
     return NetworkLayout(built, inter_site_distance, radius, reuse_factor)
 
 
-def co_channel_set(layout: NetworkLayout, band: int) -> set[int]:
-    """Ids of all sites operating in ``band``."""
-    present = {s.band for s in layout.sites}
-    if band not in present:
-        raise ValueError(f"band {band} not present in layout (bands: {sorted(present)})")
-    return {s.gbs_id for s in layout.sites if s.band == band}
-
-
-def co_channel_interferers(layout: NetworkLayout, gbs_id: int) -> set[int]:
-    """Ids of the sites sharing the band of ``gbs_id``, excluding it."""
-    ids = co_channel_set(layout, layout.band_of(gbs_id))
-    ids.discard(gbs_id)
-    return ids
-
-
 def horizontal_distance(uav_xy: Sequence[float], site: GbsSite) -> float:
     return math.hypot(uav_xy[0] - site.x, uav_xy[1] - site.y)
 
@@ -190,7 +168,6 @@ def elevation_angle_deg(
 class RegionKind(Enum):
     TRIANGLE = "triangle"
     CELL = "cell"
-    POLYGON = "polygon"
 
 
 @dataclass(frozen=True)
@@ -200,22 +177,15 @@ class SamplingRegion:
     ``TRIANGLE`` is one sixth of the reference hexagonal cell around site 0
     (the sextant bisected by the positive x axis); by the six-fold symmetry
     of the grid its average equals the full-cell average.  ``CELL`` is the
-    whole reference hexagon.  ``POLYGON`` averages over an arbitrary
-    user polygon given as an (n, 2) vertex array.
+    whole reference hexagon.
     """
 
     kind: RegionKind
     resolution: int
-    polygon: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if self.kind is RegionKind.POLYGON:
-            if self.polygon is None or len(self.polygon) < 3:
-                raise ValueError("polygon region needs at least 3 vertices")
-        elif self.polygon is not None:
-            raise ValueError(f"{self.kind.value} region does not take a polygon")
 
 
 def hexagon_corners(inter_site_distance: float) -> np.ndarray:
@@ -247,50 +217,21 @@ def _triangle_grid(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, res: int) -> 
     return np.array(pts)
 
 
-def point_in_polygon(point: Sequence[float], polygon: np.ndarray) -> bool:
-    """Even-odd rule membership test; points on an edge count as outside."""
-    x, y = float(point[0]), float(point[1])
-    inside = False
-    n = len(polygon)
-    for k in range(n):
-        x0, y0 = polygon[k]
-        x1, y1 = polygon[(k + 1) % n]
-        if (y0 > y) != (y1 > y):
-            x_cross = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < x_cross:
-                inside = not inside
-    return inside
-
-
 def sample_region(region: SamplingRegion, inter_site_distance: float) -> np.ndarray:
     """Deterministic grid of points strictly inside the region.
 
-    Triangle and cell regions are tiled with equal-area subtriangles and
-    sampled at their centroids (res**2 points per triangle); a polygon is
-    sampled on a bounding-box grid filtered by strict membership.
+    The triangle and each of the cell's six sextants are tiled with
+    equal-area subtriangles and sampled at their centroids (res**2 points
+    per triangle).
     """
     res = region.resolution
+    corners = hexagon_corners(inter_site_distance)
+    origin = np.zeros(2)
     if region.kind is RegionKind.TRIANGLE:
-        corners = hexagon_corners(inter_site_distance)
-        origin = np.zeros(2)
         return _triangle_grid(origin, corners[5], corners[0], res)
-    if region.kind is RegionKind.CELL:
-        corners = hexagon_corners(inter_site_distance)
-        origin = np.zeros(2)
-        parts = [
-            _triangle_grid(origin, corners[m - 1], corners[m], res)
-            for m in range(6)
-        ]
-        return np.vstack(parts)
-    poly = np.array(region.polygon, dtype=float)
-    lo = poly.min(axis=0)
-    hi = poly.max(axis=0)
-    xs = lo[0] + (np.arange(res) + 0.5) * (hi[0] - lo[0]) / res
-    ys = lo[1] + (np.arange(res) + 0.5) * (hi[1] - lo[1]) / res
-    pts = [(x, y) for y in ys for x in xs if point_in_polygon((x, y), poly)]
-    if not pts:
-        raise ValueError("no sample points fell strictly inside the polygon")
-    return np.array(pts)
+    return np.vstack([
+        _triangle_grid(origin, corners[m - 1], corners[m], res) for m in range(6)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,8 @@ class DiscreteSummand:
 @dataclass(frozen=True, eq=False)
 class GpmSpec:
     """The full sum: read-only (K, L) ``values`` and ``probs``, one row per
-    summand, each row's probabilities non-negative and summing to 1.
+    summand, each row's probabilities non-negative and summing to 1.  With
+    K = 0 the sum is identically 0.
 
     Zero-probability entries are padding: the constructor moves each one
     to its row's smallest positive-mass value, so every row's min and max
@@ -114,13 +115,14 @@ class GpmSpec:
     def __init__(self, values, probs) -> None:
         v = np.array(values, dtype=float)
         p = np.array(probs, dtype=float)
-        if v.ndim != 2 or p.shape != v.shape or v.size == 0:
-            raise ValueError("values and probs must be equal-shape (K, L) arrays, non-empty")
+        if v.ndim != 2 or p.shape != v.shape or v.shape[1] == 0:
+            raise ValueError("values and probs must be equal-shape (K, L) arrays with L >= 1")
         if not (np.all(np.isfinite(v)) and np.all(p >= 0.0)):
             raise ValueError("summand values must be finite and probabilities non-negative")
         sums = p.sum(axis=1)
-        k = int(np.argmax(np.abs(sums - 1.0)))
-        if abs(sums[k] - 1.0) > PROB_SUM_TOL:
+        off = np.abs(sums - 1.0) > PROB_SUM_TOL
+        if off.any():
+            k = int(np.argmax(off))
             raise ValueError(f"summand {k} probabilities sum to {sums[k]!r}, not 1")
         live = p > 0.0
         lo = np.where(live, v, np.inf).min(axis=1)
@@ -349,6 +351,8 @@ def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, Step
         dist = LatticeDistribution(a0, 1.0, np.array([1.0]))
         return dist, SteppedCdf(np.array([a0]), np.array([1.0]))
     beta = c0 / span
+    if not math.isfinite(beta):
+        raise ValueError(f"span {span!r} is too small: beta = c0 / span overflows at c0={c0}")
     shifted = spec.values - spec.values.min(axis=1, keepdims=True)
     lattice = _round_half_away(beta * shifted).astype(np.intp)
     total_top = int(lattice.max(axis=1).sum())
@@ -362,6 +366,13 @@ def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, Step
     pmf = pmf / pmf.sum()
     dist = LatticeDistribution(a0, beta, pmf[: total_top + 1])
     return dist, dist.to_cdf()
+
+
+def displacement_bound(spec: GpmSpec, c0: float) -> float:
+    """M / (2 beta) = M * span / (2 c0), the furthest ``la_cdf(spec, c0)``
+    moves any atom of the sum along the value axis (M summands, each
+    rounded by at most half a lattice unit 1 / beta)."""
+    return len(spec) * spec.span / (2.0 * c0)
 
 
 def enumerate_cdf(spec: GpmSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> SteppedCdf:
@@ -462,39 +473,8 @@ def quantization_adjusted_distance(
 
 
 # ---------------------------------------------------------------------------
-# Text interfaces
+# Text output
 # ---------------------------------------------------------------------------
-
-def load_spec(path) -> GpmSpec:
-    """Read a spec from text: one summand per line as
-    ``values=v1,v2,... probs=p1,p2,...``; '#' starts a comment."""
-    summands = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = dict(
-                part.split("=", 1) for part in line.split() if "=" in part
-            )
-            if set(fields) != {"values", "probs"}:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'values=... probs=...', got {line!r}"
-                )
-            try:
-                values = [float(v) for v in fields["values"].split(",")]
-                probs = [float(p) for p in fields["probs"].split(",")]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
-            if len(values) != len(probs):
-                raise ValueError(
-                    f"{path}:{lineno}: {len(values)} values but {len(probs)} probs"
-                )
-            summands.append(DiscreteSummand.from_pairs(zip(values, probs)))
-    if not summands:
-        raise ValueError(f"{path}: no summands found")
-    return GpmSpec.from_summands(summands)
-
 
 def write_cdf_csv(cdf: SteppedCdf, path, comment: str | None = None) -> None:
     with open(path, "w", newline="") as fh:

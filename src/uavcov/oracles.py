@@ -46,17 +46,15 @@ def downlink_cdf_enumeration(
     table: LinkTable,
     omega,
     alpha0: float,
-    co_channel: set[int] | None = None,
     cap: int = DOWNLINK_STATE_CAP,
 ) -> SteppedCdf:
     """Exact downlink SNR cdf over every joint (channel state, activity)
     combination.
 
     For each LoS/NLoS vector the serving GBS is the realised-gain argmax
-    (first row in table order on ties); its co-channel set (same band, or
-    the explicit ``co_channel`` ids) minus itself is then swept over all
-    active/silent patterns, each active interferer contributing its own
-    realised gain.
+    (first row in table order on ties); the other GBSs of its band are
+    then swept over all active/silent patterns, each active interferer
+    contributing its own realised gain.
     """
     from .coverage import _omega_for  # shared loading validation
 
@@ -69,10 +67,9 @@ def downlink_cdf_enumeration(
         (sum(1 for r in rows if r.band == band) for band in {r.band for r in rows}),
         default=1,
     )
-    interferer_bound = len(co_channel) if co_channel is not None else max_band
-    if 2**b * 2**interferer_bound > cap:
+    if 2**b * 2**max_band > cap:
         raise ValueError(
-            f"joint enumeration needs up to 2^{b + interferer_bound} states, "
+            f"joint enumeration needs up to 2^{b + max_band} states, "
             f"above the cap of {cap}"
         )
 
@@ -88,12 +85,9 @@ def downlink_cdf_enumeration(
         if gain == 0.0:
             acc[0.0] = acc.get(0.0, 0.0) + state_prob
             continue
-        if co_channel is None:
-            ids = {r.gbs_id for r in rows if r.band == rows[s].band}
-        else:
-            ids = set(co_channel)
-        ids.discard(rows[s].gbs_id)
-        members = sorted(ids)
+        members = sorted(
+            r.gbs_id for r in rows if r.band == rows[s].band and r.gbs_id != rows[s].gbs_id
+        )
         index_of = {r.gbs_id: k for k, r in enumerate(rows)}
         gains = np.array([realized[index_of[i]] for i in members])
         ws = np.array([_omega_for(omega, i) for i in members])

@@ -24,16 +24,11 @@ from uavcov.coverage import (
     downlink_snr_cdf,
     uplink_snr_pmf,
 )
-from uavcov.geometry import (
-    RegionKind,
-    SamplingRegion,
-    build_hex_layout,
-    co_channel_interferers,
-    sample_region,
-)
+from uavcov.geometry import RegionKind, SamplingRegion, build_hex_layout, sample_region
 from uavcov.gpm import (
     DiscreteSummand,
     GpmSpec,
+    displacement_bound,
     enumerate_cdf,
     gaussian_cdf,
     kolmogorov_distance,
@@ -74,9 +69,7 @@ def first_event_interference(omega):
     layout, pattern, uav, channel = default_scene()
     table = build_link_table(layout, pattern, uav, channel, (150.0, 50.0, 100.0), GBS_HEIGHT)
     event = association_pmf(table)[0]
-    band = table.row_for(event.serving_id).band
-    co_ids = table.band_members(band) - {event.serving_id}
-    return conditional_interference_spec(event, table, co_ids, omega), len(co_ids)
+    return conditional_interference_spec(event, table, omega)
 
 
 def random_table(rng, n_rows):
@@ -94,7 +87,8 @@ def random_table(rng, n_rows):
 def test_hex_layout_site_and_interferer_counts():
     layout = build_hex_layout(INTER_SITE, 3.0 * INTER_SITE, 3)
     n_sites = len(layout.sites)
-    n_interferers = len(co_channel_interferers(layout, 1))
+    bands = layout.bands()
+    n_interferers = int(np.sum(bands == bands[1])) - 1     # site 1's band, minus itself
     ok = n_sites == 37 and n_interferers == 11
     report(
         "hex-layout-counts", ok,
@@ -189,10 +183,11 @@ def test_lattice_vs_monte_carlo_default_scenario():
     laws = []
     n_co = None
     for omega in omegas:
-        spec, n_co = first_event_interference(omega)
+        spec = first_event_interference(omega)
+        n_co = len(spec)
         _, la = la_cdf(spec, 1000.0)
         mc = mc_cdf(spec, 1_000_000, seed=20260815)
-        slack = len(spec) / (2.0 * 1000.0 / spec.span) * (1.0 + 1e-9)
+        slack = displacement_bound(spec, 1000.0) * (1.0 + 1e-9)
         laws.append((la, mc, slack))
     details = []
     worst = 0.0
@@ -222,7 +217,7 @@ def test_gaussian_baseline_is_weaker_at_loading_extremes():
     details = []
     ok = True
     for omega in (0.05, 0.95):
-        spec, _ = first_event_interference(omega)
+        spec = first_event_interference(omega)
         exact = enumerate_cdf(spec)
         _, la = la_cdf(spec, 1000.0)
         la_dist = kolmogorov_distance(exact, la)
@@ -264,10 +259,8 @@ def downlink_lattice_slack(table, omega, c0):
     for event in association_pmf(table):
         if event.serving_id is None or event.gain == 0.0:
             continue
-        ids = table.band_members(table.row_for(event.serving_id).band)
-        ids.discard(event.serving_id)
-        spec = conditional_interference_spec(event, table, ids, omega)
-        worst = max(worst, len(spec) * spec.span / (2.0 * c0))
+        spec = conditional_interference_spec(event, table, omega)
+        worst = max(worst, displacement_bound(spec, c0))
     return worst * (1.0 + 1e-9)
 
 

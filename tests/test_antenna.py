@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from uavcov.antenna import UavAntenna, UlaPattern, sweep_pattern, ula_gain
+from uavcov.antenna import UavAntenna, UlaPattern, ula_gain
 
 
 def steering_sum_gain(theta_deg, count, spacing_wl, tilt_deg, element_peak):
@@ -143,13 +143,3 @@ def test_uav_cone_validation():
         UavAntenna(45.0, backlobe_gain=-0.1)
     with pytest.raises(ValueError):
         UavAntenna(45.0).footprint_radius(20.0, 20.0)
-
-
-def test_sweep_pattern():
-    rows = sweep_pattern(UlaPattern(10, 0.5, -10.0), 360)
-    assert rows.shape == (360, 3)
-    theta, gain, dbi = rows[:, 0], rows[:, 1], rows[:, 2]
-    assert theta[0] > -90.0 and theta[-1] == 90.0
-    # peak sits at the sample closest to the tilt angle
-    assert abs(theta[np.argmax(gain)] - (-10.0)) <= 0.5
-    assert dbi[-1] == -math.inf

@@ -77,6 +77,11 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ("downlink-map", "[thresholds]\ndownlink_snr_db = nan\n"),
     ("layout", "[layout]\ninter_site_distance_m = nan\n"),
     ("uplink-map", "[sampling]\nresolution = 0\n"),
+    ("uplink-map", "[gbs_antenna]\nelement_count = 0\n"),
+    ("uplink-map", "[layout]\ninter_site_distance_m = 0\n"),
+    ("uplink-map", "[layout]\nreuse_factor = 2\n"),
+    ("uplink-map", "[uav_antenna]\nhalf_beamwidth_deg = 0\n"),
+    ("uplink-map", "[radio]\ncarrier_hz = 0\n"),
 ])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     cfg_path = write_cfg(tmp_path, body)
@@ -223,13 +228,22 @@ def test_validate_ga_vs_enum(tmp_path, capsys):
 
 
 def test_validate_tolerance_override(tmp_path, capsys):
+    # 1000 samples leave the MC law 0.0127 beyond the lattice displacement
     cfg_path = write_cfg(tmp_path, TINY)
-    assert main(["validate", "--config", cfg_path, "--mode", "la-vs-enum",
-                 "--tolerance", "1.0"]) == 0
-    assert main(["validate", "--config", cfg_path, "--mode", "la-vs-enum",
-                 "--tolerance", "1e-15"]) == 1
+    mc = ["validate", "--config", cfg_path, "--mode", "la-vs-mc",
+          "--samples", "1000", "--seed", "1"]
+    assert main(mc + ["--tolerance", "1.0"]) == 0
+    assert main(mc + ["--tolerance", "1e-15"]) == 1
     out = capsys.readouterr().out
-    assert "PASS la-vs-enum" in out and "FAIL la-vs-enum" in out
+    assert "PASS la-vs-mc" in out and "FAIL la-vs-mc" in out
+
+
+def test_validate_la_vs_enum_passes_on_37_sites(tmp_path, capsys):
+    # the plain sup distance here is 0.080, the mass of one displaced atom
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 1500\n")
+    assert main(["validate", "--config", cfg_path, "--mode", "la-vs-enum"]) == 0
+    out = capsys.readouterr().out
+    assert "11 co-channel GBSs" in out and "PASS la-vs-enum" in out
 
 
 def test_validate_mc_requires_seed(tmp_path, capsys):

@@ -27,7 +27,7 @@ from uavcov.coverage import (
     uplink_snr_pmf,
 )
 from uavcov.geometry import RegionKind, SamplingRegion, build_hex_layout
-from uavcov.gpm import SteppedCdf, enumerate_cdf, kolmogorov_distance
+from uavcov.gpm import SteppedCdf, enumerate_cdf, kolmogorov_distance, la_cdf
 
 
 def brute_force_uplink(table, beta0):
@@ -141,8 +141,6 @@ def test_association_validation():
     with pytest.raises(ValueError):
         association_pmf(table, eps=-0.1)
     with pytest.raises(ValueError):
-        association_pmf(table, remainder="keep")
-    with pytest.raises(ValueError):
         association_pmf(LinkTable(()))
 
 
@@ -162,10 +160,6 @@ def test_association_truncation_modes():
     ]
     assert [e.probability for e in cut] == pytest.approx([0.5, 0.25, 0.25])
     assert sum(e.probability for e in cut) == pytest.approx(1.0, abs=1e-12)
-
-    dropped = association_pmf(table, eps=0.3, remainder="drop")
-    assert [e.serving_id for e in dropped] == [0, 1]
-    assert [e.probability for e in dropped] == pytest.approx([2 / 3, 1 / 3])
 
 
 def test_association_truncation_mass_bound():
@@ -259,10 +253,10 @@ def test_interference_summand_shapes():
     table = LinkTable(MICRO_ROWS)
     events = association_pmf(table)
     los0 = events[0]                     # serving 0, nothing forced
-    spec = conditional_interference_spec(los0, table, {1, 2}, 0.5)
+    spec = conditional_interference_spec(los0, table, 0.5)
     assert (spec.probs > 0).sum(axis=1).tolist() == [3, 3]
-    term = events[-1]                    # rows 0 and 1 forced NLoS
-    spec = conditional_interference_spec(term, table, {1, 2}, 0.5)
+    term = events[-1]                    # serving 0, rows 0 and 1 forced NLoS
+    spec = conditional_interference_spec(term, table, 0.5)
     assert (spec.probs > 0).sum(axis=1).tolist() == [2, 3]
     assert spec.values[0][spec.probs[0] > 0].tolist() == [0.0, 3.0]
 
@@ -272,7 +266,7 @@ def test_interference_mean_oracle():
     omega = {0: 0.3, 1: 0.6, 2: 0.9}
     for event in association_pmf(table):
         ids = {0, 1, 2} - {event.serving_id}
-        spec = conditional_interference_spec(event, table, ids, omega)
+        spec = conditional_interference_spec(event, table, omega)
         want = 0.0
         for gbs_id in ids:
             row = table.row_for(gbs_id)
@@ -284,17 +278,44 @@ def test_interference_mean_oracle():
         assert spec.mean() == pytest.approx(want, rel=1e-12)
 
 
+def test_interferers_are_the_serving_band_without_the_server():
+    # bands 0 and 1 interleaved in the walk order; every event's rows must
+    # be the other members of its server's band, in ascending id order
+    rows = (
+        LinkRow(3, 1, 9.0, 4.5, 0.6),
+        LinkRow(0, 0, 8.0, 4.0, 0.6),
+        LinkRow(4, 1, 6.0, 3.0, 0.5),
+        LinkRow(1, 0, 5.0, 2.5, 0.5),
+        LinkRow(2, 0, 2.0, 1.0, 0.5),
+    )
+    table = LinkTable(rows)
+    c_nlos = {r.gbs_id: r.c_nlos for r in rows}
+    band = {r.gbs_id: r.band for r in rows}
+    events = association_pmf(table)
+    assert {e.serving_id for e in events} == {0, 1, 3, 4}
+    for event in events:
+        want = sorted(i for i in band if band[i] == band[event.serving_id] and i != event.serving_id)
+        spec = conditional_interference_spec(event, table, 1.0)
+        assert spec.values[:, 1].tolist() == [c_nlos[i] for i in want]
+
+
 def test_interference_edge_cases():
     table = LinkTable(MICRO_ROWS)
-    event = association_pmf(table)[0]
-    silent = conditional_interference_spec(event, table, {1, 2}, 0.0)
+    first = association_pmf(table)[0]
+    silent = conditional_interference_spec(first, table, 0.0)
     assert silent.span == 0.0            # omega 0: everyone is off
-    empty = conditional_interference_spec(event, table, set(), 0.5)
-    assert empty.span == 0.0 and empty.offset == 0.0
     with pytest.raises(ValueError):
-        conditional_interference_spec(event, table, {0, 1}, 0.5)   # serving inside
+        conditional_interference_spec(first, table, 1.5)
+    # a GBS alone in its band has no interferer: the zero spec
+    alone = LinkTable((LinkRow(0, 0, 8.0, 4.0, 0.6), LinkRow(1, 1, 6.0, 3.0, 0.5)))
+    for event in association_pmf(alone):
+        empty = conditional_interference_spec(event, alone, 0.5)
+        assert len(empty) == 0 and empty.span == 0.0 and empty.offset == 0.0
+        _, cdf = la_cdf(empty)
+        assert cdf.xs.tolist() == [0.0] and cdf.cum.tolist() == [1.0]
+    (no_server,) = association_pmf(LinkTable((LinkRow(0, 0, 0.0, 0.0, 0.5),)))
     with pytest.raises(ValueError):
-        conditional_interference_spec(event, table, {1}, 1.5)
+        conditional_interference_spec(no_server, table, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +335,6 @@ def test_downlink_matches_joint_enumeration_mapped_omega():
     model = downlink_snr_cdf(table, omega, 0.5, c0=960.0)
     oracle = joint_downlink_oracle(table, omega, 0.5)
     assert_matches_stepped(model, oracle)
-
-
-def test_downlink_explicit_co_channel_matches_band_default():
-    table = LinkTable(MICRO_ROWS)
-    a = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
-    b = downlink_snr_cdf(table, 0.5, 0.5, co_channel={0, 1, 2}, c0=960.0)
-    grid = a.default_grid(n=101)
-    np.testing.assert_array_equal(a.eval(grid), b.eval(grid))
 
 
 def test_downlink_zero_loading_equals_interference_free():
@@ -370,7 +383,7 @@ def test_downlink_outage_monotone_in_loading():
 def test_downlink_cdf_monotone_in_threshold():
     table = LinkTable(MICRO_ROWS)
     model = downlink_snr_cdf(table, 0.4, 0.5, c0=960.0)
-    grid = model.default_grid(n=301)
+    grid = np.geomspace(1e-2, 1e2, 301)    # snr lies in [4/8.5, 16]
     vals = model.eval(grid)
     assert np.all(np.diff(vals) >= 0.0)
     assert vals[0] == 0.0 and vals[-1] == 1.0
@@ -413,11 +426,10 @@ def test_outage_is_exact_at_both_ends():
 def test_downlink_grid_and_validation():
     table = LinkTable(MICRO_ROWS)
     model = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
-    grid = model.default_grid(threshold=2.0)
-    assert 2.0 in grid
-    assert np.all(np.diff(grid) > 0)
-    ys, vals = model.sample(n=51)
-    assert ys.shape == vals.shape == (51,)
+    grid = np.geomspace(0.1, 20.0, 51)
+    vals = model.eval(grid)
+    assert vals.shape == model.eval_left(grid).shape == (51,)
+    assert [model.eval(y) for y in grid[::10]] == vals[::10].tolist()
     with pytest.raises(ValueError):
         model.eval(0.0)
     with pytest.raises(ValueError):

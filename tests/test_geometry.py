@@ -15,13 +15,10 @@ from uavcov.geometry import (
     RegionKind,
     SamplingRegion,
     build_hex_layout,
-    co_channel_interferers,
-    co_channel_set,
     distance_3d,
     elevation_angle_deg,
     hexagon_corners,
     layout_from_sites,
-    point_in_polygon,
     read_layout_csv,
     sample_region,
     write_layout_csv,
@@ -74,18 +71,14 @@ def test_band_partition_and_sizes():
     sizes = sorted(int(np.sum(bands == b)) for b in set(bands.tolist()))
     assert sizes == [12, 12, 13]
     assert layout.sites[0].band == 0
-    union = set()
-    for b in range(3):
-        members = co_channel_set(layout, b)
-        assert not members & union
-        union |= members
-    assert union == set(range(37))
+    assert sorted(set(bands.tolist())) == [0, 1, 2]
+    assert [s.gbs_id for s in layout.sites] == list(range(37))
 
 
 def test_co_channel_interferer_count():
     layout = build_hex_layout(D, 1500.0, 3)
-    assert len(co_channel_interferers(layout, 1)) == 11
-    assert 1 not in co_channel_interferers(layout, 1)
+    bands = layout.bands()
+    assert int(np.sum(bands == bands[1])) - 1 == 11      # site 1's band, minus itself
 
 
 @pytest.mark.parametrize("reuse,min_ratio", [(1, 1.0), (3, math.sqrt(3)), (4, 2.0), (7, math.sqrt(7))])
@@ -114,8 +107,6 @@ def test_invalid_layout_args():
         build_hex_layout(D, -1.0)
     with pytest.raises(ValueError):
         build_hex_layout(D, 1000.0, 5)
-    with pytest.raises(ValueError):
-        co_channel_set(build_hex_layout(D, 1000.0), 9)
 
 
 def test_elevation_angle():
@@ -175,8 +166,9 @@ def test_cell_is_six_triangles():
     pts = sample_region(SamplingRegion(RegionKind.CELL, 3), D)
     assert len(pts) == 6 * 9
     corners = hexagon_corners(D)
+    sextants = [((0.0, 0.0), corners[m - 1], corners[m]) for m in range(6)]
     for p in pts:
-        assert point_in_polygon(p, corners)
+        assert any(_in_triangle(p, *tri) for tri in sextants)
 
 
 def test_cell_points_are_rotated_triangle_points():
@@ -191,32 +183,11 @@ def test_cell_points_are_rotated_triangle_points():
     assert {(round(x, 6), round(y, 6)) for x, y in cell} == expect
 
 
-def test_polygon_region():
-    square = ((0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0))
-    region = SamplingRegion(RegionKind.POLYGON, 4, polygon=square)
-    pts = sample_region(region, D)
-    assert len(pts) == 16
-    for x, y in pts:
-        assert 0.0 < x < 100.0 and 0.0 < y < 100.0
-    with pytest.raises(ValueError):
-        # zero-area polygon catches no grid point
-        sample_region(SamplingRegion(RegionKind.POLYGON, 2,
-                                     polygon=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))), D)
-
-
-def test_point_in_polygon_edges():
-    square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-    assert point_in_polygon((0.5, 0.5), square)
-    assert not point_in_polygon((1.5, 0.5), square)
-
-
 def test_region_validation():
     with pytest.raises(ValueError):
         SamplingRegion(RegionKind.TRIANGLE, 0)
     with pytest.raises(ValueError):
-        SamplingRegion(RegionKind.POLYGON, 2)
-    with pytest.raises(ValueError):
-        SamplingRegion(RegionKind.TRIANGLE, 2, polygon=((0, 0), (1, 0), (0, 1)))
+        SamplingRegion(RegionKind.CELL, 0)
 
 
 def test_layout_csv_round_trip(tmp_path):

@@ -23,12 +23,12 @@ from uavcov.gpm import (
     LatticeDistribution,
     SteppedCdf,
     cf_sample,
+    displacement_bound,
     enumerate_cdf,
     gaussian_cdf,
     kolmogorov_distance,
     la_cdf,
     lattice_invert,
-    load_spec,
     mc_cdf,
     quantization_adjusted_distance,
     write_cdf_csv,
@@ -97,6 +97,10 @@ def test_spec_validation():
         GpmSpec([[0.0, np.nan]], [[0.5, 0.5]])
     with pytest.raises(ValueError):
         GpmSpec.from_summands([])
+    with pytest.raises(ValueError):
+        GpmSpec([[]], [[]])                          # a row with no entry
+    empty = GpmSpec(np.zeros((0, 2)), np.zeros((0, 2)))   # no summand: the sum is 0
+    assert (len(empty), empty.offset, empty.span) == (0, 0.0, 0.0)
 
 
 def summand_specs():
@@ -345,6 +349,12 @@ def test_la_rejects_small_c0():
         la_cdf(spec, 0.5)
 
 
+def test_la_rejects_span_that_overflows_beta():
+    spec = GpmSpec([[0.0, 1e-310]], [[0.5, 0.5]])     # c0 / span is inf
+    with pytest.raises(ValueError, match="span 1e-310"):
+        la_cdf(spec, 1000.0)
+
+
 def test_la_quantization_envelope():
     # every jump of the LA cdf lies within M/(2 beta) of enumeration mass
     rng = np.random.default_rng(41)
@@ -352,7 +362,7 @@ def test_la_quantization_envelope():
         spec = random_spec(rng, int(rng.integers(2, 9)))
         _, la = la_cdf(spec, 1000.0)
         exact = enumerate_cdf(spec)
-        slack = len(spec) / (2.0 * 1000.0 / spec.span) * (1.0 + 1e-9)
+        slack = displacement_bound(spec, 1000.0) * (1.0 + 1e-9)
         assert quantization_adjusted_distance(la, exact, slack) <= 1e-9
 
 
@@ -503,35 +513,8 @@ def test_quantization_adjusted_bounds_plain_distance():
 
 
 # ---------------------------------------------------------------------------
-# Text formats
+# Text output
 # ---------------------------------------------------------------------------
-
-def test_load_spec(tmp_path):
-    path = tmp_path / "spec.txt"
-    path.write_text(
-        "# interference atoms\n"
-        "values=0,1.5,4 probs=0.5,0.3,0.2\n"
-        "\n"
-        "values=0,2 probs=0.5,0.5   # trailing comment\n"
-    )
-    spec = load_spec(path)
-    assert len(spec) == 2
-    assert spec.values[0].tolist() == [0.0, 1.5, 4.0]
-    assert spec.probs[1].tolist() == [0.5, 0.5, 0.0]    # padded to width 3
-
-
-def test_load_spec_errors(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("values=0,1 probs=0.5\n")
-    with pytest.raises(ValueError, match="bad.txt:1"):
-        load_spec(bad)
-    bad.write_text("values=0,x probs=0.5,0.5\n")
-    with pytest.raises(ValueError, match="non-numeric"):
-        load_spec(bad)
-    bad.write_text("# only comments\n")
-    with pytest.raises(ValueError, match="no summands"):
-        load_spec(bad)
-
 
 def test_write_cdf_csv(tmp_path):
     cdf = SteppedCdf([0.5, 1.5], [0.25, 1.0])

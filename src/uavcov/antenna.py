@@ -122,9 +122,11 @@ class UavAntenna:
             return math.inf
         return dh * math.tan(math.radians(self.beamwidth_deg))
 
-    def gain_at(self, horizontal_distance: float, uav_height: float, gbs_height: float) -> float:
-        """Gain toward a GBS at the given horizontal distance; points on
-        the footprint boundary get the mainlobe gain."""
-        if horizontal_distance <= self.footprint_radius(uav_height, gbs_height):
-            return self.mainlobe_gain
-        return self.backlobe_gain
+    def gain_at(self, r_h, uav_height: float, gbs_height: float):
+        """Gain toward GBSs at horizontal distances ``r_h`` (scalar or
+        array); points on the footprint boundary get the mainlobe gain."""
+        inside = np.asarray(r_h) <= self.footprint_radius(uav_height, gbs_height)
+        gain = np.where(inside, self.mainlobe_gain, self.backlobe_gain)
+        if np.isscalar(r_h):
+            return float(gain)
+        return gain

@@ -14,8 +14,8 @@ The default parametric model combines
     frequency plus a constant excess loss per state (defaults 1 dB LoS,
     20 dB NLoS, alpha = 2 for both).
 
-Any object with the same ``evaluate(elevation_deg, distance_m)`` method can
-replace the parametric model.
+A UAV position's links are held as a :class:`LinkTable` of column arrays,
+built for every site at once by :func:`build_link_table`.
 """
 
 from __future__ import annotations
@@ -23,22 +23,14 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
 from .antenna import UavAntenna
-from .geometry import NetworkLayout, distance_3d, elevation_angle_deg, horizontal_distance
+from .geometry import NetworkLayout, link_geometry
 
 SPEED_OF_LIGHT = 299792458.0
-
-
-@runtime_checkable
-class ChannelModel(Protocol):
-    def evaluate(self, elevation_deg: float, distance_m: float) -> tuple[float, float, float]:
-        """Return (h_los, h_nlos, p_los) for one link."""
-        ...
 
 
 def free_space_gain(carrier_hz: float) -> float:
@@ -82,13 +74,16 @@ class ParametricAirGroundModel:
                 f"logistic parameters must be positive, got a={self.los_a}, b={self.los_b_per_deg}"
             )
 
-    def los_probability(self, elevation_deg: float) -> float:
+    def los_probability(self, elevation_deg):
+        """LoS probability at the given elevations (scalar or array)."""
         z = -self.los_b_per_deg * (elevation_deg - self.los_midpoint_deg)
-        return 1.0 / (1.0 + self.los_a * math.exp(z))
+        return 1.0 / (1.0 + self.los_a * np.exp(z))
 
-    def evaluate(self, elevation_deg: float, distance_m: float) -> tuple[float, float, float]:
-        if distance_m < 1.0:
-            raise ValueError(f"3D distance must be >= 1 m, got {distance_m}")
+    def evaluate(self, elevation_deg, distance_m):
+        """(h_los, h_nlos, p_los) of links at the given elevations and 3D
+        distances (scalars or equal-shape arrays)."""
+        if np.any(np.asarray(distance_m) < 1.0):
+            raise ValueError(f"3D distance must be >= 1 m, got {np.min(distance_m)}")
         h_los = self.ref_gain_los * distance_m ** (-self.alpha_los)
         h_nlos = self.ref_gain_nlos * distance_m ** (-self.alpha_nlos)
         return h_los, h_nlos, self.los_probability(elevation_deg)
@@ -163,97 +158,76 @@ def load_channel_coefficients(path) -> ParametricAirGroundModel:
 # Link tables
 # ---------------------------------------------------------------------------
 
-class LinkRow(NamedTuple):
-    gbs_id: int
-    band: int
-    c_los: float
-    c_nlos: float
-    p_los: float
+_COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
+            ("c_los", float), ("c_nlos", float), ("p_los", float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkTable:
-    """Combined channel gains of every GBS for one UAV position.
+    """Combined channel gains of every GBS for one UAV position, as columns.
 
-    Rows carry the combined power gains C = G_uav * G_gbs * h for both
-    channel states, sorted by descending LoS gain (ties by ascending id),
-    which is the order the association walk consumes.  GBSs outside the
-    UAV mainlobe with zero backlobe gain have both gains 0 and sit at the
-    tail.
+    Row k is GBS ``gbs_id[k]`` of band ``band[k]``, with combined power
+    gains C = G_uav * G_gbs * h in both channel states (``c_los[k]``,
+    ``c_nlos[k]``) and LoS probability ``p_los[k]``.  Rows are sorted by
+    descending LoS gain, ties by ascending id: the association walk's
+    order.  The ids are 0..n-1, so per-GBS arrays are indexed by id.  GBSs
+    outside the UAV mainlobe with zero backlobe gain have both gains 0
+    and sit at the tail.  The columns are read-only copies.
     """
 
-    rows: tuple[LinkRow, ...]
+    gbs_id: np.ndarray
+    band: np.ndarray
+    c_los: np.ndarray
+    c_nlos: np.ndarray
+    p_los: np.ndarray
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if not 0.0 <= row.p_los <= 1.0:
-                raise ValueError(f"LoS probability out of [0, 1] for GBS {row.gbs_id}")
-            if row.c_los < 0 or row.c_nlos < 0:
-                raise ValueError(f"negative gain for GBS {row.gbs_id}")
-            if row.c_los == 0.0 and row.c_nlos != 0.0:
-                raise ValueError(f"NLoS gain without LoS gain for GBS {row.gbs_id}")
-        key = [(-r.c_los, r.gbs_id) for r in self.rows]
-        if key != sorted(key):
+        for name, dtype in _COLUMNS:
+            col = np.array(getattr(self, name), dtype=dtype)
+            if col.ndim != 1:
+                raise ValueError(f"link table column {name} must be 1-D, got shape {col.shape}")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        n = len(self.gbs_id)
+        if any(len(getattr(self, name)) != n for name, _ in _COLUMNS):
+            raise ValueError("link table columns must have equal length")
+        if not np.array_equal(np.sort(self.gbs_id), np.arange(n)):
+            raise ValueError(f"link table GBS ids must be a permutation of 0..{n - 1}")
+        for bad, what in (
+            (~((self.p_los >= 0.0) & (self.p_los <= 1.0)), "LoS probability out of [0, 1]"),
+            (~((self.c_los >= 0.0) & (self.c_nlos >= 0.0)), "negative gain"),
+            ((self.c_los == 0.0) & (self.c_nlos != 0.0), "NLoS gain without LoS gain"),
+        ):
+            if bad.any():
+                raise ValueError(f"{what} for GBS {self.gbs_id[np.argmax(bad)]}")
+        c, ids = self.c_los, self.gbs_id
+        if not np.all((c[:-1] > c[1:]) | ((c[:-1] == c[1:]) & (ids[:-1] < ids[1:]))):
             raise ValueError("link table rows must be sorted by descending c_los, then id")
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return {r.gbs_id: k for k, r in enumerate(self.rows)}
-
-    def c_los_array(self) -> np.ndarray:
-        return np.array([r.c_los for r in self.rows])
-
-    def c_nlos_array(self) -> np.ndarray:
-        return np.array([r.c_nlos for r in self.rows])
-
-    def p_los_array(self) -> np.ndarray:
-        return np.array([r.p_los for r in self.rows])
-
-    def positions(self, gbs_ids) -> np.ndarray:
-        """Row positions of the given GBS ids, in the order given."""
-        return np.array([self._position[i] for i in gbs_ids], dtype=np.intp)
-
-    def row_for(self, gbs_id: int) -> LinkRow:
-        return self.rows[self._position[gbs_id]]
-
-    def band_members(self, band: int) -> set[int]:
-        return {r.gbs_id for r in self.rows if r.band == band}
+        return len(self.gbs_id)
 
 
 def build_link_table(
     layout: NetworkLayout,
     gbs_pattern,
     uav_antenna: UavAntenna,
-    channel: ChannelModel,
+    channel: ParametricAirGroundModel,
     uav_xyz: Sequence[float],
     gbs_height: float,
 ) -> LinkTable:
-    """Evaluate geometry, antennas and channel for every site.
+    """Evaluate geometry, antennas and channel for every site at once.
 
-    ``gbs_pattern`` is any callable mapping an elevation angle in degrees
-    to a linear power gain (a :class:`~uavcov.antenna.UlaPattern` works).
+    ``gbs_pattern`` is any callable mapping an array of elevation angles
+    in degrees to linear power gains (a :class:`~uavcov.antenna.UlaPattern`
+    works).
     """
-    if uav_xyz[2] <= gbs_height:
-        raise ValueError(
-            f"UAV altitude {uav_xyz[2]} must exceed the GBS antenna height {gbs_height}"
-        )
-    rows = []
-    for site in layout.sites:
-        r_h = horizontal_distance(uav_xyz, site)
-        d3 = distance_3d(uav_xyz, site, gbs_height)
-        theta = elevation_angle_deg(uav_xyz, site, gbs_height)
-        g_u = uav_antenna.gain_at(r_h, uav_xyz[2], gbs_height)
-        h_los, h_nlos, p_los = channel.evaluate(theta, d3)
-        if g_u == 0.0:
-            rows.append(LinkRow(site.gbs_id, site.band, 0.0, 0.0, p_los))
-            continue
-        g_b = float(gbs_pattern(theta))
-        combined = g_u * g_b
-        rows.append(
-            LinkRow(site.gbs_id, site.band, combined * h_los, combined * h_nlos, p_los)
-        )
-    rows.sort(key=lambda r: (-r.c_los, r.gbs_id))
-    return LinkTable(tuple(rows))
+    ids, xs, ys, bands = layout.columns
+    r_h, d3, theta = link_geometry(uav_xyz, xs, ys, gbs_height)
+    h_los, h_nlos, p_los = channel.evaluate(theta, d3)
+    combined = uav_antenna.gain_at(r_h, uav_xyz[2], gbs_height) * gbs_pattern(theta)
+    c_los = combined * h_los
+    order = np.lexsort((ids, -c_los))
+    return LinkTable(
+        ids[order], bands[order], c_los[order], (combined * h_nlos)[order], p_los[order]
+    )

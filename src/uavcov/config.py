@@ -12,7 +12,9 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .antenna import UavAntenna, UlaPattern
 from .channel import ParametricAirGroundModel, default_channel, load_channel_coefficients
@@ -28,20 +30,6 @@ from .units import db_to_linear, dbm_to_watt
 
 class ConfigError(ValueError):
     """Bad configuration file or values (maps to CLI exit code 2)."""
-
-
-class LoadingMap(dict):
-    """Per-site loading factors; ids without an override get the default."""
-
-    def __init__(self, default: float, overrides=()):
-        super().__init__(overrides)
-        self.default = float(default)
-
-    def __missing__(self, key):
-        return self.default
-
-    def __reduce__(self):
-        return (LoadingMap, (self.default, dict(self)))
 
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -107,9 +95,14 @@ DEFAULTS: dict[str, dict[str, str]] = {
 _OMEGA_SITE_RE = re.compile(r"^omega_site_(\d+)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Resolved scenario parameters; radio quantities are linear."""
+    """Resolved scenario parameters; radio quantities are linear.
+
+    ``loading`` holds the loading factor of every GBS of the layout,
+    indexed by id: ``downlink_omega`` unless an ``omega_site_N`` key
+    overrides it (read-only).
+    """
 
     inter_site_distance: float
     radius: float
@@ -144,7 +137,7 @@ class ScenarioConfig:
     downlink_threshold: float
 
     downlink_omega: float
-    omega_overrides: dict[int, float] = field(default_factory=dict)
+    loading: np.ndarray
 
     uav_x: float = 150.0
     uav_y: float = 50.0
@@ -204,11 +197,9 @@ class ScenarioConfig:
     def build_region(self) -> SamplingRegion:
         return SamplingRegion(RegionKind(self.region), self.resolution)
 
-    def omega(self):
-        """Scalar loading, or a per-id mapping when overrides exist."""
-        if not self.omega_overrides:
-            return self.downlink_omega
-        return LoadingMap(self.downlink_omega, self.omega_overrides)
+    def omega(self) -> np.ndarray:
+        """Per-GBS loading array, indexed by id."""
+        return self.loading
 
 
 def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str]]:
@@ -309,7 +300,7 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         uplink_threshold=db_to_linear(_number(resolved, "thresholds", "uplink_snr_db")),
         downlink_threshold=db_to_linear(_number(resolved, "thresholds", "downlink_snr_db")),
         downlink_omega=_number(resolved, "loading", "downlink_omega"),
-        omega_overrides=overrides,
+        loading=np.zeros(0),   # resolved below, once the layout is known
         uav_x=_number(resolved, "uav", "x_m"),
         uav_y=_number(resolved, "uav", "y_m"),
         uav_altitude=_number(resolved, "uav", "altitude_m"),
@@ -323,11 +314,13 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         config_hash=_hash(resolved, omega_raw),
     )
 
+    if cfg.carrier_hz <= 0:
+        raise ConfigError(f"[radio] carrier_hz must be positive, got {cfg.carrier_hz}")
     if cfg.noise_w <= 0 or cfg.gbs_power_w <= 0 or cfg.uav_power_w <= 0:
-        raise ConfigError("powers must be positive")
+        raise ConfigError("[radio] powers must be positive")
     if not 0.0 <= cfg.downlink_omega <= 1.0:
         raise ConfigError(f"[loading] downlink_omega must lie in [0, 1], got {cfg.downlink_omega}")
-    for gbs_id, w in cfg.omega_overrides.items():
+    for gbs_id, w in overrides.items():
         if not 0.0 <= w <= 1.0:
             raise ConfigError(f"[loading] omega_site_{gbs_id} must lie in [0, 1], got {w}")
     if not 0.0 <= cfg.association_epsilon < 1.0:
@@ -345,10 +338,22 @@ def load_config(path: str | None = None) -> ScenarioConfig:
             f"[uav] altitude_m must exceed the GBS antenna height {cfg.gbs_height}"
         )
     # the model constructors hold the range checks of their parameters
-    for build in (cfg.build_layout, cfg.build_gbs_pattern, cfg.build_uav_antenna,
-                  cfg.build_channel, cfg.build_region):
+    built = {}
+    for section, build in (("layout", cfg.build_layout), ("gbs_antenna", cfg.build_gbs_pattern),
+                           ("uav_antenna", cfg.build_uav_antenna), ("channel", cfg.build_channel),
+                           ("sampling", cfg.build_region)):
         try:
-            build()
+            built[section] = build()
         except (ValueError, OSError) as exc:
-            raise ConfigError(str(exc)) from exc
-    return cfg
+            raise ConfigError(f"[{section}] {exc}") from exc
+
+    n_sites = len(built["layout"])
+    loading = np.full(n_sites, cfg.downlink_omega)
+    for gbs_id, w in overrides.items():
+        if gbs_id >= n_sites:
+            raise ConfigError(
+                f"[loading] omega_site_{gbs_id} names no GBS: the layout has ids 0..{n_sites - 1}"
+            )
+        loading[gbs_id] = w
+    loading.flags.writeable = False
+    return replace(cfg, loading=loading)

@@ -13,7 +13,8 @@ Downlink: conditioned on an association event, every other GBS in the
 serving GBS's band interferes when active (probability ``omega`` per
 site).  Each interferer is one row of values [0, C_NL, C_L] with
 probabilities [1 - omega, omega (1 - p_L), omega p_L], where p_L is 0 for
-GBSs the event forces into NLoS; the conditional interference cdf is then
+GBSs the event forces into NLoS (always a prefix of the walk order, so an
+event stores only its length); the conditional interference cdf is then
 a lattice-approximated sum
 (:func:`uavcov.gpm.la_cdf`) and the SNR cdf follows from
 P{snr <= y} = P{I >= C/y - alpha0} summed over events.
@@ -28,12 +29,12 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .antenna import UavAntenna
-from .channel import ChannelModel, LinkTable, build_link_table
+from .channel import LinkTable, ParametricAirGroundModel, build_link_table
 from .geometry import NetworkLayout, SamplingRegion, sample_region
 from .gpm import GpmSpec, SteppedCdf, la_cdf
 
@@ -50,16 +51,17 @@ class AssociationState(Enum):
 class AssociationEvent:
     """One atom of the association distribution.
 
-    ``forced_nlos_ids`` are the GBSs conditioned into NLoS by the event:
-    the walked prefix for a LoS event, every site with ``c_los >=
-    C_NL_max`` for the terminal event.
+    The event conditions the first ``forced_rows`` rows of the link table
+    (in walk order) into NLoS: the walked prefix for a LoS event, every
+    row with ``c_los >= C_NL_max`` for the terminal event (a prefix,
+    since rows sort by descending ``c_los``), none for the no-gain event.
     """
 
     serving_id: int | None
     state: AssociationState
     gain: float
     probability: float
-    forced_nlos_ids: frozenset[int]
+    forced_rows: int
 
 
 def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEvent, ...]:
@@ -73,40 +75,30 @@ def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEven
     if len(table) == 0:
         raise ValueError("cannot associate against an empty link table")
 
-    rows = table.rows
-    c_nlos = table.c_nlos_array()
-    c_nlos_max = float(c_nlos.max())
+    c_nlos_max = float(table.c_nlos.max())
     if c_nlos_max == 0.0:
         # No GBS has any gain toward the UAV: the SNR is 0 surely.
-        return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, frozenset()),)
+        return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, 0),)
 
-    terminal_row = rows[int(np.argmax(c_nlos))]
-    terminal_forced = frozenset(r.gbs_id for r in rows if r.c_los >= c_nlos_max)
-
+    ids = table.gbs_id.tolist()
     events: list[AssociationEvent] = []
     prefix = 1.0
-    for m, row in enumerate(rows):
-        if row.c_los < c_nlos_max or prefix < eps:
+    for m, (c_los, p_los) in enumerate(zip(table.c_los.tolist(), table.p_los.tolist())):
+        if c_los < c_nlos_max or prefix < eps:
             break
-        if row.p_los > 0.0 and prefix > 0.0:
+        if p_los > 0.0 and prefix > 0.0:
             events.append(
-                AssociationEvent(
-                    row.gbs_id,
-                    AssociationState.LOS,
-                    row.c_los,
-                    row.p_los * prefix,
-                    frozenset(r.gbs_id for r in rows[:m]),
-                )
+                AssociationEvent(ids[m], AssociationState.LOS, c_los, p_los * prefix, m)
             )
-        prefix *= 1.0 - row.p_los
+        prefix *= 1.0 - p_los
     if prefix > 0.0:
         events.append(
             AssociationEvent(
-                terminal_row.gbs_id,
+                ids[int(np.argmax(table.c_nlos))],
                 AssociationState.NLOS_MAX,
                 c_nlos_max,
                 prefix,
-                terminal_forced,
+                int(np.count_nonzero(table.c_los >= c_nlos_max)),
             )
         )
     total = sum(e.probability for e in events)
@@ -153,11 +145,15 @@ def uplink_snr_pmf(table: LinkTable, beta0: float, eps: float = 0.0) -> UplinkSn
 # Downlink
 # ---------------------------------------------------------------------------
 
-def _omega_for(omega, gbs_id: int) -> float:
-    value = omega[gbs_id] if isinstance(omega, Mapping) else omega
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"loading factor for GBS {gbs_id} must lie in [0, 1], got {value}")
-    return float(value)
+def loading_by_id(omega, n: int) -> np.ndarray:
+    """Loading of each of ``n`` GBSs, indexed by id: ``omega`` is one
+    scalar for every GBS or an array with one entry per id."""
+    w = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+    bad = ~((w >= 0.0) & (w <= 1.0))
+    if bad.any():
+        gbs_id = int(np.argmax(bad))
+        raise ValueError(f"loading factor for GBS {gbs_id} must lie in [0, 1], got {w[gbs_id]}")
+    return w
 
 
 def conditional_interference_spec(
@@ -170,18 +166,18 @@ def conditional_interference_spec(
     spec, interference 0).  Each is silent with probability 1 - omega;
     when active it contributes its NLoS gain if the event forces it NLoS,
     otherwise its NLoS/LoS gain split by its LoS probability.  ``omega``
-    is a scalar or a per-id mapping.
+    is a scalar or a per-GBS array indexed by id.
     """
     if event.serving_id is None:
         raise ValueError("an event without a serving GBS has no interference law")
-    band = table.row_for(event.serving_id).band
-    ids = sorted(table.band_members(band) - {event.serving_id})
-    at = table.positions(ids)
-    w = np.array([_omega_for(omega, gbs_id) for gbs_id in ids])
-    forced = np.array([gbs_id in event.forced_nlos_ids for gbs_id in ids])
-    p = np.where(forced, 0.0, table.p_los_array()[at])
-    c_nlos, c_los = table.c_nlos_array()[at], table.c_los_array()[at]
-    values = np.column_stack([np.zeros(len(ids)), c_nlos, c_los])
+    row_of = np.argsort(table.gbs_id)   # walk position of each id
+    band_of = table.band[row_of]
+    ids = np.flatnonzero(band_of == band_of[event.serving_id])
+    ids = ids[ids != event.serving_id]
+    w = loading_by_id(omega, len(table))[ids]
+    at = row_of[ids]
+    p = np.where(at < event.forced_rows, 0.0, table.p_los[at])
+    values = np.column_stack([np.zeros(len(ids)), table.c_nlos[at], table.c_los[at]])
     probs = np.column_stack([1.0 - w, w * (1.0 - p), w * p])
     return GpmSpec(values, probs)
 
@@ -281,7 +277,7 @@ class _PointContext:
     layout: NetworkLayout
     gbs_pattern: object
     uav_antenna: UavAntenna
-    channel: ChannelModel
+    channel: ParametricAirGroundModel
     gbs_height: float
     altitude: float
     link: LinkDirection
@@ -321,7 +317,7 @@ def coverage_at_altitude(
     layout: NetworkLayout,
     gbs_pattern,
     uav_antenna: UavAntenna,
-    channel: ChannelModel,
+    channel: ParametricAirGroundModel,
     *,
     gbs_height: float,
     altitude: float,
@@ -361,7 +357,7 @@ def coverage_over_altitudes(
     layout: NetworkLayout,
     gbs_pattern,
     uav_antenna: UavAntenna,
-    channel: ChannelModel,
+    channel: ParametricAirGroundModel,
     *,
     altitudes: Sequence[float],
     **kwargs,

@@ -18,6 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,8 +50,16 @@ class NetworkLayout:
     def __len__(self) -> int:
         return len(self.sites)
 
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The sites as read-only (gbs_id, x, y, band) arrays, built once."""
+        cols = tuple(np.array([site[k] for site in self.sites]) for k in range(4))
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
     def bands(self) -> np.ndarray:
-        return np.array([s.band for s in self.sites], dtype=int)
+        return self.columns[3]
 
 
 def _band_key(a: int, b: int, reuse_factor: int) -> tuple[int, int]:
@@ -129,36 +138,26 @@ def layout_from_sites(
     return NetworkLayout(built, inter_site_distance, radius, reuse_factor)
 
 
-def horizontal_distance(uav_xy: Sequence[float], site: GbsSite) -> float:
-    return math.hypot(uav_xy[0] - site.x, uav_xy[1] - site.y)
+def link_geometry(
+    uav_xyz: Sequence[float], xs, ys, gbs_height: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horizontal distance, 3D distance and elevation angle (degrees) of
+    the UAV seen from GBS antennas at (xs, ys, gbs_height), one entry per
+    site.
 
-
-def distance_3d(
-    uav_xyz: Sequence[float], site: GbsSite, gbs_height: float
-) -> float:
-    """Euclidean distance between the UAV and the GBS antenna."""
-    return math.sqrt(
-        (uav_xyz[0] - site.x) ** 2
-        + (uav_xyz[1] - site.y) ** 2
-        + (uav_xyz[2] - gbs_height) ** 2
-    )
-
-
-def elevation_angle_deg(
-    uav_xyz: Sequence[float], site: GbsSite, gbs_height: float
-) -> float:
-    """Elevation angle of the UAV seen from the GBS antenna, in degrees.
-
-    Defined as arcsin(dh / d3) with dh the height difference and d3 the
-    3D distance; the UAV must fly strictly above the GBS antenna, so the
-    result lies in (0, 90] with 90 exactly overhead.
+    The elevation is arcsin(dh / d3) with dh the height difference and d3
+    the 3D distance; the UAV must fly strictly above the GBS antennas, so
+    it lies in (0, 90] with 90 exactly overhead.
     """
     dh = uav_xyz[2] - gbs_height
     if dh <= 0:
         raise ValueError(
             f"UAV altitude {uav_xyz[2]} must exceed the GBS antenna height {gbs_height}"
         )
-    return math.degrees(math.asin(dh / distance_3d(uav_xyz, site, gbs_height)))
+    dx = uav_xyz[0] - np.asarray(xs, dtype=float)
+    dy = uav_xyz[1] - np.asarray(ys, dtype=float)
+    d3 = np.sqrt(dx**2 + dy**2 + dh**2)
+    return np.hypot(dx, dy), d3, np.degrees(np.arcsin(dh / d3))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 # Relative spacing below which two atom values are considered one atom.
 VALUE_MERGE_RTOL = 1e-12
@@ -43,6 +42,15 @@ VALUE_MERGE_RTOL = 1e-12
 # than this means the FFT length was too short (aliasing), not roundoff.
 NEGATIVE_PMF_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
+
+# glibc serves blocks above a dynamic threshold (128 KiB at start) with
+# mmap; freeing the first such block raises that threshold to its size and
+# the heap-trim threshold to twice it.  Below that, every lattice_invert
+# call hands its few hundred KiB to MiB of rows and spectra back to the OS
+# and faults them in again: 10^5 page faults and a third more CPU time per
+# few downlink calls.  Freeing one 4 MiB block here settles both
+# thresholds; with other allocators it is a plain allocation.
+np.empty(1 << 19)
 PROB_SUM_TOL = 1e-12
 # Lattice mass below this is indistinguishable from inversion round-off
 # (observed ~4e-15) and gets dropped before the pmf is renormalised.
@@ -410,6 +418,10 @@ def mc_cdf(spec: GpmSpec, n_samples: int, seed: int) -> SteppedCdf:
     return SteppedCdf(values, np.cumsum(counts) / n_samples)
 
 
+# standard normal cdf, elementwise
+_ndtr = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[float])
+
+
 @dataclass(frozen=True)
 class GaussianCdf:
     """Moment-matched normal baseline, truncated to x >= 0 and rescaled to
@@ -422,8 +434,8 @@ class GaussianCdf:
         xs = np.asarray(x, dtype=float)
         if self.std == 0.0:
             return (xs >= self.mean).astype(float)
-        tail = ndtr(-self.mean / self.std)
-        raw = ndtr((xs - self.mean) / self.std)
+        tail = _ndtr(-self.mean / self.std)
+        raw = _ndtr((xs - self.mean) / self.std)
         out = (raw - tail) / (1.0 - tail)
         return np.where(xs < 0.0, 0.0, np.clip(out, 0.0, 1.0))
 

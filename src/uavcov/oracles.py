@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import LinkTable
-from .coverage import UplinkSnrPmf
+from .coverage import UplinkSnrPmf, loading_by_id
 from .gpm import SteppedCdf
 
 UPLINK_STATE_CAP = 2**21
@@ -26,9 +26,7 @@ def uplink_pmf_enumeration(
     b = len(table)
     if 2**b > cap:
         raise ValueError(f"enumeration needs 2^{b} states, above the cap of {cap}")
-    c_los = table.c_los_array()
-    c_nlos = table.c_nlos_array()
-    p_los = table.p_los_array()
+    c_los, c_nlos, p_los = table.c_los, table.c_nlos, table.p_los
     acc: dict[float, float] = {}
     for mask in range(2**b):
         bits = (mask >> np.arange(b)) & 1
@@ -56,17 +54,11 @@ def downlink_cdf_enumeration(
     then swept over all active/silent patterns, each active interferer
     contributing its own realised gain.
     """
-    from .coverage import _omega_for  # shared loading validation
-
     b = len(table)
-    rows = table.rows
-    c_los = table.c_los_array()
-    c_nlos = table.c_nlos_array()
-    p_los = table.p_los_array()
-    max_band = max(
-        (sum(1 for r in rows if r.band == band) for band in {r.band for r in rows}),
-        default=1,
-    )
+    c_los, c_nlos, p_los = table.c_los, table.c_nlos, table.p_los
+    w_by_id = loading_by_id(omega, b)
+    _, band_sizes = np.unique(table.band, return_counts=True)
+    max_band = int(band_sizes.max(initial=1))
     if 2**b * 2**max_band > cap:
         raise ValueError(
             f"joint enumeration needs up to 2^{b + max_band} states, "
@@ -85,12 +77,11 @@ def downlink_cdf_enumeration(
         if gain == 0.0:
             acc[0.0] = acc.get(0.0, 0.0) + state_prob
             continue
-        members = sorted(
-            r.gbs_id for r in rows if r.band == rows[s].band and r.gbs_id != rows[s].gbs_id
-        )
-        index_of = {r.gbs_id: k for k, r in enumerate(rows)}
-        gains = np.array([realized[index_of[i]] for i in members])
-        ws = np.array([_omega_for(omega, i) for i in members])
+        # the other rows of the serving band, in ascending id order
+        members = np.flatnonzero((table.band == table.band[s]) & (np.arange(b) != s))
+        members = members[np.argsort(table.gbs_id[members])]
+        gains = realized[members]
+        ws = w_by_id[table.gbs_id[members]]
         m = len(members)
         for pattern in range(2**m):
             act = (pattern >> np.arange(m)) & 1 if m else np.zeros(0, dtype=int)

@@ -6,8 +6,15 @@ own seed; nothing here owns global state.
 
 import numpy as np
 
-from uavcov.channel import LinkRow, LinkTable
+from uavcov.channel import LinkTable
 from uavcov.gpm import DiscreteSummand, GpmSpec
+
+
+def link_table(rows):
+    """LinkTable from (gbs_id, band, c_los, c_nlos, p_los) tuples, kept in
+    the order given."""
+    columns = list(zip(*rows)) or [()] * 5
+    return LinkTable(*(np.array(col) for col in columns))
 
 
 def random_link_table(rng, n_rows, n_bands=1, zero_row_prob=0.15):
@@ -17,14 +24,14 @@ def random_link_table(rng, n_rows, n_bands=1, zero_row_prob=0.15):
     for i in range(n_rows):
         band = int(rng.integers(0, n_bands))
         if rng.random() < zero_row_prob:
-            rows.append(LinkRow(i, band, 0.0, 0.0, float(rng.random())))
+            rows.append((i, band, 0.0, 0.0, float(rng.random())))
             continue
         c_los = float(10.0 ** rng.uniform(-2.0, 1.0))
         c_nlos = c_los * float(rng.uniform(0.01, 0.8))
         p_los = float(rng.uniform(0.0, 1.0))
-        rows.append(LinkRow(i, band, c_los, c_nlos, p_los))
-    rows.sort(key=lambda r: (-r.c_los, r.gbs_id))
-    return LinkTable(tuple(rows))
+        rows.append((i, band, c_los, c_nlos, p_los))
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    return link_table(rows)
 
 
 def random_spec(rng, n_summands, max_support=3, value_scale=1.0):

@@ -13,8 +13,9 @@ import time
 
 import numpy as np
 
+from conftest import link_table
 from uavcov.antenna import UavAntenna, UlaPattern, ula_gain
-from uavcov.channel import LinkRow, LinkTable, build_link_table, default_channel
+from uavcov.channel import build_link_table, default_channel
 from uavcov.coverage import (
     DownlinkSnrCdf,
     LinkDirection,
@@ -76,12 +77,12 @@ def random_table(rng, n_rows):
     rows = []
     for i in range(n_rows):
         c_los = float(10.0 ** rng.uniform(-2.0, 1.0))
-        rows.append(LinkRow(
+        rows.append((
             i, 0, c_los, c_los * float(rng.uniform(0.01, 0.8)),
             float(rng.uniform(0.0, 1.0)),
         ))
-    rows.sort(key=lambda r: (-r.c_los, r.gbs_id))
-    return LinkTable(tuple(rows))
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    return link_table(rows)
 
 
 def test_hex_layout_site_and_interferer_counts():
@@ -291,7 +292,7 @@ def test_downlink_mixture_matches_joint_enumeration():
     control = math.inf
     for _ in range(20):
         table = random_table(rng, int(rng.integers(2, 5)))
-        alpha0 = float(np.median(table.c_nlos_array())) * 0.3
+        alpha0 = float(np.median(table.c_nlos)) * 0.3
         approx = downlink_snr_cdf(table, 0.5, alpha0)
         oracle = downlink_cdf_enumeration(table, 0.5, alpha0)
         s = downlink_lattice_slack(table, 0.5, 1000.0)

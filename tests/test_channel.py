@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import link_table
 from uavcov.antenna import UavAntenna, UlaPattern
 from uavcov.channel import (
-    ChannelModel,
-    LinkRow,
     LinkTable,
     ParametricAirGroundModel,
     build_link_table,
@@ -55,10 +54,6 @@ def test_pathloss_monotone_in_distance():
     m = default_channel(2e9)
     hs = [m.evaluate(30.0, d)[0] for d in (1.0, 10.0, 100.0, 1000.0)]
     assert all(b < a for a, b in zip(hs, hs[1:]))
-
-
-def test_protocol_conformance():
-    assert isinstance(default_channel(2e9), ChannelModel)
 
 
 def test_model_validation():
@@ -128,11 +123,12 @@ def _default_table(uav=(150.0, 50.0, 100.0)):
 def test_link_table_shape_and_order():
     table = _default_table()
     assert len(table) == 37
-    c_los = table.c_los_array()
-    assert np.all(np.diff(c_los) <= 0)
-    assert np.all(table.c_nlos_array() <= c_los)
-    assert np.all((table.p_los_array() >= 0) & (table.p_los_array() <= 1))
-    assert sorted(r.gbs_id for r in table.rows) == list(range(37))
+    assert np.all(np.diff(table.c_los) <= 0)
+    assert np.all(table.c_nlos <= table.c_los)
+    assert np.all((table.p_los >= 0) & (table.p_los <= 1))
+    assert sorted(table.gbs_id.tolist()) == list(range(37))
+    for col in (table.gbs_id, table.band, table.c_los, table.c_nlos, table.p_los):
+        assert col.shape == (37,) and not col.flags.writeable
 
 
 def test_link_table_narrow_beam_zero_rows():
@@ -143,31 +139,44 @@ def test_link_table_narrow_beam_zero_rows():
         build_hex_layout(500.0, 1500.0, 3), UlaPattern(10, 0.5, -10.0),
         UavAntenna(45.0), default_channel(2e9), (30.0, 0.0, 100.0), 20.0,
     )
-    zero_rows = [r for r in narrow.rows if r.c_los == 0.0]
-    assert len(zero_rows) == 36
-    assert all(r.c_nlos == 0.0 for r in zero_rows)
+    zero = narrow.c_los == 0.0
+    assert zero.sum() == 36
+    assert np.all(narrow.c_nlos[zero] == 0.0)
     # zero rows keep the true LoS probability of their geometry
-    assert all(0.0 < r.p_los < 1.0 for r in zero_rows)
-    live = [r for r in narrow.rows if r.c_los > 0.0]
-    assert [r.gbs_id for r in live] == [0]
-    assert table.rows[0].c_los > 0.0
+    assert np.all((narrow.p_los[zero] > 0.0) & (narrow.p_los[zero] < 1.0))
+    assert narrow.gbs_id[~zero].tolist() == [0]
+    assert table.c_los[0] > 0.0
 
 
 def test_link_table_band_members():
     table = _default_table()
-    sizes = sorted(len(table.band_members(b)) for b in range(3))
+    sizes = sorted(np.bincount(table.band).tolist())
     assert sizes == [12, 12, 13]
-    with pytest.raises(KeyError):
-        table.row_for(99)
 
 
 def test_link_table_validation():
-    with pytest.raises(ValueError):
-        LinkTable((LinkRow(0, 0, 1.0, 0.5, 1.5),))
-    with pytest.raises(ValueError):
-        LinkTable((LinkRow(0, 0, 0.0, 0.5, 0.5),))
-    with pytest.raises(ValueError):
-        LinkTable((LinkRow(0, 0, 1.0, 0.5, 0.5), LinkRow(1, 0, 2.0, 0.5, 0.5)))
+    link_table([(1, 0, 2.0, 0.5, 0.5), (0, 0, 1.0, 0.5, 0.5), (2, 0, 1.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="out of"):
+        link_table([(0, 0, 1.0, 0.5, 1.5)])
+    with pytest.raises(ValueError, match="out of"):
+        link_table([(0, 0, 1.0, 0.5, -0.1)])
+    with pytest.raises(ValueError, match="out of"):
+        link_table([(0, 0, 1.0, 0.5, np.nan)])
+    with pytest.raises(ValueError, match="without LoS"):
+        link_table([(0, 0, 0.0, 0.5, 0.5)])
+    with pytest.raises(ValueError, match="negative"):
+        link_table([(0, 0, 1.0, -0.5, 0.5)])
+    with pytest.raises(ValueError, match="sorted"):
+        link_table([(0, 0, 1.0, 0.5, 0.5), (1, 0, 2.0, 0.5, 0.5)])
+    with pytest.raises(ValueError, match="sorted"):      # tie broken by descending id
+        link_table([(1, 0, 1.0, 0.5, 0.5), (0, 0, 1.0, 0.5, 0.5)])
+    for ids in ((0, 2), (1, 1), (-1, 0)):                 # not a permutation of 0..n-1
+        with pytest.raises(ValueError, match="permutation"):
+            link_table([(ids[0], 0, 2.0, 0.5, 0.5), (ids[1], 0, 1.0, 0.5, 0.5)])
+    with pytest.raises(ValueError, match="equal length"):
+        LinkTable([0, 1], [0, 0], [2.0, 1.0], [0.5, 0.5], [0.5])
+    with pytest.raises(ValueError, match="1-D"):
+        LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
 
 
 def test_build_rejects_low_altitude():
@@ -183,13 +192,15 @@ def test_gain_consistency_with_manual_evaluation():
     ant = UavAntenna(90.0)
     m = default_channel(2e9)
     table = build_link_table(layout, pattern, ant, m, (120.0, -40.0, 90.0), 20.0)
-    for row in table.rows:
-        site = layout.sites[row.gbs_id]
+    for gbs_id, c_los, c_nlos, p_los in zip(
+        table.gbs_id.tolist(), table.c_los.tolist(), table.c_nlos.tolist(), table.p_los.tolist()
+    ):
+        site = layout.sites[gbs_id]
         dh = math.hypot(120.0 - site.x, -40.0 - site.y)
         d3 = math.hypot(dh, 70.0)
         theta = math.degrees(math.asin(70.0 / d3))
         h_los, h_nlos, p = m.evaluate(theta, d3)
         g = ant.mainlobe_gain * pattern(theta)
-        assert row.c_los == pytest.approx(g * h_los, rel=1e-12)
-        assert row.c_nlos == pytest.approx(g * h_nlos, rel=1e-12)
-        assert row.p_los == pytest.approx(p, rel=1e-12)
+        assert c_los == pytest.approx(g * h_los, rel=1e-12)
+        assert c_nlos == pytest.approx(g * h_nlos, rel=1e-12)
+        assert p_los == pytest.approx(p, rel=1e-12)

@@ -82,11 +82,29 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ("uplink-map", "[layout]\nreuse_factor = 2\n"),
     ("uplink-map", "[uav_antenna]\nhalf_beamwidth_deg = 0\n"),
     ("uplink-map", "[radio]\ncarrier_hz = 0\n"),
+    ("uplink-map", "[loading]\nomega_site_999 = 0.5\n"),   # default layout: ids 0..366
 ])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     cfg_path = write_cfg(tmp_path, body)
     assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert body.splitlines()[0] in err              # the message names its section
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["uplink-map", "--workers", "0"],
+    ["uplink-map", "--workers", "-3"],
+    ["coverage-curve", "--sweep", "threshold", "--points", "0"],
+    ["interference-cdf", "--methods", "mc", "--seed", "1", "--samples", "0"],
+    ["validate", "--mode", "la-vs-mc", "--seed", "1", "--samples", "0"],
+])
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

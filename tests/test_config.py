@@ -5,11 +5,12 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcov.config import DEFAULTS, ConfigError, LoadingMap, load_config
+from uavcov.config import DEFAULTS, ConfigError, load_config
 from uavcov.geometry import RegionKind, write_layout_csv
 
 
@@ -30,7 +31,7 @@ def test_defaults():
     assert cfg.half_beamwidth_deg == 90.0
     assert cfg.carrier_hz == 2e9
     assert cfg.downlink_omega == 0.5
-    assert cfg.omega_overrides == {}
+    assert cfg.omega().tolist() == [0.5] * 367    # one entry per GBS of the layout
     assert cfg.resolution == 4
     assert cfg.association_epsilon == 1e-6
     assert len(cfg.config_hash) == 12
@@ -60,20 +61,23 @@ resolution = 2
     cfg = load_config(path)
     assert cfg.radius == 1500.0
     assert cfg.downlink_omega == 0.25
-    assert cfg.omega_overrides == {2: 0.9, 11: 0.1}
+    omega = cfg.omega()
+    assert omega.shape == (37,)
+    assert (omega[2], omega[11]) == (0.9, 0.1)
+    assert np.all(np.delete(omega, [2, 11]) == 0.25)
     assert cfg.resolution == 2
     assert cfg.inter_site_distance == 500.0       # untouched default
 
 
 def test_omega_scalar_or_map(tmp_path):
-    assert load_config().omega() == 0.5
+    assert np.all(load_config().omega() == 0.5)
     path = write_ini(tmp_path, "[loading]\nomega_site_3 = 0.8\n")
     omega = load_config(path).omega()
-    assert isinstance(omega, LoadingMap)
     assert omega[3] == 0.8
-    assert omega[999] == 0.5                      # default for everyone else
+    assert np.all(np.delete(omega, 3) == 0.5)     # default for everyone else
+    assert not omega.flags.writeable
     clone = pickle.loads(pickle.dumps(omega))
-    assert clone[3] == 0.8 and clone[999] == 0.5
+    np.testing.assert_array_equal(clone, omega)
 
 
 def test_config_hash_tracks_content(tmp_path):

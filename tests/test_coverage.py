@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_link_table
+from conftest import link_table, random_link_table
 from uavcov.antenna import UavAntenna, UlaPattern
-from uavcov.channel import LinkRow, LinkTable, build_link_table, default_channel
+from uavcov.channel import LinkTable, build_link_table, default_channel
 from uavcov.coverage import (
     AssociationState,
     DownlinkSnrCdf,
@@ -33,12 +33,13 @@ from uavcov.gpm import SteppedCdf, enumerate_cdf, kolmogorov_distance, la_cdf
 def brute_force_uplink(table, beta0):
     """Uplink SNR atoms by enumerating every LoS/NLoS configuration."""
     acc = {}
+    rows = list(zip(table.c_los.tolist(), table.c_nlos.tolist(), table.p_los.tolist()))
     for mask in itertools.product((False, True), repeat=len(table)):
         prob = 1.0
         best = 0.0
-        for row, is_los in zip(table.rows, mask):
-            prob *= row.p_los if is_los else 1.0 - row.p_los
-            best = max(best, row.c_los if is_los else row.c_nlos)
+        for (c_los, c_nlos, p_los), is_los in zip(rows, mask):
+            prob *= p_los if is_los else 1.0 - p_los
+            best = max(best, c_los if is_los else c_nlos)
         if prob > 0.0:
             key = beta0 * best
             acc[key] = acc.get(key, 0.0) + prob
@@ -52,26 +53,27 @@ def joint_downlink_oracle(table, omega, alpha0):
     largest realised gain.  Needs every outcome to keep a positive serving
     gain.
     """
-    rows = table.rows
-    n = len(rows)
+    n = len(table)
+    ids, band = table.gbs_id.tolist(), table.band.tolist()
+    c_los, c_nlos, p_los = table.c_los.tolist(), table.c_nlos.tolist(), table.p_los.tolist()
     atoms: dict[float, float] = {}
     for los_mask in itertools.product((False, True), repeat=n):
         p_state = math.prod(
-            r.p_los if los else 1.0 - r.p_los for r, los in zip(rows, los_mask)
+            p if los else 1.0 - p for p, los in zip(p_los, los_mask)
         )
         if p_state == 0.0:
             continue
-        gains = [r.c_los if los else r.c_nlos for r, los in zip(rows, los_mask)]
+        gains = [c_los[i] if los else c_nlos[i] for i, los in enumerate(los_mask)]
         serving = max(range(n), key=gains.__getitem__)
         co = [
             i for i in range(n)
-            if i != serving and rows[i].band == rows[serving].band
+            if i != serving and band[i] == band[serving]
         ]
         for act_mask in itertools.product((False, True), repeat=len(co)):
             prob = p_state
             interference = 0.0
             for i, on in zip(co, act_mask):
-                w = omega[rows[i].gbs_id] if isinstance(omega, dict) else omega
+                w = float(omega[ids[i]]) if np.ndim(omega) else omega
                 prob *= w if on else 1.0 - w
                 if on:
                     interference += gains[i]
@@ -93,9 +95,9 @@ def assert_matches_stepped(model: DownlinkSnrCdf, oracle: SteppedCdf, tol=1e-9):
 # three-row single-band table whose per-event interference lattices are
 # exact at c0 = 960 (every event span divides it)
 MICRO_ROWS = (
-    LinkRow(0, 0, 8.0, 4.0, 0.6),
-    LinkRow(1, 0, 6.0, 3.0, 0.5),
-    LinkRow(2, 0, 2.0, 1.0, 0.5),
+    (0, 0, 8.0, 4.0, 0.6),
+    (1, 0, 6.0, 3.0, 0.5),
+    (2, 0, 2.0, 1.0, 0.5),
 )
 
 
@@ -104,7 +106,7 @@ MICRO_ROWS = (
 # ---------------------------------------------------------------------------
 
 def test_association_frozen_two_rows():
-    table = LinkTable((LinkRow(0, 0, 10.0, 1.0, 0.6), LinkRow(1, 0, 8.0, 2.0, 0.5)))
+    table = link_table(((0, 0, 10.0, 1.0, 0.6), (1, 0, 8.0, 2.0, 0.5)))
     events = association_pmf(table)
     assert [(e.serving_id, e.state, e.gain) for e in events] == [
         (0, AssociationState.LOS, 10.0),
@@ -112,11 +114,11 @@ def test_association_frozen_two_rows():
         (1, AssociationState.NLOS_MAX, 2.0),
     ]
     assert [e.probability for e in events] == pytest.approx([0.6, 0.2, 0.2])
-    assert [set(e.forced_nlos_ids) for e in events] == [set(), {0}, {0, 1}]
+    assert [e.forced_rows for e in events] == [0, 1, 2]
 
 
 def test_association_all_zero_table():
-    table = LinkTable((LinkRow(0, 0, 0.0, 0.0, 0.4), LinkRow(1, 0, 0.0, 0.0, 0.9)))
+    table = link_table(((0, 0, 0.0, 0.0, 0.4), (1, 0, 0.0, 0.0, 0.9)))
     (event,) = association_pmf(table)
     assert event.serving_id is None
     assert event.state is AssociationState.NONE
@@ -125,30 +127,30 @@ def test_association_all_zero_table():
 
 def test_association_walk_stops_below_nlos_max():
     # third row's LoS gain sits under the NLoS cap, so it can never serve
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     events = association_pmf(table)
     assert {e.serving_id for e in events} == {0, 1}
     terminal = events[-1]
     assert terminal.state is AssociationState.NLOS_MAX
     assert terminal.gain == 4.0
-    assert set(terminal.forced_nlos_ids) == {0, 1}
+    assert terminal.forced_rows == 2          # rows 0 and 1: c_los >= 4
 
 
 def test_association_validation():
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     with pytest.raises(ValueError):
         association_pmf(table, eps=1.0)
     with pytest.raises(ValueError):
         association_pmf(table, eps=-0.1)
     with pytest.raises(ValueError):
-        association_pmf(LinkTable(()))
+        association_pmf(link_table(()))
 
 
 def test_association_truncation_modes():
     rows = tuple(
-        LinkRow(i, 0, 10.0 - i, 1.0, 0.5) for i in range(3)
+        (i, 0, 10.0 - i, 1.0, 0.5) for i in range(3)
     )
-    table = LinkTable(rows)
+    table = link_table(rows)
     full = association_pmf(table)
     assert [e.probability for e in full] == pytest.approx([0.5, 0.25, 0.125, 0.125])
 
@@ -197,17 +199,17 @@ def test_uplink_matches_brute_force():
 
 def test_uplink_merges_equal_gains():
     rows = (
-        LinkRow(0, 0, 5.0, 1.0, 0.5),
-        LinkRow(1, 0, 5.0, 1.0, 0.5),
-        LinkRow(2, 0, 3.0, 1.0, 0.5),
+        (0, 0, 5.0, 1.0, 0.5),
+        (1, 0, 5.0, 1.0, 0.5),
+        (2, 0, 3.0, 1.0, 0.5),
     )
-    pmf = uplink_snr_pmf(LinkTable(rows), 2.0)
+    pmf = uplink_snr_pmf(link_table(rows), 2.0)
     assert pmf.values.tolist() == [2.0, 6.0, 10.0]
     assert pmf.probs.tolist() == pytest.approx([0.125, 0.125, 0.75])
 
 
 def test_uplink_outage_is_strict():
-    pmf = uplink_snr_pmf(LinkTable(MICRO_ROWS), 1.0)
+    pmf = uplink_snr_pmf(link_table(MICRO_ROWS), 1.0)
     assert 8.0 in pmf.values
     at_atom = pmf.outage(8.0)
     assert pmf.outage(8.0 * (1 + 1e-12)) > at_atom   # atom counts only above it
@@ -230,10 +232,9 @@ def test_uplink_scale_invariance():
     kappa = 3.7
     for _ in range(20):
         table = random_link_table(rng, int(rng.integers(1, 9)))
-        scaled = LinkTable(tuple(
-            LinkRow(r.gbs_id, r.band, r.c_los * kappa, r.c_nlos * kappa, r.p_los)
-            for r in table.rows
-        ))
+        scaled = LinkTable(
+            table.gbs_id, table.band, table.c_los * kappa, table.c_nlos * kappa, table.p_los
+        )
         a = uplink_snr_pmf(table, 2.0)
         b = uplink_snr_pmf(scaled, 2.0 / kappa)
         np.testing.assert_allclose(b.values, a.values, rtol=1e-12)
@@ -242,7 +243,7 @@ def test_uplink_scale_invariance():
 
 def test_uplink_rejects_bad_beta0():
     with pytest.raises(ValueError):
-        uplink_snr_pmf(LinkTable(MICRO_ROWS), 0.0)
+        uplink_snr_pmf(link_table(MICRO_ROWS), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def test_uplink_rejects_bad_beta0():
 # ---------------------------------------------------------------------------
 
 def test_interference_summand_shapes():
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     events = association_pmf(table)
     los0 = events[0]                     # serving 0, nothing forced
     spec = conditional_interference_spec(los0, table, 0.5)
@@ -262,18 +263,20 @@ def test_interference_summand_shapes():
 
 
 def test_interference_mean_oracle():
-    table = LinkTable(MICRO_ROWS)
-    omega = {0: 0.3, 1: 0.6, 2: 0.9}
+    table = link_table(MICRO_ROWS)
+    omega = np.array([0.3, 0.6, 0.9])
     for event in association_pmf(table):
-        ids = {0, 1, 2} - {event.serving_id}
+        # MICRO_ROWS lists ids 0, 1, 2 in walk order
+        forced = set(range(event.forced_rows))
         spec = conditional_interference_spec(event, table, omega)
         want = 0.0
-        for gbs_id in ids:
-            row = table.row_for(gbs_id)
-            if gbs_id in event.forced_nlos_ids:
-                mean_gain = row.c_nlos
+        for gbs_id, _, c_los, c_nlos, p_los in MICRO_ROWS:
+            if gbs_id == event.serving_id:
+                continue
+            if gbs_id in forced:
+                mean_gain = c_nlos
             else:
-                mean_gain = row.p_los * row.c_los + (1 - row.p_los) * row.c_nlos
+                mean_gain = p_los * c_los + (1 - p_los) * c_nlos
             want += omega[gbs_id] * mean_gain
         assert spec.mean() == pytest.approx(want, rel=1e-12)
 
@@ -282,15 +285,15 @@ def test_interferers_are_the_serving_band_without_the_server():
     # bands 0 and 1 interleaved in the walk order; every event's rows must
     # be the other members of its server's band, in ascending id order
     rows = (
-        LinkRow(3, 1, 9.0, 4.5, 0.6),
-        LinkRow(0, 0, 8.0, 4.0, 0.6),
-        LinkRow(4, 1, 6.0, 3.0, 0.5),
-        LinkRow(1, 0, 5.0, 2.5, 0.5),
-        LinkRow(2, 0, 2.0, 1.0, 0.5),
+        (3, 1, 9.0, 4.5, 0.6),
+        (0, 0, 8.0, 4.0, 0.6),
+        (4, 1, 6.0, 3.0, 0.5),
+        (1, 0, 5.0, 2.5, 0.5),
+        (2, 0, 2.0, 1.0, 0.5),
     )
-    table = LinkTable(rows)
-    c_nlos = {r.gbs_id: r.c_nlos for r in rows}
-    band = {r.gbs_id: r.band for r in rows}
+    table = link_table(rows)
+    c_nlos = {r[0]: r[3] for r in rows}
+    band = {r[0]: r[1] for r in rows}
     events = association_pmf(table)
     assert {e.serving_id for e in events} == {0, 1, 3, 4}
     for event in events:
@@ -300,20 +303,20 @@ def test_interferers_are_the_serving_band_without_the_server():
 
 
 def test_interference_edge_cases():
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     first = association_pmf(table)[0]
     silent = conditional_interference_spec(first, table, 0.0)
     assert silent.span == 0.0            # omega 0: everyone is off
     with pytest.raises(ValueError):
         conditional_interference_spec(first, table, 1.5)
     # a GBS alone in its band has no interferer: the zero spec
-    alone = LinkTable((LinkRow(0, 0, 8.0, 4.0, 0.6), LinkRow(1, 1, 6.0, 3.0, 0.5)))
+    alone = link_table(((0, 0, 8.0, 4.0, 0.6), (1, 1, 6.0, 3.0, 0.5)))
     for event in association_pmf(alone):
         empty = conditional_interference_spec(event, alone, 0.5)
         assert len(empty) == 0 and empty.span == 0.0 and empty.offset == 0.0
         _, cdf = la_cdf(empty)
         assert cdf.xs.tolist() == [0.0] and cdf.cum.tolist() == [1.0]
-    (no_server,) = association_pmf(LinkTable((LinkRow(0, 0, 0.0, 0.0, 0.5),)))
+    (no_server,) = association_pmf(link_table(((0, 0, 0.0, 0.0, 0.5),)))
     with pytest.raises(ValueError):
         conditional_interference_spec(no_server, table, 0.5)
 
@@ -323,15 +326,15 @@ def test_interference_edge_cases():
 # ---------------------------------------------------------------------------
 
 def test_downlink_matches_joint_enumeration_scalar_omega():
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     model = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
     oracle = joint_downlink_oracle(table, 0.5, 0.5)
     assert_matches_stepped(model, oracle)
 
 
 def test_downlink_matches_joint_enumeration_mapped_omega():
-    table = LinkTable(MICRO_ROWS)
-    omega = {0: 0.3, 1: 0.6, 2: 0.9}
+    table = link_table(MICRO_ROWS)
+    omega = np.array([0.3, 0.6, 0.9])
     model = downlink_snr_cdf(table, omega, 0.5, c0=960.0)
     oracle = joint_downlink_oracle(table, omega, 0.5)
     assert_matches_stepped(model, oracle)
@@ -340,7 +343,7 @@ def test_downlink_matches_joint_enumeration_mapped_omega():
 def test_downlink_zero_loading_equals_interference_free():
     # with nobody transmitting the downlink cdf is the uplink atom cdf
     # under beta0 = 1 / alpha0
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     alpha0 = 0.25
     model = downlink_snr_cdf(table, 0.0, alpha0)
     atoms = uplink_snr_pmf(table, 1.0 / alpha0)
@@ -358,7 +361,7 @@ def test_downlink_eval_left_is_the_left_limit():
     # the micro table's lattices are exact and its snr atoms invert to
     # their interference values, so both one-sided limits match the
     # oracle at every jump
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     model = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
     oracle = joint_downlink_oracle(table, 0.5, 0.5)
     np.testing.assert_allclose(model.eval(oracle.xs), oracle.eval(oracle.xs), atol=1e-12)
@@ -370,7 +373,7 @@ def test_downlink_eval_left_is_the_left_limit():
 
 
 def test_downlink_outage_monotone_in_loading():
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     threshold = 3.0
     outages = [
         downlink_snr_cdf(table, w, 0.5, c0=960.0).outage(threshold)
@@ -381,7 +384,7 @@ def test_downlink_outage_monotone_in_loading():
 
 
 def test_downlink_cdf_monotone_in_threshold():
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     model = downlink_snr_cdf(table, 0.4, 0.5, c0=960.0)
     grid = np.geomspace(1e-2, 1e2, 301)    # snr lies in [4/8.5, 16]
     vals = model.eval(grid)
@@ -392,11 +395,10 @@ def test_downlink_cdf_monotone_in_threshold():
 def test_downlink_scale_invariance_binary_exact():
     # scaling gains and alpha0 by a power of two changes no rounding
     kappa = 1024.0
-    table = LinkTable(MICRO_ROWS)
-    scaled = LinkTable(tuple(
-        LinkRow(r.gbs_id, r.band, r.c_los * kappa, r.c_nlos * kappa, r.p_los)
-        for r in MICRO_ROWS
-    ))
+    table = link_table(MICRO_ROWS)
+    scaled = LinkTable(
+        table.gbs_id, table.band, table.c_los * kappa, table.c_nlos * kappa, table.p_los
+    )
     a = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
     b = downlink_snr_cdf(scaled, 0.5, 0.5 * kappa, c0=960.0)
     for y in (0.3, 1.0, 2.7, 5.0, 11.0):
@@ -405,7 +407,7 @@ def test_downlink_scale_invariance_binary_exact():
 
 
 def test_downlink_zero_gain_term():
-    table = LinkTable((LinkRow(0, 0, 0.0, 0.0, 0.5),))
+    table = link_table(((0, 0, 0.0, 0.0, 0.5),))
     model = downlink_snr_cdf(table, 0.5, 1.0)
     assert model.eval(1e-6) == 1.0
     assert model.outage(123.0) == 1.0
@@ -424,7 +426,7 @@ def test_outage_is_exact_at_both_ends():
 
 
 def test_downlink_grid_and_validation():
-    table = LinkTable(MICRO_ROWS)
+    table = link_table(MICRO_ROWS)
     model = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
     grid = np.geomspace(0.1, 20.0, 51)
     vals = model.eval(grid)
@@ -439,8 +441,8 @@ def test_downlink_grid_and_validation():
 
 
 def test_downlink_truncation_outage_bound():
-    table = LinkTable(tuple(
-        LinkRow(i, 0, 10.0 - i, 1.0, 0.3) for i in range(6)
+    table = link_table(tuple(
+        (i, 0, 10.0 - i, 1.0, 0.3) for i in range(6)
     ))
     exact = downlink_snr_cdf(table, 0.5, 0.5, c0=960.0)
     for eps in (1e-3, 0.05):

@@ -15,10 +15,9 @@ from uavcov.geometry import (
     RegionKind,
     SamplingRegion,
     build_hex_layout,
-    distance_3d,
-    elevation_angle_deg,
     hexagon_corners,
     layout_from_sites,
+    link_geometry,
     read_layout_csv,
     sample_region,
     write_layout_csv,
@@ -110,21 +109,24 @@ def test_invalid_layout_args():
 
 
 def test_elevation_angle():
-    site = build_hex_layout(D, 0.0).sites[0]
-    # directly overhead
-    assert elevation_angle_deg((0.0, 0.0, 120.0), site, 20.0) == pytest.approx(90.0)
-    # 45 degrees: horizontal offset equals height difference
-    assert elevation_angle_deg((100.0, 0.0, 120.0), site, 20.0) == pytest.approx(45.0)
+    # sites at the origin and 100 m east, seen from straight above the origin
+    _, _, theta = link_geometry((0.0, 0.0, 120.0), [0.0, 100.0], [0.0, 0.0], 20.0)
+    assert theta.tolist() == pytest.approx([90.0, 45.0])   # overhead; offset = height
     # monotone in altitude at fixed horizontal offset
-    angles = [elevation_angle_deg((300.0, 40.0, h), site, 20.0) for h in (30.0, 60.0, 120.0, 240.0)]
+    angles = [
+        float(link_geometry((300.0, 40.0, h), [0.0], [0.0], 20.0)[2][0])
+        for h in (30.0, 60.0, 120.0, 240.0)
+    ]
     assert angles == sorted(angles)
-    with pytest.raises(ValueError):
-        elevation_angle_deg((0.0, 0.0, 20.0), site, 20.0)
+    for h in (20.0, 10.0):
+        with pytest.raises(ValueError):
+            link_geometry((0.0, 0.0, h), [0.0], [0.0], 20.0)
 
 
 def test_distance_3d():
-    site = build_hex_layout(D, 0.0).sites[0]
-    assert distance_3d((3.0, 4.0, 32.0), site, 20.0) == pytest.approx(13.0)
+    r_h, d3, _ = link_geometry((3.0, 4.0, 32.0), [0.0, 3.0], [0.0, 4.0], 20.0)
+    assert r_h.tolist() == pytest.approx([5.0, 0.0])
+    assert d3.tolist() == pytest.approx([13.0, 12.0])
 
 
 def test_hexagon_corners():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .gpm import (
     write_cdf_csv,
 )
 from .oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
+from .units import db_to_linear
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,12 +84,12 @@ def _write_csv(path: Path, header, rows, cfg: ScenarioConfig) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _coverage_kwargs(cfg: ScenarioConfig, link: LinkDirection, threshold: float, args) -> dict:
+def _coverage_kwargs(cfg: ScenarioConfig, link: LinkDirection, thresholds, args) -> dict:
     return dict(
         gbs_height=cfg.gbs_height,
         region=cfg.build_region(),
         link=link,
-        threshold=threshold,
+        thresholds=thresholds,
         beta0=cfg.beta0,
         alpha0=cfg.alpha0,
         omega=cfg.omega(),
@@ -116,17 +118,17 @@ def _map_command(cfg: ScenarioConfig, args, link: LinkDirection) -> int:
         cfg.build_uav_antenna(),
         cfg.build_channel(),
         altitude=altitude,
-        **_coverage_kwargs(cfg, link, threshold, args),
+        **_coverage_kwargs(cfg, link, (threshold,), args),
     )
     name = "uplink_map.csv" if link is LinkDirection.UPLINK else "downlink_map.csv"
     path = _out_path(args, name)
     rows = [
         (float(x), float(y), float(p))
-        for (x, y), p in zip(result.points, result.non_outage)
+        for (x, y), p in zip(result.points, result.non_outage[0])
     ]
     _write_csv(path, ("x_m", "y_m", "non_outage_prob"), rows, cfg)
     print(f"wrote {path}: {len(rows)} points at H_u={_fmt(float(altitude))} m, "
-          f"coverage={_fmt(result.coverage)}")
+          f"coverage={_fmt(float(result.coverage[0]))}")
     return EXIT_OK
 
 
@@ -152,24 +154,22 @@ def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
         results, aggregate = coverage_over_altitudes(
             layout, pattern, uav_ant, chan,
             altitudes=altitudes,
-            **_coverage_kwargs(cfg, link, threshold, args),
+            **_coverage_kwargs(cfg, link, (threshold,), args),
         )
-        rows = [(float(h), r.coverage) for h, r in zip(altitudes, results)]
+        rows = [(float(h), float(r.coverage[0])) for h, r in zip(altitudes, results)]
         _write_csv(path, ("altitude_m", "coverage"), rows, cfg)
         print(f"wrote {path}: {len(rows)} altitudes, altitude-averaged "
-              f"coverage={_fmt(aggregate)}")
+              f"coverage={_fmt(float(aggregate[0]))}")
         return EXIT_OK
 
     altitude = args.altitude if args.altitude is not None else cfg.uav_altitude
-    thresholds_db = np.linspace(args.min_db, args.max_db, args.points)
-    rows = []
-    for t_db in thresholds_db:
-        result = coverage_at_altitude(
-            layout, pattern, uav_ant, chan,
-            altitude=altitude,
-            **_coverage_kwargs(cfg, link, 10.0 ** (float(t_db) / 10.0), args),
-        )
-        rows.append((float(t_db), result.coverage))
+    thresholds_db = np.linspace(args.min_db, args.max_db, args.points).tolist()
+    result = coverage_at_altitude(
+        layout, pattern, uav_ant, chan,
+        altitude=altitude,
+        **_coverage_kwargs(cfg, link, tuple(map(db_to_linear, thresholds_db)), args),
+    )
+    rows = list(zip(thresholds_db, result.coverage.tolist()))
     _write_csv(path, ("threshold_db", "coverage"), rows, cfg)
     print(f"wrote {path}: {len(rows)} thresholds at H_u={_fmt(float(altitude))} m")
     return EXIT_OK
@@ -309,6 +309,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavcov",
@@ -328,15 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("uplink-map", cmd_uplink_map), ("downlink-map", cmd_downlink_map)):
         p = sub.add_parser(name, parents=[common], help=f"{name.split('-')[0]} non-outage raster")
-        p.add_argument("--altitude", type=float, default=None, help="UAV altitude in m")
+        p.add_argument("--altitude", type=_finite_float, default=None, help="UAV altitude in m")
         p.set_defaults(func=func)
 
     p = sub.add_parser("coverage-curve", parents=[common], help="coverage vs altitude or threshold")
     p.add_argument("--link", choices=("uplink", "downlink"), default="uplink")
     p.add_argument("--sweep", choices=("altitude", "threshold"), default="altitude")
-    p.add_argument("--altitude", type=float, default=None, help="altitude for threshold sweeps")
-    p.add_argument("--min-db", type=float, default=0.0, help="threshold sweep start (dB)")
-    p.add_argument("--max-db", type=float, default=20.0, help="threshold sweep end (dB)")
+    p.add_argument("--altitude", type=_finite_float, default=None,
+                   help="altitude for threshold sweeps")
+    p.add_argument("--min-db", type=_finite_float, default=0.0, help="threshold sweep start (dB)")
+    p.add_argument("--max-db", type=_finite_float, default=20.0, help="threshold sweep end (dB)")
     p.add_argument("--points", type=_positive_int, default=10, help="threshold sweep length")
     p.set_defaults(func=cmd_coverage_curve)
 
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=VALIDATE_MODES, required=True)
     p.add_argument("--event", type=int, default=0, help="association event index")
     p.add_argument("--samples", type=_positive_int, default=1_000_000, help="MC sample count")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="pass/fail bound (mode-specific default)")
     p.set_defaults(func=cmd_validate)
 

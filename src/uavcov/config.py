@@ -12,7 +12,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,7 +101,9 @@ class ScenarioConfig:
 
     ``loading`` holds the loading factor of every GBS of the layout,
     indexed by id: ``downlink_omega`` unless an ``omega_site_N`` key
-    overrides it (read-only).
+    overrides it (read-only).  ``models`` holds the model objects
+    :func:`load_config` built, and checked, from the parameters, by INI
+    section; the ``build_*`` methods return them.
     """
 
     inter_site_distance: float
@@ -154,6 +156,8 @@ class ScenarioConfig:
 
     config_hash: str = ""
 
+    models: dict = field(default_factory=dict, repr=False)
+
     @property
     def beta0(self) -> float:
         """Uplink transmit power over noise power."""
@@ -165,41 +169,58 @@ class ScenarioConfig:
         return self.noise_w / self.gbs_power_w
 
     def build_layout(self) -> NetworkLayout:
-        if self.sites_csv:
-            return read_layout_csv(self.sites_csv, self.inter_site_distance)
-        return build_hex_layout(self.inter_site_distance, self.radius, self.reuse_factor)
+        return self.models["layout"]
 
     def build_gbs_pattern(self) -> UlaPattern:
-        return UlaPattern(
-            self.element_count,
-            self.element_spacing_wl,
-            self.downtilt_deg,
-            self.element_peak_gain,
-        )
+        return self.models["gbs_antenna"]
 
     def build_uav_antenna(self) -> UavAntenna:
-        return UavAntenna(self.half_beamwidth_deg, self.mainlobe_constant, self.backlobe_gain)
+        return self.models["uav_antenna"]
 
     def build_channel(self) -> ParametricAirGroundModel:
-        if self.coefficients_file:
-            return load_channel_coefficients(self.coefficients_file)
-        return default_channel(
-            self.carrier_hz,
-            alpha_los=self.alpha_los,
-            alpha_nlos=self.alpha_nlos,
-            excess_loss_los_db=self.excess_loss_los_db,
-            excess_loss_nlos_db=self.excess_loss_nlos_db,
-            los_a=self.los_a,
-            los_b_per_deg=self.los_b_per_deg,
-            los_midpoint_deg=self.los_midpoint_deg,
-        )
+        return self.models["channel"]
 
     def build_region(self) -> SamplingRegion:
-        return SamplingRegion(RegionKind(self.region), self.resolution)
+        return self.models["sampling"]
 
     def omega(self) -> np.ndarray:
         """Per-GBS loading array, indexed by id."""
         return self.loading
+
+
+def _layout(cfg: ScenarioConfig) -> NetworkLayout:
+    if cfg.sites_csv:
+        return read_layout_csv(cfg.sites_csv, cfg.inter_site_distance)
+    return build_hex_layout(cfg.inter_site_distance, cfg.radius, cfg.reuse_factor)
+
+
+def _channel(cfg: ScenarioConfig) -> ParametricAirGroundModel:
+    if cfg.coefficients_file:
+        return load_channel_coefficients(cfg.coefficients_file)
+    return default_channel(
+        cfg.carrier_hz,
+        alpha_los=cfg.alpha_los,
+        alpha_nlos=cfg.alpha_nlos,
+        excess_loss_los_db=cfg.excess_loss_los_db,
+        excess_loss_nlos_db=cfg.excess_loss_nlos_db,
+        los_a=cfg.los_a,
+        los_b_per_deg=cfg.los_b_per_deg,
+        los_midpoint_deg=cfg.los_midpoint_deg,
+    )
+
+
+# The model object each INI section describes, and how to build it.
+_MODELS = {
+    "layout": _layout,
+    "gbs_antenna": lambda cfg: UlaPattern(
+        cfg.element_count, cfg.element_spacing_wl, cfg.downtilt_deg, cfg.element_peak_gain
+    ),
+    "uav_antenna": lambda cfg: UavAntenna(
+        cfg.half_beamwidth_deg, cfg.mainlobe_constant, cfg.backlobe_gain
+    ),
+    "channel": _channel,
+    "sampling": lambda cfg: SamplingRegion(RegionKind(cfg.region), cfg.resolution),
+}
 
 
 def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str]]:
@@ -338,16 +359,16 @@ def load_config(path: str | None = None) -> ScenarioConfig:
             f"[uav] altitude_m must exceed the GBS antenna height {cfg.gbs_height}"
         )
     # the model constructors hold the range checks of their parameters
-    built = {}
-    for section, build in (("layout", cfg.build_layout), ("gbs_antenna", cfg.build_gbs_pattern),
-                           ("uav_antenna", cfg.build_uav_antenna), ("channel", cfg.build_channel),
-                           ("sampling", cfg.build_region)):
+    models = {}
+    for section, build in _MODELS.items():
         try:
-            built[section] = build()
+            models[section] = build(cfg)
         except (ValueError, OSError) as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
 
-    n_sites = len(built["layout"])
+    n_sites = len(models["layout"])
+    if n_sites == 0:
+        raise ConfigError(f"[layout] sites_csv {cfg.sites_csv} lists no sites")
     loading = np.full(n_sites, cfg.downlink_omega)
     for gbs_id, w in overrides.items():
         if gbs_id >= n_sites:
@@ -356,4 +377,4 @@ def load_config(path: str | None = None) -> ScenarioConfig:
             )
         loading[gbs_id] = w
     loading.flags.writeable = False
-    return replace(cfg, loading=loading)
+    return replace(cfg, loading=loading, models=models)

@@ -21,7 +21,8 @@ P{snr <= y} = P{I >= C/y - alpha0} summed over events.
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
-quadrature normalised by the altitude span.
+quadrature normalised by the altitude span.  Each (altitude, point)
+position's SNR law is built once and read at every threshold.
 """
 
 from __future__ import annotations
@@ -234,9 +235,10 @@ class DownlinkSnrCdf:
         sum_e P_e * P{I_e > C_e / y - alpha0}."""
         return self._mixture(y, strict=True)
 
-    def outage(self, threshold: float) -> float:
-        """P{snr < threshold} (strict), i.e. ``eval_left(threshold)``."""
-        return float(self.eval_left(threshold))
+    def outage(self, threshold):
+        """P{snr < threshold} (strict), i.e. ``eval_left(threshold)``:
+        a float for a scalar threshold, an array for an array of them."""
+        return self.eval_left(threshold)
 
 
 def downlink_snr_cdf(
@@ -279,9 +281,8 @@ class _PointContext:
     uav_antenna: UavAntenna
     channel: ParametricAirGroundModel
     gbs_height: float
-    altitude: float
     link: LinkDirection
-    threshold: float
+    thresholds: tuple[float, ...]
     beta0: float
     alpha0: float
     omega: object
@@ -289,28 +290,89 @@ class _PointContext:
     c0: float
 
 
-def _non_outage_at(ctx: _PointContext, xy) -> float:
+def _non_outage_at(ctx: _PointContext, uav_xyz) -> np.ndarray:
+    """Non-outage probability at one UAV position for every threshold:
+    one link table and one SNR law, evaluated T times."""
     table = build_link_table(
-        ctx.layout, ctx.gbs_pattern, ctx.uav_antenna, ctx.channel,
-        (xy[0], xy[1], ctx.altitude), ctx.gbs_height,
+        ctx.layout, ctx.gbs_pattern, ctx.uav_antenna, ctx.channel, uav_xyz, ctx.gbs_height
     )
     if ctx.link is LinkDirection.UPLINK:
         pmf = uplink_snr_pmf(table, ctx.beta0, ctx.eps)
-        return 1.0 - pmf.outage(ctx.threshold)
+        # one mask sum per threshold; a masked 2-D sum would add the
+        # atoms in another order and could move the last bit
+        return np.array([1.0 - pmf.outage(t) for t in ctx.thresholds])
     cdf = downlink_snr_cdf(table, ctx.omega, ctx.alpha0, eps=ctx.eps, c0=ctx.c0)
-    return 1.0 - cdf.outage(ctx.threshold)
+    return 1.0 - cdf.outage(np.array(ctx.thresholds))
+
+
+def _non_outage_over(ctx: _PointContext, positions: list, workers: int) -> np.ndarray:
+    """``_non_outage_at`` over a flat list of UAV positions, serially or
+    on one process pool, as a (positions, T) array in list order."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(positions) // (4 * workers))
+            values = list(
+                pool.map(_non_outage_at, [ctx] * len(positions), positions, chunksize=chunk)
+            )
+    else:
+        values = [_non_outage_at(ctx, xyz) for xyz in positions]
+    return np.array(values)
 
 
 @dataclass(frozen=True, eq=False)
 class CoverageResult:
-    """Per-point non-outage probabilities and their spatial average."""
+    """Per-point non-outage probabilities at one altitude, one row per
+    threshold, and their spatial averages."""
 
-    points: np.ndarray
-    non_outage: np.ndarray
-    coverage: float
+    points: np.ndarray       # (P, 2)
+    non_outage: np.ndarray   # (T, P)
+    coverage: np.ndarray     # (T,)
     altitude: float
     link: LinkDirection
-    threshold: float
+    thresholds: np.ndarray   # (T,)
+
+
+def _coverage(
+    layout: NetworkLayout,
+    gbs_pattern,
+    uav_antenna: UavAntenna,
+    channel: ParametricAirGroundModel,
+    altitudes: Sequence[float],
+    *,
+    gbs_height: float,
+    region: SamplingRegion,
+    link: LinkDirection,
+    thresholds: Sequence[float],
+    beta0: float = 1.0,
+    alpha0: float = 1.0,
+    omega=0.5,
+    eps: float = 0.0,
+    c0: float = 1000.0,
+    workers: int = 1,
+) -> list[CoverageResult]:
+    """One :class:`CoverageResult` per altitude.  Every (altitude, point)
+    position goes on one work list, so each position's SNR law is built
+    once whatever the number of thresholds, and ``workers`` > 1 starts
+    one process pool for the whole list."""
+    ts = tuple(float(t) for t in thresholds)
+    if not ts:
+        raise ValueError("need at least one threshold")
+    points = sample_region(region, layout.inter_site_distance)
+    ctx = _PointContext(
+        layout, gbs_pattern, uav_antenna, channel, gbs_height,
+        link, ts, beta0, alpha0, omega, eps, c0,
+    )
+    positions = [(x, y, h) for h in altitudes for x, y in points]
+    scores = _non_outage_over(ctx, positions, workers).reshape(len(altitudes), len(points), -1)
+    results = []
+    for h, per_point in zip(altitudes, scores):
+        # (T, P) C-contiguous, so each threshold's mean adds its points
+        # in the same order as a single-threshold run
+        non_outage = np.ascontiguousarray(per_point.T)
+        results.append(CoverageResult(
+            points, non_outage, non_outage.mean(axis=1), h, link, np.array(ts)
+        ))
+    return results
 
 
 def coverage_at_altitude(
@@ -319,38 +381,18 @@ def coverage_at_altitude(
     uav_antenna: UavAntenna,
     channel: ParametricAirGroundModel,
     *,
-    gbs_height: float,
     altitude: float,
-    region: SamplingRegion,
-    link: LinkDirection,
-    threshold: float,
-    beta0: float = 1.0,
-    alpha0: float = 1.0,
-    omega=0.5,
-    eps: float = 0.0,
-    c0: float = 1000.0,
-    workers: int = 1,
+    **kwargs,
 ) -> CoverageResult:
     """Average non-outage probability over a sampling region at one
-    altitude.  ``workers`` > 1 evaluates grid points in parallel; results
-    are assembled in grid order so the output does not depend on it."""
-    points = sample_region(region, layout.inter_site_distance)
-    ctx = _PointContext(
-        layout, gbs_pattern, uav_antenna, channel, gbs_height, altitude,
-        link, threshold, beta0, alpha0, omega, eps, c0,
-    )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(points) // (4 * workers))
-            values = list(
-                pool.map(_non_outage_at, [ctx] * len(points), points, chunksize=chunk)
-            )
-    else:
-        values = [_non_outage_at(ctx, xy) for xy in points]
-    non_outage = np.array(values)
-    return CoverageResult(
-        points, non_outage, float(non_outage.mean()), altitude, link, threshold
-    )
+    altitude, for each of ``thresholds``.  The keyword arguments are
+    ``gbs_height``, ``region``, ``link`` and ``thresholds`` (required),
+    and ``beta0``, ``alpha0``, ``omega``, ``eps``, ``c0`` and ``workers``.
+    ``workers`` > 1 evaluates grid points in parallel; results are
+    assembled in grid order so the output does not depend on it."""
+    return _coverage(
+        layout, gbs_pattern, uav_antenna, channel, [float(altitude)], **kwargs
+    )[0]
 
 
 def coverage_over_altitudes(
@@ -361,22 +403,20 @@ def coverage_over_altitudes(
     *,
     altitudes: Sequence[float],
     **kwargs,
-) -> tuple[list[CoverageResult], float]:
-    """Coverage at each altitude plus the altitude-averaged aggregate
-    (trapezoidal quadrature normalised by the altitude span)."""
+) -> tuple[list[CoverageResult], np.ndarray]:
+    """Coverage at each altitude plus the altitude-averaged aggregate per
+    threshold (trapezoidal quadrature normalised by the altitude span).
+    Takes the keyword arguments of :func:`coverage_at_altitude`."""
     alts = np.asarray(altitudes, dtype=float)
     if alts.size == 0:
         raise ValueError("need at least one altitude")
     if np.any(np.diff(alts) <= 0):
         raise ValueError("altitudes must be strictly increasing")
-    results = [
-        coverage_at_altitude(
-            layout, gbs_pattern, uav_antenna, channel, altitude=float(h), **kwargs
-        )
-        for h in alts
-    ]
-    values = np.array([r.coverage for r in results])
+    results = _coverage(layout, gbs_pattern, uav_antenna, channel, alts.tolist(), **kwargs)
+    # (T, A) C-contiguous, so each threshold's quadrature adds in the
+    # same order as a single-threshold sweep
+    values = np.ascontiguousarray(np.array([r.coverage for r in results]).T)
     if alts.size == 1:
-        return results, float(values[0])
-    aggregate = float(np.trapezoid(values, alts) / (alts[-1] - alts[0]))
+        return results, values[:, 0]
+    aggregate = np.trapezoid(values, alts) / (alts[-1] - alts[0])
     return results, aggregate

@@ -393,9 +393,9 @@ def test_uplink_coverage_peaks_above_minimum_altitude():
         layout, pattern, uav, channel,
         altitudes=altitudes, gbs_height=GBS_HEIGHT,
         region=SamplingRegion(RegionKind.TRIANGLE, 2),
-        link=LinkDirection.UPLINK, threshold=UPLINK_THRESHOLD, beta0=BETA0,
+        link=LinkDirection.UPLINK, thresholds=[UPLINK_THRESHOLD], beta0=BETA0,
     )
-    curve = [r.coverage for r in results]
+    curve = [r.coverage[0] for r in results]
     peak = max(curve)
     ok = curve[0] < peak
     report(

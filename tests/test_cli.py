@@ -83,9 +83,12 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ("uplink-map", "[uav_antenna]\nhalf_beamwidth_deg = 0\n"),
     ("uplink-map", "[radio]\ncarrier_hz = 0\n"),
     ("uplink-map", "[loading]\nomega_site_999 = 0.5\n"),   # default layout: ids 0..366
+    ("uplink-map", "[layout]\nsites_csv = {tmp}/sites/empty.csv\n"),   # header, no sites
 ])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
-    cfg_path = write_cfg(tmp_path, body)
+    (tmp_path / "sites").mkdir()
+    (tmp_path / "sites" / "empty.csv").write_text("id,x_m,y_m,band\n")
+    cfg_path = write_cfg(tmp_path, body.format(tmp=tmp_path))
     assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
@@ -99,12 +102,21 @@ def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     ["coverage-curve", "--sweep", "threshold", "--points", "0"],
     ["interference-cdf", "--methods", "mc", "--seed", "1", "--samples", "0"],
     ["validate", "--mode", "la-vs-mc", "--seed", "1", "--samples", "0"],
+    ["coverage-curve", "--sweep", "threshold", "--min-db", "nan"],
+    ["coverage-curve", "--sweep", "threshold", "--max-db", "inf"],
+    ["coverage-curve", "--sweep", "threshold", "--altitude", "inf"],
+    ["uplink-map", "--altitude", "nan"],
+    ["validate", "--mode", "la-vs-mc", "--seed", "1", "--tolerance", "nan"],
+    ["validate", "--mode", "la-vs-enum", "--tolerance", "-0.01"],
 ])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
+    # the offending option and its value close every argv above
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    want = "must be >= 1" if argv[-2] in ("--workers", "--points", "--samples") \
+        else "must be a finite number"
+    assert f"argument {argv[-2]}: {want}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -125,13 +137,13 @@ def test_uplink_map_matches_direct_call(tmp_path):
         cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
         cfg.build_channel(),
         gbs_height=cfg.gbs_height, altitude=120.0, region=cfg.build_region(),
-        link=LinkDirection.UPLINK, threshold=cfg.uplink_threshold,
+        link=LinkDirection.UPLINK, thresholds=[cfg.uplink_threshold],
         beta0=cfg.beta0, eps=cfg.association_epsilon,
     )
     assert len(rows) == len(direct.points) == 1
     x, y, p = map(float, rows[0])
     assert (x, y) == pytest.approx(tuple(direct.points[0]), rel=1e-11)
-    assert p == pytest.approx(direct.non_outage[0], rel=1e-11, abs=1e-11)
+    assert p == pytest.approx(direct.non_outage[0, 0], rel=1e-11, abs=1e-11)
 
 
 def test_downlink_map_matches_direct_call(tmp_path):
@@ -145,11 +157,11 @@ def test_downlink_map_matches_direct_call(tmp_path):
         cfg.build_channel(),
         gbs_height=cfg.gbs_height, altitude=cfg.uav_altitude,
         region=cfg.build_region(), link=LinkDirection.DOWNLINK,
-        threshold=cfg.downlink_threshold, alpha0=cfg.alpha0,
+        thresholds=[cfg.downlink_threshold], alpha0=cfg.alpha0,
         omega=cfg.omega(), eps=cfg.association_epsilon, c0=cfg.lattice_target_c0,
     )
     got = np.array([float(r[2]) for r in rows])
-    np.testing.assert_allclose(got, direct.non_outage, rtol=1e-11, atol=1e-11)
+    np.testing.assert_allclose(got, direct.non_outage[0], rtol=1e-11, atol=1e-11)
 
 
 def test_map_below_gbs_height_exits_1(tmp_path, capsys):
@@ -162,13 +174,17 @@ def test_map_below_gbs_height_exits_1(tmp_path, capsys):
 
 def test_worker_count_does_not_change_output(tmp_path):
     cfg_path = write_cfg(tmp_path, TINY + "[loading]\nomega_site_1 = 0.9\n")
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
-    assert main(["downlink-map", "--config", cfg_path, "--out", str(out1)]) == 0
-    assert main(["downlink-map", "--config", cfg_path, "--out", str(out2),
-                 "--workers", "2"]) == 0
-    assert (out1 / "downlink_map.csv").read_bytes() == \
-        (out2 / "downlink_map.csv").read_bytes()
+    commands = [("downlink_map.csv", ["downlink-map"])] + [
+        ("coverage_curve.csv", ["coverage-curve", "--link", link, "--sweep", sweep,
+                                "--min-db", "-10", "--max-db", "10", "--points", "5"])
+        for link in ("uplink", "downlink") for sweep in ("threshold", "altitude")
+    ]
+    for i, (name, argv) in enumerate(commands):
+        out1 = tmp_path / f"serial{i}"
+        out2 = tmp_path / f"parallel{i}"
+        assert main(argv + ["--config", cfg_path, "--out", str(out1)]) == 0
+        assert main(argv + ["--config", cfg_path, "--out", str(out2), "--workers", "2"]) == 0
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), argv
 
 
 def test_coverage_curve_threshold_sweep(tmp_path):

@@ -175,3 +175,10 @@ def test_layout_from_csv(tmp_path):
     loaded = cfg.build_layout()
     assert loaded.sites == layout.sites
     assert loaded.reuse_factor == 0       # not recorded in the CSV: unknown
+
+
+def test_model_objects_are_built_once(tmp_path):
+    cfg = load_config(write_ini(tmp_path, "[layout]\nradius_m = 1500\n"))
+    for build in (cfg.build_layout, cfg.build_gbs_pattern, cfg.build_uav_antenna,
+                  cfg.build_channel, cfg.build_region):
+        assert build() is build()

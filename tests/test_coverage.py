@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import link_table, random_link_table
+from uavcov import coverage
 from uavcov.antenna import UavAntenna, UlaPattern
 from uavcov.channel import LinkTable, build_link_table, default_channel
 from uavcov.coverage import (
@@ -491,7 +492,7 @@ def test_cell_average_equals_triangle_average():
     threshold = float(np.median(centroid_pmf.values)) * 0.999
     kwargs = dict(
         gbs_height=20.0, altitude=100.0, link=LinkDirection.UPLINK,
-        threshold=threshold, beta0=2.5e10,
+        thresholds=[threshold], beta0=2.5e10,
     )
     tri = coverage_at_altitude(
         layout, pattern, uav, channel,
@@ -502,8 +503,8 @@ def test_cell_average_equals_triangle_average():
         region=SamplingRegion(RegionKind.CELL, 2), **kwargs,
     )
     assert len(tri.points) == 4 and len(cell.points) == 24
-    assert 0.0 < tri.coverage < 1.0
-    assert cell.coverage == pytest.approx(tri.coverage, abs=1e-9)
+    assert 0.0 < tri.coverage[0] < 1.0
+    assert cell.coverage[0] == pytest.approx(tri.coverage[0], abs=1e-9)
 
 
 def test_parallel_workers_match_serial():
@@ -511,35 +512,109 @@ def test_parallel_workers_match_serial():
     kwargs = dict(
         gbs_height=20.0, altitude=100.0,
         region=SamplingRegion(RegionKind.TRIANGLE, 2),
-        link=LinkDirection.DOWNLINK, threshold=1.5849,
+        link=LinkDirection.DOWNLINK, thresholds=[1.5849],
         alpha0=1e-14, omega=0.4, c0=200.0,
     )
     serial = coverage_at_altitude(layout, pattern, uav, channel, workers=1, **kwargs)
     parallel = coverage_at_altitude(layout, pattern, uav, channel, workers=2, **kwargs)
     np.testing.assert_array_equal(parallel.non_outage, serial.non_outage)
-    assert parallel.coverage == serial.coverage
+    assert parallel.coverage[0] == serial.coverage[0]
 
 
 def test_coverage_over_altitudes_aggregate():
     layout, pattern, uav, channel = make_scene(radius=500.0)
     kwargs = dict(
         gbs_height=20.0, region=SamplingRegion(RegionKind.TRIANGLE, 1),
-        link=LinkDirection.UPLINK, threshold=10.0, beta0=2.5e10,
+        link=LinkDirection.UPLINK, thresholds=[10.0], beta0=2.5e10,
     )
     alts = [40.0, 80.0, 160.0]
     results, aggregate = coverage_over_altitudes(
         layout, pattern, uav, channel, altitudes=alts, **kwargs
     )
-    values = [r.coverage for r in results]
+    values = [r.coverage[0] for r in results]
     want = np.trapezoid(values, alts) / (alts[-1] - alts[0])
-    assert aggregate == pytest.approx(float(want), rel=1e-12)
+    assert aggregate[0] == pytest.approx(float(want), rel=1e-12)
     single, agg1 = coverage_over_altitudes(
         layout, pattern, uav, channel, altitudes=[90.0], **kwargs
     )
-    assert agg1 == single[0].coverage
+    assert agg1[0] == single[0].coverage[0]
     with pytest.raises(ValueError):
         coverage_over_altitudes(layout, pattern, uav, channel, altitudes=[], **kwargs)
     with pytest.raises(ValueError):
         coverage_over_altitudes(
             layout, pattern, uav, channel, altitudes=[100.0, 50.0], **kwargs
         )
+
+
+def sweep_kwargs(link):
+    """A 24-point cell raster (so each mean adds more than 8 points) and
+    thresholds that split the points on both links."""
+    if link is LinkDirection.UPLINK:
+        return dict(gbs_height=20.0, region=SamplingRegion(RegionKind.CELL, 2), link=link,
+                    thresholds=[10.0 ** (t / 10.0) for t in (-40.0, -15.0, 0.0, 5.0, 30.0)],
+                    beta0=2.5e10)
+    return dict(gbs_height=20.0, region=SamplingRegion(RegionKind.CELL, 2), link=link,
+                thresholds=[10.0 ** (t / 10.0) for t in (-10.0, -2.0, 0.0, 3.0, 10.0)],
+                alpha0=1e-14, omega=0.4, c0=200.0)
+
+
+@pytest.mark.parametrize("link, law", [
+    (LinkDirection.UPLINK, "uplink_snr_pmf"),
+    (LinkDirection.DOWNLINK, "downlink_snr_cdf"),
+])
+def test_threshold_sweep_builds_each_law_once(monkeypatch, link, law):
+    calls = {"build_link_table": 0, law: 0}
+    for name in calls:
+        original = getattr(coverage, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(coverage, name, counted)
+    layout, pattern, uav, channel = make_scene(radius=500.0)
+    result = coverage_at_altitude(layout, pattern, uav, channel, altitude=100.0,
+                                  **sweep_kwargs(link))
+    assert result.non_outage.shape == (5, 24)
+    assert calls == {"build_link_table": 24, law: 24}
+
+
+@pytest.mark.parametrize("link", list(LinkDirection))
+def test_one_pass_sweep_equals_single_threshold_calls(link):
+    layout, pattern, uav, channel = make_scene(radius=500.0)
+    kwargs = sweep_kwargs(link)
+    thresholds = kwargs.pop("thresholds")
+    sweep = coverage_at_altitude(layout, pattern, uav, channel, altitude=100.0,
+                                 thresholds=thresholds, **kwargs)
+    assert sweep.non_outage.flags.c_contiguous
+    assert sweep.thresholds.tolist() == thresholds
+    assert ((sweep.coverage > 0.0) & (sweep.coverage < 1.0)).sum() >= 2
+    for i, t in enumerate(thresholds):
+        single = coverage_at_altitude(layout, pattern, uav, channel, altitude=100.0,
+                                      thresholds=[t], **kwargs)
+        assert sweep.non_outage[i].tolist() == single.non_outage[0].tolist()
+        assert sweep.coverage[i] == single.coverage[0]
+
+
+def test_altitude_sweep_starts_one_pool(monkeypatch):
+    started = []
+
+    class CountedPool(coverage.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(coverage, "ProcessPoolExecutor", CountedPool)
+    layout, pattern, uav, channel = make_scene(radius=500.0)
+    kwargs = sweep_kwargs(LinkDirection.UPLINK)
+    alts = [40.0, 80.0, 120.0, 160.0]
+    parallel, agg2 = coverage_over_altitudes(layout, pattern, uav, channel, altitudes=alts,
+                                             workers=2, **kwargs)
+    assert started == [{"max_workers": 2}]
+    serial, agg1 = coverage_over_altitudes(layout, pattern, uav, channel, altitudes=alts,
+                                           **kwargs)
+    assert len(started) == 1
+    assert agg2.tolist() == agg1.tolist()
+    for p, s, h in zip(parallel, serial, alts):
+        assert p.altitude == s.altitude == h
+        assert p.non_outage.tolist() == s.non_outage.tolist()

@@ -316,6 +316,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _decibels(text: str) -> float:
+    value = float(text)
+    try:
+        ok = math.isfinite(value) and db_to_linear(value) > 0.0
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of dB whose linear ratio is a positive float, got {text!r}"
+        )
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
@@ -350,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("altitude", "threshold"), default="altitude")
     p.add_argument("--altitude", type=_finite_float, default=None,
                    help="altitude for threshold sweeps")
-    p.add_argument("--min-db", type=_finite_float, default=0.0, help="threshold sweep start (dB)")
-    p.add_argument("--max-db", type=_finite_float, default=20.0, help="threshold sweep end (dB)")
+    p.add_argument("--min-db", type=_decibels, default=0.0, help="threshold sweep start (dB)")
+    p.add_argument("--max-db", type=_decibels, default=20.0, help="threshold sweep end (dB)")
     p.add_argument("--points", type=_positive_int, default=10, help="threshold sweep length")
     p.set_defaults(func=cmd_coverage_curve)
 

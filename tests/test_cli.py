@@ -104,6 +104,11 @@ def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     ["validate", "--mode", "la-vs-mc", "--seed", "1", "--samples", "0"],
     ["coverage-curve", "--sweep", "threshold", "--min-db", "nan"],
     ["coverage-curve", "--sweep", "threshold", "--max-db", "inf"],
+    # finite, but 10^(dB/10) underflows to 0 or overflows
+    ["coverage-curve", "--link", "downlink", "--sweep", "threshold", "--min-db", "-4000"],
+    ["coverage-curve", "--link", "uplink", "--sweep", "threshold", "--min-db", "-4000"],
+    ["coverage-curve", "--link", "downlink", "--sweep", "threshold", "--max-db", "4000"],
+    ["coverage-curve", "--link", "uplink", "--sweep", "threshold", "--max-db", "4000"],
     ["coverage-curve", "--sweep", "threshold", "--altitude", "inf"],
     ["uplink-map", "--altitude", "nan"],
     ["validate", "--mode", "la-vs-mc", "--seed", "1", "--tolerance", "nan"],

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_integer_spec, random_spec
+from uavcov import gpm
 from uavcov.coverage import DownlinkEventTerm, DownlinkSnrCdf
 from uavcov.gpm import (
     DiscreteSummand,
@@ -223,24 +224,40 @@ def test_cf_bounded_and_one_at_zero():
         assert cf_sample(spec, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
+# integer sums whose lattice 0..top has odd length N = top + 1, down to
+# N = 1: the inverse real FFT cannot tell an odd N from N - 1 by itself
+ODD_LENGTH_SPECS = (
+    GpmSpec([[0.0]], [[1.0]]),
+    GpmSpec([[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.25, 0.75]]),
+    GpmSpec([[0.0, 2.0, 5.0], [1.0, 3.0, 0.0]], [[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]]),
+)
+
+
 def test_lattice_invert_spectrum_is_cf():
     # the DFT of the sum's pmf on 0..N-1 is its cf at -2 pi k / N
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        spec = random_integer_spec(rng, int(rng.integers(1, 9)), max_value=5)
+    random_specs = [
+        random_integer_spec(rng, int(rng.integers(1, 9)), max_value=5) for _ in range(20)
+    ]
+    for spec in [*ODD_LENGTH_SPECS, *random_specs]:
         n = int(spec.values.max(axis=1).sum()) + 1
         pmf = lattice_invert(lattice_rows(spec, n))
+        assert pmf.shape == (n,)
         want = cf_sample(spec, -2.0 * math.pi * np.arange(n) / n)
         assert np.max(np.abs(np.fft.fft(pmf) - want)) < 1e-9
 
 
 def test_lattice_invert_matches_convolution():
     rng = np.random.default_rng(29)
+    cases = [(spec, 0) for spec in ODD_LENGTH_SPECS]
     for _ in range(50):
         spec = random_integer_spec(rng, int(rng.integers(1, 9)), max_value=5)
+        cases.append((spec, int(rng.integers(0, 4))))
+    for spec, extra in cases:
         top = int(np.where(spec.probs > 0, spec.values, 0.0).max(axis=1).sum())
-        n = top + 1 + int(rng.integers(0, 4))   # exact for any n >= support
+        n = top + 1 + extra   # exact for any n >= support
         pmf = lattice_invert(lattice_rows(spec, n))
+        assert pmf.shape == (n,)
         want = convolve_pmf(spec, n)
         assert np.max(np.abs(pmf - want)) < 1e-9
 
@@ -263,12 +280,21 @@ def test_lattice_invert_rejects_short_lattice():
 
 
 def test_lattice_invert_rejects_rows_that_are_not_pmfs():
-    # both fit on the lattice; the first has a negative entry, the second
-    # cancels so hard that the inverse DFT keeps an imaginary residue
+    # each fits on the lattice and sums to 1, but holds an entry below 0
+    # (or NaN)
+    for rows in (
+        [[1.5, -0.5, 0.0, 0.0]],
+        [[1e12, -3e12, 2e12 + 1.0, 0, 0, 0, 0, 0, 0]],
+        [[np.nan, 1.0, 0.0, 0.0]],
+    ):
+        with pytest.raises(ValueError, match="not >= 0; rows are not pmfs on this lattice"):
+            lattice_invert(rows)
+    # entries >= 0 but far from a pmf: round-off of the 1e12 entry leaves
+    # ~1e-5 of negative mass on the empty lattice points
     with pytest.raises(ValueError, match="negative pmf mass.*not pmfs on this lattice"):
-        lattice_invert([[1.5, -0.5, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="imaginary residue.*not pmfs on this lattice"):
-        lattice_invert([[1e12, -3e12, 2e12 + 1.0, 0, 0, 0, 0, 0, 0]])
+        lattice_invert([[1e12, 0, 0, 0, 0, 0, 0, 1.0]])
+    with pytest.raises(ValueError, match="inverted pmf sums to 0.75"):
+        lattice_invert([[0.5, 0.25, 0.0, 0.0]])
 
 
 def test_lattice_invert_rejects_bad_length():
@@ -354,6 +380,36 @@ def test_la_degenerate_span():
     assert cdf.xs.tolist() == [5.5]
     assert cdf.cum.tolist() == [1.0]
     assert dist.pmf.tolist() == [1.0]
+
+
+def test_la_cdf_leaves_out_rows_rounded_to_zero(monkeypatch):
+    # a row that rounds to the point mass at 0 is the identity of
+    # convolution: adding such rows (a constant 0, a range too small to
+    # move the span) changes no bit, and none of them reaches the inversion
+    base = random_spec(np.random.default_rng(53), 5)
+    padded = GpmSpec(
+        np.insert(base.values, [0, 2, 5], [[0.0, 0.0, 0.0], [0.0, 1e-20, 0.0], [0.0] * 3], 0),
+        np.insert(base.probs, [0, 2, 5], [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [1.0, 0, 0]], 0),
+    )
+    assert (padded.offset, padded.span) == (base.offset, base.span)
+    inverted_rows = []
+    invert = gpm.lattice_invert
+    monkeypatch.setattr(gpm, "lattice_invert", lambda q: inverted_rows.append(len(q)) or invert(q))
+    for c0 in (200.0, 1000.0):
+        want_dist, want_cdf = la_cdf(base, c0)
+        dist, cdf = la_cdf(padded, c0)
+        assert np.array_equal(dist.pmf, want_dist.pmf)
+        assert np.array_equal(cdf.xs, want_cdf.xs)
+        assert np.array_equal(cdf.cum, want_cdf.cum)
+    assert inverted_rows == [5] * 4
+
+
+def test_la_cdf_of_rows_all_rounded_to_zero():
+    # span 3 at c0 = 1: beta = 1/3, and every row's top 1/3 rounds to 0
+    spec = GpmSpec([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [[0.5, 0.5]] * 3)
+    dist, cdf = la_cdf(spec, 1.0)
+    assert (dist.offset, dist.scale, dist.pmf.tolist()) == (3.0, 1.0 / 3.0, [1.0])
+    assert (cdf.xs.tolist(), cdf.cum.tolist()) == ([3.0], [1.0])
 
 
 def test_la_rejects_small_c0():

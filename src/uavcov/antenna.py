@@ -58,13 +58,6 @@ class UlaPattern:
     def __call__(self, theta_deg):
         return ula_gain(self, theta_deg)
 
-    @property
-    def boresight_gain(self) -> float:
-        """K * G_e * cos(tilt)^2, the exact gain at theta = tilt."""
-        return float(
-            self.element_count * self.element_peak_gain * _cos_deg(self.tilt_deg) ** 2
-        )
-
 
 def ula_gain(pattern: UlaPattern, theta_deg):
     """Linear power gain of the array toward elevation ``theta_deg``.

@@ -84,21 +84,6 @@ def _write_csv(path: Path, header, rows, cfg: ScenarioConfig) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _coverage_kwargs(cfg: ScenarioConfig, link: LinkDirection, thresholds, args) -> dict:
-    return dict(
-        gbs_height=cfg.gbs_height,
-        region=cfg.build_region(),
-        link=link,
-        thresholds=thresholds,
-        beta0=cfg.beta0,
-        alpha0=cfg.alpha0,
-        omega=cfg.omega(),
-        eps=cfg.association_epsilon,
-        c0=cfg.lattice_target_c0,
-        workers=args.workers,
-    )
-
-
 def cmd_layout(cfg: ScenarioConfig, args) -> int:
     layout = cfg.build_layout()
     path = _out_path(args, "layout.csv")
@@ -113,12 +98,7 @@ def _map_command(cfg: ScenarioConfig, args, link: LinkDirection) -> int:
     threshold = cfg.uplink_threshold if link is LinkDirection.UPLINK else cfg.downlink_threshold
     altitude = args.altitude if args.altitude is not None else cfg.uav_altitude
     result = coverage_at_altitude(
-        cfg.build_layout(),
-        cfg.build_gbs_pattern(),
-        cfg.build_uav_antenna(),
-        cfg.build_channel(),
-        altitude=altitude,
-        **_coverage_kwargs(cfg, link, (threshold,), args),
+        cfg, link, altitude=altitude, thresholds=(threshold,), workers=args.workers
     )
     name = "uplink_map.csv" if link is LinkDirection.UPLINK else "downlink_map.csv"
     path = _out_path(args, name)
@@ -143,18 +123,12 @@ def cmd_downlink_map(cfg: ScenarioConfig, args) -> int:
 def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
     link = LinkDirection(args.link)
     threshold = cfg.uplink_threshold if link is LinkDirection.UPLINK else cfg.downlink_threshold
-    layout = cfg.build_layout()
-    pattern = cfg.build_gbs_pattern()
-    uav_ant = cfg.build_uav_antenna()
-    chan = cfg.build_channel()
     path = _out_path(args, "coverage_curve.csv")
 
     if args.sweep == "altitude":
         altitudes = np.linspace(cfg.altitude_min, cfg.altitude_max, cfg.altitude_points)
         results, aggregate = coverage_over_altitudes(
-            layout, pattern, uav_ant, chan,
-            altitudes=altitudes,
-            **_coverage_kwargs(cfg, link, (threshold,), args),
+            cfg, link, altitudes=altitudes, thresholds=(threshold,), workers=args.workers
         )
         rows = [(float(h), float(r.coverage[0])) for h, r in zip(altitudes, results)]
         _write_csv(path, ("altitude_m", "coverage"), rows, cfg)
@@ -165,9 +139,8 @@ def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
     altitude = args.altitude if args.altitude is not None else cfg.uav_altitude
     thresholds_db = np.linspace(args.min_db, args.max_db, args.points).tolist()
     result = coverage_at_altitude(
-        layout, pattern, uav_ant, chan,
-        altitude=altitude,
-        **_coverage_kwargs(cfg, link, tuple(map(db_to_linear, thresholds_db)), args),
+        cfg, link, altitude=altitude, thresholds=tuple(map(db_to_linear, thresholds_db)),
+        workers=args.workers,
     )
     rows = list(zip(thresholds_db, result.coverage.tolist()))
     _write_csv(path, ("threshold_db", "coverage"), rows, cfg)
@@ -198,7 +171,7 @@ def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
             "selected association event has no serving GBS (zero-gain case); "
             "no interference law is defined for it"
         )
-    return event, conditional_interference_spec(event, table, cfg.omega())
+    return event, conditional_interference_spec(event, table, cfg.loading)
 
 
 def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
@@ -254,8 +227,8 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
 
     if mode == "downlink-vs-joint-enum":
         table = _configured_table(cfg)
-        approx = downlink_snr_cdf(table, cfg.omega(), cfg.alpha0, c0=cfg.lattice_target_c0)
-        oracle = downlink_cdf_enumeration(table, cfg.omega(), cfg.alpha0)
+        approx = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, c0=cfg.lattice_target_c0)
+        oracle = downlink_cdf_enumeration(table, cfg.loading, cfg.alpha0)
         dist = kolmogorov_distance(oracle, approx)
         ok = dist <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} downlink-vs-joint-enum: "

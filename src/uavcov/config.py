@@ -1,7 +1,11 @@
 """Scenario configuration: INI file with named sections, strict keys.
 
-Every parameter has a default; a config file overrides any subset.
-Unknown sections or keys are errors, as are malformed values.  dB- and
+Every parameter has a default in ``DEFAULTS``; a config file overrides
+any subset.  Unknown sections or keys are errors, as are malformed or
+out-of-range values.  The model sections (layout, antennas, channel,
+sampling region) are built into their model objects straight from the
+resolved entries; :class:`ScenarioConfig` holds those objects and the
+parameters the rest of the package reads, each once.  dB- and
 dBm-valued entries are converted to linear units here, once, and the rest
 of the package only ever sees linear quantities.
 """
@@ -12,7 +16,8 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -102,35 +107,14 @@ class ScenarioConfig:
     ``loading`` holds the loading factor of every GBS of the layout,
     indexed by id: ``downlink_omega`` unless an ``omega_site_N`` key
     overrides it (read-only).  ``models`` holds the model objects
-    :func:`load_config` built, and checked, from the parameters, by INI
-    section; the ``build_*`` methods return them.
+    :func:`load_config` built, and checked, straight from their INI
+    sections; the ``build_*`` methods return them, and the parameters
+    only they read are not repeated here.
     """
 
     inter_site_distance: float
-    radius: float
     gbs_height: float
-    reuse_factor: int
-    sites_csv: str
 
-    element_count: int
-    element_spacing_wl: float
-    downtilt_deg: float
-    element_peak_gain: float
-
-    half_beamwidth_deg: float
-    mainlobe_constant: float
-    backlobe_gain: float
-
-    coefficients_file: str
-    alpha_los: float
-    alpha_nlos: float
-    excess_loss_los_db: float
-    excess_loss_nlos_db: float
-    los_a: float
-    los_b_per_deg: float
-    los_midpoint_deg: float
-
-    carrier_hz: float
     noise_w: float
     gbs_power_w: float
     uav_power_w: float
@@ -138,25 +122,22 @@ class ScenarioConfig:
     uplink_threshold: float
     downlink_threshold: float
 
-    downlink_omega: float
     loading: np.ndarray
 
-    uav_x: float = 150.0
-    uav_y: float = 50.0
-    uav_altitude: float = 100.0
+    uav_x: float
+    uav_y: float
+    uav_altitude: float
 
-    region: str = "triangle"
-    resolution: int = 4
-    altitude_min: float = 30.0
-    altitude_max: float = 200.0
-    altitude_points: int = 10
+    altitude_min: float
+    altitude_max: float
+    altitude_points: int
 
-    association_epsilon: float = 1e-6
-    lattice_target_c0: float = 1000.0
+    association_epsilon: float
+    lattice_target_c0: float
 
-    config_hash: str = ""
+    config_hash: str
 
-    models: dict = field(default_factory=dict, repr=False)
+    models: dict = field(repr=False)
 
     @property
     def beta0(self) -> float:
@@ -183,43 +164,64 @@ class ScenarioConfig:
     def build_region(self) -> SamplingRegion:
         return self.models["sampling"]
 
-    def omega(self) -> np.ndarray:
-        """Per-GBS loading array, indexed by id."""
-        return self.loading
+
+# Each model builder reads the entries of its own resolved INI section
+# (the channel also reads [radio] carrier_hz).  Every entry is parsed
+# before the builder branches, so a malformed one fails even where the
+# branch taken does not use it.
+
+def _layout(resolved) -> NetworkLayout:
+    num = partial(_number, resolved, "layout")
+    spacing, radius, reuse = num("inter_site_distance_m"), num("radius_m"), num("reuse_factor", int)
+    sites_csv = resolved["layout"]["sites_csv"].strip()
+    if not sites_csv:
+        return build_hex_layout(spacing, radius, reuse)
+    layout = read_layout_csv(sites_csv, spacing)
+    if len(layout) == 0:
+        raise ConfigError(f"[layout] sites_csv {sites_csv} lists no sites")
+    return layout
 
 
-def _layout(cfg: ScenarioConfig) -> NetworkLayout:
-    if cfg.sites_csv:
-        return read_layout_csv(cfg.sites_csv, cfg.inter_site_distance)
-    return build_hex_layout(cfg.inter_site_distance, cfg.radius, cfg.reuse_factor)
-
-
-def _channel(cfg: ScenarioConfig) -> ParametricAirGroundModel:
-    if cfg.coefficients_file:
-        return load_channel_coefficients(cfg.coefficients_file)
-    return default_channel(
-        cfg.carrier_hz,
-        alpha_los=cfg.alpha_los,
-        alpha_nlos=cfg.alpha_nlos,
-        excess_loss_los_db=cfg.excess_loss_los_db,
-        excess_loss_nlos_db=cfg.excess_loss_nlos_db,
-        los_a=cfg.los_a,
-        los_b_per_deg=cfg.los_b_per_deg,
-        los_midpoint_deg=cfg.los_midpoint_deg,
+def _gbs_antenna(resolved) -> UlaPattern:
+    num = partial(_number, resolved, "gbs_antenna")
+    return UlaPattern(
+        num("element_count", int), num("element_spacing_wl"), num("downtilt_deg"),
+        num("element_peak_gain"),
     )
+
+
+def _uav_antenna(resolved) -> UavAntenna:
+    num = partial(_number, resolved, "uav_antenna")
+    return UavAntenna(num("half_beamwidth_deg"), num("mainlobe_constant"), num("backlobe_gain"))
+
+
+def _channel(resolved) -> ParametricAirGroundModel:
+    carrier_hz = _number(resolved, "radio", "carrier_hz")
+    if carrier_hz <= 0:
+        raise ConfigError(f"[radio] carrier_hz must be positive, got {carrier_hz}")
+    keys = ("alpha_los", "alpha_nlos", "excess_loss_los_db", "excess_loss_nlos_db",
+            "los_a", "los_b_per_deg", "los_midpoint_deg")
+    shape = {key: _number(resolved, "channel", key) for key in keys}
+    coefficients_file = resolved["channel"]["coefficients_file"].strip()
+    if coefficients_file:
+        return load_channel_coefficients(coefficients_file)
+    return default_channel(carrier_hz, **shape)
+
+
+def _region(resolved) -> SamplingRegion:
+    region = resolved["sampling"]["region"].strip().lower()
+    if region not in ("triangle", "cell"):
+        raise ConfigError(f"[sampling] region must be 'triangle' or 'cell', got {region!r}")
+    return SamplingRegion(RegionKind(region), _number(resolved, "sampling", "resolution", int))
 
 
 # The model object each INI section describes, and how to build it.
 _MODELS = {
     "layout": _layout,
-    "gbs_antenna": lambda cfg: UlaPattern(
-        cfg.element_count, cfg.element_spacing_wl, cfg.downtilt_deg, cfg.element_peak_gain
-    ),
-    "uav_antenna": lambda cfg: UavAntenna(
-        cfg.half_beamwidth_deg, cfg.mainlobe_constant, cfg.backlobe_gain
-    ),
+    "gbs_antenna": _gbs_antenna,
+    "uav_antenna": _uav_antenna,
     "channel": _channel,
-    "sampling": lambda cfg: SamplingRegion(RegionKind(cfg.region), cfg.resolution),
+    "sampling": _region,
 }
 
 
@@ -281,6 +283,7 @@ def load_config(path: str | None = None) -> ScenarioConfig:
     file; raises :class:`ConfigError` on any unknown, malformed or
     out-of-range entry."""
     resolved, omega_raw = _resolve(path)
+    num = partial(_number, resolved)
 
     overrides: dict[int, float] = {}
     for gbs_id, raw in omega_raw.items():
@@ -289,87 +292,49 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         except ValueError:
             raise ConfigError(f"[loading] omega_site_{gbs_id} must be a float, got {raw!r}") from None
 
-    region = resolved["sampling"]["region"].strip().lower()
-    if region not in ("triangle", "cell"):
-        raise ConfigError(f"[sampling] region must be 'triangle' or 'cell', got {region!r}")
+    gbs_height = num("layout", "gbs_height_m")
+    noise_w = dbm_to_watt(num("radio", "noise_power_dbm"))
+    gbs_power_w = num("radio", "gbs_power_w")
+    uav_power_w = dbm_to_watt(num("radio", "uav_power_dbm"))
+    omega = num("loading", "downlink_omega")
+    uav_altitude = num("uav", "altitude_m")
+    altitude_min = num("sampling", "altitude_min_m")
+    altitude_max = num("sampling", "altitude_max_m")
+    altitude_points = num("sampling", "altitude_points", int)
+    association_epsilon = num("algorithm", "association_epsilon")
+    lattice_target_c0 = num("algorithm", "lattice_target_c0")
 
-    cfg = ScenarioConfig(
-        inter_site_distance=_number(resolved, "layout", "inter_site_distance_m"),
-        radius=_number(resolved, "layout", "radius_m"),
-        gbs_height=_number(resolved, "layout", "gbs_height_m"),
-        reuse_factor=_number(resolved, "layout", "reuse_factor", int),
-        sites_csv=resolved["layout"]["sites_csv"].strip(),
-        element_count=_number(resolved, "gbs_antenna", "element_count", int),
-        element_spacing_wl=_number(resolved, "gbs_antenna", "element_spacing_wl"),
-        downtilt_deg=_number(resolved, "gbs_antenna", "downtilt_deg"),
-        element_peak_gain=_number(resolved, "gbs_antenna", "element_peak_gain"),
-        half_beamwidth_deg=_number(resolved, "uav_antenna", "half_beamwidth_deg"),
-        mainlobe_constant=_number(resolved, "uav_antenna", "mainlobe_constant"),
-        backlobe_gain=_number(resolved, "uav_antenna", "backlobe_gain"),
-        coefficients_file=resolved["channel"]["coefficients_file"].strip(),
-        alpha_los=_number(resolved, "channel", "alpha_los"),
-        alpha_nlos=_number(resolved, "channel", "alpha_nlos"),
-        excess_loss_los_db=_number(resolved, "channel", "excess_loss_los_db"),
-        excess_loss_nlos_db=_number(resolved, "channel", "excess_loss_nlos_db"),
-        los_a=_number(resolved, "channel", "los_a"),
-        los_b_per_deg=_number(resolved, "channel", "los_b_per_deg"),
-        los_midpoint_deg=_number(resolved, "channel", "los_midpoint_deg"),
-        carrier_hz=_number(resolved, "radio", "carrier_hz"),
-        noise_w=dbm_to_watt(_number(resolved, "radio", "noise_power_dbm")),
-        gbs_power_w=_number(resolved, "radio", "gbs_power_w"),
-        uav_power_w=dbm_to_watt(_number(resolved, "radio", "uav_power_dbm")),
-        uplink_threshold=db_to_linear(_number(resolved, "thresholds", "uplink_snr_db")),
-        downlink_threshold=db_to_linear(_number(resolved, "thresholds", "downlink_snr_db")),
-        downlink_omega=_number(resolved, "loading", "downlink_omega"),
-        loading=np.zeros(0),   # resolved below, once the layout is known
-        uav_x=_number(resolved, "uav", "x_m"),
-        uav_y=_number(resolved, "uav", "y_m"),
-        uav_altitude=_number(resolved, "uav", "altitude_m"),
-        region=region,
-        resolution=_number(resolved, "sampling", "resolution", int),
-        altitude_min=_number(resolved, "sampling", "altitude_min_m"),
-        altitude_max=_number(resolved, "sampling", "altitude_max_m"),
-        altitude_points=_number(resolved, "sampling", "altitude_points", int),
-        association_epsilon=_number(resolved, "algorithm", "association_epsilon"),
-        lattice_target_c0=_number(resolved, "algorithm", "lattice_target_c0"),
-        config_hash=_hash(resolved, omega_raw),
-    )
-
-    if cfg.carrier_hz <= 0:
-        raise ConfigError(f"[radio] carrier_hz must be positive, got {cfg.carrier_hz}")
-    if cfg.noise_w <= 0 or cfg.gbs_power_w <= 0 or cfg.uav_power_w <= 0:
+    if noise_w <= 0 or gbs_power_w <= 0 or uav_power_w <= 0:
         raise ConfigError("[radio] powers must be positive")
-    if not 0.0 <= cfg.downlink_omega <= 1.0:
-        raise ConfigError(f"[loading] downlink_omega must lie in [0, 1], got {cfg.downlink_omega}")
+    if not 0.0 <= omega <= 1.0:
+        raise ConfigError(f"[loading] downlink_omega must lie in [0, 1], got {omega}")
     for gbs_id, w in overrides.items():
         if not 0.0 <= w <= 1.0:
             raise ConfigError(f"[loading] omega_site_{gbs_id} must lie in [0, 1], got {w}")
-    if not 0.0 <= cfg.association_epsilon < 1.0:
+    if not 0.0 <= association_epsilon < 1.0:
         raise ConfigError(
-            f"[algorithm] association_epsilon must lie in [0, 1), got {cfg.association_epsilon}"
+            f"[algorithm] association_epsilon must lie in [0, 1), got {association_epsilon}"
         )
-    if cfg.lattice_target_c0 < 1:
-        raise ConfigError(f"[algorithm] lattice_target_c0 must be >= 1, got {cfg.lattice_target_c0}")
-    if cfg.altitude_points < 1:
-        raise ConfigError(f"[sampling] altitude_points must be >= 1, got {cfg.altitude_points}")
-    if cfg.altitude_points > 1 and cfg.altitude_max <= cfg.altitude_min:
+    if lattice_target_c0 < 1:
+        raise ConfigError(f"[algorithm] lattice_target_c0 must be >= 1, got {lattice_target_c0}")
+    if altitude_points < 1:
+        raise ConfigError(f"[sampling] altitude_points must be >= 1, got {altitude_points}")
+    if altitude_points > 1 and altitude_max <= altitude_min:
         raise ConfigError("[sampling] altitude_max_m must exceed altitude_min_m")
-    if not math.isfinite(cfg.uav_altitude) or cfg.uav_altitude <= cfg.gbs_height:
-        raise ConfigError(
-            f"[uav] altitude_m must exceed the GBS antenna height {cfg.gbs_height}"
-        )
+    if uav_altitude <= gbs_height:
+        raise ConfigError(f"[uav] altitude_m must exceed the GBS antenna height {gbs_height}")
     # the model constructors hold the range checks of their parameters
     models = {}
     for section, build in _MODELS.items():
         try:
-            models[section] = build(cfg)
+            models[section] = build(resolved)
+        except ConfigError:
+            raise
         except (ValueError, OSError) as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
 
     n_sites = len(models["layout"])
-    if n_sites == 0:
-        raise ConfigError(f"[layout] sites_csv {cfg.sites_csv} lists no sites")
-    loading = np.full(n_sites, cfg.downlink_omega)
+    loading = np.full(n_sites, omega)
     for gbs_id, w in overrides.items():
         if gbs_id >= n_sites:
             raise ConfigError(
@@ -377,4 +342,24 @@ def load_config(path: str | None = None) -> ScenarioConfig:
             )
         loading[gbs_id] = w
     loading.flags.writeable = False
-    return replace(cfg, loading=loading, models=models)
+
+    return ScenarioConfig(
+        inter_site_distance=num("layout", "inter_site_distance_m"),
+        gbs_height=gbs_height,
+        noise_w=noise_w,
+        gbs_power_w=gbs_power_w,
+        uav_power_w=uav_power_w,
+        uplink_threshold=db_to_linear(num("thresholds", "uplink_snr_db")),
+        downlink_threshold=db_to_linear(num("thresholds", "downlink_snr_db")),
+        loading=loading,
+        uav_x=num("uav", "x_m"),
+        uav_y=num("uav", "y_m"),
+        uav_altitude=uav_altitude,
+        altitude_min=altitude_min,
+        altitude_max=altitude_max,
+        altitude_points=altitude_points,
+        association_epsilon=association_epsilon,
+        lattice_target_c0=lattice_target_c0,
+        config_hash=_hash(resolved, omega_raw),
+        models=models,
+    )

@@ -21,8 +21,12 @@ P{snr <= y} = P{I >= C/y - alpha0} summed over events.
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
-quadrature normalised by the altitude span.  Each (altitude, point)
-position's SNR law is built once and read at every threshold.
+quadrature normalised by the altitude span.  Its entry points take the
+loaded :class:`~uavcov.config.ScenarioConfig` as the one scenario
+argument and read the layout, antennas, channel, sampling region,
+loading, ``beta0``/``alpha0``, ``eps`` and ``c0`` from it.  Each
+(altitude, point) position's SNR law is built once and read at every
+threshold.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .antenna import UavAntenna
-from .channel import LinkTable, ParametricAirGroundModel, build_link_table
-from .geometry import NetworkLayout, SamplingRegion, sample_region
+from .channel import LinkTable, build_link_table
+from .config import ScenarioConfig
+from .geometry import sample_region
 from .gpm import GpmSpec, SteppedCdf, la_cdf
 
 PROB_SUM_TOL = 1e-9
@@ -212,7 +217,10 @@ class DownlinkSnrCdf:
             if term.interference is None or term.gain == 0.0:
                 out += term.probability
                 continue
-            c = term.gain / ys - self.alpha0
+            # a y so small that C / y overflows gives c = +inf, the exact
+            # limit: P{I >= inf} = 0
+            with np.errstate(over="ignore"):
+                c = term.gain / ys - self.alpha0
             # snr <= y iff I >= c, and snr < y iff I > c
             below_c = term.interference.eval(c) if strict else term.interference.eval_left(c)
             out += term.probability * (1.0 - below_c)
@@ -272,51 +280,24 @@ class LinkDirection(Enum):
     DOWNLINK = "downlink"
 
 
-@dataclass(frozen=True)
-class _PointContext:
-    """Everything a worker needs to score one UAV position (picklable)."""
-
-    layout: NetworkLayout
-    gbs_pattern: object
-    uav_antenna: UavAntenna
-    channel: ParametricAirGroundModel
-    gbs_height: float
-    link: LinkDirection
-    thresholds: tuple[float, ...]
-    beta0: float
-    alpha0: float
-    omega: object
-    eps: float
-    c0: float
-
-
-def _non_outage_at(ctx: _PointContext, uav_xyz) -> np.ndarray:
+def _non_outage_at(
+    cfg: ScenarioConfig, link: LinkDirection, thresholds: tuple, uav_xyz
+) -> np.ndarray:
     """Non-outage probability at one UAV position for every threshold:
     one link table and one SNR law, evaluated T times."""
     table = build_link_table(
-        ctx.layout, ctx.gbs_pattern, ctx.uav_antenna, ctx.channel, uav_xyz, ctx.gbs_height
+        cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
+        cfg.build_channel(), uav_xyz, cfg.gbs_height,
     )
-    if ctx.link is LinkDirection.UPLINK:
-        pmf = uplink_snr_pmf(table, ctx.beta0, ctx.eps)
+    if link is LinkDirection.UPLINK:
+        pmf = uplink_snr_pmf(table, cfg.beta0, cfg.association_epsilon)
         # one mask sum per threshold; a masked 2-D sum would add the
         # atoms in another order and could move the last bit
-        return np.array([1.0 - pmf.outage(t) for t in ctx.thresholds])
-    cdf = downlink_snr_cdf(table, ctx.omega, ctx.alpha0, eps=ctx.eps, c0=ctx.c0)
-    return 1.0 - cdf.outage(np.array(ctx.thresholds))
-
-
-def _non_outage_over(ctx: _PointContext, positions: list, workers: int) -> np.ndarray:
-    """``_non_outage_at`` over a flat list of UAV positions, serially or
-    on one process pool, as a (positions, T) array in list order."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(positions) // (4 * workers))
-            values = list(
-                pool.map(_non_outage_at, [ctx] * len(positions), positions, chunksize=chunk)
-            )
-    else:
-        values = [_non_outage_at(ctx, xyz) for xyz in positions]
-    return np.array(values)
+        return np.array([1.0 - pmf.outage(t) for t in thresholds])
+    cdf = downlink_snr_cdf(
+        table, cfg.loading, cfg.alpha0, eps=cfg.association_epsilon, c0=cfg.lattice_target_c0
+    )
+    return 1.0 - cdf.outage(np.array(thresholds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,37 +314,30 @@ class CoverageResult:
 
 
 def _coverage(
-    layout: NetworkLayout,
-    gbs_pattern,
-    uav_antenna: UavAntenna,
-    channel: ParametricAirGroundModel,
-    altitudes: Sequence[float],
-    *,
-    gbs_height: float,
-    region: SamplingRegion,
+    cfg: ScenarioConfig,
     link: LinkDirection,
+    altitudes: Sequence[float],
     thresholds: Sequence[float],
-    beta0: float = 1.0,
-    alpha0: float = 1.0,
-    omega=0.5,
-    eps: float = 0.0,
-    c0: float = 1000.0,
-    workers: int = 1,
+    workers: int,
 ) -> list[CoverageResult]:
     """One :class:`CoverageResult` per altitude.  Every (altitude, point)
     position goes on one work list, so each position's SNR law is built
     once whatever the number of thresholds, and ``workers`` > 1 starts
-    one process pool for the whole list."""
+    one process pool for the whole list; results come back in list
+    order, so they do not depend on ``workers``."""
     ts = tuple(float(t) for t in thresholds)
     if not ts:
         raise ValueError("need at least one threshold")
-    points = sample_region(region, layout.inter_site_distance)
-    ctx = _PointContext(
-        layout, gbs_pattern, uav_antenna, channel, gbs_height,
-        link, ts, beta0, alpha0, omega, eps, c0,
-    )
+    points = sample_region(cfg.build_region(), cfg.inter_site_distance)
     positions = [(x, y, h) for h in altitudes for x, y in points]
-    scores = _non_outage_over(ctx, positions, workers).reshape(len(altitudes), len(points), -1)
+    score = partial(_non_outage_at, cfg, link, ts)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(positions) // (4 * workers))
+            values = list(pool.map(score, positions, chunksize=chunk))
+    else:
+        values = [score(xyz) for xyz in positions]
+    scores = np.array(values).reshape(len(altitudes), len(points), -1)
     results = []
     for h, per_point in zip(altitudes, scores):
         # (T, P) C-contiguous, so each threshold's mean adds its points
@@ -376,43 +350,38 @@ def _coverage(
 
 
 def coverage_at_altitude(
-    layout: NetworkLayout,
-    gbs_pattern,
-    uav_antenna: UavAntenna,
-    channel: ParametricAirGroundModel,
+    cfg: ScenarioConfig,
+    link: LinkDirection,
     *,
     altitude: float,
-    **kwargs,
+    thresholds: Sequence[float],
+    workers: int = 1,
 ) -> CoverageResult:
-    """Average non-outage probability over a sampling region at one
-    altitude, for each of ``thresholds``.  The keyword arguments are
-    ``gbs_height``, ``region``, ``link`` and ``thresholds`` (required),
-    and ``beta0``, ``alpha0``, ``omega``, ``eps``, ``c0`` and ``workers``.
-    ``workers`` > 1 evaluates grid points in parallel; results are
-    assembled in grid order so the output does not depend on it."""
-    return _coverage(
-        layout, gbs_pattern, uav_antenna, channel, [float(altitude)], **kwargs
-    )[0]
+    """Average non-outage probability over the scenario's sampling region
+    at one altitude, for each of ``thresholds``.  Everything else (layout,
+    patterns, channel, loading, ``beta0``/``alpha0``, association
+    truncation and lattice size) comes from ``cfg``.  ``workers`` > 1
+    evaluates the points on a process pool."""
+    return _coverage(cfg, link, [float(altitude)], thresholds, workers)[0]
 
 
 def coverage_over_altitudes(
-    layout: NetworkLayout,
-    gbs_pattern,
-    uav_antenna: UavAntenna,
-    channel: ParametricAirGroundModel,
+    cfg: ScenarioConfig,
+    link: LinkDirection,
     *,
     altitudes: Sequence[float],
-    **kwargs,
+    thresholds: Sequence[float],
+    workers: int = 1,
 ) -> tuple[list[CoverageResult], np.ndarray]:
     """Coverage at each altitude plus the altitude-averaged aggregate per
-    threshold (trapezoidal quadrature normalised by the altitude span).
-    Takes the keyword arguments of :func:`coverage_at_altitude`."""
+    threshold (trapezoidal quadrature normalised by the altitude span),
+    as :func:`coverage_at_altitude` computes it at one altitude."""
     alts = np.asarray(altitudes, dtype=float)
     if alts.size == 0:
         raise ValueError("need at least one altitude")
     if np.any(np.diff(alts) <= 0):
         raise ValueError("altitudes must be strictly increasing")
-    results = _coverage(layout, gbs_pattern, uav_antenna, channel, alts.tolist(), **kwargs)
+    results = _coverage(cfg, link, alts.tolist(), thresholds, workers)
     # (T, A) C-contiguous, so each threshold's quadrature adds in the
     # same order as a single-threshold sweep
     values = np.ascontiguousarray(np.array([r.coverage for r in results]).T)

@@ -6,28 +6,12 @@ Conversions happen once, at the edge where configuration is read.
 
 from __future__ import annotations
 
-import math
-
 
 def db_to_linear(value_db: float) -> float:
     """Convert a ratio in dB to a linear ratio."""
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    """Convert a linear ratio to dB. Zero maps to -inf."""
-    if value == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(value)
-
-
 def dbm_to_watt(value_dbm: float) -> float:
     """Convert a power in dBm to watts."""
     return 10.0 ** (value_dbm / 10.0) * 1e-3
-
-
-def watt_to_dbm(value_w: float) -> float:
-    """Convert a power in watts to dBm."""
-    if value_w == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(value_w / 1e-3)

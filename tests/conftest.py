@@ -1,13 +1,24 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and scenario loading.
 
 Everything takes an explicit numpy Generator so each test controls its
 own seed; nothing here owns global state.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from uavcov.channel import LinkTable
+from uavcov.config import load_config
 from uavcov.gpm import DiscreteSummand, GpmSpec
+
+
+def load_scenario(directory, body):
+    """The ScenarioConfig of INI text ``body``, written to
+    ``directory/scenario.ini`` and loaded as the CLI loads it."""
+    path = Path(directory) / "scenario.ini"
+    path.write_text(body)
+    return load_config(str(path))
 
 
 def link_table(rows):

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import link_table
+from conftest import link_table, load_scenario
 from uavcov.antenna import UavAntenna, UlaPattern, ula_gain
 from uavcov.channel import build_link_table, default_channel
 from uavcov.coverage import (
@@ -385,15 +385,21 @@ def test_coverage_monotone_in_threshold_and_loading():
     )
 
 
-def test_uplink_coverage_peaks_above_minimum_altitude():
-    layout, pattern, _, channel = default_scene()
-    uav = UavAntenna(75.0, 7500.0, 0.0)
+def test_uplink_coverage_peaks_above_minimum_altitude(tmp_path):
+    # the default scene with a 75-degree UAV beam and the exact walk
+    cfg = load_scenario(tmp_path, """
+[layout]
+radius_m = 1500
+[uav_antenna]
+half_beamwidth_deg = 75
+[sampling]
+resolution = 2
+[algorithm]
+association_epsilon = 0
+""")
     altitudes = np.linspace(30.0, 200.0, 8)
     results, _ = coverage_over_altitudes(
-        layout, pattern, uav, channel,
-        altitudes=altitudes, gbs_height=GBS_HEIGHT,
-        region=SamplingRegion(RegionKind.TRIANGLE, 2),
-        link=LinkDirection.UPLINK, thresholds=[UPLINK_THRESHOLD], beta0=BETA0,
+        cfg, LinkDirection.UPLINK, altitudes=altitudes, thresholds=[cfg.uplink_threshold]
     )
     curve = [r.coverage[0] for r in results]
     peak = max(curve)

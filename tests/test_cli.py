@@ -5,6 +5,7 @@ All invocations go through main(argv) in process.
 
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -139,11 +140,7 @@ def test_uplink_map_matches_direct_call(tmp_path):
     assert header == ["x_m", "y_m", "non_outage_prob"]
     cfg = load_config(cfg_path)
     direct = coverage_at_altitude(
-        cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
-        cfg.build_channel(),
-        gbs_height=cfg.gbs_height, altitude=120.0, region=cfg.build_region(),
-        link=LinkDirection.UPLINK, thresholds=[cfg.uplink_threshold],
-        beta0=cfg.beta0, eps=cfg.association_epsilon,
+        cfg, LinkDirection.UPLINK, altitude=120.0, thresholds=[cfg.uplink_threshold]
     )
     assert len(rows) == len(direct.points) == 1
     x, y, p = map(float, rows[0])
@@ -158,12 +155,8 @@ def test_downlink_map_matches_direct_call(tmp_path):
     _, rows = read_rows(tmp_path / "downlink_map.csv")
     cfg = load_config(cfg_path)
     direct = coverage_at_altitude(
-        cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
-        cfg.build_channel(),
-        gbs_height=cfg.gbs_height, altitude=cfg.uav_altitude,
-        region=cfg.build_region(), link=LinkDirection.DOWNLINK,
-        thresholds=[cfg.downlink_threshold], alpha0=cfg.alpha0,
-        omega=cfg.omega(), eps=cfg.association_epsilon, c0=cfg.lattice_target_c0,
+        cfg, LinkDirection.DOWNLINK, altitude=cfg.uav_altitude,
+        thresholds=[cfg.downlink_threshold],
     )
     got = np.array([float(r[2]) for r in rows])
     np.testing.assert_allclose(got, direct.non_outage[0], rtol=1e-11, atol=1e-11)
@@ -204,6 +197,22 @@ def test_coverage_curve_threshold_sweep(tmp_path):
     assert len(cov) == 7
     assert all(a >= b for a, b in zip(cov, cov[1:]))   # harder threshold, less coverage
     assert cov[0] > 0.0                                # sanity: sweep is not all-zero
+
+
+def test_threshold_sweep_where_c_overflows_is_covered(tmp_path, capsys):
+    # at -3200 dB the linear thresholds are subnormal, so C / y overflows
+    # to c = +inf, the exact limit: P{I >= inf} = 0, coverage 1
+    cfg_path = write_cfg(tmp_path, TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["coverage-curve", "--config", cfg_path, "--out", str(tmp_path),
+                   "--link", "downlink", "--sweep", "threshold",
+                   "--min-db", "-3200", "--max-db", "-3100", "--points", "3"])
+    assert rc == 0
+    assert "Warning" not in capsys.readouterr().err
+    _, rows = read_rows(tmp_path / "coverage_curve.csv")
+    assert [float(r[0]) for r in rows] == [-3200.0, -3150.0, -3100.0]
+    assert [float(r[1]) for r in rows] == [1.0, 1.0, 1.0]
 
 
 def test_coverage_curve_altitude_sweep(tmp_path, capsys):

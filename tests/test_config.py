@@ -3,6 +3,7 @@
 import pickle
 import re
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcov.config import DEFAULTS, ConfigError, load_config
+from uavcov.channel import default_channel
+from uavcov.config import DEFAULTS, ConfigError, ScenarioConfig, load_config
 from uavcov.geometry import RegionKind, write_layout_csv
 
 
@@ -23,18 +25,23 @@ def write_ini(tmp_path, body):
 def test_defaults():
     cfg = load_config()
     assert cfg.inter_site_distance == 500.0
-    assert cfg.radius == 5000.0
+    assert cfg.build_layout().radius == 5000.0
     assert cfg.gbs_height == 20.0
-    assert cfg.reuse_factor == 3
-    assert cfg.element_count == 10
-    assert cfg.downtilt_deg == -10.0
-    assert cfg.half_beamwidth_deg == 90.0
-    assert cfg.carrier_hz == 2e9
-    assert cfg.downlink_omega == 0.5
-    assert cfg.omega().tolist() == [0.5] * 367    # one entry per GBS of the layout
-    assert cfg.resolution == 4
+    assert cfg.build_layout().reuse_factor == 3
+    assert cfg.build_gbs_pattern().element_count == 10
+    assert cfg.build_gbs_pattern().tilt_deg == -10.0
+    assert cfg.build_uav_antenna().beamwidth_deg == 90.0
+    assert cfg.build_channel() == default_channel(2e9)
+    assert cfg.loading.tolist() == [0.5] * 367    # one entry per GBS of the layout
+    assert cfg.build_region().resolution == 4
     assert cfg.association_epsilon == 1e-6
     assert len(cfg.config_hash) == 12
+
+
+def test_defaults_live_only_in_defaults_table():
+    # a dataclass default would be a second copy of DEFAULTS that can drift
+    assert all(f.default is MISSING and f.default_factory is MISSING
+               for f in fields(ScenarioConfig))
 
 
 def test_db_quantities_become_linear():
@@ -59,20 +66,19 @@ omega_site_11 = 0.1
 resolution = 2
 """)
     cfg = load_config(path)
-    assert cfg.radius == 1500.0
-    assert cfg.downlink_omega == 0.25
-    omega = cfg.omega()
+    assert cfg.build_layout().radius == 1500.0
+    omega = cfg.loading
     assert omega.shape == (37,)
     assert (omega[2], omega[11]) == (0.9, 0.1)
     assert np.all(np.delete(omega, [2, 11]) == 0.25)
-    assert cfg.resolution == 2
+    assert cfg.build_region().resolution == 2
     assert cfg.inter_site_distance == 500.0       # untouched default
 
 
 def test_omega_scalar_or_map(tmp_path):
-    assert np.all(load_config().omega() == 0.5)
+    assert np.all(load_config().loading == 0.5)
     path = write_ini(tmp_path, "[loading]\nomega_site_3 = 0.8\n")
-    omega = load_config(path).omega()
+    omega = load_config(path).loading
     assert omega[3] == 0.8
     assert np.all(np.delete(omega, 3) == 0.5)     # default for everyone else
     assert not omega.flags.writeable

@@ -11,10 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import link_table, random_link_table
+from conftest import link_table, load_scenario, random_link_table
 from uavcov import coverage
-from uavcov.antenna import UavAntenna, UlaPattern
-from uavcov.channel import LinkTable, build_link_table, default_channel
+from uavcov.channel import LinkTable, build_link_table
 from uavcov.coverage import (
     AssociationState,
     DownlinkSnrCdf,
@@ -27,7 +26,6 @@ from uavcov.coverage import (
     downlink_snr_cdf,
     uplink_snr_pmf,
 )
-from uavcov.geometry import RegionKind, SamplingRegion, build_hex_layout
 from uavcov.gpm import SteppedCdf, enumerate_cdf, kolmogorov_distance, la_cdf
 
 
@@ -456,113 +454,103 @@ def test_downlink_truncation_outage_bound():
 # Spatial coverage
 # ---------------------------------------------------------------------------
 
-def make_scene(radius=1500.0):
-    layout = build_hex_layout(500.0, radius)
-    pattern = UlaPattern(10, 0.5, -10.0)
-    uav = UavAntenna(90.0)
-    channel = default_channel(2e9)
-    return layout, pattern, uav, channel
+def scene(tmp_path, link=LinkDirection.UPLINK, radius=500, region="triangle", resolution=2):
+    """A 500 m hex grid of the default antennas and channel with the exact
+    association walk (eps = 0); downlink adds noise_power_dbm = -120
+    (alpha0 = 1e-14), loading 0.4 and c0 = 200."""
+    body = f"""
+[layout]
+radius_m = {radius}
+[sampling]
+region = {region}
+resolution = {resolution}
+"""
+    if link is LinkDirection.DOWNLINK:
+        return load_scenario(tmp_path, body + """
+[radio]
+noise_power_dbm = -120
+[loading]
+downlink_omega = 0.4
+[algorithm]
+association_epsilon = 0
+lattice_target_c0 = 200
+""")
+    return load_scenario(tmp_path, body + "[algorithm]\nassociation_epsilon = 0\n")
 
 
-def test_rotation_symmetry_of_uplink_outage():
-    layout, pattern, uav, channel = make_scene()
+def configured_table(cfg, uav_xyz):
+    return build_link_table(
+        cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
+        cfg.build_channel(), uav_xyz, cfg.gbs_height,
+    )
+
+
+def test_rotation_symmetry_of_uplink_outage(tmp_path):
+    cfg = scene(tmp_path, radius=1500)
     c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
     x, y = 137.0, 41.0
-    base = uplink_snr_pmf(
-        build_link_table(layout, pattern, uav, channel, (x, y, 120.0), 20.0),
-        2.5e10,
-    )
+    base = uplink_snr_pmf(configured_table(cfg, (x, y, 120.0)), cfg.beta0)
     rotated = uplink_snr_pmf(
-        build_link_table(
-            layout, pattern, uav, channel, (c * x - s * y, s * x + c * y, 120.0), 20.0
-        ),
-        2.5e10,
+        configured_table(cfg, (c * x - s * y, s * x + c * y, 120.0)), cfg.beta0
     )
     threshold = float(np.median(base.values))
     assert 0.0 < base.outage(threshold) < 1.0
     assert rotated.outage(threshold) == pytest.approx(base.outage(threshold), abs=1e-9)
 
 
-def test_cell_average_equals_triangle_average():
-    layout, pattern, uav, channel = make_scene()
-    centroid_pmf = uplink_snr_pmf(
-        build_link_table(layout, pattern, uav, channel, (150.0, 50.0, 100.0), 20.0),
-        2.5e10,
-    )
+def test_cell_average_equals_triangle_average(tmp_path):
+    tri_cfg = scene(tmp_path, radius=1500, region="triangle")
+    cell_cfg = scene(tmp_path, radius=1500, region="cell")
+    centroid_pmf = uplink_snr_pmf(configured_table(tri_cfg, (150.0, 50.0, 100.0)), tri_cfg.beta0)
     threshold = float(np.median(centroid_pmf.values)) * 0.999
-    kwargs = dict(
-        gbs_height=20.0, altitude=100.0, link=LinkDirection.UPLINK,
-        thresholds=[threshold], beta0=2.5e10,
-    )
-    tri = coverage_at_altitude(
-        layout, pattern, uav, channel,
-        region=SamplingRegion(RegionKind.TRIANGLE, 2), **kwargs,
-    )
-    cell = coverage_at_altitude(
-        layout, pattern, uav, channel,
-        region=SamplingRegion(RegionKind.CELL, 2), **kwargs,
-    )
+    kwargs = dict(altitude=100.0, thresholds=[threshold])
+    tri = coverage_at_altitude(tri_cfg, LinkDirection.UPLINK, **kwargs)
+    cell = coverage_at_altitude(cell_cfg, LinkDirection.UPLINK, **kwargs)
     assert len(tri.points) == 4 and len(cell.points) == 24
     assert 0.0 < tri.coverage[0] < 1.0
     assert cell.coverage[0] == pytest.approx(tri.coverage[0], abs=1e-9)
 
 
-def test_parallel_workers_match_serial():
-    layout, pattern, uav, channel = make_scene(radius=500.0)
-    kwargs = dict(
-        gbs_height=20.0, altitude=100.0,
-        region=SamplingRegion(RegionKind.TRIANGLE, 2),
-        link=LinkDirection.DOWNLINK, thresholds=[1.5849],
-        alpha0=1e-14, omega=0.4, c0=200.0,
-    )
-    serial = coverage_at_altitude(layout, pattern, uav, channel, workers=1, **kwargs)
-    parallel = coverage_at_altitude(layout, pattern, uav, channel, workers=2, **kwargs)
+def test_parallel_workers_match_serial(tmp_path):
+    cfg = scene(tmp_path, LinkDirection.DOWNLINK)
+    kwargs = dict(altitude=100.0, thresholds=[1.5849])
+    serial = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, workers=1, **kwargs)
+    parallel = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, workers=2, **kwargs)
     np.testing.assert_array_equal(parallel.non_outage, serial.non_outage)
     assert parallel.coverage[0] == serial.coverage[0]
 
 
-def test_coverage_over_altitudes_aggregate():
-    layout, pattern, uav, channel = make_scene(radius=500.0)
-    kwargs = dict(
-        gbs_height=20.0, region=SamplingRegion(RegionKind.TRIANGLE, 1),
-        link=LinkDirection.UPLINK, thresholds=[10.0], beta0=2.5e10,
-    )
+def test_coverage_over_altitudes_aggregate(tmp_path):
+    cfg = scene(tmp_path, resolution=1)
+    kwargs = dict(thresholds=[10.0])
     alts = [40.0, 80.0, 160.0]
     results, aggregate = coverage_over_altitudes(
-        layout, pattern, uav, channel, altitudes=alts, **kwargs
+        cfg, LinkDirection.UPLINK, altitudes=alts, **kwargs
     )
     values = [r.coverage[0] for r in results]
     want = np.trapezoid(values, alts) / (alts[-1] - alts[0])
     assert aggregate[0] == pytest.approx(float(want), rel=1e-12)
-    single, agg1 = coverage_over_altitudes(
-        layout, pattern, uav, channel, altitudes=[90.0], **kwargs
-    )
+    single, agg1 = coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=[90.0], **kwargs)
     assert agg1[0] == single[0].coverage[0]
     with pytest.raises(ValueError):
-        coverage_over_altitudes(layout, pattern, uav, channel, altitudes=[], **kwargs)
+        coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=[], **kwargs)
     with pytest.raises(ValueError):
-        coverage_over_altitudes(
-            layout, pattern, uav, channel, altitudes=[100.0, 50.0], **kwargs
-        )
+        coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=[100.0, 50.0], **kwargs)
 
 
-def sweep_kwargs(link):
+def sweep_scene(tmp_path, link):
     """A 24-point cell raster (so each mean adds more than 8 points) and
     thresholds that split the points on both links."""
-    if link is LinkDirection.UPLINK:
-        return dict(gbs_height=20.0, region=SamplingRegion(RegionKind.CELL, 2), link=link,
-                    thresholds=[10.0 ** (t / 10.0) for t in (-40.0, -15.0, 0.0, 5.0, 30.0)],
-                    beta0=2.5e10)
-    return dict(gbs_height=20.0, region=SamplingRegion(RegionKind.CELL, 2), link=link,
-                thresholds=[10.0 ** (t / 10.0) for t in (-10.0, -2.0, 0.0, 3.0, 10.0)],
-                alpha0=1e-14, omega=0.4, c0=200.0)
+    db = (-40.0, -15.0, 0.0, 5.0, 30.0) if link is LinkDirection.UPLINK \
+        else (-10.0, -2.0, 0.0, 3.0, 10.0)
+    return scene(tmp_path, link, region="cell"), [10.0 ** (t / 10.0) for t in db]
 
 
 @pytest.mark.parametrize("link, law", [
     (LinkDirection.UPLINK, "uplink_snr_pmf"),
     (LinkDirection.DOWNLINK, "downlink_snr_cdf"),
 ])
-def test_threshold_sweep_builds_each_law_once(monkeypatch, link, law):
+def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
     calls = {"build_link_table": 0, law: 0}
     for name in calls:
         original = getattr(coverage, name)
@@ -572,31 +560,26 @@ def test_threshold_sweep_builds_each_law_once(monkeypatch, link, law):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(coverage, name, counted)
-    layout, pattern, uav, channel = make_scene(radius=500.0)
-    result = coverage_at_altitude(layout, pattern, uav, channel, altitude=100.0,
-                                  **sweep_kwargs(link))
+    cfg, thresholds = sweep_scene(tmp_path, link)
+    result = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=thresholds)
     assert result.non_outage.shape == (5, 24)
     assert calls == {"build_link_table": 24, law: 24}
 
 
 @pytest.mark.parametrize("link", list(LinkDirection))
-def test_one_pass_sweep_equals_single_threshold_calls(link):
-    layout, pattern, uav, channel = make_scene(radius=500.0)
-    kwargs = sweep_kwargs(link)
-    thresholds = kwargs.pop("thresholds")
-    sweep = coverage_at_altitude(layout, pattern, uav, channel, altitude=100.0,
-                                 thresholds=thresholds, **kwargs)
+def test_one_pass_sweep_equals_single_threshold_calls(tmp_path, link):
+    cfg, thresholds = sweep_scene(tmp_path, link)
+    sweep = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=thresholds)
     assert sweep.non_outage.flags.c_contiguous
     assert sweep.thresholds.tolist() == thresholds
     assert ((sweep.coverage > 0.0) & (sweep.coverage < 1.0)).sum() >= 2
     for i, t in enumerate(thresholds):
-        single = coverage_at_altitude(layout, pattern, uav, channel, altitude=100.0,
-                                      thresholds=[t], **kwargs)
+        single = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=[t])
         assert sweep.non_outage[i].tolist() == single.non_outage[0].tolist()
         assert sweep.coverage[i] == single.coverage[0]
 
 
-def test_altitude_sweep_starts_one_pool(monkeypatch):
+def test_altitude_sweep_starts_one_pool(tmp_path, monkeypatch):
     started = []
 
     class CountedPool(coverage.ProcessPoolExecutor):
@@ -605,14 +588,13 @@ def test_altitude_sweep_starts_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(coverage, "ProcessPoolExecutor", CountedPool)
-    layout, pattern, uav, channel = make_scene(radius=500.0)
-    kwargs = sweep_kwargs(LinkDirection.UPLINK)
+    cfg, thresholds = sweep_scene(tmp_path, LinkDirection.UPLINK)
     alts = [40.0, 80.0, 120.0, 160.0]
-    parallel, agg2 = coverage_over_altitudes(layout, pattern, uav, channel, altitudes=alts,
-                                             workers=2, **kwargs)
+    parallel, agg2 = coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=alts,
+                                             thresholds=thresholds, workers=2)
     assert started == [{"max_workers": 2}]
-    serial, agg1 = coverage_over_altitudes(layout, pattern, uav, channel, altitudes=alts,
-                                           **kwargs)
+    serial, agg1 = coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=alts,
+                                           thresholds=thresholds)
     assert len(started) == 1
     assert agg2.tolist() == agg1.tolist()
     for p, s, h in zip(parallel, serial, alts):

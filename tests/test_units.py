@@ -1,13 +1,6 @@
-import math
-
 import pytest
 
-from uavcov.units import db_to_linear, dbm_to_watt, linear_to_db, watt_to_dbm
-
-
-def test_db_round_trip():
-    for x in (-40.0, -3.0, 0.0, 3.0, 12.0, 124.0):
-        assert linear_to_db(db_to_linear(x)) == pytest.approx(x, abs=1e-12)
+from uavcov.units import db_to_linear, dbm_to_watt
 
 
 def test_known_values():
@@ -16,15 +9,3 @@ def test_known_values():
     assert db_to_linear(12.0) == pytest.approx(10.0 ** 1.2, rel=0)
     assert dbm_to_watt(0.0) == pytest.approx(1e-3, rel=1e-15)
     assert dbm_to_watt(-124.0) == pytest.approx(10.0 ** (-15.4), rel=1e-12)
-    assert watt_to_dbm(0.1) == pytest.approx(20.0, abs=1e-12)
-
-
-def test_zero_maps_to_minus_inf():
-    assert linear_to_db(0.0) == -math.inf
-
-
-def test_negative_rejected():
-    with pytest.raises(ValueError):
-        linear_to_db(-1.0)
-    with pytest.raises(ValueError):
-        watt_to_dbm(-0.5)

@@ -222,12 +222,12 @@ def build_link_table(
     in degrees to linear power gains (a :class:`~uavcov.antenna.UlaPattern`
     works).
     """
-    ids, xs, ys, bands = layout.columns
-    r_h, d3, theta = link_geometry(uav_xyz, xs, ys, gbs_height)
+    r_h, d3, theta = link_geometry(uav_xyz, layout.x, layout.y, gbs_height)
     h_los, h_nlos, p_los = channel.evaluate(theta, d3)
     combined = uav_antenna.gain_at(r_h, uav_xyz[2], gbs_height) * gbs_pattern(theta)
     c_los = combined * h_los
-    order = np.lexsort((ids, -c_los))
+    # a site's id is its index, so a stable sort breaks ties by id
+    order = np.argsort(-c_los, kind="stable")
     return LinkTable(
-        ids[order], bands[order], c_los[order], (combined * h_nlos)[order], p_los[order]
+        order, layout.band[order], c_los[order], (combined * h_nlos)[order], p_los[order]
     )

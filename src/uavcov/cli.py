@@ -88,9 +88,9 @@ def cmd_layout(cfg: ScenarioConfig, args) -> int:
     layout = cfg.build_layout()
     path = _out_path(args, "layout.csv")
     write_layout_csv(layout, path, comment=f"config_sha256={cfg.config_hash}")
-    bands = layout.bands()
-    counts = {b: int(np.sum(bands == b)) for b in sorted(set(bands.tolist()))}
-    print(f"wrote {path}: {len(layout.sites)} sites, band sizes {counts}")
+    bands, sizes = np.unique(layout.band, return_counts=True)
+    counts = dict(zip(bands.tolist(), sizes.tolist()))
+    print(f"wrote {path}: {len(layout)} sites, band sizes {counts}")
     return EXIT_OK
 
 

@@ -173,10 +173,13 @@ class ScenarioConfig:
 def _layout(resolved) -> NetworkLayout:
     num = partial(_number, resolved, "layout")
     spacing, radius, reuse = num("inter_site_distance_m"), num("radius_m"), num("reuse_factor", int)
+    # the spacing also sizes the sampling region, whichever branch is taken
+    if spacing <= 0:
+        raise ConfigError(f"[layout] inter_site_distance_m must be positive, got {spacing}")
     sites_csv = resolved["layout"]["sites_csv"].strip()
     if not sites_csv:
         return build_hex_layout(spacing, radius, reuse)
-    layout = read_layout_csv(sites_csv, spacing)
+    layout = read_layout_csv(sites_csv)
     if len(layout) == 0:
         raise ConfigError(f"[layout] sites_csv {sites_csv} lists no sites")
     return layout
@@ -323,6 +326,10 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         raise ConfigError("[sampling] altitude_max_m must exceed altitude_min_m")
     if uav_altitude <= gbs_height:
         raise ConfigError(f"[uav] altitude_m must exceed the GBS antenna height {gbs_height}")
+    if altitude_min <= gbs_height:
+        raise ConfigError(
+            f"[sampling] altitude_min_m must exceed the GBS antenna height {gbs_height}"
+        )
     # the model constructors hold the range checks of their parameters
     models = {}
     for section, build in _MODELS.items():

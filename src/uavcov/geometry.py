@@ -1,10 +1,12 @@
 """Hexagonal ground-base-station layouts and UAV link geometry.
 
-The network is a hexagonal grid of ground base stations (GBSs) with
-inter-site distance ``D``: sites live on the lattice ``a*v1 + b*v2`` with
-``v1 = (D, 0)`` and ``v2 = (D/2, D*sqrt(3)/2)``, and every lattice point
-within a cutoff radius of the origin is kept.  Site 0 sits at the origin
-and one first-tier neighbour lies on the positive x axis.
+A layout is three read-only columns, ``x``, ``y`` (metres) and ``band``;
+a site's id is its index.  The network is a hexagonal grid of ground
+base stations (GBSs) with inter-site distance ``D``: sites live on the
+lattice ``a*v1 + b*v2`` with ``v1 = (D, 0)`` and
+``v2 = (D/2, D*sqrt(3)/2)``, and every lattice point within a cutoff
+radius of the origin is kept.  Site 0 sits at the origin and one
+first-tier neighbour lies on the positive x axis.
 
 Frequency bands are assigned by sublattice colouring: for a reuse factor
 ``F`` in {1, 3, 4, 7} the co-channel sites of any site form a scaled and
@@ -18,12 +20,9 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
-
-SUPPORTED_REUSE_FACTORS = (1, 3, 4, 7)
 
 # Axial generator (i, j) of the co-channel sublattice for each reuse factor;
 # the second generator is its 60-degree rotation (-j, i+j).  The sublattice
@@ -31,43 +30,38 @@ SUPPORTED_REUSE_FACTORS = (1, 3, 4, 7)
 _REUSE_GENERATOR = {1: (1, 0), 3: (1, 1), 4: (2, 0), 7: (2, 1)}
 
 
-class GbsSite(NamedTuple):
-    gbs_id: int
-    x: float
-    y: float
-    band: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkLayout:
-    """Immutable set of GBS sites plus the grid parameters that built it."""
+    """GBS sites as read-only 1-D columns: site n is at (``x[n]``,
+    ``y[n]``) on band ``band[n]``, and its id is n.
 
-    sites: tuple[GbsSite, ...]
-    inter_site_distance: float
-    radius: float
-    reuse_factor: int
+    The constructor is where a layout is checked: equal-length 1-D
+    columns, finite coordinates and integer bands.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    band: np.ndarray
+
+    def __post_init__(self) -> None:
+        band = np.asarray(self.band)
+        if band.dtype.kind not in "iu":
+            raise ValueError(f"site bands must be integers, got dtype {band.dtype}")
+        columns = {"x": np.array(self.x, dtype=float), "y": np.array(self.y, dtype=float),
+                   "band": band.astype(np.intp)}
+        for name, col in columns.items():
+            if col.ndim != 1:
+                raise ValueError(f"layout column {name} must be 1-D, got shape {col.shape}")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if not len(self.x) == len(self.y) == len(self.band):
+            raise ValueError("layout columns must have equal length")
+        bad = ~(np.isfinite(self.x) & np.isfinite(self.y))
+        if bad.any():
+            raise ValueError(f"site {np.argmax(bad)} has a non-finite coordinate")
 
     def __len__(self) -> int:
-        return len(self.sites)
-
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The sites as read-only (gbs_id, x, y, band) arrays, built once."""
-        cols = tuple(np.array([site[k] for site in self.sites]) for k in range(4))
-        for col in cols:
-            col.flags.writeable = False
-        return cols
-
-    def bands(self) -> np.ndarray:
-        return self.columns[3]
-
-
-def _band_key(a: int, b: int, reuse_factor: int) -> tuple[int, int]:
-    """Coset label of axial lattice point (a, b) modulo the co-channel
-    sublattice.  Two sites share a band iff their labels match."""
-    i, j = _REUSE_GENERATOR[reuse_factor]
-    f = reuse_factor
-    return (((i + j) * a + j * b) % f, (-j * a + i * b) % f)
+        return len(self.x)
 
 
 def build_hex_layout(
@@ -80,15 +74,16 @@ def build_hex_layout(
 
     Sites are numbered by increasing distance from the origin, ties broken
     by angle from the positive x axis, so id 0 is always the origin site.
-    Band 0 is the band of the origin site.
+    Bands number the cosets of the co-channel sublattice in the order of
+    their labels, so band 0 is the band of the origin site.
     """
     if inter_site_distance <= 0:
         raise ValueError(f"inter-site distance must be positive, got {inter_site_distance}")
     if radius < 0:
         raise ValueError(f"layout radius must be non-negative, got {radius}")
-    if reuse_factor not in SUPPORTED_REUSE_FACTORS:
+    if reuse_factor not in _REUSE_GENERATOR:
         raise ValueError(
-            f"reuse factor must be one of {SUPPORTED_REUSE_FACTORS}, got {reuse_factor}"
+            f"reuse factor must be one of {tuple(_REUSE_GENERATOR)}, got {reuse_factor}"
         )
 
     d = inter_site_distance
@@ -96,46 +91,24 @@ def build_hex_layout(
     # axial bounding box and filter by the exact integer norm.
     k_max = int(math.floor((radius / d) ** 2 * (1.0 + 1e-12)))
     n_max = int(math.ceil(radius / d * 2.0 / math.sqrt(3.0))) + 1
-    entries = []
-    for a in range(-n_max, n_max + 1):
-        for b in range(-n_max, n_max + 1):
-            k = a * a + a * b + b * b
-            if k > k_max:
-                continue
-            x = d * (a + 0.5 * b)
-            y = d * (0.5 * math.sqrt(3.0) * b)
-            angle = math.atan2(y, x) % (2.0 * math.pi)
-            entries.append((k, angle, a, b, x, y))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    axis = np.arange(-n_max, n_max + 1)
+    a, b = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    k = a * a + a * b + b * b
+    keep = k <= k_max
+    a, b, k = a[keep], b[keep], k[keep]
+    x = d * (a + 0.5 * b)
+    y = d * (0.5 * math.sqrt(3.0) * b)
+    order = np.lexsort((np.arctan2(y, x) % (2.0 * math.pi), k))
+    a, b = a[order], b[order]
 
-    keys = sorted({_band_key(a, b, reuse_factor) for (_, _, a, b, _, _) in entries})
-    band_index = {key: n for n, key in enumerate(keys)}
-    sites = tuple(
-        GbsSite(n, x, y, band_index[_band_key(a, b, reuse_factor)])
-        for n, (_, _, a, b, x, y) in enumerate(entries)
-    )
-    return NetworkLayout(sites, d, radius, reuse_factor)
-
-
-def layout_from_sites(
-    sites: Sequence[tuple[int, float, float, int]],
-    inter_site_distance: float,
-    reuse_factor: int = 0,
-) -> NetworkLayout:
-    """Build a layout from an explicit (id, x, y, band) list.
-
-    Ids must be 0..n-1 after sorting; the inter-site distance is still
-    needed because it defines the reference cell used by sampling regions.
-    A ``reuse_factor`` of 0 marks the banding as user-supplied.
-    """
-    ordered = sorted(sites, key=lambda s: s[0])
-    if [s[0] for s in ordered] != list(range(len(ordered))):
-        raise ValueError("site ids must be consecutive integers starting at 0")
-    if inter_site_distance <= 0:
-        raise ValueError(f"inter-site distance must be positive, got {inter_site_distance}")
-    built = tuple(GbsSite(int(i), float(x), float(y), int(band)) for i, x, y, band in ordered)
-    radius = max((math.hypot(s.x, s.y) for s in built), default=0.0)
-    return NetworkLayout(built, inter_site_distance, radius, reuse_factor)
+    # coset label of (a, b) modulo the co-channel sublattice: two sites
+    # share a band iff their labels match
+    i, j = _REUSE_GENERATOR[reuse_factor]
+    f = reuse_factor
+    keys = np.column_stack((((i + j) * a + j * b) % f, (-j * a + i * b) % f))
+    # the inverse's shape differs between numpy 2.x releases
+    _, band = np.unique(keys, axis=0, return_inverse=True)
+    return NetworkLayout(x[order], y[order], band.reshape(-1))
 
 
 def link_geometry(
@@ -246,14 +219,18 @@ def write_layout_csv(layout: NetworkLayout, path, comment: str | None = None) ->
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(LAYOUT_CSV_HEADER)
-        for s in layout.sites:
-            # repr round-trips exactly, so a written layout can feed
-            # sites_csv without moving any site
-            writer.writerow([s.gbs_id, repr(s.x), repr(s.y), s.band])
+        columns = zip(layout.x.tolist(), layout.y.tolist(), layout.band.tolist())
+        for gbs_id, (x, y, band) in enumerate(columns):
+            # repr of a Python float round-trips exactly, so a written
+            # layout can feed sites_csv without moving any site
+            writer.writerow([gbs_id, repr(x), repr(y), band])
 
 
-def read_layout_csv(path, inter_site_distance: float) -> NetworkLayout:
-    """Load an explicit site list written by :func:`write_layout_csv`."""
+def read_layout_csv(path) -> NetworkLayout:
+    """Load an explicit site list written by :func:`write_layout_csv`.
+
+    Rows may come in any order; their ids must be 0..n-1.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
@@ -266,4 +243,11 @@ def read_layout_csv(path, inter_site_distance: float) -> NetworkLayout:
             if len(row) != 4:
                 raise ValueError(f"malformed layout row in {path}: {row}")
             rows.append((int(row[0]), float(row[1]), float(row[2]), int(row[3])))
-    return layout_from_sites(rows, inter_site_distance)
+    rows.sort(key=lambda row: row[0])
+    if [row[0] for row in rows] != list(range(len(rows))):
+        raise ValueError("site ids must be consecutive integers starting at 0")
+    return NetworkLayout(
+        np.array([row[1] for row in rows], dtype=float),
+        np.array([row[2] for row in rows], dtype=float),
+        np.array([row[3] for row in rows], dtype=np.intp),
+    )

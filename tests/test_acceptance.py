@@ -87,8 +87,8 @@ def random_table(rng, n_rows):
 
 def test_hex_layout_site_and_interferer_counts():
     layout = build_hex_layout(INTER_SITE, 3.0 * INTER_SITE, 3)
-    n_sites = len(layout.sites)
-    bands = layout.bands()
+    n_sites = len(layout)
+    bands = layout.band
     n_interferers = int(np.sum(bands == bands[1])) - 1     # site 1's band, minus itself
     ok = n_sites == 37 and n_interferers == 11
     report(

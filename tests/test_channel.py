@@ -195,8 +195,7 @@ def test_gain_consistency_with_manual_evaluation():
     for gbs_id, c_los, c_nlos, p_los in zip(
         table.gbs_id.tolist(), table.c_los.tolist(), table.c_nlos.tolist(), table.p_los.tolist()
     ):
-        site = layout.sites[gbs_id]
-        dh = math.hypot(120.0 - site.x, -40.0 - site.y)
+        dh = math.hypot(120.0 - layout.x[gbs_id], -40.0 - layout.y[gbs_id])
         d3 = math.hypot(dh, 70.0)
         theta = math.degrees(math.asin(70.0 / d3))
         h_los, h_nlos, p = m.evaluate(theta, d3)

@@ -85,10 +85,18 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ("uplink-map", "[radio]\ncarrier_hz = 0\n"),
     ("uplink-map", "[loading]\nomega_site_999 = 0.5\n"),   # default layout: ids 0..366
     ("uplink-map", "[layout]\nsites_csv = {tmp}/sites/empty.csv\n"),   # header, no sites
+    ("uplink-map", "[layout]\nsites_csv = {tmp}/sites/nan.csv\n"),
+    ("uplink-map", "[layout]\nsites_csv = {tmp}/sites/inf.csv\n"),
+    # the spacing sizes the sampling region even where the sites come from a file
+    ("uplink-map", "[layout]\nsites_csv = {tmp}/sites/three.csv\ninter_site_distance_m = 0\n"),
+    ("coverage-curve", "[sampling]\naltitude_min_m = 10\n"),   # below the GBS antennas
 ])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     (tmp_path / "sites").mkdir()
-    (tmp_path / "sites" / "empty.csv").write_text("id,x_m,y_m,band\n")
+    header = "id,x_m,y_m,band\n"
+    for name, x in (("empty", None), ("nan", "nan"), ("inf", "inf"), ("three", "1000.0")):
+        rows = "" if x is None else f"0,0.0,0.0,0\n1,500.0,0.0,1\n2,{x},0.0,2\n"
+        (tmp_path / "sites" / f"{name}.csv").write_text(header + rows)
     cfg_path = write_cfg(tmp_path, body.format(tmp=tmp_path))
     assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -25,9 +25,9 @@ def write_ini(tmp_path, body):
 def test_defaults():
     cfg = load_config()
     assert cfg.inter_site_distance == 500.0
-    assert cfg.build_layout().radius == 5000.0
+    assert len(cfg.build_layout()) == 367          # radius 5000 m
     assert cfg.gbs_height == 20.0
-    assert cfg.build_layout().reuse_factor == 3
+    assert len(set(cfg.build_layout().band.tolist())) == 3     # reuse factor 3
     assert cfg.build_gbs_pattern().element_count == 10
     assert cfg.build_gbs_pattern().tilt_deg == -10.0
     assert cfg.build_uav_antenna().beamwidth_deg == 90.0
@@ -66,7 +66,7 @@ omega_site_11 = 0.1
 resolution = 2
 """)
     cfg = load_config(path)
-    assert cfg.build_layout().radius == 1500.0
+    assert len(cfg.build_layout()) == 37           # radius 1500 m
     omega = cfg.loading
     assert omega.shape == (37,)
     assert (omega[2], omega[11]) == (0.9, 0.1)
@@ -158,7 +158,7 @@ def test_non_finite_numbers_are_config_errors(entry, raw):
 def test_builders(tmp_path):
     cfg = load_config(write_ini(tmp_path, "[layout]\nradius_m = 1500\n"))
     layout = cfg.build_layout()
-    assert len(layout.sites) == 37
+    assert len(layout) == 37
     pattern = cfg.build_gbs_pattern()
     assert pattern.element_count == 10
     assert pattern.tilt_deg == -10.0
@@ -179,8 +179,8 @@ def test_layout_from_csv(tmp_path):
         tmp_path, f"[layout]\nsites_csv = {csv_path}\n"
     ))
     loaded = cfg.build_layout()
-    assert loaded.sites == layout.sites
-    assert loaded.reuse_factor == 0       # not recorded in the CSV: unknown
+    for name in ("x", "y", "band"):
+        assert np.array_equal(getattr(loaded, name), getattr(layout, name))
 
 
 def test_model_objects_are_built_once(tmp_path):

@@ -4,6 +4,8 @@ The lattice and band oracles here are independent re-derivations: sites
 are counted by scanning a generous axial bounding box with plain
 Euclidean distance checks, and band structure is verified through
 pairwise distances rather than the coset arithmetic used internally.
+``loop_layout`` is the exception: a site-by-site construction that the
+array code must match exactly, order, coordinates and bands.
 """
 
 import math
@@ -15,8 +17,8 @@ from uavcov.geometry import (
     RegionKind,
     SamplingRegion,
     build_hex_layout,
+    NetworkLayout,
     hexagon_corners,
-    layout_from_sites,
     link_geometry,
     read_layout_csv,
     sample_region,
@@ -42,41 +44,41 @@ def brute_force_positions(d, radius):
 @pytest.mark.parametrize("radius,expected", [(0.0, 1), (500.0, 7), (1500.0, 37)])
 def test_site_counts(radius, expected):
     layout = build_hex_layout(D, radius, 3)
-    assert len(layout.sites) == expected
+    assert len(layout) == expected
     assert len(brute_force_positions(D, radius)) == expected
 
 
 def test_positions_match_brute_force():
     for radius in (0.0, 700.0, 1500.0, 3100.0, 5000.0):
         layout = build_hex_layout(D, radius, 3)
-        got = sorted((round(s.x, 6), round(s.y, 6)) for s in layout.sites)
+        got = sorted(zip(np.round(layout.x, 6).tolist(), np.round(layout.y, 6).tolist()))
         want = sorted((round(x, 6), round(y, 6)) for x, y in brute_force_positions(D, radius))
         assert got == want
 
 
 def test_ordering_origin_first():
     layout = build_hex_layout(D, 1500.0, 3)
-    assert (layout.sites[0].x, layout.sites[0].y) == (0.0, 0.0)
-    dists = [math.hypot(s.x, s.y) for s in layout.sites]
+    assert (layout.x[0], layout.y[0]) == (0.0, 0.0)
+    dists = np.hypot(layout.x, layout.y).tolist()
     assert dists == sorted(dists)
     # id 1 is the first-tier site on the +x axis
-    assert layout.sites[1].x == pytest.approx(D)
-    assert layout.sites[1].y == pytest.approx(0.0, abs=1e-9)
+    assert layout.x[1] == pytest.approx(D)
+    assert layout.y[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_band_partition_and_sizes():
     layout = build_hex_layout(D, 1500.0, 3)
-    bands = layout.bands()
+    bands = layout.band
     sizes = sorted(int(np.sum(bands == b)) for b in set(bands.tolist()))
     assert sizes == [12, 12, 13]
-    assert layout.sites[0].band == 0
+    assert bands[0] == 0
     assert sorted(set(bands.tolist())) == [0, 1, 2]
-    assert [s.gbs_id for s in layout.sites] == list(range(37))
+    assert len(layout) == 37
 
 
 def test_co_channel_interferer_count():
     layout = build_hex_layout(D, 1500.0, 3)
-    bands = layout.bands()
+    bands = layout.band
     assert int(np.sum(bands == bands[1])) - 1 == 11      # site 1's band, minus itself
 
 
@@ -85,18 +87,50 @@ def test_reuse_distance(reuse, min_ratio):
     """Same-band sites are at least sqrt(F) inter-site distances apart,
     and that minimum is attained."""
     layout = build_hex_layout(D, 2500.0, reuse)
+    sites = list(zip(layout.x.tolist(), layout.y.tolist(), layout.band.tolist()))
     best = math.inf
-    for s in layout.sites:
-        for t in layout.sites:
-            if s.gbs_id < t.gbs_id and s.band == t.band:
-                best = min(best, math.hypot(s.x - t.x, s.y - t.y))
+    for n, (x, y, band) in enumerate(sites):
+        for u, v, other in sites[n + 1:]:
+            if band == other:
+                best = min(best, math.hypot(x - u, y - v))
     assert best == pytest.approx(min_ratio * D, rel=1e-9)
 
 
 def test_band_count_matches_reuse_factor():
     for reuse in (1, 3, 4, 7):
         layout = build_hex_layout(D, 2500.0, reuse)
-        assert len(set(layout.bands().tolist())) == reuse
+        assert len(set(layout.band.tolist())) == reuse
+
+
+def loop_layout(d, radius, reuse):
+    """Site-by-site reference for build_hex_layout: sort every axial point
+    within radius by (norm, angle), and number the coset labels of the
+    co-channel sublattice in sorted order."""
+    i, j = {1: (1, 0), 3: (1, 1), 4: (2, 0), 7: (2, 1)}[reuse]
+    k_max = int(math.floor((radius / d) ** 2 * (1.0 + 1e-12)))
+    n = int(math.ceil(radius / d * 2.0 / math.sqrt(3.0))) + 1
+    entries = []
+    for a in range(-n, n + 1):
+        for b in range(-n, n + 1):
+            if a * a + a * b + b * b <= k_max:
+                x, y = d * (a + 0.5 * b), d * (0.5 * math.sqrt(3.0) * b)
+                angle = math.atan2(y, x) % (2.0 * math.pi)
+                label = (((i + j) * a + j * b) % reuse, (-j * a + i * b) % reuse)
+                entries.append((a * a + a * b + b * b, angle, x, y, label))
+    entries.sort(key=lambda e: e[:2])
+    labels = sorted({e[4] for e in entries})
+    return ([e[2] for e in entries], [e[3] for e in entries],
+            [labels.index(e[4]) for e in entries])
+
+
+@pytest.mark.parametrize("reuse", [1, 3, 4, 7])
+def test_layout_matches_site_by_site_reference(reuse):
+    for d in (300.0, 500.0, 1000.0 / 3.0):
+        for radius in (0.0, 400.0, 1500.0, 2600.0, 5000.0):
+            layout = build_hex_layout(d, radius, reuse)
+            x, y, band = loop_layout(d, radius, reuse)
+            assert layout.x.tolist() == x and layout.y.tolist() == y
+            assert layout.band.tolist() == band
 
 
 def test_invalid_layout_args():
@@ -199,22 +233,50 @@ def test_layout_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# config_sha256=deadbeef\n")
     assert text.splitlines()[1] == "id,x_m,y_m,band"
-    again = read_layout_csv(path, D)
-    assert len(again.sites) == 37
-    assert again.reuse_factor == 0
-    for s, t in zip(layout.sites, again.sites):
-        assert (s.gbs_id, s.band) == (t.gbs_id, t.band)
-        assert s.x == pytest.approx(t.x, abs=1e-6)
-        assert s.y == pytest.approx(t.y, abs=1e-6)
+    again = read_layout_csv(path)
+    assert len(again) == 37
+    for name in ("x", "y", "band"):
+        assert np.array_equal(getattr(again, name), getattr(layout, name))
 
 
 def test_layout_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,x,y,band\n0,0,0,0\n")
     with pytest.raises(ValueError):
-        read_layout_csv(path, D)
+        read_layout_csv(path)
 
 
-def test_layout_from_sites_requires_consecutive_ids():
+def test_layout_csv_requires_consecutive_ids(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("id,x_m,y_m,band\n0,0.0,0.0,0\n2,500.0,0.0,1\n")
+    with pytest.raises(ValueError, match="consecutive"):
+        read_layout_csv(path)
+
+
+def test_layout_csv_rows_in_any_id_order(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("id,x_m,y_m,band\n1,500.0,0.0,1\n0,0.0,0.0,0\n")
+    layout = read_layout_csv(path)
+    assert layout.x.tolist() == [0.0, 500.0]
+    assert layout.band.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("x, y, band, match", [
+    ([0.0, math.nan], [0.0, 0.0], [0, 1], "site 1 has a non-finite"),
+    ([0.0, 1.0], [-math.inf, 0.0], [0, 1], "site 0 has a non-finite"),
+    ([0.0, 1.0], [0.0, 0.0], [0.0, 1.0], "integers"),
+    ([0.0, 1.0], [0.0], [0, 1], "equal length"),
+    ([[0.0, 1.0]], [[0.0, 1.0]], [[0, 1]], "1-D"),
+])
+def test_layout_constructor_rejects(x, y, band, match):
+    with pytest.raises(ValueError, match=match):
+        NetworkLayout(np.array(x), np.array(y), np.array(band))
+
+
+def test_layout_columns_are_read_only_copies():
+    x = np.array([0.0, 500.0])
+    layout = NetworkLayout(x, np.zeros(2), np.array([0, 1]))
+    x[0] = 1.0
+    assert layout.x[0] == 0.0
     with pytest.raises(ValueError):
-        layout_from_sites([(0, 0.0, 0.0, 0), (2, 500.0, 0.0, 1)], D)
+        layout.band[0] = 2

@@ -22,6 +22,7 @@ import numpy as np
 from .channel import build_link_table
 from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import (
+    DownlinkSnrCdf,
     LinkDirection,
     association_pmf,
     conditional_interference_spec,
@@ -32,14 +33,14 @@ from .coverage import (
 )
 from .geometry import write_layout_csv
 from .gpm import (
+    SteppedCdf,
     displacement_bound,
     enumerate_cdf,
+    envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
     la_cdf,
     mc_cdf,
-    quantization_adjusted_distance,
-    write_cdf_csv,
 )
 from .oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
 from .units import db_to_linear
@@ -188,20 +189,17 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
           f"P={_fmt(event.probability)}, {len(spec)} co-channel GBSs, "
           f"interference mean={_fmt(spec.mean())}")
 
-    comment = f"config_sha256={cfg.config_hash}"
-    lattice, la = la_cdf(spec, cfg.lattice_target_c0)
+    _, la = la_cdf(spec, cfg.lattice_target_c0)
     for method in methods:
         path = _out_path(args, f"interference_cdf_{method}.csv")
-        if method == "la":
-            write_cdf_csv(la, path, comment=comment)
-        elif method == "enum":
-            write_cdf_csv(enumerate_cdf(spec), path, comment=comment)
-        elif method == "mc":
-            write_cdf_csv(mc_cdf(spec, args.samples, args.seed), path, comment=comment)
-        else:
+        if method == "ga":
             ga = gaussian_cdf(spec)
             rows = [(float(x), float(ga(x))) for x in la.xs]
-            _write_csv(path, ("x", "cdf"), rows, cfg)
+        else:
+            cdf = (la if method == "la" else enumerate_cdf(spec) if method == "enum"
+                   else mc_cdf(spec, args.samples, args.seed))
+            rows = zip(cdf.xs, cdf.cum)
+        _write_csv(path, ("x", "cdf"), rows, cfg)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -226,13 +224,22 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         return EXIT_OK if ok else EXIT_FAIL
 
     if mode == "downlink-vs-joint-enum":
+        # The exact law lies between the mixtures at alpha0 -/+ the largest
+        # term slack (widened by 1e-9 relative for float noise); the plain
+        # sup distance reads whole atoms even for an exact mixture.
         table = _configured_table(cfg)
         approx = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, c0=cfg.lattice_target_c0)
         oracle = downlink_cdf_enumeration(table, cfg.loading, cfg.alpha0)
-        dist = kolmogorov_distance(oracle, approx)
-        ok = dist <= tolerance
-        print(f"{'PASS' if ok else 'FAIL'} downlink-vs-joint-enum: "
-              f"Kolmogorov distance={dist:.3e} tolerance={tolerance:.3e}")
+        s = max(t.slack for t in approx.terms) * (1.0 + 1e-9)
+        excess = envelope_excess(
+            oracle,
+            DownlinkSnrCdf(approx.terms, cfg.alpha0 - s),
+            DownlinkSnrCdf(approx.terms, cfg.alpha0 + s),
+        )
+        ok = excess <= tolerance
+        print(f"{'PASS' if ok else 'FAIL'} downlink-vs-joint-enum: excess over the "
+              f"alpha0 -/+ M/(2 beta) envelope={excess:.3e} tolerance={tolerance:.3e}; "
+              f"plain Kolmogorov distance={kolmogorov_distance(oracle, approx):.3e}")
         return EXIT_OK if ok else EXIT_FAIL
 
     # The remaining modes compare interference-cdf approximations on the
@@ -241,12 +248,14 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     print(f"conditioning on event {args.event}: serving GBS {event.serving_id}, "
           f"{len(spec)} co-channel GBSs")
     _, la = la_cdf(spec, cfg.lattice_target_c0)
+    # The lattice moves each atom by at most M / (2 beta) and promises no
+    # more, so the oracle is held to the lattice cdf moved that far either
+    # way (widened by 1e-9 relative for float noise); the plain sup distance
+    # reads the mass of any displaced atom and is printed for information.
+    s = displacement_bound(spec, cfg.lattice_target_c0) * (1.0 + 1e-9)
+    lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
 
     if mode in ("la-vs-enum", "la-vs-mc"):
-        # The lattice moves each atom by at most M / (2 beta) and promises
-        # no more, so the check allows that displacement (widened by 1e-9
-        # relative for float noise); the plain sup distance reads the mass
-        # of any displaced atom and is printed for information only.
         if mode == "la-vs-enum":
             oracle, run = enumerate_cdf(spec), ""
         elif args.seed is None:
@@ -254,8 +263,7 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         else:
             oracle = mc_cdf(spec, args.samples, args.seed)
             run = f" (n={args.samples}, seed={args.seed})"
-        slack = displacement_bound(spec, cfg.lattice_target_c0) * (1.0 + 1e-9)
-        dist = quantization_adjusted_distance(la, oracle, slack)
+        dist = envelope_excess(oracle, lo, hi)
         ok = dist <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} {mode}: distance beyond the M/(2 beta) "
               f"displacement={dist:.3e} tolerance={tolerance:.3e}{run}; "
@@ -266,8 +274,7 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     # approximation; the lattice law is measured as in la-vs-enum.
     oracle = enumerate_cdf(spec)
     ga_dist = kolmogorov_distance(oracle, gaussian_cdf(spec))
-    slack = displacement_bound(spec, cfg.lattice_target_c0) * (1.0 + 1e-9)
-    la_dist = quantization_adjusted_distance(la, oracle, slack)
+    la_dist = envelope_excess(oracle, lo, hi)
     ok = la_dist < ga_dist
     print(f"{'PASS' if ok else 'FAIL'} ga-vs-enum: LA distance beyond the M/(2 beta) "
           f"displacement={la_dist:.3e} < GA distance={ga_dist:.3e} is the pass rule; "
@@ -317,9 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="INI config file (defaults used if absent)")
     common.add_argument("--out", default=".", help="output directory for CSVs")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="parallel worker processes")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (required for MC)")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--workers", type=_positive_int, default=1,
+                      help="parallel worker processes")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (required for MC)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -327,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_layout)
 
     for name, func in (("uplink-map", cmd_uplink_map), ("downlink-map", cmd_downlink_map)):
-        p = sub.add_parser(name, parents=[common], help=f"{name.split('-')[0]} non-outage raster")
+        p = sub.add_parser(name, parents=[common, pool],
+                           help=f"{name.split('-')[0]} non-outage raster")
         p.add_argument("--altitude", type=_finite_float, default=None, help="UAV altitude in m")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("coverage-curve", parents=[common], help="coverage vs altitude or threshold")
+    p = sub.add_parser("coverage-curve", parents=[common, pool],
+                       help="coverage vs altitude or threshold")
     p.add_argument("--link", choices=("uplink", "downlink"), default="uplink")
     p.add_argument("--sweep", choices=("altitude", "threshold"), default="altitude")
     p.add_argument("--altitude", type=_finite_float, default=None,
@@ -341,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_positive_int, default=10, help="threshold sweep length")
     p.set_defaults(func=cmd_coverage_curve)
 
-    p = sub.add_parser("interference-cdf", parents=[common],
+    p = sub.add_parser("interference-cdf", parents=[common, seeded],
                        help="conditional interference cdf at the configured UAV position")
     p.add_argument("--event", type=int, default=0, help="association event index")
     p.add_argument("--methods", default="la", help="comma list from la,enum,mc,ga")
     p.add_argument("--samples", type=_positive_int, default=1_000_000, help="MC sample count")
     p.set_defaults(func=cmd_interference_cdf)
 
-    p = sub.add_parser("validate", parents=[common], help="cross-check against oracles")
+    p = sub.add_parser("validate", parents=[common, seeded], help="cross-check against oracles")
     p.add_argument("--mode", choices=VALIDATE_MODES, required=True)
     p.add_argument("--event", type=int, default=0, help="association event index")
     p.add_argument("--samples", type=_positive_int, default=1_000_000, help="MC sample count")

@@ -42,7 +42,7 @@ import numpy as np
 from .channel import LinkTable, build_link_table
 from .config import ScenarioConfig
 from .geometry import sample_region
-from .gpm import GpmSpec, SteppedCdf, la_cdf
+from .gpm import GpmSpec, SteppedCdf, displacement_bound, la_cdf
 
 PROB_SUM_TOL = 1e-9
 
@@ -193,6 +193,7 @@ class DownlinkEventTerm:
     probability: float
     gain: float
     interference: SteppedCdf | None  # None when the event carries no gain
+    slack: float  # displacement_bound of the event's spec, 0.0 without one
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +201,9 @@ class DownlinkSnrCdf:
     """Mixture cdf of the downlink SNR over association events.
 
     Evaluation is exact given each event's interference cdf:
-    P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}.
+    P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}.  With s the
+    largest term ``slack``, the exact law lies between the mixtures at
+    alpha0 - s and alpha0 + s.
     """
 
     terms: tuple[DownlinkEventTerm, ...]
@@ -264,10 +267,12 @@ def downlink_snr_cdf(
     terms = []
     for event in association_pmf(table, eps):
         if event.serving_id is None or event.gain == 0.0:
-            terms.append(DownlinkEventTerm(event.probability, 0.0, None))
+            terms.append(DownlinkEventTerm(event.probability, 0.0, None, 0.0))
             continue
-        _, cdf = la_cdf(conditional_interference_spec(event, table, omega), c0)
-        terms.append(DownlinkEventTerm(event.probability, event.gain, cdf))
+        spec = conditional_interference_spec(event, table, omega)
+        _, cdf = la_cdf(spec, c0)
+        slack = displacement_bound(spec, c0)
+        terms.append(DownlinkEventTerm(event.probability, event.gain, cdf, slack))
     return DownlinkSnrCdf(tuple(terms), alpha0)
 
 

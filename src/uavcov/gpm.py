@@ -28,13 +28,18 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     and ``gaussian_cdf`` (moment-matched normal truncated to x >= 0)
     serve as accuracy baselines.
 
+  * ``envelope_excess`` is the one accuracy check: how far an oracle cdf
+    leaves an envelope [lo, hi].  Lattice laws are held to their own cdf
+    moved by the displacement M / (2 beta) either way
+    (``displacement_bound``); ``kolmogorov_distance`` is the envelope of
+    zero width, the plain sup distance.
+
 Cumulative distributions follow the F(x) = P{X <= x} convention
 throughout; ``SteppedCdf.eval_left`` gives the open variant P{X < x}.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -456,55 +461,30 @@ def gaussian_cdf(spec: GpmSpec) -> GaussianCdf:
     return GaussianCdf(spec.mean(), math.sqrt(spec.variance()))
 
 
+def envelope_excess(oracle: SteppedCdf, lo, hi) -> float:
+    """Largest amount by which the stepped ``oracle`` cdf leaves [lo, hi]:
+    the smallest eps >= 0 with lo - eps <= F_oracle <= hi + eps.
+
+    ``lo`` and ``hi`` are stepped or other callable cdfs.  Each jump x of
+    the oracle is probed from both sides: F_oracle(x) against ``lo(x)``
+    and ``hi(x)``, F_oracle(x-) against their ``eval_left(x)`` where they
+    have one (``SteppedCdf``, ``DownlinkSnrCdf``), else their value at x,
+    which is the left limit only where they are continuous.  F_oracle is
+    constant between its jumps, so these probes realise the supremum for
+    non-decreasing right-continuous ``lo`` and ``hi``.
+    """
+    x = oracle.xs
+    f, f_left = oracle.eval(x), oracle.eval_left(x)
+    lo_left = getattr(lo, "eval_left", lo)
+    hi_left = getattr(hi, "eval_left", hi)
+    return float(max(
+        np.max(lo(x) - f), np.max(f - hi(x)),
+        np.max(lo_left(x) - f_left), np.max(f_left - hi_left(x)),
+        0.0,
+    ))
+
+
 def kolmogorov_distance(a: SteppedCdf, b) -> float:
-    """sup |F_a - F_b|, probed from both sides of every jump of ``a``.
-
-    ``b`` may be a stepped cdf or any other callable cdf.  At each jump x
-    of ``a``, F_a(x) is compared with ``b(x)`` and F_a(x-) with ``b``'s
-    left limit: ``b.eval_left(x)`` when ``b`` has one (``SteppedCdf``,
-    ``DownlinkSnrCdf``), else ``b(x)``, which is its left limit only if
-    ``b`` is continuous there.  F_a is constant between its jumps, so
-    these probes realise the supremum for any non-decreasing
-    right-continuous ``b``.
-    """
-    fb = np.asarray(b(a.xs), dtype=float)
-    fb_left = np.asarray(getattr(b, "eval_left", b)(a.xs), dtype=float)
-    right = np.abs(a.eval(a.xs) - fb)
-    left = np.abs(a.eval_left(a.xs) - fb_left)
-    return float(max(right.max(), left.max()))
-
-
-def quantization_adjusted_distance(
-    approx: SteppedCdf, oracle: SteppedCdf, slack: float
-) -> float:
-    """Smallest eps with F_oracle(x - slack) - eps <= F_approx(x) <=
-    F_oracle(x + slack) + eps at every probe point.
-
-    This is the natural accuracy measure for lattice approximations whose
-    atoms are displaced by at most ``slack`` along the value axis: plain
-    sup-distance saturates at the mass of any displaced atom no matter how
-    small the displacement, whereas this metric reports only mass that is
-    genuinely missing or misplaced beyond ``slack``.
-    """
-    if slack < 0:
-        raise ValueError(f"slack must be non-negative, got {slack}")
-    pts = np.union1d(approx.xs, oracle.xs)
-    over = np.maximum(approx.eval(pts) - oracle.eval(pts + slack), 0.0)
-    under = np.maximum(oracle.eval(pts - slack) - approx.eval(pts), 0.0)
-    over_l = np.maximum(approx.eval_left(pts) - oracle.eval_left(pts + slack), 0.0)
-    under_l = np.maximum(oracle.eval_left(pts - slack) - approx.eval_left(pts), 0.0)
-    return float(max(over.max(), under.max(), over_l.max(), under_l.max()))
-
-
-# ---------------------------------------------------------------------------
-# Text output
-# ---------------------------------------------------------------------------
-
-def write_cdf_csv(cdf: SteppedCdf, path, comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("x", "cdf"))
-        for x, c in zip(cdf.xs, cdf.cum):
-            writer.writerow([f"{x:.12g}", f"{c:.12g}"])
+    """sup |F_a - F_b| for a stepped ``a`` and a stepped or callable ``b``:
+    ``a``'s excess over the envelope [b, b]."""
+    return envelope_excess(a, b, b)

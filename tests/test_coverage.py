@@ -26,7 +26,13 @@ from uavcov.coverage import (
     downlink_snr_cdf,
     uplink_snr_pmf,
 )
-from uavcov.gpm import SteppedCdf, enumerate_cdf, kolmogorov_distance, la_cdf
+from uavcov.gpm import (
+    SteppedCdf,
+    displacement_bound,
+    enumerate_cdf,
+    kolmogorov_distance,
+    la_cdf,
+)
 
 
 def brute_force_uplink(table, beta0):
@@ -410,6 +416,22 @@ def test_downlink_zero_gain_term():
     model = downlink_snr_cdf(table, 0.5, 1.0)
     assert model.eval(1e-6) == 1.0
     assert model.outage(123.0) == 1.0
+
+
+def test_downlink_terms_carry_displacement_bound():
+    # each term's slack is M / (2 beta) of the spec its event conditions
+    rng = np.random.default_rng(3141)
+    for _ in range(20):
+        table = random_link_table(rng, int(rng.integers(1, 9)), n_bands=2)
+        model = downlink_snr_cdf(table, 0.5, 0.1, c0=500.0)
+        want = [
+            0.0 if e.serving_id is None or e.gain == 0.0
+            else displacement_bound(conditional_interference_spec(e, table, 0.5), 500.0)
+            for e in association_pmf(table)
+        ]
+        assert [t.slack for t in model.terms] == want
+    (silent,) = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0).terms
+    assert (silent.interference, silent.slack) == (None, 0.0)
 
 
 def test_outage_is_exact_at_both_ends():

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_integer_spec, random_spec
+from conftest import load_scenario, random_integer_spec, random_spec
 from uavcov import gpm
+from uavcov.cli import _write_csv
 from uavcov.coverage import DownlinkEventTerm, DownlinkSnrCdf
 from uavcov.gpm import (
     DiscreteSummand,
@@ -27,13 +28,12 @@ from uavcov.gpm import (
     cf_sample,
     displacement_bound,
     enumerate_cdf,
+    envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
     la_cdf,
     lattice_invert,
     mc_cdf,
-    quantization_adjusted_distance,
-    write_cdf_csv,
 )
 
 
@@ -431,8 +431,9 @@ def test_la_quantization_envelope():
         spec = random_spec(rng, int(rng.integers(2, 9)))
         _, la = la_cdf(spec, 1000.0)
         exact = enumerate_cdf(spec)
-        slack = displacement_bound(spec, 1000.0) * (1.0 + 1e-9)
-        assert quantization_adjusted_distance(la, exact, slack) <= 1e-9
+        s = displacement_bound(spec, 1000.0) * (1.0 + 1e-9)
+        lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
+        assert envelope_excess(exact, lo, hi) <= 1e-9
 
 
 def test_la_moment_preservation():
@@ -554,7 +555,7 @@ def test_kolmogorov_against_continuous():
 def snr_cdf_over(interference: SteppedCdf) -> DownlinkSnrCdf:
     """A stepped callable cdf: snr = 1 / (1 + I) for one sure event, which
     maps I = 0, 1, 3 to 1, 1/2, 1/4 and back without rounding."""
-    return DownlinkSnrCdf((DownlinkEventTerm(1.0, 1.0, interference),), 1.0)
+    return DownlinkSnrCdf((DownlinkEventTerm(1.0, 1.0, interference, 0.0),), 1.0)
 
 
 def test_kolmogorov_against_stepped_callable():
@@ -568,17 +569,27 @@ def test_kolmogorov_against_stepped_callable():
     assert kolmogorov_distance(a, moved) == 0.25
 
 
-def test_quantization_adjusted_bounds_plain_distance():
+def test_envelope_excess_bounds_plain_distance():
     rng = np.random.default_rng(71)
     for _ in range(10):
         a = enumerate_cdf(random_spec(rng, 3))
         b = enumerate_cdf(random_spec(rng, 3))
-        assert quantization_adjusted_distance(a, b, 0.0) == pytest.approx(
-            kolmogorov_distance(a, b)
-        )
-        assert quantization_adjusted_distance(a, b, 10.0) == 0.0
-    with pytest.raises(ValueError):
-        quantization_adjusted_distance(a, b, -1.0)
+        # oracle b against a moved by s either way; s = 0 is the plain distance
+        for s, want in ((0.0, kolmogorov_distance(a, b)), (10.0, 0.0)):
+            lo, hi = SteppedCdf(a.xs + s, a.cum), SteppedCdf(a.xs - s, a.cum)
+            assert envelope_excess(b, lo, hi) == pytest.approx(want)
+
+
+def test_envelope_excess_hand_values():
+    oracle = SteppedCdf([1.0, 2.0], [0.5, 1.0])
+    assert envelope_excess(oracle, SteppedCdf([1.5, 2.5], [0.5, 1.0]),
+                           SteppedCdf([0.5, 1.5], [0.5, 1.0])) == 0.0
+    # lo puts mass 0.5 at 0.8, before any oracle mass: read at 1.0's left limit
+    assert envelope_excess(oracle, SteppedCdf([0.8, 2.5], [0.5, 1.0]),
+                           SteppedCdf([0.5, 1.5], [0.5, 1.0])) == 0.5
+    # hi has only 0.25 by 2.0, where the oracle has all its mass
+    assert envelope_excess(oracle, SteppedCdf([1.5, 2.5], [0.25, 1.0]),
+                           SteppedCdf([0.5, 2.5], [0.25, 1.0])) == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +597,14 @@ def test_quantization_adjusted_bounds_plain_distance():
 # ---------------------------------------------------------------------------
 
 def test_write_cdf_csv(tmp_path):
+    # a stepped cdf goes to CSV through the writer every cdf command uses
+    cfg = load_scenario(tmp_path, "")
     cdf = SteppedCdf([0.5, 1.5], [0.25, 1.0])
     path = tmp_path / "cdf.csv"
-    write_cdf_csv(cdf, path, comment="config_sha256=cafe")
+    _write_csv(path, ("x", "cdf"), zip(cdf.xs, cdf.cum), cfg)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# config_sha256=cafe"
+    assert lines[0] == f"# config_sha256={cfg.config_hash}"
     assert lines[1] == "x,cdf"
     assert lines[2] == "0.5,0.25"
     assert lines[3] == "1.5,1"
+    assert len(lines) == 4

@@ -47,13 +47,13 @@ class UlaPattern:
 
     def __post_init__(self) -> None:
         if self.element_count < 1:
-            raise ValueError(f"element count must be >= 1, got {self.element_count}")
+            raise ValueError(f"element_count must be >= 1, got {self.element_count}")
         if self.spacing_wl <= 0:
-            raise ValueError(f"element spacing must be positive, got {self.spacing_wl}")
+            raise ValueError(f"spacing_wl must be positive, got {self.spacing_wl}")
         if not -90.0 < self.tilt_deg < 90.0:
-            raise ValueError(f"tilt angle must lie in (-90, 90), got {self.tilt_deg}")
+            raise ValueError(f"tilt_deg must lie in (-90, 90), got {self.tilt_deg}")
         if self.element_peak_gain <= 0:
-            raise ValueError(f"element peak gain must be positive, got {self.element_peak_gain}")
+            raise ValueError(f"element_peak_gain must be positive, got {self.element_peak_gain}")
 
     def __call__(self, theta_deg):
         return ula_gain(self, theta_deg)
@@ -92,11 +92,11 @@ class UavAntenna:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beamwidth_deg <= 90.0:
-            raise ValueError(f"half-beamwidth must lie in (0, 90] degrees, got {self.beamwidth_deg}")
+            raise ValueError(f"beamwidth_deg must lie in (0, 90] degrees, got {self.beamwidth_deg}")
         if self.mainlobe_constant <= 0:
-            raise ValueError(f"mainlobe constant must be positive, got {self.mainlobe_constant}")
+            raise ValueError(f"mainlobe_constant must be positive, got {self.mainlobe_constant}")
         if self.backlobe_gain < 0:
-            raise ValueError(f"backlobe gain must be non-negative, got {self.backlobe_gain}")
+            raise ValueError(f"backlobe_gain must be non-negative, got {self.backlobe_gain}")
 
     @property
     def mainlobe_gain(self) -> float:
@@ -115,10 +115,17 @@ class UavAntenna:
             return math.inf
         return dh * math.tan(math.radians(self.beamwidth_deg))
 
-    def gain_at(self, r_h, uav_height: float, gbs_height: float):
+    def gain_at(self, r_h, uav_height, gbs_height: float):
         """Gain toward GBSs at horizontal distances ``r_h`` (scalar or
-        array); points on the footprint boundary get the mainlobe gain."""
-        inside = np.asarray(r_h) <= self.footprint_radius(uav_height, gbs_height)
+        array) from a UAV at ``uav_height``; a (P,) array of heights takes
+        (P, n) distances, one row per height.  Points on the footprint
+        boundary get the mainlobe gain."""
+        # one radius per height, as a column against a (P, n) ``r_h``
+        radius = np.reshape(
+            [self.footprint_radius(h, gbs_height) for h in np.ravel(uav_height).tolist()],
+            np.shape(uav_height) + (1,) * np.ndim(uav_height),
+        )
+        inside = np.asarray(r_h) <= radius
         gain = np.where(inside, self.mainlobe_gain, self.backlobe_gain)
         if np.isscalar(r_h):
             return float(gain)

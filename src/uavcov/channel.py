@@ -15,7 +15,11 @@ The default parametric model combines
     20 dB NLoS, alpha = 2 for both).
 
 A UAV position's links are held as a :class:`LinkTable` of column arrays,
-built for every site at once by :func:`build_link_table`.
+built for every site at once by :func:`build_link_table`.  A block of P
+positions is built the same way as one table of (P, n) columns and
+checked once; ``positions()`` gives its per-position tables as read-only
+row views, which are not checked again.  One position is the block with
+P = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -162,6 +165,13 @@ _COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
             ("c_los", float), ("c_nlos", float), ("p_los", float))
 
 
+def _first(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first flagged entry of a link table mask and, in a
+    block, the words naming its row."""
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
+
+
 @dataclass(frozen=True, eq=False)
 class LinkTable:
     """Combined channel gains of every GBS for one UAV position, as columns.
@@ -173,6 +183,10 @@ class LinkTable:
     order.  The ids are 0..n-1, so per-GBS arrays are indexed by id.  GBSs
     outside the UAV mainlobe with zero backlobe gain have both gains 0
     and sit at the tail.  The columns are read-only copies.
+
+    A block of P positions holds (P, n) columns, one table per row, and
+    is checked once, row by row along the last axis; its ``len`` is P and
+    ``positions()`` gives its per-position tables.
     """
 
     gbs_id: np.ndarray
@@ -184,28 +198,54 @@ class LinkTable:
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS:
             col = np.array(getattr(self, name), dtype=dtype)
-            if col.ndim != 1:
-                raise ValueError(f"link table column {name} must be 1-D, got shape {col.shape}")
+            if col.ndim not in (1, 2):
+                raise ValueError(
+                    f"link table column {name} must have shape (n,) or (P, n), got {col.shape}"
+                )
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        n = len(self.gbs_id)
-        if any(len(getattr(self, name)) != n for name, _ in _COLUMNS):
+        if any(getattr(self, name).shape != self.gbs_id.shape for name, _ in _COLUMNS):
             raise ValueError("link table columns must have equal length")
-        if not np.array_equal(np.sort(self.gbs_id), np.arange(n)):
-            raise ValueError(f"link table GBS ids must be a permutation of 0..{n - 1}")
+        ids, c = self.gbs_id, self.c_los
+        n = ids.shape[-1]
+        not_permutation = np.sort(ids, axis=-1) != np.arange(n)
+        if not_permutation.any():
+            at, where = _first(not_permutation)
+            row = ids[at[:-1]].tolist()
+            gbs = next(g for k, g in enumerate(row) if not 0 <= g < n or g in row[:k])
+            raise ValueError(
+                f"link table GBS ids must be a permutation of 0..{n - 1}: "
+                f"GBS {gbs} repeats or is out of range{where}"
+            )
+        in_order = np.ones(ids.shape, dtype=bool)   # entry k against entry k - 1
+        in_order[..., 1:] = (c[..., :-1] > c[..., 1:]) | (
+            (c[..., :-1] == c[..., 1:]) & (ids[..., :-1] < ids[..., 1:])
+        )
         for bad, what in (
-            (~((self.p_los >= 0.0) & (self.p_los <= 1.0)), "LoS probability out of [0, 1]"),
-            (~((self.c_los >= 0.0) & (self.c_nlos >= 0.0)), "negative gain"),
-            ((self.c_los == 0.0) & (self.c_nlos != 0.0), "NLoS gain without LoS gain"),
+            (~((self.p_los >= 0.0) & (self.p_los <= 1.0)), "LoS probability out of [0, 1] for"),
+            (~((c >= 0.0) & (self.c_nlos >= 0.0)), "negative gain for"),
+            ((c == 0.0) & (self.c_nlos != 0.0), "NLoS gain without LoS gain for"),
+            (~in_order, "link table rows must be sorted by descending c_los, then id; out of order:"),
         ):
             if bad.any():
-                raise ValueError(f"{what} for GBS {self.gbs_id[np.argmax(bad)]}")
-        c, ids = self.c_los, self.gbs_id
-        if not np.all((c[:-1] > c[1:]) | ((c[:-1] == c[1:]) & (ids[:-1] < ids[1:]))):
-            raise ValueError("link table rows must be sorted by descending c_los, then id")
+                at, where = _first(bad)
+                raise ValueError(f"{what} GBS {ids[at]}{where}")
 
     def __len__(self) -> int:
         return len(self.gbs_id)
+
+    def positions(self) -> tuple[LinkTable, ...]:
+        """The per-position tables of a (P, n) block: read-only views of
+        its rows, not checked again, since the block was checked whole."""
+        if self.gbs_id.ndim != 2:
+            raise ValueError("only a (P, n) link table block has positions")
+        names = [name for name, _ in _COLUMNS]
+        tables = []
+        for columns in zip(*(getattr(self, name) for name in names)):
+            table = object.__new__(LinkTable)
+            table.__dict__.update(zip(names, columns))
+            tables.append(table)
+        return tuple(tables)
 
 
 def build_link_table(
@@ -213,21 +253,34 @@ def build_link_table(
     gbs_pattern,
     uav_antenna: UavAntenna,
     channel: ParametricAirGroundModel,
-    uav_xyz: Sequence[float],
+    uav_xyz,
     gbs_height: float,
 ) -> LinkTable:
     """Evaluate geometry, antennas and channel for every site at once.
 
-    ``gbs_pattern`` is any callable mapping an array of elevation angles
-    in degrees to linear power gains (a :class:`~uavcov.antenna.UlaPattern`
-    works).
+    ``uav_xyz`` is one position (x, y, z) or a (P, 3) block of them.  A
+    block gives one :class:`LinkTable` of (P, n) columns, evaluated and
+    checked as whole arrays; one position gives the table of the block
+    with P = 1.  ``gbs_pattern`` is any callable mapping an array of
+    elevation angles in degrees to linear power gains (a
+    :class:`~uavcov.antenna.UlaPattern` works).
     """
-    r_h, d3, theta = link_geometry(uav_xyz, layout.x, layout.y, gbs_height)
+    xyz = np.asarray(uav_xyz, dtype=float)
+    block = np.atleast_2d(xyz)
+    r_h, d3, theta = link_geometry(block, layout.x, layout.y, gbs_height)
     h_los, h_nlos, p_los = channel.evaluate(theta, d3)
-    combined = uav_antenna.gain_at(r_h, uav_xyz[2], gbs_height) * gbs_pattern(theta)
+    uav_gain = uav_antenna.gain_at(r_h, block[:, 2], gbs_height)
+    # the GBS pattern only where the UAV antenna has gain: elsewhere the
+    # product is +0.0 whatever the (finite, non-negative) pattern gives
+    lit = uav_gain > 0.0
+    combined = np.zeros(uav_gain.shape)
+    combined[lit] = uav_gain[lit] * gbs_pattern(theta[lit])
     c_los = combined * h_los
     # a site's id is its index, so a stable sort breaks ties by id
-    order = np.argsort(-c_los, kind="stable")
-    return LinkTable(
-        order, layout.band[order], c_los[order], (combined * h_nlos)[order], p_los[order]
+    order = np.argsort(-c_los, axis=-1, kind="stable")
+    flat = order + np.arange(0, order.size, order.shape[1])[:, None]
+    table = LinkTable(
+        order, layout.band[order],
+        *(col.ravel()[flat] for col in (c_los, combined * h_nlos, p_los)),
     )
+    return table if xyz.ndim == 2 else table.positions()[0]

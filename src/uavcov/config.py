@@ -218,6 +218,13 @@ def _region(resolved) -> SamplingRegion:
     return SamplingRegion(RegionKind(region), _number(resolved, "sampling", "resolution", int))
 
 
+# A model constructor's message opens with the field at fault; where the
+# field's INI key differs, the re-raised message names the key instead.
+_FIELD_KEYS = {
+    "gbs_antenna": {"spacing_wl": "element_spacing_wl", "tilt_deg": "downtilt_deg"},
+    "uav_antenna": {"beamwidth_deg": "half_beamwidth_deg"},
+}
+
 # The model object each INI section describes, and how to build it.
 _MODELS = {
     "layout": _layout,
@@ -338,7 +345,10 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         except ConfigError:
             raise
         except (ValueError, OSError) as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
+            message = str(exc)
+            field = message.split(" ", 1)[0]
+            key = _FIELD_KEYS.get(section, {}).get(field, field)
+            raise ConfigError(f"[{section}] {key}{message[len(field):]}") from exc
 
     n_sites = len(models["layout"])
     loading = np.full(n_sites, omega)

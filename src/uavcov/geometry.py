@@ -20,7 +20,6 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -112,25 +111,35 @@ def build_hex_layout(
 
 
 def link_geometry(
-    uav_xyz: Sequence[float], xs, ys, gbs_height: float
+    uav_xyz, xs, ys, gbs_height: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Horizontal distance, 3D distance and elevation angle (degrees) of
     the UAV seen from GBS antennas at (xs, ys, gbs_height), one entry per
-    site.
+    site.  ``uav_xyz`` is one position (x, y, z), which gives (n,)
+    arrays, or a (P, 3) block of positions, which gives (P, n) arrays
+    with one row per position.
 
     The elevation is arcsin(dh / d3) with dh the height difference and d3
     the 3D distance; the UAV must fly strictly above the GBS antennas, so
     it lies in (0, 90] with 90 exactly overhead.
     """
-    dh = uav_xyz[2] - gbs_height
-    if dh <= 0:
-        raise ValueError(
-            f"UAV altitude {uav_xyz[2]} must exceed the GBS antenna height {gbs_height}"
-        )
-    dx = uav_xyz[0] - np.asarray(xs, dtype=float)
-    dy = uav_xyz[1] - np.asarray(ys, dtype=float)
-    d3 = np.sqrt(dx**2 + dy**2 + dh**2)
-    return np.hypot(dx, dy), d3, np.degrees(np.arcsin(dh / d3))
+    xyz = np.asarray(uav_xyz, dtype=float)
+    block = np.atleast_2d(xyz)
+    if block.ndim != 2 or block.shape[1] != 3:
+        raise ValueError(f"UAV positions must have shape (3,) or (P, 3), got {xyz.shape}")
+    heights = block[:, 2].tolist()
+    for z in heights:
+        if z - gbs_height <= 0:
+            raise ValueError(f"UAV altitude {z} must exceed the GBS antenna height {gbs_height}")
+    # each position's height terms are Python floats, as for one position
+    dh = [z - gbs_height for z in heights]
+    dx = block[:, :1] - np.asarray(xs, dtype=float)
+    dy = block[:, 1:2] - np.asarray(ys, dtype=float)
+    d3 = np.sqrt(dx**2 + dy**2 + np.array([d**2 for d in dh])[:, None])
+    geometry = np.hypot(dx, dy), d3, np.degrees(np.arcsin(np.array(dh)[:, None] / d3))
+    if xyz.ndim == 1:
+        return tuple(g[0] for g in geometry)
+    return geometry
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,12 @@ def test_link_table_validation():
             link_table([(ids[0], 0, 2.0, 0.5, 0.5), (ids[1], 0, 1.0, 0.5, 0.5)])
     with pytest.raises(ValueError, match="equal length"):
         LinkTable([0, 1], [0, 0], [2.0, 1.0], [0.5, 0.5], [0.5])
-    with pytest.raises(ValueError, match="1-D"):
-        LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
+    # columns are (n,) for one position or (P, n) for a block
+    assert len(LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])) == 1
+    with pytest.raises(ValueError, match=r"\(n,\) or \(P, n\)"):
+        LinkTable([[[0]]], [[[0]]], [[[2.0]]], [[[0.5]]], [[[0.5]]])
+    with pytest.raises(ValueError, match=r"\(n,\) or \(P, n\)"):
+        LinkTable(0, 0, 2.0, 0.5, 0.5)
 
 
 def test_build_rejects_low_altitude():
@@ -203,3 +207,64 @@ def test_gain_consistency_with_manual_evaluation():
         assert c_los == pytest.approx(g * h_los, rel=1e-12)
         assert c_nlos == pytest.approx(g * h_nlos, rel=1e-12)
         assert p_los == pytest.approx(p, rel=1e-12)
+
+
+COLUMNS = ("gbs_id", "band", "c_los", "c_nlos", "p_los")
+
+
+@pytest.mark.parametrize("uav_antenna", [
+    UavAntenna(90.0),                       # infinite footprint
+    UavAntenna(75.0),
+    UavAntenna(20.0, backlobe_gain=0.01),   # every site outside the cone keeps a gain
+], ids=["beam90", "beam75", "beam20-backlobe"])
+def test_block_rows_equal_single_position_tables(uav_antenna):
+    layout = build_hex_layout(500.0, 1500.0, 3)
+    args = (layout, UlaPattern(10, 0.5, -10.0), uav_antenna, default_channel(2e9))
+    rng = np.random.default_rng(3)
+    block = np.column_stack([rng.uniform(-800.0, 800.0, 12), rng.uniform(-800.0, 800.0, 12),
+                             rng.uniform(26.0, 300.0, 12)])        # mixed altitudes
+    block[4] = (layout.x[5], layout.y[5], 61.0)    # straight above site 5
+    tables = build_link_table(*args, block, 20.0)
+    assert len(tables) == 12 and tables.c_los.shape == (12, 37)
+    rows = tables.positions()
+    for xyz, row in zip(block, rows):
+        single = build_link_table(*args, tuple(xyz.tolist()), 20.0)
+        for name in COLUMNS:
+            got, want = getattr(row, name), getattr(single, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable
+    # elevation 90 degrees: the GBS element null leaves site 5 no gain
+    overhead = rows[4]
+    k = overhead.gbs_id.tolist().index(5)
+    assert overhead.c_los[k] == overhead.c_nlos[k] == 0.0
+    with pytest.raises(ValueError, match=r"\(P, n\) link table block"):
+        overhead.positions()
+
+
+def _corrupt_row_1(cols, how):
+    c_los, p_los, ids = cols["c_los"][1], cols["p_los"][1], cols["gbs_id"][1]
+    if how == "unsorted":
+        c_los[[0, 1]] = c_los[[1, 0]]
+    elif how == "p_los":
+        p_los[4] = 1.5
+    else:
+        ids[2] = ids[3]
+
+
+@pytest.mark.parametrize("how, message", [
+    ("unsorted", r"sorted by descending c_los, then id; out of order: GBS {ids[1]}"),
+    ("p_los", r"LoS probability out of \[0, 1\] for GBS {ids[4]}"),
+    ("ids", r"permutation of 0\.\.36: GBS {ids[3]} repeats or is out of range"),
+])
+def test_block_check_names_the_corrupt_row(how, message):
+    layout = build_hex_layout(500.0, 1500.0, 3)
+    block = build_link_table(
+        layout, UlaPattern(10, 0.5, -10.0), UavAntenna(90.0), default_channel(2e9),
+        [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)], 20.0,
+    )
+    cols = {name: np.array(getattr(block, name)) for name in COLUMNS}
+    LinkTable(**cols)                               # the untouched copy passes
+    ids = cols["gbs_id"][1].tolist()
+    _corrupt_row_1(cols, how)
+    with pytest.raises(ValueError, match=message.format(ids=ids) + " in block row 1$"):
+        LinkTable(**cols)

@@ -105,6 +105,28 @@ def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("[gbs_antenna]\nelement_count = 0\n", "[gbs_antenna] element_count must be >= 1, got 0"),
+    ("[gbs_antenna]\nelement_spacing_wl = 0\n",
+     "[gbs_antenna] element_spacing_wl must be positive, got 0.0"),
+    ("[gbs_antenna]\ndowntilt_deg = 90\n",
+     "[gbs_antenna] downtilt_deg must lie in (-90, 90), got 90.0"),
+    ("[gbs_antenna]\nelement_peak_gain = 0\n",
+     "[gbs_antenna] element_peak_gain must be positive, got 0.0"),
+    ("[uav_antenna]\nhalf_beamwidth_deg = 95\n",
+     "[uav_antenna] half_beamwidth_deg must lie in (0, 90] degrees, got 95.0"),
+    ("[uav_antenna]\nmainlobe_constant = 0\n",
+     "[uav_antenna] mainlobe_constant must be positive, got 0.0"),
+    ("[uav_antenna]\nbacklobe_gain = -1\n",
+     "[uav_antenna] backlobe_gain must be non-negative, got -1.0"),
+    ("[sampling]\nresolution = 0\n", "[sampling] resolution must be >= 1, got 0"),
+])
+def test_constructor_errors_name_the_ini_key(tmp_path, capsys, body, message):
+    cfg_path = write_cfg(tmp_path, body)
+    assert main(["layout", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
 @pytest.mark.parametrize("argv", [
     ["uplink-map", "--workers", "0"],
     ["uplink-map", "--workers", "-3"],

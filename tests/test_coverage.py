@@ -573,19 +573,21 @@ def sweep_scene(tmp_path, link):
     (LinkDirection.DOWNLINK, "downlink_snr_cdf"),
 ])
 def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
-    calls = {"build_link_table": 0, law: 0}
-    for name in calls:
+    # one link table row per position, whatever the blocks, and one law each
+    built = {"build_link_table": 0, law: 0}
+    for name in built:
         original = getattr(coverage, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            built[_name] += len(result) if _name == "build_link_table" else 1
+            return result
 
         monkeypatch.setattr(coverage, name, counted)
     cfg, thresholds = sweep_scene(tmp_path, link)
     result = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=thresholds)
     assert result.non_outage.shape == (5, 24)
-    assert calls == {"build_link_table": 24, law: 24}
+    assert built == {"build_link_table": 24, law: 24}
 
 
 @pytest.mark.parametrize("link", list(LinkDirection))
@@ -622,3 +624,19 @@ def test_altitude_sweep_starts_one_pool(tmp_path, monkeypatch):
     for p, s, h in zip(parallel, serial, alts):
         assert p.altitude == s.altitude == h
         assert p.non_outage.tolist() == s.non_outage.tolist()
+
+
+@pytest.mark.parametrize("link", list(LinkDirection))
+def test_block_size_does_not_change_output(tmp_path, monkeypatch, link):
+    cfg, thresholds = sweep_scene(tmp_path, link)
+    n_sites = len(cfg.build_layout())
+    runs = []
+    # one position per block, blocks of 5 that split each altitude's 24
+    # points unevenly, and the default (every position in one block here)
+    for entries in (1, 5 * n_sites, coverage.BLOCK_ENTRIES):
+        monkeypatch.setattr(coverage, "BLOCK_ENTRIES", entries)
+        results, aggregate = coverage_over_altitudes(
+            cfg, link, altitudes=[60.0, 140.0], thresholds=thresholds
+        )
+        runs.append(([r.non_outage.tolist() for r in results], aggregate.tolist()))
+    assert runs[0] == runs[1] == runs[2]

@@ -15,11 +15,10 @@ The default parametric model combines
     20 dB NLoS, alpha = 2 for both).
 
 A UAV position's links are held as a :class:`LinkTable` of column arrays,
-built for every site at once by :func:`build_link_table`.  A block of P
-positions is built the same way as one table of (P, n) columns and
-checked once; ``positions()`` gives its per-position tables as read-only
-row views, which are not checked again.  One position is the block with
-P = 1.
+built for every site at once by :func:`build_link_table`.
+:func:`build_link_tables` builds the tables of a block of P positions
+together: one evaluation on (P, n) arrays and one check of the whole
+block, then one table per row.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -165,11 +165,43 @@ _COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
             ("c_los", float), ("c_nlos", float), ("p_los", float))
 
 
-def _first(bad: np.ndarray) -> tuple[tuple, str]:
-    """Index of the first flagged entry of a link table mask and, in a
-    block, the words naming its row."""
-    at = np.unravel_index(np.argmax(bad), bad.shape)
-    return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
+def _check_link_columns(gbs_id, band, c_los, c_nlos, p_los) -> None:
+    """Check link table columns along their last axis: the (n,) columns
+    of one table, or the (P, n) columns of a block with one table per
+    row.  An error names the first GBS at fault and, in a block, its row."""
+    ids, c = gbs_id, c_los
+    if ids.ndim not in (1, 2):
+        raise ValueError(f"link table columns must have shape (n,) or (P, n), got {ids.shape}")
+    if any(col.shape != ids.shape for col in (band, c_los, c_nlos, p_los)):
+        raise ValueError("link table columns must have equal length")
+
+    def first(bad: np.ndarray) -> tuple[tuple, str]:
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
+
+    n = ids.shape[-1]
+    not_permutation = np.sort(ids, axis=-1) != np.arange(n)
+    if not_permutation.any():
+        at, where = first(not_permutation)
+        row = ids[at[:-1]].tolist()
+        gbs = next(g for k, g in enumerate(row) if not 0 <= g < n or g in row[:k])
+        raise ValueError(
+            f"link table GBS ids must be a permutation of 0..{n - 1}: "
+            f"GBS {gbs} repeats or is out of range{where}"
+        )
+    in_order = np.ones(ids.shape, dtype=bool)   # entry k against entry k - 1
+    in_order[..., 1:] = (c[..., :-1] > c[..., 1:]) | (
+        (c[..., :-1] == c[..., 1:]) & (ids[..., :-1] < ids[..., 1:])
+    )
+    for bad, what in (
+        (~((p_los >= 0.0) & (p_los <= 1.0)), "LoS probability out of [0, 1] for"),
+        (~((c >= 0.0) & (c_nlos >= 0.0)), "negative gain for"),
+        ((c == 0.0) & (c_nlos != 0.0), "NLoS gain without LoS gain for"),
+        (~in_order, "link table rows must be sorted by descending c_los, then id; out of order:"),
+    ):
+        if bad.any():
+            at, where = first(bad)
+            raise ValueError(f"{what} GBS {ids[at]}{where}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +215,6 @@ class LinkTable:
     order.  The ids are 0..n-1, so per-GBS arrays are indexed by id.  GBSs
     outside the UAV mainlobe with zero backlobe gain have both gains 0
     and sit at the tail.  The columns are read-only copies.
-
-    A block of P positions holds (P, n) columns, one table per row, and
-    is checked once, row by row along the last axis; its ``len`` is P and
-    ``positions()`` gives its per-position tables.
     """
 
     gbs_id: np.ndarray
@@ -198,54 +226,28 @@ class LinkTable:
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS:
             col = np.array(getattr(self, name), dtype=dtype)
-            if col.ndim not in (1, 2):
-                raise ValueError(
-                    f"link table column {name} must have shape (n,) or (P, n), got {col.shape}"
-                )
+            if col.ndim != 1:
+                raise ValueError(f"link table column {name} must be 1-D, got shape {col.shape}")
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        if any(getattr(self, name).shape != self.gbs_id.shape for name, _ in _COLUMNS):
-            raise ValueError("link table columns must have equal length")
-        ids, c = self.gbs_id, self.c_los
-        n = ids.shape[-1]
-        not_permutation = np.sort(ids, axis=-1) != np.arange(n)
-        if not_permutation.any():
-            at, where = _first(not_permutation)
-            row = ids[at[:-1]].tolist()
-            gbs = next(g for k, g in enumerate(row) if not 0 <= g < n or g in row[:k])
-            raise ValueError(
-                f"link table GBS ids must be a permutation of 0..{n - 1}: "
-                f"GBS {gbs} repeats or is out of range{where}"
-            )
-        in_order = np.ones(ids.shape, dtype=bool)   # entry k against entry k - 1
-        in_order[..., 1:] = (c[..., :-1] > c[..., 1:]) | (
-            (c[..., :-1] == c[..., 1:]) & (ids[..., :-1] < ids[..., 1:])
-        )
-        for bad, what in (
-            (~((self.p_los >= 0.0) & (self.p_los <= 1.0)), "LoS probability out of [0, 1] for"),
-            (~((c >= 0.0) & (self.c_nlos >= 0.0)), "negative gain for"),
-            ((c == 0.0) & (self.c_nlos != 0.0), "NLoS gain without LoS gain for"),
-            (~in_order, "link table rows must be sorted by descending c_los, then id; out of order:"),
-        ):
-            if bad.any():
-                at, where = _first(bad)
-                raise ValueError(f"{what} GBS {ids[at]}{where}")
+        _check_link_columns(*(getattr(self, name) for name, _ in _COLUMNS))
 
     def __len__(self) -> int:
         return len(self.gbs_id)
 
-    def positions(self) -> tuple[LinkTable, ...]:
-        """The per-position tables of a (P, n) block: read-only views of
-        its rows, not checked again, since the block was checked whole."""
-        if self.gbs_id.ndim != 2:
-            raise ValueError("only a (P, n) link table block has positions")
-        names = [name for name, _ in _COLUMNS]
-        tables = []
-        for columns in zip(*(getattr(self, name) for name in names)):
-            table = object.__new__(LinkTable)
-            table.__dict__.update(zip(names, columns))
-            tables.append(table)
-        return tuple(tables)
+
+def _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height):
+    """The five link table columns of a (P, 3) block of positions, as
+    (P, n) arrays in walk order, evaluated as whole arrays."""
+    r_h, d3, theta = link_geometry(block, layout.x, layout.y, gbs_height)
+    h_los, h_nlos, p_los = channel.evaluate(theta, d3)
+    combined = uav_antenna.gain_at(r_h, block[:, 2], gbs_height) * gbs_pattern(theta)
+    c_los = combined * h_los
+    # a site's id is its index, so a stable sort breaks ties by id
+    order = np.argsort(-c_los, axis=-1, kind="stable")
+    return (order, layout.band[order], *(
+        np.take_along_axis(col, order, axis=-1) for col in (c_los, combined * h_nlos, p_los)
+    ))
 
 
 def build_link_table(
@@ -253,34 +255,50 @@ def build_link_table(
     gbs_pattern,
     uav_antenna: UavAntenna,
     channel: ParametricAirGroundModel,
-    uav_xyz,
+    uav_xyz: Sequence[float],
     gbs_height: float,
 ) -> LinkTable:
     """Evaluate geometry, antennas and channel for every site at once.
 
-    ``uav_xyz`` is one position (x, y, z) or a (P, 3) block of them.  A
-    block gives one :class:`LinkTable` of (P, n) columns, evaluated and
-    checked as whole arrays; one position gives the table of the block
-    with P = 1.  ``gbs_pattern`` is any callable mapping an array of
-    elevation angles in degrees to linear power gains (a
-    :class:`~uavcov.antenna.UlaPattern` works).
+    ``gbs_pattern`` is any callable mapping an array of elevation angles
+    in degrees to linear power gains (a :class:`~uavcov.antenna.UlaPattern`
+    works).
     """
-    xyz = np.asarray(uav_xyz, dtype=float)
-    block = np.atleast_2d(xyz)
-    r_h, d3, theta = link_geometry(block, layout.x, layout.y, gbs_height)
-    h_los, h_nlos, p_los = channel.evaluate(theta, d3)
-    uav_gain = uav_antenna.gain_at(r_h, block[:, 2], gbs_height)
-    # the GBS pattern only where the UAV antenna has gain: elsewhere the
-    # product is +0.0 whatever the (finite, non-negative) pattern gives
-    lit = uav_gain > 0.0
-    combined = np.zeros(uav_gain.shape)
-    combined[lit] = uav_gain[lit] * gbs_pattern(theta[lit])
-    c_los = combined * h_los
-    # a site's id is its index, so a stable sort breaks ties by id
-    order = np.argsort(-c_los, axis=-1, kind="stable")
-    flat = order + np.arange(0, order.size, order.shape[1])[:, None]
-    table = LinkTable(
-        order, layout.band[order],
-        *(col.ravel()[flat] for col in (c_los, combined * h_nlos, p_los)),
-    )
-    return table if xyz.ndim == 2 else table.positions()[0]
+    block = np.asarray([uav_xyz], dtype=float)
+    columns = _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
+    return LinkTable(*(col[0] for col in columns))
+
+
+def build_link_tables(
+    layout: NetworkLayout,
+    gbs_pattern,
+    uav_antenna: UavAntenna,
+    channel: ParametricAirGroundModel,
+    positions,
+    gbs_height: float,
+) -> tuple[LinkTable, ...]:
+    """The link tables of a (P, 3) block of positions, one per row, equal
+    column for column to :func:`build_link_table` at each position.
+
+    The block is evaluated as (P, n) arrays and checked once, and its
+    tables hold read-only views of the checked rows, which are not
+    checked again.  A block of one position gains nothing from this and
+    is built by :func:`build_link_table`.
+    """
+    block = np.asarray(positions, dtype=float)
+    if block.ndim != 2 or block.shape[1:] != (3,):
+        raise ValueError(f"UAV positions must have shape (P, 3), got {block.shape}")
+    if len(block) == 1:
+        return (build_link_table(layout, gbs_pattern, uav_antenna, channel, block[0], gbs_height),)
+    built = _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
+    columns = [np.asarray(col, dtype=dtype) for (_, dtype), col in zip(_COLUMNS, built)]
+    for col in columns:
+        col.flags.writeable = False
+    _check_link_columns(*columns)
+    tables = []
+    for row in zip(*columns):
+        table = object.__new__(LinkTable)   # checked with its block above
+        for (name, _), col in zip(_COLUMNS, row):
+            object.__setattr__(table, name, col)
+        tables.append(table)
+    return tuple(tables)

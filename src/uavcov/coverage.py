@@ -27,9 +27,10 @@ argument and read the layout, antennas, channel, sampling region,
 loading, ``beta0``/``alpha0``, ``eps`` and ``c0`` from it.  Each
 (altitude, point) position's SNR law is built once and read at every
 threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
-(position, site) pairs: a block's link tables are one (P, n) evaluation
-with one check, and each of its rows is then walked on its own, so the
-output does not depend on where the blocks end.
+(position, site) pairs: :func:`~uavcov.channel.build_link_tables` builds
+a block's link tables with one (P, n) evaluation and one check, and
+each table is then walked on its own, so the output does not depend on
+where the blocks end.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkTable, build_link_table
+from .channel import LinkTable, build_link_tables
 from .config import ScenarioConfig
 from .geometry import sample_region
 from .gpm import GpmSpec, SteppedCdf, displacement_bound, la_cdf
@@ -89,16 +90,11 @@ def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEven
         # No GBS has any gain toward the UAV: the SNR is 0 surely.
         return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, 0),)
 
-    # rows sort by descending c_los, so the rows the walk can reach, those
-    # with c_los >= C_NL_max, are a prefix
-    walked = int(np.count_nonzero(table.c_los >= c_nlos_max))
-    ids = table.gbs_id[:walked].tolist()
+    ids = table.gbs_id.tolist()
     events: list[AssociationEvent] = []
     prefix = 1.0
-    for m, (c_los, p_los) in enumerate(
-        zip(table.c_los[:walked].tolist(), table.p_los[:walked].tolist())
-    ):
-        if prefix < eps:
+    for m, (c_los, p_los) in enumerate(zip(table.c_los.tolist(), table.p_los.tolist())):
+        if c_los < c_nlos_max or prefix < eps:
             break
         if p_los > 0.0 and prefix > 0.0:
             events.append(
@@ -108,11 +104,11 @@ def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEven
     if prefix > 0.0:
         events.append(
             AssociationEvent(
-                int(table.gbs_id[np.argmax(table.c_nlos)]),
+                ids[int(np.argmax(table.c_nlos))],
                 AssociationState.NLOS_MAX,
                 c_nlos_max,
                 prefix,
-                walked,
+                int(np.count_nonzero(table.c_los >= c_nlos_max)),
             )
         )
     total = sum(e.probability for e in events)
@@ -297,7 +293,7 @@ class LinkDirection(Enum):
 # many (position, site) entries: one (P, n) evaluation and one check per
 # block, each (P, n) array 64 KiB whatever the length of the work list.
 # On the default 367-site scene that is 22 positions; a 240-position
-# uplink sweep builds its tables in 13 ms this way against 56 ms in
+# uplink sweep builds its tables in 16 ms this way against 56 ms in
 # blocks of one position (2-core x86 host, numpy 2.4).
 BLOCK_ENTRIES = 2**13
 
@@ -308,10 +304,10 @@ def _non_outage(
     """Non-outage probability at each position of a (P, 3) block for
     every threshold, (P, T): one link table block, then one SNR law per
     position, evaluated T times."""
-    tables = build_link_table(
+    tables = build_link_tables(
         cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
         cfg.build_channel(), block, cfg.gbs_height,
-    ).positions()
+    )
     if link is LinkDirection.UPLINK:
         pmfs = [uplink_snr_pmf(table, cfg.beta0, cfg.association_epsilon) for table in tables]
         # one mask sum per threshold; a masked 2-D sum would add the
@@ -352,9 +348,9 @@ def _coverage(
     once whatever the number of thresholds.  The list is cut into blocks
     of positions whose link tables are built together (about
     ``BLOCK_ENTRIES`` entries, and with ``workers`` > 1 no more than a
-    quarter of a worker's share), and ``workers`` > 1 starts one process pool for all
-    blocks; results come back in list order, so they do not depend on
-    ``workers`` or on where the blocks end."""
+    quarter of a worker's share), and ``workers`` > 1 starts one process
+    pool for all blocks; results come back in list order, so they do not
+    depend on ``workers`` or on where the blocks end."""
     ts = tuple(float(t) for t in thresholds)
     if not ts:
         raise ValueError("need at least one threshold")

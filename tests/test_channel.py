@@ -10,12 +10,14 @@ from uavcov.antenna import UavAntenna, UlaPattern
 from uavcov.channel import (
     LinkTable,
     ParametricAirGroundModel,
+    _check_link_columns,
     build_link_table,
+    build_link_tables,
     default_channel,
     free_space_gain,
     load_channel_coefficients,
 )
-from uavcov.geometry import build_hex_layout
+from uavcov.geometry import NetworkLayout, build_hex_layout
 
 
 def test_free_space_reference():
@@ -175,12 +177,8 @@ def test_link_table_validation():
             link_table([(ids[0], 0, 2.0, 0.5, 0.5), (ids[1], 0, 1.0, 0.5, 0.5)])
     with pytest.raises(ValueError, match="equal length"):
         LinkTable([0, 1], [0, 0], [2.0, 1.0], [0.5, 0.5], [0.5])
-    # columns are (n,) for one position or (P, n) for a block
-    assert len(LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])) == 1
-    with pytest.raises(ValueError, match=r"\(n,\) or \(P, n\)"):
-        LinkTable([[[0]]], [[[0]]], [[[2.0]]], [[[0.5]]], [[[0.5]]])
-    with pytest.raises(ValueError, match=r"\(n,\) or \(P, n\)"):
-        LinkTable(0, 0, 2.0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="1-D"):
+        LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
 
 
 def test_build_rejects_low_altitude():
@@ -217,28 +215,51 @@ COLUMNS = ("gbs_id", "band", "c_los", "c_nlos", "p_los")
     UavAntenna(75.0),
     UavAntenna(20.0, backlobe_gain=0.01),   # every site outside the cone keeps a gain
 ], ids=["beam90", "beam75", "beam20-backlobe"])
-def test_block_rows_equal_single_position_tables(uav_antenna):
+def test_block_tables_equal_single_position_tables(uav_antenna):
     layout = build_hex_layout(500.0, 1500.0, 3)
     args = (layout, UlaPattern(10, 0.5, -10.0), uav_antenna, default_channel(2e9))
     rng = np.random.default_rng(3)
     block = np.column_stack([rng.uniform(-800.0, 800.0, 12), rng.uniform(-800.0, 800.0, 12),
                              rng.uniform(26.0, 300.0, 12)])        # mixed altitudes
     block[4] = (layout.x[5], layout.y[5], 61.0)    # straight above site 5
-    tables = build_link_table(*args, block, 20.0)
-    assert len(tables) == 12 and tables.c_los.shape == (12, 37)
-    rows = tables.positions()
-    for xyz, row in zip(block, rows):
+    tables = build_link_tables(*args, block, 20.0)
+    assert len(tables) == 12
+    for xyz, table in zip(block, tables):
         single = build_link_table(*args, tuple(xyz.tolist()), 20.0)
         for name in COLUMNS:
-            got, want = getattr(row, name), getattr(single, name)
+            got, want = getattr(table, name), getattr(single, name)
+            assert got.shape == want.shape == (37,), name
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable
     # elevation 90 degrees: the GBS element null leaves site 5 no gain
-    overhead = rows[4]
+    overhead = tables[4]
     k = overhead.gbs_id.tolist().index(5)
     assert overhead.c_los[k] == overhead.c_nlos[k] == 0.0
-    with pytest.raises(ValueError, match=r"\(P, n\) link table block"):
-        overhead.positions()
+
+
+def test_block_shapes():
+    layout = build_hex_layout(500.0, 500.0)
+    args = (layout, UlaPattern(10, 0.5, -10.0), UavAntenna(75.0), default_channel(2e9))
+    one = build_link_tables(*args, [(10.0, 20.0, 100.0)], 20.0)
+    assert len(one) == 1 and len(one[0]) == 7
+    assert build_link_tables(*args, np.empty((0, 3)), 20.0) == ()
+    for bad in ((10.0, 20.0, 100.0), [[(10.0, 20.0, 100.0)]], [(10.0, 20.0)]):
+        with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
+            build_link_tables(*args, bad, 20.0)
+    with pytest.raises(ValueError, match="must exceed"):    # one low position in the block
+        build_link_tables(*args, [(0.0, 0.0, 100.0), (0.0, 0.0, 20.0)], 20.0)
+    no_sites = NetworkLayout(np.empty(0), np.empty(0), np.empty(0, dtype=int))
+    empty = build_link_tables(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
+    assert [len(table) for table in empty] == [0, 0]
+
+
+def _block_columns():
+    block = build_link_tables(
+        build_hex_layout(500.0, 1500.0, 3), UlaPattern(10, 0.5, -10.0), UavAntenna(90.0),
+        default_channel(2e9), [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)],
+        20.0,
+    )
+    return {name: np.array([getattr(table, name) for table in block]) for name in COLUMNS}
 
 
 def _corrupt_row_1(cols, how):
@@ -257,14 +278,22 @@ def _corrupt_row_1(cols, how):
     ("ids", r"permutation of 0\.\.36: GBS {ids[3]} repeats or is out of range"),
 ])
 def test_block_check_names_the_corrupt_row(how, message):
-    layout = build_hex_layout(500.0, 1500.0, 3)
-    block = build_link_table(
-        layout, UlaPattern(10, 0.5, -10.0), UavAntenna(90.0), default_channel(2e9),
-        [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)], 20.0,
-    )
-    cols = {name: np.array(getattr(block, name)) for name in COLUMNS}
-    LinkTable(**cols)                               # the untouched copy passes
+    cols = _block_columns()
+    _check_link_columns(**cols)                     # the untouched block passes
     ids = cols["gbs_id"][1].tolist()
     _corrupt_row_1(cols, how)
     with pytest.raises(ValueError, match=message.format(ids=ids) + " in block row 1$"):
-        LinkTable(**cols)
+        _check_link_columns(**cols)
+    # the same row as one table raises the same error, without the row
+    with pytest.raises(ValueError, match=message.format(ids=ids) + "$"):
+        LinkTable(**{name: col[1] for name, col in cols.items()})
+
+
+def test_block_check_shapes():
+    cols = _block_columns()
+    # columns are (n,) for one table or (P, n) for a block, never 3-D
+    _check_link_columns(**{name: col[0] for name, col in cols.items()})
+    with pytest.raises(ValueError, match=r"shape \(n,\) or \(P, n\)"):
+        _check_link_columns(**{name: col[None] for name, col in cols.items()})
+    with pytest.raises(ValueError, match="equal length"):
+        _check_link_columns(**dict(cols, p_los=cols["p_los"][:2]))

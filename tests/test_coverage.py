@@ -573,21 +573,21 @@ def sweep_scene(tmp_path, link):
     (LinkDirection.DOWNLINK, "downlink_snr_cdf"),
 ])
 def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
-    # one link table row per position, whatever the blocks, and one law each
-    built = {"build_link_table": 0, law: 0}
+    # one link table per position, whatever the blocks, and one law each
+    built = {"build_link_tables": 0, law: 0}
     for name in built:
         original = getattr(coverage, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             result = _original(*args, **kwargs)
-            built[_name] += len(result) if _name == "build_link_table" else 1
+            built[_name] += len(result) if _name == "build_link_tables" else 1
             return result
 
         monkeypatch.setattr(coverage, name, counted)
     cfg, thresholds = sweep_scene(tmp_path, link)
     result = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=thresholds)
     assert result.non_outage.shape == (5, 24)
-    assert built == {"build_link_table": 24, law: 24}
+    assert built == {"build_link_tables": 24, law: 24}
 
 
 @pytest.mark.parametrize("link", list(LinkDirection))

@@ -49,19 +49,22 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-VALIDATE_MODES = (
-    "la-vs-enum",
-    "la-vs-mc",
-    "ga-vs-enum",
-    "uplink-vs-bruteforce",
-    "downlink-vs-joint-enum",
-)
+# The flags each validate mode reads besides --mode; giving it another is
+# a usage error.
+VALIDATE_FLAGS = {
+    "la-vs-enum": ("event", "tolerance"),
+    "la-vs-mc": ("event", "samples", "seed", "tolerance"),
+    "ga-vs-enum": ("event",),
+    "uplink-vs-bruteforce": ("tolerance",),
+    "downlink-vs-joint-enum": ("tolerance",),
+}
 DEFAULT_TOLERANCE = {
     "la-vs-enum": 0.01,
     "la-vs-mc": 0.005,
     "uplink-vs-bruteforce": 1e-12,
     "downlink-vs-joint-enum": 0.01,
 }
+DEFAULT_SAMPLES = 1_000_000
 
 
 def _fmt(value) -> str:
@@ -178,6 +181,8 @@ def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
 def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     known = ("la", "enum", "mc", "ga")
+    if not methods:
+        raise ConfigError(f"--methods {args.methods!r} names no method; choose from {known}")
     for m in methods:
         if m not in known:
             raise ConfigError(f"unknown method {m!r}; choose from {known}")
@@ -244,8 +249,9 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
 
     # The remaining modes compare interference-cdf approximations on the
     # spec conditioned on one association event at the configured position.
-    event, spec = _conditioned_spec(cfg, args.event)
-    print(f"conditioning on event {args.event}: serving GBS {event.serving_id}, "
+    event_index = 0 if args.event is None else args.event
+    event, spec = _conditioned_spec(cfg, event_index)
+    print(f"conditioning on event {event_index}: serving GBS {event.serving_id}, "
           f"{len(spec)} co-channel GBSs")
     _, la = la_cdf(spec, cfg.lattice_target_c0)
     # The lattice moves each atom by at most M / (2 beta) and promises no
@@ -261,8 +267,9 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         elif args.seed is None:
             raise ConfigError("--seed is required for la-vs-mc")
         else:
-            oracle = mc_cdf(spec, args.samples, args.seed)
-            run = f" (n={args.samples}, seed={args.seed})"
+            samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+            oracle = mc_cdf(spec, samples, args.seed)
+            run = f" (n={samples}, seed={args.seed})"
         dist = envelope_excess(oracle, lo, hi)
         ok = dist <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} {mode}: distance beyond the M/(2 beta) "
@@ -356,13 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conditional interference cdf at the configured UAV position")
     p.add_argument("--event", type=int, default=0, help="association event index")
     p.add_argument("--methods", default="la", help="comma list from la,enum,mc,ga")
-    p.add_argument("--samples", type=_positive_int, default=1_000_000, help="MC sample count")
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
+                   help="MC sample count")
     p.set_defaults(func=cmd_interference_cdf)
 
     p = sub.add_parser("validate", parents=[common, seeded], help="cross-check against oracles")
-    p.add_argument("--mode", choices=VALIDATE_MODES, required=True)
-    p.add_argument("--event", type=int, default=0, help="association event index")
-    p.add_argument("--samples", type=_positive_int, default=1_000_000, help="MC sample count")
+    p.add_argument("--mode", choices=VALIDATE_FLAGS, required=True)
+    p.add_argument("--event", type=int, default=None,
+                   help="association event index (default 0)")
+    p.add_argument("--samples", type=_positive_int, default=None,
+                   help=f"MC sample count (default {DEFAULT_SAMPLES})")
     p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="pass/fail bound (mode-specific default)")
     p.set_defaults(func=cmd_validate)
@@ -373,6 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "validate":
+        unread = [f"--{flag}" for flag in ("event", "samples", "seed", "tolerance")
+                  if getattr(args, flag) is not None and flag not in VALIDATE_FLAGS[args.mode]]
+        if unread:
+            parser.error(f"validate --mode {args.mode} does not read {', '.join(unread)}")
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -22,7 +22,9 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     half a lattice unit, so every atom of the sum is displaced by at most
     M / (2 beta) along the value axis.  Summands that round to the point
     mass at 0 are the identity of convolution and are left out of the
-    inversion.
+    inversion; the rest are convolved exactly in groups of up to
+    ``FOLD_ATOMS`` joint atoms (``_fold_rows``), so one length-N spectrum
+    serves a group instead of a row.
 
   * ``enumerate_cdf`` (exhaustive, capped), ``mc_cdf`` (seeded sampling)
     and ``gaussian_cdf`` (moment-matched normal truncated to x >= 0)
@@ -64,6 +66,11 @@ PROB_SUM_TOL = 1e-12
 # Lattice mass below this is indistinguishable from inversion round-off
 # (observed ~4e-15) and gets dropped before the pmf is renormalised.
 FFT_MASS_FLOOR = 1e-12
+# la_cdf convolves its lattice rows in groups of g, the largest with
+# width ** g <= FOLD_ATOMS joint atoms (4 rows of 3 atoms, 6 of 2), before
+# the FFT: a row's top sits a few units into a length-N lattice, so a group
+# costs one length-N spectrum instead of g.
+FOLD_ATOMS = 81
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -213,9 +220,9 @@ def lattice_invert(rows) -> np.ndarray:
     n = q.shape[1]
     # rfft in blocks of 2^15 entries: the spectra take 256 KiB whatever K
     # is, and at K = 1600, N = 2048 the product takes 24 ms against 29 ms
-    # for one (K, N) rfft (4 MiB L2).  At the default scene's K <= 122,
-    # N = 1024 both cost the same, and the runtime-scaling test passes
-    # either way.
+    # for one (K, N) rfft (4 MiB L2).  At the default scene's K <= 31
+    # folded rows (la_cdf folds 122 interferer rows 4 to a row), N = 1024
+    # both cost the same, and the runtime-scaling test passes either way.
     block = max(1, 2**15 // n)
     top = 0
     phi = np.ones(n // 2 + 1, dtype=complex)
@@ -351,6 +358,37 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
+def _fold_rows(lattice: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray:
+    """(ceil(K / g), n) matrix whose row j is the exact pmf on 0..n-1 of
+    the sum of rows j*g .. j*g+g-1 of the K lattice rows: entry l of row k
+    puts mass ``probs[k, l]`` on lattice point ``lattice[k, l]``.
+
+    g is the largest group size with width ** g <= ``FOLD_ATOMS``, capped
+    at K; a folded row's atoms are the outer sums of its members' lattice
+    points, its masses their outer products.  Point masses at 0, the
+    identity of convolution, pad the last group.  The caller keeps each
+    group's summed top below n.
+    """
+    k, width = lattice.shape
+    g = 1
+    while g < k and width ** (g + 1) <= FOLD_ATOMS:
+        g += 1
+    groups = -(-k // g)
+    atoms = np.zeros((groups * g, width), dtype=np.intp)
+    mass = np.zeros((groups * g, width))
+    atoms[:k] = lattice
+    mass[:k] = probs
+    mass[k:, 0] = 1.0
+    atoms = atoms.reshape(groups, g, width)
+    mass = mass.reshape(groups, g, width)
+    fold_atoms, fold_mass = atoms[:, 0], mass[:, 0]
+    for j in range(1, g):
+        fold_atoms = (fold_atoms[:, :, None] + atoms[:, None, j]).reshape(groups, -1)
+        fold_mass = (fold_mass[:, :, None] * mass[:, None, j]).reshape(groups, -1)
+    at = fold_atoms + n * np.arange(groups)[:, None]
+    return np.bincount(at.ravel(), fold_mass.ravel(), groups * n).reshape(groups, n)
+
+
 def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, SteppedCdf]:
     """Lattice-approximated cdf of the sum.
 
@@ -358,7 +396,8 @@ def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, Step
     rounds the scaled values half-away-from-zero to integers, recovers the
     integer-sum pmf by FFT inversion (power-of-two length covering the
     quantized span) of the summands that do not round to the point mass
-    at 0, clamps tiny negative dips, renormalises, and maps the lattice
+    at 0, folded in groups by ``_fold_rows``, clamps tiny negative dips,
+    renormalises, and maps the lattice
     back to value units.  A spec whose summands are all degenerate
     has zero span and returns the exact point mass at the offset.
     """
@@ -381,9 +420,7 @@ def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, Step
     else:
         # a row rounded to the point mass at 0 has spectrum 1: leave it out
         live = tops > 0
-        lattice = lattice[live]
-        rows = np.zeros((len(lattice), _next_pow2(total_top + 1)))
-        np.add.at(rows, (np.arange(len(lattice))[:, None], lattice), spec.probs[live])
+        rows = _fold_rows(lattice[live], spec.probs[live], _next_pow2(total_top + 1))
         pmf = lattice_invert(rows)
         # FFT round-off leaves ~1e-15 dust on lattice points that carry no
         # mass; without a floor it would surface as spurious cdf jumps

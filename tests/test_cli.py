@@ -162,6 +162,14 @@ def test_argparse_usage_error(tmp_path):
         # each subcommand takes only the flags it reads
         ["layout", "--seed", "5"],
         ["validate", "--mode", "la-vs-enum", "--workers", "2"],
+        # and each validate mode only the flags it reads
+        ["validate", "--mode", "ga-vs-enum", "--tolerance", "0"],
+        ["validate", "--mode", "uplink-vs-bruteforce", "--event", "99"],
+        ["validate", "--mode", "downlink-vs-joint-enum", "--event", "0"],
+        ["validate", "--mode", "la-vs-enum", "--samples", "1000"],
+        ["validate", "--mode", "ga-vs-enum", "--samples", "1000"],
+        ["validate", "--mode", "uplink-vs-bruteforce", "--samples", "1000"],
+        ["validate", "--mode", "la-vs-enum", "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
@@ -300,6 +308,11 @@ def test_interference_cdf_usage_errors(tmp_path, capsys):
                  "--methods", "spline"]) == 2
     assert main(["interference-cdf", "--config", cfg_path, "--out", str(tmp_path),
                  "--event", "99"]) == 2
+    capsys.readouterr()
+    assert main(["interference-cdf", "--config", cfg_path, "--out", str(tmp_path),
+                 "--methods", ","]) == 2
+    assert "choose from ('la', 'enum', 'mc', 'ga')" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_validate_uplink_passes(tmp_path, capsys):

@@ -385,7 +385,8 @@ def test_la_degenerate_span():
 def test_la_cdf_leaves_out_rows_rounded_to_zero(monkeypatch):
     # a row that rounds to the point mass at 0 is the identity of
     # convolution: adding such rows (a constant 0, a range too small to
-    # move the span) changes no bit, and none of them reaches the inversion
+    # move the span) changes no bit, and none of them reaches the inversion;
+    # the 5 live rows reach it folded g to a row
     base = random_spec(np.random.default_rng(53), 5)
     padded = GpmSpec(
         np.insert(base.values, [0, 2, 5], [[0.0, 0.0, 0.0], [0.0, 1e-20, 0.0], [0.0] * 3], 0),
@@ -401,7 +402,79 @@ def test_la_cdf_leaves_out_rows_rounded_to_zero(monkeypatch):
         assert np.array_equal(dist.pmf, want_dist.pmf)
         assert np.array_equal(cdf.xs, want_cdf.xs)
         assert np.array_equal(cdf.cum, want_cdf.cum)
-    assert inverted_rows == [5] * 4
+    width = base.values.shape[1]
+    g = max(g for g in range(1, 6) if width**g <= gpm.FOLD_ATOMS)
+    assert inverted_rows == [math.ceil(5 / g)] * 4
+
+
+def random_lattice_spec(rng, k, width):
+    """K rows of ``width`` entries at beta = 1 (c0 = span): live rows on
+    distinct integers with some zero-probability padding, and about one row
+    in six spread by less than half a unit, so it rounds to the point mass
+    at 0.  Row 0 is live."""
+    values = np.empty((k, width))
+    probs = rng.uniform(0.05, 1.0, size=(k, width))
+    for row in range(k):
+        offset = float(rng.integers(0, 4))
+        if row > 0 and rng.random() < 0.15:
+            values[row] = offset + rng.uniform(0.0, 0.45, size=width)
+            continue
+        values[row] = offset + rng.choice(7, size=width, replace=False)
+        probs[row, rng.integers(2, width + 1):] = 0.0
+    return GpmSpec(values, probs / probs.sum(axis=1, keepdims=True))
+
+
+def check_fold(spec):
+    # at c0 = span, beta = 1: la_cdf's lattice is each row's distance from
+    # its minimum rounded half up, and its law the rows' iterated np.convolve
+    dist, _ = la_cdf(spec, spec.span)
+    assert dist.scale == 1.0
+    lattice = GpmSpec(np.floor(spec.values - spec.values.min(axis=1, keepdims=True) + 0.5),
+                      spec.probs)
+    want = convolve_pmf(lattice, int(lattice.span) + 1)
+    assert dist.pmf.shape == want.shape
+    assert np.max(np.abs(dist.pmf - want)) <= 1e-12
+
+
+def test_folded_la_cdf_matches_row_by_row_convolution():
+    # la_cdf convolves its rows g to a row before the FFT (g = 6, 4, 3, 3
+    # at widths 2..5); K runs through multiples of g and the rest
+    rng = np.random.default_rng(59)
+    for width in (2, 3, 4, 5):
+        for k in (*range(1, 14), 17, 23, 31, 40):
+            check_fold(random_lattice_spec(rng, k, width))
+
+
+def test_fold_negative_controls(monkeypatch):
+    # 9 live rows of 3 atoms: groups of 4, 4 and 1 + 3 point masses at 0
+    spec = random_lattice_spec(np.random.default_rng(61), 9, 3)
+    total_top = int(spec.span)
+    assert spec.span == total_top and (np.ptp(spec.values, axis=1) >= 1).all()
+    n = gpm._next_pow2(total_top + 1)
+    assert total_top + 1 < n - 1
+    check_fold(spec)
+    fold = gpm._fold_rows
+    # without the padded last group the law misses a row
+    monkeypatch.setattr(gpm, "_fold_rows", lambda lattice, probs, n: fold(lattice, probs, n)[:-1])
+    with pytest.raises(AssertionError):
+        check_fold(spec)
+
+    # one group's row offset one point too far carries the sum past its top
+    def shift_first_group(lattice, probs, n):
+        rows = fold(lattice, probs, n)
+        rows[0] = np.roll(rows[0], 1)
+        return rows
+
+    monkeypatch.setattr(gpm, "_fold_rows", shift_first_group)
+    with pytest.raises(ValueError, match="pmf sums to"):
+        check_fold(spec)
+    monkeypatch.undo()
+    # folded rows on a lattice one point too short still alias
+    lattice = (spec.values - spec.values.min(axis=1, keepdims=True)).astype(np.intp)
+    assert len(fold(lattice, spec.probs, total_top)) == 3
+    with pytest.raises(ValueError, match="aliasing"):
+        lattice_invert(fold(lattice, spec.probs, total_top))
+    lattice_invert(fold(lattice, spec.probs, total_top + 1))
 
 
 def test_la_cdf_of_rows_all_rounded_to_zero():

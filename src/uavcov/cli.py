@@ -178,8 +178,12 @@ def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
     return event, conditional_interference_spec(event, table, cfg.loading)
 
 
+def _method_names(text: str) -> list[str]:
+    return [m.strip() for m in text.split(",") if m.strip()]
+
+
 def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _method_names(args.methods)
     known = ("la", "enum", "mc", "ga")
     if not methods:
         raise ConfigError(f"--methods {args.methods!r} names no method; choose from {known}")
@@ -195,6 +199,7 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
           f"interference mean={_fmt(spec.mean())}")
 
     _, la = la_cdf(spec, cfg.lattice_target_c0)
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     for method in methods:
         path = _out_path(args, f"interference_cdf_{method}.csv")
         if method == "ga":
@@ -202,7 +207,7 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
             rows = [(float(x), float(ga(x))) for x in la.xs]
         else:
             cdf = (la if method == "la" else enumerate_cdf(spec) if method == "enum"
-                   else mc_cdf(spec, args.samples, args.seed))
+                   else mc_cdf(spec, samples, args.seed))
             rows = zip(cdf.xs, cdf.cum)
         _write_csv(path, ("x", "cdf"), rows, cfg)
         print(f"wrote {path}")
@@ -363,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conditional interference cdf at the configured UAV position")
     p.add_argument("--event", type=int, default=0, help="association event index")
     p.add_argument("--methods", default="la", help="comma list from la,enum,mc,ga")
-    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
-                   help="MC sample count")
+    p.add_argument("--samples", type=_positive_int, default=None,
+                   help=f"MC sample count (default {DEFAULT_SAMPLES})")
     p.set_defaults(func=cmd_interference_cdf)
 
     p = sub.add_parser("validate", parents=[common, seeded], help="cross-check against oracles")
@@ -383,11 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unread = []
     if args.command == "validate":
         unread = [f"--{flag}" for flag in ("event", "samples", "seed", "tolerance")
                   if getattr(args, flag) is not None and flag not in VALIDATE_FLAGS[args.mode]]
-        if unread:
-            parser.error(f"validate --mode {args.mode} does not read {', '.join(unread)}")
+        what = f"validate --mode {args.mode}"
+    elif args.command == "interference-cdf" and "mc" not in _method_names(args.methods):
+        unread = [f"--{flag}" for flag in ("samples", "seed") if getattr(args, flag) is not None]
+        what = "interference-cdf without the mc method"
+    if unread:
+        parser.error(f"{what} does not read {', '.join(unread)}")
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

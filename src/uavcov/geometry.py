@@ -120,13 +120,16 @@ def link_geometry(
     with one row per position.
 
     The elevation is arcsin(dh / d3) with dh the height difference and d3
-    the 3D distance; the UAV must fly strictly above the GBS antennas, so
-    it lies in (0, 90] with 90 exactly overhead.
+    the 3D distance; the UAV must be at a finite position strictly above
+    the GBS antennas, so it lies in (0, 90] with 90 exactly overhead.
     """
     xyz = np.asarray(uav_xyz, dtype=float)
     block = np.atleast_2d(xyz)
     if block.ndim != 2 or block.shape[1] != 3:
         raise ValueError(f"UAV positions must have shape (3,) or (P, 3), got {xyz.shape}")
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"UAV position {block[np.argmin(finite)].tolist()} is not finite")
     heights = block[:, 2].tolist()
     for z in heights:
         if z - gbs_height <= 0:

@@ -24,7 +24,11 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     mass at 0 are the identity of convolution and are left out of the
     inversion; the rest are convolved exactly in groups of up to
     ``FOLD_ATOMS`` joint atoms (``_fold_rows``), so one length-N spectrum
-    serves a group instead of a row.
+    serves a group instead of a row.  ``la_cdfs`` takes a stack of specs
+    of one shape, such as ``GpmSpec.stack`` checks in one pass, and
+    quantizes and folds them as (E, K, L) arrays; each spec keeps its own
+    beta, N and grouping, and only its inversion and cdf are its own.
+    ``la_cdf`` is the stack of one, bit for bit the same law.
 
   * ``enumerate_cdf`` (exhaustive, capped), ``mc_cdf`` (seeded sampling)
     and ``gaussian_cdf`` (moment-matched normal truncated to x >= 0)
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,6 +123,56 @@ class DiscreteSummand:
         return int(self.values.size)
 
 
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis adding strictly left to right, as Python's
+    ``sum`` does (ndarray.sum adds pairwise); 0 over an empty axis."""
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _checked_rows(v: np.ndarray, p: np.ndarray):
+    """Check the (K, L) values and probs of one spec, or the (E, K, L)
+    ones of a stack of E specs, row by row: finite values, non-negative
+    masses, each row summing to 1 within ``PROB_SUM_TOL``.  An error names
+    the summand at fault and, in a stack, its event.
+
+    Returns the values with padding moved onto its row's minimum and the
+    probs, both read-only, and each spec's offset and span.  The sums add
+    the rows strictly in row order, which fixes beta = c0 / span in
+    ``la_cdfs`` to the last bit for a given row order.
+    """
+    def fault(bad: np.ndarray) -> tuple[tuple, str]:
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        return at, f"summand {at[-1]}" + (f" of event {at[0]}" if bad.ndim == 2 else "")
+
+    bad = ~(np.isfinite(v) & (p >= 0.0)).all(axis=-1)
+    if bad.any():
+        raise ValueError(
+            "summand values must be finite and probabilities non-negative; "
+            f"{fault(bad)[1]} is not"
+        )
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0) > PROB_SUM_TOL
+    if off.any():
+        at, where = fault(off)
+        raise ValueError(f"{where} probabilities sum to {float(sums[at])!r}, not 1")
+    live = p > 0.0
+    lo = np.where(live, v, np.inf).min(axis=-1)
+    hi = np.where(live, v, -np.inf).max(axis=-1)
+    v = np.where(live, v, lo[..., None])
+    v.setflags(write=False)
+    p.setflags(write=False)
+    return v, p, _sum_in_order(lo), _sum_in_order(hi - lo)
+
+
+def _set_spec(spec: "GpmSpec", values, probs, offset, span) -> None:
+    object.__setattr__(spec, "values", values)
+    object.__setattr__(spec, "probs", probs)
+    object.__setattr__(spec, "offset", float(offset))
+    object.__setattr__(spec, "span", float(span))
+
+
 @dataclass(frozen=True, eq=False)
 class GpmSpec:
     """The full sum: read-only (K, L) ``values`` and ``probs``, one row per
@@ -128,7 +182,8 @@ class GpmSpec:
     Zero-probability entries are padding: the constructor moves each one
     to its row's smallest positive-mass value, so every row's min and max
     are those of its support.  ``offset`` A0 is the sum of the row minima
-    and ``span`` A the sum of the row ranges.
+    and ``span`` A the sum of the row ranges.  ``GpmSpec.stack`` builds
+    several specs of one shape with the same check.
     """
 
     values: np.ndarray
@@ -141,26 +196,24 @@ class GpmSpec:
         p = np.array(probs, dtype=float)
         if v.ndim != 2 or p.shape != v.shape or v.shape[1] == 0:
             raise ValueError("values and probs must be equal-shape (K, L) arrays with L >= 1")
-        if not (np.all(np.isfinite(v)) and np.all(p >= 0.0)):
-            raise ValueError("summand values must be finite and probabilities non-negative")
-        sums = p.sum(axis=1)
-        off = np.abs(sums - 1.0) > PROB_SUM_TOL
-        if off.any():
-            k = int(np.argmax(off))
-            raise ValueError(f"summand {k} probabilities sum to {sums[k]!r}, not 1")
-        live = p > 0.0
-        lo = np.where(live, v, np.inf).min(axis=1)
-        hi = np.where(live, v, -np.inf).max(axis=1)
-        v = np.where(live, v, lo[:, None])
-        v.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
-        # Python's sum adds the float64 scalars strictly left to right in
-        # row order (ndarray.sum adds pairwise), which fixes beta = c0 /
-        # span in la_cdf to the last bit for a given row order.
-        object.__setattr__(self, "offset", float(sum(lo)))
-        object.__setattr__(self, "span", float(sum(hi - lo)))
+        _set_spec(self, *_checked_rows(v, p))
+
+    @classmethod
+    def stack(cls, values, probs) -> tuple["GpmSpec", ...]:
+        """E specs of K summands from equal-shape (E, K, L) ``values`` and
+        ``probs``, checked in one pass, each equal to ``GpmSpec`` of its
+        (K, L) slices and holding read-only views of the checked stack.
+        An error names the event and summand at fault."""
+        v = np.array(values, dtype=float)
+        p = np.array(probs, dtype=float)
+        if v.ndim != 3 or p.shape != v.shape or v.shape[2] == 0:
+            raise ValueError("values and probs must be equal-shape (E, K, L) arrays with L >= 1")
+        specs = []
+        for row in zip(*_checked_rows(v, p)):
+            spec = object.__new__(cls)   # checked with its stack above
+            _set_spec(spec, *row)
+            specs.append(spec)
+        return tuple(specs)
 
     @classmethod
     def from_summands(cls, summands: Sequence[DiscreteSummand]) -> "GpmSpec":
@@ -358,76 +411,109 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def _fold_rows(lattice: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray:
-    """(ceil(K / g), n) matrix whose row j is the exact pmf on 0..n-1 of
-    the sum of rows j*g .. j*g+g-1 of the K lattice rows: entry l of row k
-    puts mass ``probs[k, l]`` on lattice point ``lattice[k, l]``.
+def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[np.ndarray]:
+    """Yields, for each event e of a stack, the (ceil(counts[e] / g), ns[e])
+    matrix whose row j is the exact pmf on 0..ns[e]-1 of the sum of the
+    event's lattice rows j*g .. j*g+g-1.
 
-    g is the largest group size with width ** g <= ``FOLD_ATOMS``, capped
-    at K; a folded row's atoms are the outer sums of its members' lattice
-    points, its masses their outer products.  Point masses at 0, the
-    identity of convolution, pad the last group.  The caller keeps each
-    group's summed top below n.
+    The (R, width) ``lattice`` and ``probs`` hold the events' rows one
+    event after another, ``counts[e]`` of them for event e; entry l of row
+    r puts mass ``probs[r, l]`` on lattice point ``lattice[r, l]``.  g is
+    the largest with width ** g <= ``FOLD_ATOMS``, capped at the largest
+    count; an event with fewer rows than g has one group, as with g capped
+    at its own count.  A folded row's atoms are the outer sums of its
+    members' lattice points, its masses their outer products, and point
+    masses at 0, the identity of convolution, pad each event's last group:
+    they add exact zeros.  Each event's matrix is built when the iteration
+    reaches it.  The caller keeps each group's summed top below its n.
     """
-    k, width = lattice.shape
+    counts = np.asarray(counts)
+    width = lattice.shape[1]
     g = 1
-    while g < k and width ** (g + 1) <= FOLD_ATOMS:
+    while g < counts.max(initial=0) and width ** (g + 1) <= FOLD_ATOMS:
         g += 1
-    groups = -(-k // g)
-    atoms = np.zeros((groups * g, width), dtype=np.intp)
-    mass = np.zeros((groups * g, width))
-    atoms[:k] = lattice
-    mass[:k] = probs
-    mass[k:, 0] = 1.0
-    atoms = atoms.reshape(groups, g, width)
-    mass = mass.reshape(groups, g, width)
+    groups = -(-counts // g)
+    first = np.cumsum(groups) - groups     # each event's first group
+    atoms = np.zeros((groups.sum() * g, width), dtype=np.intp)
+    mass = np.zeros((groups.sum() * g, width))
+    mass[:, 0] = 1.0
+    dest = np.arange(len(lattice)) + np.repeat(first * g - (np.cumsum(counts) - counts), counts)
+    atoms[dest] = lattice
+    mass[dest] = probs
+    del lattice, probs, dest    # freed while the events' matrices are built
+    atoms = atoms.reshape(-1, g, width)
+    mass = mass.reshape(-1, g, width)
     fold_atoms, fold_mass = atoms[:, 0], mass[:, 0]
     for j in range(1, g):
-        fold_atoms = (fold_atoms[:, :, None] + atoms[:, None, j]).reshape(groups, -1)
-        fold_mass = (fold_mass[:, :, None] * mass[:, None, j]).reshape(groups, -1)
-    at = fold_atoms + n * np.arange(groups)[:, None]
-    return np.bincount(at.ravel(), fold_mass.ravel(), groups * n).reshape(groups, n)
+        fold_atoms = (fold_atoms[:, :, None] + atoms[:, None, j]).reshape(len(atoms), -1)
+        fold_mass = (fold_mass[:, :, None] * mass[:, None, j]).reshape(len(atoms), -1)
+    for start, k, n in zip(first.tolist(), groups.tolist(), ns):
+        at = fold_atoms[start:start + k] + n * np.arange(k)[:, None]
+        yield np.bincount(at.ravel(), fold_mass[start:start + k].ravel(), k * n).reshape(k, n)
 
 
 def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, SteppedCdf]:
-    """Lattice-approximated cdf of the sum.
+    """Lattice-approximated cdf of the sum: ``la_cdfs`` of the stack of
+    one spec.
 
     Offsets each summand to start at 0, scales by beta = c0 / span,
     rounds the scaled values half-away-from-zero to integers, recovers the
     integer-sum pmf by FFT inversion (power-of-two length covering the
     quantized span) of the summands that do not round to the point mass
     at 0, folded in groups by ``_fold_rows``, clamps tiny negative dips,
-    renormalises, and maps the lattice
-    back to value units.  A spec whose summands are all degenerate
-    has zero span and returns the exact point mass at the offset.
+    renormalises, and maps the lattice back to value units.  A spec whose
+    summands are all degenerate has zero span and returns the exact point
+    mass at the offset.
+    """
+    return la_cdfs([spec], c0)[0]
+
+
+def la_cdfs(
+    specs: Sequence[GpmSpec], c0: float = 1000.0
+) -> list[tuple[LatticeDistribution, SteppedCdf]]:
+    """``la_cdf`` of each of one or more specs of equal shape, bit for bit.
+
+    The specs are quantized as one (E, K, L) stack and their live rows
+    folded together by ``_fold_rows``; each spec keeps its own beta, its
+    own lattice length N and its own fold grouping, and the inversion,
+    the ``FFT_MASS_FLOOR`` drop, the renormalisation and the map back to
+    value units run spec by spec.
     """
     if c0 < 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
-    a0 = spec.offset
-    span = spec.span
-    if span == 0.0:
-        dist = LatticeDistribution(a0, 1.0, np.array([1.0]))
-        return dist, SteppedCdf(np.array([a0]), np.array([1.0]))
-    beta = c0 / span
-    if not math.isfinite(beta):
-        raise ValueError(f"span {span!r} is too small: beta = c0 / span overflows at c0={c0}")
-    shifted = spec.values - spec.values.min(axis=1, keepdims=True)
-    lattice = _round_half_away(beta * shifted).astype(np.intp)
-    tops = lattice.max(axis=1)
-    total_top = int(tops.sum())
-    if total_top == 0:
-        pmf = np.array([1.0])
-    else:
-        # a row rounded to the point mass at 0 has spectrum 1: leave it out
-        live = tops > 0
-        rows = _fold_rows(lattice[live], spec.probs[live], _next_pow2(total_top + 1))
-        pmf = lattice_invert(rows)
-        # FFT round-off leaves ~1e-15 dust on lattice points that carry no
-        # mass; without a floor it would surface as spurious cdf jumps
-        pmf[pmf < FFT_MASS_FLOOR] = 0.0
-        pmf = pmf / pmf.sum()
-    dist = LatticeDistribution(a0, beta, pmf[: total_top + 1])
-    return dist, dist.to_cdf()
+    span = np.array([spec.span for spec in specs])
+    # a zero span has no lattice to scale: beta 1 puts its point mass at 0
+    with np.errstate(over="ignore"):
+        beta = c0 / np.where(span == 0.0, c0, span)
+    overflow = ~np.isfinite(beta)
+    if overflow.any():
+        bad = float(span[np.argmax(overflow)])
+        raise ValueError(f"span {bad!r} is too small: beta = c0 / span overflows at c0={c0}")
+    values = np.stack([spec.values for spec in specs])
+    shifted = values - values.min(axis=-1, keepdims=True)
+    lattice = _round_half_away(beta[:, None, None] * shifted).astype(np.intp)
+    tops = lattice.max(axis=-1)
+    total_tops = tops.sum(axis=-1).tolist()
+    # a row rounded to the point mass at 0 has spectrum 1: leave it out
+    live = tops > 0
+    probs = np.stack([spec.probs for spec in specs])
+    folded = _fold_rows(
+        lattice[live], probs[live], live.sum(axis=-1), [_next_pow2(t + 1) for t in total_tops]
+    )
+    del values, shifted, lattice, probs   # the stack's copies; the fold holds its rows
+    laws = []
+    for spec, scale, total_top, rows in zip(specs, beta.tolist(), total_tops, folded):
+        if total_top == 0:
+            pmf = np.array([1.0])
+        else:
+            pmf = lattice_invert(rows)
+            # FFT round-off leaves ~1e-15 dust on lattice points that carry
+            # no mass; without a floor it would surface as spurious cdf jumps
+            pmf[pmf < FFT_MASS_FLOOR] = 0.0
+            pmf = pmf / pmf.sum()
+        dist = LatticeDistribution(spec.offset, scale, pmf[: total_top + 1])
+        laws.append((dist, dist.to_cdf()))
+    return laws
 
 
 def displacement_bound(spec: GpmSpec, c0: float) -> float:

@@ -312,6 +312,15 @@ def test_interference_cdf_usage_errors(tmp_path, capsys):
     assert main(["interference-cdf", "--config", cfg_path, "--out", str(tmp_path),
                  "--methods", ","]) == 2
     assert "choose from ('la', 'enum', 'mc', 'ga')" in capsys.readouterr().err
+    # only the mc method reads --seed and --samples: a usage error otherwise
+    for flags, unread in ((["--methods", "la", "--seed", "3", "--samples", "5"],
+                           "--samples, --seed"),
+                          (["--methods", "la,enum,ga", "--seed", "3"], "--seed"),
+                          (["--samples", "5"], "--samples")):
+        with pytest.raises(SystemExit) as exc:
+            main(["interference-cdf", "--config", cfg_path, "--out", str(tmp_path), *flags])
+        assert exc.value.code == 2
+        assert f"without the mc method does not read {unread}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -5,11 +5,14 @@ space directly, which is exponential but exact; the walk and the mixture
 cdf must reproduce them to float precision.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import link_table, load_scenario, random_link_table
 from uavcov import coverage
@@ -21,6 +24,7 @@ from uavcov.coverage import (
     UplinkSnrPmf,
     association_pmf,
     conditional_interference_spec,
+    conditional_interference_specs,
     coverage_at_altitude,
     coverage_over_altitudes,
     downlink_snr_cdf,
@@ -32,6 +36,7 @@ from uavcov.gpm import (
     enumerate_cdf,
     kolmogorov_distance,
     la_cdf,
+    la_cdfs,
 )
 
 
@@ -327,6 +332,154 @@ def test_interference_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# Stacked interference laws
+# ---------------------------------------------------------------------------
+
+def law_bits(spec, cdf, c0):
+    return cdf.xs.tobytes(), cdf.cum.tobytes(), displacement_bound(spec, c0)
+
+
+def stacked_laws(specs, c0):
+    """Each spec's (xs, cum, slack), from one stacked la_cdfs call."""
+    return [law_bits(spec, cdf, c0) for spec, (_, cdf) in zip(specs, la_cdfs(specs, c0))]
+
+
+def single_laws(events, table, omega, c0):
+    """Each event's (xs, cum, slack), built alone: the stack of one."""
+    specs = [conditional_interference_spec(e, table, omega) for e in events]
+    return [law_bits(spec, la_cdf(spec, c0)[1], c0) for spec in specs]
+
+
+def band_stacks(table, events, size):
+    """The gaining events grouped by serving band, cut into stacks of up
+    to ``size`` events, as downlink_snr_cdf groups them."""
+    band = dict(zip(table.gbs_id.tolist(), table.band.tolist()))
+    by_band = {}
+    for event in events:
+        if event.serving_id is not None and event.gain != 0.0:
+            by_band.setdefault(band[event.serving_id], []).append(event)
+    return [run[i:i + size] for run in by_band.values() for i in range(0, len(run), size)]
+
+
+@st.composite
+def micro_scenes(draw):
+    """A link table of 1-8 GBSs in up to 3 bands, gains over six decades
+    (the smallest round to the point mass at 0 against the span), LoS
+    probabilities including 0 and 1; a loading of 0, 1, 0.5 or one per
+    GBS; and a lattice target from 1 (most rows round to 0) to 1000."""
+    rows = []
+    n = draw(st.integers(1, 8))
+    for gbs in range(n):
+        c_los = draw(st.sampled_from([0.0, 1e-5, 0.02, 0.5, 1.0, 3.0, 10.0]))
+        c_los *= draw(st.floats(1.0, 2.0))
+        c_nlos = c_los * draw(st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+        rows.append((gbs, draw(st.integers(0, 2)), c_los, c_nlos,
+                     draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))))
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    omega = draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5]),
+        st.lists(st.sampled_from([0.0, 0.2, 0.7, 1.0]), min_size=n, max_size=n).map(np.array),
+    ))
+    return rows, omega, draw(st.sampled_from([1.0, 5.0, 40.0, 1000.0]))
+
+
+# Scenes that force each case the property must cover.  Band 0 has six
+# GBSs, so its events have K = 5 rows, and the walk forces a growing
+# prefix of them into NLoS; at c0 = 40 the forced rows' ranges round to
+# 0, so events of one stack keep 5, 4, 3 ... live rows (g = 4 and g < 4).
+# GBS 6 is alone in band 2 and serves an event; bands 1 and 2 serve too.
+MIXED_ROWS = (
+    (0, 0, 10.0, 0.5, 0.5), (1, 0, 9.0, 0.4, 0.5), (6, 2, 8.5, 0.3, 0.6),
+    (2, 0, 8.0, 0.3, 0.5), (7, 1, 7.0, 0.3, 0.5), (3, 0, 6.0, 0.2, 0.5),
+    (8, 1, 5.0, 0.2, 0.5), (4, 0, 4.0, 0.1, 0.5), (5, 0, 3.0, 2.0, 0.5),
+)
+STACK_EXAMPLES = (
+    (MIXED_ROWS, 0.6, 40.0),
+    (MIXED_ROWS, 0.0, 1000.0),                    # loading 0: zero spans
+    (MIXED_ROWS, 1.0, 1000.0),                    # loading 1
+    (MIXED_ROWS, np.linspace(0.0, 1.0, 9), 1.0),  # every row rounds to 0
+)
+
+
+def check_stacks(rows, omega, c0, size):
+    table = link_table(rows)
+    events = association_pmf(table)
+    for stack in band_stacks(table, events, size):
+        specs = conditional_interference_specs(stack, table, omega)
+        assert stacked_laws(specs, c0) == single_laws(stack, table, omega, c0)
+    # the whole law, whatever the stacks it builds
+    model = downlink_snr_cdf(table, omega, 0.1, c0=c0)
+    gaining = [e for e in events if e.serving_id is not None and e.gain != 0.0]
+    got = [(t.interference.xs.tobytes(), t.interference.cum.tobytes(), t.slack)
+           for t in model.terms if t.interference is not None]
+    assert got == single_laws(gaining, table, omega, c0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(micro_scenes(), st.integers(1, 9))
+@example(STACK_EXAMPLES[0], 9)
+@example(STACK_EXAMPLES[0], 2)
+@example(STACK_EXAMPLES[1], 9)
+@example(STACK_EXAMPLES[2], 9)
+@example(STACK_EXAMPLES[3], 9)
+def test_stacked_laws_equal_single_event_laws(scene, size):
+    check_stacks(*scene, size)
+
+
+def test_stack_examples_cover_every_case():
+    seen = set()
+    for rows, omega, c0 in STACK_EXAMPLES:
+        table = link_table(rows)
+        w = np.broadcast_to(omega, (len(table),))
+        if (w == 0).all():
+            seen.add("loading 0")
+        elif (w == 1).all():
+            seen.add("loading 1")
+        stacks = band_stacks(table, association_pmf(table), 9)
+        if len(stacks) > 1:
+            seen.add("mixed serving bands")
+        for stack in stacks:
+            specs = conditional_interference_specs(stack, table, omega)
+            if any(len(spec) == 0 for spec in specs):
+                seen.add("lone GBS")
+            if any(e.forced_rows > 0 for e in stack):
+                seen.add("forced NLoS prefix")
+            live = []
+            for spec in specs:
+                ranges = np.ptp(spec.values, axis=1)
+                beta = c0 / spec.span if spec.span else 0.0
+                live.append(int((np.floor(beta * ranges + 0.5) > 0).sum()))
+                if ((ranges > 0) & (beta * ranges < 0.5)).any():
+                    seen.add("rows rounded to 0")
+            if len({min(c, 4) for c in live if c}) > 1:
+                seen.add("different g in one stack")
+    assert seen == {"loading 0", "loading 1", "mixed serving bands", "lone GBS",
+                    "forced NLoS prefix", "rows rounded to 0", "different g in one stack"}
+
+
+def test_stacked_law_negative_controls():
+    rows, omega, c0 = STACK_EXAMPLES[0]
+    table = link_table(rows)
+    stack = max(band_stacks(table, association_pmf(table), 9), key=len)
+    want = single_laws(stack, table, omega, c0)
+    specs = conditional_interference_specs(stack, table, omega)
+    assert stacked_laws(specs, c0) == want
+    # one event's forced prefix one row shorter (a LoS event's prefix ends
+    # at its own row, so one row longer would reach the server): its law moves
+    shifted = list(stack)
+    shifted[1] = dataclasses.replace(stack[1], forced_rows=stack[1].forced_rows - 1)
+    with pytest.raises(AssertionError):
+        assert stacked_laws(conditional_interference_specs(shifted, table, omega), c0) == want
+    # two events' specs swapped within the stack
+    swapped = list(specs)
+    swapped[0], swapped[2] = swapped[2], swapped[0]
+    with pytest.raises(AssertionError):
+        assert stacked_laws(swapped, c0) == want
+    with pytest.raises(ValueError, match="one band"):
+        conditional_interference_specs(stack + [association_pmf(table)[2]], table, omega)
+
+
+# ---------------------------------------------------------------------------
 # Downlink
 # ---------------------------------------------------------------------------
 
@@ -560,6 +713,22 @@ def test_coverage_over_altitudes_aggregate(tmp_path):
         coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=[100.0, 50.0], **kwargs)
 
 
+@pytest.mark.parametrize("bad, altitudes", [
+    (math.nan, [50.0, math.nan]),
+    (math.inf, [50.0, math.inf]),
+    (-math.inf, [-math.inf, 50.0]),
+])
+def test_non_finite_altitudes_are_rejected(tmp_path, bad, altitudes):
+    # each names the first position at fault before any law is built
+    cfg = scene(tmp_path, LinkDirection.DOWNLINK, resolution=1)
+    want = rf"^UAV position \[.*, {bad}\] is not finite$"
+    with pytest.raises(ValueError, match=want):
+        coverage_at_altitude(cfg, LinkDirection.DOWNLINK, altitude=bad, thresholds=[1.0])
+    with pytest.raises(ValueError, match=want):
+        coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=altitudes,
+                                thresholds=[1.0])
+
+
 def sweep_scene(tmp_path, link):
     """A 24-point cell raster (so each mean adds more than 8 points) and
     thresholds that split the points on both links."""
@@ -639,4 +808,17 @@ def test_block_size_does_not_change_output(tmp_path, monkeypatch, link):
             cfg, link, altitudes=[60.0, 140.0], thresholds=thresholds
         )
         runs.append(([r.non_outage.tolist() for r in results], aggregate.tolist()))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_stack_size_does_not_change_downlink_output(tmp_path, monkeypatch):
+    cfg, thresholds = sweep_scene(tmp_path, LinkDirection.DOWNLINK)
+    runs = []
+    # bands of 1, 3 and 3 sites (K = 0 or 2): stacks of one event, of two,
+    # and the default, each band's events in one stack
+    for entries in (1, 4, coverage.STACK_ENTRIES):
+        monkeypatch.setattr(coverage, "STACK_ENTRIES", entries)
+        result = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, altitude=100.0,
+                                      thresholds=thresholds)
+        runs.append(result.non_outage.tobytes())
     assert runs[0] == runs[1] == runs[2]

@@ -105,6 +105,31 @@ def test_spec_validation():
     assert (len(empty), empty.offset, empty.span) == (0, 0.0, 0.0)
 
 
+def test_stacked_spec_check_names_event_and_summand():
+    # three specs of two summands; padding (zero mass) in event 0
+    values = np.array([[[0.0, 1.0, 9.0], [2.0, 3.0, 0.0]]] * 3)
+    probs = np.array([[[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]] * 3)
+    probs[2, 1] = [0.0, 0.4, 0.6]
+    specs = GpmSpec.stack(values, probs)
+    for spec, v, p in zip(specs, values, probs):
+        want = GpmSpec(v, p)
+        assert np.array_equal(spec.values, want.values) and np.array_equal(spec.probs, want.probs)
+        assert (spec.offset, spec.span) == (want.offset, want.span)
+        assert not (spec.values.flags.writeable or spec.probs.flags.writeable)
+    bad_sum = probs.copy()
+    bad_sum[1, 1] = [0.6, 0.6, 0.0]
+    with pytest.raises(ValueError, match=r"^summand 1 of event 1 probabilities sum to 1\.2, not 1$"):
+        GpmSpec.stack(values, bad_sum)
+    bad_value = values.copy()
+    bad_value[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-negative; summand 0 of event 2 is not$"):
+        GpmSpec.stack(bad_value, probs)
+    with pytest.raises(ValueError, match="non-negative; summand 1 is not$"):
+        GpmSpec(bad_value[2, ::-1], probs[2])       # one spec: the summand alone
+    with pytest.raises(ValueError):
+        GpmSpec.stack(values[0], probs[0])           # not (E, K, L)
+
+
 def summand_specs():
     """Random small specs as lists of (values, probs) rows."""
     row = st.integers(1, 3).flatmap(lambda size: st.tuples(
@@ -455,15 +480,15 @@ def test_fold_negative_controls(monkeypatch):
     check_fold(spec)
     fold = gpm._fold_rows
     # without the padded last group the law misses a row
-    monkeypatch.setattr(gpm, "_fold_rows", lambda lattice, probs, n: fold(lattice, probs, n)[:-1])
+    monkeypatch.setattr(gpm, "_fold_rows", lambda *args: (rows[:-1] for rows in fold(*args)))
     with pytest.raises(AssertionError):
         check_fold(spec)
 
     # one group's row offset one point too far carries the sum past its top
-    def shift_first_group(lattice, probs, n):
-        rows = fold(lattice, probs, n)
-        rows[0] = np.roll(rows[0], 1)
-        return rows
+    def shift_first_group(*args):
+        for rows in fold(*args):
+            rows[0] = np.roll(rows[0], 1)
+            yield rows
 
     monkeypatch.setattr(gpm, "_fold_rows", shift_first_group)
     with pytest.raises(ValueError, match="pmf sums to"):
@@ -471,10 +496,11 @@ def test_fold_negative_controls(monkeypatch):
     monkeypatch.undo()
     # folded rows on a lattice one point too short still alias
     lattice = (spec.values - spec.values.min(axis=1, keepdims=True)).astype(np.intp)
-    assert len(fold(lattice, spec.probs, total_top)) == 3
+    (rows,) = fold(lattice, spec.probs, [9], [total_top])
+    assert len(rows) == 3
     with pytest.raises(ValueError, match="aliasing"):
-        lattice_invert(fold(lattice, spec.probs, total_top))
-    lattice_invert(fold(lattice, spec.probs, total_top + 1))
+        lattice_invert(rows)
+    lattice_invert(*fold(lattice, spec.probs, [9], [total_top + 1]))
 
 
 def test_la_cdf_of_rows_all_rounded_to_zero():

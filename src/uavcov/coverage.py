@@ -20,7 +20,9 @@ P{snr <= y} = P{I >= C/y - alpha0} summed over events.  Events served in
 one band share their interferer rows, so a position's events are built
 as (E, K, 3) stacks of specs (:func:`conditional_interference_specs`)
 and their laws quantized and folded a stack at a time
-(:func:`uavcov.gpm.la_cdfs`); only each event's inversion runs alone.
+(:func:`uavcov.gpm.la_folds`); each event's spec then goes through
+:func:`conditional_interference_spec` and its fold through
+:func:`uavcov.gpm.la_cdf`, which inverts it alone.
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
@@ -49,10 +51,7 @@ import numpy as np
 from .channel import LinkTable, build_link_tables
 from .config import ScenarioConfig
 from .geometry import sample_region
-from .gpm import GpmSpec, SteppedCdf, displacement_bound, la_cdfs
-# the single-spec form stays importable from here, where the benchmark's
-# tracer tests rebind it (perfbench/tests)
-from .gpm import la_cdf  # noqa: F401
+from .gpm import GpmSpec, SteppedCdf, displacement_bound, la_cdf, la_folds
 
 PROB_SUM_TOL = 1e-9
 
@@ -184,8 +183,10 @@ def conditional_interference_specs(
     interference 0).  Each is silent with probability 1 - omega; when
     active it contributes its NLoS gain if the event forces it NLoS,
     otherwise its NLoS/LoS gain split by its LoS probability.  ``omega``
-    is a scalar or a per-GBS array indexed by id.
+    is a scalar or a per-GBS array indexed by id.  No events give no specs.
     """
+    if not events:
+        return ()
     if any(event.serving_id is None for event in events):
         raise ValueError("an event without a serving GBS has no interference law")
     row_of = np.argsort(table.gbs_id)   # walk position of each id
@@ -207,10 +208,19 @@ def conditional_interference_specs(
 
 
 def conditional_interference_spec(
-    event: AssociationEvent, table: LinkTable, omega
+    event: AssociationEvent, table: LinkTable, omega, *, stacked: GpmSpec | None = None
 ) -> GpmSpec:
     """Aggregate interference under one association event: the stack of
-    one of :func:`conditional_interference_specs`."""
+    one of :func:`conditional_interference_specs`.
+
+    ``stacked`` is the event's spec when the caller has already built it
+    with the rest of its stack, and is returned as it is: every downlink
+    law's spec passes through here once, one event per call, however it
+    was built (the benchmark's tracer counts specs and summands by this
+    function).
+    """
+    if stacked is not None:
+        return stacked
     return conditional_interference_specs((event,), table, omega)[0]
 
 
@@ -300,9 +310,10 @@ def downlink_snr_cdf(
 
     The events are taken a stack at a time: events served in one band, of
     about ``STACK_ENTRIES`` interferer rows in all, whose specs are built
-    by :func:`conditional_interference_specs` and whose laws come from
-    :func:`~uavcov.gpm.la_cdfs`.  Each law equals that of its stack of
-    one, so the output does not depend on where the stacks end.
+    by :func:`conditional_interference_specs` and quantized and folded by
+    :func:`~uavcov.gpm.la_folds`; each event's law is then inverted by
+    :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of one,
+    so the output does not depend on where the stacks end.
     """
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
@@ -321,9 +332,12 @@ def downlink_snr_cdf(
         for start in range(0, len(indices), size):
             stack = indices[start:start + size]
             specs = conditional_interference_specs([events[i] for i in stack], table, omega)
-            for i, spec, (_, cdf) in zip(stack, specs, la_cdfs(specs, c0)):
+            for i, stacked, fold in zip(stack, specs, la_folds(specs, c0)):
+                event = events[i]
+                spec = conditional_interference_spec(event, table, omega, stacked=stacked)
+                _, cdf = la_cdf(spec, c0, fold=fold)
                 slack = displacement_bound(spec, c0)
-                terms[i] = DownlinkEventTerm(events[i].probability, events[i].gain, cdf, slack)
+                terms[i] = DownlinkEventTerm(event.probability, event.gain, cdf, slack)
     return DownlinkSnrCdf(tuple(terms), alpha0)
 
 

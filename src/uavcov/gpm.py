@@ -24,11 +24,12 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     mass at 0 are the identity of convolution and are left out of the
     inversion; the rest are convolved exactly in groups of up to
     ``FOLD_ATOMS`` joint atoms (``_fold_rows``), so one length-N spectrum
-    serves a group instead of a row.  ``la_cdfs`` takes a stack of specs
-    of one shape, such as ``GpmSpec.stack`` checks in one pass, and
-    quantizes and folds them as (E, K, L) arrays; each spec keeps its own
-    beta, N and grouping, and only its inversion and cdf are its own.
-    ``la_cdf`` is the stack of one, bit for bit the same law.
+    serves a group instead of a row.  ``la_folds`` quantizes and folds a
+    stack of specs of one shape, such as ``GpmSpec.stack`` checks in one
+    pass, as (E, K, L) arrays, each spec keeping its own beta, N and
+    grouping; ``la_cdf`` then inverts one spec's fold and maps it back.
+    Without a fold, ``la_cdf`` folds its spec as a stack of one, bit for
+    bit the same law.
 
   * ``enumerate_cdf`` (exhaustive, capped), ``mc_cdf`` (seeded sampling)
     and ``gaussian_cdf`` (moment-matched normal truncated to x >= 0)
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def _checked_rows(v: np.ndarray, p: np.ndarray):
     Returns the values with padding moved onto its row's minimum and the
     probs, both read-only, and each spec's offset and span.  The sums add
     the rows strictly in row order, which fixes beta = c0 / span in
-    ``la_cdfs`` to the last bit for a given row order.
+    ``la_folds`` to the last bit for a given row order.
     """
     def fault(bad: np.ndarray) -> tuple[tuple, str]:
         at = np.unravel_index(np.argmax(bad), bad.shape)
@@ -452,35 +453,32 @@ def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[n
         yield np.bincount(at.ravel(), fold_mass[start:start + k].ravel(), k * n).reshape(k, n)
 
 
-def la_cdf(spec: GpmSpec, c0: float = 1000.0) -> tuple[LatticeDistribution, SteppedCdf]:
-    """Lattice-approximated cdf of the sum: ``la_cdfs`` of the stack of
-    one spec.
+class LaFold(NamedTuple):
+    """A spec's quantized sum before inversion: ``scale`` beta, ``top`` the
+    highest lattice point the sum reaches, and ``rows`` the (groups, N)
+    matrix of its live rows folded by ``_fold_rows`` (no group when ``top``
+    is 0)."""
 
-    Offsets each summand to start at 0, scales by beta = c0 / span,
-    rounds the scaled values half-away-from-zero to integers, recovers the
-    integer-sum pmf by FFT inversion (power-of-two length covering the
-    quantized span) of the summands that do not round to the point mass
-    at 0, folded in groups by ``_fold_rows``, clamps tiny negative dips,
-    renormalises, and maps the lattice back to value units.  A spec whose
-    summands are all degenerate has zero span and returns the exact point
-    mass at the offset.
-    """
-    return la_cdfs([spec], c0)[0]
+    scale: float
+    top: int
+    rows: np.ndarray
 
 
-def la_cdfs(
-    specs: Sequence[GpmSpec], c0: float = 1000.0
-) -> list[tuple[LatticeDistribution, SteppedCdf]]:
-    """``la_cdf`` of each of one or more specs of equal shape, bit for bit.
+def la_folds(specs: Sequence[GpmSpec], c0: float = 1000.0) -> Iterator[LaFold]:
+    """Quantizes a stack of specs of one shape as one (E, K, L) array and
+    folds the live rows of all of them in one pass (``_fold_rows``); yields
+    each spec's ``LaFold`` in turn, for ``la_cdf`` to invert.
 
-    The specs are quantized as one (E, K, L) stack and their live rows
-    folded together by ``_fold_rows``; each spec keeps its own beta, its
-    own lattice length N and its own fold grouping, and the inversion,
-    the ``FFT_MASS_FLOOR`` drop, the renormalisation and the map back to
-    value units run spec by spec.
+    Each spec keeps its own beta = c0 / span, its own lattice length N
+    (the power of two above its summed top) and its own fold grouping, so
+    its fold is bit for bit that of its stack of one.  A spec's folded
+    rows are built when the iteration reaches it; the stack's quantized
+    copies are freed before the first spec's are.  No specs, no folds.
     """
     if c0 < 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
+    if not specs:
+        return iter(())
     span = np.array([spec.span for spec in specs])
     # a zero span has no lattice to scale: beta 1 puts its point mass at 0
     with np.errstate(over="ignore"):
@@ -500,20 +498,39 @@ def la_cdfs(
     folded = _fold_rows(
         lattice[live], probs[live], live.sum(axis=-1), [_next_pow2(t + 1) for t in total_tops]
     )
-    del values, shifted, lattice, probs   # the stack's copies; the fold holds its rows
-    laws = []
-    for spec, scale, total_top, rows in zip(specs, beta.tolist(), total_tops, folded):
-        if total_top == 0:
-            pmf = np.array([1.0])
-        else:
-            pmf = lattice_invert(rows)
-            # FFT round-off leaves ~1e-15 dust on lattice points that carry
-            # no mass; without a floor it would surface as spurious cdf jumps
-            pmf[pmf < FFT_MASS_FLOOR] = 0.0
-            pmf = pmf / pmf.sum()
-        dist = LatticeDistribution(spec.offset, scale, pmf[: total_top + 1])
-        laws.append((dist, dist.to_cdf()))
-    return laws
+    return map(LaFold, beta.tolist(), total_tops, folded)
+
+
+def la_cdf(
+    spec: GpmSpec, c0: float = 1000.0, *, fold: LaFold | None = None
+) -> tuple[LatticeDistribution, SteppedCdf]:
+    """Lattice-approximated cdf of the sum.
+
+    Offsets each summand to start at 0, scales by beta = c0 / span,
+    rounds the scaled values half-away-from-zero to integers, recovers the
+    integer-sum pmf by FFT inversion (power-of-two length covering the
+    quantized span) of the summands that do not round to the point mass
+    at 0, folded in groups by ``_fold_rows``, clamps tiny negative dips,
+    renormalises, and maps the lattice back to value units.  A spec whose
+    summands are all degenerate has zero span and returns the exact point
+    mass at the offset.
+
+    ``fold`` is the spec's entry of ``la_folds`` over a stack that holds
+    it, at the same ``c0``; without one the spec is quantized and folded
+    as its own stack of one, which gives the same law bit for bit.
+    """
+    if fold is None:
+        (fold,) = la_folds([spec], c0)
+    if fold.top == 0:
+        pmf = np.array([1.0])
+    else:
+        pmf = lattice_invert(fold.rows)
+        # FFT round-off leaves ~1e-15 dust on lattice points that carry
+        # no mass; without a floor it would surface as spurious cdf jumps
+        pmf[pmf < FFT_MASS_FLOOR] = 0.0
+        pmf = pmf / pmf.sum()
+    dist = LatticeDistribution(spec.offset, fold.scale, pmf[: fold.top + 1])
+    return dist, dist.to_cdf()
 
 
 def displacement_bound(spec: GpmSpec, c0: float) -> float:

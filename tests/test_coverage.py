@@ -36,7 +36,7 @@ from uavcov.gpm import (
     enumerate_cdf,
     kolmogorov_distance,
     la_cdf,
-    la_cdfs,
+    la_folds,
 )
 
 
@@ -340,8 +340,10 @@ def law_bits(spec, cdf, c0):
 
 
 def stacked_laws(specs, c0):
-    """Each spec's (xs, cum, slack), from one stacked la_cdfs call."""
-    return [law_bits(spec, cdf, c0) for spec, (_, cdf) in zip(specs, la_cdfs(specs, c0))]
+    """Each spec's (xs, cum, slack), its la_cdf inverting its fold from
+    one la_folds pass over the stack."""
+    return [law_bits(spec, la_cdf(spec, c0, fold=fold)[1], c0)
+            for spec, fold in zip(specs, la_folds(specs, c0))]
 
 
 def single_laws(events, table, omega, c0):
@@ -477,6 +479,44 @@ def test_stacked_law_negative_controls():
         assert stacked_laws(swapped, c0) == want
     with pytest.raises(ValueError, match="one band"):
         conditional_interference_specs(stack + [association_pmf(table)[2]], table, omega)
+
+
+def test_empty_stacks():
+    table = link_table(MIXED_ROWS)
+    assert conditional_interference_specs([], table, 0.5) == ()
+    assert list(la_folds([])) == []
+    with pytest.raises(ValueError, match="c0 must be >= 1"):
+        la_folds([], 0.5)
+
+
+def test_each_law_passes_through_the_per_event_functions(monkeypatch):
+    # downlink_snr_cdf builds specs and folds a stack at a time, but hands
+    # every gaining event's spec and fold to conditional_interference_spec
+    # and la_cdf, one event per call, in event order
+    table = link_table(MIXED_ROWS)
+    gaining = [e for e in association_pmf(table) if e.serving_id is not None and e.gain != 0.0]
+    seen = []
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.append((name, args[0], result))
+            return result
+        return call
+
+    monkeypatch.setattr(coverage, "conditional_interference_spec",
+                        spy("spec", conditional_interference_spec))
+    monkeypatch.setattr(coverage, "la_cdf", spy("law", la_cdf))
+    model = downlink_snr_cdf(table, 0.6, 0.1, c0=40.0)
+    specs = [result for name, _, result in seen if name == "spec"]
+    assert [name for name, _, _ in seen] == ["spec", "law"] * len(gaining)
+    assert sorted((e.serving_id, e.forced_rows) for _, e, _ in seen[::2]) == sorted(
+        (e.serving_id, e.forced_rows) for e in gaining)
+    assert [spec for _, spec, _ in seen[1::2]] == specs
+    assert sum(map(len, specs)) == sum(
+        len(conditional_interference_spec(e, table, 0.6)) for e in gaining)
+    assert sorted(t.interference.xs.tobytes() for t in model.terms if t.interference) == sorted(
+        cdf.xs.tobytes() for _, _, (_, cdf) in seen[1::2])
 
 
 # ---------------------------------------------------------------------------

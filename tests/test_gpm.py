@@ -128,6 +128,7 @@ def test_stacked_spec_check_names_event_and_summand():
         GpmSpec(bad_value[2, ::-1], probs[2])       # one spec: the summand alone
     with pytest.raises(ValueError):
         GpmSpec.stack(values[0], probs[0])           # not (E, K, L)
+    assert GpmSpec.stack(np.zeros((0, 2, 3)), np.zeros((0, 2, 3))) == ()   # no spec
 
 
 def summand_specs():

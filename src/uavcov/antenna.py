@@ -2,8 +2,8 @@
 cone at the UAV.
 
 The GBS carries a vertical uniform linear array (ULA) of K elements with
-spacing d_e, electrically tilted to ``tilt_deg``.  Its power gain toward
-elevation angle theta is
+spacing d_e, electrically tilted to ``downtilt_deg``.  Its power gain
+toward elevation angle theta is
 
     G(theta) = G_e * cos(theta)^2 * (sin(K*phi/2) / (sqrt(K) * sin(phi/2)))^2
     phi     = 2*pi * (d_e/lambda) * (sin(theta) - sin(tilt))
@@ -12,10 +12,14 @@ where ``G_e * cos(theta)^2`` is the element power pattern.  At phi = 2*pi*m
 the array factor has a removable singularity with limit K, so the boresight
 gain is exactly ``K * G_e * cos(tilt)^2``.
 
-The UAV antenna radiates a constant mainlobe gain ``G0 / beamwidth_deg^2``
-into a downward cone of half-beamwidth ``beamwidth_deg`` and a constant
-backlobe gain outside it.  At UAV height H_u above GBS antennas of height
-H_b the cone footprint is the disc of radius ``(H_u - H_b) * tan(beamwidth)``.
+The UAV antenna radiates a constant mainlobe gain
+``G0 / half_beamwidth_deg^2`` into a downward cone of that half-beamwidth
+and a constant backlobe gain outside it.  At UAV height H_u above GBS
+antennas of height H_b the cone footprint is the disc of radius
+``(H_u - H_b) * tan(half_beamwidth)``.
+
+Each field is named by its INI key (sections ``[gbs_antenna]`` and
+``[uav_antenna]``), and each constructor error opens with that name.
 """
 
 from __future__ import annotations
@@ -37,62 +41,57 @@ def _cos_deg(theta_deg):
 
 @dataclass(frozen=True)
 class UlaPattern:
-    """Tilted uniform linear array, evaluated by calling it with an
-    elevation angle in degrees (scalar or array)."""
+    """Tilted uniform linear array, evaluated by calling it with an array
+    of elevation angles in degrees."""
 
     element_count: int
-    spacing_wl: float
-    tilt_deg: float
+    element_spacing_wl: float
+    downtilt_deg: float
     element_peak_gain: float = 1.64
 
     def __post_init__(self) -> None:
         if self.element_count < 1:
             raise ValueError(f"element_count must be >= 1, got {self.element_count}")
-        if self.spacing_wl <= 0:
-            raise ValueError(f"spacing_wl must be positive, got {self.spacing_wl}")
-        if not -90.0 < self.tilt_deg < 90.0:
-            raise ValueError(f"tilt_deg must lie in (-90, 90), got {self.tilt_deg}")
+        if self.element_spacing_wl <= 0:
+            raise ValueError(
+                f"element_spacing_wl must be positive, got {self.element_spacing_wl}"
+            )
+        if not -90.0 < self.downtilt_deg < 90.0:
+            raise ValueError(f"downtilt_deg must lie in (-90, 90), got {self.downtilt_deg}")
         if self.element_peak_gain <= 0:
             raise ValueError(f"element_peak_gain must be positive, got {self.element_peak_gain}")
 
-    def __call__(self, theta_deg):
-        return ula_gain(self, theta_deg)
-
-
-def ula_gain(pattern: UlaPattern, theta_deg):
-    """Linear power gain of the array toward elevation ``theta_deg``.
-
-    Accepts a scalar or array of angles in (-90, 90]; the element null
-    makes the gain exactly 0 at theta = 90 (straight overhead).
-    """
-    theta = np.asarray(theta_deg, dtype=float)
-    if np.any(theta <= -90.0) or np.any(theta > 90.0):
-        raise ValueError("elevation angle must lie in (-90, 90] degrees")
-    k = pattern.element_count
-    half = math.pi * pattern.spacing_wl * (
-        np.sin(np.deg2rad(theta)) - math.sin(math.radians(pattern.tilt_deg))
-    )
-    s = np.sin(half)
-    singular = np.abs(s) < _SINGULARITY_EPS
-    denom = np.where(singular, 1.0, s)
-    af2 = np.where(singular, float(k), (np.sin(k * half) / (math.sqrt(k) * denom)) ** 2)
-    gain = pattern.element_peak_gain * _cos_deg(theta) ** 2 * af2
-    if np.isscalar(theta_deg):
-        return float(gain)
-    return gain
+    def __call__(self, theta_deg) -> np.ndarray:
+        """Linear power gain toward each elevation of ``theta_deg``, an
+        array of angles in (-90, 90]; the element null makes the gain
+        exactly 0 at theta = 90 (straight overhead)."""
+        theta = np.asarray(theta_deg, dtype=float)
+        if np.any(theta <= -90.0) or np.any(theta > 90.0):
+            raise ValueError("elevation angle must lie in (-90, 90] degrees")
+        k = self.element_count
+        half = math.pi * self.element_spacing_wl * (
+            np.sin(np.deg2rad(theta)) - math.sin(math.radians(self.downtilt_deg))
+        )
+        s = np.sin(half)
+        singular = np.abs(s) < _SINGULARITY_EPS
+        denom = np.where(singular, 1.0, s)
+        af2 = np.where(singular, float(k), (np.sin(k * half) / (math.sqrt(k) * denom)) ** 2)
+        return self.element_peak_gain * _cos_deg(theta) ** 2 * af2
 
 
 @dataclass(frozen=True)
 class UavAntenna:
     """Flat-top cone antenna pointing straight down from the UAV."""
 
-    beamwidth_deg: float
+    half_beamwidth_deg: float
     mainlobe_constant: float = 7500.0
     backlobe_gain: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beamwidth_deg <= 90.0:
-            raise ValueError(f"beamwidth_deg must lie in (0, 90] degrees, got {self.beamwidth_deg}")
+        if not 0.0 < self.half_beamwidth_deg <= 90.0:
+            raise ValueError(
+                f"half_beamwidth_deg must lie in (0, 90] degrees, got {self.half_beamwidth_deg}"
+            )
         if self.mainlobe_constant <= 0:
             raise ValueError(f"mainlobe_constant must be positive, got {self.mainlobe_constant}")
         if self.backlobe_gain < 0:
@@ -102,7 +101,7 @@ class UavAntenna:
     def mainlobe_gain(self) -> float:
         """Constant in-cone gain; the 90-degree beam keeps the literal
         value mainlobe_constant / 8100 rather than snapping to isotropic."""
-        return self.mainlobe_constant / self.beamwidth_deg**2
+        return self.mainlobe_constant / self.half_beamwidth_deg**2
 
     def footprint_radius(self, uav_height: float, gbs_height: float) -> float:
         """Radius of the mainlobe disc on the GBS antenna plane."""
@@ -111,22 +110,18 @@ class UavAntenna:
             raise ValueError(
                 f"UAV altitude {uav_height} must exceed the GBS antenna height {gbs_height}"
             )
-        if self.beamwidth_deg == 90.0:
+        if self.half_beamwidth_deg == 90.0:
             return math.inf
-        return dh * math.tan(math.radians(self.beamwidth_deg))
+        return dh * math.tan(math.radians(self.half_beamwidth_deg))
 
-    def gain_at(self, r_h, uav_height, gbs_height: float):
-        """Gain toward GBSs at horizontal distances ``r_h`` (scalar or
-        array) from a UAV at ``uav_height``; a (P,) array of heights takes
-        (P, n) distances, one row per height.  Points on the footprint
-        boundary get the mainlobe gain."""
-        # one radius per height, as a column against a (P, n) ``r_h``
-        radius = np.reshape(
-            [self.footprint_radius(h, gbs_height) for h in np.ravel(uav_height).tolist()],
-            np.shape(uav_height) + (1,) * np.ndim(uav_height),
-        )
-        inside = np.asarray(r_h) <= radius
-        gain = np.where(inside, self.mainlobe_gain, self.backlobe_gain)
-        if np.isscalar(r_h):
-            return float(gain)
-        return gain
+    def gain_at(self, r_h, uav_height, gbs_height: float) -> np.ndarray:
+        """Gain toward GBSs at (P, n) horizontal distances ``r_h`` from UAVs
+        at the (P,) heights ``uav_height``, one row per height.  Points on
+        the footprint boundary get the mainlobe gain."""
+        r_h, heights = np.asarray(r_h), np.asarray(uav_height, dtype=float)
+        if heights.ndim != 1 or r_h.ndim != 2 or len(r_h) != len(heights):
+            raise ValueError(
+                f"need (P, n) distances and (P,) heights, got {r_h.shape} and {heights.shape}"
+            )
+        radius = [self.footprint_radius(h, gbs_height) for h in heights.tolist()]
+        return np.where(r_h <= np.array(radius)[:, None], self.mainlobe_gain, self.backlobe_gain)

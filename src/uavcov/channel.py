@@ -7,7 +7,8 @@ The default parametric model combines
 
   * a logistic LoS probability  p_L(theta) = 1 / (1 + a * exp(-b*(theta - theta0)))
     in the elevation angle theta (degrees), the widely used urban
-    air-to-ground fit (defaults a = 9.6, b = 0.28 per degree, theta0 = a);
+    air-to-ground fit (defaults a = 9.6, b = 0.28 per degree and
+    theta0 = 9.6, each its own ``[channel]`` key);
 
   * log-distance pathloss  h = beta * d^(-alpha)  on the 3D distance, with
     the reference gains beta anchored to free space at the carrier
@@ -100,12 +101,10 @@ def default_channel(
     excess_loss_nlos_db: float = 20.0,
     los_a: float = 9.6,
     los_b_per_deg: float = 0.28,
-    los_midpoint_deg: float | None = None,
+    los_midpoint_deg: float = 9.6,
 ) -> ParametricAirGroundModel:
     """Urban default: free-space reference minus the per-state excess loss."""
     fs = free_space_gain(carrier_hz)
-    if los_midpoint_deg is None:
-        los_midpoint_deg = los_a
     return ParametricAirGroundModel(
         alpha_los=alpha_los,
         alpha_nlos=alpha_nlos,

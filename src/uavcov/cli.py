@@ -65,6 +65,8 @@ DEFAULT_TOLERANCE = {
     "downlink-vs-joint-enum": 0.01,
 }
 DEFAULT_SAMPLES = 1_000_000
+# coverage-curve --sweep threshold: --min-db, --max-db and --points
+DEFAULT_THRESHOLD_SWEEP = (0.0, 20.0, 10)
 
 
 def _fmt(value) -> str:
@@ -98,9 +100,22 @@ def cmd_layout(cfg: ScenarioConfig, args) -> int:
     return EXIT_OK
 
 
+def _altitude(cfg: ScenarioConfig, args) -> float:
+    """``--altitude``, else ``[uav] altitude_m``; like the latter, the flag
+    must exceed the GBS antenna height."""
+    if args.altitude is None:
+        return cfg.uav_altitude
+    if args.altitude <= cfg.gbs_height:
+        raise ConfigError(
+            f"--altitude must exceed the GBS antenna height {cfg.gbs_height}, "
+            f"got {args.altitude}"
+        )
+    return args.altitude
+
+
 def _map_command(cfg: ScenarioConfig, args, link: LinkDirection) -> int:
     threshold = cfg.uplink_threshold if link is LinkDirection.UPLINK else cfg.downlink_threshold
-    altitude = args.altitude if args.altitude is not None else cfg.uav_altitude
+    altitude = _altitude(cfg, args)
     result = coverage_at_altitude(
         cfg, link, altitude=altitude, thresholds=(threshold,), workers=args.workers
     )
@@ -140,8 +155,12 @@ def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
               f"coverage={_fmt(float(aggregate[0]))}")
         return EXIT_OK
 
-    altitude = args.altitude if args.altitude is not None else cfg.uav_altitude
-    thresholds_db = np.linspace(args.min_db, args.max_db, args.points).tolist()
+    altitude = _altitude(cfg, args)
+    min_db, max_db, points = (
+        default if flag is None else flag
+        for flag, default in zip((args.min_db, args.max_db, args.points), DEFAULT_THRESHOLD_SWEEP)
+    )
+    thresholds_db = np.linspace(min_db, max_db, points).tolist()
     result = coverage_at_altitude(
         cfg, link, altitude=altitude, thresholds=tuple(map(db_to_linear, thresholds_db)),
         workers=args.workers,
@@ -357,11 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coverage vs altitude or threshold")
     p.add_argument("--link", choices=("uplink", "downlink"), default="uplink")
     p.add_argument("--sweep", choices=("altitude", "threshold"), default="altitude")
+    min_db, max_db, points = DEFAULT_THRESHOLD_SWEEP
     p.add_argument("--altitude", type=_finite_float, default=None,
-                   help="altitude for threshold sweeps")
-    p.add_argument("--min-db", type=_decibels, default=0.0, help="threshold sweep start (dB)")
-    p.add_argument("--max-db", type=_decibels, default=20.0, help="threshold sweep end (dB)")
-    p.add_argument("--points", type=_positive_int, default=10, help="threshold sweep length")
+                   help="altitude for threshold sweeps (default [uav] altitude_m)")
+    p.add_argument("--min-db", type=_decibels, default=None,
+                   help=f"threshold sweep start (dB, default {min_db:g})")
+    p.add_argument("--max-db", type=_decibels, default=None,
+                   help=f"threshold sweep end (dB, default {max_db:g})")
+    p.add_argument("--points", type=_positive_int, default=None,
+                   help=f"threshold sweep length (default {points})")
     p.set_defaults(func=cmd_coverage_curve)
 
     p = sub.add_parser("interference-cdf", parents=[common, seeded],
@@ -385,17 +408,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
+    """The form of the command the arguments ask for, as an error names
+    it, and the optional flags that form does not read."""
+    if args.command == "validate":
+        return f"validate --mode {args.mode}", tuple(
+            flag for flag in ("event", "samples", "seed", "tolerance")
+            if flag not in VALIDATE_FLAGS[args.mode]
+        )
+    if args.command == "interference-cdf" and "mc" not in _method_names(args.methods):
+        return "interference-cdf without the mc method", ("samples", "seed")
+    if args.command == "coverage-curve" and args.sweep == "altitude":
+        return "coverage-curve --sweep altitude", ("altitude", "min_db", "max_db", "points")
+    return args.command, ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    unread = []
-    if args.command == "validate":
-        unread = [f"--{flag}" for flag in ("event", "samples", "seed", "tolerance")
-                  if getattr(args, flag) is not None and flag not in VALIDATE_FLAGS[args.mode]]
-        what = f"validate --mode {args.mode}"
-    elif args.command == "interference-cdf" and "mc" not in _method_names(args.methods):
-        unread = [f"--{flag}" for flag in ("samples", "seed") if getattr(args, flag) is not None]
-        what = "interference-cdf without the mc method"
+    # an optional flag the command does not read is a usage error
+    what, flags = _unread_flags(args)
+    unread = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is not None]
     if unread:
         parser.error(f"{what} does not read {', '.join(unread)}")
     try:

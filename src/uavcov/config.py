@@ -115,9 +115,8 @@ class ScenarioConfig:
     inter_site_distance: float
     gbs_height: float
 
-    noise_w: float
-    gbs_power_w: float
-    uav_power_w: float
+    beta0: float    # uplink transmit power over noise power
+    alpha0: float   # noise power over downlink transmit power
 
     uplink_threshold: float
     downlink_threshold: float
@@ -138,16 +137,6 @@ class ScenarioConfig:
     config_hash: str
 
     models: dict = field(repr=False)
-
-    @property
-    def beta0(self) -> float:
-        """Uplink transmit power over noise power."""
-        return self.uav_power_w / self.noise_w
-
-    @property
-    def alpha0(self) -> float:
-        """Noise power over downlink transmit power."""
-        return self.noise_w / self.gbs_power_w
 
     def build_layout(self) -> NetworkLayout:
         return self.models["layout"]
@@ -217,13 +206,6 @@ def _region(resolved) -> SamplingRegion:
         raise ConfigError(f"[sampling] region must be 'triangle' or 'cell', got {region!r}")
     return SamplingRegion(RegionKind(region), _number(resolved, "sampling", "resolution", int))
 
-
-# A model constructor's message opens with the field at fault; where the
-# field's INI key differs, the re-raised message names the key instead.
-_FIELD_KEYS = {
-    "gbs_antenna": {"spacing_wl": "element_spacing_wl", "tilt_deg": "downtilt_deg"},
-    "uav_antenna": {"beamwidth_deg": "half_beamwidth_deg"},
-}
 
 # The model object each INI section describes, and how to build it.
 _MODELS = {
@@ -303,9 +285,9 @@ def load_config(path: str | None = None) -> ScenarioConfig:
             raise ConfigError(f"[loading] omega_site_{gbs_id} must be a float, got {raw!r}") from None
 
     gbs_height = num("layout", "gbs_height_m")
-    noise_w = dbm_to_watt(num("radio", "noise_power_dbm"))
-    gbs_power_w = num("radio", "gbs_power_w")
-    uav_power_w = dbm_to_watt(num("radio", "uav_power_dbm"))
+    noise_power = dbm_to_watt(num("radio", "noise_power_dbm"))
+    gbs_power = num("radio", "gbs_power_w")
+    uav_power = dbm_to_watt(num("radio", "uav_power_dbm"))
     omega = num("loading", "downlink_omega")
     uav_altitude = num("uav", "altitude_m")
     altitude_min = num("sampling", "altitude_min_m")
@@ -314,7 +296,7 @@ def load_config(path: str | None = None) -> ScenarioConfig:
     association_epsilon = num("algorithm", "association_epsilon")
     lattice_target_c0 = num("algorithm", "lattice_target_c0")
 
-    if noise_w <= 0 or gbs_power_w <= 0 or uav_power_w <= 0:
+    if noise_power <= 0 or gbs_power <= 0 or uav_power <= 0:
         raise ConfigError("[radio] powers must be positive")
     if not 0.0 <= omega <= 1.0:
         raise ConfigError(f"[loading] downlink_omega must lie in [0, 1], got {omega}")
@@ -337,7 +319,8 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         raise ConfigError(
             f"[sampling] altitude_min_m must exceed the GBS antenna height {gbs_height}"
         )
-    # the model constructors hold the range checks of their parameters
+    # the model constructors hold the range checks of their parameters,
+    # and their messages open with the INI key at fault
     models = {}
     for section, build in _MODELS.items():
         try:
@@ -345,10 +328,7 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         except ConfigError:
             raise
         except (ValueError, OSError) as exc:
-            message = str(exc)
-            field = message.split(" ", 1)[0]
-            key = _FIELD_KEYS.get(section, {}).get(field, field)
-            raise ConfigError(f"[{section}] {key}{message[len(field):]}") from exc
+            raise ConfigError(f"[{section}] {exc}") from exc
 
     n_sites = len(models["layout"])
     loading = np.full(n_sites, omega)
@@ -363,9 +343,8 @@ def load_config(path: str | None = None) -> ScenarioConfig:
     return ScenarioConfig(
         inter_site_distance=num("layout", "inter_site_distance_m"),
         gbs_height=gbs_height,
-        noise_w=noise_w,
-        gbs_power_w=gbs_power_w,
-        uav_power_w=uav_power_w,
+        beta0=uav_power / noise_power,
+        alpha0=noise_power / gbs_power,
         uplink_threshold=db_to_linear(num("thresholds", "uplink_snr_db")),
         downlink_threshold=db_to_linear(num("thresholds", "downlink_snr_db")),
         loading=loading,

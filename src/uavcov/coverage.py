@@ -303,7 +303,7 @@ def downlink_snr_cdf(
     alpha0: float,
     *,
     eps: float = 0.0,
-    c0: float = 1000.0,
+    c0: float,
 ) -> DownlinkSnrCdf:
     """Downlink SNR cdf with lattice-approximated conditional interference,
     one law per association event with a serving GBS.

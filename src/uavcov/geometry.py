@@ -64,32 +64,32 @@ class NetworkLayout:
 
 
 def build_hex_layout(
-    inter_site_distance: float,
-    radius: float,
+    inter_site_distance_m: float,
+    radius_m: float,
     reuse_factor: int = 3,
 ) -> NetworkLayout:
-    """Construct the hexagonal layout of all sites within ``radius`` of
-    the origin.
+    """Construct the hexagonal layout of all sites within ``radius_m`` of
+    the origin; the parameters are named by their ``[layout]`` INI keys.
 
     Sites are numbered by increasing distance from the origin, ties broken
     by angle from the positive x axis, so id 0 is always the origin site.
     Bands number the cosets of the co-channel sublattice in the order of
     their labels, so band 0 is the band of the origin site.
     """
-    if inter_site_distance <= 0:
-        raise ValueError(f"inter-site distance must be positive, got {inter_site_distance}")
-    if radius < 0:
-        raise ValueError(f"layout radius must be non-negative, got {radius}")
+    if inter_site_distance_m <= 0:
+        raise ValueError(f"inter_site_distance_m must be positive, got {inter_site_distance_m}")
+    if radius_m < 0:
+        raise ValueError(f"radius_m must be non-negative, got {radius_m}")
     if reuse_factor not in _REUSE_GENERATOR:
         raise ValueError(
-            f"reuse factor must be one of {tuple(_REUSE_GENERATOR)}, got {reuse_factor}"
+            f"reuse_factor must be one of {tuple(_REUSE_GENERATOR)}, got {reuse_factor}"
         )
 
-    d = inter_site_distance
+    d = inter_site_distance_m
     # |a*v1 + b*v2|^2 = d^2 * (a^2 + a*b + b^2); enumerate a generous
     # axial bounding box and filter by the exact integer norm.
-    k_max = int(math.floor((radius / d) ** 2 * (1.0 + 1e-12)))
-    n_max = int(math.ceil(radius / d * 2.0 / math.sqrt(3.0))) + 1
+    k_max = int(math.floor((radius_m / d) ** 2 * (1.0 + 1e-12)))
+    n_max = int(math.ceil(radius_m / d * 2.0 / math.sqrt(3.0))) + 1
     axis = np.arange(-n_max, n_max + 1)
     a, b = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     k = a * a + a * b + b * b
@@ -111,22 +111,20 @@ def build_hex_layout(
 
 
 def link_geometry(
-    uav_xyz, xs, ys, gbs_height: float
+    positions, xs, ys, gbs_height: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Horizontal distance, 3D distance and elevation angle (degrees) of
-    the UAV seen from GBS antennas at (xs, ys, gbs_height), one entry per
-    site.  ``uav_xyz`` is one position (x, y, z), which gives (n,)
-    arrays, or a (P, 3) block of positions, which gives (P, n) arrays
-    with one row per position.
+    UAVs at a (P, 3) block of positions (x, y, z) seen from GBS antennas
+    at (xs, ys, gbs_height): (P, n) arrays, one row per position and one
+    entry per site.
 
     The elevation is arcsin(dh / d3) with dh the height difference and d3
-    the 3D distance; the UAV must be at a finite position strictly above
+    the 3D distance; each UAV must be at a finite position strictly above
     the GBS antennas, so it lies in (0, 90] with 90 exactly overhead.
     """
-    xyz = np.asarray(uav_xyz, dtype=float)
-    block = np.atleast_2d(xyz)
+    block = np.asarray(positions, dtype=float)
     if block.ndim != 2 or block.shape[1] != 3:
-        raise ValueError(f"UAV positions must have shape (3,) or (P, 3), got {xyz.shape}")
+        raise ValueError(f"UAV positions must have shape (P, 3), got {block.shape}")
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         raise ValueError(f"UAV position {block[np.argmin(finite)].tolist()} is not finite")
@@ -134,15 +132,12 @@ def link_geometry(
     for z in heights:
         if z - gbs_height <= 0:
             raise ValueError(f"UAV altitude {z} must exceed the GBS antenna height {gbs_height}")
-    # each position's height terms are Python floats, as for one position
+    # each position's height terms are Python floats
     dh = [z - gbs_height for z in heights]
     dx = block[:, :1] - np.asarray(xs, dtype=float)
     dy = block[:, 1:2] - np.asarray(ys, dtype=float)
     d3 = np.sqrt(dx**2 + dy**2 + np.array([d**2 for d in dh])[:, None])
-    geometry = np.hypot(dx, dy), d3, np.degrees(np.arcsin(np.array(dh)[:, None] / d3))
-    if xyz.ndim == 1:
-        return tuple(g[0] for g in geometry)
-    return geometry
+    return np.hypot(dx, dy), d3, np.degrees(np.arcsin(np.array(dh)[:, None] / d3))
 
 
 # ---------------------------------------------------------------------------

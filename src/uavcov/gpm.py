@@ -31,9 +31,10 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     Without a fold, ``la_cdf`` folds its spec as a stack of one, bit for
     bit the same law.
 
-  * ``enumerate_cdf`` (exhaustive, capped), ``mc_cdf`` (seeded sampling)
-    and ``gaussian_cdf`` (moment-matched normal truncated to x >= 0)
-    serve as accuracy baselines.
+  * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
+    states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
+    (moment-matched normal truncated to x >= 0) serve as accuracy
+    baselines.
 
   * ``envelope_excess`` is the one accuracy check: how far an oracle cdf
     leaves an envelope [lo, hi].  Lattice laws are held to their own cdf
@@ -77,7 +78,8 @@ FFT_MASS_FLOOR = 1e-12
 # costs one length-N spectrum instead of g.
 FOLD_ATOMS = 81
 
-DEFAULT_ENUMERATION_CAP = 2_000_000
+# enumerate_cdf refuses specs with more joint states than this.
+ENUMERATION_CAP = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,15 +218,6 @@ class GpmSpec:
             specs.append(spec)
         return tuple(specs)
 
-    @classmethod
-    def from_summands(cls, summands: Sequence[DiscreteSummand]) -> "GpmSpec":
-        """Pack summands into rows, padding short ones with zero mass."""
-        width = max((s.support_size for s in summands), default=0)
-        return cls(
-            [np.pad(s.values, (0, width - s.support_size)) for s in summands],
-            [np.pad(s.probs, (0, width - s.support_size)) for s in summands],
-        )
-
     @property
     def summands(self) -> tuple[DiscreteSummand, ...]:
         """Each row as a summand, duplicate values (and padding) merged."""
@@ -328,9 +321,9 @@ class SteppedCdf:
         object.__setattr__(self, "cum", c)
 
     @classmethod
-    def from_pmf(cls, values, probs, merge_rtol: float = VALUE_MERGE_RTOL) -> "SteppedCdf":
-        """Sort atoms, coalesce values within ``merge_rtol`` relative
-        spacing, and accumulate."""
+    def from_pmf(cls, values, probs) -> "SteppedCdf":
+        """Sort atoms, coalesce values within ``VALUE_MERGE_RTOL``
+        relative spacing, and accumulate."""
         v = np.asarray(values, dtype=float)
         p = np.asarray(probs, dtype=float)
         order = np.argsort(v, kind="stable")
@@ -339,7 +332,7 @@ class SteppedCdf:
         keep_v = [v[0]]
         keep_p = [p[0]]
         for value, prob in zip(v[1:], p[1:]):
-            tol = merge_rtol * max(abs(value), abs(keep_v[-1]))
+            tol = VALUE_MERGE_RTOL * max(abs(value), abs(keep_v[-1]))
             if value - keep_v[-1] <= tol:
                 keep_p[-1] += prob
             else:
@@ -464,7 +457,7 @@ class LaFold(NamedTuple):
     rows: np.ndarray
 
 
-def la_folds(specs: Sequence[GpmSpec], c0: float = 1000.0) -> Iterator[LaFold]:
+def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LaFold]:
     """Quantizes a stack of specs of one shape as one (E, K, L) array and
     folds the live rows of all of them in one pass (``_fold_rows``); yields
     each spec's ``LaFold`` in turn, for ``la_cdf`` to invert.
@@ -502,7 +495,7 @@ def la_folds(specs: Sequence[GpmSpec], c0: float = 1000.0) -> Iterator[LaFold]:
 
 
 def la_cdf(
-    spec: GpmSpec, c0: float = 1000.0, *, fold: LaFold | None = None
+    spec: GpmSpec, c0: float, *, fold: LaFold | None = None
 ) -> tuple[LatticeDistribution, SteppedCdf]:
     """Lattice-approximated cdf of the sum.
 
@@ -540,16 +533,19 @@ def displacement_bound(spec: GpmSpec, c0: float) -> float:
     return len(spec) * spec.span / (2.0 * c0)
 
 
-def enumerate_cdf(spec: GpmSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> SteppedCdf:
+def enumerate_cdf(spec: GpmSpec) -> SteppedCdf:
     """Exact cdf by exhaustive convolution of the summands (oracle).
 
-    Refuses specs with more than ``cap`` joint states; intermediate atom
-    lists are coalesced as they grow, which never changes the distribution.
+    Refuses specs with more than ``ENUMERATION_CAP`` joint states;
+    intermediate atom lists are coalesced as they grow, which never
+    changes the distribution.
     """
     summands = spec.summands
     states = math.prod(s.support_size for s in summands)
-    if states > cap:
-        raise ValueError(f"enumeration needs {states} joint states, above the cap of {cap}")
+    if states > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration needs {states} joint states, above the cap of {ENUMERATION_CAP}"
+        )
     values = np.array([0.0])
     probs = np.array([1.0])
     for summand in summands:

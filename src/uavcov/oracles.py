@@ -19,13 +19,11 @@ UPLINK_STATE_CAP = 2**21
 DOWNLINK_STATE_CAP = 2_000_000
 
 
-def uplink_pmf_enumeration(
-    table: LinkTable, beta0: float, cap: int = UPLINK_STATE_CAP
-) -> UplinkSnrPmf:
+def uplink_pmf_enumeration(table: LinkTable, beta0: float) -> UplinkSnrPmf:
     """Uplink SNR pmf over all 2^B LoS/NLoS state vectors."""
     b = len(table)
-    if 2**b > cap:
-        raise ValueError(f"enumeration needs 2^{b} states, above the cap of {cap}")
+    if 2**b > UPLINK_STATE_CAP:
+        raise ValueError(f"enumeration needs 2^{b} states, above the cap of {UPLINK_STATE_CAP}")
     c_los, c_nlos, p_los = table.c_los, table.c_nlos, table.p_los
     acc: dict[float, float] = {}
     for mask in range(2**b):
@@ -40,12 +38,7 @@ def uplink_pmf_enumeration(
     return UplinkSnrPmf(values, np.array([acc[v] for v in sorted(acc)]))
 
 
-def downlink_cdf_enumeration(
-    table: LinkTable,
-    omega,
-    alpha0: float,
-    cap: int = DOWNLINK_STATE_CAP,
-) -> SteppedCdf:
+def downlink_cdf_enumeration(table: LinkTable, omega, alpha0: float) -> SteppedCdf:
     """Exact downlink SNR cdf over every joint (channel state, activity)
     combination.
 
@@ -59,10 +52,10 @@ def downlink_cdf_enumeration(
     w_by_id = loading_by_id(omega, b)
     _, band_sizes = np.unique(table.band, return_counts=True)
     max_band = int(band_sizes.max(initial=1))
-    if 2**b * 2**max_band > cap:
+    if 2**b * 2**max_band > DOWNLINK_STATE_CAP:
         raise ValueError(
             f"joint enumeration needs up to 2^{b + max_band} states, "
-            f"above the cap of {cap}"
+            f"above the cap of {DOWNLINK_STATE_CAP}"
         )
 
     acc: dict[float, float] = {}

@@ -10,7 +10,7 @@ import numpy as np
 
 from uavcov.channel import LinkTable
 from uavcov.config import load_config
-from uavcov.gpm import DiscreteSummand, GpmSpec
+from uavcov.gpm import GpmSpec
 
 
 def load_scenario(directory, body):
@@ -45,29 +45,37 @@ def random_link_table(rng, n_rows, n_bands=1, zero_row_prob=0.15):
     return link_table(rows)
 
 
+def padded_spec(rows):
+    """GpmSpec of (values, probs) rows, each row padded at its end with
+    zero-mass entries at value 0 up to the widest row."""
+    width = max(len(values) for values, _ in rows)
+    return GpmSpec(
+        [np.pad(np.asarray(values, dtype=float), (0, width - len(values))) for values, _ in rows],
+        [np.pad(np.asarray(probs, dtype=float), (0, width - len(probs))) for _, probs in rows],
+    )
+
+
 def random_spec(rng, n_summands, max_support=3, value_scale=1.0):
     """Random real-valued spec; values uniform on [0, value_scale], probs
     drawn spread (no near-degenerate summands)."""
-    summands = []
+    rows = []
     for _ in range(n_summands):
         size = int(rng.integers(2, max_support + 1))
         values = np.sort(rng.uniform(0.0, value_scale, size=size))
         while np.any(np.diff(values) <= 1e-9 * value_scale):
             values = np.sort(rng.uniform(0.0, value_scale, size=size))
         probs = rng.uniform(0.2, 1.0, size=size)
-        probs = probs / probs.sum()
-        summands.append(DiscreteSummand(values, probs))
-    return GpmSpec.from_summands(summands)
+        rows.append((values, probs / probs.sum()))
+    return padded_spec(rows)
 
 
 def random_integer_spec(rng, n_summands, max_value=5, max_support=4):
     """Spec supported on small non-negative integers (lattice-exact)."""
-    summands = []
+    rows = []
     for _ in range(n_summands):
         size = int(rng.integers(2, max_support + 1))
         values = rng.choice(max_value + 1, size=size, replace=False)
         values = np.sort(values).astype(float)
         probs = rng.uniform(0.1, 1.0, size=size)
-        probs = probs / probs.sum()
-        summands.append(DiscreteSummand(values, probs))
-    return GpmSpec.from_summands(summands)
+        rows.append((values, probs / probs.sum()))
+    return padded_spec(rows)

@@ -13,8 +13,8 @@ import time
 
 import numpy as np
 
-from conftest import link_table, load_scenario
-from uavcov.antenna import UavAntenna, UlaPattern, ula_gain
+from conftest import link_table, load_scenario, padded_spec
+from uavcov.antenna import UavAntenna, UlaPattern
 from uavcov.channel import build_link_table, default_channel
 from uavcov.coverage import (
     DownlinkSnrCdf,
@@ -27,7 +27,6 @@ from uavcov.coverage import (
 )
 from uavcov.geometry import RegionKind, SamplingRegion, build_hex_layout, sample_region
 from uavcov.gpm import (
-    DiscreteSummand,
     GpmSpec,
     SteppedCdf,
     displacement_bound,
@@ -49,6 +48,7 @@ BETA0 = 1e-5 / NOISE_W           # -20 dBm UAV transmit power over noise
 ALPHA0 = NOISE_W / 0.1           # noise over 0.1 W GBS transmit power
 UPLINK_THRESHOLD = 10.0 ** 1.2   # 12 dB
 DOWNLINK_THRESHOLD = 10.0 ** 0.2  # 2 dB
+C0 = 1000.0                      # lattice_target_c0
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -109,7 +109,7 @@ def test_array_boresight_gain_identity():
         peak = float(rng.uniform(0.5, 3.0))
         pattern = UlaPattern(count, spacing, tilt, peak)
         want = count * peak * math.cos(math.radians(tilt)) ** 2
-        got = ula_gain(pattern, tilt)
+        got = float(pattern(tilt))
         worst = max(worst, abs(got - want) / want)
     ok = worst <= 1e-9
     report(
@@ -122,13 +122,13 @@ def test_fft_inversion_matches_exhaustive_enumeration():
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(50):
-        summands = []
+        rows = []
         for _ in range(int(rng.integers(1, 9))):
             size = int(rng.integers(2, 5))
             values = np.sort(rng.choice(6, size=size, replace=False)).astype(float)
             probs = rng.uniform(0.1, 1.0, size=size)
-            summands.append(DiscreteSummand(values, probs / probs.sum()))
-        spec = GpmSpec.from_summands(summands)
+            rows.append((values, probs / probs.sum()))
+        spec = padded_spec(rows)
         top = int(np.where(spec.probs > 0, spec.values, 0.0).max(axis=1).sum())
         rows = np.zeros((len(spec), top + 1))
         for row, values, probs in zip(rows, spec.values, spec.probs):
@@ -153,14 +153,14 @@ def test_lattice_approximation_accuracy():
     rng = np.random.default_rng(2024)
     worst_fine = worst_coarse = 0.0
     for _ in range(20):
-        summands = []
+        rows = []
         for _ in range(12):
             values = np.sort(rng.uniform(0.0, 1.0, size=3))
             while np.any(np.diff(values) <= 1e-9):
                 values = np.sort(rng.uniform(0.0, 1.0, size=3))
             probs = rng.uniform(0.5, 1.0, size=3)
-            summands.append(DiscreteSummand(values, probs / probs.sum()))
-        spec = GpmSpec.from_summands(summands)
+            rows.append((values, probs / probs.sum()))
+        spec = padded_spec(rows)
         exact = enumerate_cdf(spec)
         _, fine = la_cdf(spec, 1000.0)
         _, coarse = la_cdf(spec, 100.0)
@@ -268,7 +268,7 @@ def test_downlink_mixture_matches_joint_enumeration():
     for _ in range(20):
         table = random_table(rng, int(rng.integers(2, 5)))
         alpha0 = float(np.median(table.c_nlos)) * 0.3
-        approx = downlink_snr_cdf(table, 0.5, alpha0)
+        approx = downlink_snr_cdf(table, 0.5, alpha0, c0=C0)
         oracle = downlink_cdf_enumeration(table, 0.5, alpha0)
         s = max(t.slack for t in approx.terms) * (1.0 + 1e-9)
         lo = DownlinkSnrCdf(approx.terms, alpha0 - s)
@@ -295,12 +295,7 @@ def test_lattice_runtime_scales_linearly_in_summand_count():
     rng = np.random.default_rng(77)
 
     def synth(m):
-        return GpmSpec.from_summands([
-            DiscreteSummand.from_pairs(
-                [(0.0, 0.5), (float(rng.uniform(0.5, 1.5)), 0.5)]
-            )
-            for _ in range(m)
-        ])
+        return GpmSpec([[0.0, float(rng.uniform(0.5, 1.5))] for _ in range(m)], [[0.5, 0.5]] * m)
 
     # Each sample is 800 // m calls, about equally long for every m, timed
     # in thread CPU time with the sizes interleaved round by round: other
@@ -342,7 +337,7 @@ def test_coverage_monotone_in_threshold_and_loading():
                 layout, pattern, uav, channel, (xy[0], xy[1], altitude), GBS_HEIGHT
             )
             uplinks.append(uplink_snr_pmf(table, BETA0))
-            downlinks.append(downlink_snr_cdf(table, 0.5, ALPHA0))
+            downlinks.append(downlink_snr_cdf(table, 0.5, ALPHA0, c0=C0))
         for dists in (uplinks, downlinks):
             curve = [
                 float(np.mean([1.0 - d.outage(t) for d in dists]))
@@ -353,7 +348,7 @@ def test_coverage_monotone_in_threshold_and_loading():
 
     table = build_link_table(layout, pattern, uav, channel, (150.0, 50.0, 100.0), GBS_HEIGHT)
     loading_curve = [
-        downlink_snr_cdf(table, w, ALPHA0).outage(DOWNLINK_THRESHOLD)
+        downlink_snr_cdf(table, w, ALPHA0, c0=C0).outage(DOWNLINK_THRESHOLD)
         for w in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     loading_ok = all(a <= b for a, b in zip(loading_curve, loading_curve[1:]))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from uavcov.antenna import UavAntenna, UlaPattern, ula_gain
+from uavcov.antenna import UavAntenna, UlaPattern
 
 
 def steering_sum_gain(theta_deg, count, spacing_wl, tilt_deg, element_peak):
@@ -31,7 +31,7 @@ def test_matches_steering_vector_sum():
         spacing = float(rng.uniform(0.1, 1.0))
         tilt = float(rng.uniform(-60.0, 60.0))
         theta = float(rng.uniform(-89.0, 90.0))
-        got = ula_gain(UlaPattern(count, spacing, tilt), theta)
+        got = UlaPattern(count, spacing, tilt)(theta)
         want = steering_sum_gain(theta, count, spacing, tilt, 1.64)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -43,11 +43,11 @@ def test_boresight_identity():
         spacing = float(rng.uniform(0.1, 1.0))
         tilt = float(rng.uniform(-80.0, 80.0))
         want = count * 1.64 * math.cos(math.radians(tilt)) ** 2
-        assert ula_gain(UlaPattern(count, spacing, tilt), tilt) == pytest.approx(want, rel=1e-9)
+        assert UlaPattern(count, spacing, tilt)(tilt) == pytest.approx(want, rel=1e-9)
 
 
 def test_horizon_gain_is_zero():
-    assert ula_gain(UlaPattern(8, 0.5, -10.0), 90.0) == 0.0
+    assert UlaPattern(8, 0.5, -10.0)(90.0) == 0.0
 
 
 def test_removable_singularity_off_boresight():
@@ -55,10 +55,10 @@ def test_removable_singularity_off_boresight():
     # lobe where the denominator vanishes; the limit is the factor K.
     pat = UlaPattern(12, 1.0, -30.0)
     want = 12 * 1.64 * math.cos(math.radians(30.0)) ** 2
-    assert ula_gain(pat, 30.0) == pytest.approx(want, rel=1e-9)
+    assert pat(30.0) == pytest.approx(want, rel=1e-9)
     # continuity across the singular point
-    assert ula_gain(pat, 30.0 + 1e-6) == pytest.approx(want, rel=1e-6)
-    assert ula_gain(pat, 30.0 - 1e-6) == pytest.approx(want, rel=1e-6)
+    assert pat(30.0 + 1e-6) == pytest.approx(want, rel=1e-6)
+    assert pat(30.0 - 1e-6) == pytest.approx(want, rel=1e-6)
 
 
 def test_gain_bounded_by_peak():
@@ -67,33 +67,32 @@ def test_gain_bounded_by_peak():
         pat = UlaPattern(int(rng.integers(1, 33)), float(rng.uniform(0.1, 1.0)),
                          float(rng.uniform(-60.0, 60.0)))
         thetas = rng.uniform(-89.9, 90.0, size=64)
-        gains = ula_gain(pat, thetas)
+        gains = pat(thetas)
         assert np.all(gains >= 0.0)
         assert np.all(gains <= pat.element_count * pat.element_peak_gain * (1 + 1e-12))
 
 
 def test_vector_input():
     pat = UlaPattern(10, 0.5, -10.0)
-    thetas = np.array([-45.0, -10.0, 0.0, 10.0, 45.0])
-    gains = ula_gain(pat, thetas)
+    thetas = np.array([[-45.0, -10.0, 0.0], [10.0, 45.0, 90.0]])
+    gains = pat(thetas)
     assert gains.shape == thetas.shape
-    for t, g in zip(thetas, gains):
-        assert g == pytest.approx(ula_gain(pat, float(t)), rel=1e-12)
+    for t, g in zip(thetas.ravel(), gains.ravel()):
+        assert g == pytest.approx(pat(np.array([t]))[0], rel=1e-12)
 
 
 def test_pattern_object():
     pat = UlaPattern(10, 0.5, -10.0)
     # the exact boresight gain K * G_e * cos(tilt)^2
     assert pat(-10.0) == pytest.approx(10 * 1.64 * math.cos(math.radians(10.0)) ** 2, rel=1e-12)
-    assert pat(25.0) == ula_gain(pat, 25.0)
 
 
 def test_angle_domain():
     pat = UlaPattern(8, 0.5, 0.0)
     with pytest.raises(ValueError):
-        ula_gain(pat, -90.0)
+        pat(np.array([0.0, -90.0]))
     with pytest.raises(ValueError):
-        ula_gain(pat, 91.0)
+        pat(91.0)
     with pytest.raises(ValueError):
         UlaPattern(0, 0.5, 0.0)
     with pytest.raises(ValueError):
@@ -111,27 +110,28 @@ def test_frozen_gain_values():
         45.0: 0.07741642386388428,
     }
     for theta, value in want.items():
-        assert ula_gain(pat, theta) == pytest.approx(value, rel=1e-9)
+        assert pat(theta) == pytest.approx(value, rel=1e-9)
 
 
 def test_uav_cone_mainlobe():
     ant = UavAntenna(90.0)
     assert ant.mainlobe_gain == pytest.approx(7500.0 / 8100.0)
     assert ant.footprint_radius(100.0, 20.0) == math.inf
-    assert ant.gain_at(1e9, 100.0, 20.0) == pytest.approx(ant.mainlobe_gain)
+    assert ant.gain_at([[1e9]], [100.0], 20.0).tolist() == [[ant.mainlobe_gain]]
 
     narrow = UavAntenna(45.0)
     assert narrow.mainlobe_gain == pytest.approx(7500.0 / 2025.0)
     r = narrow.footprint_radius(100.0, 20.0)
     assert r == pytest.approx(80.0 * math.tan(math.radians(45.0)))
-    assert narrow.gain_at(r, 100.0, 20.0) == pytest.approx(narrow.mainlobe_gain)
-    assert narrow.gain_at(r * 1.000001, 100.0, 20.0) == 0.0
+    # the boundary is inside; one row per height
+    gains = narrow.gain_at([[r, r * 1.000001], [r, r * 1.000001]], [100.0, 120.0], 20.0)
+    assert gains.tolist() == [[narrow.mainlobe_gain, 0.0], [narrow.mainlobe_gain] * 2]
 
 
 def test_uav_cone_backlobe():
     ant = UavAntenna(30.0, backlobe_gain=0.01)
     r = ant.footprint_radius(120.0, 20.0)
-    assert ant.gain_at(2 * r, 120.0, 20.0) == 0.01
+    assert ant.gain_at([[r, 2 * r]], [120.0], 20.0).tolist() == [[ant.mainlobe_gain, 0.01]]
 
 
 def test_uav_cone_validation():
@@ -143,3 +143,7 @@ def test_uav_cone_validation():
         UavAntenna(45.0, backlobe_gain=-0.1)
     with pytest.raises(ValueError):
         UavAntenna(45.0).footprint_radius(20.0, 20.0)
+    # distances come as a (P, n) block with one height per row
+    for r_h, heights in (([1.0], [100.0]), ([[1.0]], 100.0), ([[1.0], [2.0]], [100.0])):
+        with pytest.raises(ValueError, match="need \\(P, n\\) distances"):
+            UavAntenna(45.0).gain_at(r_h, heights, 20.0)

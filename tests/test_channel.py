@@ -39,10 +39,12 @@ def test_default_channel_frozen_values():
 
 
 def test_midpoint_is_half_saturation():
-    # at theta0 the logistic sits at 1/(1+a); the default midpoint equals a
+    # at theta0 the logistic sits at 1/(1+a); a and theta0 both default to
+    # 9.6, and setting a leaves theta0 where it is
     m = default_channel(2e9)
-    assert m.los_midpoint_deg == m.los_a
+    assert m.los_midpoint_deg == m.los_a == 9.6
     assert m.los_probability(m.los_midpoint_deg) == pytest.approx(1.0 / (1.0 + 9.6))
+    assert default_channel(2e9, los_a=12.0).los_midpoint_deg == 9.6
 
 
 def test_los_probability_monotone():

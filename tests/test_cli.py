@@ -120,11 +120,35 @@ def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     ("[uav_antenna]\nbacklobe_gain = -1\n",
      "[uav_antenna] backlobe_gain must be non-negative, got -1.0"),
     ("[sampling]\nresolution = 0\n", "[sampling] resolution must be >= 1, got 0"),
+    ("[layout]\nradius_m = -1\n", "[layout] radius_m must be non-negative, got -1.0"),
+    ("[layout]\nreuse_factor = 2\n",
+     "[layout] reuse_factor must be one of (1, 3, 4, 7), got 2"),
+    # a message that names several keys passes through as it is
+    ("[channel]\nalpha_los = 0\n",
+     "[channel] pathloss exponents must satisfy 0 < alpha_los <= alpha_nlos, got 0.0, 2.0"),
 ])
 def test_constructor_errors_name_the_ini_key(tmp_path, capsys, body, message):
     cfg_path = write_cfg(tmp_path, body)
     assert main(["layout", "--config", cfg_path, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+def test_coefficients_file_errors_name_the_key(tmp_path, capsys):
+    missing = tmp_path / "missing.ini"
+    unknown = tmp_path / "unknown.ini"
+    unknown.write_text(
+        "[pathloss]\nalpha_los = 2.0\nalpha_nlos = 2.0\nref_gain_los = 1e-4\n"
+        "ref_gain_nlos = 1e-6\nextra = 1\n"
+        "[los_probability]\na = 9.6\nb_per_deg = 0.28\nmidpoint_deg = 9.6\n"
+    )
+    for path, message in (
+        (missing, f"[channel] cannot read channel coefficient file {missing}"),
+        (unknown, f"[channel] {unknown}: unknown keys in [pathloss]: ['extra']"),
+    ):
+        cfg_path = write_cfg(tmp_path, f"[channel]\ncoefficients_file = {path}\n")
+        assert main(["layout", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,6 +194,12 @@ def test_argparse_usage_error(tmp_path):
         ["validate", "--mode", "ga-vs-enum", "--samples", "1000"],
         ["validate", "--mode", "uplink-vs-bruteforce", "--samples", "1000"],
         ["validate", "--mode", "la-vs-enum", "--seed", "1"],
+        # and an altitude sweep takes none of the threshold sweep's flags
+        ["coverage-curve", "--sweep", "altitude", "--altitude", "120"],
+        ["coverage-curve", "--sweep", "altitude", "--min-db", "0"],
+        ["coverage-curve", "--sweep", "altitude", "--max-db", "20"],
+        ["coverage-curve", "--sweep", "altitude", "--points", "10"],
+        ["coverage-curve", "--link", "downlink", "--points", "3"],    # altitude by default
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
@@ -208,20 +238,25 @@ def test_downlink_map_matches_direct_call(tmp_path):
     np.testing.assert_allclose(got, direct.non_outage[0], rtol=1e-11, atol=1e-11)
 
 
-def test_map_below_gbs_height_exits_1(tmp_path, capsys):
+def test_altitude_at_or_below_gbs_height_exits_2(tmp_path, capsys):
+    # as [uav] altitude_m at or below gbs_height_m does
     cfg_path = write_cfg(tmp_path, TINY)
-    rc = main(["uplink-map", "--config", cfg_path, "--out", str(tmp_path),
-               "--altitude", "10"])
-    assert rc == 1
-    assert "error" in capsys.readouterr().err
+    for argv in (["uplink-map", "--altitude", "10"], ["downlink-map", "--altitude", "20"],
+                 ["coverage-curve", "--sweep", "threshold", "--altitude", "5"]):
+        assert main(argv + ["--config", cfg_path, "--out", str(tmp_path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --altitude must exceed the GBS antenna height 20.0")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_worker_count_does_not_change_output(tmp_path):
     cfg_path = write_cfg(tmp_path, TINY + "[loading]\nomega_site_1 = 0.9\n")
     commands = [("downlink_map.csv", ["downlink-map"])] + [
-        ("coverage_curve.csv", ["coverage-curve", "--link", link, "--sweep", sweep,
-                                "--min-db", "-10", "--max-db", "10", "--points", "5"])
-        for link in ("uplink", "downlink") for sweep in ("threshold", "altitude")
+        ("coverage_curve.csv", ["coverage-curve", "--link", link, *sweep])
+        for link in ("uplink", "downlink") for sweep in (
+            ["--sweep", "threshold", "--min-db", "-10", "--max-db", "10", "--points", "5"],
+            ["--sweep", "altitude"],
+        )
     ]
     for i, (name, argv) in enumerate(commands):
         out1 = tmp_path / f"serial{i}"
@@ -259,6 +294,23 @@ def test_threshold_sweep_where_c_overflows_is_covered(tmp_path, capsys):
     _, rows = read_rows(tmp_path / "coverage_curve.csv")
     assert [float(r[0]) for r in rows] == [-3200.0, -3150.0, -3100.0]
     assert [float(r[1]) for r in rows] == [1.0, 1.0, 1.0]
+
+
+def test_threshold_sweep_flags_and_their_defaults(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, TINY)
+    assert main(["coverage-curve", "--config", cfg_path, "--out", str(tmp_path),
+                 "--sweep", "threshold"]) == 0
+    _, rows = read_rows(tmp_path / "coverage_curve.csv")
+    assert [float(r[0]) for r in rows] == pytest.approx(np.linspace(0.0, 20.0, 10), rel=1e-11)
+    assert "at H_u=100 m" in capsys.readouterr().out      # [uav] altitude_m
+    # an altitude sweep reads none of the four
+    with pytest.raises(SystemExit) as exc:
+        main(["coverage-curve", "--config", cfg_path, "--out", str(tmp_path / "a"),
+              "--altitude", "120", "--min-db", "-5", "--max-db", "5", "--points", "3"])
+    assert exc.value.code == 2
+    assert ("coverage-curve --sweep altitude does not read --altitude, --min-db, --max-db, "
+            "--points") in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_coverage_curve_altitude_sweep(tmp_path, capsys):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcov.channel import default_channel
+from uavcov.channel import default_channel, load_channel_coefficients
 from uavcov.config import DEFAULTS, ConfigError, ScenarioConfig, load_config
 from uavcov.geometry import RegionKind, write_layout_csv
+from uavcov.units import dbm_to_watt
 
 
 def write_ini(tmp_path, body):
@@ -29,8 +30,8 @@ def test_defaults():
     assert cfg.gbs_height == 20.0
     assert len(set(cfg.build_layout().band.tolist())) == 3     # reuse factor 3
     assert cfg.build_gbs_pattern().element_count == 10
-    assert cfg.build_gbs_pattern().tilt_deg == -10.0
-    assert cfg.build_uav_antenna().beamwidth_deg == 90.0
+    assert cfg.build_gbs_pattern().downtilt_deg == -10.0
+    assert cfg.build_uav_antenna().half_beamwidth_deg == 90.0
     assert cfg.build_channel() == default_channel(2e9)
     assert cfg.loading.tolist() == [0.5] * 367    # one entry per GBS of the layout
     assert cfg.build_region().resolution == 4
@@ -48,9 +49,11 @@ def test_db_quantities_become_linear():
     cfg = load_config()
     assert cfg.uplink_threshold == 10 ** 1.2      # 12 dB
     assert cfg.downlink_threshold == 10 ** 0.2    # 2 dB
-    assert cfg.noise_w == pytest.approx(10 ** -15.4)
-    assert cfg.uav_power_w == pytest.approx(1e-5)
+    # -20 dBm over -124 dBm, and -124 dBm over 0.1 W, each a quotient of
+    # the two powers in watts
+    assert cfg.beta0 == dbm_to_watt(-20.0) / dbm_to_watt(-124.0)
     assert cfg.beta0 == pytest.approx(1e-5 / 10 ** -15.4)
+    assert cfg.alpha0 == dbm_to_watt(-124.0) / 0.1
     assert cfg.alpha0 == pytest.approx(10 ** -15.4 / 0.1)
 
 
@@ -161,9 +164,9 @@ def test_builders(tmp_path):
     assert len(layout) == 37
     pattern = cfg.build_gbs_pattern()
     assert pattern.element_count == 10
-    assert pattern.tilt_deg == -10.0
+    assert pattern.downtilt_deg == -10.0
     uav = cfg.build_uav_antenna()
-    assert uav.beamwidth_deg == 90.0
+    assert uav.half_beamwidth_deg == 90.0
     channel = cfg.build_channel()
     assert channel.alpha_los == 2.0
     region = cfg.build_region()
@@ -188,3 +191,31 @@ def test_model_objects_are_built_once(tmp_path):
     for build in (cfg.build_layout, cfg.build_gbs_pattern, cfg.build_uav_antenna,
                   cfg.build_channel, cfg.build_region):
         assert build() is build()
+
+
+def test_channel_keys_and_library_share_defaults(tmp_path):
+    # los_a alone leaves the midpoint at its own default, 9.6, in the
+    # config and the library alike
+    cfg = load_config(write_ini(tmp_path, "[channel]\nlos_a = 12\n"))
+    assert cfg.build_channel() == default_channel(2e9, los_a=12.0)
+    assert cfg.build_channel().los_midpoint_deg == 9.6
+
+
+COEFFICIENTS = """[pathloss]
+alpha_los = 2.1
+alpha_nlos = 2.4
+ref_gain_los = 1.3e-4
+ref_gain_nlos = 2.0e-6
+[los_probability]
+a = 11.9
+b_per_deg = 0.13
+midpoint_deg = 15.0
+"""
+
+
+def test_coefficients_file_key(tmp_path):
+    path = tmp_path / "coefficients.ini"
+    path.write_text(COEFFICIENTS)
+    cfg = load_config(write_ini(tmp_path, f"[channel]\ncoefficients_file = {path}\n"))
+    assert cfg.build_channel() == load_channel_coefficients(path)
+    assert cfg.build_channel() != default_channel(2e9)

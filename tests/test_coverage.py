@@ -324,7 +324,7 @@ def test_interference_edge_cases():
     for event in association_pmf(alone):
         empty = conditional_interference_spec(event, alone, 0.5)
         assert len(empty) == 0 and empty.span == 0.0 and empty.offset == 0.0
-        _, cdf = la_cdf(empty)
+        _, cdf = la_cdf(empty, 1000.0)
         assert cdf.xs.tolist() == [0.0] and cdf.cum.tolist() == [1.0]
     (no_server,) = association_pmf(link_table(((0, 0, 0.0, 0.0, 0.5),)))
     with pytest.raises(ValueError):
@@ -484,7 +484,7 @@ def test_stacked_law_negative_controls():
 def test_empty_stacks():
     table = link_table(MIXED_ROWS)
     assert conditional_interference_specs([], table, 0.5) == ()
-    assert list(la_folds([])) == []
+    assert list(la_folds([], 1000.0)) == []
     with pytest.raises(ValueError, match="c0 must be >= 1"):
         la_folds([], 0.5)
 
@@ -543,7 +543,7 @@ def test_downlink_zero_loading_equals_interference_free():
     # under beta0 = 1 / alpha0
     table = link_table(MICRO_ROWS)
     alpha0 = 0.25
-    model = downlink_snr_cdf(table, 0.0, alpha0)
+    model = downlink_snr_cdf(table, 0.0, alpha0, c0=1000.0)
     atoms = uplink_snr_pmf(table, 1.0 / alpha0)
     for lo, hi in zip(atoms.values[:-1], atoms.values[1:]):
         mid = math.sqrt(lo * hi)
@@ -606,7 +606,7 @@ def test_downlink_scale_invariance_binary_exact():
 
 def test_downlink_zero_gain_term():
     table = link_table(((0, 0, 0.0, 0.0, 0.5),))
-    model = downlink_snr_cdf(table, 0.5, 1.0)
+    model = downlink_snr_cdf(table, 0.5, 1.0, c0=1000.0)
     assert model.eval(1e-6) == 1.0
     assert model.outage(123.0) == 1.0
 
@@ -623,7 +623,7 @@ def test_downlink_terms_carry_displacement_bound():
             for e in association_pmf(table)
         ]
         assert [t.slack for t in model.terms] == want
-    (silent,) = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0).terms
+    (silent,) = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0, c0=1000.0).terms
     assert (silent.interference, silent.slack) == (None, 0.0)
 
 
@@ -634,7 +634,7 @@ def test_outage_is_exact_at_both_ends():
     rng = np.random.default_rng(2718)
     for _ in range(30):
         table = random_link_table(rng, int(rng.integers(2, 9)), n_bands=2, zero_row_prob=0.0)
-        for model in (uplink_snr_pmf(table, 1.0), downlink_snr_cdf(table, 0.5, 0.1)):
+        for model in (uplink_snr_pmf(table, 1.0), downlink_snr_cdf(table, 0.5, 0.1, c0=1000.0)):
             assert model.outage(1e-12) == 0.0      # every atom above the threshold
             assert model.outage(1e12) == 1.0       # every atom below it
 
@@ -651,7 +651,10 @@ def test_downlink_grid_and_validation():
     with pytest.raises(ValueError):
         model.outage(-1.0)
     with pytest.raises(ValueError):
-        downlink_snr_cdf(table, 0.5, 0.0)
+        downlink_snr_cdf(table, 0.5, 0.0, c0=1000.0)
+    # the lattice target comes from [algorithm] lattice_target_c0 only
+    with pytest.raises(TypeError, match="c0"):
+        downlink_snr_cdf(table, 0.5, 0.5)
 
 
 def test_downlink_truncation_outage_bound():

@@ -134,33 +134,36 @@ def test_layout_matches_site_by_site_reference(reuse):
 
 
 def test_invalid_layout_args():
-    with pytest.raises(ValueError):
+    # each message opens with the parameter's [layout] INI key
+    with pytest.raises(ValueError, match="^inter_site_distance_m must be positive"):
         build_hex_layout(0.0, 1000.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radius_m must be non-negative"):
         build_hex_layout(D, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^reuse_factor must be one of"):
         build_hex_layout(D, 1000.0, 5)
 
 
 def test_elevation_angle():
     # sites at the origin and 100 m east, seen from straight above the origin
-    _, _, theta = link_geometry((0.0, 0.0, 120.0), [0.0, 100.0], [0.0, 0.0], 20.0)
-    assert theta.tolist() == pytest.approx([90.0, 45.0])   # overhead; offset = height
-    # monotone in altitude at fixed horizontal offset
-    angles = [
-        float(link_geometry((300.0, 40.0, h), [0.0], [0.0], 20.0)[2][0])
-        for h in (30.0, 60.0, 120.0, 240.0)
-    ]
-    assert angles == sorted(angles)
+    _, _, theta = link_geometry([(0.0, 0.0, 120.0)], [0.0, 100.0], [0.0, 0.0], 20.0)
+    assert theta == pytest.approx(np.array([[90.0, 45.0]]))   # overhead; offset = height
+    # monotone in altitude at fixed horizontal offset, one row per position
+    heights = (30.0, 60.0, 120.0, 240.0)
+    _, _, angles = link_geometry([(300.0, 40.0, h) for h in heights], [0.0], [0.0], 20.0)
+    assert angles.shape == (4, 1)
+    assert angles[:, 0].tolist() == sorted(angles[:, 0].tolist())
     for h in (20.0, 10.0):
-        with pytest.raises(ValueError):
-            link_geometry((0.0, 0.0, h), [0.0], [0.0], 20.0)
+        with pytest.raises(ValueError, match="must exceed the GBS antenna height"):
+            link_geometry([(0.0, 0.0, h)], [0.0], [0.0], 20.0)
+    # positions come as a (P, 3) block, one or more rows
+    with pytest.raises(ValueError, match=r"must have shape \(P, 3\), got \(3,\)"):
+        link_geometry((0.0, 0.0, 120.0), [0.0], [0.0], 20.0)
 
 
 def test_distance_3d():
-    r_h, d3, _ = link_geometry((3.0, 4.0, 32.0), [0.0, 3.0], [0.0, 4.0], 20.0)
-    assert r_h.tolist() == pytest.approx([5.0, 0.0])
-    assert d3.tolist() == pytest.approx([13.0, 12.0])
+    r_h, d3, _ = link_geometry([(3.0, 4.0, 32.0)], [0.0, 3.0], [0.0, 4.0], 20.0)
+    assert r_h == pytest.approx(np.array([[5.0, 0.0]]))
+    assert d3 == pytest.approx(np.array([[13.0, 12.0]]))
 
 
 def test_hexagon_corners():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_scenario, random_integer_spec, random_spec
+from conftest import load_scenario, padded_spec, random_integer_spec, random_spec
 from uavcov import gpm
 from uavcov.cli import _write_csv
 from uavcov.coverage import DownlinkEventTerm, DownlinkSnrCdf
@@ -98,8 +98,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GpmSpec([[0.0, np.nan]], [[0.5, 0.5]])
     with pytest.raises(ValueError):
-        GpmSpec.from_summands([])
-    with pytest.raises(ValueError):
         GpmSpec([[]], [[]])                          # a row with no entry
     empty = GpmSpec(np.zeros((0, 2)), np.zeros((0, 2)))   # no summand: the sum is 0
     assert (len(empty), empty.offset, empty.span) == (0, 0.0, 0.0)
@@ -169,6 +167,7 @@ def test_spec_invariant_under_padding_duplicates_and_permutation(rows, rnd, pad_
         np.hstack([base.values, base.values[:, :1]]),
         np.hstack([base.probs * [0.5, 1.0, 1.0], base.probs[:, :1] * 0.5]),
     )
+    merged = [DiscreteSummand.from_pairs(zip(v, p)) for v, p in zip(split.values, split.probs)]
     variants = [
         # zero-probability padding entries anywhere, at any value
         GpmSpec(
@@ -177,9 +176,7 @@ def test_spec_invariant_under_padding_duplicates_and_permutation(rows, rnd, pad_
         ),
         split,
         # from_pairs merges the split atom again and drops the padding
-        GpmSpec.from_summands([
-            DiscreteSummand.from_pairs(zip(v, p)) for v, p in zip(split.values, split.probs)
-        ]),
+        padded_spec([(summand.values, summand.probs) for summand in merged]),
         # the entries of every row shuffled
         GpmSpec(
             np.take_along_axis(base.values, order, 1), np.take_along_axis(base.probs, order, 1)
@@ -218,7 +215,7 @@ def test_summand_arrays_read_only():
     s = DiscreteSummand([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         s.values[0] = 3.0
-    spec = GpmSpec.from_summands([s])
+    spec = GpmSpec([s.values], [s.probs])
     with pytest.raises(ValueError):
         spec.probs[0, 0] = 1.0
 
@@ -379,10 +376,7 @@ def test_lattice_distribution_to_cdf():
 
 def test_la_cdf_frozen_example():
     # two fair summands on {0,1} and {0,2}: the four equally likely sums
-    spec = GpmSpec.from_summands([
-        DiscreteSummand([0.0, 1.0], [0.5, 0.5]),
-        DiscreteSummand([0.0, 2.0], [0.5, 0.5]),
-    ])
+    spec = GpmSpec([[0.0, 1.0], [0.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]])
     _, cdf = la_cdf(spec, 300.0)
     assert cdf.xs.tolist() == pytest.approx([0.0, 1.0, 2.0, 3.0])
     np.testing.assert_allclose(cdf.cum, [0.25, 0.5, 0.75, 1.0], atol=1e-9)
@@ -391,17 +385,14 @@ def test_la_cdf_frozen_example():
 def test_la_exact_when_values_hit_lattice():
     # span 4, c0 1000 -> beta 250: every scaled value is integral, so the
     # approximation must coincide with enumeration to float noise
-    spec = GpmSpec.from_summands([
-        DiscreteSummand([0.0, 1.0], [0.3, 0.7]),
-        DiscreteSummand([0.0, 3.0], [0.6, 0.4]),
-    ])
+    spec = GpmSpec([[0.0, 1.0], [0.0, 3.0]], [[0.3, 0.7], [0.6, 0.4]])
     _, la = la_cdf(spec, 1000.0)
     exact = enumerate_cdf(spec)
     assert kolmogorov_distance(exact, la) < 1e-9
 
 
 def test_la_degenerate_span():
-    spec = GpmSpec.from_summands([DiscreteSummand([4.0], [1.0]), DiscreteSummand([1.5], [1.0])])
+    spec = GpmSpec([[4.0], [1.5]], [[1.0], [1.0]])
     dist, cdf = la_cdf(spec, 1000.0)
     assert cdf.xs.tolist() == [5.5]
     assert cdf.cum.tolist() == [1.0]
@@ -513,9 +504,14 @@ def test_la_cdf_of_rows_all_rounded_to_zero():
 
 
 def test_la_rejects_small_c0():
-    spec = GpmSpec.from_summands([DiscreteSummand([0.0, 1.0], [0.5, 0.5])])
+    spec = GpmSpec([[0.0, 1.0]], [[0.5, 0.5]])
     with pytest.raises(ValueError):
         la_cdf(spec, 0.5)
+    # c0 has no library default: it is [algorithm] lattice_target_c0
+    with pytest.raises(TypeError, match="c0"):
+        la_cdf(spec)
+    with pytest.raises(TypeError, match="c0"):
+        gpm.la_folds([spec])
 
 
 def test_la_rejects_span_that_overflows_beta():
@@ -570,19 +566,17 @@ def test_enumerate_matches_product_oracle():
 
 
 def test_enumerate_cap():
-    spec = GpmSpec.from_summands([DiscreteSummand([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])] * 14)
-    with pytest.raises(ValueError):
+    # 3^14 joint states, above gpm.ENUMERATION_CAP; 3^13 are below it
+    assert 3**13 <= gpm.ENUMERATION_CAP < 3**14
+    spec = GpmSpec([[0.0, 1.0, 2.0]] * 14, [[0.3, 0.3, 0.4]] * 14)
+    with pytest.raises(ValueError, match="above the cap of 2000000"):
         enumerate_cdf(spec)
 
 
 def test_enumerate_coalescing_keeps_distribution():
     # force intermediate coalescing with 15 binary summands (32768 states)
     rng = np.random.default_rng(59)
-    summands = [
-        DiscreteSummand([0.0, float(rng.uniform(0.5, 1.5))], [0.4, 0.6])
-        for _ in range(15)
-    ]
-    spec = GpmSpec.from_summands(summands)
+    spec = GpmSpec([[0.0, float(rng.uniform(0.5, 1.5))] for _ in range(15)], [[0.4, 0.6]] * 15)
     cdf = enumerate_cdf(spec)
     assert cdf.cum[-1] == pytest.approx(1.0, abs=1e-9)
     assert abs(float(np.diff(cdf.cum, prepend=0.0) @ cdf.xs) - spec.mean()) < 1e-9
@@ -600,10 +594,7 @@ def test_mc_cdf_deterministic_and_convergent():
 
 
 def test_gaussian_cdf_shape():
-    spec = GpmSpec.from_summands([
-        DiscreteSummand([0.0, 1.0], [0.5, 0.5]),
-        DiscreteSummand([0.0, 2.0], [0.5, 0.5]),
-    ])
+    spec = GpmSpec([[0.0, 1.0], [0.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]])
     g = gaussian_cdf(spec)
     assert g.mean == pytest.approx(1.5)
     assert g.std == pytest.approx(math.sqrt(0.25 + 1.0))
@@ -644,7 +635,7 @@ def test_kolmogorov_hand_value():
 
 
 def test_kolmogorov_against_continuous():
-    spec = GpmSpec.from_summands([DiscreteSummand([0.0, 1.0], [0.5, 0.5])] * 15)
+    spec = GpmSpec([[0.0, 1.0]] * 15, [[0.5, 0.5]] * 15)
     exact = enumerate_cdf(spec)
     # a 15-trial coin sum is near normal; the gap to its moment-matched
     # gaussian is dominated by half the central atom, about 0.098

@@ -47,7 +47,7 @@ class UlaPattern:
     element_count: int
     element_spacing_wl: float
     downtilt_deg: float
-    element_peak_gain: float = 1.64
+    element_peak_gain: float
 
     def __post_init__(self) -> None:
         if self.element_count < 1:
@@ -84,8 +84,8 @@ class UavAntenna:
     """Flat-top cone antenna pointing straight down from the UAV."""
 
     half_beamwidth_deg: float
-    mainlobe_constant: float = 7500.0
-    backlobe_gain: float = 0.0
+    mainlobe_constant: float
+    backlobe_gain: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.half_beamwidth_deg <= 90.0:

@@ -7,13 +7,14 @@ The default parametric model combines
 
   * a logistic LoS probability  p_L(theta) = 1 / (1 + a * exp(-b*(theta - theta0)))
     in the elevation angle theta (degrees), the widely used urban
-    air-to-ground fit (defaults a = 9.6, b = 0.28 per degree and
-    theta0 = 9.6, each its own ``[channel]`` key);
+    air-to-ground fit;
 
   * log-distance pathloss  h = beta * d^(-alpha)  on the 3D distance, with
     the reference gains beta anchored to free space at the carrier
-    frequency plus a constant excess loss per state (defaults 1 dB LoS,
-    20 dB NLoS, alpha = 2 for both).
+    frequency plus a constant excess loss per state.
+
+Each parameter is a ``[channel]`` key; its default lives in
+``config.DEFAULTS``, and a coefficients file is read by ``config``.
 
 A UAV position's links are held as a :class:`LinkTable` of column arrays,
 built for every site at once by :func:`build_link_table`.
@@ -24,7 +25,6 @@ block, then one table per row.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -95,15 +95,15 @@ class ParametricAirGroundModel:
 
 def default_channel(
     carrier_hz: float,
-    alpha_los: float = 2.0,
-    alpha_nlos: float = 2.0,
-    excess_loss_los_db: float = 1.0,
-    excess_loss_nlos_db: float = 20.0,
-    los_a: float = 9.6,
-    los_b_per_deg: float = 0.28,
-    los_midpoint_deg: float = 9.6,
+    alpha_los: float,
+    alpha_nlos: float,
+    excess_loss_los_db: float,
+    excess_loss_nlos_db: float,
+    los_a: float,
+    los_b_per_deg: float,
+    los_midpoint_deg: float,
 ) -> ParametricAirGroundModel:
-    """Urban default: free-space reference minus the per-state excess loss."""
+    """Free-space reference gains minus the per-state excess loss."""
     fs = free_space_gain(carrier_hz)
     return ParametricAirGroundModel(
         alpha_los=alpha_los,
@@ -113,46 +113,6 @@ def default_channel(
         los_a=los_a,
         los_b_per_deg=los_b_per_deg,
         los_midpoint_deg=los_midpoint_deg,
-    )
-
-
-_COEFF_SECTIONS = {
-    "pathloss": ("alpha_los", "alpha_nlos", "ref_gain_los", "ref_gain_nlos"),
-    "los_probability": ("a", "b_per_deg", "midpoint_deg"),
-}
-
-
-def load_channel_coefficients(path) -> ParametricAirGroundModel:
-    """Read a channel coefficient file (INI sections ``[pathloss]`` and
-    ``[los_probability]``); every key is required and unknown keys are
-    rejected, so published coefficient sets can be dropped in verbatim."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read channel coefficient file {path}")
-    values: dict[str, float] = {}
-    for section, keys in _COEFF_SECTIONS.items():
-        if not parser.has_section(section):
-            raise ValueError(f"{path}: missing [{section}] section")
-        seen = set(parser.options(section))
-        unknown = seen - set(keys)
-        if unknown:
-            raise ValueError(f"{path}: unknown keys in [{section}]: {sorted(unknown)}")
-        for key in keys:
-            if key not in seen:
-                raise ValueError(f"{path}: [{section}] is missing key '{key}'")
-            try:
-                values[f"{section}.{key}"] = float(parser.get(section, key))
-            except ValueError as exc:
-                raise ValueError(f"{path}: [{section}] {key} is not a number") from exc
-    return ParametricAirGroundModel(
-        alpha_los=values["pathloss.alpha_los"],
-        alpha_nlos=values["pathloss.alpha_nlos"],
-        ref_gain_los=values["pathloss.ref_gain_los"],
-        ref_gain_nlos=values["pathloss.ref_gain_nlos"],
-        los_a=values["los_probability.a"],
-        los_b_per_deg=values["los_probability.b_per_deg"],
-        los_midpoint_deg=values["los_probability.midpoint_deg"],
     )
 
 

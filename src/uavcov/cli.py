@@ -219,15 +219,19 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
 
     _, la = la_cdf(spec, cfg.lattice_target_c0)
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    # every law is computed before any file is written, so a method that
+    # fails leaves no partial output
+    laws = {}
     for method in methods:
-        path = _out_path(args, f"interference_cdf_{method}.csv")
         if method == "ga":
             ga = gaussian_cdf(spec)
-            rows = [(float(x), float(ga(x))) for x in la.xs]
+            laws[method] = [(float(x), float(ga(x))) for x in la.xs]
         else:
             cdf = (la if method == "la" else enumerate_cdf(spec) if method == "enum"
                    else mc_cdf(spec, samples, args.seed))
-            rows = zip(cdf.xs, cdf.cum)
+            laws[method] = zip(cdf.xs, cdf.cum)
+    for method, rows in laws.items():
+        path = _out_path(args, f"interference_cdf_{method}.csv")
         _write_csv(path, ("x", "cdf"), rows, cfg)
         print(f"wrote {path}")
     return EXIT_OK

@@ -1,8 +1,10 @@
 """Scenario configuration: INI file with named sections, strict keys.
 
-Every parameter has a default in ``DEFAULTS``; a config file overrides
-any subset.  Unknown sections or keys are errors, as are malformed or
-out-of-range values.  The model sections (layout, antennas, channel,
+Every parameter has a default in ``DEFAULTS``, the package's only copy;
+a config file overrides any subset.  Unknown sections or keys are
+errors, as are malformed, non-finite or out-of-range values.  A
+``[channel] coefficients_file`` is read by the same rules, with every
+key required.  The model sections (layout, antennas, channel,
 sampling region) are built into their model objects straight from the
 resolved entries; :class:`ScenarioConfig` holds those objects and the
 parameters the rest of the package reads, each once.  dB- and
@@ -22,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .antenna import UavAntenna, UlaPattern
-from .channel import ParametricAirGroundModel, default_channel, load_channel_coefficients
+from .channel import ParametricAirGroundModel, default_channel
 from .geometry import (
     NetworkLayout,
     RegionKind,
@@ -98,6 +100,15 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 _OMEGA_SITE_RE = re.compile(r"^omega_site_(\d+)$")
+
+# The sections and keys of a [channel] coefficients_file, every one
+# required, and the ParametricAirGroundModel field each key sets.
+_COEFFICIENTS = {
+    "pathloss": {"alpha_los": "alpha_los", "alpha_nlos": "alpha_nlos",
+                 "ref_gain_los": "ref_gain_los", "ref_gain_nlos": "ref_gain_nlos"},
+    "los_probability": {"a": "los_a", "b_per_deg": "los_b_per_deg",
+                        "midpoint_deg": "los_midpoint_deg"},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +202,22 @@ def _channel(resolved) -> ParametricAirGroundModel:
     carrier_hz = _number(resolved, "radio", "carrier_hz")
     if carrier_hz <= 0:
         raise ConfigError(f"[radio] carrier_hz must be positive, got {carrier_hz}")
-    keys = ("alpha_los", "alpha_nlos", "excess_loss_los_db", "excess_loss_nlos_db",
-            "los_a", "los_b_per_deg", "los_midpoint_deg")
-    shape = {key: _number(resolved, "channel", key) for key in keys}
-    coefficients_file = resolved["channel"]["coefficients_file"].strip()
-    if coefficients_file:
-        return load_channel_coefficients(coefficients_file)
-    return default_channel(carrier_hz, **shape)
+    shape = {key: _number(resolved, "channel", key)
+             for key in DEFAULTS["channel"] if key != "coefficients_file"}
+    path = resolved["channel"]["coefficients_file"].strip()
+    if not path:
+        return default_channel(carrier_hz, **shape)
+    try:
+        entries = _read_ini(path, _COEFFICIENTS)
+        fields = {}
+        for section, names in _COEFFICIENTS.items():
+            for key, name in names.items():
+                if key not in entries.get(section, {}):
+                    raise ConfigError(f"[{section}] {key} is required")
+                fields[name] = _number(entries, section, key)
+        return ParametricAirGroundModel(**fields)
+    except ValueError as exc:   # a ConfigError or a model error
+        raise ConfigError(f"[channel] coefficients_file {path}: {exc}") from exc
 
 
 def _region(resolved) -> SamplingRegion:
@@ -217,36 +237,56 @@ _MODELS = {
 }
 
 
-def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str]]:
-    resolved = {section: dict(keys) for section, keys in DEFAULTS.items()}
-    omega_overrides: dict[int, str] = {}
-    if path is None:
-        return resolved, omega_overrides
-    parser = configparser.ConfigParser(interpolation=None)
+def _read_ini(path: str, known) -> dict[str, dict[str, str]]:
+    """The entries of the UTF-8 INI file at ``path`` by section, each
+    section and key one that ``known`` lists (or, in ``[loading]``, an
+    ``omega_site_N``).  The caller's error message names the file."""
+    # no header names the section "", so [DEFAULT] is an unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"not a valid INI file: {' '.join(str(exc).splitlines())}") from exc
     if not read:
-        raise ConfigError(f"cannot read config file {path}")
+        raise ConfigError("cannot read the file")
+    entries = {}
     for section in parser.sections():
-        if section not in resolved:
-            raise ConfigError(
-                f"{path}: unknown section [{section}] (known: {sorted(resolved)})"
-            )
-        for key, value in parser.items(section):
-            if section == "loading":
-                match = _OMEGA_SITE_RE.match(key)
-                if match:
-                    omega_overrides[int(match.group(1))] = value
-                    continue
-            if key not in resolved[section]:
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}] (known: {sorted(known)})")
+        entries[section] = dict(parser.items(section))
+        for key in entries[section]:
+            if key not in known[section] and not (
+                section == "loading" and _OMEGA_SITE_RE.match(key)
+            ):
                 raise ConfigError(
-                    f"{path}: unknown key '{key}' in [{section}] "
-                    f"(known: {sorted(resolved[section])})"
+                    f"unknown key '{key}' in [{section}] (known: {sorted(known[section])})"
                 )
-            resolved[section][key] = value
-    return resolved, omega_overrides
+    return entries
+
+
+def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str]]:
+    """The entries of ``DEFAULTS`` with the file's on top, and the
+    ``omega_site_N`` key of each GBS id N the file overrides."""
+    resolved = {section: dict(keys) for section, keys in DEFAULTS.items()}
+    omega_keys: dict[int, str] = {}
+    if path is None:
+        return resolved, omega_keys
+    try:
+        entries = _read_ini(path, DEFAULTS)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
+    for section, items in entries.items():
+        resolved[section].update(items)
+        for key in items:
+            match = _OMEGA_SITE_RE.match(key)   # only [loading] admits one
+            if match:
+                gbs_id = int(match.group(1))
+                if gbs_id in omega_keys:
+                    raise ConfigError(
+                        f"[loading] {omega_keys[gbs_id]} and {key} both name GBS {gbs_id}"
+                    )
+                omega_keys[gbs_id] = key
+    return resolved, omega_keys
 
 
 def _number(resolved, section: str, key: str, kind=float):
@@ -260,13 +300,14 @@ def _number(resolved, section: str, key: str, kind=float):
     return value
 
 
-def _hash(resolved: dict[str, dict[str, str]], omega_overrides: dict[int, str]) -> str:
+def _hash(resolved: dict[str, dict[str, str]], omega_keys: dict[int, str]) -> str:
     lines = [
         f"{section}.{key}={resolved[section][key]}"
-        for section in sorted(resolved)
-        for key in sorted(resolved[section])
+        for section in sorted(DEFAULTS)
+        for key in sorted(DEFAULTS[section])
     ]
-    lines += [f"loading.omega_site_{i}={v}" for i, v in sorted(omega_overrides.items())]
+    lines += [f"loading.omega_site_{i}={resolved['loading'][key]}"
+              for i, key in sorted(omega_keys.items())]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
@@ -274,15 +315,9 @@ def load_config(path: str | None = None) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig` from defaults plus an optional INI
     file; raises :class:`ConfigError` on any unknown, malformed or
     out-of-range entry."""
-    resolved, omega_raw = _resolve(path)
+    resolved, omega_keys = _resolve(path)
     num = partial(_number, resolved)
-
-    overrides: dict[int, float] = {}
-    for gbs_id, raw in omega_raw.items():
-        try:
-            overrides[gbs_id] = float(raw)
-        except ValueError:
-            raise ConfigError(f"[loading] omega_site_{gbs_id} must be a float, got {raw!r}") from None
+    overrides = {gbs_id: num("loading", key) for gbs_id, key in omega_keys.items()}
 
     gbs_height = num("layout", "gbs_height_m")
     noise_power = dbm_to_watt(num("radio", "noise_power_dbm"))
@@ -302,7 +337,7 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         raise ConfigError(f"[loading] downlink_omega must lie in [0, 1], got {omega}")
     for gbs_id, w in overrides.items():
         if not 0.0 <= w <= 1.0:
-            raise ConfigError(f"[loading] omega_site_{gbs_id} must lie in [0, 1], got {w}")
+            raise ConfigError(f"[loading] {omega_keys[gbs_id]} must lie in [0, 1], got {w}")
     if not 0.0 <= association_epsilon < 1.0:
         raise ConfigError(
             f"[algorithm] association_epsilon must lie in [0, 1), got {association_epsilon}"
@@ -335,7 +370,7 @@ def load_config(path: str | None = None) -> ScenarioConfig:
     for gbs_id, w in overrides.items():
         if gbs_id >= n_sites:
             raise ConfigError(
-                f"[loading] omega_site_{gbs_id} names no GBS: the layout has ids 0..{n_sites - 1}"
+                f"[loading] {omega_keys[gbs_id]} names no GBS: the layout has ids 0..{n_sites - 1}"
             )
         loading[gbs_id] = w
     loading.flags.writeable = False
@@ -356,6 +391,6 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         altitude_points=altitude_points,
         association_epsilon=association_epsilon,
         lattice_target_c0=lattice_target_c0,
-        config_hash=_hash(resolved, omega_raw),
+        config_hash=_hash(resolved, omega_keys),
         models=models,
     )

@@ -66,7 +66,7 @@ class NetworkLayout:
 def build_hex_layout(
     inter_site_distance_m: float,
     radius_m: float,
-    reuse_factor: int = 3,
+    reuse_factor: int,
 ) -> NetworkLayout:
     """Construct the hexagonal layout of all sites within ``radius_m`` of
     the origin; the parameters are named by their ``[layout]`` INI keys.

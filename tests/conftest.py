@@ -4,6 +4,7 @@ Everything takes an explicit numpy Generator so each test controls its
 own seed; nothing here owns global state.
 """
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,15 @@ def load_scenario(directory, body):
     path = Path(directory) / "scenario.ini"
     path.write_text(body)
     return load_config(str(path))
+
+
+@functools.cache
+def default_models():
+    """The GBS pattern, UAV antenna and channel of the shipped default
+    scene, as load_config() builds them from config.DEFAULTS (the models
+    are frozen, so one build serves every test)."""
+    cfg = load_config()
+    return cfg.build_gbs_pattern(), cfg.build_uav_antenna(), cfg.build_channel()
 
 
 def link_table(rows):

@@ -13,9 +13,9 @@ import time
 
 import numpy as np
 
-from conftest import link_table, load_scenario, padded_spec
-from uavcov.antenna import UavAntenna, UlaPattern
-from uavcov.channel import build_link_table, default_channel
+from conftest import default_models, link_table, load_scenario, padded_spec
+from uavcov.antenna import UlaPattern
+from uavcov.channel import build_link_table
 from uavcov.coverage import (
     DownlinkSnrCdf,
     LinkDirection,
@@ -42,7 +42,6 @@ from uavcov.oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
 
 INTER_SITE = 500.0
 GBS_HEIGHT = 20.0
-CARRIER_HZ = 2e9
 NOISE_W = 10.0 ** -15.4          # -124 dBm
 BETA0 = 1e-5 / NOISE_W           # -20 dBm UAV transmit power over noise
 ALPHA0 = NOISE_W / 0.1           # noise over 0.1 W GBS transmit power
@@ -58,11 +57,8 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def default_scene():
-    layout = build_hex_layout(INTER_SITE, 3.0 * INTER_SITE, 3)
-    pattern = UlaPattern(10, 0.5, -10.0, 1.64)
-    uav = UavAntenna(90.0, 7500.0, 0.0)
-    channel = default_channel(CARRIER_HZ)
-    return layout, pattern, uav, channel
+    """The layout and models of the default scene, cut to its 37 sites."""
+    return (build_hex_layout(INTER_SITE, 3.0 * INTER_SITE, 3), *default_models())
 
 
 def first_event_interference(omega):

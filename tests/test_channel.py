@@ -1,23 +1,24 @@
-"""Air-to-ground channel model, coefficient files, and link tables."""
+"""Air-to-ground channel model and link tables."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import link_table
-from uavcov.antenna import UavAntenna, UlaPattern
+from conftest import default_models, link_table
 from uavcov.channel import (
     LinkTable,
     ParametricAirGroundModel,
     _check_link_columns,
     build_link_table,
     build_link_tables,
-    default_channel,
     free_space_gain,
-    load_channel_coefficients,
 )
+from uavcov.config import load_config
 from uavcov.geometry import NetworkLayout, build_hex_layout
+
+PATTERN, UAV_ANTENNA, CHANNEL = default_models()
 
 
 def test_free_space_reference():
@@ -25,7 +26,7 @@ def test_free_space_reference():
 
 
 def test_default_channel_frozen_values():
-    m = default_channel(2e9)
+    m = load_config().build_channel()
     assert m.ref_gain_los == pytest.approx(0.00011302166124822795, rel=1e-12)
     assert m.ref_gain_nlos == pytest.approx(1.4228584142858625e-06, rel=1e-12)
     assert m.los_probability(0.0) == pytest.approx(0.007035241895929345, rel=1e-12)
@@ -39,23 +40,21 @@ def test_default_channel_frozen_values():
 
 
 def test_midpoint_is_half_saturation():
-    # at theta0 the logistic sits at 1/(1+a); a and theta0 both default to
-    # 9.6, and setting a leaves theta0 where it is
-    m = default_channel(2e9)
+    # at theta0 the logistic sits at 1/(1+a); a and theta0 both default to 9.6
+    m = CHANNEL
     assert m.los_midpoint_deg == m.los_a == 9.6
     assert m.los_probability(m.los_midpoint_deg) == pytest.approx(1.0 / (1.0 + 9.6))
-    assert default_channel(2e9, los_a=12.0).los_midpoint_deg == 9.6
 
 
 def test_los_probability_monotone():
-    m = default_channel(2e9)
+    m = CHANNEL
     thetas = np.linspace(0.0, 90.0, 91)
     probs = [m.los_probability(float(t)) for t in thetas]
     assert all(b > a for a, b in zip(probs, probs[1:]))
 
 
 def test_pathloss_monotone_in_distance():
-    m = default_channel(2e9)
+    m = CHANNEL
     hs = [m.evaluate(30.0, d)[0] for d in (1.0, 10.0, 100.0, 1000.0)]
     assert all(b < a for a, b in zip(hs, hs[1:]))
 
@@ -78,50 +77,12 @@ def test_model_validation():
 
 def test_evaluate_rejects_tiny_distance():
     with pytest.raises(ValueError):
-        default_channel(2e9).evaluate(45.0, 0.5)
-
-
-def test_coefficient_file_round_trip(tmp_path):
-    path = tmp_path / "coeffs.ini"
-    path.write_text(
-        "[pathloss]\n"
-        "alpha_los = 2.1\n"
-        "alpha_nlos = 2.4\n"
-        "ref_gain_los = 1.3e-4\n"
-        "ref_gain_nlos = 2.0e-6\n"
-        "[los_probability]\n"
-        "a = 11.9\n"
-        "b_per_deg = 0.13\n"
-        "midpoint_deg = 15.0\n"
-    )
-    m = load_channel_coefficients(path)
-    assert m.alpha_los == 2.1
-    assert m.alpha_nlos == 2.4
-    assert m.los_a == 11.9
-    assert m.los_probability(15.0) == pytest.approx(1.0 / (1.0 + 11.9))
-
-
-def test_coefficient_file_errors(tmp_path):
-    missing = tmp_path / "missing.ini"
-    missing.write_text("[pathloss]\nalpha_los = 2.0\n")
-    with pytest.raises(ValueError):
-        load_channel_coefficients(missing)
-    unknown = tmp_path / "unknown.ini"
-    unknown.write_text(
-        "[pathloss]\nalpha_los = 2.0\nalpha_nlos = 2.0\nref_gain_los = 1e-4\n"
-        "ref_gain_nlos = 1e-6\nbogus = 1\n"
-        "[los_probability]\na = 9.6\nb_per_deg = 0.28\nmidpoint_deg = 9.6\n"
-    )
-    with pytest.raises(ValueError):
-        load_channel_coefficients(unknown)
+        CHANNEL.evaluate(45.0, 0.5)
 
 
 def _default_table(uav=(150.0, 50.0, 100.0)):
     layout = build_hex_layout(500.0, 1500.0, 3)
-    return build_link_table(
-        layout, UlaPattern(10, 0.5, -10.0), UavAntenna(90.0), default_channel(2e9),
-        uav, 20.0,
-    )
+    return build_link_table(layout, PATTERN, UAV_ANTENNA, CHANNEL, uav, 20.0)
 
 
 def test_link_table_shape_and_order():
@@ -140,8 +101,8 @@ def test_link_table_narrow_beam_zero_rows():
     # can be inside from this position, everything else must be zeroed
     table = _default_table()
     narrow = build_link_table(
-        build_hex_layout(500.0, 1500.0, 3), UlaPattern(10, 0.5, -10.0),
-        UavAntenna(45.0), default_channel(2e9), (30.0, 0.0, 100.0), 20.0,
+        build_hex_layout(500.0, 1500.0, 3), PATTERN,
+        replace(UAV_ANTENNA, half_beamwidth_deg=45.0), CHANNEL, (30.0, 0.0, 100.0), 20.0,
     )
     zero = narrow.c_los == 0.0
     assert zero.sum() == 36
@@ -186,15 +147,12 @@ def test_link_table_validation():
 def test_build_rejects_low_altitude():
     layout = build_hex_layout(500.0, 500.0, 3)
     with pytest.raises(ValueError):
-        build_link_table(layout, UlaPattern(10, 0.5, -10.0), UavAntenna(90.0),
-                         default_channel(2e9), (0.0, 0.0, 20.0), 20.0)
+        build_link_table(layout, PATTERN, UAV_ANTENNA, CHANNEL, (0.0, 0.0, 20.0), 20.0)
 
 
 def test_gain_consistency_with_manual_evaluation():
     layout = build_hex_layout(500.0, 500.0, 3)
-    pattern = UlaPattern(10, 0.5, -10.0)
-    ant = UavAntenna(90.0)
-    m = default_channel(2e9)
+    pattern, ant, m = PATTERN, UAV_ANTENNA, CHANNEL
     table = build_link_table(layout, pattern, ant, m, (120.0, -40.0, 90.0), 20.0)
     for gbs_id, c_los, c_nlos, p_los in zip(
         table.gbs_id.tolist(), table.c_los.tolist(), table.c_nlos.tolist(), table.p_los.tolist()
@@ -213,13 +171,14 @@ COLUMNS = ("gbs_id", "band", "c_los", "c_nlos", "p_los")
 
 
 @pytest.mark.parametrize("uav_antenna", [
-    UavAntenna(90.0),                       # infinite footprint
-    UavAntenna(75.0),
-    UavAntenna(20.0, backlobe_gain=0.01),   # every site outside the cone keeps a gain
+    dict(half_beamwidth_deg=90.0),                      # infinite footprint
+    dict(half_beamwidth_deg=75.0),
+    # every site outside the cone keeps a gain
+    dict(half_beamwidth_deg=20.0, backlobe_gain=0.01),
 ], ids=["beam90", "beam75", "beam20-backlobe"])
 def test_block_tables_equal_single_position_tables(uav_antenna):
     layout = build_hex_layout(500.0, 1500.0, 3)
-    args = (layout, UlaPattern(10, 0.5, -10.0), uav_antenna, default_channel(2e9))
+    args = (layout, PATTERN, replace(UAV_ANTENNA, **uav_antenna), CHANNEL)
     rng = np.random.default_rng(3)
     block = np.column_stack([rng.uniform(-800.0, 800.0, 12), rng.uniform(-800.0, 800.0, 12),
                              rng.uniform(26.0, 300.0, 12)])        # mixed altitudes
@@ -240,8 +199,8 @@ def test_block_tables_equal_single_position_tables(uav_antenna):
 
 
 def test_block_shapes():
-    layout = build_hex_layout(500.0, 500.0)
-    args = (layout, UlaPattern(10, 0.5, -10.0), UavAntenna(75.0), default_channel(2e9))
+    layout = build_hex_layout(500.0, 500.0, 3)
+    args = (layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=75.0), CHANNEL)
     one = build_link_tables(*args, [(10.0, 20.0, 100.0)], 20.0)
     assert len(one) == 1 and len(one[0]) == 7
     assert build_link_tables(*args, np.empty((0, 3)), 20.0) == ()
@@ -257,9 +216,8 @@ def test_block_shapes():
 
 def _block_columns():
     block = build_link_tables(
-        build_hex_layout(500.0, 1500.0, 3), UlaPattern(10, 0.5, -10.0), UavAntenna(90.0),
-        default_channel(2e9), [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)],
-        20.0,
+        build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA, CHANNEL,
+        [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)], 20.0,
     )
     return {name: np.array([getattr(table, name) for table in block]) for name in COLUMNS}
 

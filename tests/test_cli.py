@@ -126,6 +126,9 @@ def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     # a message that names several keys passes through as it is
     ("[channel]\nalpha_los = 0\n",
      "[channel] pathloss exponents must satisfy 0 < alpha_los <= alpha_nlos, got 0.0, 2.0"),
+    # two keys that name one GBS
+    ("[loading]\nomega_site_7 = 0.9\nomega_site_07 = 0.1\n",
+     "[loading] omega_site_7 and omega_site_07 both name GBS 7"),
 ])
 def test_constructor_errors_name_the_ini_key(tmp_path, capsys, body, message):
     cfg_path = write_cfg(tmp_path, body)
@@ -142,12 +145,53 @@ def test_coefficients_file_errors_name_the_key(tmp_path, capsys):
         "[los_probability]\na = 9.6\nb_per_deg = 0.28\nmidpoint_deg = 9.6\n"
     )
     for path, message in (
-        (missing, f"[channel] cannot read channel coefficient file {missing}"),
-        (unknown, f"[channel] {unknown}: unknown keys in [pathloss]: ['extra']"),
+        (missing, f"[channel] coefficients_file {missing}: cannot read the file"),
+        (unknown, f"[channel] coefficients_file {unknown}: unknown key 'extra' in [pathloss] "
+                  "(known: ['alpha_los', 'alpha_nlos', 'ref_gain_los', 'ref_gain_nlos'])"),
     ):
         cfg_path = write_cfg(tmp_path, f"[channel]\ncoefficients_file = {path}\n")
         assert main(["layout", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+COEFFICIENTS = (b"[pathloss]\nalpha_los = 2.1\nalpha_nlos = 2.4\nref_gain_los = 1.3e-4\n"
+                b"ref_gain_nlos = 2.0e-6\n[los_probability]\na = 11.9\nb_per_deg = 0.13\n"
+                b"midpoint_deg = 15.0\n")
+
+
+@pytest.mark.parametrize("which, body, named", [
+    ("scenario", b"[channel]\nlos_midpoint_deg = inf\n", "los_midpoint_deg"),
+    ("scenario", b"[channel]\nlos_a = nan\n", "los_a"),
+    ("scenario", b"radius_m = 500\n", "{path}"),                        # no section header
+    ("scenario", b"[layout]\nradius_m = 500\nradius_m = 600\n", "radius_m"),
+    ("scenario", b"[layout]\nradius_m = 500\xff\n", "{path}"),           # not UTF-8
+    ("scenario", b"[layout]\nradius = 500\n", "radius"),
+    ("coefficients", COEFFICIENTS.replace(b"15.0", b"inf"), "midpoint_deg"),
+    ("coefficients", COEFFICIENTS.replace(b"11.9", b"nan"), "[los_probability] a"),
+    ("coefficients", COEFFICIENTS.replace(b"1.3e-4", b"inf"), "ref_gain_los"),
+    ("coefficients", b"a = 11.9\n" + COEFFICIENTS, "{path}"),
+    ("coefficients", COEFFICIENTS + b"a = 12\n", "'a'"),
+    ("coefficients", COEFFICIENTS.replace(b"11.9", b"11.9\xff"), "{path}"),
+    ("coefficients", COEFFICIENTS + b"c = 1\n", "'c'"),
+    ("coefficients", COEFFICIENTS.replace(b"b_per_deg = 0.13\n", b""), "b_per_deg"),
+], ids=["inf", "nan", "no-header", "duplicate", "undecodable", "unknown-key",
+        "coeff-inf", "coeff-nan", "coeff-ref-gain-inf", "coeff-no-header", "coeff-duplicate",
+        "coeff-undecodable", "coeff-unknown-key", "coeff-missing-key"])
+def test_bad_input_file_exits_2(tmp_path, capsys, which, body, named):
+    # the scenario INI and the coefficients file are read by the same rules
+    path = tmp_path / f"{which}.ini"
+    path.write_bytes(body)
+    cfg_path = str(path) if which == "scenario" else write_cfg(
+        tmp_path, f"[channel]\ncoefficients_file = {path}\n")
+    assert main(["downlink-map", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert named.format(path=path) in lines[0]
+    if which == "coefficients":
+        assert lines[0].startswith(f"config error: [channel] coefficients_file {path}: ")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -374,6 +418,14 @@ def test_interference_cdf_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2
         assert f"without the mc method does not read {unread}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_interference_cdf_failure_writes_no_file(tmp_path, capsys):
+    # the lattice law of the default scene's event 0 succeeds, but its 122
+    # rows are far beyond the enumeration cap
+    assert main(["interference-cdf", "--out", str(tmp_path), "--methods", "la,enum"]) == 1
+    assert "above the cap" in capsys.readouterr().err
+    assert not list(tmp_path.glob("interference_cdf_*.csv"))
 
 
 def test_validate_uplink_passes(tmp_path, capsys):

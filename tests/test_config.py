@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcov.channel import default_channel, load_channel_coefficients
+from uavcov.channel import ParametricAirGroundModel, default_channel
 from uavcov.config import DEFAULTS, ConfigError, ScenarioConfig, load_config
 from uavcov.geometry import RegionKind, write_layout_csv
 from uavcov.units import dbm_to_watt
@@ -31,8 +31,11 @@ def test_defaults():
     assert len(set(cfg.build_layout().band.tolist())) == 3     # reuse factor 3
     assert cfg.build_gbs_pattern().element_count == 10
     assert cfg.build_gbs_pattern().downtilt_deg == -10.0
+    assert cfg.build_gbs_pattern().element_peak_gain == 1.64
     assert cfg.build_uav_antenna().half_beamwidth_deg == 90.0
-    assert cfg.build_channel() == default_channel(2e9)
+    assert cfg.build_uav_antenna().mainlobe_constant == 7500.0
+    assert cfg.build_uav_antenna().backlobe_gain == 0.0
+    assert cfg.build_channel() == default_channel(2e9, 2.0, 2.0, 1.0, 20.0, 9.6, 0.28, 9.6)
     assert cfg.loading.tolist() == [0.5] * 367    # one entry per GBS of the layout
     assert cfg.build_region().resolution == 4
     assert cfg.association_epsilon == 1e-6
@@ -104,6 +107,10 @@ def test_strict_sections_and_keys(tmp_path):
         load_config(write_ini(tmp_path, "[antenna]\ncount = 3\n"))
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(write_ini(tmp_path, "[layout]\nradius = 100\n"))
+    with pytest.raises(ConfigError, match="unknown key 'omega_site_3' in \\[layout\\]"):
+        load_config(write_ini(tmp_path, "[layout]\nomega_site_3 = 0.5\n"))
+    with pytest.raises(ConfigError, match="unknown section \\[DEFAULT\\]"):
+        load_config(write_ini(tmp_path, "[DEFAULT]\nradius_m = 500\n"))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.ini"))
     with pytest.raises(ConfigError, match="must be a float"):
@@ -193,11 +200,9 @@ def test_model_objects_are_built_once(tmp_path):
         assert build() is build()
 
 
-def test_channel_keys_and_library_share_defaults(tmp_path):
-    # los_a alone leaves the midpoint at its own default, 9.6, in the
-    # config and the library alike
+def test_los_a_alone_leaves_the_midpoint_at_its_default(tmp_path):
     cfg = load_config(write_ini(tmp_path, "[channel]\nlos_a = 12\n"))
-    assert cfg.build_channel() == default_channel(2e9, los_a=12.0)
+    assert cfg.build_channel().los_a == 12.0
     assert cfg.build_channel().los_midpoint_deg == 9.6
 
 
@@ -213,9 +218,47 @@ midpoint_deg = 15.0
 """
 
 
-def test_coefficients_file_key(tmp_path):
+def load_coefficients(tmp_path, body):
+    """The channel of a scenario whose [channel] coefficients_file holds
+    ``body``."""
     path = tmp_path / "coefficients.ini"
-    path.write_text(COEFFICIENTS)
-    cfg = load_config(write_ini(tmp_path, f"[channel]\ncoefficients_file = {path}\n"))
-    assert cfg.build_channel() == load_channel_coefficients(path)
-    assert cfg.build_channel() != default_channel(2e9)
+    path.write_text(body)
+    cfg_path = write_ini(tmp_path, f"[channel]\ncoefficients_file = {path}\n")
+    return load_config(cfg_path).build_channel()
+
+
+def test_coefficients_file_key(tmp_path):
+    channel = load_coefficients(tmp_path, COEFFICIENTS)
+    assert channel == ParametricAirGroundModel(2.1, 2.4, 1.3e-4, 2.0e-6, 11.9, 0.13, 15.0)
+    assert channel != load_config().build_channel()
+
+
+def test_coefficient_file_round_trip(tmp_path):
+    m = load_coefficients(tmp_path, COEFFICIENTS)
+    assert m.alpha_los == 2.1
+    assert m.alpha_nlos == 2.4
+    assert m.los_a == 11.9
+    assert m.los_probability(15.0) == pytest.approx(1.0 / (1.0 + 11.9))
+
+
+def test_coefficient_file_errors(tmp_path):
+    path = tmp_path / "coefficients.ini"
+    for body, message in (
+        # a missing section, so a missing key
+        ("[pathloss]\nalpha_los = 2.0\n", "[pathloss] alpha_nlos is required"),
+        (COEFFICIENTS.replace("a = 11.9\n", ""), "[los_probability] a is required"),
+        (COEFFICIENTS.replace("[los_probability]\n", "[los_probability]\nbogus = 1\n"),
+         "unknown key 'bogus' in [los_probability] (known: ['a', 'b_per_deg', 'midpoint_deg'])"),
+        (COEFFICIENTS + "[channel]\nlos_a = 1\n",
+         "unknown section [channel] (known: ['los_probability', 'pathloss'])"),
+        (COEFFICIENTS.replace("15.0", "inf"),
+         "[los_probability] midpoint_deg must be finite, got 'inf'"),
+        (COEFFICIENTS.replace("1.3e-4", "big"),
+         "[pathloss] ref_gain_los must be a float, got 'big'"),
+        # the model's own checks
+        (COEFFICIENTS.replace("2.0e-6", "1.0"),
+         "reference gains must satisfy 0 < ref_gain_nlos < ref_gain_los, got 1.0, 0.00013"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            load_coefficients(tmp_path, body)
+        assert str(exc.value) == f"[channel] coefficients_file {path}: {message}"

@@ -136,9 +136,9 @@ def test_layout_matches_site_by_site_reference(reuse):
 def test_invalid_layout_args():
     # each message opens with the parameter's [layout] INI key
     with pytest.raises(ValueError, match="^inter_site_distance_m must be positive"):
-        build_hex_layout(0.0, 1000.0)
+        build_hex_layout(0.0, 1000.0, 3)
     with pytest.raises(ValueError, match="^radius_m must be non-negative"):
-        build_hex_layout(D, -1.0)
+        build_hex_layout(D, -1.0, 3)
     with pytest.raises(ValueError, match="^reuse_factor must be one of"):
         build_hex_layout(D, 1000.0, 5)
 

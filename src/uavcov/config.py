@@ -4,12 +4,14 @@ Every parameter has a default in ``DEFAULTS``, the package's only copy;
 a config file overrides any subset.  Unknown sections or keys are
 errors, as are malformed, non-finite or out-of-range values.  A
 ``[channel] coefficients_file`` is read by the same rules, with every
-key required.  The model sections (layout, antennas, channel,
-sampling region) are built into their model objects straight from the
-resolved entries; :class:`ScenarioConfig` holds those objects and the
-parameters the rest of the package reads, each once.  dB- and
-dBm-valued entries are converted to linear units here, once, and the rest
-of the package only ever sees linear quantities.
+key required; the scenario file that names one may set no other
+``[channel]`` key and no ``[radio] carrier_hz``.  The model sections
+(layout, antennas, channel, sampling region) are built into their model
+objects straight from the resolved entries; :class:`ScenarioConfig`
+holds those objects and the parameters the rest of the package reads,
+each once.  dB- and dBm-valued entries are converted to linear units
+here, once, and the rest of the package only ever sees linear
+quantities.
 """
 
 from __future__ import annotations
@@ -286,6 +288,16 @@ def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str
                         f"[loading] {omega_keys[gbs_id]} and {key} both name GBS {gbs_id}"
                     )
                 omega_keys[gbs_id] = key
+    # a coefficients file sets every channel coefficient, so a shape key
+    # or the carrier frequency next to it would be silently ignored
+    if entries.get("channel", {}).get("coefficients_file", "").strip():
+        ignored = [f"[channel] {key}" for key in entries["channel"] if key != "coefficients_file"]
+        ignored += ["[radio] carrier_hz"] * ("carrier_hz" in entries.get("radio", {}))
+        if ignored:
+            raise ConfigError(
+                f"{', '.join(ignored)} cannot be set next to [channel] coefficients_file, "
+                "which sets every channel coefficient"
+            )
     return resolved, omega_keys
 
 

@@ -35,7 +35,10 @@ threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
 (position, site) pairs: :func:`~uavcov.channel.build_link_tables` builds
 a block's link tables with one (P, n) evaluation and one check, and
 each table is then walked on its own, so the output does not depend on
-where the blocks end.
+where the blocks end.  An uplink law is built once per orbit of the grid
+under the hexagon's rotations and reflections that the layout verifiably
+has (:func:`~uavcov.geometry.point_orbits`), and its value copied to
+every point of the orbit; downlink laws are built at every point.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from .channel import LinkTable, build_link_tables
 from .config import ScenarioConfig
-from .geometry import sample_region
+from .geometry import point_orbits, sample_region
 from .gpm import GpmSpec, SteppedCdf, displacement_bound, la_cdf, la_folds
 
 PROB_SUM_TOL = 1e-9
@@ -406,7 +409,8 @@ def _coverage(
 ) -> list[CoverageResult]:
     """One :class:`CoverageResult` per altitude.  Every (altitude, point)
     position goes on one work list, so each position's SNR law is built
-    once whatever the number of thresholds.  The list is cut into blocks
+    once whatever the number of thresholds; for the uplink the list holds
+    the first point of each orbit only.  The list is cut into blocks
     of positions whose link tables are built together (about
     ``BLOCK_ENTRIES`` entries, and with ``workers`` > 1 no more than a
     quarter of a worker's share), and ``workers`` > 1 starts one process
@@ -416,7 +420,14 @@ def _coverage(
     if not ts:
         raise ValueError("need at least one threshold")
     points = sample_region(cfg.build_region(), cfg.inter_site_distance)
-    positions = np.array([(x, y, h) for h in altitudes for x, y in points])
+    orbit = np.arange(len(points))
+    # the uplink law depends only on the ordered (c_los, c_nlos, p_los)
+    # rows; the downlink's also on bands, loading and the walk's id
+    # tie-break, which a symmetry can move at points on its axis
+    if link is LinkDirection.UPLINK:
+        orbit = point_orbits(points, cfg.build_layout())
+    scored, inverse = np.unique(orbit, return_inverse=True)
+    positions = np.array([(x, y, h) for h in altitudes for x, y in points[scored]])
     size = max(1, BLOCK_ENTRIES // len(cfg.build_layout()))
     if workers > 1:
         size = min(size, max(1, len(positions) // (4 * workers)))
@@ -427,7 +438,7 @@ def _coverage(
             values = list(pool.map(score, blocks))
     else:
         values = [score(block) for block in blocks]
-    scores = np.concatenate(values).reshape(len(altitudes), len(points), -1)
+    scores = np.concatenate(values).reshape(len(altitudes), len(scored), -1)[:, inverse]
     results = []
     for h, per_point in zip(altitudes, scores):
         # (T, P) C-contiguous, so each threshold's mean adds its points

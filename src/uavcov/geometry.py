@@ -154,9 +154,10 @@ class SamplingRegion:
     """Where spatial averages are taken.
 
     ``TRIANGLE`` is one sixth of the reference hexagonal cell around site 0
-    (the sextant bisected by the positive x axis); by the six-fold symmetry
-    of the grid its average equals the full-cell average.  ``CELL`` is the
-    whole reference hexagon.
+    (the sextant bisected by the positive x axis); on a layout with the
+    six-fold symmetry of the hexagonal grid its average equals the
+    full-cell average, but not on an arbitrary ``sites_csv`` layout.
+    ``CELL`` is the whole reference hexagon.
     """
 
     kind: RegionKind
@@ -211,6 +212,83 @@ def sample_region(region: SamplingRegion, inter_site_distance: float) -> np.ndar
     return np.vstack([
         _triangle_grid(origin, corners[m - 1], corners[m], res) for m in range(6)
     ])
+
+
+# Two positions match when each coordinate differs by at most
+# _MATCH_TOLERANCE times the largest coordinate of their set: far above
+# the roundoff of a rotated lattice point, far below any spacing of sites
+# or grid points.  Candidates are paired by their coordinates rounded to
+# multiples of _KEY_STEP times that scale, a step coarse enough that
+# roundoff almost never carries a coordinate across a rounding boundary.
+_MATCH_TOLERANCE = 1e-9
+_KEY_STEP = 1e-6
+
+
+def _hexagon_isometries() -> np.ndarray:
+    """The 11 isometries of the hexagon about the origin other than the
+    identity, as (11, 2, 2) matrices: the rotations by 60k degrees and
+    the reflections in the lines at 30k degrees."""
+    maps = []
+    for k in range(6):
+        c, s = math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)
+        maps += [((c, -s), (s, c)), ((c, s), (s, -c))]
+    return np.array(maps[1:])
+
+
+def _keys(xy: np.ndarray, scale: float) -> np.ndarray:
+    """One int64 per position of ``xy`` (..., 2): its two coordinates
+    rounded to multiples of ``_KEY_STEP * scale``.  Each rounded value is
+    at most sqrt(2) / _KEY_STEP in magnitude (an image under an isometry
+    lies within sqrt(2) * scale of the origin), far below 2**31."""
+    k = np.rint(xy / (_KEY_STEP * scale)).astype(np.int64)
+    return k[..., 0] * 2**32 + k[..., 1]
+
+
+def point_orbits(points, layout: NetworkLayout) -> np.ndarray:
+    """Index of each point's representative: the first point of its orbit
+    under the symmetries of the hexagon that the layout verifiably has.
+
+    An isometry of the hexagon about the origin is used when it maps some
+    point onto a different point and maps the sites one to one onto
+    sites, both within the match tolerance.  It then leaves each site's
+    distance from the point unchanged, so the two points see the same
+    sites at the same distances, only relabelled.  A match missed to
+    roundoff splits an orbit, which costs evaluations and never moves a
+    value.  A grid of fewer than two points never looks at the sites.
+    """
+    pts = np.asarray(points, dtype=float)
+    rep = np.arange(len(pts))
+    if len(pts) < 2:
+        return rep
+    isometries = _hexagon_isometries()
+    scale = float(np.abs(pts).max()) or 1.0
+    keys = _keys(pts, scale)
+    order = np.argsort(keys)
+    images = pts @ isometries.transpose(0, 2, 1)   # (11, P, 2)
+    found = order[np.minimum(np.searchsorted(keys, _keys(images, scale), sorter=order),
+                             len(pts) - 1)]
+    moved = (found != rep) & (np.abs(images - pts[found]).max(axis=-1)
+                              <= _MATCH_TOLERANCE * scale)
+    used = np.flatnonzero(moved.any(axis=1))
+    if used.size:
+        sites = np.column_stack((layout.x, layout.y))
+        scale = float(np.abs(sites).max(initial=0.0)) or 1.0   # 0: no site off the origin
+        site_images = sites @ isometries[used].transpose(0, 2, 1)   # (U, n, 2)
+        rank = np.argsort(_keys(site_images, scale), axis=1)
+        ranked = site_images.reshape(-1, 2)[rank + len(sites) * np.arange(len(used))[:, None]]
+        error = np.abs(ranked - sites[np.argsort(_keys(sites, scale))]).max(
+            axis=(1, 2), initial=0.0)
+        used = used[error <= _MATCH_TOLERANCE * scale]
+    # each point takes the smallest index linked to it, until none changes
+    i = np.broadcast_to(rep, moved.shape)[used][moved[used]]
+    j = found[used][moved[used]]
+    while True:
+        least = rep.copy()
+        np.minimum.at(least, i, rep[j])
+        np.minimum.at(least, j, rep[i])
+        if (least == rep).all():
+            return rep
+        rep = least
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,28 @@ COEFFICIENTS = (b"[pathloss]\nalpha_los = 2.1\nalpha_nlos = 2.4\nref_gain_los = 
                 b"midpoint_deg = 15.0\n")
 
 
+@pytest.mark.parametrize("channel, radio, named", [
+    ("los_a = 50\nexcess_loss_nlos_db = 3\n", "",
+     "[channel] los_a, [channel] excess_loss_nlos_db"),
+    ("", "[radio]\ncarrier_hz = 2e9\n", "[radio] carrier_hz"),   # its default, still refused
+])
+def test_channel_keys_next_to_a_coefficients_file_exit_2(tmp_path, capsys, channel, radio, named):
+    # the coefficients file sets every channel coefficient: a shape key or
+    # the carrier frequency next to it would be ignored, so it is refused
+    coefficients = tmp_path / "coefficients.ini"
+    coefficients.write_bytes(COEFFICIENTS)
+    cfg_path = write_cfg(tmp_path, f"[channel]\ncoefficients_file = {coefficients}\n{channel}{radio}")
+    assert main(["uplink-map", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"config error: {named} cannot be set next to [channel] coefficients_file, "
+        "which sets every channel coefficient"
+    )
+    assert not list(tmp_path.glob("*.csv"))
+    # without the coefficients file the same keys shape the channel
+    cfg_path = write_cfg(tmp_path, f"[channel]\ncoefficients_file =\n{channel}{radio}")
+    assert main(["layout", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("which, body, named", [
     ("scenario", b"[channel]\nlos_midpoint_deg = inf\n", "los_midpoint_deg"),
     ("scenario", b"[channel]\nlos_a = nan\n", "los_a"),

@@ -8,15 +8,17 @@ cdf must reproduce them to float precision.
 import dataclasses
 import itertools
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import link_table, load_scenario, random_link_table
 from uavcov import coverage
 from uavcov.channel import LinkTable, build_link_table
+from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
 from uavcov.coverage import (
     AssociationState,
     DownlinkSnrCdf,
@@ -785,7 +787,10 @@ def sweep_scene(tmp_path, link):
     (LinkDirection.DOWNLINK, "downlink_snr_cdf"),
 ])
 def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
-    # one link table per position, whatever the blocks, and one law each
+    # one link table per scored position, whatever the blocks, and one law
+    # each: the uplink scores the 3 orbits of the 24 points under the
+    # 7-site layout's 12 symmetries, the downlink every point
+    laws = 3 if link is LinkDirection.UPLINK else 24
     built = {"build_link_tables": 0, law: 0}
     for name in built:
         original = getattr(coverage, name)
@@ -799,7 +804,115 @@ def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
     cfg, thresholds = sweep_scene(tmp_path, link)
     result = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=thresholds)
     assert result.non_outage.shape == (5, 24)
-    assert built == {"build_link_tables": 24, law: 24}
+    assert built == {"build_link_tables": laws, law: laws}
+
+
+def counted_uplink(cfg, altitude, thresholds):
+    """Uplink coverage_at_altitude and the number of laws it built."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return uplink_snr_pmf(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coverage, "uplink_snr_pmf", counted)
+        result = coverage_at_altitude(cfg, LinkDirection.UPLINK, altitude=altitude,
+                                      thresholds=thresholds)
+    return result, len(built)
+
+
+def direct_uplink(cfg, points, altitude, thresholds):
+    """(T, P) uplink non-outage, each point from its own link table."""
+    pmfs = [uplink_snr_pmf(configured_table(cfg, (x, y, altitude)), cfg.beta0,
+                           cfg.association_epsilon) for x, y in points.tolist()]
+    return np.array([[1.0 - pmf.outage(t) for pmf in pmfs] for t in thresholds])
+
+
+def off_footprint_edges(cfg, points, altitude):
+    """Whether no site lies within 1e-9 of the UAV mainlobe's footprint
+    edge, relative to its radius, seen from any point.  On the edge a
+    point's law jumps, and roundoff alone picks the side, at a point and
+    at its mirror image alike."""
+    edge = cfg.build_uav_antenna().footprint_radius(altitude, cfg.gbs_height)
+    layout = cfg.build_layout()
+    r = np.hypot(points[:, :1] - layout.x, points[:, 1:] - layout.y)
+    return math.isinf(edge) or bool((np.abs(r - edge) > 1e-9 * edge).all())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(200.0, 800.0), st.floats(0.0, 3.2), st.sampled_from([1, 3, 4, 7]),
+    st.sampled_from(["triangle", "cell"]), st.integers(1, 3), st.floats(25.0, 300.0),
+    st.floats(10.0, 90.0), st.lists(st.floats(-40.0, 30.0), min_size=1, max_size=3),
+)
+def test_uplink_orbits_match_direct_evaluation(
+    spacing, rings, reuse, region, res, altitude, beam, thresholds_db
+):
+    # every built layout has the hexagon's 12 symmetries, so the cell's
+    # 6 r^2 points and the triangle's r^2 both fall in (r^2 + r)/2 orbits
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = load_scenario(tmp, f"""
+[layout]
+inter_site_distance_m = {spacing!r}
+radius_m = {spacing * rings!r}
+reuse_factor = {reuse}
+[uav_antenna]
+half_beamwidth_deg = {beam!r}
+[sampling]
+region = {region}
+resolution = {res}
+[algorithm]
+association_epsilon = 0
+""")
+    thresholds = [10.0 ** (db / 10.0) for db in thresholds_db]
+    result, laws = counted_uplink(cfg, altitude, thresholds)
+    assume(off_footprint_edges(cfg, result.points, altitude))
+    assert laws == (res * res + res) // 2
+    direct = direct_uplink(cfg, result.points, altitude, thresholds)
+    np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("site, remove, mirror_only", [
+    ((1250.0, 250.0 * math.sqrt(3.0)), False, False),   # off every mirror line
+    ((1250.0, 250.0 * math.sqrt(3.0)), True, False),
+    ((500.0, 0.0), False, True),   # moved along the x axis, keeping y -> -y
+])
+def test_broken_symmetries_are_not_used(tmp_path, site, remove, mirror_only):
+    # the 37-site layout with one site moved 1 m along x, or removed
+    layout = scene(tmp_path, radius=1500).build_layout()
+    xy = np.column_stack((layout.x, layout.y))
+    k = int(np.argmin(np.hypot(*(xy - site).T)))
+    if remove:
+        xy = np.delete(xy, k, axis=0)
+    else:
+        xy[k, 0] += 1.0
+    path = tmp_path / "sites.csv"
+    write_layout_csv(NetworkLayout(xy[:, 0], xy[:, 1], np.zeros(len(xy), dtype=int)), path)
+    cfg = load_scenario(tmp_path, f"""
+[layout]
+sites_csv = {path}
+[uav_antenna]
+half_beamwidth_deg = 75
+[sampling]
+region = cell
+resolution = 2
+[algorithm]
+association_epsilon = 0
+""")
+    thresholds = [10.0 ** (db / 10.0) for db in (-20.0, -10.0, 0.0)]
+    result, laws = counted_uplink(cfg, 60.0, thresholds)
+    points = result.points
+    rep = point_orbits(points, cfg.build_layout())
+    if mirror_only:
+        mirror = [int(np.argmin(np.hypot(*(points - (x, -y)).T))) for x, y in points.tolist()]
+        assert rep.tolist() == [min(i, m) for i, m in enumerate(mirror)]
+        assert laws == len(set(rep.tolist())) < 24
+    else:
+        assert rep.tolist() == list(range(24)) and laws == 24
+    direct = direct_uplink(cfg, points, 60.0, thresholds)
+    assert ((direct > 0.0) & (direct < 1.0)).any()
+    np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("link", list(LinkDirection))

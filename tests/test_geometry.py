@@ -20,6 +20,7 @@ from uavcov.geometry import (
     NetworkLayout,
     hexagon_corners,
     link_geometry,
+    point_orbits,
     read_layout_csv,
     sample_region,
     write_layout_csv,
@@ -220,6 +221,25 @@ def test_cell_points_are_rotated_triangle_points():
         for x, y in tri:
             expect.add((round(c * x - s * y, 6), round(s * x + c * y, 6)))
     assert {(round(x, 6), round(y, 6)) for x, y in cell} == expect
+
+
+@pytest.mark.parametrize("kind", list(RegionKind))
+@pytest.mark.parametrize("res", [1, 2, 3, 4])
+def test_point_orbits_of_a_hexagonal_layout(kind, res):
+    # a built layout has the hexagon's 12 symmetries: the cell's 6 r^2
+    # points fall in (r^2 + r)/2 orbits, and so do the triangle's r^2
+    # under its mirror alone
+    pts = sample_region(SamplingRegion(kind, res), D)
+    rep = point_orbits(pts, build_hex_layout(D, 5000.0, 3))
+    assert (rep <= np.arange(len(pts))).all() and (rep[rep] == rep).all()
+    assert len(np.unique(rep)) == (res * res + res) // 2
+    radius = np.hypot(pts[:, 0], pts[:, 1])
+    np.testing.assert_allclose(radius[rep], radius, rtol=1e-12)
+
+
+def test_point_orbits_of_one_point_never_read_the_layout():
+    pts = sample_region(SamplingRegion(RegionKind.TRIANGLE, 1), D)
+    assert point_orbits(pts, None).tolist() == [0]
 
 
 def test_region_validation():

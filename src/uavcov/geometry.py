@@ -248,13 +248,16 @@ def point_orbits(points, layout: NetworkLayout) -> np.ndarray:
     """Index of each point's representative: the first point of its orbit
     under the symmetries of the hexagon that the layout verifiably has.
 
-    An isometry of the hexagon about the origin is used when it maps some
-    point onto a different point and maps the sites one to one onto
-    sites, both within the match tolerance.  It then leaves each site's
-    distance from the point unchanged, so the two points see the same
-    sites at the same distances, only relabelled.  A match missed to
-    roundoff splits an orbit, which costs evaluations and never moves a
-    value.  A grid of fewer than two points never looks at the sites.
+    An isometry of the hexagon about the origin is used when it maps the
+    whole grid onto itself, moving at least one point, and maps the sites
+    one to one onto sites, both within the match tolerance.  It then
+    leaves each site's distance from a point unchanged, so a point and
+    its image see the same sites at the same distances, only relabelled.
+    The isometries used form a group, so a point's orbit is its images
+    under them and its representative the least of their indices.  A
+    match missed to roundoff drops an isometry and splits orbits, which
+    costs evaluations and never moves a value.  A grid of fewer than two
+    points never looks at the sites.
     """
     pts = np.asarray(points, dtype=float)
     rep = np.arange(len(pts))
@@ -267,9 +270,8 @@ def point_orbits(points, layout: NetworkLayout) -> np.ndarray:
     images = pts @ isometries.transpose(0, 2, 1)   # (11, P, 2)
     found = order[np.minimum(np.searchsorted(keys, _keys(images, scale), sorter=order),
                              len(pts) - 1)]
-    moved = (found != rep) & (np.abs(images - pts[found]).max(axis=-1)
-                              <= _MATCH_TOLERANCE * scale)
-    used = np.flatnonzero(moved.any(axis=1))
+    onto_grid = np.abs(images - pts[found]).max(axis=(1, 2)) <= _MATCH_TOLERANCE * scale
+    used = np.flatnonzero(onto_grid & (found != rep).any(axis=1))
     if used.size:
         sites = np.column_stack((layout.x, layout.y))
         scale = float(np.abs(sites).max(initial=0.0)) or 1.0   # 0: no site off the origin
@@ -279,16 +281,7 @@ def point_orbits(points, layout: NetworkLayout) -> np.ndarray:
         error = np.abs(ranked - sites[np.argsort(_keys(sites, scale))]).max(
             axis=(1, 2), initial=0.0)
         used = used[error <= _MATCH_TOLERANCE * scale]
-    # each point takes the smallest index linked to it, until none changes
-    i = np.broadcast_to(rep, moved.shape)[used][moved[used]]
-    j = found[used][moved[used]]
-    while True:
-        least = rep.copy()
-        np.minimum.at(least, i, rep[j])
-        np.minimum.at(least, j, rep[i])
-        if (least == rep).all():
-            return rep
-        rep = least
+    return np.vstack([rep, found[used]]).min(axis=0)
 
 
 # ---------------------------------------------------------------------------

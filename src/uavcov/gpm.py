@@ -255,7 +255,8 @@ def lattice_invert(rows) -> np.ndarray:
     Raises on negative row entries, on summed support tops beyond N - 1
     (they would wrap around: aliasing), on negative output mass below
     -``NEGATIVE_PMF_TOL`` and on a total off 1; smaller negative dips
-    are clamped.
+    are clamped.  One call holds the K rows and their K spectra of
+    N // 2 + 1 complex entries at once.
     """
     q = np.asarray(rows, dtype=float)
     if q.ndim != 2 or q.size == 0:
@@ -265,21 +266,10 @@ def lattice_invert(rows) -> np.ndarray:
             f"row entries reach {float(q.min()):.3e}, not >= 0; rows are not pmfs on this lattice"
         )
     n = q.shape[1]
-    # rfft in blocks of 2^15 entries: the spectra take 256 KiB whatever K
-    # is, and at K = 1600, N = 2048 the product takes 24 ms against 29 ms
-    # for one (K, N) rfft (4 MiB L2).  At the default scene's K <= 31
-    # folded rows (la_cdf folds 122 interferer rows 4 to a row), N = 1024
-    # both cost the same, and the runtime-scaling test passes either way.
-    block = max(1, 2**15 // n)
-    top = 0
-    phi = np.ones(n // 2 + 1, dtype=complex)
-    for start in range(0, len(q), block):
-        part = q[start : start + block]
-        top += int((n - 1 - np.argmax(part[:, ::-1] > 0.0, axis=1)).sum())
-        phi *= np.prod(np.fft.rfft(part, axis=1), axis=0)
+    top = int((n - 1 - np.argmax(q[:, ::-1] > 0.0, axis=1)).sum())
     if top > n - 1:
         raise ValueError(f"summed support reaches {top}, beyond 0..{n - 1} (aliasing)")
-    pmf = np.fft.irfft(phi, n)
+    pmf = np.fft.irfft(np.prod(np.fft.rfft(q, axis=1), axis=0), n)
     worst_neg = float(pmf.min())
     if worst_neg < -NEGATIVE_PMF_TOL:
         raise ValueError(

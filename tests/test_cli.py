@@ -450,6 +450,18 @@ def test_interference_cdf_failure_writes_no_file(tmp_path, capsys):
     assert not list(tmp_path.glob("interference_cdf_*.csv"))
 
 
+def test_event_without_serving_gbs_exits_2(tmp_path, capsys):
+    # a 1 degree beam at (250, 0) sees no site: the walk's one event has
+    # no serving GBS, so no interference law exists
+    cfg_path = write_cfg(
+        tmp_path, "[uav_antenna]\nhalf_beamwidth_deg = 1\n[uav]\nx_m = 250\ny_m = 0\n"
+    )
+    for argv in (["interference-cdf"], ["validate", "--mode", "la-vs-enum"]):
+        assert main(argv + ["--config", cfg_path, "--out", str(tmp_path)]) == 2, argv
+        assert "selected association event has no serving GBS" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_validate_uplink_passes(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, TINY)
     rc = main(["validate", "--config", cfg_path, "--mode", "uplink-vs-bruteforce"])

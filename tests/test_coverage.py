@@ -915,6 +915,39 @@ association_epsilon = 0
     np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
 
 
+def test_rotations_without_mirrors_are_used(tmp_path):
+    # the 37-site layout with its first ring turned 5 degrees about the
+    # origin keeps the six rotations and loses every mirror
+    layout = scene(tmp_path, radius=1500).build_layout()
+    xy = np.column_stack((layout.x, layout.y))
+    ring = np.isclose(np.hypot(*xy.T), 500.0)
+    assert ring.sum() == 6
+    c, s = math.cos(math.radians(5.0)), math.sin(math.radians(5.0))
+    xy[ring] = xy[ring] @ np.array([[c, s], [-s, c]])
+    path = tmp_path / "sites.csv"
+    write_layout_csv(NetworkLayout(xy[:, 0], xy[:, 1], np.zeros(len(xy), dtype=int)), path)
+    cfg = load_scenario(tmp_path, f"""
+[layout]
+sites_csv = {path}
+[uav_antenna]
+half_beamwidth_deg = 75
+[sampling]
+region = cell
+resolution = 2
+[algorithm]
+association_epsilon = 0
+""")
+    thresholds = [10.0 ** (db / 10.0) for db in (-20.0, -10.0, 0.0)]
+    result, laws = counted_uplink(cfg, 60.0, thresholds)
+    rep = point_orbits(result.points, cfg.build_layout())
+    assert (rep[rep] == rep).all()
+    assert np.unique(rep, return_counts=True)[1].tolist() == [6, 6, 6, 6]
+    assert laws == 4
+    direct = direct_uplink(cfg, result.points, 60.0, thresholds)
+    assert ((direct > 0.0) & (direct < 1.0)).any()
+    np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("link", list(LinkDirection))
 def test_one_pass_sweep_equals_single_threshold_calls(tmp_path, link):
     cfg, thresholds = sweep_scene(tmp_path, link)
@@ -926,6 +959,8 @@ def test_one_pass_sweep_equals_single_threshold_calls(tmp_path, link):
         single = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=[t])
         assert sweep.non_outage[i].tolist() == single.non_outage[0].tolist()
         assert sweep.coverage[i] == single.coverage[0]
+    with pytest.raises(ValueError, match="need at least one threshold"):
+        coverage_at_altitude(cfg, link, altitude=100.0, thresholds=[])
 
 
 def test_altitude_sweep_starts_one_pool(tmp_path, monkeypatch):

@@ -55,6 +55,11 @@ def convolve_pmf(spec, length):
     return out
 
 
+def support_top(spec):
+    """Largest value the sum takes with positive probability."""
+    return int(np.where(spec.probs > 0, spec.values, 0.0).max(axis=1).sum())
+
+
 def product_atoms(spec):
     """All joint outcomes by brute force (independent oracle)."""
     rows = [
@@ -272,17 +277,28 @@ def test_lattice_invert_spectrum_is_cf():
 
 def test_lattice_invert_matches_convolution():
     rng = np.random.default_rng(29)
-    cases = [(spec, 0) for spec in ODD_LENGTH_SPECS]
+    specs = list(ODD_LENGTH_SPECS)
+    lengths = [support_top(spec) + 1 for spec in specs]
     for _ in range(50):
-        spec = random_integer_spec(rng, int(rng.integers(1, 9)), max_value=5)
-        cases.append((spec, int(rng.integers(0, 4))))
-    for spec, extra in cases:
-        top = int(np.where(spec.probs > 0, spec.values, 0.0).max(axis=1).sum())
-        n = top + 1 + extra   # exact for any n >= support
+        specs.append(random_integer_spec(rng, int(rng.integers(1, 9)), max_value=5))
+        lengths.append(support_top(specs[-1]) + 1 + int(rng.integers(0, 4)))
+    # 64 rows on N = 1024 and 96 on N = 2048, beyond the K <= 31 folded
+    # rows of a default-scene event
+    for k, max_value, n in ((64, 15, 1024), (96, 20, 2048)):
+        specs.append(random_integer_spec(rng, k, max_value=max_value))
+        lengths.append(n)
+        assert support_top(specs[-1]) < n
+    for spec, n in zip(specs, lengths):   # exact for any n >= support
         pmf = lattice_invert(lattice_rows(spec, n))
         assert pmf.shape == (n,)
         want = convolve_pmf(spec, n)
         assert np.max(np.abs(pmf - want)) < 1e-9
+    # one row raised to the top of the lattice makes the 64-row sum wrap
+    rows = lattice_rows(specs[-2], 1024)
+    rows[-1] = 0.0
+    rows[-1, [0, 1023]] = 0.5
+    with pytest.raises(ValueError, match="aliasing"):
+        lattice_invert(rows)
 
 
 def test_lattice_invert_point_mass():

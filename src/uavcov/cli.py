@@ -361,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory for CSVs")
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--workers", type=_positive_int, default=1,
-                      help="parallel worker processes")
+                      help="parallel worker processes, at most one per block of "
+                           "positions; a pool starts only when the CPU time of "
+                           "the first position predicts that it pays")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="RNG seed (required for MC)")
 

@@ -43,6 +43,7 @@ every point of the orbit; downlink laws are built at every point.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -361,6 +362,14 @@ class LinkDirection(Enum):
 # blocks of one position (2-core x86 host, numpy 2.4).
 BLOCK_ENTRIES = 2**13
 
+# Starting, feeding and joining a process pool costs about this much wall
+# time.  From fresh interpreters, `--workers 2` took a median 38 ms longer
+# than `--workers 1` on a one-point `downlink-map`, and 53 ms longer on a
+# 30-position uplink altitude sweep whose pool also saved up to 3 ms of
+# work (20 interleaved pairs each, default 367-site scene, 2-core x86 host,
+# Python 3.11, fork start method).
+POOL_START_S = 0.05
+
 
 def _non_outage(
     cfg: ScenarioConfig, link: LinkDirection, thresholds: tuple, block: np.ndarray
@@ -411,11 +420,15 @@ def _coverage(
     position goes on one work list, so each position's SNR law is built
     once whatever the number of thresholds; for the uplink the list holds
     the first point of each orbit only.  The list is cut into blocks
-    of positions whose link tables are built together (about
-    ``BLOCK_ENTRIES`` entries, and with ``workers`` > 1 no more than a
-    quarter of a worker's share), and ``workers`` > 1 starts one process
-    pool for all blocks; results come back in list order, so they do not
-    depend on ``workers`` or on where the blocks end."""
+    of positions whose link tables are built together, about
+    ``BLOCK_ENTRIES`` entries each.  With ``workers`` > 1 the first
+    position is scored in this process and its CPU time taken: when that
+    time, times the positions left, times 1 - 1/``workers``, exceeds
+    ``POOL_START_S``, the rest go in blocks of at most a quarter of a
+    worker's share to one process pool of at most one process per block;
+    otherwise they are scored here, as with ``workers`` = 1.  Results come
+    back in list order, so they do not depend on ``workers`` or on where
+    the blocks end."""
     ts = tuple(float(t) for t in thresholds)
     if not ts:
         raise ValueError("need at least one threshold")
@@ -429,15 +442,29 @@ def _coverage(
     scored, inverse = np.unique(orbit, return_inverse=True)
     positions = np.array([(x, y, h) for h in altitudes for x, y in points[scored]])
     size = max(1, BLOCK_ENTRIES // len(cfg.build_layout()))
-    if workers > 1:
-        size = min(size, max(1, len(positions) // (4 * workers)))
-    blocks = [positions[i:i + size] for i in range(0, len(positions), size)]
     score = partial(_non_outage, cfg, link, ts)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(score, blocks))
+    values = []
+    rest = positions
+    pooled = False
+    if workers > 1 and len(positions) > 1:
+        # the first position, scored here, prices the rest: a pool pays
+        # only when spreading them saves more than the pool costs.  Its
+        # CPU time, not wall time: spells off the CPU stretched a ~1 ms
+        # position to 4-21 ms of wall time, and so started a pool on 1 to
+        # 4 of each ~130 short uplink sweeps of a 20 s benchmark run
+        start = time.process_time()
+        values.append(score(positions[:1]))
+        elapsed = time.process_time() - start
+        rest = positions[1:]
+        pooled = elapsed * len(rest) * (1.0 - 1.0 / workers) > POOL_START_S
+    if pooled:
+        size = min(size, max(1, len(positions) // (4 * workers)))
+    blocks = [rest[i:i + size] for i in range(0, len(rest), size)]
+    if pooled:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            values.extend(pool.map(score, blocks))
     else:
-        values = [score(block) for block in blocks]
+        values.extend(score(block) for block in blocks)
     scores = np.concatenate(values).reshape(len(altitudes), len(scored), -1)[:, inverse]
     results = []
     for h, per_point in zip(altitudes, scores):
@@ -461,8 +488,11 @@ def coverage_at_altitude(
     """Average non-outage probability over the scenario's sampling region
     at one altitude, for each of ``thresholds``.  Everything else (layout,
     patterns, channel, loading, ``beta0``/``alpha0``, association
-    truncation and lattice size) comes from ``cfg``.  ``workers`` > 1
-    evaluates the points on a process pool."""
+    truncation and lattice size) comes from ``cfg``.  With ``workers`` > 1
+    the points go to a process pool, of at most one process per block of
+    points, when the CPU time of the first point predicts that the pool saves
+    more than it costs to start (``POOL_START_S``); otherwise they are
+    evaluated in this process."""
     return _coverage(cfg, link, [float(altitude)], thresholds, workers)[0]
 
 
@@ -476,7 +506,10 @@ def coverage_over_altitudes(
 ) -> tuple[list[CoverageResult], np.ndarray]:
     """Coverage at each altitude plus the altitude-averaged aggregate per
     threshold (trapezoidal quadrature normalised by the altitude span),
-    as :func:`coverage_at_altitude` computes it at one altitude."""
+    as :func:`coverage_at_altitude` computes it at one altitude.  Every
+    (altitude, point) position goes on one work list, so ``workers`` > 1
+    starts at most one process pool for the whole sweep, and only when the
+    CPU time of the first position predicts that it pays."""
     alts = np.asarray(altitudes, dtype=float)
     if alts.size == 0:
         raise ValueError("need at least one altitude")

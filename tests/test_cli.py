@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from uavcov import coverage
 from uavcov.cli import main
 from uavcov.config import load_config
 from uavcov.coverage import LinkDirection, coverage_at_altitude
@@ -315,7 +316,9 @@ def test_altitude_at_or_below_gbs_height_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_worker_count_does_not_change_output(tmp_path):
+def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    # every pool pays, so each multi-position command goes through one
+    monkeypatch.setattr(coverage, "POOL_START_S", 0.0)
     cfg_path = write_cfg(tmp_path, TINY + "[loading]\nomega_site_1 = 0.9\n")
     commands = [("downlink_map.csv", ["downlink-map"])] + [
         ("coverage_curve.csv", ["coverage-curve", "--link", link, *sweep])

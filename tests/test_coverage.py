@@ -731,7 +731,9 @@ def test_cell_average_equals_triangle_average(tmp_path):
     assert cell.coverage[0] == pytest.approx(tri.coverage[0], abs=1e-9)
 
 
-def test_parallel_workers_match_serial(tmp_path):
+def test_parallel_workers_match_serial(tmp_path, monkeypatch):
+    # every pool pays, so the 4 points go through one
+    monkeypatch.setattr(coverage, "POOL_START_S", 0.0)
     cfg = scene(tmp_path, LinkDirection.DOWNLINK)
     kwargs = dict(altitude=100.0, thresholds=[1.5849])
     serial = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, workers=1, **kwargs)
@@ -972,6 +974,7 @@ def test_altitude_sweep_starts_one_pool(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(coverage, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(coverage, "POOL_START_S", 0.0)
     cfg, thresholds = sweep_scene(tmp_path, LinkDirection.UPLINK)
     alts = [40.0, 80.0, 120.0, 160.0]
     parallel, agg2 = coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=alts,
@@ -984,6 +987,59 @@ def test_altitude_sweep_starts_one_pool(tmp_path, monkeypatch):
     for p, s, h in zip(parallel, serial, alts):
         assert p.altitude == s.altitude == h
         assert p.non_outage.tolist() == s.non_outage.tolist()
+
+
+def test_short_work_lists_start_no_pool(tmp_path, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(coverage, "ProcessPoolExecutor", NoPool)
+    # one position (the centroid), and the 12 positions of the uplink
+    # sweep (3 orbits at 4 altitudes) at well under a millisecond each
+    cfg = scene(tmp_path, LinkDirection.DOWNLINK, resolution=1)
+    kwargs = dict(altitude=100.0, thresholds=[1.5849])
+    one = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, workers=2, **kwargs)
+    assert len(one.points) == 1
+    assert one.non_outage.tolist() == coverage_at_altitude(
+        cfg, LinkDirection.DOWNLINK, **kwargs).non_outage.tolist()
+    cfg, thresholds = sweep_scene(tmp_path, LinkDirection.UPLINK)
+    kwargs = dict(altitudes=[40.0, 80.0, 120.0, 160.0], thresholds=thresholds)
+    parallel, _ = coverage_over_altitudes(cfg, LinkDirection.UPLINK, workers=2, **kwargs)
+    serial, _ = coverage_over_altitudes(cfg, LinkDirection.UPLINK, **kwargs)
+    for p, s in zip(parallel, serial):
+        assert p.non_outage.tolist() == s.non_outage.tolist()
+
+
+def test_pool_has_at_most_one_process_per_block(tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Records its size and maps here: no process is started."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(coverage, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(coverage, "POOL_START_S", 0.0)
+    cfg, thresholds = sweep_scene(tmp_path, LinkDirection.UPLINK)
+    kwargs = dict(altitudes=[40.0, 80.0, 120.0, 160.0], thresholds=thresholds)
+    wide, agg500 = coverage_over_altitudes(cfg, LinkDirection.UPLINK, workers=500, **kwargs)
+    # the first of 12 positions scored here, the other 11 in blocks of one
+    assert started == [11]
+    serial, agg1 = coverage_over_altitudes(cfg, LinkDirection.UPLINK, **kwargs)
+    assert agg500.tolist() == agg1.tolist()
+    for w, s in zip(wide, serial):
+        assert w.non_outage.tolist() == s.non_outage.tolist()
 
 
 @pytest.mark.parametrize("link", list(LinkDirection))

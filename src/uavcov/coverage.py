@@ -19,10 +19,13 @@ a lattice-approximated sum and the SNR cdf follows from
 P{snr <= y} = P{I >= C/y - alpha0} summed over events.  Events served in
 one band share their interferer rows, so a position's events are built
 as (E, K, 3) stacks of specs (:func:`conditional_interference_specs`)
-and their laws quantized and folded a stack at a time
-(:func:`uavcov.gpm.la_folds`); each event's spec then goes through
-:func:`conditional_interference_spec` and its fold through
-:func:`uavcov.gpm.la_cdf`, which inverts it alone.
+and their laws quantized, folded and inverted a stack at a time
+(:func:`uavcov.gpm.la_folds`), the folded rows of events of one lattice
+length in chunks of one transform each way.  Each event's spec then
+goes through :func:`conditional_interference_spec` and its pmf through
+:func:`uavcov.gpm.la_cdf`, which wraps it as a lattice law.  Outage at
+every threshold is read from all of a position's lattice laws at once,
+in place on their pmfs (:func:`uavcov.gpm.lattice_cdfs`).
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
@@ -44,7 +47,6 @@ every point of the orbit; downlink laws are built at every point.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -55,7 +57,9 @@ import numpy as np
 from .channel import LinkTable, build_link_tables
 from .config import ScenarioConfig
 from .geometry import point_orbits, sample_region
-from .gpm import GpmSpec, SteppedCdf, displacement_bound, la_cdf, la_folds
+from .gpm import (
+    GpmSpec, LatticeDistribution, displacement_bound, la_cdf, la_folds, lattice_cdfs,
+)
 
 PROB_SUM_TOL = 1e-9
 
@@ -232,7 +236,7 @@ def conditional_interference_spec(
 class DownlinkEventTerm:
     probability: float
     gain: float
-    interference: SteppedCdf | None  # None when the event carries no gain
+    interference: LatticeDistribution | None  # None when the event carries no gain
     slack: float  # displacement_bound of the event's spec, 0.0 without one
 
 
@@ -240,10 +244,12 @@ class DownlinkEventTerm:
 class DownlinkSnrCdf:
     """Mixture cdf of the downlink SNR over association events.
 
-    Evaluation is exact given each event's interference cdf:
-    P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}.  With s the
-    largest term ``slack``, the exact law lies between the mixtures at
-    alpha0 - s and alpha0 + s.
+    Evaluation is exact given each event's interference law:
+    P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}, the terms added
+    in event order.  Every term's lattice law is read at every y in one
+    (E, T) pass (:func:`~uavcov.gpm.lattice_cdfs`), bit for bit the
+    stepped cdf (``to_cdf``) of each.  With s the largest term ``slack``,
+    the exact law lies between the mixtures at alpha0 - s and alpha0 + s.
     """
 
     terms: tuple[DownlinkEventTerm, ...]
@@ -253,21 +259,28 @@ class DownlinkSnrCdf:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(ys <= 0):
             raise ValueError("SNR cdf is evaluated at positive y only")
-        out = np.zeros(ys.shape)
-        mass = 0.0
-        for term in self.terms:
-            mass += term.probability
-            if term.interference is None or term.gain == 0.0:
-                out += term.probability
-                continue
+        flat = ys.ravel()
+        probability = np.array([term.probability for term in self.terms])
+        # each event's part of P{snr <= y}: all of its probability when it
+        # carries no interference law
+        part = np.repeat(probability[:, None], flat.size, axis=1)
+        laws = [i for i, term in enumerate(self.terms)
+                if term.interference is not None and term.gain != 0.0]
+        if laws:
+            gain = np.array([self.terms[i].gain for i in laws])[:, None]
             # a y so small that C / y overflows gives c = +inf, the exact
             # limit: P{I >= inf} = 0
             with np.errstate(over="ignore"):
-                c = term.gain / ys - self.alpha0
+                c = gain / flat - self.alpha0
             # snr <= y iff I >= c, and snr < y iff I > c
-            below_c = term.interference.eval(c) if strict else term.interference.eval_left(c)
-            out += term.probability * (1.0 - below_c)
-        out = np.clip(out / mass, 0.0, 1.0)
+            below_c = lattice_cdfs(
+                [self.terms[i].interference for i in laws], c, left=not strict
+            )
+            part[laws] = probability[laws, None] * (1.0 - below_c)
+        # running sums add the events strictly in order, whatever the
+        # number of thresholds (a sum over an (E, 1) array may pair them)
+        out = np.cumsum(part, axis=0)[-1] / np.cumsum(probability)[-1]
+        out = np.clip(out, 0.0, 1.0).reshape(ys.shape)
         if np.isscalar(y):
             return float(out[0])
         return out
@@ -314,10 +327,11 @@ def downlink_snr_cdf(
 
     The events are taken a stack at a time: events served in one band, of
     about ``STACK_ENTRIES`` interferer rows in all, whose specs are built
-    by :func:`conditional_interference_specs` and quantized and folded by
-    :func:`~uavcov.gpm.la_folds`; each event's law is then inverted by
+    by :func:`conditional_interference_specs` and quantized, folded and
+    inverted, in chunks of events of one lattice length, by
+    :func:`~uavcov.gpm.la_folds`; each event's pmf is then wrapped by
     :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of one,
-    so the output does not depend on where the stacks end.
+    so the output does not depend on where the stacks or chunks end.
     """
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
@@ -339,9 +353,9 @@ def downlink_snr_cdf(
             for i, stacked, fold in zip(stack, specs, la_folds(specs, c0)):
                 event = events[i]
                 spec = conditional_interference_spec(event, table, omega, stacked=stacked)
-                _, cdf = la_cdf(spec, c0, fold=fold)
+                lattice, _ = la_cdf(spec, c0, fold=fold)
                 slack = displacement_bound(spec, c0)
-                terms[i] = DownlinkEventTerm(event.probability, event.gain, cdf, slack)
+                terms[i] = DownlinkEventTerm(event.probability, event.gain, lattice, slack)
     return DownlinkSnrCdf(tuple(terms), alpha0)
 
 
@@ -461,6 +475,9 @@ def _coverage(
         size = min(size, max(1, len(positions) // (4 * workers)))
     blocks = [rest[i:i + size] for i in range(0, len(rest), size)]
     if pooled:
+        # imported here: multiprocessing costs every command ~20 ms to import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             values.extend(pool.map(score, blocks))
     else:

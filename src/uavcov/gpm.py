@@ -10,9 +10,11 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     summand k on 0..N-1 and the sum stays within 0..N-1, its pmf is
     *exactly* (up to float roundoff) irfft(prod_k rfft(row_k)), the DFT
     inversion of the characteristic function ``cf_sample`` (Hong 2013)
-    on real-input spectra of N // 2 + 1 frequencies.  It rejects summed
-    supports that would wrap around (aliasing), negative row entries,
-    negative output mass beyond ``NEGATIVE_PMF_TOL`` and a total off 1.
+    on real-input spectra of N // 2 + 1 frequencies.  An (E, K, N) stack
+    inverts E sums of one N with one transform each way.  It rejects
+    summed supports that would wrap around (aliasing), negative row
+    entries, negative output mass beyond ``NEGATIVE_PMF_TOL`` and a total
+    off 1, sum by sum.
 
   * ``la_cdf``: real-valued summands are offset by their minimum value,
     scaled so the total span becomes ``c0`` lattice units, and rounded to
@@ -24,12 +26,15 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     mass at 0 are the identity of convolution and are left out of the
     inversion; the rest are convolved exactly in groups of up to
     ``FOLD_ATOMS`` joint atoms (``_fold_rows``), so one length-N spectrum
-    serves a group instead of a row.  ``la_folds`` quantizes and folds a
-    stack of specs of one shape, such as ``GpmSpec.stack`` checks in one
-    pass, as (E, K, L) arrays, each spec keeping its own beta, N and
-    grouping; ``la_cdf`` then inverts one spec's fold and maps it back.
-    Without a fold, ``la_cdf`` folds its spec as a stack of one, bit for
-    bit the same law.
+    serves a group instead of a row.  ``la_folds`` quantizes, folds and
+    inverts a stack of specs of one shape, such as ``GpmSpec.stack``
+    checks in one pass, as (E, K, L) arrays, each spec keeping its own
+    beta, N and grouping; consecutive specs of one N share a
+    ``lattice_invert`` stack of up to ``CHUNK_ENTRIES`` entries.
+    ``la_cdf`` wraps one spec's pmf as a ``LatticeDistribution``; without
+    a stack it inverts its spec as a stack of one, bit for bit the same
+    law.  ``lattice_cdfs`` reads the cdfs of many lattice laws at once, in
+    place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs.
 
   * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
     states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
@@ -251,35 +256,51 @@ def lattice_invert(rows) -> np.ndarray:
     """Exact pmf on 0..N-1 of a sum of independent integer-lattice terms.
 
     Row k of the (K, N) matrix ``rows`` is the pmf of term k on 0..N-1;
-    the sum's pmf is irfft(prod_k rfft(row_k), N) up to float noise.
-    Raises on negative row entries, on summed support tops beyond N - 1
-    (they would wrap around: aliasing), on negative output mass below
-    -``NEGATIVE_PMF_TOL`` and on a total off 1; smaller negative dips
-    are clamped.  One call holds the K rows and their K spectra of
-    N // 2 + 1 complex entries at once.
+    the sum's pmf is irfft(prod_k rfft(row_k), N) up to float noise.  An
+    (E, K, N) stack holds E such sums, one (K, N) slice each, and gives
+    their (E, N) pmfs from one ``rfft`` of all E * K rows and one
+    ``irfft`` of the E products, each sum bit for bit its own (K, N) call;
+    a sum of fewer terms takes point masses at 0 as its padding rows, and
+    their spectra are exactly 1.  Raises on negative row entries, on summed
+    support tops beyond N - 1 (they would wrap around: aliasing), on
+    negative output mass below -``NEGATIVE_PMF_TOL`` and on a total off 1,
+    naming the sum at fault in a stack; smaller negative dips are clamped.
+    One call holds the rows and their spectra of N // 2 + 1 complex
+    entries at once.
     """
     q = np.asarray(rows, dtype=float)
-    if q.ndim != 2 or q.size == 0:
-        raise ValueError(f"rows must be a non-empty (K, N) matrix, got shape {q.shape}")
+    if q.ndim not in (2, 3) or q.size == 0:
+        raise ValueError(f"rows must be a non-empty (K, N) or (E, K, N) array, got shape {q.shape}")
+    stacked = q.ndim == 3
+
+    def which(bad: np.ndarray) -> str:
+        return f" in sum {int(np.argmax(bad))}" if stacked else ""
+
     if not (q >= 0.0).all():
         raise ValueError(
             f"row entries reach {float(q.min()):.3e}, not >= 0; rows are not pmfs on this lattice"
         )
-    n = q.shape[1]
-    top = int((n - 1 - np.argmax(q[:, ::-1] > 0.0, axis=1)).sum())
-    if top > n - 1:
-        raise ValueError(f"summed support reaches {top}, beyond 0..{n - 1} (aliasing)")
-    pmf = np.fft.irfft(np.prod(np.fft.rfft(q, axis=1), axis=0), n)
-    worst_neg = float(pmf.min())
-    if worst_neg < -NEGATIVE_PMF_TOL:
+    n = q.shape[-1]
+    top = (n - 1 - np.argmax(q[..., ::-1] > 0.0, axis=-1)).sum(axis=-1)
+    if (top > n - 1).any():
         raise ValueError(
-            f"negative pmf mass {worst_neg:.3e} exceeds {NEGATIVE_PMF_TOL:.0e}; "
-            "rows are not pmfs on this lattice"
+            f"summed support reaches {int(top.max())}, beyond 0..{n - 1} (aliasing)"
+            f"{which(top > n - 1)}"
+        )
+    pmf = np.fft.irfft(np.prod(np.fft.rfft(q, axis=-1), axis=-2), n, axis=-1)
+    worst_neg = pmf.min(axis=-1)
+    if (worst_neg < -NEGATIVE_PMF_TOL).any():
+        raise ValueError(
+            f"negative pmf mass {float(worst_neg.min()):.3e} exceeds {NEGATIVE_PMF_TOL:.0e}"
+            f"{which(worst_neg < -NEGATIVE_PMF_TOL)}; rows are not pmfs on this lattice"
         )
     pmf = np.where(pmf < 0.0, 0.0, pmf)
-    total = float(pmf.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"inverted pmf sums to {total!r}, not 1")
+    total = pmf.sum(axis=-1)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(
+            f"inverted pmf sums to {float(np.ravel(total)[np.argmax(off)])!r}, not 1{which(off)}"
+        )
     return pmf
 
 
@@ -395,10 +416,24 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
+# la_folds inverts the folded rows of consecutive specs of one lattice
+# length N in chunks of at most this many entries (or one spec), one rfft
+# and one irfft per chunk.  A 37-site event folds to 3 rows on N = 1024,
+# so a band's dozen events share a chunk; a default 367-site event folds
+# to about 31, so two do.  Chunks of 2^15, 2^16 and 2^17 entries took
+# 5.27, 4.85 and 4.87 ms per 37-site law, and 22.5, 20.8 and 20.6 ms per
+# default-scene law (medians of 30 and 20 interleaved passes over 40 and
+# 16 positions, 2-core x86 host, numpy 2.4.6); whole default stacks
+# (2^18) gained nothing more, and a chunk's rows and spectra grow with it.
+CHUNK_ENTRIES = 2**16
+
+
 def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[np.ndarray]:
-    """Yields, for each event e of a stack, the (ceil(counts[e] / g), ns[e])
-    matrix whose row j is the exact pmf on 0..ns[e]-1 of the sum of the
-    event's lattice rows j*g .. j*g+g-1.
+    """Yields a stack's events' folded rows a chunk of events at a time:
+    for each run of consecutive events of one lattice length n = ns[e],
+    of up to ``CHUNK_ENTRIES`` folded-row entries in all (or one event),
+    the (events, G, n) array whose [e, j] row is the exact pmf on 0..n-1
+    of the sum of event e's lattice rows j*g .. j*g+g-1.
 
     The (R, width) ``lattice`` and ``probs`` hold the events' rows one
     event after another, ``counts[e]`` of them for event e; entry l of row
@@ -407,9 +442,11 @@ def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[n
     count; an event with fewer rows than g has one group, as with g capped
     at its own count.  A folded row's atoms are the outer sums of its
     members' lattice points, its masses their outer products, and point
-    masses at 0, the identity of convolution, pad each event's last group:
-    they add exact zeros.  Each event's matrix is built when the iteration
-    reaches it.  The caller keeps each group's summed top below its n.
+    masses at 0, the identity of convolution, pad each event's last group
+    and, up to G = the chunk's most groups, its rows: they add exact
+    zeros, and their spectra are exactly 1.  An event without rows has
+    none (n = 1).  Each chunk is built when the iteration reaches it, with
+    one ``bincount``.  The caller keeps each group's summed top below its n.
     """
     counts = np.asarray(counts)
     width = lattice.shape[1]
@@ -424,39 +461,81 @@ def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[n
     dest = np.arange(len(lattice)) + np.repeat(first * g - (np.cumsum(counts) - counts), counts)
     atoms[dest] = lattice
     mass[dest] = probs
-    del lattice, probs, dest    # freed while the events' matrices are built
+    del lattice, probs, dest    # freed while the chunks are built
     atoms = atoms.reshape(-1, g, width)
     mass = mass.reshape(-1, g, width)
     fold_atoms, fold_mass = atoms[:, 0], mass[:, 0]
     for j in range(1, g):
         fold_atoms = (fold_atoms[:, :, None] + atoms[:, None, j]).reshape(len(atoms), -1)
         fold_mass = (fold_mass[:, :, None] * mass[:, None, j]).reshape(len(atoms), -1)
-    for start, k, n in zip(first.tolist(), groups.tolist(), ns):
-        at = fold_atoms[start:start + k] + n * np.arange(k)[:, None]
-        yield np.bincount(at.ravel(), fold_mass[start:start + k].ravel(), k * n).reshape(k, n)
+    event = np.repeat(np.arange(len(groups)), groups)    # of each folded row
+    slot = np.arange(len(event)) - first[event]          # its place in its event
+    for a, b in _chunks(groups.tolist(), ns):
+        n, most = ns[a], int(groups[a:b].max())
+        rows = slice(first[a], first[a] + groups[a:b].sum())
+        at = fold_atoms[rows] + (((event[rows] - a) * most + slot[rows]) * n)[:, None]
+        chunk = np.bincount(at.ravel(), fold_mass[rows].ravel(), (b - a) * most * n)
+        chunk = chunk.reshape(b - a, most, n)
+        chunk[np.arange(most) >= groups[a:b, None], 0] = 1.0
+        yield chunk
+
+
+def _chunks(groups: list[int], ns: list[int]) -> Iterator[tuple[int, int]]:
+    """Bounds [a, b) of runs of consecutive events of one lattice length,
+    each of up to ``CHUNK_ENTRIES`` folded-row entries (groups times n)
+    or one event."""
+    a, entries = 0, 0
+    for e, (k, n) in enumerate(zip(groups, ns)):
+        if e > a and (n != ns[a] or entries + k * n > CHUNK_ENTRIES):
+            yield a, e
+            a, entries = e, 0
+        entries += k * n
+    if groups:
+        yield a, len(groups)
 
 
 class LaFold(NamedTuple):
-    """A spec's quantized sum before inversion: ``scale`` beta, ``top`` the
-    highest lattice point the sum reaches, and ``rows`` the (groups, N)
-    matrix of its live rows folded by ``_fold_rows`` (no group when ``top``
-    is 0)."""
+    """A spec's quantized and inverted sum: ``scale`` beta, ``top`` the
+    highest lattice point the sum reaches, and ``pmf`` its pmf on 0..top
+    (``FFT_MASS_FLOOR`` dust dropped, renormalised)."""
 
     scale: float
     top: int
-    rows: np.ndarray
+    pmf: np.ndarray
+
+
+def _inverted(scales: list, tops: list, folded: Iterator[np.ndarray]) -> Iterator[LaFold]:
+    """Each spec's ``LaFold``, the folded rows of a chunk of specs inverted
+    as one ``lattice_invert`` stack."""
+    e = 0
+    for rows in folded:
+        if rows.shape[-1] == 1:      # no live rows: the point mass at 0
+            pmfs = np.ones((len(rows), 1))
+        else:
+            pmfs = lattice_invert(rows)
+            # FFT round-off leaves ~1e-15 dust on lattice points that carry
+            # no mass; without a floor it would surface as spurious cdf jumps
+            pmfs[pmfs < FFT_MASS_FLOOR] = 0.0
+            pmfs = pmfs / pmfs.sum(axis=1, keepdims=True)
+        for scale, top, pmf in zip(scales[e:e + len(rows)], tops[e:e + len(rows)], pmfs):
+            yield LaFold(scale, top, pmf[: top + 1])
+        e += len(rows)
 
 
 def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LaFold]:
-    """Quantizes a stack of specs of one shape as one (E, K, L) array and
-    folds the live rows of all of them in one pass (``_fold_rows``); yields
-    each spec's ``LaFold`` in turn, for ``la_cdf`` to invert.
+    """Quantizes a stack of specs of one shape as one (E, K, L) array,
+    folds the live rows of all of them in one pass (``_fold_rows``) and
+    inverts them; yields each spec's ``LaFold`` in turn, for ``la_cdf`` to
+    wrap.
 
     Each spec keeps its own beta = c0 / span, its own lattice length N
-    (the power of two above its summed top) and its own fold grouping, so
-    its fold is bit for bit that of its stack of one.  A spec's folded
-    rows are built when the iteration reaches it; the stack's quantized
-    copies are freed before the first spec's are.  No specs, no folds.
+    (the power of two above its summed top) and its own fold grouping.
+    Consecutive specs of one N are inverted together, a chunk of up to
+    ``CHUNK_ENTRIES`` folded-row entries per ``lattice_invert`` call, and
+    each keeps its own mass floor and renormalisation, so its pmf is bit
+    for bit that of its stack of one.  A chunk is folded and inverted when
+    the iteration reaches it; the stack's quantized copies are freed
+    before the first chunk's rows are built.  No specs, no folds.
     """
     if c0 < 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
@@ -481,39 +560,79 @@ def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LaFold]:
     folded = _fold_rows(
         lattice[live], probs[live], live.sum(axis=-1), [_next_pow2(t + 1) for t in total_tops]
     )
-    return map(LaFold, beta.tolist(), total_tops, folded)
+    return _inverted(beta.tolist(), total_tops, folded)
 
 
 def la_cdf(
     spec: GpmSpec, c0: float, *, fold: LaFold | None = None
-) -> tuple[LatticeDistribution, SteppedCdf]:
-    """Lattice-approximated cdf of the sum.
+) -> tuple[LatticeDistribution, SteppedCdf | None]:
+    """Lattice-approximated law of the sum and its stepped cdf.
 
     Offsets each summand to start at 0, scales by beta = c0 / span,
     rounds the scaled values half-away-from-zero to integers, recovers the
     integer-sum pmf by FFT inversion (power-of-two length covering the
     quantized span) of the summands that do not round to the point mass
     at 0, folded in groups by ``_fold_rows``, clamps tiny negative dips,
-    renormalises, and maps the lattice back to value units.  A spec whose
-    summands are all degenerate has zero span and returns the exact point
-    mass at the offset.
+    drops ``FFT_MASS_FLOOR`` dust, renormalises, and maps the lattice back
+    to value units.  A spec whose summands are all degenerate has zero
+    span and returns the exact point mass at the offset.
 
     ``fold`` is the spec's entry of ``la_folds`` over a stack that holds
-    it, at the same ``c0``; without one the spec is quantized and folded
-    as its own stack of one, which gives the same law bit for bit.
+    it, at the same ``c0``: it already carries the pmf, so the call only
+    wraps it in a ``LatticeDistribution`` and returns None for the stepped
+    cdf, which a stacked caller reads in place (``lattice_cdfs``).
+    Without one the spec is quantized, folded and inverted as its own
+    stack of one, which gives the same pmf bit for bit, and its stepped
+    cdf is built too.
     """
-    if fold is None:
-        (fold,) = la_folds([spec], c0)
-    if fold.top == 0:
-        pmf = np.array([1.0])
-    else:
-        pmf = lattice_invert(fold.rows)
-        # FFT round-off leaves ~1e-15 dust on lattice points that carry
-        # no mass; without a floor it would surface as spurious cdf jumps
-        pmf[pmf < FFT_MASS_FLOOR] = 0.0
-        pmf = pmf / pmf.sum()
-    dist = LatticeDistribution(spec.offset, fold.scale, pmf[: fold.top + 1])
+    if fold is not None:
+        return LatticeDistribution(spec.offset, fold.scale, fold.pmf), None
+    (fold,) = la_folds([spec], c0)
+    dist = LatticeDistribution(spec.offset, fold.scale, fold.pmf)
     return dist, dist.to_cdf()
+
+
+def _lattice_counts(tops: np.ndarray, scale, offset, x: np.ndarray, left: bool) -> np.ndarray:
+    """For each law e (top ``tops[e]``, lattice point n at the float
+    n / scale[e] + offset[e]) and each entry of its row of ``x``, the
+    number of points 0..top at or below x (below x with ``left``).  The
+    abscissae never decrease in n, so those points are a prefix, found by
+    bisection."""
+    below = np.less if left else np.less_equal
+    count = np.zeros(x.shape, dtype=np.intp)
+    step = 1 << int(tops.max() + 1).bit_length()
+    while step := step >> 1:
+        more = count + step     # are points 0..more-1 all at or below x?
+        take = (more <= tops[:, None] + 1) & below((more - 1) / scale + offset, x)
+        count = np.where(take, more, count)
+    return count
+
+
+def lattice_cdfs(laws: Sequence[LatticeDistribution], x, *, left: bool = False) -> np.ndarray:
+    """P{X_e <= x[e, t]} for each law e at each entry of its row of the
+    (E, T) ``x``, or P{X_e < x[e, t]} with ``left``: bit for bit the
+    ``eval`` (``eval_left``) of ``laws[e].to_cdf()``, read in place.
+
+    With m the number of lattice points whose float abscissa
+    n / scale + offset, as ``to_cdf`` builds it, lies at or below x
+    (``_lattice_counts``), the read is the running sum of the pmf over
+    0..m-1 divided by the sum over 0..top.  Each partial sum adds the
+    masses in lattice order and a zero-mass point adds an exact zero, so
+    it equals ``to_cdf``'s sum over the support; points that round to one
+    float fall on one side of any x together, as ``to_cdf``'s shared jump
+    does.
+    """
+    x = np.asarray(x, dtype=float)
+    tops = np.array([law.pmf.size - 1 for law in laws])
+    scale = np.array([law.scale for law in laws])[:, None]
+    offset = np.array([law.offset for law in laws])[:, None]
+    # column n + 1: the mass on 0..n, added in lattice order
+    cum = np.zeros((len(laws), int(tops.max()) + 2))
+    for row, law in zip(cum, laws):
+        row[1:law.pmf.size + 1] = law.pmf
+    np.cumsum(cum, axis=1, out=cum)
+    count = _lattice_counts(tops, scale, offset, x, left)
+    return np.take_along_axis(cum, count, axis=1) / cum[np.arange(len(laws)), tops + 1][:, None]
 
 
 def displacement_bound(spec: GpmSpec, c0: float) -> float:
@@ -582,6 +701,13 @@ class GaussianCdf:
         out = (raw - tail) / (1.0 - tail)
         return np.where(xs < 0.0, 0.0, np.clip(out, 0.0, 1.0))
 
+    def eval_left(self, x) -> np.ndarray:
+        """The left limit: at std = 0 the point mass's step is not yet
+        taken at the mean; otherwise the cdf is continuous there."""
+        if self.std == 0.0:
+            return (np.asarray(x, dtype=float) > self.mean).astype(float)
+        return self(x)
+
 
 def gaussian_cdf(spec: GpmSpec) -> GaussianCdf:
     return GaussianCdf(spec.mean(), math.sqrt(spec.variance()))
@@ -594,8 +720,9 @@ def envelope_excess(oracle: SteppedCdf, lo, hi) -> float:
     ``lo`` and ``hi`` are stepped or other callable cdfs.  Each jump x of
     the oracle is probed from both sides: F_oracle(x) against ``lo(x)``
     and ``hi(x)``, F_oracle(x-) against their ``eval_left(x)`` where they
-    have one (``SteppedCdf``, ``DownlinkSnrCdf``), else their value at x,
-    which is the left limit only where they are continuous.  F_oracle is
+    have one (``SteppedCdf``, ``DownlinkSnrCdf``, ``GaussianCdf``), else
+    their value at x, which is the left limit only where they are
+    continuous.  F_oracle is
     constant between its jumps, so these probes realise the supremum for
     non-decreasing right-continuous ``lo`` and ``hi``.
     """

@@ -11,7 +11,7 @@ import numpy as np
 
 from uavcov.channel import LinkTable
 from uavcov.config import load_config
-from uavcov.gpm import GpmSpec
+from uavcov.gpm import GpmSpec, lattice_cdfs
 
 
 def load_scenario(directory, body):
@@ -89,3 +89,23 @@ def random_integer_spec(rng, n_summands, max_value=5, max_support=4):
         probs = rng.uniform(0.1, 1.0, size=size)
         rows.append((values, probs / probs.sum()))
     return padded_spec(rows)
+
+
+def in_place_probes(laws):
+    """Every lattice abscissa of ``laws``, its float neighbours, a point
+    below every offset and +-inf."""
+    on = np.concatenate([np.arange(law.pmf.size) / law.scale + law.offset for law in laws])
+    return np.unique(np.concatenate([
+        on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+        [-np.inf, np.inf, min(law.offset for law in laws) - 1.0],
+    ]))
+
+
+def assert_reads_stepped_cdfs(laws, probes):
+    """``lattice_cdfs`` of ``laws`` at every probe, both sides, equals each
+    law's ``to_cdf`` stepped cdf bit for bit."""
+    x = np.broadcast_to(probes, (len(laws), probes.size))
+    for left in (False, True):
+        want = np.array([getattr(law.to_cdf(), "eval_left" if left else "eval")(probes)
+                         for law in laws])
+        assert lattice_cdfs(laws, x, left=left).tobytes() == want.tobytes()

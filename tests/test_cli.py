@@ -480,6 +480,17 @@ def test_validate_ga_vs_enum(tmp_path, capsys):
     assert "PASS ga-vs-enum" in out
 
 
+def test_validate_ga_vs_enum_on_silent_interferers(tmp_path, capsys):
+    # at zero loading both laws are the point mass at 0: the Gaussian
+    # baseline's step is probed from the left, so its distance reads 0,
+    # not 1, and the strict la < ga rule fails
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 1500\n[loading]\ndownlink_omega = 0\n")
+    assert main(["validate", "--config", cfg_path, "--mode", "ga-vs-enum"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL ga-vs-enum" in out
+    assert "displacement=0.000e+00 < GA distance=0.000e+00" in out
+
+
 def test_validate_tolerance_override(tmp_path, capsys):
     # 1000 samples leave the MC law 0.0127 beyond the lattice displacement
     cfg_path = write_cfg(tmp_path, TINY)

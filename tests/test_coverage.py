@@ -5,6 +5,7 @@ space directly, which is exponential but exact; the walk and the mixture
 cdf must reproduce them to float precision.
 """
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -15,8 +16,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import link_table, load_scenario, random_link_table
-from uavcov import coverage
+from conftest import (
+    assert_reads_stepped_cdfs,
+    in_place_probes,
+    link_table,
+    load_scenario,
+    random_link_table,
+)
+from uavcov import coverage, gpm
 from uavcov.channel import LinkTable, build_link_table
 from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
 from uavcov.coverage import (
@@ -337,21 +344,21 @@ def test_interference_edge_cases():
 # Stacked interference laws
 # ---------------------------------------------------------------------------
 
-def law_bits(spec, cdf, c0):
-    return cdf.xs.tobytes(), cdf.cum.tobytes(), displacement_bound(spec, c0)
+def law_bits(spec, lattice, c0):
+    return lattice.offset, lattice.scale, lattice.pmf.tobytes(), displacement_bound(spec, c0)
 
 
 def stacked_laws(specs, c0):
-    """Each spec's (xs, cum, slack), its la_cdf inverting its fold from
-    one la_folds pass over the stack."""
-    return [law_bits(spec, la_cdf(spec, c0, fold=fold)[1], c0)
+    """Each spec's (offset, scale, pmf, slack), its la_cdf wrapping its
+    entry of one la_folds pass over the stack."""
+    return [law_bits(spec, la_cdf(spec, c0, fold=fold)[0], c0)
             for spec, fold in zip(specs, la_folds(specs, c0))]
 
 
 def single_laws(events, table, omega, c0):
-    """Each event's (xs, cum, slack), built alone: the stack of one."""
+    """Each event's (offset, scale, pmf, slack), built alone: the stack of one."""
     specs = [conditional_interference_spec(e, table, omega) for e in events]
-    return [law_bits(spec, la_cdf(spec, c0)[1], c0) for spec in specs]
+    return [law_bits(spec, la_cdf(spec, c0)[0], c0) for spec in specs]
 
 
 def band_stacks(table, events, size):
@@ -402,21 +409,31 @@ STACK_EXAMPLES = (
     (MIXED_ROWS, 0.0, 1000.0),                    # loading 0: zero spans
     (MIXED_ROWS, 1.0, 1000.0),                    # loading 1
     (MIXED_ROWS, np.linspace(0.0, 1.0, 9), 1.0),  # every row rounds to 0
+    # band 0's tops run 1023, 1024, 1024, 1022, 1024, 1023, 1023: lattice
+    # lengths 1024 and 2048 alternate within one stack
+    (MIXED_ROWS, 0.6, 1023.5),
 )
+
+# la_folds inverts one spec a chunk, whole stacks in one chunk, and the default
+CHUNK_SIZES = (1, 2**30, gpm.CHUNK_ENTRIES)
 
 
 def check_stacks(rows, omega, c0, size):
     table = link_table(rows)
     events = association_pmf(table)
-    for stack in band_stacks(table, events, size):
-        specs = conditional_interference_specs(stack, table, omega)
-        assert stacked_laws(specs, c0) == single_laws(stack, table, omega, c0)
-    # the whole law, whatever the stacks it builds
-    model = downlink_snr_cdf(table, omega, 0.1, c0=c0)
     gaining = [e for e in events if e.serving_id is not None and e.gain != 0.0]
-    got = [(t.interference.xs.tobytes(), t.interference.cum.tobytes(), t.slack)
-           for t in model.terms if t.interference is not None]
-    assert got == single_laws(gaining, table, omega, c0)
+    want = single_laws(gaining, table, omega, c0)
+    for chunk in CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gpm, "CHUNK_ENTRIES", chunk)
+            for stack in band_stacks(table, events, size):
+                specs = conditional_interference_specs(stack, table, omega)
+                assert stacked_laws(specs, c0) == single_laws(stack, table, omega, c0)
+            # the whole law, whatever the stacks and chunks it builds
+            model = downlink_snr_cdf(table, omega, 0.1, c0=c0)
+        got = [(t.interference.offset, t.interference.scale, t.interference.pmf.tobytes(),
+                t.slack) for t in model.terms if t.interference is not None]
+        assert got == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -426,6 +443,8 @@ def check_stacks(rows, omega, c0, size):
 @example(STACK_EXAMPLES[1], 9)
 @example(STACK_EXAMPLES[2], 9)
 @example(STACK_EXAMPLES[3], 9)
+@example(STACK_EXAMPLES[4], 9)
+@example(STACK_EXAMPLES[4], 3)
 def test_stacked_laws_equal_single_event_laws(scene, size):
     check_stacks(*scene, size)
 
@@ -457,8 +476,11 @@ def test_stack_examples_cover_every_case():
                     seen.add("rows rounded to 0")
             if len({min(c, 4) for c in live if c}) > 1:
                 seen.add("different g in one stack")
+            if len({len(fold.pmf) > 1024 for fold in la_folds(specs, c0)}) > 1:
+                seen.add("two lattice lengths in one stack")
     assert seen == {"loading 0", "loading 1", "mixed serving bands", "lone GBS",
-                    "forced NLoS prefix", "rows rounded to 0", "different g in one stack"}
+                    "forced NLoS prefix", "rows rounded to 0", "different g in one stack",
+                    "two lattice lengths in one stack"}
 
 
 def test_stacked_law_negative_controls():
@@ -491,6 +513,78 @@ def test_empty_stacks():
         la_folds([], 0.5)
 
 
+def stepped_mixture(model, ys, strict):
+    """P{snr <= y} (P{snr < y} when ``strict``) of ``model`` by the per-term
+    loop over each law's stepped cdf (``to_cdf``), adding the terms one by
+    one in event order."""
+    out = np.zeros(ys.shape)
+    mass = 0.0
+    for term in model.terms:
+        mass += term.probability
+        if term.interference is None or term.gain == 0.0:
+            out += term.probability
+            continue
+        with np.errstate(over="ignore"):
+            c = term.gain / ys - model.alpha0
+        cdf = term.interference.to_cdf()
+        out += term.probability * (1.0 - (cdf.eval(c) if strict else cdf.eval_left(c)))
+    return np.clip(out / mass, 0.0, 1.0)
+
+
+def snr_probes(model):
+    """The snr at which each event's c = C / y - alpha0 meets each jump of
+    its law, their float neighbours, and a log grid around them."""
+    ys = [np.geomspace(1e-3, 1e3, 25)]
+    for term in model.terms:
+        if term.interference is not None and term.gain != 0.0:
+            xs = term.interference.to_cdf().xs
+            with np.errstate(divide="ignore"):
+                y = term.gain / (xs[::max(1, xs.size // 40)] + model.alpha0)
+            y = y[np.isfinite(y) & (y > 0)]
+            ys += [y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)]
+    return np.unique(np.concatenate(ys))
+
+
+def assert_mixture_reads_stepped_laws(model, ys):
+    for strict, read in ((False, model.eval), (True, model.eval_left)):
+        many = read(ys)
+        assert many.tobytes() == stepped_mixture(model, ys, strict).tobytes()
+        # one threshold at a time: its column of the many-threshold read
+        some = slice(None, None, max(1, ys.size // 100))
+        assert [read(y) for y in ys[some]] == many[some].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(micro_scenes())
+@example(STACK_EXAMPLES[0])
+@example(STACK_EXAMPLES[4])
+def test_in_place_read_equals_stepped_cdfs(scene):
+    # every event's law read in place equals its to_cdf stepped cdf bit
+    # for bit, at every lattice point, just off it, below the offset and
+    # at +-inf
+    rows, omega, c0 = scene
+    model = downlink_snr_cdf(link_table(rows), omega, 0.1, c0=c0)
+    laws = [t.interference for t in model.terms if t.interference is not None]
+    if laws:
+        assert_reads_stepped_cdfs(laws, in_place_probes(laws))
+    assert_mixture_reads_stepped_laws(model, snr_probes(model))
+
+
+def test_many_event_mixture_adds_events_in_order():
+    # 30 to 60 events in one band, more than a pairwise sum adds in order
+    rng = np.random.default_rng(97)
+    for n in (30, 45, 60):
+        # LoS gains above every NLoS gain: the walk serves each row in LoS
+        table = link_table(tuple(
+            (i, 0, 10.0 - 0.1 * i, float(rng.uniform(0.01, 0.05)), float(rng.uniform(0.05, 0.2)))
+            for i in range(n)))
+        model = downlink_snr_cdf(table, 0.5, 0.1, c0=300.0)
+        assert len(model.terms) == n + 1
+        ys = snr_probes(model)
+        assert_mixture_reads_stepped_laws(model, ys)
+        assert model.outage(ys[::50]).tolist() == [model.outage(y) for y in ys[::50]]
+
+
 def test_each_law_passes_through_the_per_event_functions(monkeypatch):
     # downlink_snr_cdf builds specs and folds a stack at a time, but hands
     # every gaining event's spec and fold to conditional_interference_spec
@@ -517,8 +611,9 @@ def test_each_law_passes_through_the_per_event_functions(monkeypatch):
     assert [spec for _, spec, _ in seen[1::2]] == specs
     assert sum(map(len, specs)) == sum(
         len(conditional_interference_spec(e, table, 0.6)) for e in gaining)
-    assert sorted(t.interference.xs.tobytes() for t in model.terms if t.interference) == sorted(
-        cdf.xs.tobytes() for _, _, (_, cdf) in seen[1::2])
+    # each term holds the lattice law its la_cdf call returned
+    laws = [t.interference for t in model.terms if t.interference]
+    assert sorted(map(id, laws)) == sorted(id(lattice) for _, _, (lattice, _) in seen[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -968,12 +1063,12 @@ def test_one_pass_sweep_equals_single_threshold_calls(tmp_path, link):
 def test_altitude_sweep_starts_one_pool(tmp_path, monkeypatch):
     started = []
 
-    class CountedPool(coverage.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(coverage, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(coverage, "POOL_START_S", 0.0)
     cfg, thresholds = sweep_scene(tmp_path, LinkDirection.UPLINK)
     alts = [40.0, 80.0, 120.0, 160.0]
@@ -994,7 +1089,7 @@ def test_short_work_lists_start_no_pool(tmp_path, monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(coverage, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     # one position (the centroid), and the 12 positions of the uplink
     # sweep (3 orbits at 4 altitudes) at well under a millisecond each
     cfg = scene(tmp_path, LinkDirection.DOWNLINK, resolution=1)
@@ -1029,7 +1124,7 @@ def test_pool_has_at_most_one_process_per_block(tmp_path, monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(coverage, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(coverage, "POOL_START_S", 0.0)
     cfg, thresholds = sweep_scene(tmp_path, LinkDirection.UPLINK)
     kwargs = dict(altitudes=[40.0, 80.0, 120.0, 160.0], thresholds=thresholds)

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_scenario, padded_spec, random_integer_spec, random_spec
+from conftest import (
+    assert_reads_stepped_cdfs,
+    in_place_probes,
+    load_scenario,
+    padded_spec,
+    random_integer_spec,
+    random_spec,
+)
 from uavcov import gpm
 from uavcov.cli import _write_csv
 from uavcov.coverage import DownlinkEventTerm, DownlinkSnrCdf
@@ -32,6 +39,7 @@ from uavcov.gpm import (
     gaussian_cdf,
     kolmogorov_distance,
     la_cdf,
+    lattice_cdfs,
     lattice_invert,
     mc_cdf,
 )
@@ -386,6 +394,38 @@ def test_lattice_distribution_to_cdf():
         LatticeDistribution(0.0, 1.0, [0.4, 0.4])
 
 
+# lattice laws whose in-place read has a case of its own
+IN_PLACE_LAWS = (
+    LatticeDistribution(10.0, 2.0, [0.25, 0.0, 0.75]),     # a zero-mass point inside
+    LatticeDistribution(1.0, 1e40, [0.25, 0.0, 0.75]),     # all points round to one float
+    LatticeDistribution(-3.0, 0.1, [0.5, 0.5, 0.0, 0.0]),  # mass floored away at the top
+    LatticeDistribution(0.0, 3.0, [0.0, 0.0, 1.0]),        # no mass below the top
+    LatticeDistribution(7.0, 1.0, [1.0]),                  # a point mass
+    LatticeDistribution(0.0, 1000.0 / 3.0, np.full(1000, 1e-3)),  # a long lattice
+)
+
+
+def test_lattice_cdfs_read_stepped_cdfs_in_place():
+    probes = in_place_probes(IN_PLACE_LAWS)
+    assert_reads_stepped_cdfs(IN_PLACE_LAWS, probes)
+    for law in IN_PLACE_LAWS:      # each alone, as its stack of one
+        assert_reads_stepped_cdfs([law], probes)
+    # the read at an abscissa takes that point's mass, the read below does not
+    x = [[10.0, 10.5, 11.0, -np.inf, np.inf]]     # points 10, 10.5 (empty), 11
+    assert lattice_cdfs(IN_PLACE_LAWS[:1], x).tolist() == [[0.25, 0.25, 1.0, 0.0, 1.0]]
+    assert lattice_cdfs(IN_PLACE_LAWS[:1], x, left=True).tolist() == [[0.0, 0.25, 0.25, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_lattice_cdfs_negative_control(monkeypatch, shift):
+    # a count off by one point reads a neighbouring partial sum
+    count = gpm._lattice_counts
+    monkeypatch.setattr(gpm, "_lattice_counts", lambda tops, *args: np.clip(
+        count(tops, *args) + shift, 0, tops[:, None] + 1))
+    with pytest.raises(AssertionError):
+        assert_reads_stepped_cdfs(IN_PLACE_LAWS, in_place_probes(IN_PLACE_LAWS))
+
+
 # ---------------------------------------------------------------------------
 # Lattice approximation
 # ---------------------------------------------------------------------------
@@ -428,7 +468,8 @@ def test_la_cdf_leaves_out_rows_rounded_to_zero(monkeypatch):
     assert (padded.offset, padded.span) == (base.offset, base.span)
     inverted_rows = []
     invert = gpm.lattice_invert
-    monkeypatch.setattr(gpm, "lattice_invert", lambda q: inverted_rows.append(len(q)) or invert(q))
+    monkeypatch.setattr(gpm, "lattice_invert",
+                        lambda q: inverted_rows.append(q.shape[-2]) or invert(q))
     for c0 in (200.0, 1000.0):
         want_dist, want_cdf = la_cdf(base, c0)
         dist, cdf = la_cdf(padded, c0)
@@ -488,14 +529,14 @@ def test_fold_negative_controls(monkeypatch):
     check_fold(spec)
     fold = gpm._fold_rows
     # without the padded last group the law misses a row
-    monkeypatch.setattr(gpm, "_fold_rows", lambda *args: (rows[:-1] for rows in fold(*args)))
+    monkeypatch.setattr(gpm, "_fold_rows", lambda *args: (rows[:, :-1] for rows in fold(*args)))
     with pytest.raises(AssertionError):
         check_fold(spec)
 
     # one group's row offset one point too far carries the sum past its top
     def shift_first_group(*args):
         for rows in fold(*args):
-            rows[0] = np.roll(rows[0], 1)
+            rows[0, 0] = np.roll(rows[0, 0], 1)
             yield rows
 
     monkeypatch.setattr(gpm, "_fold_rows", shift_first_group)
@@ -505,7 +546,7 @@ def test_fold_negative_controls(monkeypatch):
     # folded rows on a lattice one point too short still alias
     lattice = (spec.values - spec.values.min(axis=1, keepdims=True)).astype(np.intp)
     (rows,) = fold(lattice, spec.probs, [9], [total_top])
-    assert len(rows) == 3
+    assert rows.shape == (1, 3, total_top)
     with pytest.raises(ValueError, match="aliasing"):
         lattice_invert(rows)
     lattice_invert(*fold(lattice, spec.probs, [9], [total_top + 1]))
@@ -659,9 +700,28 @@ def test_kolmogorov_against_continuous():
     assert 0.05 < d < 0.15
 
 
-def snr_cdf_over(interference: SteppedCdf) -> DownlinkSnrCdf:
-    """A stepped callable cdf: snr = 1 / (1 + I) for one sure event, which
-    maps I = 0, 1, 3 to 1, 1/2, 1/4 and back without rounding."""
+def test_gaussian_point_mass_has_a_left_limit():
+    # all-silent rows: the sum and its moment-matched normal (std 0) are
+    # both the point mass at 0
+    spec = GpmSpec([[0.0, 2.0, 5.0]] * 3, [[1.0, 0.0, 0.0]] * 3)
+    ga = gaussian_cdf(spec)
+    assert (ga.mean, ga.std) == (0.0, 0.0)
+    assert (ga(0.0), ga.eval_left(0.0), ga.eval_left(1e-300)) == (1.0, 0.0, 1.0)
+    exact = enumerate_cdf(spec)
+    assert kolmogorov_distance(exact, ga) == 0.0
+    # negative control: probing the step's left side with its value at 0
+    assert envelope_excess(exact, ga.__call__, ga.__call__) == 1.0
+    # away from std 0 the normal is continuous: the left limit is the value
+    wide = gaussian_cdf(GpmSpec([[0.0, 1.0]] * 4, [[0.5, 0.5]] * 4))
+    grid = np.linspace(-1.0, 5.0, 13)
+    assert wide.eval_left(grid).tolist() == wide(grid).tolist()
+
+
+def snr_cdf_over(scale, pmf) -> DownlinkSnrCdf:
+    """A stepped callable cdf: snr = 1 / (1 + I) for one sure event, I on
+    the lattice points n / scale, which maps I = 0, 1, 3 to 1, 1/2, 1/4
+    and back without rounding."""
+    interference = LatticeDistribution(0.0, scale, pmf)
     return DownlinkSnrCdf((DownlinkEventTerm(1.0, 1.0, interference, 0.0),), 1.0)
 
 
@@ -669,10 +729,10 @@ def test_kolmogorov_against_stepped_callable():
     # probing the callable's value at a's jumps against a's left limits
     # would read a's largest jump (0.5) for any b, this one included
     a = SteppedCdf([0.25, 0.5, 1.0], [0.25, 0.5, 1.0])
-    same = snr_cdf_over(SteppedCdf([0.0, 1.0, 3.0], [0.5, 0.75, 1.0]))
+    same = snr_cdf_over(1.0, [0.5, 0.25, 0.0, 0.25])
     assert kolmogorov_distance(a, same) == 0.0
-    # the atom of mass 0.25 at snr 1/2 moves to 1/1.6 = 0.625
-    moved = snr_cdf_over(SteppedCdf([0.0, 0.6, 3.0], [0.5, 0.75, 1.0]))
+    # the atom of mass 0.25 at snr 1/2 moves to 1/1.6 = 0.625 (I = 3/5)
+    moved = snr_cdf_over(5.0, [0.5, 0, 0, 0.25] + [0] * 11 + [0.25])
     assert kolmogorov_distance(a, moved) == 0.25
 
 

@@ -18,9 +18,9 @@ Each parameter is a ``[channel]`` key; its default lives in
 
 A UAV position's links are held as a :class:`LinkTable` of column arrays,
 built for every site at once by :func:`build_link_table`.
-:func:`build_link_tables` builds the tables of a block of P positions
-together: one evaluation on (P, n) arrays and one check of the whole
-block, then one table per row.
+:func:`build_link_columns` evaluates a block of P positions together:
+one evaluation on (P, n) arrays and one check of the whole block, which
+:func:`build_link_tables` then cuts into one table per row.
 """
 
 from __future__ import annotations
@@ -228,6 +228,30 @@ def build_link_table(
     return LinkTable(*(col[0] for col in columns))
 
 
+def build_link_columns(
+    layout: NetworkLayout,
+    gbs_pattern,
+    uav_antenna: UavAntenna,
+    channel: ParametricAirGroundModel,
+    positions,
+    gbs_height: float,
+) -> tuple[np.ndarray, ...]:
+    """The five link table columns of a (P, 3) block of positions, in
+    :class:`LinkTable` field order: read-only (P, n) arrays whose row p
+    equals column for column the table :func:`build_link_table` builds
+    at position p.  The block is evaluated as whole arrays and checked
+    once."""
+    block = np.asarray(positions, dtype=float)
+    if block.ndim != 2 or block.shape[1:] != (3,):
+        raise ValueError(f"UAV positions must have shape (P, 3), got {block.shape}")
+    built = _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
+    columns = tuple(np.asarray(col, dtype=dtype) for (_, dtype), col in zip(_COLUMNS, built))
+    for col in columns:
+        col.flags.writeable = False
+    _check_link_columns(*columns)
+    return columns
+
+
 def build_link_tables(
     layout: NetworkLayout,
     gbs_pattern,
@@ -239,24 +263,18 @@ def build_link_tables(
     """The link tables of a (P, 3) block of positions, one per row, equal
     column for column to :func:`build_link_table` at each position.
 
-    The block is evaluated as (P, n) arrays and checked once, and its
-    tables hold read-only views of the checked rows, which are not
-    checked again.  A block of one position gains nothing from this and
-    is built by :func:`build_link_table`.
+    The tables hold read-only views of the rows of
+    :func:`build_link_columns`, which are not checked again.  A block of
+    one position gains nothing from this and is built by
+    :func:`build_link_table`.
     """
     block = np.asarray(positions, dtype=float)
-    if block.ndim != 2 or block.shape[1:] != (3,):
-        raise ValueError(f"UAV positions must have shape (P, 3), got {block.shape}")
-    if len(block) == 1:
+    if block.shape == (1, 3):
         return (build_link_table(layout, gbs_pattern, uav_antenna, channel, block[0], gbs_height),)
-    built = _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
-    columns = [np.asarray(col, dtype=dtype) for (_, dtype), col in zip(_COLUMNS, built)]
-    for col in columns:
-        col.flags.writeable = False
-    _check_link_columns(*columns)
+    columns = build_link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
     tables = []
     for row in zip(*columns):
-        table = object.__new__(LinkTable)   # checked with its block above
+        table = object.__new__(LinkTable)   # checked with its block
         for (name, _), col in zip(_COLUMNS, row):
             object.__setattr__(table, name, col)
         tables.append(table)

@@ -29,6 +29,7 @@ from .coverage import (
     coverage_at_altitude,
     coverage_over_altitudes,
     downlink_snr_cdf,
+    uplink_outage,
     uplink_snr_pmf,
 )
 from .geometry import write_layout_csv
@@ -254,7 +255,19 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         ok = err <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} uplink-vs-bruteforce: "
               f"max pmf error={err:.3e} tolerance={tolerance:.3e}")
-        return EXIT_OK if ok else EXIT_FAIL
+        # the block read coverage runs, at the configured eps, whose
+        # truncation moves outage by less than eps: read at and just above
+        # every atom, so on both sides of every step of the exact law
+        eps = cfg.association_epsilon
+        ts = np.concatenate([oracle.values, np.nextafter(oracle.values, np.inf)])
+        read = uplink_outage(table.c_los[None], table.c_nlos[None], table.p_los[None],
+                             cfg.beta0, ts, eps)[0]
+        read_err = float(np.max(np.abs(read - [oracle.outage(t) for t in ts])))
+        read_ok = read_err <= eps + tolerance
+        print(f"{'PASS' if read_ok else 'FAIL'} uplink-vs-bruteforce: block read at "
+              f"association_epsilon={eps:g}, max outage error={read_err:.3e} "
+              f"bound eps + tolerance={eps + tolerance:.3e}")
+        return EXIT_OK if ok and read_ok else EXIT_FAIL
 
     if mode == "downlink-vs-joint-enum":
         # The exact law lies between the mixtures at alpha0 -/+ the largest

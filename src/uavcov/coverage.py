@@ -3,11 +3,21 @@
 Uplink: the UAV associates with the GBS of largest realised combined gain.
 Walking the link table in descending LoS-gain order makes the association
 pmf exact: the m-th row serves in LoS iff it is LoS and every earlier row
-is NLoS, and once the walk reaches rows whose LoS gain falls below the
+is NLoS, with probability p_m * pre[m], pre[m] the product of 1 - p_j over
+the rows j < m; once the walk reaches rows whose LoS gain falls below the
 best NLoS gain ``C_NL_max`` the realised maximum is ``C_NL_max`` no matter
 what happens further down, which closes the walk with a single terminal
-event.  An optional probability floor ``eps`` truncates the walk early,
-assigning the remaining mass to the terminal event.
+event of mass pre[stop].  An optional probability floor ``eps`` truncates
+the walk early, assigning the remaining mass to the terminal event.
+:func:`association_walk` computes pre and stop for one table or a whole
+block of them, as running products in walk order.  Row m's mass is
+pre[m] - pre[m + 1], so the mass below a threshold telescopes: with K the
+number of rows whose LoS SNR is at or above t, outage(t) = pre[min(K,
+stop)] when t exceeds the terminal SNR, else 0.  Coverage reads uplink
+outage this way for a whole block of positions at every threshold
+(:func:`uplink_outage`), from the block's link columns, without a table,
+event or pmf per position; :func:`association_pmf` and
+:func:`uplink_snr_pmf` build the events and atoms from the same walk.
 
 Downlink: conditioned on an association event, every other GBS in the
 serving GBS's band interferes when active (probability ``omega`` per
@@ -25,7 +35,7 @@ length in chunks of one transform each way.  Each event's spec then
 goes through :func:`conditional_interference_spec` and its pmf through
 :func:`uavcov.gpm.la_cdf`, which wraps it as a lattice law.  Outage at
 every threshold is read from all of a position's lattice laws at once,
-in place on their pmfs (:func:`uavcov.gpm.lattice_cdfs`).
+in place on their pmfs (:class:`uavcov.gpm.LatticeCdfs`).
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
@@ -35,13 +45,15 @@ argument and read the layout, antennas, channel, sampling region,
 loading, ``beta0``/``alpha0``, ``eps`` and ``c0`` from it.  Each
 (altitude, point) position's SNR law is built once and read at every
 threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
-(position, site) pairs: :func:`~uavcov.channel.build_link_tables` builds
-a block's link tables with one (P, n) evaluation and one check, and
-each table is then walked on its own, so the output does not depend on
-where the blocks end.  An uplink law is built once per orbit of the grid
-under the hexagon's rotations and reflections that the layout verifiably
-has (:func:`~uavcov.geometry.point_orbits`), and its value copied to
-every point of the orbit; downlink laws are built at every point.
+(position, site) pairs: :func:`~uavcov.channel.build_link_columns`
+evaluates a block's links as (P, n) columns with one check, which the
+uplink reads as they are and the downlink cuts into one table per
+position; no position's value depends on another's, so the output does
+not depend on where the blocks end.  The uplink is read once per orbit
+of the grid under the hexagon's rotations and reflections that the
+layout verifiably has (:func:`~uavcov.geometry.point_orbits`), and its
+value copied to every point of the orbit; downlink laws are built at
+every point.
 """
 
 from __future__ import annotations
@@ -49,16 +61,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkTable, build_link_tables
+from .channel import LinkTable, build_link_columns, build_link_tables
 from .config import ScenarioConfig
 from .geometry import point_orbits, sample_region
 from .gpm import (
-    GpmSpec, LatticeDistribution, displacement_bound, la_cdf, la_folds, lattice_cdfs,
+    GpmSpec, LatticeCdfs, LatticeDistribution, displacement_bound, la_cdf, la_folds,
 )
 
 PROB_SUM_TOL = 1e-9
@@ -87,46 +99,70 @@ class AssociationEvent:
     forced_rows: int
 
 
+def association_walk(c_los, c_nlos, p_los, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The association walk over link columns in walk order: the (n,)
+    columns of one table, or the (P, n) columns of a block of them.
+
+    Returns ``pre``, of shape (..., n + 1), and ``stop``, of shape (...).
+    ``pre[..., k]`` is the probability that rows 0..k-1 are all NLoS, the
+    running product of 1 - ``p_los`` multiplied in walk order; ``stop`` is
+    the first row the walk does not take, because its LoS gain is below
+    the best NLoS gain ``C_NL_max`` or ``pre`` there is below ``eps``.
+    Row m < stop serves in LoS with probability ``p_los[m] * pre[m]``, and
+    the terminal event at ``C_NL_max`` takes the rest, ``pre[stop]``.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    c_los, c_nlos, p_los = (np.asarray(col, dtype=float) for col in (c_los, c_nlos, p_los))
+    n = c_los.shape[-1]
+    if n == 0:
+        raise ValueError("cannot associate against an empty link table")
+    pre = np.ones(c_los.shape[:-1] + (n + 1,))
+    np.cumprod(1.0 - p_los, axis=-1, out=pre[..., 1:])
+    taken = (c_los >= c_nlos.max(axis=-1, keepdims=True)) & (pre[..., :-1] >= eps)
+    stop = np.where(taken.all(axis=-1), n, taken.argmin(axis=-1))
+    total = (np.where(taken, p_los * pre[..., :-1], 0.0).sum(axis=-1)
+             + np.take_along_axis(pre, stop[..., None], axis=-1)[..., 0])
+    off = np.abs(total - 1.0)
+    if (off > PROB_SUM_TOL).any():
+        raise AssertionError(f"association probabilities sum to {float(total.flat[off.argmax()])!r}")
+    return pre, stop
+
+
 def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEvent, ...]:
-    """Exact (eps = 0) or truncated association distribution.
+    """Exact (eps = 0) or truncated association distribution, read from
+    :func:`association_walk`: one LoS event per walked row of positive
+    probability, then the terminal event.
 
     When the walk's remaining mass drops below ``eps`` the walk stops and
     that mass is folded into the terminal event, so the sum stays 1.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if len(table) == 0:
-        raise ValueError("cannot associate against an empty link table")
-
+    pre, stop = association_walk(table.c_los, table.c_nlos, table.p_los, eps)
     c_nlos_max = float(table.c_nlos.max())
     if c_nlos_max == 0.0:
         # No GBS has any gain toward the UAV: the SNR is 0 surely.
         return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, 0),)
 
-    ids = table.gbs_id.tolist()
-    events: list[AssociationEvent] = []
-    prefix = 1.0
-    for m, (c_los, p_los) in enumerate(zip(table.c_los.tolist(), table.p_los.tolist())):
-        if c_los < c_nlos_max or prefix < eps:
-            break
-        if p_los > 0.0 and prefix > 0.0:
-            events.append(
-                AssociationEvent(ids[m], AssociationState.LOS, c_los, p_los * prefix, m)
-            )
-        prefix *= 1.0 - p_los
-    if prefix > 0.0:
+    stop = int(stop)
+    p_los, walked = table.p_los[:stop], pre[:stop]
+    rows = np.flatnonzero((p_los > 0.0) & (walked > 0.0))
+    events = [
+        AssociationEvent(gbs, AssociationState.LOS, gain, probability, m)
+        for gbs, gain, probability, m in zip(
+            table.gbs_id[rows].tolist(), table.c_los[rows].tolist(),
+            (p_los * walked)[rows].tolist(), rows.tolist(),
+        )
+    ]
+    if pre[stop] > 0.0:
         events.append(
             AssociationEvent(
-                ids[int(np.argmax(table.c_nlos))],
+                int(table.gbs_id[np.argmax(table.c_nlos)]),
                 AssociationState.NLOS_MAX,
                 c_nlos_max,
-                prefix,
+                float(pre[stop]),
                 int(np.count_nonzero(table.c_los >= c_nlos_max)),
             )
         )
-    total = sum(e.probability for e in events)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise AssertionError(f"association probabilities sum to {total!r}")
     return tuple(events)
 
 
@@ -162,6 +198,38 @@ def uplink_snr_pmf(table: LinkTable, beta0: float, eps: float = 0.0) -> UplinkSn
     values = np.array(sorted(acc))
     probs = np.array([acc[v] for v in sorted(acc)])
     return UplinkSnrPmf(values, probs)
+
+
+def _walked_rows_at_or_above(snr: np.ndarray, stop: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """For each row of the descending (..., n) ``snr`` and each threshold,
+    how many of its first ``stop`` entries lie at or above the threshold:
+    (..., T).  They are a prefix, so only the longest walk is compared."""
+    width = int(np.max(stop))
+    above = np.count_nonzero(snr[..., None, :width] >= ts[:, None], axis=-1)
+    return np.minimum(above, stop[..., None])
+
+
+def uplink_outage(c_los, c_nlos, p_los, beta0: float, thresholds, eps: float = 0.0) -> np.ndarray:
+    """P{snr < t} for every threshold t at every position of a block of
+    link columns in walk order, (P, n) each: (P, T), as
+    :meth:`UplinkSnrPmf.outage` of :func:`uplink_snr_pmf` reads it to
+    within float roundoff, without building either.
+
+    The LoS atoms of the walk (:func:`association_walk`) lie at or above
+    the terminal atom beta0 * C_NL_max and descend with the rows, and row
+    m's mass is pre[m] - pre[m + 1], so the mass below t telescopes:
+    outage(t) = [t > beta0 * C_NL_max] * pre[min(K, stop)], with K the
+    number of rows whose LoS atom beta0 * c_los is at or above t.  A
+    position whose every gain is 0 has SNR 0 surely: outage [t > 0].
+    """
+    if beta0 <= 0:
+        raise ValueError(f"beta0 must be positive, got {beta0}")
+    pre, stop = association_walk(c_los, c_nlos, p_los, eps)
+    ts = np.asarray(thresholds, dtype=float)
+    c_nlos_max = np.max(c_nlos, axis=-1, keepdims=True)
+    served = _walked_rows_at_or_above(beta0 * c_los, stop, ts)
+    outage = np.where(ts > beta0 * c_nlos_max, np.take_along_axis(pre, served, axis=-1), 0.0)
+    return np.where(c_nlos_max == 0.0, ts > 0.0, outage)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +315,26 @@ class DownlinkSnrCdf:
     Evaluation is exact given each event's interference law:
     P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}, the terms added
     in event order.  Every term's lattice law is read at every y in one
-    (E, T) pass (:func:`~uavcov.gpm.lattice_cdfs`), bit for bit the
-    stepped cdf (``to_cdf``) of each.  With s the largest term ``slack``,
-    the exact law lies between the mixtures at alpha0 - s and alpha0 + s.
+    (E, T) pass, bit for bit the stepped cdf (``to_cdf``) of each, from
+    running sums (:class:`~uavcov.gpm.LatticeCdfs`) built on the first
+    read and kept for the object's later reads.  With s the largest term
+    ``slack``, the exact law lies between the mixtures at alpha0 - s and
+    alpha0 + s.
     """
 
     terms: tuple[DownlinkEventTerm, ...]
     alpha0: float
+
+    @cached_property
+    def _laws(self) -> tuple[list[int], np.ndarray, LatticeCdfs | None]:
+        """The terms that carry an interference law, their gains as an
+        (L, 1) column, and the running sums of their laws, built on the
+        first read and kept for every later one."""
+        laws = [i for i, term in enumerate(self.terms)
+                if term.interference is not None and term.gain != 0.0]
+        gain = np.array([self.terms[i].gain for i in laws])[:, None]
+        cdfs = LatticeCdfs.of([self.terms[i].interference for i in laws]) if laws else None
+        return laws, gain, cdfs
 
     def _mixture(self, y, strict: bool) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -264,18 +345,14 @@ class DownlinkSnrCdf:
         # each event's part of P{snr <= y}: all of its probability when it
         # carries no interference law
         part = np.repeat(probability[:, None], flat.size, axis=1)
-        laws = [i for i, term in enumerate(self.terms)
-                if term.interference is not None and term.gain != 0.0]
+        laws, gain, cdfs = self._laws
         if laws:
-            gain = np.array([self.terms[i].gain for i in laws])[:, None]
             # a y so small that C / y overflows gives c = +inf, the exact
             # limit: P{I >= inf} = 0
             with np.errstate(over="ignore"):
                 c = gain / flat - self.alpha0
             # snr <= y iff I >= c, and snr < y iff I > c
-            below_c = lattice_cdfs(
-                [self.terms[i].interference for i in laws], c, left=not strict
-            )
+            below_c = cdfs.read(c, left=not strict)
             part[laws] = probability[laws, None] * (1.0 - below_c)
         # running sums add the events strictly in order, whatever the
         # number of thresholds (a sum over an (E, 1) array may pair them)
@@ -389,17 +466,16 @@ def _non_outage(
     cfg: ScenarioConfig, link: LinkDirection, thresholds: tuple, block: np.ndarray
 ) -> np.ndarray:
     """Non-outage probability at each position of a (P, 3) block for
-    every threshold, (P, T): one link table block, then one SNR law per
-    position, evaluated T times."""
-    tables = build_link_tables(
-        cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
-        cfg.build_channel(), block, cfg.gbs_height,
-    )
+    every threshold, (P, T): one evaluation of the block's links, then
+    the uplink read from its columns at once, or one downlink SNR law
+    per position, evaluated T times."""
+    models = (cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
+              cfg.build_channel())
     if link is LinkDirection.UPLINK:
-        pmfs = [uplink_snr_pmf(table, cfg.beta0, cfg.association_epsilon) for table in tables]
-        # one mask sum per threshold; a masked 2-D sum would add the
-        # atoms in another order and could move the last bit
-        return np.array([[1.0 - pmf.outage(t) for t in thresholds] for pmf in pmfs])
+        _, _, c_los, c_nlos, p_los = build_link_columns(*models, block, cfg.gbs_height)
+        return 1.0 - uplink_outage(c_los, c_nlos, p_los, cfg.beta0, thresholds,
+                                   cfg.association_epsilon)
+    tables = build_link_tables(*models, block, cfg.gbs_height)
     ts = np.array(thresholds)
     return np.array([
         1.0 - downlink_snr_cdf(

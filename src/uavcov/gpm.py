@@ -33,8 +33,9 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     ``lattice_invert`` stack of up to ``CHUNK_ENTRIES`` entries.
     ``la_cdf`` wraps one spec's pmf as a ``LatticeDistribution``; without
     a stack it inverts its spec as a stack of one, bit for bit the same
-    law.  ``lattice_cdfs`` reads the cdfs of many lattice laws at once, in
-    place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs.
+    law.  ``LatticeCdfs`` reads the cdfs of many lattice laws at once, in
+    place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs, from
+    running sums built once for any number of reads.
 
   * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
     states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
@@ -580,7 +581,7 @@ def la_cdf(
     ``fold`` is the spec's entry of ``la_folds`` over a stack that holds
     it, at the same ``c0``: it already carries the pmf, so the call only
     wraps it in a ``LatticeDistribution`` and returns None for the stepped
-    cdf, which a stacked caller reads in place (``lattice_cdfs``).
+    cdf, which a stacked caller reads in place (``LatticeCdfs``).
     Without one the spec is quantized, folded and inverted as its own
     stack of one, which gives the same pmf bit for bit, and its stepped
     cdf is built too.
@@ -608,10 +609,12 @@ def _lattice_counts(tops: np.ndarray, scale, offset, x: np.ndarray, left: bool) 
     return count
 
 
-def lattice_cdfs(laws: Sequence[LatticeDistribution], x, *, left: bool = False) -> np.ndarray:
-    """P{X_e <= x[e, t]} for each law e at each entry of its row of the
-    (E, T) ``x``, or P{X_e < x[e, t]} with ``left``: bit for bit the
-    ``eval`` (``eval_left``) of ``laws[e].to_cdf()``, read in place.
+@dataclass(frozen=True, eq=False)
+class LatticeCdfs:
+    """The cdfs of E lattice laws, read in place on their pmfs: the
+    running sums are built once (:meth:`of`) and read at any abscissae
+    (:meth:`read`), bit for bit the ``eval`` (``eval_left``) of each
+    law's ``to_cdf()``.
 
     With m the number of lattice points whose float abscissa
     n / scale + offset, as ``to_cdf`` builds it, lies at or below x
@@ -622,17 +625,35 @@ def lattice_cdfs(laws: Sequence[LatticeDistribution], x, *, left: bool = False) 
     float fall on one side of any x together, as ``to_cdf``'s shared jump
     does.
     """
-    x = np.asarray(x, dtype=float)
-    tops = np.array([law.pmf.size - 1 for law in laws])
-    scale = np.array([law.scale for law in laws])[:, None]
-    offset = np.array([law.offset for law in laws])[:, None]
-    # column n + 1: the mass on 0..n, added in lattice order
-    cum = np.zeros((len(laws), int(tops.max()) + 2))
-    for row, law in zip(cum, laws):
-        row[1:law.pmf.size + 1] = law.pmf
-    np.cumsum(cum, axis=1, out=cum)
-    count = _lattice_counts(tops, scale, offset, x, left)
-    return np.take_along_axis(cum, count, axis=1) / cum[np.arange(len(laws)), tops + 1][:, None]
+
+    tops: np.ndarray     # (E,): each law's top lattice point
+    scale: np.ndarray    # (E, 1)
+    offset: np.ndarray   # (E, 1)
+    cum: np.ndarray      # (E, max top + 2): column n + 1 the mass on 0..n
+    total: np.ndarray    # (E, 1): the mass on 0..top
+
+    @classmethod
+    def of(cls, laws: Sequence[LatticeDistribution]) -> LatticeCdfs:
+        tops = np.array([law.pmf.size - 1 for law in laws])
+        # the masses added in lattice order
+        cum = np.zeros((len(laws), int(tops.max()) + 2))
+        for row, law in zip(cum, laws):
+            row[1:law.pmf.size + 1] = law.pmf
+        np.cumsum(cum, axis=1, out=cum)
+        return cls(
+            tops,
+            np.array([law.scale for law in laws])[:, None],
+            np.array([law.offset for law in laws])[:, None],
+            cum,
+            cum[np.arange(len(laws)), tops + 1][:, None],
+        )
+
+    def read(self, x, *, left: bool = False) -> np.ndarray:
+        """P{X_e <= x[e, t]}, or P{X_e < x[e, t]} with ``left``, for each
+        law e at each entry of its row of the (E, T) ``x``."""
+        count = _lattice_counts(self.tops, self.scale, self.offset,
+                                np.asarray(x, dtype=float), left)
+        return np.take_along_axis(self.cum, count, axis=1) / self.total
 
 
 def displacement_bound(spec: GpmSpec, c0: float) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from uavcov.channel import LinkTable
 from uavcov.config import load_config
-from uavcov.gpm import GpmSpec, lattice_cdfs
+from uavcov.gpm import GpmSpec, LatticeCdfs
 
 
 def load_scenario(directory, body):
@@ -102,10 +102,20 @@ def in_place_probes(laws):
 
 
 def assert_reads_stepped_cdfs(laws, probes):
-    """``lattice_cdfs`` of ``laws`` at every probe, both sides, equals each
+    """``LatticeCdfs`` of ``laws`` read at every probe, both sides, equals each
     law's ``to_cdf`` stepped cdf bit for bit."""
     x = np.broadcast_to(probes, (len(laws), probes.size))
     for left in (False, True):
         want = np.array([getattr(law.to_cdf(), "eval_left" if left else "eval")(probes)
                          for law in laws])
-        assert lattice_cdfs(laws, x, left=left).tobytes() == want.tobytes()
+        assert LatticeCdfs.of(laws).read(x, left=left).tobytes() == want.tobytes()
+
+
+def counted_mixture_builds(monkeypatch):
+    """A list that grows by one entry, the number of laws, each time the
+    running sums of lattice laws are built (``LatticeCdfs.of``)."""
+    built = []
+    of = LatticeCdfs.of.__func__
+    monkeypatch.setattr(LatticeCdfs, "of",
+                        classmethod(lambda cls, laws: built.append(len(laws)) or of(cls, laws)))
+    return built

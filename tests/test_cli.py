@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import counted_mixture_builds
 from uavcov import coverage
 from uavcov.cli import main
 from uavcov.config import load_config
@@ -472,6 +473,25 @@ def test_validate_uplink_passes(tmp_path, capsys):
     assert "PASS uplink-vs-bruteforce" in capsys.readouterr().out
 
 
+def test_validate_uplink_holds_the_truncated_read(tmp_path, capsys, monkeypatch):
+    # at eps = 0.5 the walk on 7 sites stops early: the block read moves
+    # off the exact law, by less than eps
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 500\n[algorithm]\nassociation_epsilon = 0.5\n")
+    argv = ["validate", "--config", cfg_path, "--mode", "uplink-vs-bruteforce"]
+    assert main(argv) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("PASS uplink-vs-bruteforce: max pmf error=")
+    assert second.startswith("PASS uplink-vs-bruteforce: block read at association_epsilon=0.5,")
+    error = float(re.search(r"max outage error=(\S+)", second).group(1))
+    assert 1e-3 < error < 0.5
+    # a read that is not the law's outage fails, and the exact pmf still passes
+    read = coverage.uplink_outage
+    monkeypatch.setattr("uavcov.cli.uplink_outage", lambda *args: 1.0 - read(*args))
+    assert main(argv) == 1
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("PASS") and second.startswith("FAIL")
+
+
 def test_validate_ga_vs_enum(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, TINY)
     rc = main(["validate", "--config", cfg_path, "--mode", "ga-vs-enum"])
@@ -517,12 +537,16 @@ def test_validate_mc_requires_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_validate_downlink_joint_enum_runs(tmp_path, capsys):
+def test_validate_downlink_joint_enum_runs(tmp_path, capsys, monkeypatch):
+    built = counted_mixture_builds(monkeypatch)
     cfg_path = write_cfg(tmp_path, TINY)
     rc = main(["validate", "--config", cfg_path, "--mode", "downlink-vs-joint-enum"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS downlink-vs-joint-enum" in out
+    # three law objects over one set of terms, the approximation and its
+    # two envelope mixtures, each read four times: one build each
+    assert len(built) == 3
 
 
 def test_layout_csv_feeds_sites_csv(tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_reads_stepped_cdfs,
+    counted_mixture_builds,
     in_place_probes,
     link_table,
     load_scenario,
@@ -26,6 +27,7 @@ from conftest import (
 from uavcov import coverage, gpm
 from uavcov.channel import LinkTable, build_link_table
 from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
+from uavcov.oracles import uplink_pmf_enumeration
 from uavcov.coverage import (
     AssociationState,
     DownlinkSnrCdf,
@@ -37,6 +39,7 @@ from uavcov.coverage import (
     coverage_at_altitude,
     coverage_over_altitudes,
     downlink_snr_cdf,
+    uplink_outage,
     uplink_snr_pmf,
 )
 from uavcov.gpm import (
@@ -263,6 +266,86 @@ def test_uplink_scale_invariance():
 def test_uplink_rejects_bad_beta0():
     with pytest.raises(ValueError):
         uplink_snr_pmf(link_table(MICRO_ROWS), 0.0)
+
+
+def block_read(table, beta0, thresholds, eps):
+    """The uplink block read of one table, as a block of one position."""
+    columns = (table.c_los[None], table.c_nlos[None], table.p_los[None])
+    return uplink_outage(*columns, beta0, thresholds, eps)[0]
+
+
+def test_block_read_validation():
+    c_los, c_nlos, p_los = np.array([[2.0, 1.0]]), np.array([[1.0, 0.5]]), np.array([[0.5, 0.5]])
+    # atoms at 2 (LoS, 0.5) and at 1 (LoS 0.25, terminal 0.25)
+    assert uplink_outage(c_los, c_nlos, p_los, 1.0, [1.5, 1.0, 3.0]).tolist() == [[0.5, 0.0, 1.0]]
+    with pytest.raises(ValueError, match="beta0"):
+        block_read(link_table(MICRO_ROWS), 0.0, [1.0], 0.0)
+    with pytest.raises(ValueError, match="eps"):
+        block_read(link_table(MICRO_ROWS), 1.0, [1.0], 1.0)
+    with pytest.raises(ValueError, match="empty"):
+        uplink_outage(*(np.empty((2, 0)) for _ in range(3)), 1.0, [1.0])
+
+
+def micro_gains():
+    # a few exact values, so rows tie and atoms fall on one another
+    return st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]) | st.floats(0.01, 10.0)
+
+
+def micro_probs():
+    return st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def micro_tables(draw):
+    """A link table of 1 to 6 rows with exact c_los ties, an NLoS gain a
+    share in (0, 1] of the LoS gain (equal to it at share 1), LoS
+    probabilities often exactly 0 or 1, and every gain 0 now and then."""
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        c_los = draw(micro_gains())
+        share = draw(st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0))
+        rows.append((i, 0, c_los, c_los * share, draw(micro_probs())))
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    return link_table(rows)
+
+
+def assert_block_read_matches_enumeration(table, beta0, eps):
+    """The block read equals the enumerated outage at, and one ulp either
+    side of, every atom: to 1e-12 with the exact walk, to eps + 1e-12
+    with a truncated one."""
+    oracle = uplink_pmf_enumeration(table, beta0)
+    on = oracle.values
+    ts = np.unique(np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)]))
+    want = [oracle.outage(t) for t in ts]
+    np.testing.assert_allclose(block_read(table, beta0, ts, eps), want,
+                               rtol=0.0, atol=eps + 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@example(link_table(MICRO_ROWS), 1.0, 0.0)
+@example(link_table(((0, 0, 2.0, 1.0, 0.5), (1, 0, 2.0, 2.0, 0.0), (2, 0, 1.0, 0.5, 1.0))),
+         3.0, 0.0)                                            # a tie, p_los 0 and 1
+@example(link_table(((0, 0, 0.0, 0.0, 0.3), (1, 0, 0.0, 0.0, 1.0))), 1.0, 0.0)  # no gain
+@example(link_table(tuple((i, 0, 10.0 - i, 1.0, 0.5) for i in range(5))), 1.0, 0.3)
+@given(micro_tables(), st.sampled_from([1.0, 0.3]) | st.floats(1e-3, 1e3),
+       st.just(0.0) | st.floats(1e-3, 0.9))
+def test_block_read_matches_enumeration(table, beta0, eps):
+    assert_block_read_matches_enumeration(table, beta0, eps)
+
+
+@pytest.mark.parametrize("mutant", [
+    # pre read one row late
+    lambda snr, stop, ts, count: np.minimum(count(snr, stop, ts) + 1, snr.shape[-1]),
+    # rows strictly above the threshold counted
+    lambda snr, stop, ts, count: np.minimum(
+        np.count_nonzero(snr[..., None, :] > ts[:, None], axis=-1), stop[..., None]),
+], ids=["late", "strict"])
+def test_block_read_negative_control(monkeypatch, mutant):
+    count = coverage._walked_rows_at_or_above
+    monkeypatch.setattr(coverage, "_walked_rows_at_or_above",
+                        lambda *args: mutant(*args, count))
+    with pytest.raises(AssertionError):
+        test_block_read_matches_enumeration()
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +653,19 @@ def test_in_place_read_equals_stepped_cdfs(scene):
     assert_mixture_reads_stepped_laws(model, snr_probes(model))
 
 
+def test_mixture_builds_its_running_sums_once(monkeypatch):
+    built = counted_mixture_builds(monkeypatch)
+    model = downlink_snr_cdf(link_table(MICRO_ROWS), 0.5, 0.5, c0=960.0)
+    ys = np.geomspace(0.1, 20.0, 51)
+    first = model.eval(ys)
+    model.eval_left(ys), model.outage(ys), model.eval(float(ys[3]))
+    assert model.eval(ys).tobytes() == first.tobytes()
+    assert built == [3]     # one law per event: two LoS, one terminal
+    # another law object over the same terms builds its own, the same
+    assert DownlinkSnrCdf(model.terms, model.alpha0).eval(ys).tobytes() == first.tobytes()
+    assert len(built) == 2
+
+
 def test_many_event_mixture_adds_events_in_order():
     # 30 to 60 events in one band, more than a pairwise sum adds in order
     rng = np.random.default_rng(97)
@@ -734,6 +830,7 @@ def test_outage_is_exact_at_both_ends():
         for model in (uplink_snr_pmf(table, 1.0), downlink_snr_cdf(table, 0.5, 0.1, c0=1000.0)):
             assert model.outage(1e-12) == 0.0      # every atom above the threshold
             assert model.outage(1e12) == 1.0       # every atom below it
+        assert block_read(table, 1.0, [1e-12, 1e12], 0.0).tolist() == [0.0, 1.0]
 
 
 def test_downlink_grid_and_validation():
@@ -880,43 +977,53 @@ def sweep_scene(tmp_path, link):
 
 
 @pytest.mark.parametrize("link, law", [
-    (LinkDirection.UPLINK, "uplink_snr_pmf"),
+    (LinkDirection.UPLINK, "uplink_outage"),
     (LinkDirection.DOWNLINK, "downlink_snr_cdf"),
 ])
 def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
-    # one link table per scored position, whatever the blocks, and one law
-    # each: the uplink scores the 3 orbits of the 24 points under the
-    # 7-site layout's 12 symmetries, the downlink every point
+    # one link table row per scored position, whatever the blocks, and one
+    # law each: the uplink scores the 3 orbits of the 24 points under the
+    # 7-site layout's 12 symmetries, the downlink every point.  The uplink
+    # reads its block's columns and counts a position at the block read,
+    # the downlink a table and a law per position
     laws = 3 if link is LinkDirection.UPLINK else 24
-    built = {"build_link_tables": 0, law: 0}
+    tables = "build_link_columns" if link is LinkDirection.UPLINK else "build_link_tables"
+    positions = {
+        "build_link_columns": lambda columns: len(columns[0]),
+        "build_link_tables": len,
+        "uplink_outage": len,
+        "downlink_snr_cdf": lambda cdf: 1,
+    }
+    built = {tables: 0, law: 0}
     for name in built:
         original = getattr(coverage, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             result = _original(*args, **kwargs)
-            built[_name] += len(result) if _name == "build_link_tables" else 1
+            built[_name] += positions[_name](result)
             return result
 
         monkeypatch.setattr(coverage, name, counted)
     cfg, thresholds = sweep_scene(tmp_path, link)
     result = coverage_at_altitude(cfg, link, altitude=100.0, thresholds=thresholds)
     assert result.non_outage.shape == (5, 24)
-    assert built == {"build_link_tables": laws, law: laws}
+    assert built == {tables: laws, law: laws}
 
 
 def counted_uplink(cfg, altitude, thresholds):
-    """Uplink coverage_at_altitude and the number of laws it built."""
-    built = []
+    """Uplink coverage_at_altitude and the number of positions it scored:
+    the rows of every block the uplink read took."""
+    scored = []
 
-    def counted(*args, **kwargs):
-        built.append(None)
-        return uplink_snr_pmf(*args, **kwargs)
+    def counted(c_los, *args, **kwargs):
+        scored.append(len(c_los))
+        return uplink_outage(c_los, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coverage, "uplink_snr_pmf", counted)
+        patch.setattr(coverage, "uplink_outage", counted)
         result = coverage_at_altitude(cfg, LinkDirection.UPLINK, altitude=altitude,
                                       thresholds=thresholds)
-    return result, len(built)
+    return result, sum(scored)
 
 
 def direct_uplink(cfg, points, altitude, thresholds):

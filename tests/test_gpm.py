@@ -30,6 +30,7 @@ from uavcov.gpm import (
     DiscreteSummand,
     GaussianCdf,
     GpmSpec,
+    LatticeCdfs,
     LatticeDistribution,
     SteppedCdf,
     cf_sample,
@@ -39,7 +40,6 @@ from uavcov.gpm import (
     gaussian_cdf,
     kolmogorov_distance,
     la_cdf,
-    lattice_cdfs,
     lattice_invert,
     mc_cdf,
 )
@@ -412,8 +412,9 @@ def test_lattice_cdfs_read_stepped_cdfs_in_place():
         assert_reads_stepped_cdfs([law], probes)
     # the read at an abscissa takes that point's mass, the read below does not
     x = [[10.0, 10.5, 11.0, -np.inf, np.inf]]     # points 10, 10.5 (empty), 11
-    assert lattice_cdfs(IN_PLACE_LAWS[:1], x).tolist() == [[0.25, 0.25, 1.0, 0.0, 1.0]]
-    assert lattice_cdfs(IN_PLACE_LAWS[:1], x, left=True).tolist() == [[0.0, 0.25, 0.25, 0.0, 1.0]]
+    first = LatticeCdfs.of(IN_PLACE_LAWS[:1])
+    assert first.read(x).tolist() == [[0.25, 0.25, 1.0, 0.0, 1.0]]
+    assert first.read(x, left=True).tolist() == [[0.0, 0.25, 0.25, 0.0, 1.0]]
 
 
 @pytest.mark.parametrize("shift", [-1, 1])

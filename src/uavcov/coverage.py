@@ -28,12 +28,13 @@ event stores only its length); the conditional interference cdf is then
 a lattice-approximated sum and the SNR cdf follows from
 P{snr <= y} = P{I >= C/y - alpha0} summed over events.  Events served in
 one band share their interferer rows, so a position's events are built
-as (E, K, 3) stacks of specs (:func:`conditional_interference_specs`)
-and their laws quantized, folded and inverted a stack at a time
-(:func:`uavcov.gpm.la_folds`), the folded rows of events of one lattice
-length in chunks of one transform each way.  Each event's spec then
-goes through :func:`conditional_interference_spec` and its pmf through
-:func:`uavcov.gpm.la_cdf`, which wraps it as a lattice law.  Outage at
+as one (E, K, 3) stack of specs per serving band
+(:func:`conditional_interference_specs`) and their lattice laws
+quantized a stack at a time (:func:`uavcov.gpm.la_folds`), the rows of
+events of one lattice length folded and inverted in chunks of one
+transform each way.  Each event's spec then goes through
+:func:`conditional_interference_spec` and its law through
+:func:`uavcov.gpm.la_cdf`.  Outage at
 every threshold is read from all of a position's lattice laws at once,
 in place on their pmfs (:class:`uavcov.gpm.LatticeCdfs`).
 
@@ -138,11 +139,12 @@ def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEven
     that mass is folded into the terminal event, so the sum stays 1.
     """
     pre, stop = association_walk(table.c_los, table.c_nlos, table.p_los, eps)
-    c_nlos_max = float(table.c_nlos.max())
-    if c_nlos_max == 0.0:
-        # No GBS has any gain toward the UAV: the SNR is 0 surely.
+    if table.c_los[0] == 0.0:
+        # The largest gain is 0, so no GBS has any gain toward the UAV
+        # (a table has no NLoS gain without LoS gain): the SNR is 0 surely.
         return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, 0),)
 
+    c_nlos_max = float(table.c_nlos.max())
     stop = int(stop)
     p_los, walked = table.p_los[:stop], pre[:stop]
     rows = np.flatnonzero((p_los > 0.0) & (walked > 0.0))
@@ -220,7 +222,7 @@ def uplink_outage(c_los, c_nlos, p_los, beta0: float, thresholds, eps: float = 0
     m's mass is pre[m] - pre[m + 1], so the mass below t telescopes:
     outage(t) = [t > beta0 * C_NL_max] * pre[min(K, stop)], with K the
     number of rows whose LoS atom beta0 * c_los is at or above t.  A
-    position whose every gain is 0 has SNR 0 surely: outage [t > 0].
+    position whose every gain is 0 reads K = 0, so outage [t > 0].
     """
     if beta0 <= 0:
         raise ValueError(f"beta0 must be positive, got {beta0}")
@@ -228,8 +230,7 @@ def uplink_outage(c_los, c_nlos, p_los, beta0: float, thresholds, eps: float = 0
     ts = np.asarray(thresholds, dtype=float)
     c_nlos_max = np.max(c_nlos, axis=-1, keepdims=True)
     served = _walked_rows_at_or_above(beta0 * c_los, stop, ts)
-    outage = np.where(ts > beta0 * c_nlos_max, np.take_along_axis(pre, served, axis=-1), 0.0)
-    return np.where(c_nlos_max == 0.0, ts > 0.0, outage)
+    return np.where(ts > beta0 * c_nlos_max, np.take_along_axis(pre, served, axis=-1), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +383,6 @@ class DownlinkSnrCdf:
         return self.eval_left(threshold)
 
 
-# A position's events are built and inverted in stacks of about this many
-# interferer rows: 8 events of the default scene's 122.  Stacks of 4, 8
-# and 16 such events took 263, 238 and 216 ms for 9 positions (medians of
-# 12 interleaved passes, 2-core x86 host, numpy 2.4), and the stack's
-# folded rows, alive until its last inversion, raise a call's peak
-# allocation by 0.2, 0.4 and 0.8 MB over one event at a time.
-STACK_ENTRIES = 2**10
-
-
 def downlink_snr_cdf(
     table: LinkTable,
     omega,
@@ -402,13 +394,13 @@ def downlink_snr_cdf(
     """Downlink SNR cdf with lattice-approximated conditional interference,
     one law per association event with a serving GBS.
 
-    The events are taken a stack at a time: events served in one band, of
-    about ``STACK_ENTRIES`` interferer rows in all, whose specs are built
-    by :func:`conditional_interference_specs` and quantized, folded and
-    inverted, in chunks of events of one lattice length, by
-    :func:`~uavcov.gpm.la_folds`; each event's pmf is then wrapped by
-    :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of one,
-    so the output does not depend on where the stacks or chunks end.
+    The events served in one band form one stack, whose specs are built
+    by :func:`conditional_interference_specs` and whose laws are
+    quantized, then folded and inverted in chunks of events of one
+    lattice length, by :func:`~uavcov.gpm.la_folds`; each event's spec
+    and law then pass through :func:`conditional_interference_spec` and
+    :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of
+    one, so the output does not depend on where the chunks end.
     """
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
@@ -422,17 +414,14 @@ def downlink_snr_cdf(
             terms[i] = DownlinkEventTerm(event.probability, 0.0, None, 0.0)
         else:
             by_band.setdefault(int(band[event.serving_id]), []).append(i)
-    for b, indices in by_band.items():
-        size = max(1, STACK_ENTRIES // max(1, int(np.count_nonzero(band == b)) - 1))
-        for start in range(0, len(indices), size):
-            stack = indices[start:start + size]
-            specs = conditional_interference_specs([events[i] for i in stack], table, omega)
-            for i, stacked, fold in zip(stack, specs, la_folds(specs, c0)):
-                event = events[i]
-                spec = conditional_interference_spec(event, table, omega, stacked=stacked)
-                lattice, _ = la_cdf(spec, c0, fold=fold)
-                slack = displacement_bound(spec, c0)
-                terms[i] = DownlinkEventTerm(event.probability, event.gain, lattice, slack)
+    for stack in by_band.values():
+        specs = conditional_interference_specs([events[i] for i in stack], table, omega)
+        for i, stacked, law in zip(stack, specs, la_folds(specs, c0)):
+            event = events[i]
+            spec = conditional_interference_spec(event, table, omega, stacked=stacked)
+            lattice, _ = la_cdf(spec, c0, fold=law)
+            slack = displacement_bound(spec, c0)
+            terms[i] = DownlinkEventTerm(event.probability, event.gain, lattice, slack)
     return DownlinkSnrCdf(tuple(terms), alpha0)
 
 

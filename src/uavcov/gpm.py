@@ -26,14 +26,15 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     mass at 0 are the identity of convolution and are left out of the
     inversion; the rest are convolved exactly in groups of up to
     ``FOLD_ATOMS`` joint atoms (``_fold_rows``), so one length-N spectrum
-    serves a group instead of a row.  ``la_folds`` quantizes, folds and
-    inverts a stack of specs of one shape, such as ``GpmSpec.stack``
-    checks in one pass, as (E, K, L) arrays, each spec keeping its own
-    beta, N and grouping; consecutive specs of one N share a
-    ``lattice_invert`` stack of up to ``CHUNK_ENTRIES`` entries.
-    ``la_cdf`` wraps one spec's pmf as a ``LatticeDistribution``; without
-    a stack it inverts its spec as a stack of one, bit for bit the same
-    law.  ``LatticeCdfs`` reads the cdfs of many lattice laws at once, in
+    serves a group instead of a row.  ``la_folds`` quantizes a stack of
+    specs of one shape, such as ``GpmSpec.stack`` checks in one pass, as
+    (E, K, L) arrays, each spec keeping its own beta, N and grouping, and
+    yields each spec's ``LatticeDistribution``; consecutive specs of one N
+    are folded and inverted as one ``lattice_invert`` stack of up to
+    ``CHUNK_ENTRIES`` entries, the one bound on the memory that grows
+    with N.  ``la_cdf`` passes a stacked law through; without a stack it
+    inverts its spec as a stack of one, bit for bit the same law.
+    ``LatticeCdfs`` reads the cdfs of many lattice laws at once, in
     place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs, from
     running sums built once for any number of reads.
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -417,7 +418,7 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-# la_folds inverts the folded rows of consecutive specs of one lattice
+# la_folds folds and inverts the rows of consecutive specs of one lattice
 # length N in chunks of at most this many entries (or one spec), one rfft
 # and one irfft per chunk.  A 37-site event folds to 3 rows on N = 1024,
 # so a band's dozen events share a chunk; a default 367-site event folds
@@ -446,8 +447,9 @@ def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[n
     masses at 0, the identity of convolution, pad each event's last group
     and, up to G = the chunk's most groups, its rows: they add exact
     zeros, and their spectra are exactly 1.  An event without rows has
-    none (n = 1).  Each chunk is built when the iteration reaches it, with
-    one ``bincount``.  The caller keeps each group's summed top below its n.
+    none (n = 1).  Each chunk's rows are folded when the iteration
+    reaches it, so ``CHUNK_ENTRIES`` bounds the fold as well as the
+    transforms.  The caller keeps each group's summed top below its n.
     """
     counts = np.asarray(counts)
     width = lattice.shape[1]
@@ -455,29 +457,31 @@ def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[n
     while g < counts.max(initial=0) and width ** (g + 1) <= FOLD_ATOMS:
         g += 1
     groups = -(-counts // g)
-    first = np.cumsum(groups) - groups     # each event's first group
-    atoms = np.zeros((groups.sum() * g, width), dtype=np.intp)
-    mass = np.zeros((groups.sum() * g, width))
-    mass[:, 0] = 1.0
-    dest = np.arange(len(lattice)) + np.repeat(first * g - (np.cumsum(counts) - counts), counts)
-    atoms[dest] = lattice
-    mass[dest] = probs
-    del lattice, probs, dest    # freed while the chunks are built
-    atoms = atoms.reshape(-1, g, width)
-    mass = mass.reshape(-1, g, width)
-    fold_atoms, fold_mass = atoms[:, 0], mass[:, 0]
-    for j in range(1, g):
-        fold_atoms = (fold_atoms[:, :, None] + atoms[:, None, j]).reshape(len(atoms), -1)
-        fold_mass = (fold_mass[:, :, None] * mass[:, None, j]).reshape(len(atoms), -1)
-    event = np.repeat(np.arange(len(groups)), groups)    # of each folded row
-    slot = np.arange(len(event)) - first[event]          # its place in its event
+    start = np.cumsum(counts) - counts     # each event's first row
     for a, b in _chunks(groups.tolist(), ns):
-        n, most = ns[a], int(groups[a:b].max())
-        rows = slice(first[a], first[a] + groups[a:b].sum())
-        at = fold_atoms[rows] + (((event[rows] - a) * most + slot[rows]) * n)[:, None]
-        chunk = np.bincount(at.ravel(), fold_mass[rows].ravel(), (b - a) * most * n)
+        n, k, c = ns[a], groups[a:b], counts[a:b]
+        most = int(k.max())
+        first = np.cumsum(k) - k           # each event's first group in the chunk
+        atoms = np.zeros((k.sum() * g, width), dtype=np.intp)
+        mass = np.zeros((k.sum() * g, width))
+        mass[:, 0] = 1.0
+        dest = np.arange(c.sum()) + np.repeat(first * g - (np.cumsum(c) - c), c)
+        rows = slice(start[a], start[a] + c.sum())
+        atoms[dest] = lattice[rows]
+        mass[dest] = probs[rows]
+        atoms = atoms.reshape(-1, g, width)
+        mass = mass.reshape(-1, g, width)
+        fold_atoms, fold_mass = atoms[:, 0], mass[:, 0]
+        for j in range(1, g):
+            # -1, not len(atoms): a chunk may hold only events without rows
+            fold_atoms = (fold_atoms[:, :, None] + atoms[:, None, j]).reshape(-1, width ** (j + 1))
+            fold_mass = (fold_mass[:, :, None] * mass[:, None, j]).reshape(-1, width ** (j + 1))
+        event = np.repeat(np.arange(b - a), k)     # of each folded row
+        slot = np.arange(len(event)) - first[event]  # its place in its event
+        at = fold_atoms + ((event * most + slot) * n)[:, None]
+        chunk = np.bincount(at.ravel(), fold_mass.ravel(), (b - a) * most * n)
         chunk = chunk.reshape(b - a, most, n)
-        chunk[np.arange(most) >= groups[a:b, None], 0] = 1.0
+        chunk[np.arange(most) >= k[:, None], 0] = 1.0
         yield chunk
 
 
@@ -495,19 +499,10 @@ def _chunks(groups: list[int], ns: list[int]) -> Iterator[tuple[int, int]]:
         yield a, len(groups)
 
 
-class LaFold(NamedTuple):
-    """A spec's quantized and inverted sum: ``scale`` beta, ``top`` the
-    highest lattice point the sum reaches, and ``pmf`` its pmf on 0..top
-    (``FFT_MASS_FLOOR`` dust dropped, renormalised)."""
-
-    scale: float
-    top: int
-    pmf: np.ndarray
-
-
-def _inverted(scales: list, tops: list, folded: Iterator[np.ndarray]) -> Iterator[LaFold]:
-    """Each spec's ``LaFold``, the folded rows of a chunk of specs inverted
-    as one ``lattice_invert`` stack."""
+def _inverted(specs, scales: list, tops: list, folded: Iterator[np.ndarray]
+              ) -> Iterator[LatticeDistribution]:
+    """Each spec's lattice law, the folded rows of a chunk of specs
+    inverted as one ``lattice_invert`` stack."""
     e = 0
     for rows in folded:
         if rows.shape[-1] == 1:      # no live rows: the point mass at 0
@@ -518,25 +513,27 @@ def _inverted(scales: list, tops: list, folded: Iterator[np.ndarray]) -> Iterato
             # no mass; without a floor it would surface as spurious cdf jumps
             pmfs[pmfs < FFT_MASS_FLOOR] = 0.0
             pmfs = pmfs / pmfs.sum(axis=1, keepdims=True)
-        for scale, top, pmf in zip(scales[e:e + len(rows)], tops[e:e + len(rows)], pmfs):
-            yield LaFold(scale, top, pmf[: top + 1])
+        for spec, scale, top, pmf in zip(specs[e:e + len(rows)], scales[e:e + len(rows)],
+                                         tops[e:e + len(rows)], pmfs):
+            yield LatticeDistribution(spec.offset, scale, pmf[: top + 1])
         e += len(rows)
 
 
-def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LaFold]:
-    """Quantizes a stack of specs of one shape as one (E, K, L) array,
-    folds the live rows of all of them in one pass (``_fold_rows``) and
-    inverts them; yields each spec's ``LaFold`` in turn, for ``la_cdf`` to
-    wrap.
+def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LatticeDistribution]:
+    """Quantizes a stack of specs of one shape as one (E, K, L) array and
+    yields each spec's lattice law in turn: offset A0, scale beta and the
+    pmf on 0..top, the highest lattice point the sum reaches
+    (``FFT_MASS_FLOOR`` dust dropped, renormalised).
 
     Each spec keeps its own beta = c0 / span, its own lattice length N
     (the power of two above its summed top) and its own fold grouping.
-    Consecutive specs of one N are inverted together, a chunk of up to
-    ``CHUNK_ENTRIES`` folded-row entries per ``lattice_invert`` call, and
-    each keeps its own mass floor and renormalisation, so its pmf is bit
-    for bit that of its stack of one.  A chunk is folded and inverted when
-    the iteration reaches it; the stack's quantized copies are freed
-    before the first chunk's rows are built.  No specs, no folds.
+    Consecutive specs of one N are folded (``_fold_rows``) and inverted
+    together, a chunk of up to ``CHUNK_ENTRIES`` folded-row entries per
+    ``lattice_invert`` call, and each keeps its own mass floor and
+    renormalisation, so its pmf is bit for bit that of its stack of one.
+    A chunk is folded and inverted when the iteration reaches it; the
+    stack's quantized copies are freed before the first chunk is built.
+    No specs, no laws.
     """
     if c0 < 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
@@ -561,11 +558,11 @@ def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LaFold]:
     folded = _fold_rows(
         lattice[live], probs[live], live.sum(axis=-1), [_next_pow2(t + 1) for t in total_tops]
     )
-    return _inverted(beta.tolist(), total_tops, folded)
+    return _inverted(specs, beta.tolist(), total_tops, folded)
 
 
 def la_cdf(
-    spec: GpmSpec, c0: float, *, fold: LaFold | None = None
+    spec: GpmSpec, c0: float, *, fold: LatticeDistribution | None = None
 ) -> tuple[LatticeDistribution, SteppedCdf | None]:
     """Lattice-approximated law of the sum and its stepped cdf.
 
@@ -578,19 +575,17 @@ def la_cdf(
     to value units.  A spec whose summands are all degenerate has zero
     span and returns the exact point mass at the offset.
 
-    ``fold`` is the spec's entry of ``la_folds`` over a stack that holds
-    it, at the same ``c0``: it already carries the pmf, so the call only
-    wraps it in a ``LatticeDistribution`` and returns None for the stepped
-    cdf, which a stacked caller reads in place (``LatticeCdfs``).
-    Without one the spec is quantized, folded and inverted as its own
-    stack of one, which gives the same pmf bit for bit, and its stepped
-    cdf is built too.
+    ``fold`` is the spec's law from ``la_folds`` over a stack that holds
+    it, at the same ``c0``: the call returns it as it is, with None for
+    the stepped cdf, which a stacked caller reads in place
+    (``LatticeCdfs``).  Without one the spec is quantized, folded and
+    inverted as its own stack of one, which gives the same pmf bit for
+    bit, and its stepped cdf is built too.
     """
     if fold is not None:
-        return LatticeDistribution(spec.offset, fold.scale, fold.pmf), None
-    (fold,) = la_folds([spec], c0)
-    dist = LatticeDistribution(spec.offset, fold.scale, fold.pmf)
-    return dist, dist.to_cdf()
+        return fold, None
+    (law,) = la_folds([spec], c0)
+    return law, law.to_cdf()
 
 
 def _lattice_counts(tops: np.ndarray, scale, offset, x: np.ndarray, left: bool) -> np.ndarray:

@@ -26,9 +26,11 @@ from conftest import (
 )
 from uavcov import coverage, gpm
 from uavcov.channel import LinkTable, build_link_table
+from uavcov.config import load_config
 from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
-from uavcov.oracles import uplink_pmf_enumeration
+from uavcov.oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
 from uavcov.coverage import (
+    AssociationEvent,
     AssociationState,
     DownlinkSnrCdf,
     LinkDirection,
@@ -271,7 +273,7 @@ def test_uplink_rejects_bad_beta0():
 def block_read(table, beta0, thresholds, eps):
     """The uplink block read of one table, as a block of one position."""
     columns = (table.c_los[None], table.c_nlos[None], table.p_los[None])
-    return uplink_outage(*columns, beta0, thresholds, eps)[0]
+    return coverage.uplink_outage(*columns, beta0, thresholds, eps)[0]
 
 
 def test_block_read_validation():
@@ -298,27 +300,30 @@ def micro_probs():
 @st.composite
 def micro_tables(draw):
     """A link table of 1 to 6 rows with exact c_los ties, an NLoS gain a
-    share in (0, 1] of the LoS gain (equal to it at share 1), LoS
-    probabilities often exactly 0 or 1, and every gain 0 now and then."""
+    share in [0, 1] of the LoS gain (equal to it at share 1, none at share
+    0, so some tables have LoS gain but no NLoS gain), LoS probabilities
+    often exactly 0 or 1, and every gain 0 now and then."""
     rows = []
     for i in range(draw(st.integers(1, 6))):
         c_los = draw(micro_gains())
-        share = draw(st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0))
+        share = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.01, 1.0))
         rows.append((i, 0, c_los, c_los * share, draw(micro_probs())))
     rows.sort(key=lambda r: (-r[2], r[0]))
     return link_table(rows)
 
 
 def assert_block_read_matches_enumeration(table, beta0, eps):
-    """The block read equals the enumerated outage at, and one ulp either
-    side of, every atom: to 1e-12 with the exact walk, to eps + 1e-12
-    with a truncated one."""
+    """The block read, and the outage of the walk's atoms, equal the
+    enumerated outage at, and one ulp either side of, every atom: to
+    1e-12 with the exact walk, to eps + 1e-12 with a truncated one."""
     oracle = uplink_pmf_enumeration(table, beta0)
     on = oracle.values
     ts = np.unique(np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)]))
     want = [oracle.outage(t) for t in ts]
     np.testing.assert_allclose(block_read(table, beta0, ts, eps), want,
                                rtol=0.0, atol=eps + 1e-12)
+    atoms = uplink_snr_pmf(table, beta0, eps)
+    np.testing.assert_allclose([atoms.outage(t) for t in ts], want, rtol=0.0, atol=eps + 1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,6 +331,7 @@ def assert_block_read_matches_enumeration(table, beta0, eps):
 @example(link_table(((0, 0, 2.0, 1.0, 0.5), (1, 0, 2.0, 2.0, 0.0), (2, 0, 1.0, 0.5, 1.0))),
          3.0, 0.0)                                            # a tie, p_los 0 and 1
 @example(link_table(((0, 0, 0.0, 0.0, 0.3), (1, 0, 0.0, 0.0, 1.0))), 1.0, 0.0)  # no gain
+@example(link_table(((0, 0, 1.0, 0.0, 0.5),)), 1.0, 0.0)   # LoS gain, no NLoS gain
 @example(link_table(tuple((i, 0, 10.0 - i, 1.0, 0.5) for i in range(5))), 1.0, 0.3)
 @given(micro_tables(), st.sampled_from([1.0, 0.3]) | st.floats(1e-3, 1e3),
        st.just(0.0) | st.floats(1e-3, 0.9))
@@ -432,10 +438,10 @@ def law_bits(spec, lattice, c0):
 
 
 def stacked_laws(specs, c0):
-    """Each spec's (offset, scale, pmf, slack), its la_cdf wrapping its
-    entry of one la_folds pass over the stack."""
-    return [law_bits(spec, la_cdf(spec, c0, fold=fold)[0], c0)
-            for spec, fold in zip(specs, la_folds(specs, c0))]
+    """Each spec's (offset, scale, pmf, slack), its la_cdf passing on its
+    law from one la_folds pass over the stack."""
+    return [law_bits(spec, la_cdf(spec, c0, fold=law)[0], c0)
+            for spec, law in zip(specs, la_folds(specs, c0))]
 
 
 def single_laws(events, table, omega, c0):
@@ -445,8 +451,10 @@ def single_laws(events, table, omega, c0):
 
 
 def band_stacks(table, events, size):
-    """The gaining events grouped by serving band, cut into stacks of up
-    to ``size`` events, as downlink_snr_cdf groups them."""
+    """The gaining events grouped by serving band, as downlink_snr_cdf
+    groups them, cut into stacks of up to ``size`` events: downlink_snr_cdf
+    takes each band whole, and the smaller cuts exercise la_folds on any
+    stack of one band."""
     band = dict(zip(table.gbs_id.tolist(), table.band.tolist()))
     by_band = {}
     for event in events:
@@ -559,7 +567,7 @@ def test_stack_examples_cover_every_case():
                     seen.add("rows rounded to 0")
             if len({min(c, 4) for c in live if c}) > 1:
                 seen.add("different g in one stack")
-            if len({len(fold.pmf) > 1024 for fold in la_folds(specs, c0)}) > 1:
+            if len({len(law.pmf) > 1024 for law in la_folds(specs, c0)}) > 1:
                 seen.add("two lattice lengths in one stack")
     assert seen == {"loading 0", "loading 1", "mixed serving bands", "lone GBS",
                     "forced NLoS prefix", "rows rounded to 0", "different g in one stack",
@@ -594,6 +602,31 @@ def test_empty_stacks():
     assert list(la_folds([], 1000.0)) == []
     with pytest.raises(ValueError, match="c0 must be >= 1"):
         la_folds([], 0.5)
+
+
+def test_downlink_builds_one_stack_per_serving_band(monkeypatch):
+    cfg = load_config()
+    table = configured_table(cfg, (120.0, 40.0, 100.0))
+    eps = cfg.association_epsilon
+    calls = []
+    build = coverage.conditional_interference_specs
+
+    def counted(events, *args):
+        calls.append(list(events))
+        return build(events, *args)
+
+    monkeypatch.setattr(coverage, "conditional_interference_specs", counted)
+    downlink_snr_cdf(table, cfg.loading, cfg.alpha0, eps=eps, c0=cfg.lattice_target_c0)
+    band = dict(zip(table.gbs_id.tolist(), table.band.tolist()))
+    gaining = [e for e in association_pmf(table, eps)
+               if e.serving_id is not None and e.gain != 0.0]
+    served = [band[e.serving_id] for e in gaining]
+    assert len(gaining) > 20 and len(set(served)) > 1
+    # one call per serving band (a call refuses events of two bands), and
+    # every gaining event in one of them
+    assert len(calls) == len(set(served))
+    key = lambda e: (e.serving_id, e.forced_rows)    # noqa: E731
+    assert sorted(map(key, sum(calls, []))) == sorted(map(key, gaining))
 
 
 def stepped_mixture(model, ys, strict):
@@ -802,6 +835,51 @@ def test_downlink_zero_gain_term():
     model = downlink_snr_cdf(table, 0.5, 1.0, c0=1000.0)
     assert model.eval(1e-6) == 1.0
     assert model.outage(123.0) == 1.0
+
+
+# LoS gain but no NLoS gain: when both rows are NLoS the SNR is 0, else the
+# LoS row of largest gain serves; the interferer's lattice is exact
+NO_NLOS_ROWS = ((0, 0, 1.0, 0.0, 0.5), (1, 0, 0.5, 0.0, 0.5))
+
+
+def test_downlink_without_nlos_gain_matches_enumeration():
+    table = link_table(NO_NLOS_ROWS)
+    model = downlink_snr_cdf(table, 0.5, 0.1, c0=1000.0)
+    oracle = downlink_cdf_enumeration(table, 0.5, 0.1)
+    ys = np.array([1.0, 3.0])
+    assert oracle.eval_left(ys).tolist() == [0.25, 0.375]
+    np.testing.assert_allclose(model.outage(ys), oracle.eval_left(ys), rtol=0.0, atol=1e-12)
+    xs = oracle.xs[oracle.xs > 0.0]
+    np.testing.assert_allclose(model.eval(xs), oracle.eval(xs), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(model.eval_left(xs), oracle.eval_left(xs), rtol=0.0, atol=1e-12)
+
+
+def test_zero_nlos_shortcut_negative_control(monkeypatch):
+    """The no-gain event for any table without NLoS gain, and the block
+    read's [t > 0] for such a table, each fail the oracle tests."""
+    walk = coverage.association_pmf
+
+    def shortcut_walk(table, eps=0.0):
+        if table.c_nlos.max() == 0.0:
+            return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, 0),)
+        return walk(table, eps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coverage, "association_pmf", shortcut_walk)
+        with pytest.raises(AssertionError):
+            test_downlink_without_nlos_gain_matches_enumeration()
+        with pytest.raises(AssertionError):
+            test_block_read_matches_enumeration()     # the walk's atoms
+    read = coverage.uplink_outage
+
+    def shortcut_read(c_los, c_nlos, p_los, beta0, thresholds, eps=0.0):
+        no_nlos = np.max(c_nlos, axis=-1, keepdims=True) == 0.0
+        return np.where(no_nlos, np.asarray(thresholds) > 0.0,
+                        read(c_los, c_nlos, p_los, beta0, thresholds, eps))
+
+    monkeypatch.setattr(coverage, "uplink_outage", shortcut_read)
+    with pytest.raises(AssertionError):
+        test_block_read_matches_enumeration()         # the block read
 
 
 def test_downlink_terms_carry_displacement_bound():
@@ -1259,15 +1337,3 @@ def test_block_size_does_not_change_output(tmp_path, monkeypatch, link):
         runs.append(([r.non_outage.tolist() for r in results], aggregate.tolist()))
     assert runs[0] == runs[1] == runs[2]
 
-
-def test_stack_size_does_not_change_downlink_output(tmp_path, monkeypatch):
-    cfg, thresholds = sweep_scene(tmp_path, LinkDirection.DOWNLINK)
-    runs = []
-    # bands of 1, 3 and 3 sites (K = 0 or 2): stacks of one event, of two,
-    # and the default, each band's events in one stack
-    for entries in (1, 4, coverage.STACK_ENTRIES):
-        monkeypatch.setattr(coverage, "STACK_ENTRIES", entries)
-        result = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, altitude=100.0,
-                                      thresholds=thresholds)
-        runs.append(result.non_outage.tobytes())
-    assert runs[0] == runs[1] == runs[2]

@@ -28,11 +28,11 @@ event stores only its length); the conditional interference cdf is then
 a lattice-approximated sum and the SNR cdf follows from
 P{snr <= y} = P{I >= C/y - alpha0} summed over events.  Events served in
 one band share their interferer rows, so a position's events are built
-as one (E, K, 3) stack of specs per serving band
-(:func:`conditional_interference_specs`) and their lattice laws
-quantized a stack at a time (:func:`uavcov.gpm.la_folds`), the rows of
-events of one lattice length folded and inverted in chunks of one
-transform each way.  Each event's spec then goes through
+as one checked (E, K, 3) :class:`~uavcov.gpm.GpmSpec` stack per serving
+band (:func:`conditional_interference_specs`), whose arrays
+:func:`uavcov.gpm.la_folds` quantizes in one pass, the rows of events of
+one lattice length folded and inverted in chunks of one transform each
+way.  Each event's sum ``specs[e]`` then goes through
 :func:`conditional_interference_spec` and its law through
 :func:`uavcov.gpm.la_cdf`.  Outage at
 every threshold is read from all of a position's lattice laws at once,
@@ -191,7 +191,7 @@ class UplinkSnrPmf:
 def uplink_snr_pmf(table: LinkTable, beta0: float, eps: float = 0.0) -> UplinkSnrPmf:
     """Distribution of beta0 * (serving combined gain); events with equal
     gain merge into one atom."""
-    if beta0 <= 0:
+    if not beta0 > 0:
         raise ValueError(f"beta0 must be positive, got {beta0}")
     acc: dict[float, float] = {}
     for event in association_pmf(table, eps):
@@ -224,7 +224,7 @@ def uplink_outage(c_los, c_nlos, p_los, beta0: float, thresholds, eps: float = 0
     number of rows whose LoS atom beta0 * c_los is at or above t.  A
     position whose every gain is 0 reads K = 0, so outage [t > 0].
     """
-    if beta0 <= 0:
+    if not beta0 > 0:
         raise ValueError(f"beta0 must be positive, got {beta0}")
     pre, stop = association_walk(c_los, c_nlos, p_los, eps)
     ts = np.asarray(thresholds, dtype=float)
@@ -250,20 +250,21 @@ def loading_by_id(omega, n: int) -> np.ndarray:
 
 def conditional_interference_specs(
     events: Sequence[AssociationEvent], table: LinkTable, omega
-) -> tuple[GpmSpec, ...]:
-    """Aggregate interference under each of one or more association
-    events whose serving GBSs share a band, built and checked as one
-    (E, K, 3) stack (:meth:`~uavcov.gpm.GpmSpec.stack`).
+) -> GpmSpec:
+    """Aggregate interference under each of E association events whose
+    serving GBSs share a band: one (E, K, 3) stack of sums
+    (:class:`~uavcov.gpm.GpmSpec`), built and checked as one array.
 
     The interferers are the other GBSs of that band, one row each in
-    ascending id order (a GBS alone in its band gets an empty spec,
+    ascending id order (a GBS alone in its band gets an empty sum,
     interference 0).  Each is silent with probability 1 - omega; when
     active it contributes its NLoS gain if the event forces it NLoS,
     otherwise its NLoS/LoS gain split by its LoS probability.  ``omega``
-    is a scalar or a per-GBS array indexed by id.  No events give no specs.
+    is a scalar or a per-GBS array indexed by id.  No events give an
+    empty stack.
     """
     if not events:
-        return ()
+        return GpmSpec(np.zeros((0, 0, 3)), np.zeros((0, 0, 3)))
     if any(event.serving_id is None for event in events):
         raise ValueError("an event without a serving GBS has no interference law")
     row_of = np.argsort(table.gbs_id)   # walk position of each id
@@ -281,18 +282,18 @@ def conditional_interference_specs(
     p = np.where(at < forced[:, None], 0.0, table.p_los[at])
     values = np.stack([np.zeros(ids.shape), table.c_nlos[at], table.c_los[at]], axis=-1)
     probs = np.stack([1.0 - w, w * (1.0 - p), w * p], axis=-1)
-    return GpmSpec.stack(values, probs)
+    return GpmSpec(values, probs)
 
 
 def conditional_interference_spec(
     event: AssociationEvent, table: LinkTable, omega, *, stacked: GpmSpec | None = None
 ) -> GpmSpec:
-    """Aggregate interference under one association event: the stack of
-    one of :func:`conditional_interference_specs`.
+    """Aggregate interference under one association event: the sum of its
+    stack of one from :func:`conditional_interference_specs`.
 
-    ``stacked`` is the event's spec when the caller has already built it
+    ``stacked`` is the event's sum when the caller has already built it
     with the rest of its stack, and is returned as it is: every downlink
-    law's spec passes through here once, one event per call, however it
+    law's sum passes through here once, one event per call, however it
     was built (the benchmark's tracer counts specs and summands by this
     function).
     """
@@ -339,7 +340,7 @@ class DownlinkSnrCdf:
 
     def _mixture(self, y, strict: bool) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(ys <= 0):
+        if not np.all(ys > 0):
             raise ValueError("SNR cdf is evaluated at positive y only")
         flat = ys.ravel()
         probability = np.array([term.probability for term in self.terms])
@@ -394,15 +395,15 @@ def downlink_snr_cdf(
     """Downlink SNR cdf with lattice-approximated conditional interference,
     one law per association event with a serving GBS.
 
-    The events served in one band form one stack, whose specs are built
-    by :func:`conditional_interference_specs` and whose laws are
-    quantized, then folded and inverted in chunks of events of one
-    lattice length, by :func:`~uavcov.gpm.la_folds`; each event's spec
-    and law then pass through :func:`conditional_interference_spec` and
+    The events served in one band form one stack of sums, built by
+    :func:`conditional_interference_specs`, whose laws are quantized,
+    then folded and inverted in chunks of events of one lattice length,
+    by :func:`~uavcov.gpm.la_folds`; each event's sum and law then pass
+    through :func:`conditional_interference_spec` and
     :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of
     one, so the output does not depend on where the chunks end.
     """
-    if alpha0 <= 0:
+    if not alpha0 > 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     events = association_pmf(table, eps)
     band = np.empty_like(table.band)
@@ -511,6 +512,9 @@ def _coverage(
     ts = tuple(float(t) for t in thresholds)
     if not ts:
         raise ValueError("need at least one threshold")
+    for t in ts:
+        if not 0.0 < t < np.inf:    # NaN fails both
+            raise ValueError(f"SNR thresholds must be finite and positive, got {t}")
     points = sample_region(cfg.build_region(), cfg.inter_site_distance)
     orbit = np.arange(len(points))
     # the uplink law depends only on the ordered (c_los, c_nlos, p_los)

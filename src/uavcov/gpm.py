@@ -1,9 +1,10 @@
 """Distribution of a sum of independent finite-support random variables.
 
 A *spec* holds K summands as two (K, L) arrays, ``values`` and ``probs``,
-one row per summand.  Zero-probability entries are padding, so summands
-with fewer than L values share the arrays; a row need not be ordered and
-may repeat a value (the masses add up).  The exact distribution of the
+one row per summand, or a stack of E such sums as two (E, K, L) arrays.
+Zero-probability entries are padding, so summands with fewer than L
+values share the arrays; a row need not be ordered and may repeat a value
+(the masses add up).  The exact distribution of the
 sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
 
   * ``lattice_invert``: when row k of a (K, N) matrix is the pmf of
@@ -23,17 +24,18 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     F(x) ~= F_lattice(beta * (x - A0)).  Each summand moves by at most
     half a lattice unit, so every atom of the sum is displaced by at most
     M / (2 beta) along the value axis.  Summands that round to the point
-    mass at 0 are the identity of convolution and are left out of the
-    inversion; the rest are convolved exactly in groups of up to
+    mass at 0 are the identity of convolution: each sum's live rows move
+    to the front and are convolved exactly in groups of up to
     ``FOLD_ATOMS`` joint atoms (``_fold_rows``), so one length-N spectrum
-    serves a group instead of a row.  ``la_folds`` quantizes a stack of
-    specs of one shape, such as ``GpmSpec.stack`` checks in one pass, as
-    (E, K, L) arrays, each spec keeping its own beta, N and grouping, and
-    yields each spec's ``LatticeDistribution``; consecutive specs of one N
-    are folded and inverted as one ``lattice_invert`` stack of up to
+    serves a group instead of a row, and the rest are left out of the
+    inversion.  ``la_folds`` quantizes a stack of E sums, such as one
+    (E, K, L) ``GpmSpec`` checks in one pass, each sum keeping its own
+    beta, N and number of groups, and yields each sum's
+    ``LatticeDistribution``; consecutive sums of one N are folded as one
+    dense slice and inverted as one ``lattice_invert`` stack of up to
     ``CHUNK_ENTRIES`` entries, the one bound on the memory that grows
     with N.  ``la_cdf`` passes a stacked law through; without a stack it
-    inverts its spec as a stack of one, bit for bit the same law.
+    inverts its sum as a stack of one, bit for bit the same law.
     ``LatticeCdfs`` reads the cdfs of many lattice laws at once, in
     place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs, from
     running sums built once for any number of reads.
@@ -138,17 +140,17 @@ def _sum_in_order(x: np.ndarray) -> np.ndarray:
     ``sum`` does (ndarray.sum adds pairwise); 0 over an empty axis."""
     if x.shape[-1] == 0:
         return np.zeros(x.shape[:-1])
-    return np.cumsum(x, axis=-1)[..., -1]
+    return np.cumsum(x, axis=-1)[..., -1].copy()    # not a view that holds the cumsum
 
 
 def _checked_rows(v: np.ndarray, p: np.ndarray):
-    """Check the (K, L) values and probs of one spec, or the (E, K, L)
-    ones of a stack of E specs, row by row: finite values, non-negative
+    """Check the (K, L) values and probs of one sum, or the (E, K, L)
+    ones of a stack of E sums, row by row: finite values, non-negative
     masses, each row summing to 1 within ``PROB_SUM_TOL``.  An error names
     the summand at fault and, in a stack, its event.
 
-    Returns the values with padding moved onto its row's minimum and the
-    probs, both read-only, and each spec's offset and span.  The sums add
+    Returns new values with padding moved onto its row's minimum, the
+    probs, and each sum's offset and span.  The sums add
     the rows strictly in row order, which fixes beta = c0 / span in
     ``la_folds`` to the last bit for a given row order.
     """
@@ -171,59 +173,54 @@ def _checked_rows(v: np.ndarray, p: np.ndarray):
     lo = np.where(live, v, np.inf).min(axis=-1)
     hi = np.where(live, v, -np.inf).max(axis=-1)
     v = np.where(live, v, lo[..., None])
-    v.setflags(write=False)
-    p.setflags(write=False)
     return v, p, _sum_in_order(lo), _sum_in_order(hi - lo)
-
-
-def _set_spec(spec: "GpmSpec", values, probs, offset, span) -> None:
-    object.__setattr__(spec, "values", values)
-    object.__setattr__(spec, "probs", probs)
-    object.__setattr__(spec, "offset", float(offset))
-    object.__setattr__(spec, "span", float(span))
 
 
 @dataclass(frozen=True, eq=False)
 class GpmSpec:
-    """The full sum: read-only (K, L) ``values`` and ``probs``, one row per
-    summand, each row's probabilities non-negative and summing to 1.  With
-    K = 0 the sum is identically 0.
+    """One sum, or a stack of E sums of K summands each.  One sum holds
+    read-only (K, L) ``values`` and ``probs``, one row per summand, each
+    row's probabilities non-negative and summing to 1, and float
+    ``offset`` and ``span``; a stack holds (E, K, L) arrays, checked in
+    one pass, and (E,) ``offset`` and ``span``.  With K = 0 a sum is
+    identically 0.
 
     Zero-probability entries are padding: the constructor moves each one
     to its row's smallest positive-mass value, so every row's min and max
     are those of its support.  ``offset`` A0 is the sum of the row minima
-    and ``span`` A the sum of the row ranges.  ``GpmSpec.stack`` builds
-    several specs of one shape with the same check.
+    and ``span`` A the sum of the row ranges.  ``spec[e]`` is sum e of a
+    stack (iterating a stack yields its sums) and ``spec[index_array]``
+    the stack of the sums it picks, from the stack's checked arrays
+    without a second check: each equals ``GpmSpec`` of its slices.
     """
 
     values: np.ndarray
     probs: np.ndarray
-    offset: float
-    span: float
+    offset: float | np.ndarray
+    span: float | np.ndarray
 
     def __init__(self, values, probs) -> None:
-        v = np.array(values, dtype=float)
+        # the check returns new values; probs are copied to be held read-only
+        v = np.asarray(values, dtype=float)
         p = np.array(probs, dtype=float)
-        if v.ndim != 2 or p.shape != v.shape or v.shape[1] == 0:
-            raise ValueError("values and probs must be equal-shape (K, L) arrays with L >= 1")
-        _set_spec(self, *_checked_rows(v, p))
+        if v.ndim not in (2, 3) or p.shape != v.shape or v.shape[-1] == 0:
+            raise ValueError(
+                "values and probs must be equal-shape (K, L) or (E, K, L) arrays with L >= 1"
+            )
+        self._hold(*_checked_rows(v, p))
 
-    @classmethod
-    def stack(cls, values, probs) -> tuple["GpmSpec", ...]:
-        """E specs of K summands from equal-shape (E, K, L) ``values`` and
-        ``probs``, checked in one pass, each equal to ``GpmSpec`` of its
-        (K, L) slices and holding read-only views of the checked stack.
-        An error names the event and summand at fault."""
-        v = np.array(values, dtype=float)
-        p = np.array(probs, dtype=float)
-        if v.ndim != 3 or p.shape != v.shape or v.shape[2] == 0:
-            raise ValueError("values and probs must be equal-shape (E, K, L) arrays with L >= 1")
-        specs = []
-        for row in zip(*_checked_rows(v, p)):
-            spec = object.__new__(cls)   # checked with its stack above
-            _set_spec(spec, *row)
-            specs.append(spec)
-        return tuple(specs)
+    def _hold(self, values, probs, offset, span) -> GpmSpec:
+        values.setflags(write=False)
+        probs.setflags(write=False)
+        if values.ndim == 2:    # one sum
+            offset, span = float(offset), float(span)
+        vars(self).update(values=values, probs=probs, offset=offset, span=span)
+        return self
+
+    def __getitem__(self, e) -> GpmSpec:
+        return object.__new__(GpmSpec)._hold(
+            self.values[e], self.probs[e], self.offset[e], self.span[e]
+        )
 
     @property
     def summands(self) -> tuple[DiscreteSummand, ...]:
@@ -418,8 +415,8 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-# la_folds folds and inverts the rows of consecutive specs of one lattice
-# length N in chunks of at most this many entries (or one spec), one rfft
+# la_folds folds and inverts the rows of consecutive sums of one lattice
+# length N in chunks of at most this many entries (or one sum), one rfft
 # and one irfft per chunk.  A 37-site event folds to 3 rows on N = 1024,
 # so a band's dozen events share a chunk; a default 367-site event folds
 # to about 31, so two do.  Chunks of 2^15, 2^16 and 2^17 entries took
@@ -430,59 +427,49 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 CHUNK_ENTRIES = 2**16
 
 
-def _fold_rows(lattice: np.ndarray, probs: np.ndarray, counts, ns) -> Iterator[np.ndarray]:
+def _fold_rows(lattice: np.ndarray, probs: np.ndarray, order: np.ndarray, g: int,
+               counts: np.ndarray, ns: list) -> Iterator[np.ndarray]:
     """Yields a stack's events' folded rows a chunk of events at a time:
     for each run of consecutive events of one lattice length n = ns[e],
     of up to ``CHUNK_ENTRIES`` folded-row entries in all (or one event),
     the (events, G, n) array whose [e, j] row is the exact pmf on 0..n-1
-    of the sum of event e's lattice rows j*g .. j*g+g-1.
+    of the sum of event e's live rows j*g .. j*g+g-1, with G the chunk's
+    most groups.
 
-    The (R, width) ``lattice`` and ``probs`` hold the events' rows one
-    event after another, ``counts[e]`` of them for event e; entry l of row
-    r puts mass ``probs[r, l]`` on lattice point ``lattice[r, l]``.  g is
-    the largest with width ** g <= ``FOLD_ATOMS``, capped at the largest
-    count; an event with fewer rows than g has one group, as with g capped
-    at its own count.  A folded row's atoms are the outer sums of its
-    members' lattice points, its masses their outer products, and point
-    masses at 0, the identity of convolution, pad each event's last group
-    and, up to G = the chunk's most groups, its rows: they add exact
-    zeros, and their spectra are exactly 1.  An event without rows has
-    none (n = 1).  Each chunk's rows are folded when the iteration
-    reaches it, so ``CHUNK_ENTRIES`` bounds the fold as well as the
-    transforms.  The caller keeps each group's summed top below its n.
+    Entry l of row r of event e puts mass ``probs[e, r, l]`` on lattice
+    point ``lattice[e, r, l]``, and row ``order[e, i]`` is event e's i-th
+    live row for i < ``counts[e]``.  A chunk gathers its events' first
+    G * g rows in that order as one dense (events, G, g, width) array,
+    rows past an event's count becoming point masses at 0 (lattice 0,
+    masses [1, 0, ...]), the identity of convolution.  A folded row's
+    atoms are the outer sums of its members' lattice points and its
+    masses their outer products, so a point mass adds exact zeros to a
+    group, and a group of them folds to the point mass at 0, whose
+    spectrum is exactly 1.  An event without live rows has n = 1.  Each
+    chunk is gathered and folded when the iteration reaches it, so
+    ``CHUNK_ENTRIES`` bounds the fold as well as the transforms.  The
+    caller keeps each group's summed top below its n.
     """
-    counts = np.asarray(counts)
-    width = lattice.shape[1]
-    g = 1
-    while g < counts.max(initial=0) and width ** (g + 1) <= FOLD_ATOMS:
-        g += 1
-    groups = -(-counts // g)
-    start = np.cumsum(counts) - counts     # each event's first row
-    for a, b in _chunks(groups.tolist(), ns):
-        n, k, c = ns[a], groups[a:b], counts[a:b]
-        most = int(k.max())
-        first = np.cumsum(k) - k           # each event's first group in the chunk
-        atoms = np.zeros((k.sum() * g, width), dtype=np.intp)
-        mass = np.zeros((k.sum() * g, width))
-        mass[:, 0] = 1.0
-        dest = np.arange(c.sum()) + np.repeat(first * g - (np.cumsum(c) - c), c)
-        rows = slice(start[a], start[a] + c.sum())
-        atoms[dest] = lattice[rows]
-        mass[dest] = probs[rows]
-        atoms = atoms.reshape(-1, g, width)
-        mass = mass.reshape(-1, g, width)
-        fold_atoms, fold_mass = atoms[:, 0], mass[:, 0]
+    width = lattice.shape[-1]
+    groups = (-(-counts // g)).tolist()
+    for a, b in _chunks(groups, ns):
+        n, most = ns[a], max(groups[a:b])
+        pick = np.arange(a, b)[:, None], order[a:b, :most * g]
+        atoms, mass = lattice[pick], probs[pick]
+        dead = np.arange(most * g) >= counts[a:b, None]
+        atoms[dead] = 0
+        mass[dead] = 0.0
+        mass[dead, 0] = 1.0
+        shape = (b - a, most, g, width)
+        atoms, mass = atoms.reshape(shape), mass.reshape(shape)
+        fold_atoms, fold_mass = atoms[:, :, 0], mass[:, :, 0]
         for j in range(1, g):
-            # -1, not len(atoms): a chunk may hold only events without rows
-            fold_atoms = (fold_atoms[:, :, None] + atoms[:, None, j]).reshape(-1, width ** (j + 1))
-            fold_mass = (fold_mass[:, :, None] * mass[:, None, j]).reshape(-1, width ** (j + 1))
-        event = np.repeat(np.arange(b - a), k)     # of each folded row
-        slot = np.arange(len(event)) - first[event]  # its place in its event
-        at = fold_atoms + ((event * most + slot) * n)[:, None]
+            joint = (b - a, most, width ** (j + 1))
+            fold_atoms = (fold_atoms[..., None] + atoms[:, :, j, None]).reshape(joint)
+            fold_mass = (fold_mass[..., None] * mass[:, :, j, None]).reshape(joint)
+        at = fold_atoms + (np.arange((b - a) * most) * n).reshape(b - a, most, 1)
         chunk = np.bincount(at.ravel(), fold_mass.ravel(), (b - a) * most * n)
-        chunk = chunk.reshape(b - a, most, n)
-        chunk[np.arange(most) >= k[:, None], 0] = 1.0
-        yield chunk
+        yield chunk.reshape(b - a, most, n)
 
 
 def _chunks(groups: list[int], ns: list[int]) -> Iterator[tuple[int, int]]:
@@ -499,9 +486,9 @@ def _chunks(groups: list[int], ns: list[int]) -> Iterator[tuple[int, int]]:
         yield a, len(groups)
 
 
-def _inverted(specs, scales: list, tops: list, folded: Iterator[np.ndarray]
+def _inverted(offsets: list, scales: list, tops: list, folded: Iterator[np.ndarray]
               ) -> Iterator[LatticeDistribution]:
-    """Each spec's lattice law, the folded rows of a chunk of specs
+    """Each sum's lattice law, the folded rows of a chunk of sums
     inverted as one ``lattice_invert`` stack."""
     e = 0
     for rows in folded:
@@ -513,33 +500,32 @@ def _inverted(specs, scales: list, tops: list, folded: Iterator[np.ndarray]
             # no mass; without a floor it would surface as spurious cdf jumps
             pmfs[pmfs < FFT_MASS_FLOOR] = 0.0
             pmfs = pmfs / pmfs.sum(axis=1, keepdims=True)
-        for spec, scale, top, pmf in zip(specs[e:e + len(rows)], scales[e:e + len(rows)],
-                                         tops[e:e + len(rows)], pmfs):
-            yield LatticeDistribution(spec.offset, scale, pmf[: top + 1])
-        e += len(rows)
+        for pmf in pmfs:
+            yield LatticeDistribution(offsets[e], scales[e], pmf[: tops[e] + 1])
+            e += 1
 
 
-def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LatticeDistribution]:
-    """Quantizes a stack of specs of one shape as one (E, K, L) array and
-    yields each spec's lattice law in turn: offset A0, scale beta and the
+def la_folds(spec: GpmSpec, c0: float) -> Iterator[LatticeDistribution]:
+    """Quantizes a stack of sums, or one sum as a stack of one, and
+    yields each sum's lattice law in turn: offset A0, scale beta and the
     pmf on 0..top, the highest lattice point the sum reaches
     (``FFT_MASS_FLOOR`` dust dropped, renormalised).
 
-    Each spec keeps its own beta = c0 / span, its own lattice length N
-    (the power of two above its summed top) and its own fold grouping.
-    Consecutive specs of one N are folded (``_fold_rows``) and inverted
-    together, a chunk of up to ``CHUNK_ENTRIES`` folded-row entries per
-    ``lattice_invert`` call, and each keeps its own mass floor and
-    renormalisation, so its pmf is bit for bit that of its stack of one.
-    A chunk is folded and inverted when the iteration reaches it; the
-    stack's quantized copies are freed before the first chunk is built.
-    No specs, no laws.
+    Each sum keeps its own beta = c0 / span, its own lattice length N
+    (the power of two above its summed top) and its own number of fold
+    groups; the group size g is the stack's.  Consecutive sums of one N
+    are folded (``_fold_rows``) and inverted together, a chunk of up to
+    ``CHUNK_ENTRIES`` folded-row entries per ``lattice_invert`` call, and
+    each keeps its own mass floor and renormalisation, so its pmf is bit
+    for bit that of its stack of one.  A chunk is folded and inverted
+    when the iteration reaches it; the stack's quantized rows are built
+    before the first chunk.  An empty stack has no laws.
     """
-    if c0 < 1:
+    if not c0 >= 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
-    if not specs:
-        return iter(())
-    span = np.array([spec.span for spec in specs])
+    span = np.atleast_1d(spec.span)
+    values = spec.values.reshape(span.shape + spec.values.shape[-2:])
+    width = values.shape[-1]
     # a zero span has no lattice to scale: beta 1 puts its point mass at 0
     with np.errstate(over="ignore"):
         beta = c0 / np.where(span == 0.0, c0, span)
@@ -547,18 +533,25 @@ def la_folds(specs: Sequence[GpmSpec], c0: float) -> Iterator[LatticeDistributio
     if overflow.any():
         bad = float(span[np.argmax(overflow)])
         raise ValueError(f"span {bad!r} is too small: beta = c0 / span overflows at c0={c0}")
-    values = np.stack([spec.values for spec in specs])
     shifted = values - values.min(axis=-1, keepdims=True)
     lattice = _round_half_away(beta[:, None, None] * shifted).astype(np.intp)
     tops = lattice.max(axis=-1)
     total_tops = tops.sum(axis=-1).tolist()
-    # a row rounded to the point mass at 0 has spectrum 1: leave it out
+    # a row rounded to the point mass at 0 has spectrum 1: the fold reads
+    # each sum's live rows first, in order, up to the most live rows of any
+    # sum in whole groups of g, and the rest of those as point masses at 0
     live = tops > 0
-    probs = np.stack([spec.probs for spec in specs])
-    folded = _fold_rows(
-        lattice[live], probs[live], live.sum(axis=-1), [_next_pow2(t + 1) for t in total_tops]
-    )
-    return _inverted(specs, beta.tolist(), total_tops, folded)
+    counts = live.sum(axis=-1)
+    most = int(counts.max(initial=0))
+    g = 1
+    while g < most and width ** (g + 1) <= FOLD_ATOMS:
+        g += 1
+    # row 0 pads the order to whole groups: the fold reads it as a point mass
+    order = np.pad(np.argsort(~live, axis=-1, kind="stable"), ((0, 0), (0, g - 1)))
+    order = order[:, :-(-most // g) * g]
+    folded = _fold_rows(lattice, spec.probs.reshape(values.shape), order, g, counts,
+                        [_next_pow2(t + 1) for t in total_tops])
+    return _inverted(np.atleast_1d(spec.offset).tolist(), beta.tolist(), total_tops, folded)
 
 
 def la_cdf(
@@ -584,7 +577,7 @@ def la_cdf(
     """
     if fold is not None:
         return fold, None
-    (law,) = la_folds([spec], c0)
+    (law,) = la_folds(spec, c0)
     return law, law.to_cdf()
 
 
@@ -651,11 +644,12 @@ class LatticeCdfs:
         return np.take_along_axis(self.cum, count, axis=1) / self.total
 
 
-def displacement_bound(spec: GpmSpec, c0: float) -> float:
+def displacement_bound(spec: GpmSpec, c0: float) -> float | np.ndarray:
     """M / (2 beta) = M * span / (2 c0), the furthest ``la_cdf(spec, c0)``
     moves any atom of the sum along the value axis (M summands, each
-    rounded by at most half a lattice unit 1 / beta)."""
-    return len(spec) * spec.span / (2.0 * c0)
+    rounded by at most half a lattice unit 1 / beta); of a stack, each
+    sum's bound."""
+    return spec.values.shape[-2] * spec.span / (2.0 * c0)
 
 
 def enumerate_cdf(spec: GpmSpec) -> SteppedCdf:

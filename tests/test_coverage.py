@@ -268,6 +268,9 @@ def test_uplink_scale_invariance():
 def test_uplink_rejects_bad_beta0():
     with pytest.raises(ValueError):
         uplink_snr_pmf(link_table(MICRO_ROWS), 0.0)
+    # NaN passed `beta0 <= 0` and read outage 0 at every threshold
+    with pytest.raises(ValueError, match="beta0 must be positive, got nan"):
+        uplink_snr_pmf(link_table(MICRO_ROWS), math.nan)
 
 
 def block_read(table, beta0, thresholds, eps):
@@ -282,6 +285,8 @@ def test_block_read_validation():
     assert uplink_outage(c_los, c_nlos, p_los, 1.0, [1.5, 1.0, 3.0]).tolist() == [[0.5, 0.0, 1.0]]
     with pytest.raises(ValueError, match="beta0"):
         block_read(link_table(MICRO_ROWS), 0.0, [1.0], 0.0)
+    with pytest.raises(ValueError, match="beta0 must be positive, got nan"):
+        block_read(link_table(MICRO_ROWS), math.nan, [1.0], 0.0)
     with pytest.raises(ValueError, match="eps"):
         block_read(link_table(MICRO_ROWS), 1.0, [1.0], 1.0)
     with pytest.raises(ValueError, match="empty"):
@@ -437,11 +442,11 @@ def law_bits(spec, lattice, c0):
     return lattice.offset, lattice.scale, lattice.pmf.tobytes(), displacement_bound(spec, c0)
 
 
-def stacked_laws(specs, c0):
-    """Each spec's (offset, scale, pmf, slack), its la_cdf passing on its
+def stacked_laws(stack, c0):
+    """Each sum's (offset, scale, pmf, slack), its la_cdf passing on its
     law from one la_folds pass over the stack."""
-    return [law_bits(spec, la_cdf(spec, c0, fold=law)[0], c0)
-            for spec, law in zip(specs, la_folds(specs, c0))]
+    return [law_bits(stack[e], la_cdf(stack[e], c0, fold=law)[0], c0)
+            for e, law in enumerate(la_folds(stack, c0))]
 
 
 def single_laws(events, table, omega, c0):
@@ -587,21 +592,22 @@ def test_stacked_law_negative_controls():
     shifted[1] = dataclasses.replace(stack[1], forced_rows=stack[1].forced_rows - 1)
     with pytest.raises(AssertionError):
         assert stacked_laws(conditional_interference_specs(shifted, table, omega), c0) == want
-    # two events' specs swapped within the stack
-    swapped = list(specs)
-    swapped[0], swapped[2] = swapped[2], swapped[0]
+    # two events' sums swapped within the stack
+    swapped = np.arange(len(specs))
+    swapped[[0, 2]] = swapped[[2, 0]]
     with pytest.raises(AssertionError):
-        assert stacked_laws(swapped, c0) == want
+        assert stacked_laws(specs[swapped], c0) == want
     with pytest.raises(ValueError, match="one band"):
         conditional_interference_specs(stack + [association_pmf(table)[2]], table, omega)
 
 
 def test_empty_stacks():
     table = link_table(MIXED_ROWS)
-    assert conditional_interference_specs([], table, 0.5) == ()
-    assert list(la_folds([], 1000.0)) == []
+    empty = conditional_interference_specs([], table, 0.5)
+    assert len(empty) == 0 and empty.values.ndim == 3
+    assert list(la_folds(empty, 1000.0)) == []
     with pytest.raises(ValueError, match="c0 must be >= 1"):
-        la_folds([], 0.5)
+        la_folds(empty, 0.5)
 
 
 def test_downlink_builds_one_stack_per_serving_band(monkeypatch):
@@ -922,8 +928,13 @@ def test_downlink_grid_and_validation():
         model.eval(0.0)
     with pytest.raises(ValueError):
         model.outage(-1.0)
+    with pytest.raises(ValueError, match="positive y only"):
+        model.outage(np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
         downlink_snr_cdf(table, 0.5, 0.0, c0=1000.0)
+    # NaN passed `alpha0 <= 0` and read outage 1 at every threshold
+    with pytest.raises(ValueError, match="alpha0 must be positive, got nan"):
+        downlink_snr_cdf(table, 0.5, math.nan, c0=1000.0)
     # the lattice target comes from [algorithm] lattice_target_c0 only
     with pytest.raises(TypeError, match="c0"):
         downlink_snr_cdf(table, 0.5, 0.5)
@@ -1044,6 +1055,19 @@ def test_non_finite_altitudes_are_rejected(tmp_path, bad, altitudes):
     with pytest.raises(ValueError, match=want):
         coverage_over_altitudes(cfg, LinkDirection.UPLINK, altitudes=altitudes,
                                 thresholds=[1.0])
+
+
+@pytest.mark.parametrize("link", list(LinkDirection))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_thresholds_are_rejected(tmp_path, link, bad):
+    # NaN read coverage 1 on the uplink and 0 on the downlink, and 0 or -1
+    # read 1 on the uplink: each is named before any position is scored
+    cfg = scene(tmp_path, link, resolution=1)
+    want = rf"^SNR thresholds must be finite and positive, got {bad}$"
+    with pytest.raises(ValueError, match=want):
+        coverage_at_altitude(cfg, link, altitude=100.0, thresholds=[1.0, bad])
+    with pytest.raises(ValueError, match=want):
+        coverage_over_altitudes(cfg, link, altitudes=[50.0, 100.0], thresholds=[bad])
 
 
 def sweep_scene(tmp_path, link):

@@ -116,30 +116,73 @@ def test_spec_validation():
     assert (len(empty), empty.offset, empty.span) == (0, 0.0, 0.0)
 
 
-def test_stacked_spec_check_names_event_and_summand():
-    # three specs of two summands; padding (zero mass) in event 0
-    values = np.array([[[0.0, 1.0, 9.0], [2.0, 3.0, 0.0]]] * 3)
-    probs = np.array([[[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]] * 3)
-    probs[2, 1] = [0.0, 0.4, 0.6]
-    specs = GpmSpec.stack(values, probs)
-    for spec, v, p in zip(specs, values, probs):
-        want = GpmSpec(v, p)
-        assert np.array_equal(spec.values, want.values) and np.array_equal(spec.probs, want.probs)
-        assert (spec.offset, spec.span) == (want.offset, want.span)
-        assert not (spec.values.flags.writeable or spec.probs.flags.writeable)
+@st.composite
+def spec_stacks(draw):
+    """(E, K, L) values and probs of 0-4 sums of 0-4 summands, values on a
+    coarse grid (rows repeat values) and masses with zero padding, and the
+    (event, summand) a check error is planted at when there is one."""
+    e, k, width = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    entries = st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 7.0]),
+                       min_size=e * k * width, max_size=e * k * width)
+    masses = st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]),
+                      min_size=e * k * width, max_size=e * k * width)
+    values = np.reshape(draw(entries), (e, k, width))
+    probs = np.reshape(draw(masses), (e, k, width))
+    probs[..., 0] += probs.sum(axis=-1) == 0.0     # every row has mass
+    fault = (draw(st.integers(0, e - 1)), draw(st.integers(0, k - 1))) if e * k else None
+    return values, probs / probs.sum(axis=-1, keepdims=True), fault
+
+
+# three sums of two summands; padding (zero mass) in event 0
+FIXED_VALUES = np.array([[[0.0, 1.0, 9.0], [2.0, 3.0, 0.0]]] * 3)
+FIXED_PROBS = np.array([[[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]] * 3)
+FIXED_PROBS[2, 1] = [0.0, 0.4, 0.6]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_stacks())
+@example((FIXED_VALUES, FIXED_PROBS, (1, 1)))
+@example((FIXED_VALUES, FIXED_PROBS, (2, 0)))
+@example((np.zeros((0, 2, 3)), np.zeros((0, 2, 3)), None))     # no sum
+def test_stacked_spec_check_names_event_and_summand(stack_arrays):
+    values, probs, fault = stack_arrays
+    stack = GpmSpec(values, probs)
+    assert len(stack) == len(values) and stack.values.shape == values.shape
+    assert not (stack.values.flags.writeable or stack.probs.flags.writeable)
+    bounds = displacement_bound(stack, 1000.0)
+    picks = np.arange(len(values))[::-1]
+    with pytest.MonkeyPatch.context() as patch:
+        # a sum of a checked stack is not checked again
+        patch.setattr(gpm, "_checked_rows", None)
+        sums, picked = [stack[e] for e in range(len(values))], stack[picks]
+    assert list(picked.offset) == [sums[e].offset for e in picks]
+    for e, spec in enumerate(sums):
+        want = GpmSpec(values[e], probs[e])
+        for got in (spec, picked[len(values) - 1 - e]):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.values.shape == want.values.shape
+            assert type(got.offset) is type(got.span) is float
+            assert (got.offset, got.span) == (want.offset, want.span)
+            assert displacement_bound(got, 1000.0) == displacement_bound(want, 1000.0) == bounds[e]
+            assert not (got.values.flags.writeable or got.probs.flags.writeable)
+    if fault is None:
+        return
+    e, k = fault
     bad_sum = probs.copy()
-    bad_sum[1, 1] = [0.6, 0.6, 0.0]
-    with pytest.raises(ValueError, match=r"^summand 1 of event 1 probabilities sum to 1\.2, not 1$"):
-        GpmSpec.stack(values, bad_sum)
+    bad_sum[e, k] = 0.0
+    bad_sum[e, k, 0] = 1.2
+    with pytest.raises(ValueError,
+                       match=rf"^summand {k} of event {e} probabilities sum to 1\.2, not 1$"):
+        GpmSpec(values, bad_sum)
     bad_value = values.copy()
-    bad_value[2, 0, 1] = np.nan
-    with pytest.raises(ValueError, match="non-negative; summand 0 of event 2 is not$"):
-        GpmSpec.stack(bad_value, probs)
-    with pytest.raises(ValueError, match="non-negative; summand 1 is not$"):
-        GpmSpec(bad_value[2, ::-1], probs[2])       # one spec: the summand alone
+    bad_value[e, k, 0] = np.nan
+    with pytest.raises(ValueError, match=f"non-negative; summand {k} of event {e} is not$"):
+        GpmSpec(bad_value, probs)
+    with pytest.raises(ValueError, match=f"non-negative; summand {k} is not$"):
+        GpmSpec(bad_value[e], probs[e])              # one sum: the summand alone
     with pytest.raises(ValueError):
-        GpmSpec.stack(values[0], probs[0])           # not (E, K, L)
-    assert GpmSpec.stack(np.zeros((0, 2, 3)), np.zeros((0, 2, 3))) == ()   # no spec
+        GpmSpec(values[None], probs[None])           # not (K, L) or (E, K, L)
 
 
 def summand_specs():
@@ -545,12 +588,14 @@ def test_fold_negative_controls(monkeypatch):
         check_fold(spec)
     monkeypatch.undo()
     # folded rows on a lattice one point too short still alias
-    lattice = (spec.values - spec.values.min(axis=1, keepdims=True)).astype(np.intp)
-    (rows,) = fold(lattice, spec.probs, [9], [total_top])
+    lattice = (spec.values - spec.values.min(axis=1, keepdims=True)).astype(np.intp)[None]
+    # the 9 live rows in groups of 4, the order padded to 12 with row 0
+    order = np.array([[*range(9), 0, 0, 0]])
+    (rows,) = fold(lattice, spec.probs[None], order, 4, np.array([9]), [total_top])
     assert rows.shape == (1, 3, total_top)
     with pytest.raises(ValueError, match="aliasing"):
         lattice_invert(rows)
-    lattice_invert(*fold(lattice, spec.probs, [9], [total_top + 1]))
+    lattice_invert(*fold(lattice, spec.probs[None], order, 4, np.array([9]), [total_top + 1]))
 
 
 def test_la_cdf_of_rows_all_rounded_to_zero():
@@ -569,7 +614,12 @@ def test_la_rejects_small_c0():
     with pytest.raises(TypeError, match="c0"):
         la_cdf(spec)
     with pytest.raises(TypeError, match="c0"):
-        gpm.la_folds([spec])
+        gpm.la_folds(spec)
+    # NaN fails the range check, not the span check after it
+    with pytest.raises(ValueError, match="c0 must be >= 1, got nan"):
+        la_cdf(spec, math.nan)
+    with pytest.raises(ValueError, match="c0 must be >= 1, got nan"):
+        gpm.la_folds(spec, math.nan)
 
 
 def test_la_rejects_span_that_overflows_beta():

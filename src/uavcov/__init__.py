@@ -10,7 +10,7 @@ return; everything else is imported from its module (``uavcov.gpm``,
 ``uavcov.geometry``, ``uavcov.channel``, ...).
 """
 
-from .channel import LinkTable, build_link_table, build_link_tables
+from .channel import LinkTable, build_link_table
 from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import (
     AssociationEvent,
@@ -38,7 +38,6 @@ __all__ = [
     "UplinkSnrPmf",
     "association_pmf",
     "build_link_table",
-    "build_link_tables",
     "coverage_at_altitude",
     "coverage_over_altitudes",
     "downlink_snr_cdf",

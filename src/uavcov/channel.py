@@ -19,8 +19,8 @@ Each parameter is a ``[channel]`` key; its default lives in
 A UAV position's links are held as a :class:`LinkTable` of column arrays,
 built for every site at once by :func:`build_link_table`.
 :func:`build_link_columns` evaluates a block of P positions together:
-one evaluation on (P, n) arrays and one check of the whole block, which
-:func:`build_link_tables` then cuts into one table per row.
+one evaluation on (P, n) arrays and one check of the whole block, whose
+row p equals the table of position p.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 def free_space_gain(carrier_hz: float) -> float:
     """Free-space power gain at 1 m, (lambda / 4 pi)^2."""
-    if carrier_hz <= 0:
+    if not carrier_hz > 0:
         raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
     wavelength = SPEED_OF_LIGHT / carrier_hz
     return (wavelength / (4.0 * math.pi)) ** 2
@@ -73,10 +73,12 @@ class ParametricAirGroundModel:
                 "reference gains must satisfy 0 < ref_gain_nlos < ref_gain_los, got "
                 f"{self.ref_gain_nlos}, {self.ref_gain_los}"
             )
-        if self.los_a <= 0 or self.los_b_per_deg <= 0:
+        if not (self.los_a > 0 and self.los_b_per_deg > 0):
             raise ValueError(
                 f"logistic parameters must be positive, got a={self.los_a}, b={self.los_b_per_deg}"
             )
+        if not math.isfinite(self.los_midpoint_deg):
+            raise ValueError(f"logistic midpoint must be finite, got {self.los_midpoint_deg}")
 
     def los_probability(self, elevation_deg):
         """LoS probability at the given elevations (scalar or array)."""
@@ -251,31 +253,3 @@ def build_link_columns(
     _check_link_columns(*columns)
     return columns
 
-
-def build_link_tables(
-    layout: NetworkLayout,
-    gbs_pattern,
-    uav_antenna: UavAntenna,
-    channel: ParametricAirGroundModel,
-    positions,
-    gbs_height: float,
-) -> tuple[LinkTable, ...]:
-    """The link tables of a (P, 3) block of positions, one per row, equal
-    column for column to :func:`build_link_table` at each position.
-
-    The tables hold read-only views of the rows of
-    :func:`build_link_columns`, which are not checked again.  A block of
-    one position gains nothing from this and is built by
-    :func:`build_link_table`.
-    """
-    block = np.asarray(positions, dtype=float)
-    if block.shape == (1, 3):
-        return (build_link_table(layout, gbs_pattern, uav_antenna, channel, block[0], gbs_height),)
-    columns = build_link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
-    tables = []
-    for row in zip(*columns):
-        table = object.__new__(LinkTable)   # checked with its block
-        for (name, _), col in zip(_COLUMNS, row):
-            object.__setattr__(table, name, col)
-        tables.append(table)
-    return tuple(tables)

@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -320,6 +321,13 @@ def _hash(resolved: dict[str, dict[str, str]], omega_keys: dict[int, str]) -> st
     ]
     lines += [f"loading.omega_site_{i}={resolved['loading'][key]}"
               for i, key in sorted(omega_keys.items())]
+    # a file the scenario names is hashed by its content as well as its
+    # path; a scenario that names none hashes the lines above alone
+    for section, key in (("channel", "coefficients_file"), ("layout", "sites_csv")):
+        path = resolved[section][key].strip()
+        if path:
+            content = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            lines.append(f"{section}.{key}.sha256={content}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 

@@ -46,15 +46,15 @@ argument and read the layout, antennas, channel, sampling region,
 loading, ``beta0``/``alpha0``, ``eps`` and ``c0`` from it.  Each
 (altitude, point) position's SNR law is built once and read at every
 threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
-(position, site) pairs: :func:`~uavcov.channel.build_link_columns`
-evaluates a block's links as (P, n) columns with one check, which the
-uplink reads as they are and the downlink cuts into one table per
-position; no position's value depends on another's, so the output does
-not depend on where the blocks end.  The uplink is read once per orbit
-of the grid under the hexagon's rotations and reflections that the
-layout verifiably has (:func:`~uavcov.geometry.point_orbits`), and its
-value copied to every point of the orbit; downlink laws are built at
-every point.
+(position, site) pairs: the uplink reads a block's links as the (P, n)
+columns of :func:`~uavcov.channel.build_link_columns`, evaluated with
+one check, and the downlink builds each position's table with
+:func:`~uavcov.channel.build_link_table`; no position's value depends
+on another's, so the output does not depend on where the blocks end.
+The uplink is read once per orbit of the grid under the hexagon's
+rotations and reflections that the layout verifiably has
+(:func:`~uavcov.geometry.point_orbits`), and its value copied to every
+point of the orbit; downlink laws are built at every point.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkTable, build_link_columns, build_link_tables
+from .channel import LinkTable, build_link_columns, build_link_table
 from .config import ScenarioConfig
 from .geometry import point_orbits, sample_region
 from .gpm import (
@@ -183,7 +183,10 @@ class UplinkSnrPmf:
         """P{snr < threshold} (strict: mass exactly at the threshold is
         not outage).  Normalised by the total mass, so it is exactly 0 or
         1 when no atom or every atom lies below the threshold; clipped to
-        [0, 1] against float roundoff in between."""
+        [0, 1] against float roundoff in between.  A threshold at or
+        below 0 reads 0, exactly; NaN is an error."""
+        if np.isnan(threshold):
+            raise ValueError("SNR threshold must not be NaN")
         below = float(self.probs[self.values < threshold].sum())
         return min(1.0, max(0.0, below / float(self.probs.sum())))
 
@@ -222,12 +225,15 @@ def uplink_outage(c_los, c_nlos, p_los, beta0: float, thresholds, eps: float = 0
     m's mass is pre[m] - pre[m + 1], so the mass below t telescopes:
     outage(t) = [t > beta0 * C_NL_max] * pre[min(K, stop)], with K the
     number of rows whose LoS atom beta0 * c_los is at or above t.  A
-    position whose every gain is 0 reads K = 0, so outage [t > 0].
+    position whose every gain is 0 reads K = 0, so outage [t > 0].  A
+    NaN threshold is an error.
     """
     if not beta0 > 0:
         raise ValueError(f"beta0 must be positive, got {beta0}")
-    pre, stop = association_walk(c_los, c_nlos, p_los, eps)
     ts = np.asarray(thresholds, dtype=float)
+    if np.isnan(ts).any():
+        raise ValueError("SNR thresholds must not be NaN")
+    pre, stop = association_walk(c_los, c_nlos, p_los, eps)
     c_nlos_max = np.max(c_nlos, axis=-1, keepdims=True)
     served = _walked_rows_at_or_above(beta0 * c_los, stop, ts)
     return np.where(ts > beta0 * c_nlos_max, np.take_along_axis(pre, served, axis=-1), 0.0)
@@ -435,9 +441,9 @@ class LinkDirection(Enum):
     DOWNLINK = "downlink"
 
 
-# Positions go through link table construction in blocks of about this
-# many (position, site) entries: one (P, n) evaluation and one check per
-# block, each (P, n) array 64 KiB whatever the length of the work list.
+# Positions are scored in blocks of about this many (position, site)
+# entries: the uplink's one (P, n) evaluation and one check per block,
+# each (P, n) array 64 KiB whatever the length of the work list.
 # On the default 367-site scene that is 22 positions; a 240-position
 # uplink sweep builds its tables in 16 ms this way against 56 ms in
 # blocks of one position (2-core x86 host, numpy 2.4).
@@ -456,23 +462,22 @@ def _non_outage(
     cfg: ScenarioConfig, link: LinkDirection, thresholds: tuple, block: np.ndarray
 ) -> np.ndarray:
     """Non-outage probability at each position of a (P, 3) block for
-    every threshold, (P, T): one evaluation of the block's links, then
-    the uplink read from its columns at once, or one downlink SNR law
-    per position, evaluated T times."""
+    every threshold, (P, T): the uplink read at once from one evaluation
+    of the block's links, or one link table and one downlink SNR law per
+    position, evaluated T times."""
     models = (cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
               cfg.build_channel())
     if link is LinkDirection.UPLINK:
         _, _, c_los, c_nlos, p_los = build_link_columns(*models, block, cfg.gbs_height)
         return 1.0 - uplink_outage(c_los, c_nlos, p_los, cfg.beta0, thresholds,
                                    cfg.association_epsilon)
-    tables = build_link_tables(*models, block, cfg.gbs_height)
     ts = np.array(thresholds)
     return np.array([
         1.0 - downlink_snr_cdf(
-            table, cfg.loading, cfg.alpha0, eps=cfg.association_epsilon,
-            c0=cfg.lattice_target_c0,
+            build_link_table(*models, xyz, cfg.gbs_height), cfg.loading, cfg.alpha0,
+            eps=cfg.association_epsilon, c0=cfg.lattice_target_c0,
         ).outage(ts)
-        for table in tables
+        for xyz in block
     ])
 
 
@@ -500,15 +505,14 @@ def _coverage(
     position goes on one work list, so each position's SNR law is built
     once whatever the number of thresholds; for the uplink the list holds
     the first point of each orbit only.  The list is cut into blocks
-    of positions whose link tables are built together, about
-    ``BLOCK_ENTRIES`` entries each.  With ``workers`` > 1 the first
-    position is scored in this process and its CPU time taken: when that
-    time, times the positions left, times 1 - 1/``workers``, exceeds
-    ``POOL_START_S``, the rest go in blocks of at most a quarter of a
-    worker's share to one process pool of at most one process per block;
-    otherwise they are scored here, as with ``workers`` = 1.  Results come
-    back in list order, so they do not depend on ``workers`` or on where
-    the blocks end."""
+    of positions scored together, about ``BLOCK_ENTRIES`` entries each.
+    With ``workers`` > 1 the first position is scored in this process
+    and its CPU time taken: when that time, times the positions left,
+    times 1 - 1/``workers``, exceeds ``POOL_START_S``, the rest go in
+    blocks of at most a quarter of a worker's share to one process pool
+    of at most one process per block; otherwise they are scored here, as
+    with ``workers`` = 1.  Results come back in list order, so they do
+    not depend on ``workers`` or on where the blocks end."""
     ts = tuple(float(t) for t in thresholds)
     if not ts:
         raise ValueError("need at least one threshold")

@@ -26,16 +26,16 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     M / (2 beta) along the value axis.  Summands that round to the point
     mass at 0 are the identity of convolution: each sum's live rows move
     to the front and are convolved exactly in groups of up to
-    ``FOLD_ATOMS`` joint atoms (``_fold_rows``), so one length-N spectrum
-    serves a group instead of a row, and the rest are left out of the
-    inversion.  ``la_folds`` quantizes a stack of E sums, such as one
-    (E, K, L) ``GpmSpec`` checks in one pass, each sum keeping its own
-    beta, N and number of groups, and yields each sum's
-    ``LatticeDistribution``; consecutive sums of one N are folded as one
-    dense slice and inverted as one ``lattice_invert`` stack of up to
-    ``CHUNK_ENTRIES`` entries, the one bound on the memory that grows
-    with N.  ``la_cdf`` passes a stacked law through; without a stack it
-    inverts its sum as a stack of one, bit for bit the same law.
+    ``FOLD_ATOMS`` joint atoms, so one length-N spectrum serves a group
+    instead of a row, and the rest are left out of the inversion.
+    ``la_folds`` quantizes a stack of E sums, such as one (E, K, L)
+    ``GpmSpec`` checks in one pass, each sum keeping its own beta, N and
+    number of groups, and returns each sum's ``LatticeDistribution``;
+    consecutive sums of one N are folded as one dense slice and inverted
+    as one ``lattice_invert`` stack of up to ``CHUNK_ENTRIES`` entries,
+    the one bound on the memory that grows with N.  ``la_cdf`` passes a
+    stacked law through; without a stack it inverts its sum as a stack
+    of one, bit for bit the same law.
     ``LatticeCdfs`` reads the cdfs of many lattice laws at once, in
     place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs, from
     running sums built once for any number of reads.
@@ -427,51 +427,6 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 CHUNK_ENTRIES = 2**16
 
 
-def _fold_rows(lattice: np.ndarray, probs: np.ndarray, order: np.ndarray, g: int,
-               counts: np.ndarray, ns: list) -> Iterator[np.ndarray]:
-    """Yields a stack's events' folded rows a chunk of events at a time:
-    for each run of consecutive events of one lattice length n = ns[e],
-    of up to ``CHUNK_ENTRIES`` folded-row entries in all (or one event),
-    the (events, G, n) array whose [e, j] row is the exact pmf on 0..n-1
-    of the sum of event e's live rows j*g .. j*g+g-1, with G the chunk's
-    most groups.
-
-    Entry l of row r of event e puts mass ``probs[e, r, l]`` on lattice
-    point ``lattice[e, r, l]``, and row ``order[e, i]`` is event e's i-th
-    live row for i < ``counts[e]``.  A chunk gathers its events' first
-    G * g rows in that order as one dense (events, G, g, width) array,
-    rows past an event's count becoming point masses at 0 (lattice 0,
-    masses [1, 0, ...]), the identity of convolution.  A folded row's
-    atoms are the outer sums of its members' lattice points and its
-    masses their outer products, so a point mass adds exact zeros to a
-    group, and a group of them folds to the point mass at 0, whose
-    spectrum is exactly 1.  An event without live rows has n = 1.  Each
-    chunk is gathered and folded when the iteration reaches it, so
-    ``CHUNK_ENTRIES`` bounds the fold as well as the transforms.  The
-    caller keeps each group's summed top below its n.
-    """
-    width = lattice.shape[-1]
-    groups = (-(-counts // g)).tolist()
-    for a, b in _chunks(groups, ns):
-        n, most = ns[a], max(groups[a:b])
-        pick = np.arange(a, b)[:, None], order[a:b, :most * g]
-        atoms, mass = lattice[pick], probs[pick]
-        dead = np.arange(most * g) >= counts[a:b, None]
-        atoms[dead] = 0
-        mass[dead] = 0.0
-        mass[dead, 0] = 1.0
-        shape = (b - a, most, g, width)
-        atoms, mass = atoms.reshape(shape), mass.reshape(shape)
-        fold_atoms, fold_mass = atoms[:, :, 0], mass[:, :, 0]
-        for j in range(1, g):
-            joint = (b - a, most, width ** (j + 1))
-            fold_atoms = (fold_atoms[..., None] + atoms[:, :, j, None]).reshape(joint)
-            fold_mass = (fold_mass[..., None] * mass[:, :, j, None]).reshape(joint)
-        at = fold_atoms + (np.arange((b - a) * most) * n).reshape(b - a, most, 1)
-        chunk = np.bincount(at.ravel(), fold_mass.ravel(), (b - a) * most * n)
-        yield chunk.reshape(b - a, most, n)
-
-
 def _chunks(groups: list[int], ns: list[int]) -> Iterator[tuple[int, int]]:
     """Bounds [a, b) of runs of consecutive events of one lattice length,
     each of up to ``CHUNK_ENTRIES`` folded-row entries (groups times n)
@@ -486,45 +441,38 @@ def _chunks(groups: list[int], ns: list[int]) -> Iterator[tuple[int, int]]:
         yield a, len(groups)
 
 
-def _inverted(offsets: list, scales: list, tops: list, folded: Iterator[np.ndarray]
-              ) -> Iterator[LatticeDistribution]:
-    """Each sum's lattice law, the folded rows of a chunk of sums
-    inverted as one ``lattice_invert`` stack."""
-    e = 0
-    for rows in folded:
-        if rows.shape[-1] == 1:      # no live rows: the point mass at 0
-            pmfs = np.ones((len(rows), 1))
-        else:
-            pmfs = lattice_invert(rows)
-            # FFT round-off leaves ~1e-15 dust on lattice points that carry
-            # no mass; without a floor it would surface as spurious cdf jumps
-            pmfs[pmfs < FFT_MASS_FLOOR] = 0.0
-            pmfs = pmfs / pmfs.sum(axis=1, keepdims=True)
-        for pmf in pmfs:
-            yield LatticeDistribution(offsets[e], scales[e], pmf[: tops[e] + 1])
-            e += 1
-
-
-def la_folds(spec: GpmSpec, c0: float) -> Iterator[LatticeDistribution]:
+def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
     """Quantizes a stack of sums, or one sum as a stack of one, and
-    yields each sum's lattice law in turn: offset A0, scale beta and the
-    pmf on 0..top, the highest lattice point the sum reaches
+    returns each sum's lattice law in stack order: offset A0, scale beta
+    and the pmf on 0..top, the highest lattice point the sum reaches
     (``FFT_MASS_FLOOR`` dust dropped, renormalised).
 
     Each sum keeps its own beta = c0 / span, its own lattice length N
     (the power of two above its summed top) and its own number of fold
-    groups; the group size g is the stack's.  Consecutive sums of one N
-    are folded (``_fold_rows``) and inverted together, a chunk of up to
-    ``CHUNK_ENTRIES`` folded-row entries per ``lattice_invert`` call, and
-    each keeps its own mass floor and renormalisation, so its pmf is bit
-    for bit that of its stack of one.  A chunk is folded and inverted
-    when the iteration reaches it; the stack's quantized rows are built
-    before the first chunk.  An empty stack has no laws.
+    groups; the group size g is the stack's.  The stack's rows are
+    quantized once; then consecutive sums of one N go through as a
+    chunk of up to ``CHUNK_ENTRIES`` folded-row entries (or one sum),
+    gathered, folded and inverted in one ``lattice_invert`` call before
+    the next chunk is gathered, so ``CHUNK_ENTRIES`` bounds the fold as
+    well as the transforms.  Each sum keeps its own mass floor and
+    renormalisation, so its pmf is bit for bit that of its stack of one.
+    An empty stack has no laws.
+
+    A chunk gathers each sum's first G * g rows, live rows first in row
+    order, with G the chunk's most groups, as one dense (sums, G, g,
+    width) array; rows past a sum's live count become point masses at 0
+    (lattice 0, masses [1, 0, ...]), the identity of convolution.  A
+    folded row's atoms are the outer sums of its members' lattice points
+    and its masses their outer products, so a point mass adds exact
+    zeros to a group, and a group of them folds to the point mass at 0,
+    whose spectrum is exactly 1.  A sum without live rows has N = 1 and
+    is that point mass.
     """
     if not c0 >= 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
     span = np.atleast_1d(spec.span)
     values = spec.values.reshape(span.shape + spec.values.shape[-2:])
+    probs = spec.probs.reshape(values.shape)
     width = values.shape[-1]
     # a zero span has no lattice to scale: beta 1 puts its point mass at 0
     with np.errstate(over="ignore"):
@@ -537,21 +485,48 @@ def la_folds(spec: GpmSpec, c0: float) -> Iterator[LatticeDistribution]:
     lattice = _round_half_away(beta[:, None, None] * shifted).astype(np.intp)
     tops = lattice.max(axis=-1)
     total_tops = tops.sum(axis=-1).tolist()
+    ns = [_next_pow2(t + 1) for t in total_tops]
     # a row rounded to the point mass at 0 has spectrum 1: the fold reads
-    # each sum's live rows first, in order, up to the most live rows of any
-    # sum in whole groups of g, and the rest of those as point masses at 0
+    # each sum's live rows first, in order, in whole groups of g
     live = tops > 0
     counts = live.sum(axis=-1)
     most = int(counts.max(initial=0))
     g = 1
     while g < most and width ** (g + 1) <= FOLD_ATOMS:
         g += 1
+    groups = (-(-counts // g)).tolist()
     # row 0 pads the order to whole groups: the fold reads it as a point mass
     order = np.pad(np.argsort(~live, axis=-1, kind="stable"), ((0, 0), (0, g - 1)))
-    order = order[:, :-(-most // g) * g]
-    folded = _fold_rows(lattice, spec.probs.reshape(values.shape), order, g, counts,
-                        [_next_pow2(t + 1) for t in total_tops])
-    return _inverted(np.atleast_1d(spec.offset).tolist(), beta.tolist(), total_tops, folded)
+    offsets, scales = np.atleast_1d(spec.offset).tolist(), beta.tolist()
+    laws = []
+    for a, b in _chunks(groups, ns):
+        n, most_groups = ns[a], max(groups[a:b])
+        if n == 1:      # no live rows: the point mass at 0
+            pmfs = np.ones((b - a, 1))
+        else:
+            pick = np.arange(a, b)[:, None], order[a:b, :most_groups * g]
+            atoms, mass = lattice[pick], probs[pick]
+            dead = np.arange(most_groups * g) >= counts[a:b, None]
+            atoms[dead] = 0
+            mass[dead] = 0.0
+            mass[dead, 0] = 1.0
+            shape = (b - a, most_groups, g, width)
+            atoms, mass = atoms.reshape(shape), mass.reshape(shape)
+            fold_atoms, fold_mass = atoms[:, :, 0], mass[:, :, 0]
+            for j in range(1, g):
+                joint = (b - a, most_groups, width ** (j + 1))
+                fold_atoms = (fold_atoms[..., None] + atoms[:, :, j, None]).reshape(joint)
+                fold_mass = (fold_mass[..., None] * mass[:, :, j, None]).reshape(joint)
+            at = fold_atoms + (np.arange((b - a) * most_groups) * n).reshape(b - a, most_groups, 1)
+            rows = np.bincount(at.ravel(), fold_mass.ravel(), (b - a) * most_groups * n)
+            pmfs = lattice_invert(rows.reshape(b - a, most_groups, n))
+            # FFT round-off leaves ~1e-15 dust on lattice points that carry
+            # no mass; without a floor it would surface as spurious cdf jumps
+            pmfs[pmfs < FFT_MASS_FLOOR] = 0.0
+            pmfs = pmfs / pmfs.sum(axis=1, keepdims=True)
+        laws += (LatticeDistribution(offsets[e], scales[e], pmf[:total_tops[e] + 1])
+                 for e, pmf in zip(range(a, b), pmfs))
+    return laws
 
 
 def la_cdf(
@@ -563,7 +538,7 @@ def la_cdf(
     rounds the scaled values half-away-from-zero to integers, recovers the
     integer-sum pmf by FFT inversion (power-of-two length covering the
     quantized span) of the summands that do not round to the point mass
-    at 0, folded in groups by ``_fold_rows``, clamps tiny negative dips,
+    at 0, folded in groups by ``la_folds``, clamps tiny negative dips,
     drops ``FFT_MASS_FLOOR`` dust, renormalises, and maps the lattice back
     to value units.  A spec whose summands are all degenerate has zero
     span and returns the exact point mass at the offset.

@@ -106,6 +106,13 @@ def test_angle_domain():
         replace(pat, downtilt_deg=90.0)
 
 
+@pytest.mark.parametrize("field", ["element_count", "element_spacing_wl", "element_peak_gain"])
+def test_pattern_rejects_nan(field):
+    # NaN fails every comparison, so each check must be one that NaN fails
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        replace(PATTERN, **{field: math.nan})
+
+
 def test_frozen_gain_values():
     # reference values from the steering-vector sum, K=10, d/lambda=0.5,
     # tilt -10, G_e 1.64: the default scene's array
@@ -155,3 +162,9 @@ def test_uav_cone_validation():
     for r_h, heights in (([1.0], [100.0]), ([[1.0]], 100.0), ([[1.0], [2.0]], [100.0])):
         with pytest.raises(ValueError, match="need \\(P, n\\) distances"):
             narrow.gain_at(r_h, heights, 20.0)
+
+
+@pytest.mark.parametrize("field", ["mainlobe_constant", "backlobe_gain"])
+def test_uav_cone_rejects_nan(field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        replace(UAV, **{field: math.nan})

@@ -11,8 +11,8 @@ from uavcov.channel import (
     LinkTable,
     ParametricAirGroundModel,
     _check_link_columns,
+    build_link_columns,
     build_link_table,
-    build_link_tables,
     free_space_gain,
 )
 from uavcov.config import load_config
@@ -73,6 +73,21 @@ def test_model_validation():
     ):
         with pytest.raises(ValueError):
             ParametricAirGroundModel(**{**ok, **corrupt})
+
+
+@pytest.mark.parametrize("field, message", [
+    ("los_a", "logistic parameters must be positive"),
+    ("los_b_per_deg", "logistic parameters must be positive"),
+    ("los_midpoint_deg", "logistic midpoint must be finite"),
+])
+def test_model_rejects_nan(field, message):
+    with pytest.raises(ValueError, match=message):
+        replace(CHANNEL, **{field: math.nan})
+
+
+def test_free_space_gain_rejects_nan():
+    with pytest.raises(ValueError, match="carrier frequency must be positive, got nan"):
+        free_space_gain(math.nan)
 
 
 def test_evaluate_rejects_tiny_distance():
@@ -183,43 +198,44 @@ def test_block_tables_equal_single_position_tables(uav_antenna):
     block = np.column_stack([rng.uniform(-800.0, 800.0, 12), rng.uniform(-800.0, 800.0, 12),
                              rng.uniform(26.0, 300.0, 12)])        # mixed altitudes
     block[4] = (layout.x[5], layout.y[5], 61.0)    # straight above site 5
-    tables = build_link_tables(*args, block, 20.0)
-    assert len(tables) == 12
-    for xyz, table in zip(block, tables):
+    columns = build_link_columns(*args, block, 20.0)
+    assert [col.shape for col in columns] == [(12, 37)] * 5
+    for p, xyz in enumerate(block):
         single = build_link_table(*args, tuple(xyz.tolist()), 20.0)
-        for name in COLUMNS:
-            got, want = getattr(table, name), getattr(single, name)
+        for name, col in zip(COLUMNS, columns):
+            got, want = col[p], getattr(single, name)
             assert got.shape == want.shape == (37,), name
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable
     # elevation 90 degrees: the GBS element null leaves site 5 no gain
-    overhead = tables[4]
-    k = overhead.gbs_id.tolist().index(5)
-    assert overhead.c_los[k] == overhead.c_nlos[k] == 0.0
+    gbs_id, _, c_los, c_nlos, _ = (col[4] for col in columns)
+    k = gbs_id.tolist().index(5)
+    assert c_los[k] == c_nlos[k] == 0.0
 
 
 def test_block_shapes():
     layout = build_hex_layout(500.0, 500.0, 3)
     args = (layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=75.0), CHANNEL)
-    one = build_link_tables(*args, [(10.0, 20.0, 100.0)], 20.0)
-    assert len(one) == 1 and len(one[0]) == 7
-    assert build_link_tables(*args, np.empty((0, 3)), 20.0) == ()
+    one = build_link_columns(*args, [(10.0, 20.0, 100.0)], 20.0)
+    assert [col.shape for col in one] == [(1, 7)] * 5
+    none = build_link_columns(*args, np.empty((0, 3)), 20.0)
+    assert [col.shape for col in none] == [(0, 7)] * 5
     for bad in ((10.0, 20.0, 100.0), [[(10.0, 20.0, 100.0)]], [(10.0, 20.0)]):
         with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
-            build_link_tables(*args, bad, 20.0)
+            build_link_columns(*args, bad, 20.0)
     with pytest.raises(ValueError, match="must exceed"):    # one low position in the block
-        build_link_tables(*args, [(0.0, 0.0, 100.0), (0.0, 0.0, 20.0)], 20.0)
+        build_link_columns(*args, [(0.0, 0.0, 100.0), (0.0, 0.0, 20.0)], 20.0)
     no_sites = NetworkLayout(np.empty(0), np.empty(0), np.empty(0, dtype=int))
-    empty = build_link_tables(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
-    assert [len(table) for table in empty] == [0, 0]
+    empty = build_link_columns(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
+    assert [col.shape for col in empty] == [(2, 0)] * 5
 
 
 def _block_columns():
-    block = build_link_tables(
+    block = build_link_columns(
         build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA, CHANNEL,
         [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)], 20.0,
     )
-    return {name: np.array([getattr(table, name) for table in block]) for name in COLUMNS}
+    return {name: np.array(col) for name, col in zip(COLUMNS, block)}   # writable copies
 
 
 def _corrupt_row_1(cols, how):

@@ -100,6 +100,26 @@ def test_config_hash_tracks_content(tmp_path):
     assert same.config_hash == base               # explicit default, same scenario
     assert changed.config_hash != base
     assert tagged.config_hash != base             # overrides are part of the hash
+    # a file the config names is hashed by content: new content at the
+    # same path is a new hash, the same content again the same hash
+    coefficients = tmp_path / "coefficients.ini"
+    scene = write_ini(tmp_path, f"[channel]\ncoefficients_file = {coefficients}\n")
+    coefficients.write_text(COEFFICIENTS)
+    first = load_config(scene).config_hash
+    coefficients.write_text(COEFFICIENTS.replace("1.3e-4", "9e-3"))
+    assert load_config(scene).config_hash != first
+    coefficients.write_text(COEFFICIENTS)
+    assert load_config(scene).config_hash == first
+    layouts = [load_config(write_ini(tmp_path, f"[layout]\nradius_m = {r}\n")).build_layout()
+               for r in (1000, 1500)]
+    sites = tmp_path / "sites.csv"
+    scene = write_ini(tmp_path, f"[layout]\nsites_csv = {sites}\n")
+    write_layout_csv(layouts[0], sites)
+    first = load_config(scene).config_hash
+    write_layout_csv(layouts[1], sites)
+    assert load_config(scene).config_hash != first
+    write_layout_csv(layouts[0], sites)
+    assert load_config(scene).config_hash == first
 
 
 def test_strict_sections_and_keys(tmp_path):

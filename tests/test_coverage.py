@@ -239,6 +239,14 @@ def test_uplink_outage_is_strict():
     assert pmf.outage(8.0 * (1 + 1e-12)) > at_atom   # atom counts only above it
 
 
+def test_uplink_pmf_outage_rejects_nan():
+    # atoms at 2 (LoS, 0.5) and at 1 (LoS 0.25, terminal 0.25)
+    pmf = uplink_snr_pmf(link_table([(0, 0, 2.0, 1.0, 0.5), (1, 0, 1.0, 0.5, 0.5)]), 1.0)
+    assert [pmf.outage(t) for t in (1.5, 0.0, -1.0)] == [0.5, 0.0, 0.0]
+    with pytest.raises(ValueError, match="must not be NaN"):
+        pmf.outage(math.nan)
+
+
 def test_uplink_truncation_outage_bound():
     rng = np.random.default_rng(97)
     for _ in range(30):
@@ -291,6 +299,10 @@ def test_block_read_validation():
         block_read(link_table(MICRO_ROWS), 1.0, [1.0], 1.0)
     with pytest.raises(ValueError, match="empty"):
         uplink_outage(*(np.empty((2, 0)) for _ in range(3)), 1.0, [1.0])
+    # thresholds at or below 0 read outage 0 exactly; NaN reads nothing
+    assert uplink_outage(c_los, c_nlos, p_los, 1.0, [0.0, -1.0]).tolist() == [[0.0, 0.0]]
+    with pytest.raises(ValueError, match="must not be NaN"):
+        uplink_outage(c_los, c_nlos, p_los, 1.0, [1.5, math.nan])
 
 
 def micro_gains():
@@ -1089,10 +1101,10 @@ def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
     # reads its block's columns and counts a position at the block read,
     # the downlink a table and a law per position
     laws = 3 if link is LinkDirection.UPLINK else 24
-    tables = "build_link_columns" if link is LinkDirection.UPLINK else "build_link_tables"
+    tables = "build_link_columns" if link is LinkDirection.UPLINK else "build_link_table"
     positions = {
         "build_link_columns": lambda columns: len(columns[0]),
-        "build_link_tables": len,
+        "build_link_table": lambda table: 1,
         "uplink_outage": len,
         "downlink_snr_cdf": lambda cdf: 1,
     }

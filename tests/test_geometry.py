@@ -144,6 +144,15 @@ def test_invalid_layout_args():
         build_hex_layout(D, 1000.0, 5)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 1000.0, 3), "^inter_site_distance_m must be positive, got nan"),
+    ((D, math.nan, 3), "^radius_m must be non-negative, got nan"),
+])
+def test_layout_rejects_nan(args, message):
+    with pytest.raises(ValueError, match=message):
+        build_hex_layout(*args)
+
+
 def test_elevation_angle():
     # sites at the origin and 100 m east, seen from straight above the origin
     _, _, theta = link_geometry([(0.0, 0.0, 120.0)], [0.0, 100.0], [0.0, 0.0], 20.0)

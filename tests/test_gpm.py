@@ -571,31 +571,39 @@ def test_fold_negative_controls(monkeypatch):
     n = gpm._next_pow2(total_top + 1)
     assert total_top + 1 < n - 1
     check_fold(spec)
-    fold = gpm._fold_rows
+    invert = gpm.lattice_invert
+    shapes = []
+
+    def counted(rows):
+        shapes.append(rows.shape)
+        return invert(rows)
+
+    monkeypatch.setattr(gpm, "lattice_invert", counted)
+    check_fold(spec)
+    assert shapes == [(1, 3, n)]
     # without the padded last group the law misses a row
-    monkeypatch.setattr(gpm, "_fold_rows", lambda *args: (rows[:, :-1] for rows in fold(*args)))
+    monkeypatch.setattr(gpm, "lattice_invert", lambda rows: invert(rows[:, :-1]))
     with pytest.raises(AssertionError):
         check_fold(spec)
 
     # one group's row offset one point too far carries the sum past its top
-    def shift_first_group(*args):
-        for rows in fold(*args):
-            rows[0, 0] = np.roll(rows[0, 0], 1)
-            yield rows
+    def shift_first_group(rows):
+        rows[0, 0] = np.roll(rows[0, 0], 1)
+        return invert(rows)
 
-    monkeypatch.setattr(gpm, "_fold_rows", shift_first_group)
+    monkeypatch.setattr(gpm, "lattice_invert", shift_first_group)
     with pytest.raises(ValueError, match="pmf sums to"):
         check_fold(spec)
-    monkeypatch.undo()
-    # folded rows on a lattice one point too short still alias
-    lattice = (spec.values - spec.values.min(axis=1, keepdims=True)).astype(np.intp)[None]
-    # the 9 live rows in groups of 4, the order padded to 12 with row 0
-    order = np.array([[*range(9), 0, 0, 0]])
-    (rows,) = fold(lattice, spec.probs[None], order, 4, np.array([9]), [total_top])
-    assert rows.shape == (1, 3, total_top)
+    # folded rows on a lattice one point too short still alias; on the
+    # shortest lattice that holds the summed top they do not
+    monkeypatch.setattr(gpm, "lattice_invert", counted)
+    monkeypatch.setattr(gpm, "_next_pow2", lambda length: length - 1)
+    shapes.clear()
     with pytest.raises(ValueError, match="aliasing"):
-        lattice_invert(rows)
-    lattice_invert(*fold(lattice, spec.probs[None], order, 4, np.array([9]), [total_top + 1]))
+        check_fold(spec)
+    assert shapes == [(1, 3, total_top)]
+    monkeypatch.setattr(gpm, "_next_pow2", lambda length: length)
+    check_fold(spec)
 
 
 def test_la_cdf_of_rows_all_rounded_to_zero():

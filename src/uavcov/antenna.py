@@ -50,15 +50,15 @@ class UlaPattern:
     element_peak_gain: float
 
     def __post_init__(self) -> None:
-        if not self.element_count >= 1:
+        if not 1 <= self.element_count < math.inf:
             raise ValueError(f"element_count must be >= 1, got {self.element_count}")
-        if not self.element_spacing_wl > 0:
+        if not 0 < self.element_spacing_wl < math.inf:
             raise ValueError(
                 f"element_spacing_wl must be positive, got {self.element_spacing_wl}"
             )
         if not -90.0 < self.downtilt_deg < 90.0:
             raise ValueError(f"downtilt_deg must lie in (-90, 90), got {self.downtilt_deg}")
-        if not self.element_peak_gain > 0:
+        if not 0 < self.element_peak_gain < math.inf:
             raise ValueError(f"element_peak_gain must be positive, got {self.element_peak_gain}")
 
     def __call__(self, theta_deg) -> np.ndarray:
@@ -92,9 +92,9 @@ class UavAntenna:
             raise ValueError(
                 f"half_beamwidth_deg must lie in (0, 90] degrees, got {self.half_beamwidth_deg}"
             )
-        if not self.mainlobe_constant > 0:
+        if not 0 < self.mainlobe_constant < math.inf:
             raise ValueError(f"mainlobe_constant must be positive, got {self.mainlobe_constant}")
-        if not self.backlobe_gain >= 0:
+        if not 0 <= self.backlobe_gain < math.inf:
             raise ValueError(f"backlobe_gain must be non-negative, got {self.backlobe_gain}")
 
     @property

@@ -39,7 +39,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 def free_space_gain(carrier_hz: float) -> float:
     """Free-space power gain at 1 m, (lambda / 4 pi)^2."""
-    if not carrier_hz > 0:
+    if not 0 < carrier_hz < math.inf:
         raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
     wavelength = SPEED_OF_LIGHT / carrier_hz
     return (wavelength / (4.0 * math.pi)) ** 2
@@ -51,7 +51,8 @@ class ParametricAirGroundModel:
 
     ``ref_gain_*`` are the linear power gains at 1 m; the constructor
     enforces alpha_nlos >= alpha_los > 0 and ref_gain_nlos < ref_gain_los
-    so the LoS gain strictly dominates at every distance >= 1 m.
+    so the LoS gain strictly dominates at every distance >= 1 m, and
+    refuses every parameter that is not finite.
     """
 
     alpha_los: float
@@ -63,17 +64,17 @@ class ParametricAirGroundModel:
     los_midpoint_deg: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_los <= self.alpha_nlos:
+        if not 0.0 < self.alpha_los <= self.alpha_nlos < math.inf:
             raise ValueError(
                 "pathloss exponents must satisfy 0 < alpha_los <= alpha_nlos, got "
                 f"{self.alpha_los}, {self.alpha_nlos}"
             )
-        if not 0.0 < self.ref_gain_nlos < self.ref_gain_los:
+        if not 0.0 < self.ref_gain_nlos < self.ref_gain_los < math.inf:
             raise ValueError(
                 "reference gains must satisfy 0 < ref_gain_nlos < ref_gain_los, got "
                 f"{self.ref_gain_nlos}, {self.ref_gain_los}"
             )
-        if not (self.los_a > 0 and self.los_b_per_deg > 0):
+        if not (0 < self.los_a < math.inf and 0 < self.los_b_per_deg < math.inf):
             raise ValueError(
                 f"logistic parameters must be positive, got a={self.los_a}, b={self.los_b_per_deg}"
             )

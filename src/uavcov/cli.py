@@ -5,6 +5,14 @@ interference-cdf, validate.  Every CSV starts with a comment line
 recording the config hash so outputs can be traced back to the exact
 parameter set that produced them.
 
+``main`` decides each form's optional flags.  Giving a flag the form
+does not read is a usage error.  A flag it reads but is not given takes
+its default from ``FLAG_DEFAULTS`` (``--event``, ``--samples`` and the
+threshold sweep's flags), or from ``VALIDATE_MODES`` for a validate
+mode's ``--tolerance``.  ``--seed`` has no default and must be >= 0: a
+form that reads it requires it, and a missing seed fails before the
+config is read.
+
 Exit codes: 0 success, 1 validation/runtime failure, 2 config or usage
 error.
 """
@@ -13,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -50,24 +59,18 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-# The flags each validate mode reads besides --mode; giving it another is
-# a usage error.
-VALIDATE_FLAGS = {
-    "la-vs-enum": ("event", "tolerance"),
-    "la-vs-mc": ("event", "samples", "seed", "tolerance"),
-    "ga-vs-enum": ("event",),
-    "uplink-vs-bruteforce": ("tolerance",),
-    "downlink-vs-joint-enum": ("tolerance",),
+# Each validate mode: the flags it reads besides --mode (giving it another
+# is a usage error) and its default tolerance.
+VALIDATE_MODES = {
+    "la-vs-enum": (("event", "tolerance"), 0.01),
+    "la-vs-mc": (("event", "samples", "seed", "tolerance"), 0.005),
+    "ga-vs-enum": (("event",), None),
+    "uplink-vs-bruteforce": (("tolerance",), 1e-12),
+    "downlink-vs-joint-enum": (("tolerance",), 0.01),
 }
-DEFAULT_TOLERANCE = {
-    "la-vs-enum": 0.01,
-    "la-vs-mc": 0.005,
-    "uplink-vs-bruteforce": 1e-12,
-    "downlink-vs-joint-enum": 0.01,
-}
-DEFAULT_SAMPLES = 1_000_000
-# coverage-curve --sweep threshold: --min-db, --max-db and --points
-DEFAULT_THRESHOLD_SWEEP = (0.0, 20.0, 10)
+# The default of each flag that some form does not read, so its parser
+# default is None; --min-db, --max-db and --points are the threshold sweep's.
+FLAG_DEFAULTS = {"event": 0, "samples": 1_000_000, "min_db": 0.0, "max_db": 20.0, "points": 10}
 
 
 def _fmt(value) -> str:
@@ -114,14 +117,13 @@ def _altitude(cfg: ScenarioConfig, args) -> float:
     return args.altitude
 
 
-def _map_command(cfg: ScenarioConfig, args, link: LinkDirection) -> int:
+def cmd_map(link: LinkDirection, cfg: ScenarioConfig, args) -> int:
     threshold = cfg.uplink_threshold if link is LinkDirection.UPLINK else cfg.downlink_threshold
     altitude = _altitude(cfg, args)
     result = coverage_at_altitude(
         cfg, link, altitude=altitude, thresholds=(threshold,), workers=args.workers
     )
-    name = "uplink_map.csv" if link is LinkDirection.UPLINK else "downlink_map.csv"
-    path = _out_path(args, name)
+    path = _out_path(args, f"{link.value}_map.csv")
     rows = [
         (float(x), float(y), float(p))
         for (x, y), p in zip(result.points, result.non_outage[0])
@@ -130,14 +132,6 @@ def _map_command(cfg: ScenarioConfig, args, link: LinkDirection) -> int:
     print(f"wrote {path}: {len(rows)} points at H_u={_fmt(float(altitude))} m, "
           f"coverage={_fmt(float(result.coverage[0]))}")
     return EXIT_OK
-
-
-def cmd_uplink_map(cfg: ScenarioConfig, args) -> int:
-    return _map_command(cfg, args, LinkDirection.UPLINK)
-
-
-def cmd_downlink_map(cfg: ScenarioConfig, args) -> int:
-    return _map_command(cfg, args, LinkDirection.DOWNLINK)
 
 
 def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
@@ -157,11 +151,7 @@ def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
         return EXIT_OK
 
     altitude = _altitude(cfg, args)
-    min_db, max_db, points = (
-        default if flag is None else flag
-        for flag, default in zip((args.min_db, args.max_db, args.points), DEFAULT_THRESHOLD_SWEEP)
-    )
-    thresholds_db = np.linspace(min_db, max_db, points).tolist()
+    thresholds_db = np.linspace(args.min_db, args.max_db, args.points).tolist()
     result = coverage_at_altitude(
         cfg, link, altitude=altitude, thresholds=tuple(map(db_to_linear, thresholds_db)),
         workers=args.workers,
@@ -202,6 +192,18 @@ def _method_names(text: str) -> list[str]:
     return [m.strip() for m in text.split(",") if m.strip()]
 
 
+def _law(method: str, spec, cfg: ScenarioConfig, args):
+    """The law of the spec's sum by one method: the lattice (la), exhaustive
+    enumeration (enum), seeded Monte Carlo (mc) or the Gaussian baseline (ga)."""
+    if method == "la":
+        return la_cdf(spec, cfg.lattice_target_c0)[1]
+    if method == "enum":
+        return enumerate_cdf(spec)
+    if method == "mc":
+        return mc_cdf(spec, args.samples, args.seed)
+    return gaussian_cdf(spec)
+
+
 def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
     methods = _method_names(args.methods)
     known = ("la", "enum", "mc", "ga")
@@ -210,27 +212,21 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
     for m in methods:
         if m not in known:
             raise ConfigError(f"unknown method {m!r}; choose from {known}")
-    if "mc" in methods and args.seed is None:
-        raise ConfigError("--seed is required for the mc method")
 
     event, spec = _conditioned_spec(cfg, args.event)
     print(f"event {args.event}: serving GBS {event.serving_id} ({event.state.name}), "
           f"P={_fmt(event.probability)}, {len(spec)} co-channel GBSs, "
           f"interference mean={_fmt(spec.mean())}")
 
-    _, la = la_cdf(spec, cfg.lattice_target_c0)
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    la = _law("la", spec, cfg, args)
     # every law is computed before any file is written, so a method that
-    # fails leaves no partial output
+    # fails leaves no partial output; the Gaussian law is read at the
+    # lattice law's atoms
     laws = {}
     for method in methods:
-        if method == "ga":
-            ga = gaussian_cdf(spec)
-            laws[method] = [(float(x), float(ga(x))) for x in la.xs]
-        else:
-            cdf = (la if method == "la" else enumerate_cdf(spec) if method == "enum"
-                   else mc_cdf(spec, samples, args.seed))
-            laws[method] = zip(cdf.xs, cdf.cum)
+        law = la if method == "la" else _law(method, spec, cfg, args)
+        laws[method] = ([(float(x), float(law(x))) for x in la.xs] if method == "ga"
+                        else zip(law.xs, law.cum))
     for method, rows in laws.items():
         path = _out_path(args, f"interference_cdf_{method}.csv")
         _write_csv(path, ("x", "cdf"), rows, cfg)
@@ -239,11 +235,7 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_validate(cfg: ScenarioConfig, args) -> int:
-    mode = args.mode
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = DEFAULT_TOLERANCE.get(mode)
-
+    mode, tolerance = args.mode, args.tolerance
     if mode == "uplink-vs-bruteforce":
         table = _configured_table(cfg)
         pmf = uplink_snr_pmf(table, cfg.beta0)
@@ -288,53 +280,47 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
               f"plain Kolmogorov distance={kolmogorov_distance(oracle, approx):.3e}")
         return EXIT_OK if ok else EXIT_FAIL
 
-    # The remaining modes compare interference-cdf approximations on the
-    # spec conditioned on one association event at the configured position.
-    event_index = 0 if args.event is None else args.event
-    event, spec = _conditioned_spec(cfg, event_index)
-    print(f"conditioning on event {event_index}: serving GBS {event.serving_id}, "
+    # The remaining modes compare sum laws on the spec conditioned on one
+    # association event at the configured position: the lattice law
+    # against the oracle the mode names, and in ga-vs-enum also the
+    # Gaussian baseline, expected to be the weaker approximation.
+    event, spec = _conditioned_spec(cfg, args.event)
+    print(f"conditioning on event {args.event}: serving GBS {event.serving_id}, "
           f"{len(spec)} co-channel GBSs")
-    _, la = la_cdf(spec, cfg.lattice_target_c0)
+    la = _law("la", spec, cfg, args)
     # The lattice moves each atom by at most M / (2 beta) and promises no
     # more, so the oracle is held to the lattice cdf moved that far either
     # way (widened by 1e-9 relative for float noise); the plain sup distance
     # reads the mass of any displaced atom and is printed for information.
     s = displacement_bound(spec, cfg.lattice_target_c0) * (1.0 + 1e-9)
     lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
-
-    if mode in ("la-vs-enum", "la-vs-mc"):
-        if mode == "la-vs-enum":
-            oracle, run = enumerate_cdf(spec), ""
-        elif args.seed is None:
-            raise ConfigError("--seed is required for la-vs-mc")
-        else:
-            samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-            oracle = mc_cdf(spec, samples, args.seed)
-            run = f" (n={samples}, seed={args.seed})"
-        dist = envelope_excess(oracle, lo, hi)
+    oracle = _law(mode.partition("-vs-")[2], spec, cfg, args)
+    dist = envelope_excess(oracle, lo, hi)
+    plain = kolmogorov_distance(oracle, la)
+    if mode == "ga-vs-enum":
+        ga_dist = kolmogorov_distance(oracle, _law("ga", spec, cfg, args))
+        ok = dist < ga_dist
+        print(f"{'PASS' if ok else 'FAIL'} ga-vs-enum: LA distance beyond the M/(2 beta) "
+              f"displacement={dist:.3e} < GA distance={ga_dist:.3e} is the pass rule; "
+              f"plain LA Kolmogorov distance={plain:.3e}")
+    else:
+        run = f" (n={args.samples}, seed={args.seed})" if mode == "la-vs-mc" else ""
         ok = dist <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} {mode}: distance beyond the M/(2 beta) "
               f"displacement={dist:.3e} tolerance={tolerance:.3e}{run}; "
-              f"plain Kolmogorov distance={kolmogorov_distance(oracle, la):.3e}")
-        return EXIT_OK if ok else EXIT_FAIL
-
-    # ga-vs-enum: the Gaussian baseline is expected to be the weaker
-    # approximation; the lattice law is measured as in la-vs-enum.
-    oracle = enumerate_cdf(spec)
-    ga_dist = kolmogorov_distance(oracle, gaussian_cdf(spec))
-    la_dist = envelope_excess(oracle, lo, hi)
-    ok = la_dist < ga_dist
-    print(f"{'PASS' if ok else 'FAIL'} ga-vs-enum: LA distance beyond the M/(2 beta) "
-          f"displacement={la_dist:.3e} < GA distance={ga_dist:.3e} is the pass rule; "
-          f"plain LA Kolmogorov distance={kolmogorov_distance(oracle, la):.3e}")
+              f"plain Kolmogorov distance={plain:.3e}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, low: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    return _positive_int(text, 0)
 
 
 def _finite_float(text: str) -> float:
@@ -377,49 +363,46 @@ def build_parser() -> argparse.ArgumentParser:
                       help="parallel worker processes, at most one per block of "
                            "positions; a pool starts only when the CPU time of "
                            "the first position predicts that it pays")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (required for MC)")
+    # interference-cdf and validate: the association event and the MC run
+    sums = argparse.ArgumentParser(add_help=False)
+    sums.add_argument("--event", type=int, default=None,
+                      help=f"association event index (default {FLAG_DEFAULTS['event']})")
+    sums.add_argument("--samples", type=_positive_int, default=None,
+                      help=f"MC sample count (default {FLAG_DEFAULTS['samples']})")
+    sums.add_argument("--seed", type=_seed, default=None, help="RNG seed (required for MC)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("layout", parents=[common], help="emit the site/band layout CSV")
     p.set_defaults(func=cmd_layout)
 
-    for name, func in (("uplink-map", cmd_uplink_map), ("downlink-map", cmd_downlink_map)):
-        p = sub.add_parser(name, parents=[common, pool],
-                           help=f"{name.split('-')[0]} non-outage raster")
+    for link in LinkDirection:
+        p = sub.add_parser(f"{link.value}-map", parents=[common, pool],
+                           help=f"{link.value} non-outage raster")
         p.add_argument("--altitude", type=_finite_float, default=None, help="UAV altitude in m")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(cmd_map, link))
 
     p = sub.add_parser("coverage-curve", parents=[common, pool],
                        help="coverage vs altitude or threshold")
     p.add_argument("--link", choices=("uplink", "downlink"), default="uplink")
     p.add_argument("--sweep", choices=("altitude", "threshold"), default="altitude")
-    min_db, max_db, points = DEFAULT_THRESHOLD_SWEEP
     p.add_argument("--altitude", type=_finite_float, default=None,
                    help="altitude for threshold sweeps (default [uav] altitude_m)")
     p.add_argument("--min-db", type=_decibels, default=None,
-                   help=f"threshold sweep start (dB, default {min_db:g})")
+                   help=f"threshold sweep start (dB, default {FLAG_DEFAULTS['min_db']:g})")
     p.add_argument("--max-db", type=_decibels, default=None,
-                   help=f"threshold sweep end (dB, default {max_db:g})")
+                   help=f"threshold sweep end (dB, default {FLAG_DEFAULTS['max_db']:g})")
     p.add_argument("--points", type=_positive_int, default=None,
-                   help=f"threshold sweep length (default {points})")
+                   help=f"threshold sweep length (default {FLAG_DEFAULTS['points']})")
     p.set_defaults(func=cmd_coverage_curve)
 
-    p = sub.add_parser("interference-cdf", parents=[common, seeded],
+    p = sub.add_parser("interference-cdf", parents=[common, sums],
                        help="conditional interference cdf at the configured UAV position")
-    p.add_argument("--event", type=int, default=0, help="association event index")
     p.add_argument("--methods", default="la", help="comma list from la,enum,mc,ga")
-    p.add_argument("--samples", type=_positive_int, default=None,
-                   help=f"MC sample count (default {DEFAULT_SAMPLES})")
     p.set_defaults(func=cmd_interference_cdf)
 
-    p = sub.add_parser("validate", parents=[common, seeded], help="cross-check against oracles")
-    p.add_argument("--mode", choices=VALIDATE_FLAGS, required=True)
-    p.add_argument("--event", type=int, default=None,
-                   help="association event index (default 0)")
-    p.add_argument("--samples", type=_positive_int, default=None,
-                   help=f"MC sample count (default {DEFAULT_SAMPLES})")
+    p = sub.add_parser("validate", parents=[common, sums], help="cross-check against oracles")
+    p.add_argument("--mode", choices=VALIDATE_MODES, required=True)
     p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="pass/fail bound (mode-specific default)")
     p.set_defaults(func=cmd_validate)
@@ -433,9 +416,11 @@ def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
     if args.command == "validate":
         return f"validate --mode {args.mode}", tuple(
             flag for flag in ("event", "samples", "seed", "tolerance")
-            if flag not in VALIDATE_FLAGS[args.mode]
+            if flag not in VALIDATE_MODES[args.mode][0]
         )
-    if args.command == "interference-cdf" and "mc" not in _method_names(args.methods):
+    if args.command == "interference-cdf":
+        if "mc" in _method_names(args.methods):
+            return "interference-cdf with the mc method", ()
         return "interference-cdf without the mc method", ("samples", "seed")
     if args.command == "coverage-curve" and args.sweep == "altitude":
         return "coverage-curve --sweep altitude", ("altitude", "min_db", "max_db", "points")
@@ -445,12 +430,20 @@ def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # an optional flag the command does not read is a usage error
-    what, flags = _unread_flags(args)
-    unread = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is not None]
-    if unread:
-        parser.error(f"{what} does not read {', '.join(unread)}")
+    # an optional flag the form does not read is a usage error; one it
+    # reads and is not given takes its default, but --seed has none
+    what, unread = _unread_flags(args)
+    given = [f"--{flag.replace('_', '-')}" for flag in unread if getattr(args, flag) is not None]
+    if given:
+        parser.error(f"{what} does not read {', '.join(given)}")
+    if args.command == "validate" and args.tolerance is None:
+        args.tolerance = VALIDATE_MODES[args.mode][1]
+    for flag, default in FLAG_DEFAULTS.items():
+        if getattr(args, flag, None) is None:
+            setattr(args, flag, default)
     try:
+        if hasattr(args, "seed") and args.seed is None and "seed" not in unread:
+            raise ConfigError(f"--seed is required for {what}")
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

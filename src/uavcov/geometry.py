@@ -76,9 +76,9 @@ def build_hex_layout(
     Bands number the cosets of the co-channel sublattice in the order of
     their labels, so band 0 is the band of the origin site.
     """
-    if not inter_site_distance_m > 0:
+    if not 0 < inter_site_distance_m < math.inf:
         raise ValueError(f"inter_site_distance_m must be positive, got {inter_site_distance_m}")
-    if not radius_m >= 0:
+    if not 0 <= radius_m < math.inf:
         raise ValueError(f"radius_m must be non-negative, got {radius_m}")
     if reuse_factor not in _REUSE_GENERATOR:
         raise ValueError(

@@ -108,9 +108,11 @@ def test_angle_domain():
 
 @pytest.mark.parametrize("field", ["element_count", "element_spacing_wl", "element_peak_gain"])
 def test_pattern_rejects_nan(field):
-    # NaN fails every comparison, so each check must be one that NaN fails
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        replace(PATTERN, **{field: math.nan})
+    # NaN fails every comparison, so each check must be one that NaN fails;
+    # infinity gives NaN or infinite gains, so it fails too
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^{field} must.*, got {value}$"):
+            replace(PATTERN, **{field: value})
 
 
 def test_frozen_gain_values():
@@ -166,5 +168,6 @@ def test_uav_cone_validation():
 
 @pytest.mark.parametrize("field", ["mainlobe_constant", "backlobe_gain"])
 def test_uav_cone_rejects_nan(field):
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        replace(UAV, **{field: math.nan})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^{field} must.*, got {value}$"):
+            replace(UAV, **{field: value})

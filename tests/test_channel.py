@@ -79,15 +79,19 @@ def test_model_validation():
     ("los_a", "logistic parameters must be positive"),
     ("los_b_per_deg", "logistic parameters must be positive"),
     ("los_midpoint_deg", "logistic midpoint must be finite"),
+    ("alpha_nlos", "pathloss exponents must satisfy"),
+    ("ref_gain_los", "reference gains must satisfy"),
 ])
 def test_model_rejects_nan(field, message):
-    with pytest.raises(ValueError, match=message):
-        replace(CHANNEL, **{field: math.nan})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=message):
+            replace(CHANNEL, **{field: value})
 
 
 def test_free_space_gain_rejects_nan():
-    with pytest.raises(ValueError, match="carrier frequency must be positive, got nan"):
-        free_space_gain(math.nan)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"carrier frequency must be positive, got {value}"):
+            free_space_gain(value)
 
 
 def test_evaluate_rejects_tiny_distance():

@@ -236,6 +236,8 @@ def test_bad_input_file_exits_2(tmp_path, capsys, which, body, named):
     ["uplink-map", "--altitude", "nan"],
     ["validate", "--mode", "la-vs-mc", "--seed", "1", "--tolerance", "nan"],
     ["validate", "--mode", "la-vs-enum", "--tolerance", "-0.01"],
+    ["interference-cdf", "--methods", "mc", "--seed", "-1"],
+    ["validate", "--mode", "la-vs-mc", "--seed", "-1"],
 ])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
     # the offending option and its value close every argv above
@@ -243,7 +245,7 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
     want = "must be >= 1" if argv[-2] in ("--workers", "--points", "--samples") \
-        else "must be a finite number"
+        else "must be >= 0" if argv[-2] == "--seed" else "must be a finite number"
     assert f"argument {argv[-2]}: {want}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
@@ -535,6 +537,23 @@ def test_validate_mc_requires_seed(tmp_path, capsys):
     assert main(["validate", "--config", cfg_path, "--mode", "la-vs-mc",
                  "--samples", "1000"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_missing_seed_fails_before_the_config_is_read(tmp_path, capsys, monkeypatch):
+    # the forms that read --seed require it: exit 2 before the config is
+    # read, so an unreadable config is not reported and no link table built
+    built = []
+    monkeypatch.setattr("uavcov.cli.build_link_table", lambda *args: built.append(args))
+    missing = str(tmp_path / "missing.ini")
+    for argv, form in ((["interference-cdf", "--methods", "la,mc"],
+                        "interference-cdf with the mc method"),
+                       (["validate", "--mode", "la-vs-mc", "--samples", "1000"],
+                        "validate --mode la-vs-mc")):
+        for config in ([], ["--config", missing]):
+            assert main(argv + config + ["--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"config error: --seed is required for {form}\n"
+    assert built == []
+    assert not list(tmp_path.iterdir())
 
 
 def test_validate_downlink_joint_enum_runs(tmp_path, capsys, monkeypatch):

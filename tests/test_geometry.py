@@ -151,6 +151,9 @@ def test_invalid_layout_args():
 def test_layout_rejects_nan(args, message):
     with pytest.raises(ValueError, match=message):
         build_hex_layout(*args)
+    # an infinite value in the same place fails with the same message
+    with pytest.raises(ValueError, match=message.replace("nan", "inf")):
+        build_hex_layout(*(math.inf if math.isnan(a) else a for a in args))
 
 
 def test_elevation_angle():

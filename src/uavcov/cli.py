@@ -13,6 +13,11 @@ mode's ``--tolerance``.  ``--seed`` has no default and must be >= 0: a
 form that reads it requires it, and a missing seed fails before the
 config is read.
 
+The parser is built once per process, on the first ``main`` call, and
+shared by every later call, so nothing may mutate it: ``main`` writes
+resolved defaults onto the parsed ``args`` namespace, never onto the
+parser.
+
 Exit codes: 0 success, 1 validation/runtime failure, 2 config or usage
 error.
 """
@@ -350,7 +355,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``uavcov`` argument parser, built on the first call and returned
+    to every later one; callers must not mutate it (no ``set_defaults``,
+    no added arguments), since every ``main`` call in the process shares it."""
     parser = argparse.ArgumentParser(
         prog="uavcov",
         description="Coverage analysis for cellular-connected UAVs",

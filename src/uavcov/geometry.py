@@ -104,9 +104,11 @@ def build_hex_layout(
     # share a band iff their labels match
     i, j = _REUSE_GENERATOR[reuse_factor]
     f = reuse_factor
-    keys = np.column_stack((((i + j) * a + j * b) % f, (-j * a + i * b) % f))
+    # one integer per label pair (l0, l1), l0 * f + l1: as 0 <= l1 < f it
+    # sorts as the pairs do
+    keys = ((i + j) * a + j * b) % f * f + (-j * a + i * b) % f
     # the inverse's shape differs between numpy 2.x releases
-    _, band = np.unique(keys, axis=0, return_inverse=True)
+    _, band = np.unique(keys, return_inverse=True)
     return NetworkLayout(x[order], y[order], band.reshape(-1))
 
 
@@ -188,13 +190,13 @@ def _triangle_grid(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, res: int) -> 
     """
     u = (v1 - v0) / res
     w = (v2 - v0) / res
-    pts = []
-    for i in range(res):
-        for j in range(res - i):
-            pts.append(v0 + (i + 1.0 / 3.0) * u + (j + 1.0 / 3.0) * w)
-            if i + j <= res - 2:
-                pts.append(v0 + (i + 2.0 / 3.0) * u + (j + 2.0 / 3.0) * w)
-    return np.array(pts)
+    # subtriangle (i, j, k): cell (i, j), i-major, its up-triangle (k = 0)
+    # before its down-triangle (k = 1); it exists when i + j + k < res
+    i, rest = np.divmod(np.arange(2 * res * res), 2 * res)
+    j, k = np.divmod(rest, 2)
+    kept = i + j + k < res
+    third = (k[kept] + 1) / 3.0
+    return v0 + (i[kept] + third)[:, None] * u + (j[kept] + third)[:, None] * w
 
 
 def sample_region(region: SamplingRegion, inter_site_distance: float) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import counted_mixture_builds
 from uavcov import coverage
-from uavcov.cli import main
+from uavcov.cli import build_parser, main
 from uavcov.config import load_config
 from uavcov.coverage import LinkDirection, coverage_at_altitude
 
@@ -530,6 +530,51 @@ def test_validate_la_vs_enum_passes_on_37_sites(tmp_path, capsys):
     assert main(["validate", "--config", cfg_path, "--mode", "la-vs-enum"]) == 0
     out = capsys.readouterr().out
     assert "11 co-channel GBSs" in out and "PASS la-vs-enum" in out
+
+
+def test_shared_parser_is_not_mutated_across_calls(tmp_path, capsys):
+    # every main call in a process parses with one parser, so a flag given
+    # or a default resolved in one call must not reach the next
+    assert build_parser() is build_parser()
+    forms = (["layout"], ["downlink-map"], ["coverage-curve"], ["interference-cdf"],
+             ["validate", "--mode", "la-vs-enum"])
+    parsed = [vars(build_parser().parse_args(form)) for form in forms]
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 1500\n[sampling]\nresolution = 1\n"
+                                   "altitude_points = 3\n")
+    validate = ["validate", "--config", cfg_path, "--out", str(tmp_path), "--mode", "la-vs-enum"]
+
+    def tolerance(flags):
+        assert main(validate + flags) == 0
+        return re.search(r"tolerance=(\S+);", capsys.readouterr().out).group(1)
+
+    def curve(out, flags):
+        return main(["coverage-curve", "--config", cfg_path, "--out", str(tmp_path / out)]
+                    + flags)
+
+    def calls():
+        assert tolerance([]) == "1.000e-02"
+        assert tolerance(["--tolerance", "0.5"]) == "5.000e-01"
+        assert tolerance([]) == "1.000e-02"
+        with pytest.raises(SystemExit) as exc:
+            curve("bad", ["--sweep", "altitude", "--points", "3"])
+        assert exc.value.code == 2
+        assert curve("threshold", ["--link", "downlink", "--sweep", "threshold"]) == 0
+        _, threshold = read_rows(tmp_path / "threshold" / "coverage_curve.csv")
+        assert len(threshold) == 10
+        # the threshold sweep's resolved --points must not reach this form
+        assert curve("altitude", ["--sweep", "altitude"]) == 0
+        _, altitude = read_rows(tmp_path / "altitude" / "coverage_curve.csv")
+        capsys.readouterr()
+        return threshold, altitude
+
+    first = calls()
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert "usage: uavcov validate" in capsys.readouterr().out
+    assert calls() == first
+    assert not (tmp_path / "bad").exists()
+    assert [vars(build_parser().parse_args(form)) for form in forms] == parsed
 
 
 def test_validate_mc_requires_seed(tmp_path, capsys):

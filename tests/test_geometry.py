@@ -5,7 +5,10 @@ are counted by scanning a generous axial bounding box with plain
 Euclidean distance checks, and band structure is verified through
 pairwise distances rather than the coset arithmetic used internally.
 ``loop_layout`` is the exception: a site-by-site construction that the
-array code must match exactly, order, coordinates and bands.
+array code must match exactly, order, coordinates and bands.  So are
+``label_pair_bands``, the bands numbered by ``np.unique`` over the
+coset label pairs, and ``loop_triangle_grid``, the region's centroids
+cell by cell: the array code must match them bit for bit.
 """
 
 import math
@@ -13,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from uavcov import geometry
 from uavcov.geometry import (
     RegionKind,
     SamplingRegion,
@@ -134,6 +138,29 @@ def test_layout_matches_site_by_site_reference(reuse):
             assert layout.band.tolist() == band
 
 
+def label_pair_bands(layout, d, reuse):
+    """Bands numbered by np.unique over the (label0, label1) coset label
+    pairs, with each site's axial (a, b) recovered from its coordinates."""
+    i, j = {1: (1, 0), 3: (1, 1), 4: (2, 0), 7: (2, 1)}[reuse]
+    b = np.rint(layout.y / (0.5 * math.sqrt(3.0) * d)).astype(int)
+    a = np.rint(layout.x / d - 0.5 * b).astype(int)
+    keys = np.column_stack((((i + j) * a + j * b) % reuse, (-j * a + i * b) % reuse))
+    _, band = np.unique(keys, axis=0, return_inverse=True)
+    return band.reshape(-1)
+
+
+@pytest.mark.parametrize("reuse", [1, 3, 4, 7])
+def test_bands_match_the_label_pair_numbering(reuse, tmp_path):
+    for radius in (0.0, 499.0, 1500.0, 5000.0, 10000.0):
+        layout = build_hex_layout(D, radius, reuse)
+        pairs = label_pair_bands(layout, D, reuse)
+        assert layout.band.tolist() == pairs.tolist()
+        assert layout.band[0] == 0
+        write_layout_csv(layout, tmp_path / "layout.csv")
+        write_layout_csv(NetworkLayout(layout.x, layout.y, pairs), tmp_path / "pairs.csv")
+        assert (tmp_path / "layout.csv").read_bytes() == (tmp_path / "pairs.csv").read_bytes()
+
+
 def test_invalid_layout_args():
     # each message opens with the parameter's [layout] INI key
     with pytest.raises(ValueError, match="^inter_site_distance_m must be positive"):
@@ -221,6 +248,30 @@ def test_cell_is_six_triangles():
     sextants = [((0.0, 0.0), corners[m - 1], corners[m]) for m in range(6)]
     for p in pts:
         assert any(_in_triangle(p, *tri) for tri in sextants)
+
+
+def loop_triangle_grid(v0, v1, v2, res):
+    """Cell-by-cell reference for the subtriangle centroids: i-major, each
+    up-triangle before its down-triangle."""
+    u = (v1 - v0) / res
+    w = (v2 - v0) / res
+    pts = []
+    for i in range(res):
+        for j in range(res - i):
+            pts.append(v0 + (i + 1.0 / 3.0) * u + (j + 1.0 / 3.0) * w)
+            if i + j <= res - 2:
+                pts.append(v0 + (i + 2.0 / 3.0) * u + (j + 2.0 / 3.0) * w)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("kind", list(RegionKind))
+def test_region_points_match_the_cell_by_cell_loop(kind, monkeypatch):
+    regions = [SamplingRegion(kind, res) for res in range(1, 17)]
+    points = [sample_region(region, D) for region in regions]
+    monkeypatch.setattr(geometry, "_triangle_grid", loop_triangle_grid)
+    for region, pts in zip(regions, points):
+        want = sample_region(region, D)
+        assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
 
 
 def test_cell_points_are_rotated_triangle_points():

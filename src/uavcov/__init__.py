@@ -13,7 +13,7 @@ return; everything else is imported from its module (``uavcov.gpm``,
 from .channel import LinkTable, build_link_table
 from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import (
-    AssociationEvent,
+    AssociationEvents,
     CoverageResult,
     DownlinkSnrCdf,
     LinkDirection,
@@ -28,7 +28,7 @@ from .coverage import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociationEvent",
+    "AssociationEvents",
     "ConfigError",
     "CoverageResult",
     "DownlinkSnrCdf",

@@ -6,8 +6,9 @@ recording the config hash so outputs can be traced back to the exact
 parameter set that produced them.
 
 ``main`` decides each form's optional flags.  Giving a flag the form
-does not read is a usage error.  A flag it reads but is not given takes
-its default from ``FLAG_DEFAULTS`` (``--event``, ``--samples`` and the
+does not read is a usage error, reported by the subcommand's own parser
+(its ``parser`` default).  A flag it reads but is not given takes its
+default from ``FLAG_DEFAULTS`` (``--event``, ``--samples`` and the
 threshold sweep's flags), or from ``VALIDATE_MODES`` for a validate
 mode's ``--tolerance``.  ``--seed`` has no default and must be >= 0: a
 form that reads it requires it, and a missing seed fails before the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import math
 import sys
@@ -36,7 +38,6 @@ import numpy as np
 from .channel import build_link_table
 from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import (
-    DownlinkSnrCdf,
     LinkDirection,
     association_pmf,
     conditional_interference_spec,
@@ -176,21 +177,24 @@ def _configured_table(cfg: ScenarioConfig):
 
 
 def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
-    """One association event at the configured UAV position and the
-    interference spec conditioned on it (one row per co-channel GBS)."""
+    """One association event at the configured UAV position, as (serving
+    GBS id, ``LOS`` or ``NLOS_MAX``, probability), and the interference
+    spec conditioned on it (one row per co-channel GBS)."""
     table = _configured_table(cfg)
     events = association_pmf(table, cfg.association_epsilon)
     if not 0 <= event_index < len(events):
         raise ConfigError(
             f"--event {event_index} out of range; {len(events)} association events"
         )
-    event = events[event_index]
-    if event.serving_id is None:
+    serving, forced = events.serving[event_index], events.forced[event_index]
+    if serving < 0:
         raise ConfigError(
             "selected association event has no serving GBS (zero-gain case); "
             "no interference law is defined for it"
         )
-    return event, conditional_interference_spec(event, table, cfg.loading)
+    state = "LOS" if events.los[event_index] else "NLOS_MAX"
+    event = (int(table.gbs_id[serving]), state, float(events.probability[event_index]))
+    return event, conditional_interference_spec(table, cfg.loading, serving, forced)
 
 
 def _method_names(text: str) -> list[str]:
@@ -218,9 +222,9 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
         if m not in known:
             raise ConfigError(f"unknown method {m!r}; choose from {known}")
 
-    event, spec = _conditioned_spec(cfg, args.event)
-    print(f"event {args.event}: serving GBS {event.serving_id} ({event.state.name}), "
-          f"P={_fmt(event.probability)}, {len(spec)} co-channel GBSs, "
+    (gbs, state, probability), spec = _conditioned_spec(cfg, args.event)
+    print(f"event {args.event}: serving GBS {gbs} ({state}), "
+          f"P={_fmt(probability)}, {len(spec)} co-channel GBSs, "
           f"interference mean={_fmt(spec.mean())}")
 
     la = _law("la", spec, cfg, args)
@@ -268,16 +272,16 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
 
     if mode == "downlink-vs-joint-enum":
         # The exact law lies between the mixtures at alpha0 -/+ the largest
-        # term slack (widened by 1e-9 relative for float noise); the plain
+        # event slack (widened by 1e-9 relative for float noise); the plain
         # sup distance reads whole atoms even for an exact mixture.
         table = _configured_table(cfg)
         approx = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, c0=cfg.lattice_target_c0)
         oracle = downlink_cdf_enumeration(table, cfg.loading, cfg.alpha0)
-        s = max(t.slack for t in approx.terms) * (1.0 + 1e-9)
+        s = float(approx.slack.max()) * (1.0 + 1e-9)
         excess = envelope_excess(
             oracle,
-            DownlinkSnrCdf(approx.terms, cfg.alpha0 - s),
-            DownlinkSnrCdf(approx.terms, cfg.alpha0 + s),
+            dataclasses.replace(approx, alpha0=cfg.alpha0 - s),
+            dataclasses.replace(approx, alpha0=cfg.alpha0 + s),
         )
         ok = excess <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} downlink-vs-joint-enum: excess over the "
@@ -289,8 +293,8 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     # association event at the configured position: the lattice law
     # against the oracle the mode names, and in ga-vs-enum also the
     # Gaussian baseline, expected to be the weaker approximation.
-    event, spec = _conditioned_spec(cfg, args.event)
-    print(f"conditioning on event {args.event}: serving GBS {event.serving_id}, "
+    (gbs, _, _), spec = _conditioned_spec(cfg, args.event)
+    print(f"conditioning on event {args.event}: serving GBS {gbs}, "
           f"{len(spec)} co-channel GBSs")
     la = _law("la", spec, cfg, args)
     # The lattice moves each atom by at most M / (2 beta) and promises no
@@ -383,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("layout", parents=[common], help="emit the site/band layout CSV")
-    p.set_defaults(func=cmd_layout)
+    p.set_defaults(func=cmd_layout, parser=p)
 
     for link in LinkDirection:
         p = sub.add_parser(f"{link.value}-map", parents=[common, pool],
                            help=f"{link.value} non-outage raster")
         p.add_argument("--altitude", type=_finite_float, default=None, help="UAV altitude in m")
-        p.set_defaults(func=functools.partial(cmd_map, link))
+        p.set_defaults(func=functools.partial(cmd_map, link), parser=p)
 
     p = sub.add_parser("coverage-curve", parents=[common, pool],
                        help="coverage vs altitude or threshold")
@@ -403,18 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"threshold sweep end (dB, default {FLAG_DEFAULTS['max_db']:g})")
     p.add_argument("--points", type=_positive_int, default=None,
                    help=f"threshold sweep length (default {FLAG_DEFAULTS['points']})")
-    p.set_defaults(func=cmd_coverage_curve)
+    p.set_defaults(func=cmd_coverage_curve, parser=p)
 
     p = sub.add_parser("interference-cdf", parents=[common, sums],
                        help="conditional interference cdf at the configured UAV position")
     p.add_argument("--methods", default="la", help="comma list from la,enum,mc,ga")
-    p.set_defaults(func=cmd_interference_cdf)
+    p.set_defaults(func=cmd_interference_cdf, parser=p)
 
     p = sub.add_parser("validate", parents=[common, sums], help="cross-check against oracles")
     p.add_argument("--mode", choices=VALIDATE_MODES, required=True)
     p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="pass/fail bound (mode-specific default)")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, parser=p)
 
     return parser
 
@@ -437,14 +441,13 @@ def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # an optional flag the form does not read is a usage error; one it
     # reads and is not given takes its default, but --seed has none
     what, unread = _unread_flags(args)
     given = [f"--{flag.replace('_', '-')}" for flag in unread if getattr(args, flag) is not None]
     if given:
-        parser.error(f"{what} does not read {', '.join(given)}")
+        args.parser.error(f"{what} does not read {', '.join(given)}")
     if args.command == "validate" and args.tolerance is None:
         args.tolerance = VALIDATE_MODES[args.mode][1]
     for flag, default in FLAG_DEFAULTS.items():

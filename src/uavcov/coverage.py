@@ -16,8 +16,9 @@ number of rows whose LoS SNR is at or above t, outage(t) = pre[min(K,
 stop)] when t exceeds the terminal SNR, else 0.  Coverage reads uplink
 outage this way for a whole block of positions at every threshold
 (:func:`uplink_outage`), from the block's link columns, without a table,
-event or pmf per position; :func:`association_pmf` and
-:func:`uplink_snr_pmf` build the events and atoms from the same walk.
+event or pmf per position; :func:`association_pmf` reads the same walk
+into one :class:`AssociationEvents` record of (E,) event arrays, whose
+atoms :func:`uplink_snr_pmf` merges.
 
 Downlink: conditioned on an association event, every other GBS in the
 serving GBS's band interferes when active (probability ``omega`` per
@@ -29,7 +30,8 @@ a lattice-approximated sum and the SNR cdf follows from
 P{snr <= y} = P{I >= C/y - alpha0} summed over events.  Events served in
 one band share their interferer rows, so a position's events are built
 as one checked (E, K, 3) :class:`~uavcov.gpm.GpmSpec` stack per serving
-band (:func:`conditional_interference_specs`), whose arrays
+band, from that band's slices of the record's serving rows and forced
+prefixes (:func:`conditional_interference_specs`), whose arrays
 :func:`uavcov.gpm.la_folds` quantizes in one pass, the rows of events of
 one lattice length folded and inverted in chunks of one transform each
 way.  Each event's sum ``specs[e]`` then goes through
@@ -77,27 +79,34 @@ from .gpm import (
 PROB_SUM_TOL = 1e-9
 
 
-class AssociationState(Enum):
-    LOS = "los"
-    NLOS_MAX = "nlos_max"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class AssociationEvent:
-    """One atom of the association distribution.
-
-    The event conditions the first ``forced_rows`` rows of the link table
-    (in walk order) into NLoS: the walked prefix for a LoS event, every
-    row with ``c_los >= C_NL_max`` for the terminal event (a prefix,
-    since rows sort by descending ``c_los``), none for the no-gain event.
+@dataclass(frozen=True, eq=False)
+class AssociationEvents:
+    """The association distribution as read-only (E,) arrays in walk
+    order: one LoS event per walked row of positive probability, then the
+    terminal event; or the one no-gain event.  Event e has ``probability``
+    and serving ``gain``; ``serving`` is its serving GBS's walk row in the
+    link table (-1 for the no-gain event), and it forces the first
+    ``forced`` rows into NLoS: the walked prefix for a LoS event, every
+    row with ``c_los >= C_NL_max`` for the terminal event (a prefix, as
+    rows sort by descending ``c_los``).  ``los`` tells the LoS events from
+    the rest, which those two cannot: a row may have ``c_nlos > c_los``.
     """
 
-    serving_id: int | None
-    state: AssociationState
-    gain: float
-    probability: float
-    forced_rows: int
+    probability: np.ndarray
+    gain: np.ndarray
+    serving: np.ndarray
+    forced: np.ndarray
+    los: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("probability", float), ("gain", float), ("serving", np.intp),
+                            ("forced", np.intp), ("los", bool)):
+            col = np.array(getattr(self, name), dtype=dtype)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.probability)
 
 
 def association_walk(c_los, c_nlos, p_los, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +139,9 @@ def association_walk(c_los, c_nlos, p_los, eps: float = 0.0) -> tuple[np.ndarray
     return pre, stop
 
 
-def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEvent, ...]:
+def association_pmf(table: LinkTable, eps: float = 0.0) -> AssociationEvents:
     """Exact (eps = 0) or truncated association distribution, read from
-    :func:`association_walk`: one LoS event per walked row of positive
-    probability, then the terminal event.
+    :func:`association_walk` as one :class:`AssociationEvents` record.
 
     When the walk's remaining mass drops below ``eps`` the walk stops and
     that mass is folded into the terminal event, so the sum stays 1.
@@ -142,30 +150,18 @@ def association_pmf(table: LinkTable, eps: float = 0.0) -> tuple[AssociationEven
     if table.c_los[0] == 0.0:
         # The largest gain is 0, so no GBS has any gain toward the UAV
         # (a table has no NLoS gain without LoS gain): the SNR is 0 surely.
-        return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, 0),)
+        return AssociationEvents([1.0], [0.0], [-1], [0], [False])
 
-    c_nlos_max = float(table.c_nlos.max())
+    c_nlos_max = table.c_nlos.max()
     stop = int(stop)
     p_los, walked = table.p_los[:stop], pre[:stop]
     rows = np.flatnonzero((p_los > 0.0) & (walked > 0.0))
-    events = [
-        AssociationEvent(gbs, AssociationState.LOS, gain, probability, m)
-        for gbs, gain, probability, m in zip(
-            table.gbs_id[rows].tolist(), table.c_los[rows].tolist(),
-            (p_los * walked)[rows].tolist(), rows.tolist(),
-        )
-    ]
+    events = [(p_los * walked)[rows], table.c_los[rows], rows, rows, np.ones(rows.size, bool)]
     if pre[stop] > 0.0:
-        events.append(
-            AssociationEvent(
-                int(table.gbs_id[np.argmax(table.c_nlos)]),
-                AssociationState.NLOS_MAX,
-                c_nlos_max,
-                float(pre[stop]),
-                int(np.count_nonzero(table.c_los >= c_nlos_max)),
-            )
-        )
-    return tuple(events)
+        terminal = (pre[stop], c_nlos_max, np.argmax(table.c_nlos),
+                    np.count_nonzero(table.c_los >= c_nlos_max), False)
+        events = [np.append(col, value) for col, value in zip(events, terminal)]
+    return AssociationEvents(*events)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +192,10 @@ def uplink_snr_pmf(table: LinkTable, beta0: float, eps: float = 0.0) -> UplinkSn
     gain merge into one atom."""
     if not beta0 > 0:
         raise ValueError(f"beta0 must be positive, got {beta0}")
-    acc: dict[float, float] = {}
-    for event in association_pmf(table, eps):
-        snr = beta0 * event.gain
-        acc[snr] = acc.get(snr, 0.0) + event.probability
-    values = np.array(sorted(acc))
-    probs = np.array([acc[v] for v in sorted(acc)])
-    return UplinkSnrPmf(values, probs)
+    events = association_pmf(table, eps)
+    # bincount adds each atom's probabilities in event order
+    values, atom = np.unique(beta0 * events.gain, return_inverse=True)
+    return UplinkSnrPmf(values, np.bincount(atom, weights=events.probability))
 
 
 def _walked_rows_at_or_above(snr: np.ndarray, stop: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -254,12 +247,13 @@ def loading_by_id(omega, n: int) -> np.ndarray:
     return w
 
 
-def conditional_interference_specs(
-    events: Sequence[AssociationEvent], table: LinkTable, omega
-) -> GpmSpec:
+def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> GpmSpec:
     """Aggregate interference under each of E association events whose
     serving GBSs share a band: one (E, K, 3) stack of sums
     (:class:`~uavcov.gpm.GpmSpec`), built and checked as one array.
+    Event e is served by walk row ``serving[e]`` of ``table`` and forces
+    the first ``forced[e]`` rows into NLoS: the (E,) slices of an
+    :class:`AssociationEvents` record.
 
     The interferers are the other GBSs of that band, one row each in
     ascending id order (a GBS alone in its band gets an empty sum,
@@ -269,22 +263,23 @@ def conditional_interference_specs(
     is a scalar or a per-GBS array indexed by id.  No events give an
     empty stack.
     """
-    if not events:
+    serving, forced = np.asarray(serving, dtype=np.intp), np.asarray(forced, dtype=np.intp)
+    n = len(table)
+    if serving.size == 0:
         return GpmSpec(np.zeros((0, 0, 3)), np.zeros((0, 0, 3)))
-    if any(event.serving_id is None for event in events):
+    if ((serving < 0) | (serving >= n)).any():
         raise ValueError("an event without a serving GBS has no interference law")
-    row_of = np.argsort(table.gbs_id)   # walk position of each id
-    band_of = table.band[row_of]
-    serving = np.array([event.serving_id for event in events])
-    bands = band_of[serving]
+    if ((forced < 0) | (forced > n)).any():
+        raise ValueError(f"a forced-NLoS prefix must lie in [0, {n}], got {forced}")
+    bands = table.band[serving]
     if (bands != bands[0]).any():
         raise ValueError(f"events of one stack must be served in one band, got bands {bands}")
-    members = np.flatnonzero(band_of == bands[0])
-    others = members != serving[:, None]   # (E, members): all but one per row
-    ids = np.broadcast_to(members, others.shape)[others].reshape(len(events), -1)
-    w = loading_by_id(omega, len(table))[ids]
+    row_of = np.argsort(table.gbs_id)   # walk position of each id
+    members = np.flatnonzero(table.band[row_of] == bands[0])
+    others = members != table.gbs_id[serving][:, None]   # (E, members): all but one per row
+    ids = np.broadcast_to(members, others.shape)[others].reshape(serving.size, -1)
+    w = loading_by_id(omega, n)[ids]
     at = row_of[ids]
-    forced = np.array([event.forced_rows for event in events])
     p = np.where(at < forced[:, None], 0.0, table.p_los[at])
     values = np.stack([np.zeros(ids.shape), table.c_nlos[at], table.c_los[at]], axis=-1)
     probs = np.stack([1.0 - w, w * (1.0 - p), w * p], axis=-1)
@@ -292,10 +287,11 @@ def conditional_interference_specs(
 
 
 def conditional_interference_spec(
-    event: AssociationEvent, table: LinkTable, omega, *, stacked: GpmSpec | None = None
+    table: LinkTable, omega, serving: int, forced: int, *, stacked: GpmSpec | None = None
 ) -> GpmSpec:
-    """Aggregate interference under one association event: the sum of its
-    stack of one from :func:`conditional_interference_specs`.
+    """Aggregate interference under one association event, served by walk
+    row ``serving`` and forcing the first ``forced`` rows into NLoS: the
+    sum of its stack of one from :func:`conditional_interference_specs`.
 
     ``stacked`` is the event's sum when the caller has already built it
     with the rest of its stack, and is returned as it is: every downlink
@@ -305,62 +301,54 @@ def conditional_interference_spec(
     """
     if stacked is not None:
         return stacked
-    return conditional_interference_specs((event,), table, omega)[0]
-
-
-@dataclass(frozen=True)
-class DownlinkEventTerm:
-    probability: float
-    gain: float
-    interference: LatticeDistribution | None  # None when the event carries no gain
-    slack: float  # displacement_bound of the event's spec, 0.0 without one
+    return conditional_interference_specs(table, omega, [serving], [forced])[0]
 
 
 @dataclass(frozen=True, eq=False)
 class DownlinkSnrCdf:
-    """Mixture cdf of the downlink SNR over association events.
+    """Mixture cdf of the downlink SNR over association events: their
+    (E,) ``probability``, ``gain`` and ``slack`` arrays in event order,
+    and the interference ``laws`` of the events of nonzero gain, in order.
 
     Evaluation is exact given each event's interference law:
     P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}, the terms added
-    in event order.  Every term's lattice law is read at every y in one
-    (E, T) pass, bit for bit the stepped cdf (``to_cdf``) of each, from
-    running sums (:class:`~uavcov.gpm.LatticeCdfs`) built on the first
-    read and kept for the object's later reads.  With s the largest term
-    ``slack``, the exact law lies between the mixtures at alpha0 - s and
-    alpha0 + s.
+    in event order.  Every law is read at every y in one (L, T) pass, bit
+    for bit the stepped cdf (``to_cdf``) of each, from running sums
+    (:class:`~uavcov.gpm.LatticeCdfs`) built on the first read and kept
+    for the object's later reads.  With s the largest ``slack`` (an
+    event's displacement bound, 0 without a law), the exact law lies
+    between the mixtures at alpha0 - s and alpha0 + s.
     """
 
-    terms: tuple[DownlinkEventTerm, ...]
+    probability: np.ndarray
+    gain: np.ndarray
+    slack: np.ndarray
+    laws: tuple[LatticeDistribution, ...]
     alpha0: float
 
     @cached_property
-    def _laws(self) -> tuple[list[int], np.ndarray, LatticeCdfs | None]:
-        """The terms that carry an interference law, their gains as an
-        (L, 1) column, and the running sums of their laws, built on the
-        first read and kept for every later one."""
-        laws = [i for i, term in enumerate(self.terms)
-                if term.interference is not None and term.gain != 0.0]
-        gain = np.array([self.terms[i].gain for i in laws])[:, None]
-        cdfs = LatticeCdfs.of([self.terms[i].interference for i in laws]) if laws else None
-        return laws, gain, cdfs
+    def _cdfs(self) -> LatticeCdfs:
+        """The running sums of ``laws``, built on the first read and kept
+        for every later one."""
+        return LatticeCdfs.of(self.laws)
 
     def _mixture(self, y, strict: bool) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all(ys > 0):
             raise ValueError("SNR cdf is evaluated at positive y only")
         flat = ys.ravel()
-        probability = np.array([term.probability for term in self.terms])
+        probability = self.probability
         # each event's part of P{snr <= y}: all of its probability when it
         # carries no interference law
         part = np.repeat(probability[:, None], flat.size, axis=1)
-        laws, gain, cdfs = self._laws
-        if laws:
+        if self.laws:
+            laws = self.gain != 0.0
             # a y so small that C / y overflows gives c = +inf, the exact
             # limit: P{I >= inf} = 0
             with np.errstate(over="ignore"):
-                c = gain / flat - self.alpha0
+                c = self.gain[laws, None] / flat - self.alpha0
             # snr <= y iff I >= c, and snr < y iff I > c
-            below_c = cdfs.read(c, left=not strict)
+            below_c = self._cdfs.read(c, left=not strict)
             part[laws] = probability[laws, None] * (1.0 - below_c)
         # running sums add the events strictly in order, whatever the
         # number of thresholds (a sum over an (E, 1) array may pair them)
@@ -399,9 +387,10 @@ def downlink_snr_cdf(
     c0: float,
 ) -> DownlinkSnrCdf:
     """Downlink SNR cdf with lattice-approximated conditional interference,
-    one law per association event with a serving GBS.
+    one law per association event of nonzero gain.
 
-    The events served in one band form one stack of sums, built by
+    The events served in one band, selected by a mask over the record's
+    arrays, form one stack of sums, built by
     :func:`conditional_interference_specs`, whose laws are quantized,
     then folded and inverted in chunks of events of one lattice length,
     by :func:`~uavcov.gpm.la_folds`; each event's sum and law then pass
@@ -412,24 +401,24 @@ def downlink_snr_cdf(
     if not alpha0 > 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     events = association_pmf(table, eps)
-    band = np.empty_like(table.band)
-    band[table.gbs_id] = table.band     # indexed by id
-    terms: list = [None] * len(events)
-    by_band: dict[int, list[int]] = {}
-    for i, event in enumerate(events):
-        if event.serving_id is None or event.gain == 0.0:
-            terms[i] = DownlinkEventTerm(event.probability, 0.0, None, 0.0)
-        else:
-            by_band.setdefault(int(band[event.serving_id]), []).append(i)
-    for stack in by_band.values():
-        specs = conditional_interference_specs([events[i] for i in stack], table, omega)
-        for i, stacked, law in zip(stack, specs, la_folds(specs, c0)):
-            event = events[i]
-            spec = conditional_interference_spec(event, table, omega, stacked=stacked)
-            lattice, _ = la_cdf(spec, c0, fold=law)
-            slack = displacement_bound(spec, c0)
-            terms[i] = DownlinkEventTerm(event.probability, event.gain, lattice, slack)
-    return DownlinkSnrCdf(tuple(terms), alpha0)
+    gaining = np.flatnonzero(events.gain != 0.0)
+    band = table.band[events.serving[gaining]]
+    laws: list = [None] * len(events)
+    slack = np.zeros(len(events))
+    # one stack per serving band, in the order the bands first serve in
+    # the walk; each law's pmf is a view that keeps its chunk alive
+    for served in dict.fromkeys(band.tolist()):
+        stack = gaining[band == served]
+        serving, forced = events.serving[stack], events.forced[stack]
+        specs = conditional_interference_specs(table, omega, serving, forced)
+        slack[stack] = displacement_bound(specs, c0)
+        for i, row, prefix, stacked, law in zip(
+            stack.tolist(), serving.tolist(), forced.tolist(), specs, la_folds(specs, c0)
+        ):
+            spec = conditional_interference_spec(table, omega, row, prefix, stacked=stacked)
+            laws[i], _ = la_cdf(spec, c0, fold=law)
+    return DownlinkSnrCdf(events.probability, events.gain, slack,
+                          tuple(laws[i] for i in gaining), alpha0)
 
 
 # ---------------------------------------------------------------------------

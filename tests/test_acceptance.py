@@ -7,6 +7,7 @@ enumerations or independent closed forms; nothing here is tuned to make
 a check pass.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -17,7 +18,6 @@ from conftest import default_models, link_table, load_scenario, padded_spec
 from uavcov.antenna import UlaPattern
 from uavcov.channel import build_link_table
 from uavcov.coverage import (
-    DownlinkSnrCdf,
     LinkDirection,
     association_pmf,
     conditional_interference_spec,
@@ -66,8 +66,8 @@ def first_event_interference(omega):
     at the reference UAV position in the default scene."""
     layout, pattern, uav, channel = default_scene()
     table = build_link_table(layout, pattern, uav, channel, (150.0, 50.0, 100.0), GBS_HEIGHT)
-    event = association_pmf(table)[0]
-    return conditional_interference_spec(event, table, omega)
+    events = association_pmf(table)
+    return conditional_interference_spec(table, omega, events.serving[0], events.forced[0])
 
 
 def random_table(rng, n_rows):
@@ -266,9 +266,9 @@ def test_downlink_mixture_matches_joint_enumeration():
         alpha0 = float(np.median(table.c_nlos)) * 0.3
         approx = downlink_snr_cdf(table, 0.5, alpha0, c0=C0)
         oracle = downlink_cdf_enumeration(table, 0.5, alpha0)
-        s = max(t.slack for t in approx.terms) * (1.0 + 1e-9)
-        lo = DownlinkSnrCdf(approx.terms, alpha0 - s)
-        hi = DownlinkSnrCdf(approx.terms, alpha0 + s)
+        s = float(approx.slack.max()) * (1.0 + 1e-9)
+        lo = dataclasses.replace(approx, alpha0=alpha0 - s)
+        hi = dataclasses.replace(approx, alpha0=alpha0 + s)
         worst = max(worst, envelope_excess(oracle, lo, hi))
         worst_sup = max(worst_sup, kolmogorov_distance(oracle, approx))
         worst_ratio = max(worst_ratio, s / alpha0)

@@ -250,7 +250,8 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_argparse_usage_error(tmp_path):
+def test_argparse_usage_error(tmp_path, capsys):
+    refused = []
     for argv in (
         ["validate"],                                   # --mode is required
         # each subcommand takes only the flags it reads
@@ -270,10 +271,24 @@ def test_argparse_usage_error(tmp_path):
         ["coverage-curve", "--sweep", "altitude", "--max-db", "20"],
         ["coverage-curve", "--sweep", "altitude", "--points", "10"],
         ["coverage-curve", "--link", "downlink", "--points", "3"],    # altitude by default
+        ["coverage-curve", "--sweep", "altitude", "--points", "3"],
+        ["validate", "--mode", "ga-vs-enum", "--tolerance", "0.1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2, argv
+        # a flag the subcommand has is refused by its own usage line, the
+        # flags main refuses as the subcommand parser's own errors; only
+        # a flag no subcommand parser knows reaches the top-level parser
+        err = capsys.readouterr().err
+        if "unrecognized arguments" in err:
+            assert err.startswith("usage: uavcov [-h]"), argv
+        else:
+            assert err.startswith(f"usage: uavcov {argv[0]} [-h]"), argv
+        if "does not read" in err:
+            refused.append(argv)
+    assert ["coverage-curve", "--sweep", "altitude", "--points", "3"] in refused
+    assert ["validate", "--mode", "ga-vs-enum", "--tolerance", "0.1"] in refused
     assert not list(tmp_path.iterdir())
 
 
@@ -446,6 +461,21 @@ def test_interference_cdf_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2
         assert f"without the mc method does not read {unread}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_interference_cdf_labels_the_event(tmp_path, capsys):
+    # the 37-site scene at (0, 0, 100 m): event 0 is GBS 3 served in LoS,
+    # event 37 the terminal event, served by GBS 3 at the best NLoS gain
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 1500\n[sampling]\nresolution = 1\n")
+    for event, label in ((0, "LOS"), (37, "NLOS_MAX")):
+        assert main(["interference-cdf", "--config", cfg_path, "--out", str(tmp_path),
+                     "--methods", "la", "--event", str(event)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(f"event {event}: serving GBS 3 ({label}),"), first
+    assert main(["interference-cdf", "--config", cfg_path, "--out", str(tmp_path / "none"),
+                 "--methods", "la", "--event", "38"]) == 2
+    assert "38 association events" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
 
 
 def test_interference_cdf_failure_writes_no_file(tmp_path, capsys):

@@ -30,8 +30,7 @@ from uavcov.config import load_config
 from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
 from uavcov.oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
 from uavcov.coverage import (
-    AssociationEvent,
-    AssociationState,
+    AssociationEvents,
     DownlinkSnrCdf,
     LinkDirection,
     UplinkSnrPmf,
@@ -129,35 +128,60 @@ MICRO_ROWS = (
 # Association walk
 # ---------------------------------------------------------------------------
 
+def labels(table, events):
+    """Each event's (serving GBS id, state), the no-gain event's
+    (None, "none"): the state "los" or "nlos_max" as ``los`` reads."""
+    return [(int(table.gbs_id[row]), "los" if los else "nlos_max") if row >= 0 else (None, "none")
+            for row, los in zip(events.serving.tolist(), events.los.tolist())]
+
+
 def test_association_frozen_two_rows():
     table = link_table(((0, 0, 10.0, 1.0, 0.6), (1, 0, 8.0, 2.0, 0.5)))
     events = association_pmf(table)
-    assert [(e.serving_id, e.state, e.gain) for e in events] == [
-        (0, AssociationState.LOS, 10.0),
-        (1, AssociationState.LOS, 8.0),
-        (1, AssociationState.NLOS_MAX, 2.0),
-    ]
-    assert [e.probability for e in events] == pytest.approx([0.6, 0.2, 0.2])
-    assert [e.forced_rows for e in events] == [0, 1, 2]
+    assert labels(table, events) == [(0, "los"), (1, "los"), (1, "nlos_max")]
+    assert events.gain.tolist() == [10.0, 8.0, 2.0]
+    assert events.probability.tolist() == pytest.approx([0.6, 0.2, 0.2])
+    assert events.forced.tolist() == [0, 1, 2]
 
 
 def test_association_all_zero_table():
     table = link_table(((0, 0, 0.0, 0.0, 0.4), (1, 0, 0.0, 0.0, 0.9)))
-    (event,) = association_pmf(table)
-    assert event.serving_id is None
-    assert event.state is AssociationState.NONE
-    assert event.gain == 0.0 and event.probability == 1.0
+    events = association_pmf(table)
+    assert len(events) == 1
+    assert labels(table, events) == [(None, "none")]
+    assert events.gain.tolist() == [0.0] and events.probability.tolist() == [1.0]
+
+
+def test_association_events_are_read_only():
+    events = association_pmf(link_table(MICRO_ROWS))
+    for name in ("probability", "gain", "serving", "forced", "los"):
+        col = getattr(events, name)
+        assert col.shape == (len(events),)
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = col[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        events.gain = events.probability
 
 
 def test_association_walk_stops_below_nlos_max():
     # third row's LoS gain sits under the NLoS cap, so it can never serve
     table = link_table(MICRO_ROWS)
     events = association_pmf(table)
-    assert {e.serving_id for e in events} == {0, 1}
-    terminal = events[-1]
-    assert terminal.state is AssociationState.NLOS_MAX
-    assert terminal.gain == 4.0
-    assert terminal.forced_rows == 2          # rows 0 and 1: c_los >= 4
+    assert {gbs for gbs, _ in labels(table, events)} == {0, 1}
+    assert labels(table, events)[-1][1] == "nlos_max"
+    assert events.gain[-1] == 4.0
+    assert events.forced[-1] == 2          # rows 0 and 1: c_los >= 4
+
+
+def test_terminal_event_is_labelled_by_los_not_by_its_rows():
+    # row 1's NLoS gain tops every LoS gain but row 0's, so the walk takes
+    # row 0 only; the terminal event is served by row 1 and forces one
+    # row, the serving row and prefix a LoS event at row 1 would have
+    table = link_table(((0, 0, 10.0, 1.0, 0.5), (1, 0, 4.0, 6.0, 0.5)))
+    events = association_pmf(table)
+    assert events.serving.tolist() == [0, 1] and events.forced.tolist() == [0, 1]
+    assert events.los.tolist() == [True, False]
+    assert events.gain.tolist() == [10.0, 6.0]
 
 
 def test_association_validation():
@@ -176,31 +200,26 @@ def test_association_truncation_modes():
     )
     table = link_table(rows)
     full = association_pmf(table)
-    assert [e.probability for e in full] == pytest.approx([0.5, 0.25, 0.125, 0.125])
+    assert full.probability.tolist() == pytest.approx([0.5, 0.25, 0.125, 0.125])
 
     cut = association_pmf(table, eps=0.3)     # walk stops at prefix 0.25
-    assert [(e.serving_id, e.state) for e in cut] == [
-        (0, AssociationState.LOS),
-        (1, AssociationState.LOS),
-        (0, AssociationState.NLOS_MAX),
-    ]
-    assert [e.probability for e in cut] == pytest.approx([0.5, 0.25, 0.25])
-    assert sum(e.probability for e in cut) == pytest.approx(1.0, abs=1e-12)
+    assert labels(table, cut) == [(0, "los"), (1, "los"), (0, "nlos_max")]
+    assert cut.probability.tolist() == pytest.approx([0.5, 0.25, 0.25])
+    assert sum(cut.probability.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_association_truncation_mass_bound():
     rng = np.random.default_rng(83)
     for _ in range(30):
         table = random_link_table(rng, int(rng.integers(2, 10)))
-        exact = {
-            (e.serving_id, e.state): e.probability for e in association_pmf(table)
-        }
+        full = association_pmf(table)
+        exact = dict(zip(labels(table, full), full.probability.tolist()))
         for eps in (1e-3, 1e-2, 0.2):
             cut = association_pmf(table, eps=eps)
-            assert sum(e.probability for e in cut) == pytest.approx(1.0, abs=1e-12)
+            assert sum(cut.probability.tolist()) == pytest.approx(1.0, abs=1e-12)
             moved = sum(
-                abs(e.probability - exact.get((e.serving_id, e.state), 0.0))
-                for e in cut
+                abs(probability - exact.get(label, 0.0))
+                for label, probability in zip(labels(table, cut), cut.probability.tolist())
             )
             assert moved <= 2 * eps + 1e-12     # remainder leaves one atom, lands on another
 
@@ -219,6 +238,13 @@ def test_uplink_matches_brute_force():
         assert set(pmf.values.tolist()) == set(want)
         for v, p in zip(pmf.values, pmf.probs):
             assert abs(p - want[float(v)]) <= 1e-12
+        # bit for bit the atoms merged by a loop over the events in order
+        events = association_pmf(table)
+        acc = {}
+        for gain, probability in zip(events.gain.tolist(), events.probability.tolist()):
+            acc[beta0 * gain] = acc.get(beta0 * gain, 0.0) + probability
+        assert pmf.values.tolist() == sorted(acc)
+        assert pmf.probs.tolist() == [acc[v] for v in sorted(acc)]
 
 
 def test_uplink_merges_equal_gains():
@@ -375,14 +401,19 @@ def test_block_read_negative_control(monkeypatch, mutant):
 # Conditional interference
 # ---------------------------------------------------------------------------
 
+def event_spec(table, omega, events, e):
+    """The interference spec conditioned on event ``e`` of ``events``."""
+    return conditional_interference_spec(table, omega, events.serving[e], events.forced[e])
+
+
 def test_interference_summand_shapes():
     table = link_table(MICRO_ROWS)
     events = association_pmf(table)
-    los0 = events[0]                     # serving 0, nothing forced
-    spec = conditional_interference_spec(los0, table, 0.5)
+    # event 0: serving 0, nothing forced
+    spec = event_spec(table, 0.5, events, 0)
     assert (spec.probs > 0).sum(axis=1).tolist() == [3, 3]
-    term = events[-1]                    # serving 0, rows 0 and 1 forced NLoS
-    spec = conditional_interference_spec(term, table, 0.5)
+    # the terminal event: serving 0, rows 0 and 1 forced NLoS
+    spec = event_spec(table, 0.5, events, -1)
     assert (spec.probs > 0).sum(axis=1).tolist() == [2, 3]
     assert spec.values[0][spec.probs[0] > 0].tolist() == [0.0, 3.0]
 
@@ -390,13 +421,14 @@ def test_interference_summand_shapes():
 def test_interference_mean_oracle():
     table = link_table(MICRO_ROWS)
     omega = np.array([0.3, 0.6, 0.9])
-    for event in association_pmf(table):
+    events = association_pmf(table)
+    for e in range(len(events)):
         # MICRO_ROWS lists ids 0, 1, 2 in walk order
-        forced = set(range(event.forced_rows))
-        spec = conditional_interference_spec(event, table, omega)
+        forced = set(range(events.forced[e]))
+        spec = event_spec(table, omega, events, e)
         want = 0.0
         for gbs_id, _, c_los, c_nlos, p_los in MICRO_ROWS:
-            if gbs_id == event.serving_id:
+            if gbs_id == table.gbs_id[events.serving[e]]:
                 continue
             if gbs_id in forced:
                 mean_gain = c_nlos
@@ -420,30 +452,51 @@ def test_interferers_are_the_serving_band_without_the_server():
     c_nlos = {r[0]: r[3] for r in rows}
     band = {r[0]: r[1] for r in rows}
     events = association_pmf(table)
-    assert {e.serving_id for e in events} == {0, 1, 3, 4}
-    for event in events:
-        want = sorted(i for i in band if band[i] == band[event.serving_id] and i != event.serving_id)
-        spec = conditional_interference_spec(event, table, 1.0)
+    served = table.gbs_id[events.serving].tolist()
+    assert set(served) == {0, 1, 3, 4}
+    for e, gbs in enumerate(served):
+        want = sorted(i for i in band if band[i] == band[gbs] and i != gbs)
+        spec = event_spec(table, 1.0, events, e)
         assert spec.values[:, 1].tolist() == [c_nlos[i] for i in want]
 
 
 def test_interference_edge_cases():
     table = link_table(MICRO_ROWS)
-    first = association_pmf(table)[0]
-    silent = conditional_interference_spec(first, table, 0.0)
+    events = association_pmf(table)
+    silent = event_spec(table, 0.0, events, 0)
     assert silent.span == 0.0            # omega 0: everyone is off
     with pytest.raises(ValueError):
-        conditional_interference_spec(first, table, 1.5)
+        event_spec(table, 1.5, events, 0)
     # a GBS alone in its band has no interferer: the zero spec
     alone = link_table(((0, 0, 8.0, 4.0, 0.6), (1, 1, 6.0, 3.0, 0.5)))
-    for event in association_pmf(alone):
-        empty = conditional_interference_spec(event, alone, 0.5)
+    alone_events = association_pmf(alone)
+    for e in range(len(alone_events)):
+        empty = event_spec(alone, 0.5, alone_events, e)
         assert len(empty) == 0 and empty.span == 0.0 and empty.offset == 0.0
         _, cdf = la_cdf(empty, 1000.0)
         assert cdf.xs.tolist() == [0.0] and cdf.cum.tolist() == [1.0]
-    (no_server,) = association_pmf(link_table(((0, 0, 0.0, 0.0, 0.5),)))
+    no_server = association_pmf(link_table(((0, 0, 0.0, 0.0, 0.5),)))
     with pytest.raises(ValueError):
-        conditional_interference_spec(no_server, table, 0.5)
+        event_spec(table, 0.5, no_server, 0)
+
+
+def test_interference_refuses_rows_outside_the_table():
+    # numpy would read serving row -1 as the last row: the raw arrays are
+    # checked against the table's n rows, in a stack and alone
+    table = link_table(MICRO_ROWS)
+    n = len(table)
+    for serving in (-1, n):
+        with pytest.raises(ValueError, match="an event without a serving GBS has no interference law"):
+            conditional_interference_specs(table, 0.5, [0, serving], [0, 0])
+        with pytest.raises(ValueError, match="an event without a serving GBS"):
+            conditional_interference_spec(table, 0.5, serving, 0)
+    for forced in (-1, n + 1):
+        with pytest.raises(ValueError, match="forced-NLoS prefix"):
+            conditional_interference_specs(table, 0.5, [0, 0], [0, forced])
+        with pytest.raises(ValueError, match="forced-NLoS prefix"):
+            conditional_interference_spec(table, 0.5, 0, forced)
+    # the ends of both ranges are valid
+    assert len(conditional_interference_spec(table, 0.5, n - 1, n)) == n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +514,32 @@ def stacked_laws(stack, c0):
             for e, law in enumerate(la_folds(stack, c0))]
 
 
-def single_laws(events, table, omega, c0):
+def single_laws(table, omega, events, stack, c0):
     """Each event's (offset, scale, pmf, slack), built alone: the stack of one."""
-    specs = [conditional_interference_spec(e, table, omega) for e in events]
+    specs = [event_spec(table, omega, events, e) for e in stack]
     return [law_bits(spec, la_cdf(spec, c0)[0], c0) for spec in specs]
 
 
+def stack_specs(table, omega, events, stack):
+    """The stack of the sums of the events ``stack`` indexes."""
+    return conditional_interference_specs(table, omega, events.serving[stack], events.forced[stack])
+
+
+def gaining_events(events):
+    """The indices of the events with a serving GBS and nonzero gain."""
+    return np.flatnonzero((events.serving >= 0) & (events.gain != 0.0))
+
+
 def band_stacks(table, events, size):
-    """The gaining events grouped by serving band, as downlink_snr_cdf
-    groups them, cut into stacks of up to ``size`` events: downlink_snr_cdf
-    takes each band whole, and the smaller cuts exercise la_folds on any
-    stack of one band."""
-    band = dict(zip(table.gbs_id.tolist(), table.band.tolist()))
+    """The gaining events' indices grouped by serving band, as
+    downlink_snr_cdf groups them, cut into stacks of up to ``size``
+    events: downlink_snr_cdf takes each band whole, and the smaller cuts
+    exercise la_folds on any stack of one band."""
     by_band = {}
-    for event in events:
-        if event.serving_id is not None and event.gain != 0.0:
-            by_band.setdefault(band[event.serving_id], []).append(event)
-    return [run[i:i + size] for run in by_band.values() for i in range(0, len(run), size)]
+    for e in gaining_events(events).tolist():
+        by_band.setdefault(int(table.band[events.serving[e]]), []).append(e)
+    return [np.array(run[i:i + size]) for run in by_band.values()
+            for i in range(0, len(run), size)]
 
 
 @st.composite
@@ -529,18 +591,17 @@ CHUNK_SIZES = (1, 2**30, gpm.CHUNK_ENTRIES)
 def check_stacks(rows, omega, c0, size):
     table = link_table(rows)
     events = association_pmf(table)
-    gaining = [e for e in events if e.serving_id is not None and e.gain != 0.0]
-    want = single_laws(gaining, table, omega, c0)
+    want = single_laws(table, omega, events, gaining_events(events), c0)
     for chunk in CHUNK_SIZES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gpm, "CHUNK_ENTRIES", chunk)
             for stack in band_stacks(table, events, size):
-                specs = conditional_interference_specs(stack, table, omega)
-                assert stacked_laws(specs, c0) == single_laws(stack, table, omega, c0)
+                specs = stack_specs(table, omega, events, stack)
+                assert stacked_laws(specs, c0) == single_laws(table, omega, events, stack, c0)
             # the whole law, whatever the stacks and chunks it builds
             model = downlink_snr_cdf(table, omega, 0.1, c0=c0)
-        got = [(t.interference.offset, t.interference.scale, t.interference.pmf.tobytes(),
-                t.slack) for t in model.terms if t.interference is not None]
+        got = [(law.offset, law.scale, law.pmf.tobytes(), slack)
+               for law, slack in zip(model.laws, model.slack[model.gain != 0.0].tolist())]
         assert got == want
 
 
@@ -566,14 +627,15 @@ def test_stack_examples_cover_every_case():
             seen.add("loading 0")
         elif (w == 1).all():
             seen.add("loading 1")
-        stacks = band_stacks(table, association_pmf(table), 9)
+        events = association_pmf(table)
+        stacks = band_stacks(table, events, 9)
         if len(stacks) > 1:
             seen.add("mixed serving bands")
         for stack in stacks:
-            specs = conditional_interference_specs(stack, table, omega)
+            specs = stack_specs(table, omega, events, stack)
             if any(len(spec) == 0 for spec in specs):
                 seen.add("lone GBS")
-            if any(e.forced_rows > 0 for e in stack):
+            if (events.forced[stack] > 0).any():
                 seen.add("forced NLoS prefix")
             live = []
             for spec in specs:
@@ -594,28 +656,31 @@ def test_stack_examples_cover_every_case():
 def test_stacked_law_negative_controls():
     rows, omega, c0 = STACK_EXAMPLES[0]
     table = link_table(rows)
-    stack = max(band_stacks(table, association_pmf(table), 9), key=len)
-    want = single_laws(stack, table, omega, c0)
-    specs = conditional_interference_specs(stack, table, omega)
+    events = association_pmf(table)
+    stack = max(band_stacks(table, events, 9), key=len)
+    want = single_laws(table, omega, events, stack, c0)
+    serving, forced = events.serving[stack], events.forced[stack]
+    specs = conditional_interference_specs(table, omega, serving, forced)
     assert stacked_laws(specs, c0) == want
     # one event's forced prefix one row shorter (a LoS event's prefix ends
     # at its own row, so one row longer would reach the server): its law moves
-    shifted = list(stack)
-    shifted[1] = dataclasses.replace(stack[1], forced_rows=stack[1].forced_rows - 1)
+    shifted = forced.copy()
+    shifted[1] -= 1
     with pytest.raises(AssertionError):
-        assert stacked_laws(conditional_interference_specs(shifted, table, omega), c0) == want
+        assert stacked_laws(conditional_interference_specs(table, omega, serving, shifted),
+                            c0) == want
     # two events' sums swapped within the stack
     swapped = np.arange(len(specs))
     swapped[[0, 2]] = swapped[[2, 0]]
     with pytest.raises(AssertionError):
         assert stacked_laws(specs[swapped], c0) == want
     with pytest.raises(ValueError, match="one band"):
-        conditional_interference_specs(stack + [association_pmf(table)[2]], table, omega)
+        stack_specs(table, omega, events, np.append(stack, 2))
 
 
 def test_empty_stacks():
     table = link_table(MIXED_ROWS)
-    empty = conditional_interference_specs([], table, 0.5)
+    empty = conditional_interference_specs(table, 0.5, [], [])
     assert len(empty) == 0 and empty.values.ndim == 3
     assert list(la_folds(empty, 1000.0)) == []
     with pytest.raises(ValueError, match="c0 must be >= 1"):
@@ -629,22 +694,22 @@ def test_downlink_builds_one_stack_per_serving_band(monkeypatch):
     calls = []
     build = coverage.conditional_interference_specs
 
-    def counted(events, *args):
-        calls.append(list(events))
-        return build(events, *args)
+    def counted(table, omega, serving, forced):
+        calls.append(list(zip(serving.tolist(), forced.tolist())))
+        return build(table, omega, serving, forced)
 
     monkeypatch.setattr(coverage, "conditional_interference_specs", counted)
     downlink_snr_cdf(table, cfg.loading, cfg.alpha0, eps=eps, c0=cfg.lattice_target_c0)
-    band = dict(zip(table.gbs_id.tolist(), table.band.tolist()))
-    gaining = [e for e in association_pmf(table, eps)
-               if e.serving_id is not None and e.gain != 0.0]
-    served = [band[e.serving_id] for e in gaining]
+    events = association_pmf(table, eps)
+    gaining = gaining_events(events)
+    served = table.band[events.serving[gaining]].tolist()
     assert len(gaining) > 20 and len(set(served)) > 1
-    # one call per serving band (a call refuses events of two bands), and
-    # every gaining event in one of them
-    assert len(calls) == len(set(served))
-    key = lambda e: (e.serving_id, e.forced_rows)    # noqa: E731
-    assert sorted(map(key, sum(calls, []))) == sorted(map(key, gaining))
+    # one call per serving band (a call refuses events of two bands), in
+    # the order the bands first serve in the walk, and every gaining
+    # event in one of them
+    assert [table.band[call[0][0]] for call in calls] == list(dict.fromkeys(served))
+    want = zip(events.serving[gaining].tolist(), events.forced[gaining].tolist())
+    assert sorted(sum(calls, [])) == sorted(want)
 
 
 def stepped_mixture(model, ys, strict):
@@ -653,15 +718,17 @@ def stepped_mixture(model, ys, strict):
     one in event order."""
     out = np.zeros(ys.shape)
     mass = 0.0
-    for term in model.terms:
-        mass += term.probability
-        if term.interference is None or term.gain == 0.0:
-            out += term.probability
+    laws = iter(model.laws)
+    for probability, gain in zip(model.probability.tolist(), model.gain.tolist()):
+        mass += probability
+        if gain == 0.0:
+            out += probability
             continue
         with np.errstate(over="ignore"):
-            c = term.gain / ys - model.alpha0
-        cdf = term.interference.to_cdf()
-        out += term.probability * (1.0 - (cdf.eval(c) if strict else cdf.eval_left(c)))
+            c = gain / ys - model.alpha0
+        cdf = next(laws).to_cdf()
+        out += probability * (1.0 - (cdf.eval(c) if strict else cdf.eval_left(c)))
+    assert next(laws, None) is None
     return np.clip(out / mass, 0.0, 1.0)
 
 
@@ -669,13 +736,12 @@ def snr_probes(model):
     """The snr at which each event's c = C / y - alpha0 meets each jump of
     its law, their float neighbours, and a log grid around them."""
     ys = [np.geomspace(1e-3, 1e3, 25)]
-    for term in model.terms:
-        if term.interference is not None and term.gain != 0.0:
-            xs = term.interference.to_cdf().xs
-            with np.errstate(divide="ignore"):
-                y = term.gain / (xs[::max(1, xs.size // 40)] + model.alpha0)
-            y = y[np.isfinite(y) & (y > 0)]
-            ys += [y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)]
+    for law, gain in zip(model.laws, model.gain[model.gain != 0.0].tolist()):
+        xs = law.to_cdf().xs
+        with np.errstate(divide="ignore"):
+            y = gain / (xs[::max(1, xs.size // 40)] + model.alpha0)
+        y = y[np.isfinite(y) & (y > 0)]
+        ys += [y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)]
     return np.unique(np.concatenate(ys))
 
 
@@ -698,7 +764,7 @@ def test_in_place_read_equals_stepped_cdfs(scene):
     # at +-inf
     rows, omega, c0 = scene
     model = downlink_snr_cdf(link_table(rows), omega, 0.1, c0=c0)
-    laws = [t.interference for t in model.terms if t.interference is not None]
+    laws = list(model.laws)
     if laws:
         assert_reads_stepped_cdfs(laws, in_place_probes(laws))
     assert_mixture_reads_stepped_laws(model, snr_probes(model))
@@ -712,8 +778,9 @@ def test_mixture_builds_its_running_sums_once(monkeypatch):
     model.eval_left(ys), model.outage(ys), model.eval(float(ys[3]))
     assert model.eval(ys).tobytes() == first.tobytes()
     assert built == [3]     # one law per event: two LoS, one terminal
-    # another law object over the same terms builds its own, the same
-    assert DownlinkSnrCdf(model.terms, model.alpha0).eval(ys).tobytes() == first.tobytes()
+    # another law object over the same arrays and laws builds its own, the same
+    again = DownlinkSnrCdf(model.probability, model.gain, model.slack, model.laws, model.alpha0)
+    assert again.eval(ys).tobytes() == first.tobytes()
     assert len(built) == 2
 
 
@@ -726,7 +793,7 @@ def test_many_event_mixture_adds_events_in_order():
             (i, 0, 10.0 - 0.1 * i, float(rng.uniform(0.01, 0.05)), float(rng.uniform(0.05, 0.2)))
             for i in range(n)))
         model = downlink_snr_cdf(table, 0.5, 0.1, c0=300.0)
-        assert len(model.terms) == n + 1
+        assert len(model.probability) == n + 1
         ys = snr_probes(model)
         assert_mixture_reads_stepped_laws(model, ys)
         assert model.outage(ys[::50]).tolist() == [model.outage(y) for y in ys[::50]]
@@ -737,13 +804,14 @@ def test_each_law_passes_through_the_per_event_functions(monkeypatch):
     # every gaining event's spec and fold to conditional_interference_spec
     # and la_cdf, one event per call, in event order
     table = link_table(MIXED_ROWS)
-    gaining = [e for e in association_pmf(table) if e.serving_id is not None and e.gain != 0.0]
+    events = association_pmf(table)
+    gaining = gaining_events(events)
     seen = []
 
     def spy(name, fn):
         def call(*args, **kwargs):
             result = fn(*args, **kwargs)
-            seen.append((name, args[0], result))
+            seen.append((name, args, result))
             return result
         return call
 
@@ -753,14 +821,14 @@ def test_each_law_passes_through_the_per_event_functions(monkeypatch):
     model = downlink_snr_cdf(table, 0.6, 0.1, c0=40.0)
     specs = [result for name, _, result in seen if name == "spec"]
     assert [name for name, _, _ in seen] == ["spec", "law"] * len(gaining)
-    assert sorted((e.serving_id, e.forced_rows) for _, e, _ in seen[::2]) == sorted(
-        (e.serving_id, e.forced_rows) for e in gaining)
-    assert [spec for _, spec, _ in seen[1::2]] == specs
-    assert sum(map(len, specs)) == sum(
-        len(conditional_interference_spec(e, table, 0.6)) for e in gaining)
-    # each term holds the lattice law its la_cdf call returned
-    laws = [t.interference for t in model.terms if t.interference]
-    assert sorted(map(id, laws)) == sorted(id(lattice) for _, _, (lattice, _) in seen[1::2])
+    # each spec call's serving row and forced prefix, those of one event
+    assert sorted(args[2:4] for _, args, _ in seen[::2]) == sorted(
+        zip(events.serving[gaining].tolist(), events.forced[gaining].tolist()))
+    assert [args[0] for _, args, _ in seen[1::2]] == specs
+    assert sum(map(len, specs)) == sum(len(event_spec(table, 0.6, events, e)) for e in gaining)
+    # the model holds the lattice law each la_cdf call returned
+    assert sorted(map(id, model.laws)) == sorted(
+        id(lattice) for _, _, (lattice, _) in seen[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +947,7 @@ def test_zero_nlos_shortcut_negative_control(monkeypatch):
 
     def shortcut_walk(table, eps=0.0):
         if table.c_nlos.max() == 0.0:
-            return (AssociationEvent(None, AssociationState.NONE, 0.0, 1.0, 0),)
+            return AssociationEvents([1.0], [0.0], [-1], [0], [False])
         return walk(table, eps)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -906,14 +974,15 @@ def test_downlink_terms_carry_displacement_bound():
     for _ in range(20):
         table = random_link_table(rng, int(rng.integers(1, 9)), n_bands=2)
         model = downlink_snr_cdf(table, 0.5, 0.1, c0=500.0)
+        events = association_pmf(table)
         want = [
-            0.0 if e.serving_id is None or e.gain == 0.0
-            else displacement_bound(conditional_interference_spec(e, table, 0.5), 500.0)
-            for e in association_pmf(table)
+            0.0 if events.serving[e] < 0 or events.gain[e] == 0.0
+            else displacement_bound(event_spec(table, 0.5, events, e), 500.0)
+            for e in range(len(events))
         ]
-        assert [t.slack for t in model.terms] == want
-    (silent,) = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0, c0=1000.0).terms
-    assert (silent.interference, silent.slack) == (None, 0.0)
+        assert model.slack.tolist() == want
+    silent = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0, c0=1000.0)
+    assert (silent.laws, silent.slack.tolist()) == ((), [0.0])
 
 
 def test_outage_is_exact_at_both_ends():

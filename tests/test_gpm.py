@@ -25,7 +25,7 @@ from conftest import (
 )
 from uavcov import gpm
 from uavcov.cli import _write_csv
-from uavcov.coverage import DownlinkEventTerm, DownlinkSnrCdf
+from uavcov.coverage import DownlinkSnrCdf
 from uavcov.gpm import (
     DiscreteSummand,
     GaussianCdf,
@@ -781,7 +781,7 @@ def snr_cdf_over(scale, pmf) -> DownlinkSnrCdf:
     the lattice points n / scale, which maps I = 0, 1, 3 to 1, 1/2, 1/4
     and back without rounding."""
     interference = LatticeDistribution(0.0, scale, pmf)
-    return DownlinkSnrCdf((DownlinkEventTerm(1.0, 1.0, interference, 0.0),), 1.0)
+    return DownlinkSnrCdf(np.ones(1), np.ones(1), np.zeros(1), (interference,), 1.0)
 
 
 def test_kolmogorov_against_stepped_callable():

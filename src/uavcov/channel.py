@@ -16,11 +16,12 @@ The default parametric model combines
 Each parameter is a ``[channel]`` key; its default lives in
 ``config.DEFAULTS``, and a coefficients file is read by ``config``.
 
-A UAV position's links are held as a :class:`LinkTable` of column arrays,
-built for every site at once by :func:`build_link_table`.
-:func:`build_link_columns` evaluates a block of P positions together:
-one evaluation on (P, n) arrays and one check of the whole block, whose
-row p equals the table of position p.
+A UAV position's links are held as a :class:`LinkTable` of (n,) column
+arrays, and a block of P positions as one :class:`LinkTable` of (P, n)
+columns, whose row p is the table at position p.  The table's
+constructor is where link columns are converted, frozen and checked.
+:func:`build_link_table` builds one position's table and
+:func:`build_link_columns` a block's, evaluated as whole arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .antenna import UavAntenna
 from .geometry import NetworkLayout, link_geometry
+from .units import db_to_linear
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -111,8 +113,8 @@ def default_channel(
     return ParametricAirGroundModel(
         alpha_los=alpha_los,
         alpha_nlos=alpha_nlos,
-        ref_gain_los=fs * 10.0 ** (-excess_loss_los_db / 10.0),
-        ref_gain_nlos=fs * 10.0 ** (-excess_loss_nlos_db / 10.0),
+        ref_gain_los=fs * db_to_linear(-excess_loss_los_db),
+        ref_gain_nlos=fs * db_to_linear(-excess_loss_nlos_db),
         los_a=los_a,
         los_b_per_deg=los_b_per_deg,
         los_midpoint_deg=los_midpoint_deg,
@@ -127,48 +129,11 @@ _COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
             ("c_los", float), ("c_nlos", float), ("p_los", float))
 
 
-def _check_link_columns(gbs_id, band, c_los, c_nlos, p_los) -> None:
-    """Check link table columns along their last axis: the (n,) columns
-    of one table, or the (P, n) columns of a block with one table per
-    row.  An error names the first GBS at fault and, in a block, its row."""
-    ids, c = gbs_id, c_los
-    if ids.ndim not in (1, 2):
-        raise ValueError(f"link table columns must have shape (n,) or (P, n), got {ids.shape}")
-    if any(col.shape != ids.shape for col in (band, c_los, c_nlos, p_los)):
-        raise ValueError("link table columns must have equal length")
-
-    def first(bad: np.ndarray) -> tuple[tuple, str]:
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
-
-    n = ids.shape[-1]
-    not_permutation = np.sort(ids, axis=-1) != np.arange(n)
-    if not_permutation.any():
-        at, where = first(not_permutation)
-        row = ids[at[:-1]].tolist()
-        gbs = next(g for k, g in enumerate(row) if not 0 <= g < n or g in row[:k])
-        raise ValueError(
-            f"link table GBS ids must be a permutation of 0..{n - 1}: "
-            f"GBS {gbs} repeats or is out of range{where}"
-        )
-    in_order = np.ones(ids.shape, dtype=bool)   # entry k against entry k - 1
-    in_order[..., 1:] = (c[..., :-1] > c[..., 1:]) | (
-        (c[..., :-1] == c[..., 1:]) & (ids[..., :-1] < ids[..., 1:])
-    )
-    for bad, what in (
-        (~((p_los >= 0.0) & (p_los <= 1.0)), "LoS probability out of [0, 1] for"),
-        (~((c >= 0.0) & (c_nlos >= 0.0)), "negative gain for"),
-        ((c == 0.0) & (c_nlos != 0.0), "NLoS gain without LoS gain for"),
-        (~in_order, "link table rows must be sorted by descending c_los, then id; out of order:"),
-    ):
-        if bad.any():
-            at, where = first(bad)
-            raise ValueError(f"{what} GBS {ids[at]}{where}")
-
-
 @dataclass(frozen=True, eq=False)
 class LinkTable:
-    """Combined channel gains of every GBS for one UAV position, as columns.
+    """Combined channel gains of every GBS for one UAV position, as (n,)
+    columns, or for a block of P positions, as (P, n) columns whose row p
+    is the table at position p; ``len`` is n or P.
 
     Row k is GBS ``gbs_id[k]`` of band ``band[k]``, with combined power
     gains C = G_uav * G_gbs * h in both channel states (``c_los[k]``,
@@ -176,7 +141,8 @@ class LinkTable:
     descending LoS gain, ties by ascending id: the association walk's
     order.  The ids are 0..n-1, so per-GBS arrays are indexed by id.  GBSs
     outside the UAV mainlobe with zero backlobe gain have both gains 0
-    and sit at the tail.  The columns are read-only copies.
+    and sit at the tail.  The columns are read-only copies, checked on
+    construction: an error names the first GBS at fault and, in a block, its row.
     """
 
     gbs_id: np.ndarray
@@ -188,19 +154,49 @@ class LinkTable:
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS:
             col = np.array(getattr(self, name), dtype=dtype)
-            if col.ndim != 1:
-                raise ValueError(f"link table column {name} must be 1-D, got shape {col.shape}")
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        _check_link_columns(*(getattr(self, name) for name, _ in _COLUMNS))
+        ids, c, c_nlos, p_los = self.gbs_id, self.c_los, self.c_nlos, self.p_los
+        if ids.ndim not in (1, 2):
+            raise ValueError(f"link table columns must have shape (n,) or (P, n), got {ids.shape}")
+        if any(col.shape != ids.shape for col in (self.band, c, c_nlos, p_los)):
+            raise ValueError("link table columns must have equal length")
+
+        def first(bad: np.ndarray) -> tuple[tuple, str]:
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
+
+        n = ids.shape[-1]
+        not_permutation = np.sort(ids, axis=-1) != np.arange(n)
+        if not_permutation.any():
+            at, where = first(not_permutation)
+            row = ids[at[:-1]].tolist()
+            gbs = next(g for k, g in enumerate(row) if not 0 <= g < n or g in row[:k])
+            raise ValueError(
+                f"link table GBS ids must be a permutation of 0..{n - 1}: "
+                f"GBS {gbs} repeats or is out of range{where}"
+            )
+        after = np.ones(ids.shape, dtype=bool)   # entry k sorts after entry k - 1
+        after[..., 1:] = (c[..., :-1] > c[..., 1:]) | (
+            (c[..., :-1] == c[..., 1:]) & (ids[..., :-1] < ids[..., 1:])
+        )
+        for bad, what in (
+            (~((p_los >= 0.0) & (p_los <= 1.0)), "LoS probability out of [0, 1] for"),
+            (~((c >= 0.0) & (c_nlos >= 0.0)), "negative gain for"),
+            ((c == 0.0) & (c_nlos != 0.0), "NLoS gain without LoS gain for"),
+            (~after, "link table rows must be sorted by descending c_los, then id; out of order:"),
+        ):
+            if bad.any():
+                at, where = first(bad)
+                raise ValueError(f"{what} GBS {ids[at]}{where}")
 
     def __len__(self) -> int:
         return len(self.gbs_id)
 
 
-def _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height):
-    """The five link table columns of a (P, 3) block of positions, as
-    (P, n) arrays in walk order, evaluated as whole arrays."""
+def _link_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height):
+    """The five (P, n) link table columns of a (P, 3) block, in walk order."""
+    block = np.asarray(positions, dtype=float)
     r_h, d3, theta = link_geometry(block, layout.x, layout.y, gbs_height)
     h_los, h_nlos, p_los = channel.evaluate(theta, d3)
     combined = uav_antenna.gain_at(r_h, block[:, 2], gbs_height) * gbs_pattern(theta)
@@ -226,8 +222,7 @@ def build_link_table(
     in degrees to linear power gains (a :class:`~uavcov.antenna.UlaPattern`
     works).
     """
-    block = np.asarray([uav_xyz], dtype=float)
-    columns = _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
+    columns = _link_columns(layout, gbs_pattern, uav_antenna, channel, [uav_xyz], gbs_height)
     return LinkTable(*(col[0] for col in columns))
 
 
@@ -238,19 +233,10 @@ def build_link_columns(
     channel: ParametricAirGroundModel,
     positions,
     gbs_height: float,
-) -> tuple[np.ndarray, ...]:
-    """The five link table columns of a (P, 3) block of positions, in
-    :class:`LinkTable` field order: read-only (P, n) arrays whose row p
-    equals column for column the table :func:`build_link_table` builds
-    at position p.  The block is evaluated as whole arrays and checked
-    once."""
-    block = np.asarray(positions, dtype=float)
-    if block.ndim != 2 or block.shape[1:] != (3,):
-        raise ValueError(f"UAV positions must have shape (P, 3), got {block.shape}")
-    built = _link_columns(layout, gbs_pattern, uav_antenna, channel, block, gbs_height)
-    columns = tuple(np.asarray(col, dtype=dtype) for (_, dtype), col in zip(_COLUMNS, built))
-    for col in columns:
-        col.flags.writeable = False
-    _check_link_columns(*columns)
-    return columns
-
+) -> LinkTable:
+    """The link tables of a (P, 3) block of positions as one block
+    :class:`LinkTable` of (P, n) columns, whose row p equals column for
+    column the table :func:`build_link_table` builds at position p.  The
+    block is evaluated as whole arrays and checked once."""
+    return LinkTable(*_link_columns(layout, gbs_pattern, uav_antenna, channel, positions,
+                                    gbs_height))

@@ -261,8 +261,7 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         # every atom, so on both sides of every step of the exact law
         eps = cfg.association_epsilon
         ts = np.concatenate([oracle.values, np.nextafter(oracle.values, np.inf)])
-        read = uplink_outage(table.c_los[None], table.c_nlos[None], table.p_los[None],
-                             cfg.beta0, ts, eps)[0]
+        read = uplink_outage(table, cfg.beta0, ts, eps)
         read_err = float(np.max(np.abs(read - [oracle.outage(t) for t in ts])))
         read_ok = read_err <= eps + tolerance
         print(f"{'PASS' if read_ok else 'FAIL'} uplink-vs-bruteforce: block read at "
@@ -340,16 +339,13 @@ def _finite_float(text: str) -> float:
 
 
 def _decibels(text: str) -> float:
-    value = float(text)
     try:
-        ok = math.isfinite(value) and db_to_linear(value) > 0.0
-    except OverflowError:
-        ok = False
-    if not ok:
+        db_to_linear(float(text))
+    except ValueError:   # not a number, or no positive finite float in linear units
         raise argparse.ArgumentTypeError(
             f"must be a finite number of dB whose linear ratio is a positive float, got {text!r}"
-        )
-    return value
+        ) from None
+    return float(text)
 
 
 def _tolerance(text: str) -> float:
@@ -441,7 +437,9 @@ def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:   # refused by the subcommand's usage, as every usage error is
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     # an optional flag the form does not read is a usage error; one it
     # reads and is not given takes its default, but --seed has none
     what, unread = _unread_flags(args)

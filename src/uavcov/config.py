@@ -207,6 +207,8 @@ def _channel(resolved) -> ParametricAirGroundModel:
         raise ConfigError(f"[radio] carrier_hz must be positive, got {carrier_hz}")
     shape = {key: _number(resolved, "channel", key)
              for key in DEFAULTS["channel"] if key != "coefficients_file"}
+    for key in ("excess_loss_los_db", "excess_loss_nlos_db"):   # a loss divides the gain
+        _number(resolved, "channel", key, linear=lambda loss: db_to_linear(-loss))
     path = resolved["channel"]["coefficients_file"].strip()
     if not path:
         return default_channel(carrier_hz, **shape)
@@ -302,7 +304,7 @@ def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str
     return resolved, omega_keys
 
 
-def _number(resolved, section: str, key: str, kind=float):
+def _number(resolved, section: str, key: str, kind=float, linear=None):
     raw = resolved[section][key]
     try:
         value = kind(raw)
@@ -310,7 +312,10 @@ def _number(resolved, section: str, key: str, kind=float):
         raise ConfigError(f"[{section}] {key} must be a {kind.__name__}, got {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
-    return value
+    try:
+        return value if linear is None else linear(value)
+    except ValueError:   # units: not a positive finite float
+        raise ConfigError(f"[{section}] {key} = {raw!r}: no positive finite linear value") from None
 
 
 def _hash(resolved: dict[str, dict[str, str]], omega_keys: dict[int, str]) -> str:
@@ -340,9 +345,9 @@ def load_config(path: str | None = None) -> ScenarioConfig:
     overrides = {gbs_id: num("loading", key) for gbs_id, key in omega_keys.items()}
 
     gbs_height = num("layout", "gbs_height_m")
-    noise_power = dbm_to_watt(num("radio", "noise_power_dbm"))
+    noise_power = num("radio", "noise_power_dbm", linear=dbm_to_watt)
     gbs_power = num("radio", "gbs_power_w")
-    uav_power = dbm_to_watt(num("radio", "uav_power_dbm"))
+    uav_power = num("radio", "uav_power_dbm", linear=dbm_to_watt)
     omega = num("loading", "downlink_omega")
     uav_altitude = num("uav", "altitude_m")
     altitude_min = num("sampling", "altitude_min_m")
@@ -400,8 +405,8 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         gbs_height=gbs_height,
         beta0=uav_power / noise_power,
         alpha0=noise_power / gbs_power,
-        uplink_threshold=db_to_linear(num("thresholds", "uplink_snr_db")),
-        downlink_threshold=db_to_linear(num("thresholds", "downlink_snr_db")),
+        uplink_threshold=num("thresholds", "uplink_snr_db", linear=db_to_linear),
+        downlink_threshold=num("thresholds", "downlink_snr_db", linear=db_to_linear),
         loading=loading,
         uav_x=num("uav", "x_m"),
         uav_y=num("uav", "y_m"),

@@ -9,16 +9,16 @@ best NLoS gain ``C_NL_max`` the realised maximum is ``C_NL_max`` no matter
 what happens further down, which closes the walk with a single terminal
 event of mass pre[stop].  An optional probability floor ``eps`` truncates
 the walk early, assigning the remaining mass to the terminal event.
-:func:`association_walk` computes pre and stop for one table or a whole
-block of them, as running products in walk order.  Row m's mass is
-pre[m] - pre[m + 1], so the mass below a threshold telescopes: with K the
-number of rows whose LoS SNR is at or above t, outage(t) = pre[min(K,
-stop)] when t exceeds the terminal SNR, else 0.  Coverage reads uplink
-outage this way for a whole block of positions at every threshold
-(:func:`uplink_outage`), from the block's link columns, without a table,
-event or pmf per position; :func:`association_pmf` reads the same walk
-into one :class:`AssociationEvents` record of (E,) event arrays, whose
-atoms :func:`uplink_snr_pmf` merges.
+:func:`association_walk` computes pre and stop as running products in
+walk order, for one position's :class:`~uavcov.channel.LinkTable` or a
+block table of P positions.  Row m's mass is pre[m] - pre[m + 1], so the
+mass below a threshold telescopes: with K the number of rows whose LoS
+SNR is at or above t, outage(t) = pre[min(K, stop)] when t exceeds the
+terminal SNR, else 0.  Coverage reads uplink outage this way for a block
+table at every threshold (:func:`uplink_outage`), without an event or
+pmf per position; :func:`association_pmf` reads the walk of one
+position's table into one :class:`AssociationEvents` record of (E,)
+event arrays, whose atoms :func:`uplink_snr_pmf` merges.
 
 Downlink: conditioned on an association event, every other GBS in the
 serving GBS's band interferes when active (probability ``omega`` per
@@ -48,9 +48,9 @@ argument and read the layout, antennas, channel, sampling region,
 loading, ``beta0``/``alpha0``, ``eps`` and ``c0`` from it.  Each
 (altitude, point) position's SNR law is built once and read at every
 threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
-(position, site) pairs: the uplink reads a block's links as the (P, n)
-columns of :func:`~uavcov.channel.build_link_columns`, evaluated with
-one check, and the downlink builds each position's table with
+(position, site) pairs: the uplink reads each block's links as one
+(P, n) table from :func:`~uavcov.channel.build_link_columns`, and the
+downlink builds each position's table with
 :func:`~uavcov.channel.build_link_table`; no position's value depends
 on another's, so the output does not depend on where the blocks end.
 The uplink is read once per orbit of the grid under the hexagon's
@@ -109,9 +109,9 @@ class AssociationEvents:
         return len(self.probability)
 
 
-def association_walk(c_los, c_nlos, p_los, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The association walk over link columns in walk order: the (n,)
-    columns of one table, or the (P, n) columns of a block of them.
+def association_walk(table: LinkTable, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The association walk over a link table in walk order: one
+    position's (n,) columns, or each row of a block's (P, n) columns.
 
     Returns ``pre``, of shape (..., n + 1), and ``stop``, of shape (...).
     ``pre[..., k]`` is the probability that rows 0..k-1 are all NLoS, the
@@ -123,15 +123,14 @@ def association_walk(c_los, c_nlos, p_los, eps: float = 0.0) -> tuple[np.ndarray
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    c_los, c_nlos, p_los = (np.asarray(col, dtype=float) for col in (c_los, c_nlos, p_los))
-    n = c_los.shape[-1]
+    n = table.c_los.shape[-1]
     if n == 0:
         raise ValueError("cannot associate against an empty link table")
-    pre = np.ones(c_los.shape[:-1] + (n + 1,))
-    np.cumprod(1.0 - p_los, axis=-1, out=pre[..., 1:])
-    taken = (c_los >= c_nlos.max(axis=-1, keepdims=True)) & (pre[..., :-1] >= eps)
+    pre = np.ones(table.c_los.shape[:-1] + (n + 1,))
+    np.cumprod(1.0 - table.p_los, axis=-1, out=pre[..., 1:])
+    taken = (table.c_los >= table.c_nlos.max(axis=-1, keepdims=True)) & (pre[..., :-1] >= eps)
     stop = np.where(taken.all(axis=-1), n, taken.argmin(axis=-1))
-    total = (np.where(taken, p_los * pre[..., :-1], 0.0).sum(axis=-1)
+    total = (np.where(taken, table.p_los * pre[..., :-1], 0.0).sum(axis=-1)
              + np.take_along_axis(pre, stop[..., None], axis=-1)[..., 0])
     off = np.abs(total - 1.0)
     if (off > PROB_SUM_TOL).any():
@@ -146,7 +145,9 @@ def association_pmf(table: LinkTable, eps: float = 0.0) -> AssociationEvents:
     When the walk's remaining mass drops below ``eps`` the walk stops and
     that mass is folded into the terminal event, so the sum stays 1.
     """
-    pre, stop = association_walk(table.c_los, table.c_nlos, table.p_los, eps)
+    if table.c_los.ndim != 1:
+        raise ValueError("association_pmf reads one position's table, not a block")
+    pre, stop = association_walk(table, eps)
     if table.c_los[0] == 0.0:
         # The largest gain is 0, so no GBS has any gain toward the UAV
         # (a table has no NLoS gain without LoS gain): the SNR is 0 surely.
@@ -207,9 +208,9 @@ def _walked_rows_at_or_above(snr: np.ndarray, stop: np.ndarray, ts: np.ndarray) 
     return np.minimum(above, stop[..., None])
 
 
-def uplink_outage(c_los, c_nlos, p_los, beta0: float, thresholds, eps: float = 0.0) -> np.ndarray:
-    """P{snr < t} for every threshold t at every position of a block of
-    link columns in walk order, (P, n) each: (P, T), as
+def uplink_outage(table: LinkTable, beta0: float, thresholds, eps: float = 0.0) -> np.ndarray:
+    """P{snr < t} for every threshold t: (T,) for one position's link
+    table, (P, T) for a block of P positions, as
     :meth:`UplinkSnrPmf.outage` of :func:`uplink_snr_pmf` reads it to
     within float roundoff, without building either.
 
@@ -226,9 +227,9 @@ def uplink_outage(c_los, c_nlos, p_los, beta0: float, thresholds, eps: float = 0
     ts = np.asarray(thresholds, dtype=float)
     if np.isnan(ts).any():
         raise ValueError("SNR thresholds must not be NaN")
-    pre, stop = association_walk(c_los, c_nlos, p_los, eps)
-    c_nlos_max = np.max(c_nlos, axis=-1, keepdims=True)
-    served = _walked_rows_at_or_above(beta0 * c_los, stop, ts)
+    pre, stop = association_walk(table, eps)
+    c_nlos_max = np.max(table.c_nlos, axis=-1, keepdims=True)
+    served = _walked_rows_at_or_above(beta0 * table.c_los, stop, ts)
     return np.where(ts > beta0 * c_nlos_max, np.take_along_axis(pre, served, axis=-1), 0.0)
 
 
@@ -263,6 +264,8 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
     is a scalar or a per-GBS array indexed by id.  No events give an
     empty stack.
     """
+    if table.c_los.ndim != 1:
+        raise ValueError("conditional_interference_specs reads one position's table, not a block")
     serving, forced = np.asarray(serving, dtype=np.intp), np.asarray(forced, dtype=np.intp)
     n = len(table)
     if serving.size == 0:
@@ -457,9 +460,8 @@ def _non_outage(
     models = (cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
               cfg.build_channel())
     if link is LinkDirection.UPLINK:
-        _, _, c_los, c_nlos, p_los = build_link_columns(*models, block, cfg.gbs_height)
-        return 1.0 - uplink_outage(c_los, c_nlos, p_los, cfg.beta0, thresholds,
-                                   cfg.association_epsilon)
+        table = build_link_columns(*models, block, cfg.gbs_height)
+        return 1.0 - uplink_outage(table, cfg.beta0, thresholds, cfg.association_epsilon)
     ts = np.array(thresholds)
     return np.array([
         1.0 - downlink_snr_cdf(

@@ -4,6 +4,7 @@ Everything takes an explicit numpy Generator so each test controls its
 own seed; nothing here owns global state.
 """
 
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -36,6 +37,12 @@ def link_table(rows):
     the order given."""
     columns = list(zip(*rows)) or [()] * 5
     return LinkTable(*(np.array(col) for col in columns))
+
+
+def link_block(*tables):
+    """The block LinkTable whose row p is ``tables[p]``."""
+    return LinkTable(*(np.stack([getattr(table, field.name) for table in tables])
+                       for field in dataclasses.fields(LinkTable)))
 
 
 def random_link_table(rng, n_rows, n_bands=1, zero_row_prob=0.15):

@@ -62,8 +62,10 @@ def default_scene():
 
 
 def first_event_interference(omega):
-    """Interference spec conditioned on the most likely association event
-    at the reference UAV position in the default scene."""
+    """Interference spec conditioned on association event 0 at the
+    reference UAV position in the default scene: the LoS event of the
+    first row in walk order (the largest LoS gain), not in general the
+    most likely event."""
     layout, pattern, uav, channel = default_scene()
     table = build_link_table(layout, pattern, uav, channel, (150.0, 50.0, 100.0), GBS_HEIGHT)
     events = association_pmf(table)

@@ -10,9 +10,9 @@ from conftest import default_models, link_table
 from uavcov.channel import (
     LinkTable,
     ParametricAirGroundModel,
-    _check_link_columns,
     build_link_columns,
     build_link_table,
+    default_channel,
     free_space_gain,
 )
 from uavcov.config import load_config
@@ -37,6 +37,15 @@ def test_default_channel_frozen_values():
     assert h_los == pytest.approx(2.825541531205699e-09, rel=1e-12)
     assert h_nlos == pytest.approx(h_los * 10.0 ** (-1.9), rel=1e-12)
     assert p == pytest.approx(0.09433962264150944, rel=1e-12)
+
+
+def test_default_reference_gains_subtract_the_excess_loss():
+    fs = free_space_gain(2e9)
+    m = default_channel(2e9, 2.0, 2.0, 1.0, 20.0, 9.6, 0.28, 9.6)
+    assert (m.ref_gain_los, m.ref_gain_nlos) == (fs * 10.0 ** (-1.0 / 10.0), fs * 10.0 ** -2.0)
+    # a loss so negative that the gain factor overflows is refused
+    with pytest.raises(ValueError, match="positive finite float"):
+        default_channel(2e9, 2.0, 2.0, -4000.0, 20.0, 9.6, 0.28, 9.6)
 
 
 def test_midpoint_is_half_saturation():
@@ -159,8 +168,9 @@ def test_link_table_validation():
             link_table([(ids[0], 0, 2.0, 0.5, 0.5), (ids[1], 0, 1.0, 0.5, 0.5)])
     with pytest.raises(ValueError, match="equal length"):
         LinkTable([0, 1], [0, 0], [2.0, 1.0], [0.5, 0.5], [0.5])
-    with pytest.raises(ValueError, match="1-D"):
-        LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
+    # (P, n) columns are a block of P tables, its length P
+    block = LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
+    assert len(block) == 1 and block.c_los.shape == (1, 1)
 
 
 def test_build_rejects_low_altitude():
@@ -202,17 +212,18 @@ def test_block_tables_equal_single_position_tables(uav_antenna):
     block = np.column_stack([rng.uniform(-800.0, 800.0, 12), rng.uniform(-800.0, 800.0, 12),
                              rng.uniform(26.0, 300.0, 12)])        # mixed altitudes
     block[4] = (layout.x[5], layout.y[5], 61.0)    # straight above site 5
-    columns = build_link_columns(*args, block, 20.0)
-    assert [col.shape for col in columns] == [(12, 37)] * 5
+    table = build_link_columns(*args, block, 20.0)
+    assert len(table) == 12
+    assert [getattr(table, name).shape for name in COLUMNS] == [(12, 37)] * 5
     for p, xyz in enumerate(block):
         single = build_link_table(*args, tuple(xyz.tolist()), 20.0)
-        for name, col in zip(COLUMNS, columns):
-            got, want = col[p], getattr(single, name)
+        for name in COLUMNS:
+            got, want = getattr(table, name)[p], getattr(single, name)
             assert got.shape == want.shape == (37,), name
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable
     # elevation 90 degrees: the GBS element null leaves site 5 no gain
-    gbs_id, _, c_los, c_nlos, _ = (col[4] for col in columns)
+    gbs_id, _, c_los, c_nlos, _ = (getattr(table, name)[4] for name in COLUMNS)
     k = gbs_id.tolist().index(5)
     assert c_los[k] == c_nlos[k] == 0.0
 
@@ -221,9 +232,9 @@ def test_block_shapes():
     layout = build_hex_layout(500.0, 500.0, 3)
     args = (layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=75.0), CHANNEL)
     one = build_link_columns(*args, [(10.0, 20.0, 100.0)], 20.0)
-    assert [col.shape for col in one] == [(1, 7)] * 5
+    assert len(one) == 1 and [getattr(one, name).shape for name in COLUMNS] == [(1, 7)] * 5
     none = build_link_columns(*args, np.empty((0, 3)), 20.0)
-    assert [col.shape for col in none] == [(0, 7)] * 5
+    assert len(none) == 0 and [getattr(none, name).shape for name in COLUMNS] == [(0, 7)] * 5
     for bad in ((10.0, 20.0, 100.0), [[(10.0, 20.0, 100.0)]], [(10.0, 20.0)]):
         with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
             build_link_columns(*args, bad, 20.0)
@@ -231,7 +242,7 @@ def test_block_shapes():
         build_link_columns(*args, [(0.0, 0.0, 100.0), (0.0, 0.0, 20.0)], 20.0)
     no_sites = NetworkLayout(np.empty(0), np.empty(0), np.empty(0, dtype=int))
     empty = build_link_columns(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
-    assert [col.shape for col in empty] == [(2, 0)] * 5
+    assert len(empty) == 2 and [getattr(empty, name).shape for name in COLUMNS] == [(2, 0)] * 5
 
 
 def _block_columns():
@@ -239,7 +250,7 @@ def _block_columns():
         build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA, CHANNEL,
         [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)], 20.0,
     )
-    return {name: np.array(col) for name, col in zip(COLUMNS, block)}   # writable copies
+    return {name: np.array(getattr(block, name)) for name in COLUMNS}   # writable copies
 
 
 def _corrupt_row_1(cols, how):
@@ -259,11 +270,11 @@ def _corrupt_row_1(cols, how):
 ])
 def test_block_check_names_the_corrupt_row(how, message):
     cols = _block_columns()
-    _check_link_columns(**cols)                     # the untouched block passes
+    LinkTable(**cols)                               # the untouched block passes
     ids = cols["gbs_id"][1].tolist()
     _corrupt_row_1(cols, how)
     with pytest.raises(ValueError, match=message.format(ids=ids) + " in block row 1$"):
-        _check_link_columns(**cols)
+        LinkTable(**cols)
     # the same row as one table raises the same error, without the row
     with pytest.raises(ValueError, match=message.format(ids=ids) + "$"):
         LinkTable(**{name: col[1] for name, col in cols.items()})
@@ -271,9 +282,11 @@ def test_block_check_names_the_corrupt_row(how, message):
 
 def test_block_check_shapes():
     cols = _block_columns()
-    # columns are (n,) for one table or (P, n) for a block, never 3-D
-    _check_link_columns(**{name: col[0] for name, col in cols.items()})
-    with pytest.raises(ValueError, match=r"shape \(n,\) or \(P, n\)"):
-        _check_link_columns(**{name: col[None] for name, col in cols.items()})
+    # columns are (n,) for one table or (P, n) for a block, never 3-D or 0-D
+    LinkTable(**{name: col[0] for name, col in cols.items()})
+    LinkTable(**cols)
+    for cut in (lambda col: col[None], lambda col: col[0, 0]):
+        with pytest.raises(ValueError, match=r"shape \(n,\) or \(P, n\)"):
+            LinkTable(**{name: cut(col) for name, col in cols.items()})
     with pytest.raises(ValueError, match="equal length"):
-        _check_link_columns(**dict(cols, p_los=cols["p_los"][:2]))
+        LinkTable(**dict(cols, p_los=cols["p_los"][:2]))

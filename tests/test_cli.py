@@ -92,6 +92,11 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     # the spacing sizes the sampling region even where the sites come from a file
     ("uplink-map", "[layout]\nsites_csv = {tmp}/sites/three.csv\ninter_site_distance_m = 0\n"),
     ("coverage-curve", "[sampling]\naltitude_min_m = 10\n"),   # below the GBS antennas
+    # a dB entry whose linear value overflows or underflows to 0
+    ("layout", "[thresholds]\nuplink_snr_db = 4000\n"),
+    ("layout", "[radio]\nuav_power_dbm = 4000\n"),
+    ("layout", "[channel]\nexcess_loss_los_db = -4000\n"),
+    ("downlink-map", "[thresholds]\ndownlink_snr_db = -4000\n"),
 ])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     (tmp_path / "sites").mkdir()
@@ -251,7 +256,7 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
 
 
 def test_argparse_usage_error(tmp_path, capsys):
-    refused = []
+    refused, unrecognized = [], []
     for argv in (
         ["validate"],                                   # --mode is required
         # each subcommand takes only the flags it reads
@@ -273,20 +278,23 @@ def test_argparse_usage_error(tmp_path, capsys):
         ["coverage-curve", "--link", "downlink", "--points", "3"],    # altitude by default
         ["coverage-curve", "--sweep", "altitude", "--points", "3"],
         ["validate", "--mode", "ga-vs-enum", "--tolerance", "0.1"],
+        ["uplink-map", "--no-such-flag"],               # no parser defines it
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2, argv
-        # a flag the subcommand has is refused by its own usage line, the
-        # flags main refuses as the subcommand parser's own errors; only
-        # a flag no subcommand parser knows reaches the top-level parser
+        # every usage error is refused by the subcommand's own usage line:
+        # a flag the subcommand has, the flags main refuses, and a flag
+        # the subcommand's parser does not define at all
         err = capsys.readouterr().err
+        assert err.startswith(f"usage: uavcov {argv[0]} [-h]"), argv
         if "unrecognized arguments" in err:
-            assert err.startswith("usage: uavcov [-h]"), argv
-        else:
-            assert err.startswith(f"usage: uavcov {argv[0]} [-h]"), argv
+            unrecognized.append(argv)
         if "does not read" in err:
             refused.append(argv)
+    assert unrecognized == [["layout", "--seed", "5"],
+                            ["validate", "--mode", "la-vs-enum", "--workers", "2"],
+                            ["uplink-map", "--no-such-flag"]]
     assert ["coverage-curve", "--sweep", "altitude", "--points", "3"] in refused
     assert ["validate", "--mode", "ga-vs-enum", "--tolerance", "0.1"] in refused
     assert not list(tmp_path.iterdir())

@@ -155,6 +155,30 @@ def test_value_validation(tmp_path, body):
         load_config(write_ini(tmp_path, body))
 
 
+@pytest.mark.parametrize("section, key, raw", [
+    # 10^(dB/10) overflows a float
+    ("thresholds", "uplink_snr_db", "4000"),
+    ("radio", "uav_power_dbm", "4000"),
+    # a loss divides the gain, so its gain factor 10^(4000/10) overflows
+    ("channel", "excess_loss_los_db", "-4000"),
+    ("channel", "excess_loss_nlos_db", "-4000"),
+    # 10^(dB/10) underflows to 0
+    ("thresholds", "downlink_snr_db", "-4000"),
+    ("radio", "noise_power_dbm", "-4000"),
+])
+def test_db_entry_without_positive_finite_linear_value(tmp_path, section, key, raw):
+    path = write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError,
+                       match=rf"^\[{section}\] {key} = '{raw}': no positive finite linear value$"):
+        load_config(path)
+
+
+def test_subnormal_db_entry_is_valid(tmp_path):
+    # 10^(-3200/10) = 1e-320 is a positive float, if a subnormal one
+    cfg = load_config(write_ini(tmp_path, "[thresholds]\ndownlink_snr_db = -3200\n"))
+    assert 0.0 < cfg.downlink_threshold == 10.0 ** -320
+
+
 def _is_number(text):
     try:
         float(text)

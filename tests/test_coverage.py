@@ -20,6 +20,7 @@ from conftest import (
     assert_reads_stepped_cdfs,
     counted_mixture_builds,
     in_place_probes,
+    link_block,
     link_table,
     load_scenario,
     random_link_table,
@@ -308,15 +309,19 @@ def test_uplink_rejects_bad_beta0():
 
 
 def block_read(table, beta0, thresholds, eps):
-    """The uplink block read of one table, as a block of one position."""
-    columns = (table.c_los[None], table.c_nlos[None], table.p_los[None])
-    return coverage.uplink_outage(*columns, beta0, thresholds, eps)[0]
+    """The uplink block read of one table, as a block of one position; the
+    read of the table itself equals it bit for bit."""
+    read = coverage.uplink_outage(link_block(table), beta0, thresholds, eps)[0]
+    assert coverage.uplink_outage(table, beta0, thresholds, eps).tobytes() == read.tobytes()
+    return read
 
 
 def test_block_read_validation():
-    c_los, c_nlos, p_los = np.array([[2.0, 1.0]]), np.array([[1.0, 0.5]]), np.array([[0.5, 0.5]])
+    table = link_table([(0, 0, 2.0, 1.0, 0.5), (1, 0, 1.0, 0.5, 0.5)])
+    block = link_block(table)
     # atoms at 2 (LoS, 0.5) and at 1 (LoS 0.25, terminal 0.25)
-    assert uplink_outage(c_los, c_nlos, p_los, 1.0, [1.5, 1.0, 3.0]).tolist() == [[0.5, 0.0, 1.0]]
+    assert uplink_outage(block, 1.0, [1.5, 1.0, 3.0]).tolist() == [[0.5, 0.0, 1.0]]
+    assert uplink_outage(table, 1.0, [1.5, 1.0, 3.0]).tolist() == [0.5, 0.0, 1.0]
     with pytest.raises(ValueError, match="beta0"):
         block_read(link_table(MICRO_ROWS), 0.0, [1.0], 0.0)
     with pytest.raises(ValueError, match="beta0 must be positive, got nan"):
@@ -324,11 +329,41 @@ def test_block_read_validation():
     with pytest.raises(ValueError, match="eps"):
         block_read(link_table(MICRO_ROWS), 1.0, [1.0], 1.0)
     with pytest.raises(ValueError, match="empty"):
-        uplink_outage(*(np.empty((2, 0)) for _ in range(3)), 1.0, [1.0])
+        uplink_outage(LinkTable(*(np.empty((2, 0)) for _ in range(5))), 1.0, [1.0])
     # thresholds at or below 0 read outage 0 exactly; NaN reads nothing
-    assert uplink_outage(c_los, c_nlos, p_los, 1.0, [0.0, -1.0]).tolist() == [[0.0, 0.0]]
+    assert uplink_outage(block, 1.0, [0.0, -1.0]).tolist() == [[0.0, 0.0]]
     with pytest.raises(ValueError, match="must not be NaN"):
-        uplink_outage(c_los, c_nlos, p_los, 1.0, [1.5, math.nan])
+        uplink_outage(block, 1.0, [1.5, math.nan])
+
+
+@pytest.mark.parametrize("c_los, p_los, message", [
+    # rows out of walk order: the telescoped read took 0.1 where the law
+    # gives 0.5 at threshold 2
+    ([[1.0, 3.0]], [[0.9, 0.5]], "sorted by descending c_los"),
+    # a LoS probability above 1: the read took outage -0.5
+    ([[3.0, 1.0]], [[1.5, 0.5]], r"LoS probability out of \[0, 1\]"),
+], ids=["unsorted", "p_los"])
+def test_block_read_refuses_what_its_telescoping_assumes(c_los, p_los, message):
+    with pytest.raises(ValueError, match=message + ".* in block row 0$"):
+        uplink_outage(LinkTable([[0, 1]], [[0, 0]], c_los, [[0.5, 0.5]], p_los), 1.0, [2.0])
+
+
+@pytest.mark.parametrize("reader, read", [
+    ("association_pmf", association_pmf),
+    ("association_pmf", lambda table: uplink_snr_pmf(table, 1.0)),
+    ("association_pmf", lambda table: downlink_snr_cdf(table, 0.5, 0.1, c0=100.0)),
+    ("conditional_interference_specs",
+     lambda table: conditional_interference_specs(table, 0.5, [0], [0])),
+    ("conditional_interference_specs",
+     lambda table: conditional_interference_spec(table, 0.5, 0, 0)),
+], ids=["association_pmf", "uplink_snr_pmf", "downlink_snr_cdf",
+        "conditional_interference_specs", "conditional_interference_spec"])
+def test_one_position_readers_refuse_a_block(reader, read):
+    # the error names the reader of one position the call reached
+    table = link_table(MICRO_ROWS)
+    read(table)
+    with pytest.raises(ValueError, match=f"^{reader} reads one position's table, not a block$"):
+        read(link_block(table, table))
 
 
 def micro_gains():
@@ -958,10 +993,10 @@ def test_zero_nlos_shortcut_negative_control(monkeypatch):
             test_block_read_matches_enumeration()     # the walk's atoms
     read = coverage.uplink_outage
 
-    def shortcut_read(c_los, c_nlos, p_los, beta0, thresholds, eps=0.0):
-        no_nlos = np.max(c_nlos, axis=-1, keepdims=True) == 0.0
+    def shortcut_read(table, beta0, thresholds, eps=0.0):
+        no_nlos = np.max(table.c_nlos, axis=-1, keepdims=True) == 0.0
         return np.where(no_nlos, np.asarray(thresholds) > 0.0,
-                        read(c_los, c_nlos, p_los, beta0, thresholds, eps))
+                        read(table, beta0, thresholds, eps))
 
     monkeypatch.setattr(coverage, "uplink_outage", shortcut_read)
     with pytest.raises(AssertionError):
@@ -1172,7 +1207,7 @@ def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
     laws = 3 if link is LinkDirection.UPLINK else 24
     tables = "build_link_columns" if link is LinkDirection.UPLINK else "build_link_table"
     positions = {
-        "build_link_columns": lambda columns: len(columns[0]),
+        "build_link_columns": len,
         "build_link_table": lambda table: 1,
         "uplink_outage": len,
         "downlink_snr_cdf": lambda cdf: 1,
@@ -1198,9 +1233,9 @@ def counted_uplink(cfg, altitude, thresholds):
     the rows of every block the uplink read took."""
     scored = []
 
-    def counted(c_los, *args, **kwargs):
-        scored.append(len(c_los))
-        return uplink_outage(c_los, *args, **kwargs)
+    def counted(table, *args, **kwargs):
+        scored.append(len(table))
+        return uplink_outage(table, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coverage, "uplink_outage", counted)

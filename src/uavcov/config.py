@@ -358,6 +358,13 @@ def load_config(path: str | None = None) -> ScenarioConfig:
 
     if noise_power <= 0 or gbs_power <= 0 or uav_power <= 0:
         raise ConfigError("[radio] powers must be positive")
+    beta0, alpha0 = uav_power / noise_power, noise_power / gbs_power
+    for name, ratio, value in (("beta0", "uav_power_dbm over noise_power_dbm", beta0),
+                               ("alpha0", "noise_power_dbm over gbs_power_w", alpha0)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(
+                f"[radio] {ratio} must be a positive finite ratio, got {name} = {value}"
+            )
     if not 0.0 <= omega <= 1.0:
         raise ConfigError(f"[loading] downlink_omega must lie in [0, 1], got {omega}")
     for gbs_id, w in overrides.items():
@@ -403,8 +410,8 @@ def load_config(path: str | None = None) -> ScenarioConfig:
     return ScenarioConfig(
         inter_site_distance=num("layout", "inter_site_distance_m"),
         gbs_height=gbs_height,
-        beta0=uav_power / noise_power,
-        alpha0=noise_power / gbs_power,
+        beta0=beta0,
+        alpha0=alpha0,
         uplink_threshold=num("thresholds", "uplink_snr_db", linear=db_to_linear),
         downlink_threshold=num("thresholds", "downlink_snr_db", linear=db_to_linear),
         loading=loading,

@@ -27,14 +27,15 @@ probabilities [1 - omega, omega (1 - p_L), omega p_L], where p_L is 0 for
 GBSs the event forces into NLoS (always a prefix of the walk order, so an
 event stores only its length); the conditional interference cdf is then
 a lattice-approximated sum and the SNR cdf follows from
-P{snr <= y} = P{I >= C/y - alpha0} summed over events.  Events served in
-one band share their interferer rows, so a position's events are built
-as one checked (E, K, 3) :class:`~uavcov.gpm.GpmSpec` stack per serving
-band, from that band's slices of the record's serving rows and forced
-prefixes (:func:`conditional_interference_specs`), whose arrays
+P{snr <= y} = P{I >= C/y - alpha0} summed over events.  A position's
+events, whatever band serves them, are built as one checked (E, K, 3)
+:class:`~uavcov.gpm.GpmSpec` stack from the record's serving rows and
+forced prefixes (:func:`conditional_interference_specs`), each event's
+interferers padded with silent rows to the largest band's; its arrays
 :func:`uavcov.gpm.la_folds` quantizes in one pass, the rows of events of
 one lattice length folded and inverted in chunks of one transform each
-way.  Each event's sum ``specs[e]`` then goes through
+way, a long sum's light tail on a quarter lattice.  Each event's sum,
+its own rows of the stack (``GpmSpec.trimmed``), then goes through
 :func:`conditional_interference_spec` and its law through
 :func:`uavcov.gpm.la_cdf`.  Outage at
 every threshold is read from all of a position's lattice laws at once,
@@ -249,20 +250,21 @@ def loading_by_id(omega, n: int) -> np.ndarray:
 
 
 def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> GpmSpec:
-    """Aggregate interference under each of E association events whose
-    serving GBSs share a band: one (E, K, 3) stack of sums
-    (:class:`~uavcov.gpm.GpmSpec`), built and checked as one array.
-    Event e is served by walk row ``serving[e]`` of ``table`` and forces
-    the first ``forced[e]`` rows into NLoS: the (E,) slices of an
-    :class:`AssociationEvents` record.
+    """Aggregate interference under each of E association events: one
+    (E, K, 3) stack of sums (:class:`~uavcov.gpm.GpmSpec`), built and
+    checked as one array.  Event e is served by walk row ``serving[e]`` of
+    ``table`` and forces the first ``forced[e]`` rows into NLoS: the (E,)
+    slices of an :class:`AssociationEvents` record.
 
-    The interferers are the other GBSs of that band, one row each in
-    ascending id order (a GBS alone in its band gets an empty sum,
-    interference 0).  Each is silent with probability 1 - omega; when
-    active it contributes its NLoS gain if the event forces it NLoS,
-    otherwise its NLoS/LoS gain split by its LoS probability.  ``omega``
-    is a scalar or a per-GBS array indexed by id.  No events give an
-    empty stack.
+    The interferers of event e are the other GBSs of its serving band,
+    one row each in ascending id order (a GBS alone in its band gets an
+    empty sum, interference 0), then silent rows (value 0, mass 1 at 0)
+    up to K, one less than the largest serving band; ``GpmSpec.trimmed``
+    cuts them off again.  Each interferer is silent with probability
+    1 - omega; when active it contributes its NLoS gain if the event
+    forces it NLoS, otherwise its NLoS/LoS gain split by its LoS
+    probability.  ``omega`` is a scalar or a per-GBS array indexed by
+    id.  No events give an empty stack.
     """
     if table.c_los.ndim != 1:
         raise ValueError("conditional_interference_specs reads one position's table, not a block")
@@ -274,17 +276,21 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
         raise ValueError("an event without a serving GBS has no interference law")
     if ((forced < 0) | (forced > n)).any():
         raise ValueError(f"a forced-NLoS prefix must lie in [0, {n}], got {forced}")
-    bands = table.band[serving]
-    if (bands != bands[0]).any():
-        raise ValueError(f"events of one stack must be served in one band, got bands {bands}")
     row_of = np.argsort(table.gbs_id)   # walk position of each id
-    members = np.flatnonzero(table.band[row_of] == bands[0])
-    others = members != table.gbs_id[serving][:, None]   # (E, members): all but one per row
-    ids = np.broadcast_to(members, others.shape)[others].reshape(serving.size, -1)
-    w = loading_by_id(omega, n)[ids]
+    by_band = np.argsort(table.band[row_of], kind="stable")   # ids by band, then by id
+    size = np.bincount(table.band)
+    first = np.cumsum(size) - size      # each band's first place in by_band
+    band = table.band[serving]
+    # event e's interferers: its band's places in by_band but its server's
+    place = first[band, None] + np.arange(size[band].max() - 1)
+    place += place >= np.argsort(by_band)[table.gbs_id[serving], None]
+    real = place < (first + size)[band, None]
+    ids = by_band[np.where(real, place, 0)]
+    w = np.where(real, loading_by_id(omega, n)[ids], 0.0)
     at = row_of[ids]
     p = np.where(at < forced[:, None], 0.0, table.p_los[at])
-    values = np.stack([np.zeros(ids.shape), table.c_nlos[at], table.c_los[at]], axis=-1)
+    values = np.stack([np.zeros(ids.shape), np.where(real, table.c_nlos[at], 0.0),
+                       np.where(real, table.c_los[at], 0.0)], axis=-1)
     probs = np.stack([1.0 - w, w * (1.0 - p), w * p], axis=-1)
     return GpmSpec(values, probs)
 
@@ -392,34 +398,33 @@ def downlink_snr_cdf(
     """Downlink SNR cdf with lattice-approximated conditional interference,
     one law per association event of nonzero gain.
 
-    The events served in one band, selected by a mask over the record's
-    arrays, form one stack of sums, built by
+    The events of nonzero gain form one stack of sums, built by
     :func:`conditional_interference_specs`, whose laws are quantized,
     then folded and inverted in chunks of events of one lattice length,
-    by :func:`~uavcov.gpm.la_folds`; each event's sum and law then pass
-    through :func:`conditional_interference_spec` and
-    :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of
-    one, so the output does not depend on where the chunks end.
+    by :func:`~uavcov.gpm.la_folds`; each event's sum, trimmed to its
+    own K_e interferer rows, and its law then pass through
+    :func:`conditional_interference_spec` and
+    :func:`~uavcov.gpm.la_cdf`, and its slack is K_e * span / (2 c0).
+    Each law equals that of its stack of one, so the output does not
+    depend on where the chunks end.
     """
     if not alpha0 > 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     events = association_pmf(table, eps)
     gaining = np.flatnonzero(events.gain != 0.0)
-    band = table.band[events.serving[gaining]]
+    serving, forced = events.serving[gaining], events.forced[gaining]
+    specs = conditional_interference_specs(table, omega, serving, forced)
+    interferers = np.bincount(table.band)[table.band[serving]] - 1
     laws: list = [None] * len(events)
     slack = np.zeros(len(events))
-    # one stack per serving band, in the order the bands first serve in
-    # the walk; each law's pmf is a view that keeps its chunk alive
-    for served in dict.fromkeys(band.tolist()):
-        stack = gaining[band == served]
-        serving, forced = events.serving[stack], events.forced[stack]
-        specs = conditional_interference_specs(table, omega, serving, forced)
-        slack[stack] = displacement_bound(specs, c0)
-        for i, row, prefix, stacked, law in zip(
-            stack.tolist(), serving.tolist(), forced.tolist(), specs, la_folds(specs, c0)
-        ):
-            spec = conditional_interference_spec(table, omega, row, prefix, stacked=stacked)
-            laws[i], _ = la_cdf(spec, c0, fold=law)
+    # each law's pmf is a view that keeps its chunk alive
+    for i, row, prefix, stacked, law in zip(
+        gaining.tolist(), serving.tolist(), forced.tolist(), specs.trimmed(interferers),
+        la_folds(specs, c0),
+    ):
+        spec = conditional_interference_spec(table, omega, row, prefix, stacked=stacked)
+        slack[i] = displacement_bound(spec, c0)
+        laws[i], _ = la_cdf(spec, c0, fold=law)
     return DownlinkSnrCdf(events.probability, events.gain, slack,
                           tuple(laws[i] for i in gaining), alpha0)
 

@@ -31,11 +31,15 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     ``la_folds`` quantizes a stack of E sums, such as one (E, K, L)
     ``GpmSpec`` checks in one pass, each sum keeping its own beta, N and
     number of groups, and returns each sum's ``LatticeDistribution``;
-    consecutive sums of one N are folded as one dense slice and inverted
-    as one ``lattice_invert`` stack of up to ``CHUNK_ENTRIES`` entries,
-    the one bound on the memory that grows with N.  ``la_cdf`` passes a
-    stacked law through; without a stack it inverts its sum as a stack
-    of one, bit for bit the same law.
+    consecutive sums of one N, split or not alike, are folded as one
+    dense slice and inverted as one ``lattice_invert`` stack of up to
+    ``CHUNK_ENTRIES`` entries, the one bound on the memory that grows
+    with N.  A long sum's light tail, its live rows of least top that
+    sum below N / 4, is inverted on a lattice of N / 4 and enters the
+    inversion of the other rows as one more row, where that at least
+    halves the entries the sum transforms.  ``la_cdf`` passes a stacked
+    law through; without a stack it inverts its sum as a stack of one,
+    bit for bit the same law.
     ``LatticeCdfs`` reads the cdfs of many lattice laws at once, in
     place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs, from
     running sums built once for any number of reads.
@@ -221,6 +225,22 @@ class GpmSpec:
         return object.__new__(GpmSpec)._hold(
             self.values[e], self.probs[e], self.offset[e], self.span[e]
         )
+
+    def trimmed(self, counts) -> list[GpmSpec]:
+        """Each sum e of a stack as its first ``counts[e]`` rows.  The
+        rows cut must be point masses at 0 (every value 0), which add
+        exactly 0 to the offset and span, so each sum equals ``GpmSpec``
+        of its rows."""
+        counts = np.asarray(counts, dtype=np.intp)
+        k = self.values.shape[1]
+        if self.values.ndim != 3 or counts.shape != (len(self),) or (
+                (counts < 0) | (counts > k)).any():
+            raise ValueError(f"need a stack and one row count in [0, {k}] per sum")
+        if (self.values[np.arange(k) >= counts[:, None]] != 0.0).any():
+            raise ValueError("only rows that are point masses at 0 can be trimmed off")
+        return [object.__new__(GpmSpec)._hold(v[:count], p[:count], offset, span)
+                for v, p, offset, span, count in zip(self.values, self.probs, self.offset.tolist(),
+                                                     self.span.tolist(), counts.tolist())]
 
     @property
     def summands(self) -> tuple[DiscreteSummand, ...]:
@@ -416,29 +436,45 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 # la_folds folds and inverts the rows of consecutive sums of one lattice
-# length N in chunks of at most this many entries (or one sum), one rfft
-# and one irfft per chunk.  A 37-site event folds to 3 rows on N = 1024,
-# so a band's dozen events share a chunk; a default 367-site event folds
-# to about 31, so two do.  Chunks of 2^15, 2^16 and 2^17 entries took
-# 5.27, 4.85 and 4.87 ms per 37-site law, and 22.5, 20.8 and 20.6 ms per
-# default-scene law (medians of 30 and 20 interleaved passes over 40 and
-# 16 positions, 2-core x86 host, numpy 2.4.6); whole default stacks
-# (2^18) gained nothing more, and a chunk's rows and spectra grow with it.
+# length N, split or not alike, in chunks of at most this many
+# transformed entries (or one sum): each sum's folded rows times the
+# length they are inverted at.  A 37-site event folds to 3 rows on
+# N = 1024, so a band's dozen events share a chunk; a default 367-site
+# event transforms about 10,500 entries, its light tail mostly on N/4,
+# so about four do.  Chunks of 2^14 to 2^18 entries took 0.30-0.40,
+# 0.24-0.26, 0.19-0.24, 0.18-0.24 and 0.20-0.24 ms per default-scene law
+# (two runs of 20 interleaved passes over 16 positions at 100 m), and
+# 0.079, 0.060, 0.050, 0.047 and 0.046 ms per 37-site law (30 passes over
+# 24 positions), on a 2-core x86 host with numpy 2.4.6.  Above 2^16 a
+# chunk's rows and spectra double for at most 8%; its dense rows reached
+# 1.25 times its entries.
 CHUNK_ENTRIES = 2**16
 
+# A sum on a lattice of at least this length may invert its light tail on
+# a quarter lattice (``la_folds``); shorter sums are inverted whole.
+SPLIT_MIN_N = 256
 
-def _chunks(groups: list[int], ns: list[int]) -> Iterator[tuple[int, int]]:
-    """Bounds [a, b) of runs of consecutive events of one lattice length,
-    each of up to ``CHUNK_ENTRIES`` folded-row entries (groups times n)
-    or one event."""
-    a, entries = 0, 0
-    for e, (k, n) in enumerate(zip(groups, ns)):
-        if e > a and (n != ns[a] or entries + k * n > CHUNK_ENTRIES):
+
+def _chunks(entries: list[int], kinds: list) -> Iterator[tuple[int, int]]:
+    """Bounds [a, b) of runs of consecutive sums of one kind, each of up
+    to ``CHUNK_ENTRIES`` transformed entries or one sum."""
+    a, total = 0, 0
+    for e, (k, kind) in enumerate(zip(entries, kinds)):
+        if e > a and (kind != kinds[a] or total + k > CHUNK_ENTRIES):
             yield a, e
-            a, entries = e, 0
-        entries += k * n
-    if groups:
-        yield a, len(groups)
+            a, total = e, 0
+        total += k
+    if entries:
+        yield a, len(entries)
+
+
+def _light_tail(rows: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """The (S, n) pmfs of S sums' light tails from their (S, G, n) folded
+    rows, zeroed past each tail's summed top ``tops[s]``, where the
+    inversion leaves round-off only."""
+    pmfs = lattice_invert(rows)
+    pmfs[np.arange(rows.shape[-1]) > tops[:, None]] = 0.0
+    return pmfs
 
 
 def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
@@ -450,30 +486,40 @@ def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
     Each sum keeps its own beta = c0 / span, its own lattice length N
     (the power of two above its summed top) and its own number of fold
     groups; the group size g is the stack's.  The stack's rows are
-    quantized once; then consecutive sums of one N go through as a
-    chunk of up to ``CHUNK_ENTRIES`` folded-row entries (or one sum),
-    gathered, folded and inverted in one ``lattice_invert`` call before
-    the next chunk is gathered, so ``CHUNK_ENTRIES`` bounds the fold as
-    well as the transforms.  Each sum keeps its own mass floor and
-    renormalisation, so its pmf is bit for bit that of its stack of one.
-    An empty stack has no laws.
+    quantized once; then consecutive sums of one N, split or not alike
+    (below), go through as a chunk of up to ``CHUNK_ENTRIES``
+    transformed entries (or one sum), gathered, folded and inverted
+    before the next chunk is gathered, so ``CHUNK_ENTRIES`` bounds the
+    fold as well as the transforms.  Each
+    sum keeps its own mass floor and renormalisation, so its pmf is bit
+    for bit that of its stack of one.  An empty stack has no laws.
 
-    A chunk gathers each sum's first G * g rows, live rows first in row
-    order, with G the chunk's most groups, as one dense (sums, G, g,
-    width) array; rows past a sum's live count become point masses at 0
-    (lattice 0, masses [1, 0, ...]), the identity of convolution.  A
-    folded row's atoms are the outer sums of its members' lattice points
-    and its masses their outer products, so a point mass adds exact
-    zeros to a group, and a group of them folds to the point mass at 0,
-    whose spectrum is exactly 1.  A sum without live rows has N = 1 and
-    is that point mass.
+    A chunk gathers each sum's live rows in whole groups of g, as one
+    dense (sums, groups, g, width) array; slots past a sum's rows become
+    point masses at 0 (lattice 0, masses [1, 0, ...]), the identity of
+    convolution.  A folded row's atoms are the outer sums of its members'
+    lattice points and its masses their outer products, so a point mass
+    adds exact zeros to a group, and a group of them folds to the point
+    mass at 0, whose spectrum is exactly 1.  A sum without live rows has
+    N = 1 and is that point mass.
+
+    Most live rows of a long sum reach a few lattice units into N.  On
+    N >= ``SPLIT_MIN_N`` a sum's tail, its live rows of least top (ties
+    in row order) whose tops add up to below N / 4, can be inverted on a
+    lattice of N / 4: its pmf there, zeroed past the tail's summed top,
+    where only round-off lies, is then one more row of the inversion of
+    the head, the other live rows, on N.  A sum is split only where
+    that at least halves the entries it transforms, which depends on its
+    own tops alone.  Both inversions are ``lattice_invert`` calls with
+    all of its checks.  Without a split a sum's live rows are read in row
+    order.
     """
     if not c0 >= 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
     span = np.atleast_1d(spec.span)
     values = spec.values.reshape(span.shape + spec.values.shape[-2:])
     probs = spec.probs.reshape(values.shape)
-    width = values.shape[-1]
+    k, width = values.shape[-2:]
     # a zero span has no lattice to scale: beta 1 puts its point mass at 0
     with np.errstate(over="ignore"):
         beta = c0 / np.where(span == 0.0, c0, span)
@@ -484,42 +530,75 @@ def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
     shifted = values - values.min(axis=-1, keepdims=True)
     lattice = _round_half_away(beta[:, None, None] * shifted).astype(np.intp)
     tops = lattice.max(axis=-1)
-    total_tops = tops.sum(axis=-1).tolist()
-    ns = [_next_pow2(t + 1) for t in total_tops]
+    total_tops = tops.sum(axis=-1)
+    ns = np.array([_next_pow2(t + 1) for t in total_tops.tolist()], dtype=np.intp)
     # a row rounded to the point mass at 0 has spectrum 1: the fold reads
-    # each sum's live rows first, in order, in whole groups of g
+    # only live rows, in whole groups of g
     live = tops > 0
     counts = live.sum(axis=-1)
     most = int(counts.max(initial=0))
     g = 1
     while g < most and width ** (g + 1) <= FOLD_ATOMS:
         g += 1
-    groups = (-(-counts // g)).tolist()
-    # row 0 pads the order to whole groups: the fold reads it as a point mass
-    order = np.pad(np.argsort(~live, axis=-1, kind="stable"), ((0, 0), (0, g - 1)))
+    # each sum's tail: a prefix of its live rows by ascending top; a dead
+    # row's key, N, ends the prefix
+    key = np.where(live, tops, ns[:, None])
+    by_top = np.argsort(key, axis=-1, kind="stable")
+    light = np.cumsum(np.take_along_axis(key, by_top, axis=-1), axis=-1) < ns[:, None] // 4
+    tails = light.sum(axis=-1)
+    tail_groups = -(-tails // g)
+    split = ns >= SPLIT_MIN_N
+    split &= tail_groups + 4 * (-(-(counts - tails) // g) + 1) <= 2 * -(-counts // g)
+    tails = np.where(split, tails, 0)
+    heads = -(-(counts - tails) // g)     # fold groups of all live rows but the tail
+    in_tail = np.zeros_like(live)
+    np.put_along_axis(in_tail, by_top, np.arange(k) < tails[:, None], axis=-1)
+    tail_tops = np.where(in_tail, tops, 0).sum(axis=-1)
+    # each sum's rows in fold order: its tail, then its other live rows,
+    # then its dead rows, each in row order
+    order = np.argsort(np.where(in_tail, 0, np.where(live, 1, 2)), axis=-1, kind="stable")
+    entries = np.where(split, tail_groups * ns // 4 + (heads + 1) * ns, heads * ns)
+
+    def folded(sums: np.ndarray, first: np.ndarray, stop: np.ndarray, n: int, extra: int = 0):
+        """(sums, G + extra, n) rows: sum s's rows order[s, first[s]:stop[s]]
+        folded g to a row on 0..n-1, in G groups with point masses at 0 in
+        the slots past its rows, then ``extra`` rows of zeros."""
+        most_groups = -(-int((stop - first).max()) // g)
+        slots = most_groups + extra
+        at = first[:, None] + np.arange(most_groups * g)
+        dead = at >= stop[:, None]
+        pick = sums[:, None], order[sums[:, None], np.minimum(at, k - 1)]
+        atoms, mass = lattice[pick], probs[pick]
+        atoms[dead] = 0
+        mass[dead] = 0.0
+        mass[dead, 0] = 1.0
+        shape = (len(sums), -1, g, width)
+        atoms, mass = atoms.reshape(shape), mass.reshape(shape)
+        fold_atoms, fold_mass = atoms[:, :, 0], mass[:, :, 0]
+        for j in range(1, g):
+            joint = fold_atoms.shape[:2] + (width ** (j + 1),)
+            fold_atoms = (fold_atoms[..., None] + atoms[:, :, j, None]).reshape(joint)
+            fold_mass = (fold_mass[..., None] * mass[:, :, j, None]).reshape(joint)
+        row = np.arange(len(sums))[:, None] * slots + np.arange(most_groups)
+        rows = np.bincount((fold_atoms + row[..., None] * n).ravel(), fold_mass.ravel(),
+                           len(sums) * slots * n)
+        return rows.reshape(len(sums), slots, n)
+
     offsets, scales = np.atleast_1d(spec.offset).tolist(), beta.tolist()
     laws = []
-    for a, b in _chunks(groups, ns):
-        n, most_groups = ns[a], max(groups[a:b])
+    # a chunk's sums share N and whether they split, so its dense rows
+    # hold about its entries
+    for a, b in _chunks(entries.tolist(), list(zip(ns.tolist(), split.tolist()))):
+        n, sums = int(ns[a]), np.arange(a, b)
         if n == 1:      # no live rows: the point mass at 0
             pmfs = np.ones((b - a, 1))
         else:
-            pick = np.arange(a, b)[:, None], order[a:b, :most_groups * g]
-            atoms, mass = lattice[pick], probs[pick]
-            dead = np.arange(most_groups * g) >= counts[a:b, None]
-            atoms[dead] = 0
-            mass[dead] = 0.0
-            mass[dead, 0] = 1.0
-            shape = (b - a, most_groups, g, width)
-            atoms, mass = atoms.reshape(shape), mass.reshape(shape)
-            fold_atoms, fold_mass = atoms[:, :, 0], mass[:, :, 0]
-            for j in range(1, g):
-                joint = (b - a, most_groups, width ** (j + 1))
-                fold_atoms = (fold_atoms[..., None] + atoms[:, :, j, None]).reshape(joint)
-                fold_mass = (fold_mass[..., None] * mass[:, :, j, None]).reshape(joint)
-            at = fold_atoms + (np.arange((b - a) * most_groups) * n).reshape(b - a, most_groups, 1)
-            rows = np.bincount(at.ravel(), fold_mass.ravel(), (b - a) * most_groups * n)
-            pmfs = lattice_invert(rows.reshape(b - a, most_groups, n))
+            rows = folded(sums, tails[a:b], counts[a:b], n, int(split[a]))
+            if split[a]:
+                # the extra slot: each sum's light tail
+                rows[:, -1, :n // 4] = _light_tail(
+                    folded(sums, np.zeros_like(sums), tails[a:b], n // 4), tail_tops[a:b])
+            pmfs = lattice_invert(rows)
             # FFT round-off leaves ~1e-15 dust on lattice points that carry
             # no mass; without a floor it would surface as spurious cdf jumps
             pmfs[pmfs < FFT_MASS_FLOOR] = 0.0

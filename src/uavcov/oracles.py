@@ -19,8 +19,14 @@ UPLINK_STATE_CAP = 2**21
 DOWNLINK_STATE_CAP = 2_000_000
 
 
+def _one_position(table: LinkTable, oracle: str) -> None:
+    if table.c_los.ndim != 1:
+        raise ValueError(f"{oracle} reads one position's table, not a block")
+
+
 def uplink_pmf_enumeration(table: LinkTable, beta0: float) -> UplinkSnrPmf:
     """Uplink SNR pmf over all 2^B LoS/NLoS state vectors."""
+    _one_position(table, "uplink_pmf_enumeration")
     b = len(table)
     if 2**b > UPLINK_STATE_CAP:
         raise ValueError(f"enumeration needs 2^{b} states, above the cap of {UPLINK_STATE_CAP}")
@@ -47,6 +53,7 @@ def downlink_cdf_enumeration(table: LinkTable, omega, alpha0: float) -> SteppedC
     then swept over all active/silent patterns, each active interferer
     contributing its own realised gain.
     """
+    _one_position(table, "downlink_cdf_enumeration")
     b = len(table)
     c_los, c_nlos, p_los = table.c_los, table.c_nlos, table.p_los
     w_by_id = loading_by_id(omega, b)

@@ -97,6 +97,12 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ("layout", "[radio]\nuav_power_dbm = 4000\n"),
     ("layout", "[channel]\nexcess_loss_los_db = -4000\n"),
     ("downlink-map", "[thresholds]\ndownlink_snr_db = -4000\n"),
+    # valid powers whose ratio beta0 or alpha0 overflows or underflows: the
+    # first read coverage 1 and exited 0, the second exited 1
+    ("uplink-map", "[radio]\nuav_power_dbm = 3000\nnoise_power_dbm = -3000\n"),
+    ("downlink-map", "[radio]\ngbs_power_w = 1e300\nnoise_power_dbm = -3000\n"),
+    ("uplink-map", "[radio]\nuav_power_dbm = -3000\nnoise_power_dbm = 3000\n"),
+    ("downlink-map", "[radio]\ngbs_power_w = 1e-300\nnoise_power_dbm = 3000\n"),
 ])
 def test_out_of_domain_config_values_exit_2(tmp_path, capsys, command, body):
     (tmp_path / "sites").mkdir()

@@ -356,8 +356,13 @@ def test_block_read_refuses_what_its_telescoping_assumes(c_los, p_los, message):
      lambda table: conditional_interference_specs(table, 0.5, [0], [0])),
     ("conditional_interference_specs",
      lambda table: conditional_interference_spec(table, 0.5, 0, 0)),
+    # the oracles: the uplink one read a block as P rows and returned a
+    # pmf summing to 0.25, the downlink one failed inside numpy
+    ("uplink_pmf_enumeration", lambda table: uplink_pmf_enumeration(table, 1.0)),
+    ("downlink_cdf_enumeration", lambda table: downlink_cdf_enumeration(table, 0.5, 0.1)),
 ], ids=["association_pmf", "uplink_snr_pmf", "downlink_snr_cdf",
-        "conditional_interference_specs", "conditional_interference_spec"])
+        "conditional_interference_specs", "conditional_interference_spec",
+        "uplink_pmf_enumeration", "downlink_cdf_enumeration"])
 def test_one_position_readers_refuse_a_block(reader, read):
     # the error names the reader of one position the call reached
     table = link_table(MICRO_ROWS)
@@ -542,11 +547,15 @@ def law_bits(spec, lattice, c0):
     return lattice.offset, lattice.scale, lattice.pmf.tobytes(), displacement_bound(spec, c0)
 
 
-def stacked_laws(stack, c0):
-    """Each sum's (offset, scale, pmf, slack), its la_cdf passing on its
-    law from one la_folds pass over the stack."""
-    return [law_bits(stack[e], la_cdf(stack[e], c0, fold=law)[0], c0)
-            for e, law in enumerate(la_folds(stack, c0))]
+def stacked_laws(table, omega, serving, forced, c0):
+    """Each event's (offset, scale, pmf, slack) from one stack of all the
+    events' sums, each sum trimmed to its own event's rows, its la_cdf
+    passing on its law from one la_folds pass over the stack."""
+    stack = conditional_interference_specs(table, omega, serving, forced)
+    sizes = [len(conditional_interference_spec(table, omega, row, prefix))
+             for row, prefix in zip(serving.tolist(), forced.tolist())]
+    return [law_bits(spec, la_cdf(spec, c0, fold=law)[0], c0)
+            for spec, law in zip(stack.trimmed(sizes), la_folds(stack, c0))]
 
 
 def single_laws(table, omega, events, stack, c0):
@@ -555,25 +564,21 @@ def single_laws(table, omega, events, stack, c0):
     return [law_bits(spec, la_cdf(spec, c0)[0], c0) for spec in specs]
 
 
-def stack_specs(table, omega, events, stack):
-    """The stack of the sums of the events ``stack`` indexes."""
-    return conditional_interference_specs(table, omega, events.serving[stack], events.forced[stack])
-
-
 def gaining_events(events):
     """The indices of the events with a serving GBS and nonzero gain."""
     return np.flatnonzero((events.serving >= 0) & (events.gain != 0.0))
 
 
-def band_stacks(table, events, size):
-    """The gaining events' indices grouped by serving band, as
-    downlink_snr_cdf groups them, cut into stacks of up to ``size``
-    events: downlink_snr_cdf takes each band whole, and the smaller cuts
-    exercise la_folds on any stack of one band."""
+def event_stacks(table, events, size):
+    """The gaining events' indices cut into stacks of up to ``size``
+    events, in walk order and grouped by serving band: downlink_snr_cdf
+    takes a position's events whole, in one stack of mixed bands, and the
+    cuts exercise la_folds on smaller stacks of mixed bands and of one."""
+    gaining = gaining_events(events).tolist()
     by_band = {}
-    for e in gaining_events(events).tolist():
+    for e in gaining:
         by_band.setdefault(int(table.band[events.serving[e]]), []).append(e)
-    return [np.array(run[i:i + size]) for run in by_band.values()
+    return [np.array(run[i:i + size]) for run in [gaining, *by_band.values()]
             for i in range(0, len(run), size)]
 
 
@@ -609,6 +614,14 @@ MIXED_ROWS = (
     (2, 0, 8.0, 0.3, 0.5), (7, 1, 7.0, 0.3, 0.5), (3, 0, 6.0, 0.2, 0.5),
     (8, 1, 5.0, 0.2, 0.5), (4, 0, 4.0, 0.1, 0.5), (5, 0, 3.0, 2.0, 0.5),
 )
+# Band 0 has two strong GBSs and 28 weak ones, band 1 two strong ones.
+# At c0 = 1000 the LoS event of GBS 0 has 29 live rows on N = 1024: its
+# 28 weak rows, tops up to 5, are a light tail inverted on N/4, and GBS 1,
+# top 903, is the head.  The other events fold without a split.
+SPLIT_ROWS = tuple(sorted(
+    ((0, 0, 10.0, 0.5, 0.5), (1, 0, 9.0, 0.4, 0.5), (30, 1, 8.0, 0.3, 0.5),
+     (31, 1, 7.0, 0.2, 0.5), *((i, 0, 0.05 - 0.001 * i, 0.01, 0.5) for i in range(2, 30))),
+    key=lambda row: (-row[2], row[0])))
 STACK_EXAMPLES = (
     (MIXED_ROWS, 0.6, 40.0),
     (MIXED_ROWS, 0.0, 1000.0),                    # loading 0: zero spans
@@ -617,6 +630,7 @@ STACK_EXAMPLES = (
     # band 0's tops run 1023, 1024, 1024, 1022, 1024, 1023, 1023: lattice
     # lengths 1024 and 2048 alternate within one stack
     (MIXED_ROWS, 0.6, 1023.5),
+    (SPLIT_ROWS, 0.6, 1000.0),
 )
 
 # la_folds inverts one spec a chunk, whole stacks in one chunk, and the default
@@ -630,9 +644,9 @@ def check_stacks(rows, omega, c0, size):
     for chunk in CHUNK_SIZES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gpm, "CHUNK_ENTRIES", chunk)
-            for stack in band_stacks(table, events, size):
-                specs = stack_specs(table, omega, events, stack)
-                assert stacked_laws(specs, c0) == single_laws(table, omega, events, stack, c0)
+            for stack in event_stacks(table, events, size):
+                assert stacked_laws(table, omega, events.serving[stack], events.forced[stack],
+                                    c0) == single_laws(table, omega, events, stack, c0)
             # the whole law, whatever the stacks and chunks it builds
             model = downlink_snr_cdf(table, omega, 0.1, c0=c0)
         got = [(law.offset, law.scale, law.pmf.tobytes(), slack)
@@ -649,11 +663,16 @@ def check_stacks(rows, omega, c0, size):
 @example(STACK_EXAMPLES[3], 9)
 @example(STACK_EXAMPLES[4], 9)
 @example(STACK_EXAMPLES[4], 3)
+@example(STACK_EXAMPLES[5], 9)
+@example(STACK_EXAMPLES[5], 2)
 def test_stacked_laws_equal_single_event_laws(scene, size):
     check_stacks(*scene, size)
 
 
-def test_stack_examples_cover_every_case():
+def test_stack_examples_cover_every_case(monkeypatch):
+    split = []
+    light_tail = gpm._light_tail
+    monkeypatch.setattr(gpm, "_light_tail", lambda *args: split.append(1) or light_tail(*args))
     seen = set()
     for rows, omega, c0 in STACK_EXAMPLES:
         table = link_table(rows)
@@ -663,54 +682,62 @@ def test_stack_examples_cover_every_case():
         elif (w == 1).all():
             seen.add("loading 1")
         events = association_pmf(table)
-        stacks = band_stacks(table, events, 9)
-        if len(stacks) > 1:
-            seen.add("mixed serving bands")
-        for stack in stacks:
-            specs = stack_specs(table, omega, events, stack)
-            if any(len(spec) == 0 for spec in specs):
-                seen.add("lone GBS")
-            if (events.forced[stack] > 0).any():
-                seen.add("forced NLoS prefix")
-            live = []
-            for spec in specs:
-                ranges = np.ptp(spec.values, axis=1)
-                beta = c0 / spec.span if spec.span else 0.0
-                live.append(int((np.floor(beta * ranges + 0.5) > 0).sum()))
-                if ((ranges > 0) & (beta * ranges < 0.5)).any():
-                    seen.add("rows rounded to 0")
-            if len({min(c, 4) for c in live if c}) > 1:
-                seen.add("different g in one stack")
-            if len({len(law.pmf) > 1024 for law in la_folds(specs, c0)}) > 1:
-                seen.add("two lattice lengths in one stack")
-    assert seen == {"loading 0", "loading 1", "mixed serving bands", "lone GBS",
+        gaining = gaining_events(events)
+        if len(set(table.band[events.serving[gaining]].tolist())) > 1:
+            seen.add("mixed bands in one stack")
+        if (events.forced[gaining] > 0).any():
+            seen.add("forced NLoS prefix")
+        specs = [event_spec(table, omega, events, e) for e in gaining]
+        if any(len(spec) == 0 for spec in specs):
+            seen.add("lone GBS")
+        live = []
+        for spec in specs:
+            ranges = np.ptp(spec.values, axis=1)
+            beta = c0 / spec.span if spec.span else 0.0
+            live.append(int((np.floor(beta * ranges + 0.5) > 0).sum()))
+            if ((ranges > 0) & (beta * ranges < 0.5)).any():
+                seen.add("rows rounded to 0")
+        if len({min(c, 4) for c in live if c}) > 1:
+            seen.add("different g in one stack")
+        stack = conditional_interference_specs(table, omega, events.serving[gaining],
+                                               events.forced[gaining])
+        split.clear()
+        if len({len(law.pmf) > 1024 for law in la_folds(stack, c0)}) > 1:
+            seen.add("two lattice lengths in one stack")
+        if split:
+            seen.add("tail split")
+    assert seen == {"loading 0", "loading 1", "mixed bands in one stack", "lone GBS",
                     "forced NLoS prefix", "rows rounded to 0", "different g in one stack",
-                    "two lattice lengths in one stack"}
+                    "two lattice lengths in one stack", "tail split"}
 
 
 def test_stacked_law_negative_controls():
     rows, omega, c0 = STACK_EXAMPLES[0]
     table = link_table(rows)
     events = association_pmf(table)
-    stack = max(band_stacks(table, events, 9), key=len)
+    stack = gaining_events(events)
     want = single_laws(table, omega, events, stack, c0)
     serving, forced = events.serving[stack], events.forced[stack]
-    specs = conditional_interference_specs(table, omega, serving, forced)
-    assert stacked_laws(specs, c0) == want
+    assert stacked_laws(table, omega, serving, forced, c0) == want
     # one event's forced prefix one row shorter (a LoS event's prefix ends
     # at its own row, so one row longer would reach the server): its law moves
     shifted = forced.copy()
     shifted[1] -= 1
     with pytest.raises(AssertionError):
-        assert stacked_laws(conditional_interference_specs(table, omega, serving, shifted),
-                            c0) == want
+        assert stacked_laws(table, omega, serving, shifted, c0) == want
     # two events' sums swapped within the stack
-    swapped = np.arange(len(specs))
+    swapped = np.arange(len(stack))
     swapped[[0, 2]] = swapped[[2, 0]]
     with pytest.raises(AssertionError):
-        assert stacked_laws(specs[swapped], c0) == want
-    with pytest.raises(ValueError, match="one band"):
-        stack_specs(table, omega, events, np.append(stack, 2))
+        assert stacked_laws(table, omega, serving[swapped], forced[swapped], c0) == want
+    # the stack mixes bands: an event handed another band's members, here
+    # by moving its server (GBS 6, alone in band 2) into band 1, moves
+    assert table.band[serving[2]] == 2 and table.gbs_id[serving[2]] == 6
+    moved = link_table(tuple((i, 1 if i == 6 else band, *rest) for i, band, *rest in rows))
+    got = stacked_laws(moved, omega, serving, forced, c0)
+    assert got[:2] == want[:2]
+    with pytest.raises(AssertionError):
+        assert got[2] == want[2]
 
 
 def test_empty_stacks():
@@ -722,7 +749,7 @@ def test_empty_stacks():
         la_folds(empty, 0.5)
 
 
-def test_downlink_builds_one_stack_per_serving_band(monkeypatch):
+def test_downlink_builds_one_stack_per_position(monkeypatch):
     cfg = load_config()
     table = configured_table(cfg, (120.0, 40.0, 100.0))
     eps = cfg.association_epsilon
@@ -739,12 +766,9 @@ def test_downlink_builds_one_stack_per_serving_band(monkeypatch):
     gaining = gaining_events(events)
     served = table.band[events.serving[gaining]].tolist()
     assert len(gaining) > 20 and len(set(served)) > 1
-    # one call per serving band (a call refuses events of two bands), in
-    # the order the bands first serve in the walk, and every gaining
-    # event in one of them
-    assert [table.band[call[0][0]] for call in calls] == list(dict.fromkeys(served))
-    want = zip(events.serving[gaining].tolist(), events.forced[gaining].tolist())
-    assert sorted(sum(calls, [])) == sorted(want)
+    # one call for the position, every gaining event in it in event order,
+    # whatever band serves it
+    assert calls == [list(zip(events.serving[gaining].tolist(), events.forced[gaining].tolist()))]
 
 
 def stepped_mixture(model, ys, strict):
@@ -835,7 +859,7 @@ def test_many_event_mixture_adds_events_in_order():
 
 
 def test_each_law_passes_through_the_per_event_functions(monkeypatch):
-    # downlink_snr_cdf builds specs and folds a stack at a time, but hands
+    # downlink_snr_cdf builds specs and folds one stack per position, but hands
     # every gaining event's spec and fold to conditional_interference_spec
     # and la_cdf, one event per call, in event order
     table = link_table(MIXED_ROWS)

@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -265,6 +265,32 @@ def test_padding_sits_on_row_minimum():
     (summand,) = spec.summands
     assert summand.values.tolist() == [2.0, 7.0]
     assert summand.probs.tolist() == [0.5, 0.5]
+
+
+def test_trimmed_sums_equal_their_rows():
+    # a stack of sums of 4, 2 and 0 rows, padded to K = 4 with point masses
+    # at 0 (padding entries anywhere): each trimmed sum is GpmSpec of its rows
+    rng = np.random.default_rng(71)
+    values, probs = np.zeros((3, 4, 3)), np.zeros((3, 4, 3))
+    probs[:, :, 0] = 1.0
+    for e, k in enumerate((4, 2)):
+        values[e, :k] = rng.uniform(0.0, 5.0, size=(k, 3))
+        probs[e, :k] = rng.dirichlet(np.ones(3), size=k)
+    probs[1, 3] = [0.0, 1.0, 0.0]
+    stack = GpmSpec(values, probs)
+    for e, (spec, k) in enumerate(zip(stack.trimmed([4, 2, 0]), (4, 2, 0))):
+        want = GpmSpec(values[e, :k], probs[e, :k])
+        assert spec.values.tobytes() == want.values.tobytes()
+        assert spec.probs.tobytes() == want.probs.tobytes()
+        assert (spec.offset, spec.span) == (want.offset, want.span)
+    # a row that is not a point mass at 0 cannot be cut, nor a count off the stack
+    with pytest.raises(ValueError, match="point masses at 0"):
+        stack.trimmed([3, 2, 0])
+    for counts in ([4, 2], [4, 2, -1], [5, 2, 0]):
+        with pytest.raises(ValueError, match="one row count in"):
+            stack.trimmed(counts)
+    with pytest.raises(ValueError, match="need a stack"):
+        stack[0].trimmed([4, 4, 4, 4])
 
 
 def test_summand_arrays_read_only():
@@ -603,6 +629,79 @@ def test_fold_negative_controls(monkeypatch):
         check_fold(spec)
     assert shapes == [(1, 3, total_top)]
     monkeypatch.setattr(gpm, "_next_pow2", lambda length: length)
+    check_fold(spec)
+
+
+def split_lattice_spec(rng, width, light, heavy_tops, dead):
+    """A spec at beta = 1 (c0 = span) whose ``light`` rows reach 1 to 3
+    units and whose heavy rows reach ``heavy_tops``, with ``dead`` rows
+    spread by less than half a unit among them, in random row order."""
+    rows = []
+    for top in [*rng.integers(1, 4, size=light), *heavy_tops]:
+        inner = rng.choice(np.arange(1, top), size=min(width - 2, top - 1), replace=False)
+        rows.append(float(rng.integers(0, 4)) + np.sort(np.r_[0, inner, top]))
+    rows += [float(rng.integers(0, 4)) + rng.uniform(0.0, 0.45, size=2) for _ in range(dead)]
+    values = np.zeros((len(rows), width))
+    probs = np.zeros((len(rows), width))
+    for row, at in zip(rng.permutation(len(rows)), rows):
+        values[row, :at.size], values[row, at.size:] = at, at[0]
+        probs[row, :at.size] = rng.uniform(0.05, 1.0, size=at.size)
+    return GpmSpec(values, probs / probs.sum(axis=1, keepdims=True))
+
+
+def tails_split(spec):
+    """How many light tails ``la_cdf(spec, span)`` inverts on a quarter lattice."""
+    calls = []
+    light_tail = gpm._light_tail
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpm, "_light_tail", lambda rows, tops: calls.append(len(rows))
+                      or light_tail(rows, tops))
+        la_cdf(spec, spec.span)
+    return sum(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(40, 90),
+       st.lists(st.integers(40, 400), min_size=1, max_size=3), st.integers(0, 5))
+def test_split_la_cdf_matches_row_by_row_convolution(seed, width, light, heavy_tops, dead):
+    # a sum whose light rows go on a quarter lattice, their pmf one more
+    # row of the rest's inversion: its law is still the rows' iterated
+    # np.convolve within 1e-12
+    spec = split_lattice_spec(np.random.default_rng(seed), width, light, heavy_tops, dead)
+    assume(tails_split(spec) == 1)
+    check_fold(spec)
+
+
+def test_split_negative_controls(monkeypatch):
+    # 60 light rows (tops 1-3, N/4 = 256 holds them) and two heavy rows of
+    # summed top 800: on N = 1024 the tail goes on 256 points
+    spec = split_lattice_spec(np.random.default_rng(67), 3, 60, [300, 500], 3)
+    n = gpm._next_pow2(int(spec.span) + 1)
+    assert n == 1024 and tails_split(spec) == 1
+    check_fold(spec)
+    # rows that put 0.97 on their tops: the tail's summed top then carries
+    # 0.97^60 = 0.16 of its mass, which the zeroing past it must keep
+    live = spec.probs > 0.0
+    top = live & (spec.values == spec.values.max(axis=1, keepdims=True))
+    rest = 0.03 / (live.sum(axis=1, keepdims=True) - 1)
+    check_fold(GpmSpec(spec.values, np.where(top, 0.97, np.where(live, rest, 0.0))))
+    light_tail = gpm._light_tail
+    # without the tail row the law misses the light rows
+    def point_masses(rows, tops):
+        pmfs = np.zeros((len(rows), rows.shape[-1]))
+        pmfs[:, 0] = 1.0
+        return pmfs
+
+    monkeypatch.setattr(gpm, "_light_tail", point_masses)
+    with pytest.raises(AssertionError):
+        check_fold(spec)
+    # the tail pmf not zeroed past its summed top: its round-off reaches
+    # the quarter lattice's end, and with the head's tops past 3N/4 the
+    # head's inversion refuses it
+    monkeypatch.setattr(gpm, "_light_tail", lambda rows, tops: lattice_invert(rows))
+    with pytest.raises(ValueError, match="aliasing"):
+        check_fold(spec)
+    monkeypatch.setattr(gpm, "_light_tail", light_tail)
     check_fold(spec)
 
 

@@ -141,8 +141,10 @@ class LinkTable:
     descending LoS gain, ties by ascending id: the association walk's
     order.  The ids are 0..n-1, so per-GBS arrays are indexed by id.  GBSs
     outside the UAV mainlobe with zero backlobe gain have both gains 0
-    and sit at the tail.  The columns are read-only copies, checked on
-    construction: an error names the first GBS at fault and, in a block, its row.
+    and sit at the tail.  The columns are read-only, checked on
+    construction: an error names the first GBS at fault and, in a block,
+    its row.  A column handed over as a read-only array of its dtype that
+    owns its data is held as it is; any other is copied.
     """
 
     gbs_id: np.ndarray
@@ -153,9 +155,12 @@ class LinkTable:
 
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS:
-            col = np.array(getattr(self, name), dtype=dtype)
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            col = getattr(self, name)
+            if not (isinstance(col, np.ndarray) and col.dtype == dtype and col.flags.owndata
+                    and not col.flags.writeable):
+                col = np.array(col, dtype=dtype)
+                col.flags.writeable = False
+                object.__setattr__(self, name, col)
         ids, c, c_nlos, p_los = self.gbs_id, self.c_los, self.c_nlos, self.p_los
         if ids.ndim not in (1, 2):
             raise ValueError(f"link table columns must have shape (n,) or (P, n), got {ids.shape}")
@@ -195,7 +200,9 @@ class LinkTable:
 
 
 def _link_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height):
-    """The five (P, n) link table columns of a (P, 3) block, in walk order."""
+    """The five (P, n) link table columns of a (P, 3) block, in walk
+    order, each a new read-only array that a ``LinkTable`` holds without
+    a copy."""
     block = np.asarray(positions, dtype=float)
     r_h, d3, theta = link_geometry(block, layout.x, layout.y, gbs_height)
     h_los, h_nlos, p_los = channel.evaluate(theta, d3)
@@ -203,9 +210,12 @@ def _link_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_heig
     c_los = combined * h_los
     # a site's id is its index, so a stable sort breaks ties by id
     order = np.argsort(-c_los, axis=-1, kind="stable")
-    return (order, layout.band[order], *(
+    columns = (order, layout.band[order], *(
         np.take_along_axis(col, order, axis=-1) for col in (c_los, combined * h_nlos, p_los)
     ))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
 
 
 def build_link_table(

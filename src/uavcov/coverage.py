@@ -32,14 +32,15 @@ events, whatever band serves them, are built as one checked (E, K, 3)
 :class:`~uavcov.gpm.GpmSpec` stack from the record's serving rows and
 forced prefixes (:func:`conditional_interference_specs`), each event's
 interferers padded with silent rows to the largest band's; its arrays
-:func:`uavcov.gpm.la_folds` quantizes in one pass, the rows of events of
-one lattice length folded and inverted in chunks of one transform each
-way, a long sum's light tail on a quarter lattice.  Each event's sum,
-its own rows of the stack (``GpmSpec.trimmed``), then goes through
-:func:`conditional_interference_spec` and its law through
-:func:`uavcov.gpm.la_cdf`.  Outage at
-every threshold is read from all of a position's lattice laws at once,
-in place on their pmfs (:class:`uavcov.gpm.LatticeCdfs`).
+:func:`uavcov.gpm.la_folds` quantizes and folds in one pass each, then
+inverts the folded rows of events of one lattice length in chunks of
+one transform each way, a long sum's light tail on a quarter lattice,
+into one :class:`~uavcov.gpm.LatticeLaws` record of the position's
+laws.  Each event's sum, its own rows of the stack
+(``GpmSpec.trimmed``), then goes through
+:func:`conditional_interference_spec` and its law, row e of the record,
+through :func:`uavcov.gpm.la_cdf`.  Outage at every threshold is read
+from all of the record's laws at once (:class:`uavcov.gpm.LatticeCdfs`).
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
@@ -73,9 +74,7 @@ import numpy as np
 from .channel import LinkTable, build_link_columns, build_link_table
 from .config import ScenarioConfig
 from .geometry import point_orbits, sample_region
-from .gpm import (
-    GpmSpec, LatticeCdfs, LatticeDistribution, displacement_bound, la_cdf, la_folds,
-)
+from .gpm import GpmSpec, LatticeCdfs, LatticeLaws, la_cdf, la_folds
 
 PROB_SUM_TOL = 1e-9
 
@@ -317,7 +316,8 @@ def conditional_interference_spec(
 class DownlinkSnrCdf:
     """Mixture cdf of the downlink SNR over association events: their
     (E,) ``probability``, ``gain`` and ``slack`` arrays in event order,
-    and the interference ``laws`` of the events of nonzero gain, in order.
+    and the interference ``laws`` of the events of nonzero gain, in order,
+    as one :class:`~uavcov.gpm.LatticeLaws` record.
 
     Evaluation is exact given each event's interference law:
     P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}, the terms added
@@ -332,7 +332,7 @@ class DownlinkSnrCdf:
     probability: np.ndarray
     gain: np.ndarray
     slack: np.ndarray
-    laws: tuple[LatticeDistribution, ...]
+    laws: LatticeLaws
     alpha0: float
 
     @cached_property
@@ -350,7 +350,7 @@ class DownlinkSnrCdf:
         # each event's part of P{snr <= y}: all of its probability when it
         # carries no interference law
         part = np.repeat(probability[:, None], flat.size, axis=1)
-        if self.laws:
+        if len(self.laws):
             laws = self.gain != 0.0
             # a y so small that C / y overflows gives c = +inf, the exact
             # limit: P{I >= inf} = 0
@@ -399,14 +399,15 @@ def downlink_snr_cdf(
     one law per association event of nonzero gain.
 
     The events of nonzero gain form one stack of sums, built by
-    :func:`conditional_interference_specs`, whose laws are quantized,
-    then folded and inverted in chunks of events of one lattice length,
-    by :func:`~uavcov.gpm.la_folds`; each event's sum, trimmed to its
-    own K_e interferer rows, and its law then pass through
-    :func:`conditional_interference_spec` and
-    :func:`~uavcov.gpm.la_cdf`, and its slack is K_e * span / (2 c0).
-    Each law equals that of its stack of one, so the output does not
-    depend on where the chunks end.
+    :func:`conditional_interference_specs`, whose laws are quantized and
+    folded, then inverted in chunks of events of one lattice length, by
+    :func:`~uavcov.gpm.la_folds` into one record; each event's sum,
+    trimmed to its own K_e interferer rows, and its law, row e of the
+    record, then pass through :func:`conditional_interference_spec` and
+    :func:`~uavcov.gpm.la_cdf`.  The slacks are K_e * span / (2 c0), the
+    displacement bound of each trimmed sum, in one expression over the
+    stack.  Each law equals that of its stack of one, so the output does
+    not depend on where the chunks end.
     """
     if not alpha0 > 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
@@ -415,18 +416,15 @@ def downlink_snr_cdf(
     serving, forced = events.serving[gaining], events.forced[gaining]
     specs = conditional_interference_specs(table, omega, serving, forced)
     interferers = np.bincount(table.band)[table.band[serving]] - 1
-    laws: list = [None] * len(events)
+    laws = la_folds(specs, c0)
+    # each event's sum and law pass through the one-event functions as built
+    for row, prefix, stacked, law in zip(serving.tolist(), forced.tolist(),
+                                         specs.trimmed(interferers), laws):
+        la_cdf(conditional_interference_spec(table, omega, row, prefix, stacked=stacked), c0,
+               fold=law)
     slack = np.zeros(len(events))
-    # each law's pmf is a view that keeps its chunk alive
-    for i, row, prefix, stacked, law in zip(
-        gaining.tolist(), serving.tolist(), forced.tolist(), specs.trimmed(interferers),
-        la_folds(specs, c0),
-    ):
-        spec = conditional_interference_spec(table, omega, row, prefix, stacked=stacked)
-        slack[i] = displacement_bound(spec, c0)
-        laws[i], _ = la_cdf(spec, c0, fold=law)
-    return DownlinkSnrCdf(events.probability, events.gain, slack,
-                          tuple(laws[i] for i in gaining), alpha0)
+    slack[gaining] = interferers * specs.span / (2.0 * c0)
+    return DownlinkSnrCdf(events.probability, events.gain, slack, laws, alpha0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     *exactly* (up to float roundoff) irfft(prod_k rfft(row_k)), the DFT
     inversion of the characteristic function ``cf_sample`` (Hong 2013)
     on real-input spectra of N // 2 + 1 frequencies.  An (E, K, N) stack
-    inverts E sums of one N with one transform each way.  It rejects
-    summed supports that would wrap around (aliasing), negative row
-    entries, negative output mass beyond ``NEGATIVE_PMF_TOL`` and a total
-    off 1, sum by sum.
+    inverts E sums of one N with one transform each way, and rows may be
+    given by their atoms instead, as masses at lattice points.  It checks
+    its input in the form given, before it scatters or transforms a row,
+    and rejects masses that are negative or not finite, points off the
+    lattice and summed supports that would wrap around (aliasing); then
+    negative output mass beyond ``NEGATIVE_PMF_TOL`` and a total off 1,
+    sum by sum.
 
   * ``la_cdf``: real-valued summands are offset by their minimum value,
     scaled so the total span becomes ``c0`` lattice units, and rounded to
@@ -30,19 +33,22 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     instead of a row, and the rest are left out of the inversion.
     ``la_folds`` quantizes a stack of E sums, such as one (E, K, L)
     ``GpmSpec`` checks in one pass, each sum keeping its own beta, N and
-    number of groups, and returns each sum's ``LatticeDistribution``;
-    consecutive sums of one N, split or not alike, are folded as one
-    dense slice and inverted as one ``lattice_invert`` stack of up to
-    ``CHUNK_ENTRIES`` entries, the one bound on the memory that grows
-    with N.  A long sum's light tail, its live rows of least top that
-    sum below N / 4, is inverted on a lattice of N / 4 and enters the
-    inversion of the other rows as one more row, where that at least
-    halves the entries the sum transforms.  ``la_cdf`` passes a stacked
-    law through; without a stack it inverts its sum as a stack of one,
-    bit for bit the same law.
-    ``LatticeCdfs`` reads the cdfs of many lattice laws at once, in
-    place on their pmfs, bit for bit their ``to_cdf`` stepped cdfs, from
-    running sums built once for any number of reads.
+    number of groups, folds the live rows of all of them once, and
+    returns their laws as one checked ``LatticeLaws`` record ((E,)
+    offsets, scales and tops, an (E, W) pmf matrix), whose ``laws[e]``
+    is law e as a ``LatticeDistribution`` view; consecutive sums of one
+    N, split or not alike, are inverted as one ``lattice_invert`` stack
+    of their folded points and masses, up to ``CHUNK_ENTRIES`` entries,
+    the one bound on the dense rows that grow with N.  A long sum's
+    light tail, its live rows of least top that sum below N / 4, is
+    inverted on a lattice of N / 4 and enters the inversion of the other
+    rows as one more row, where that at least halves the entries the sum
+    transforms.  ``la_cdf`` passes a stacked law through; without a
+    stack it inverts its sum as a stack of one, bit for bit the same
+    law.
+    ``LatticeCdfs`` reads the cdfs of a record's laws at once, on one
+    copy of its pmf matrix, bit for bit their ``to_cdf`` stepped cdfs,
+    from running sums built once for any number of reads.
 
   * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
     states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
@@ -61,9 +67,10 @@ throughout; ``SteppedCdf.eval_left`` gives the open variant P{X < x}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -147,6 +154,13 @@ def _sum_in_order(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1].copy()    # not a view that holds the cumsum
 
 
+def _over_atoms(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` (``np.minimum``, ``np.maximum``) over the last axis, one
+    column at a time: over a row's few atoms this takes a fifth of the
+    time of ``ufunc.reduce(x, axis=-1)``, with the same result."""
+    return functools.reduce(ufunc, np.moveaxis(x, -1, 0))
+
+
 def _checked_rows(v: np.ndarray, p: np.ndarray):
     """Check the (K, L) values and probs of one sum, or the (E, K, L)
     ones of a stack of E sums, row by row: finite values, non-negative
@@ -162,8 +176,9 @@ def _checked_rows(v: np.ndarray, p: np.ndarray):
         at = np.unravel_index(np.argmax(bad), bad.shape)
         return at, f"summand {at[-1]}" + (f" of event {at[0]}" if bad.ndim == 2 else "")
 
-    bad = ~(np.isfinite(v) & (p >= 0.0)).all(axis=-1)
+    bad = ~(np.isfinite(v) & (p >= 0.0))
     if bad.any():
+        bad = bad.any(axis=-1)
         raise ValueError(
             "summand values must be finite and probabilities non-negative; "
             f"{fault(bad)[1]} is not"
@@ -174,8 +189,8 @@ def _checked_rows(v: np.ndarray, p: np.ndarray):
         at, where = fault(off)
         raise ValueError(f"{where} probabilities sum to {float(sums[at])!r}, not 1")
     live = p > 0.0
-    lo = np.where(live, v, np.inf).min(axis=-1)
-    hi = np.where(live, v, -np.inf).max(axis=-1)
+    lo = _over_atoms(np.minimum, np.where(live, v, np.inf))
+    hi = _over_atoms(np.maximum, np.where(live, v, -np.inf))
     v = np.where(live, v, lo[..., None])
     return v, p, _sum_in_order(lo), _sum_in_order(hi - lo)
 
@@ -271,7 +286,7 @@ def cf_sample(spec: GpmSpec, s) -> np.ndarray:
     return (phase * spec.probs).sum(axis=-1).prod(axis=-1)
 
 
-def lattice_invert(rows) -> np.ndarray:
+def lattice_invert(rows, n: int | None = None, points=None) -> np.ndarray:
     """Exact pmf on 0..N-1 of a sum of independent integer-lattice terms.
 
     Row k of the (K, N) matrix ``rows`` is the pmf of term k on 0..N-1;
@@ -280,32 +295,60 @@ def lattice_invert(rows) -> np.ndarray:
     their (E, N) pmfs from one ``rfft`` of all E * K rows and one
     ``irfft`` of the E products, each sum bit for bit its own (K, N) call;
     a sum of fewer terms takes point masses at 0 as its padding rows, and
-    their spectra are exactly 1.  Raises on negative row entries, on summed
-    support tops beyond N - 1 (they would wrap around: aliasing), on
-    negative output mass below -``NEGATIVE_PMF_TOL`` and on a total off 1,
-    naming the sum at fault in a stack; smaller negative dips are clamped.
-    One call holds the rows and their spectra of N // 2 + 1 complex
+    their spectra are exactly 1.
+
+    With ``points``, row k is given by its atoms instead: ``rows`` holds
+    their masses and ``points`` their lattice points on 0..``n``-1, two
+    (K, A) or (E, K, A) arrays of one shape; a point may repeat (the
+    masses add, in entry order) and zero-mass entries are padding.  The
+    call is bit for bit the dense call on the rows this scatters.
+
+    Every input check runs on the form given, before any row is
+    scattered: masses finite and >= 0, points on 0..N-1 and summed row
+    tops, each row's largest point of positive mass, at most N - 1 (a
+    larger sum would wrap around: aliasing).  Then it raises on negative
+    output mass below -``NEGATIVE_PMF_TOL`` and on a total off 1, naming
+    the sum at fault in a stack; smaller negative dips are clamped.  One
+    call holds the dense rows and their spectra of N // 2 + 1 complex
     entries at once.
     """
     q = np.asarray(rows, dtype=float)
-    if q.ndim not in (2, 3) or q.size == 0:
-        raise ValueError(f"rows must be a non-empty (K, N) or (E, K, N) array, got shape {q.shape}")
+    if points is None:
+        if q.ndim not in (2, 3) or q.size == 0:
+            raise ValueError(
+                f"rows must be a non-empty (K, N) or (E, K, N) array, got shape {q.shape}")
+        n = q.shape[-1]
+        at = np.arange(n)
+    else:
+        at = np.asarray(points)
+        if q.ndim not in (2, 3) or at.shape != q.shape or q.size == 0 or not n >= 1:
+            raise ValueError(
+                "masses and points must be equal-shape non-empty (K, A) or (E, K, A) arrays "
+                f"on a lattice of n >= 1 points, got shapes {q.shape}, {at.shape} and n = {n}")
     stacked = q.ndim == 3
 
     def which(bad: np.ndarray) -> str:
         return f" in sum {int(np.argmax(bad))}" if stacked else ""
 
-    if not (q >= 0.0).all():
+    if not q.min() >= 0.0:      # NaN fails too
         raise ValueError(
             f"row entries reach {float(q.min()):.3e}, not >= 0; rows are not pmfs on this lattice"
         )
-    n = q.shape[-1]
-    top = (n - 1 - np.argmax(q[..., ::-1] > 0.0, axis=-1)).sum(axis=-1)
+    if not q.max() < np.inf:
+        raise ValueError("row entries reach inf, not finite; rows are not pmfs on this lattice")
+    if points is not None and not (at.min() >= 0 and at.max() < n):
+        raise ValueError(f"lattice points reach {int(at.min())}..{int(at.max())}, "
+                         f"outside 0..{n - 1}")
+    top = (at * (q > 0.0)).max(axis=-1).sum(axis=-1)
     if (top > n - 1).any():
         raise ValueError(
             f"summed support reaches {int(top.max())}, beyond 0..{n - 1} (aliasing)"
             f"{which(top > n - 1)}"
         )
+    if points is not None:
+        count = q.size // q.shape[-1]
+        row = np.arange(0, count * n, n).reshape(q.shape[:-1] + (1,))
+        q = np.bincount((at + row).ravel(), q.ravel(), count * n).reshape(q.shape[:-1] + (n,))
     pmf = np.fft.irfft(np.prod(np.fft.rfft(q, axis=-1), axis=-2), n, axis=-1)
     worst_neg = pmf.min(axis=-1)
     if (worst_neg < -NEGATIVE_PMF_TOL).any():
@@ -315,7 +358,7 @@ def lattice_invert(rows) -> np.ndarray:
         )
     pmf = np.where(pmf < 0.0, 0.0, pmf)
     total = pmf.sum(axis=-1)
-    off = np.abs(total - 1.0) > 1e-9
+    off = ~(np.abs(total - 1.0) <= 1e-9)    # NaN is off too
     if off.any():
         raise ValueError(
             f"inverted pmf sums to {float(np.ravel(total)[np.argmax(off)])!r}, not 1{which(off)}"
@@ -339,11 +382,14 @@ class SteppedCdf:
         c = np.asarray(cum, dtype=float)
         if x.ndim != 1 or c.shape != x.shape or x.size == 0:
             raise ValueError("xs and cum must be equal-length 1-D, non-empty")
-        if np.any(np.diff(x) <= 0):
+        # each check is written so that NaN fails it
+        if not np.isfinite(x).all():
+            raise ValueError("jump locations must be finite")
+        if not (np.diff(x) > 0).all():
             raise ValueError("jump locations must be strictly ascending")
-        if np.any(np.diff(c) < 0) or c[0] < 0:
+        if not ((np.diff(c) >= 0).all() and c[0] >= 0):
             raise ValueError("cumulative values must be non-decreasing and non-negative")
-        if abs(c[-1] - 1.0) > 1e-9:
+        if not abs(c[-1] - 1.0) <= 1e-9:
             raise ValueError(f"cdf must reach 1, got {c[-1]!r}")
         x.setflags(write=False)
         c.setflags(write=False)
@@ -390,10 +436,37 @@ class SteppedCdf:
         return np.diff(self.cum, prepend=0.0)
 
 
+def _check_laws(offset: np.ndarray, scale: np.ndarray, top: np.ndarray, pmf: np.ndarray):
+    """Check E lattice laws in one pass: (E,) ``offset``, ``scale`` and
+    ``top`` and an (E, W) ``pmf`` whose row e is law e on 0..top[e].
+    Offsets must be finite, scales positive and finite, and each row
+    non-negative, 0 past its top and summing to 1 within 1e-9; every
+    check fails NaN and +-inf.  An error names the law at fault when
+    there are several."""
+    if offset.ndim != 1 or not offset.shape == scale.shape == top.shape == pmf.shape[:1] or (
+            pmf.ndim != 2 or not ((top >= 0) & (top < pmf.shape[1])).all()):
+        raise ValueError("need (E,) offsets, scales and tops and an (E, W) pmf with W > top")
+
+    past = np.arange(pmf.shape[1]) > top[:, None]
+    total = pmf.sum(axis=1)
+    for bad, what in (
+        (~np.isfinite(offset), lambda e: f"offset must be finite, got {offset[e]}"),
+        (~(scale > 0.0), lambda e: f"scale must be positive, got {scale[e]}"),
+        (~(scale < np.inf), lambda e: f"scale must be finite, got {scale[e]}"),
+        (~(pmf >= 0.0).all(axis=1), lambda e: "pmf must be non-negative"),
+        (((pmf != 0.0) & past).any(axis=1), lambda e: f"pmf must be 0 past its top {top[e]}"),
+        (~(np.abs(total - 1.0) <= 1e-9), lambda e: f"pmf sums to {total[e]!r}, not 1"),
+    ):
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(what(e) + (f" in law {e}" if bad.size > 1 else ""))
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeDistribution:
     """Integer-lattice image of a real sum: lattice point n carries the
-    mass of values near n / scale + offset."""
+    mass of values near n / scale + offset.  ``LatticeLaws`` holds many
+    as one record; ``laws[e]`` is one of them, on a view of its row."""
 
     offset: float
     scale: float
@@ -403,16 +476,14 @@ class LatticeDistribution:
         q = np.asarray(pmf, dtype=float)
         if q.ndim != 1 or q.size == 0:
             raise ValueError("pmf must be 1-D and non-empty")
-        if np.any(q < 0):
-            raise ValueError("pmf must be non-negative")
-        if abs(q.sum() - 1.0) > 1e-9:
-            raise ValueError(f"pmf sums to {q.sum()!r}, not 1")
-        if not scale > 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        _check_laws(np.array([offset], dtype=float), np.array([scale], dtype=float),
+                    np.array([q.size - 1]), q[None])
         q.setflags(write=False)
-        object.__setattr__(self, "offset", float(offset))
-        object.__setattr__(self, "scale", float(scale))
-        object.__setattr__(self, "pmf", q)
+        self._hold(float(offset), float(scale), q)
+
+    def _hold(self, offset: float, scale: float, pmf: np.ndarray) -> LatticeDistribution:
+        vars(self).update(offset=offset, scale=scale, pmf=pmf)
+        return self
 
     def to_cdf(self) -> SteppedCdf:
         """Stepped cdf in original value units, jumps at n/scale + offset;
@@ -428,11 +499,6 @@ class LatticeDistribution:
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # Locale- and bankers-rounding-independent: round(2.5) = 3, round(-2.5) = -3.
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
 # la_folds folds and inverts the rows of consecutive sums of one lattice
@@ -454,6 +520,12 @@ CHUNK_ENTRIES = 2**16
 # a quarter lattice (``la_folds``); shorter sums are inverted whole.
 SPLIT_MIN_N = 256
 
+# la_folds folds a stack's groups this many at a time into one table, so
+# the outer sums and products of a block stay small beside the table:
+# folded whole, a default-scene stack of ~1,000 groups took as long and
+# peaked 0.7 MB higher under tracemalloc (3.5 MB against 2.8 MB).
+FOLD_BLOCK = 256
+
 
 def _chunks(entries: list[int], kinds: list) -> Iterator[tuple[int, int]]:
     """Bounds [a, b) of runs of consecutive sums of one kind, each of up
@@ -468,39 +540,77 @@ def _chunks(entries: list[int], kinds: list) -> Iterator[tuple[int, int]]:
         yield a, len(entries)
 
 
-def _light_tail(rows: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """The (S, n) pmfs of S sums' light tails from their (S, G, n) folded
-    rows, zeroed past each tail's summed top ``tops[s]``, where the
-    inversion leaves round-off only."""
-    pmfs = lattice_invert(rows)
-    pmfs[np.arange(rows.shape[-1]) > tops[:, None]] = 0.0
+def _light_tail(mass: np.ndarray, points: np.ndarray, n: int, tops: np.ndarray) -> np.ndarray:
+    """The (S, n) pmfs of S sums' light tails from their folded rows, the
+    (S, G, A) ``mass`` at lattice ``points`` on 0..n-1, zeroed past each
+    tail's summed top ``tops[s]``, where the inversion leaves round-off
+    only."""
+    pmfs = lattice_invert(mass, n, points)
+    pmfs[np.arange(n) > tops[:, None]] = 0.0
     return pmfs
 
 
-def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
+@dataclass(frozen=True, eq=False)
+class LatticeLaws:
+    """E lattice laws as one read-only record: (E,) ``offset``, ``scale``
+    and ``top`` arrays and an (E, W) ``pmf`` matrix whose row e is law
+    e's pmf on 0..top[e], zero past it, checked in one pass as
+    ``LatticeDistribution`` checks one law.  ``laws[e]`` is law e as a
+    ``LatticeDistribution`` on a view of its row, not checked again, and
+    iterating yields the laws in order."""
+
+    offset: np.ndarray
+    scale: np.ndarray
+    top: np.ndarray
+    pmf: np.ndarray
+
+    def __init__(self, offset, scale, top, pmf) -> None:
+        # copied, to be held read-only
+        self._hold(np.array(offset, dtype=float), np.array(scale, dtype=float),
+                   np.array(top, dtype=np.intp), np.array(pmf, dtype=float))
+
+    def _hold(self, offset, scale, top, pmf) -> LatticeLaws:
+        _check_laws(offset, scale, top, pmf)
+        for array in (offset, scale, top, pmf):
+            array.setflags(write=False)
+        vars(self).update(offset=offset, scale=scale, top=top, pmf=pmf)
+        return self
+
+    def __len__(self) -> int:
+        return len(self.top)
+
+    def __getitem__(self, e: int) -> LatticeDistribution:
+        return object.__new__(LatticeDistribution)._hold(
+            float(self.offset[e]), float(self.scale[e]), self.pmf[e, :self.top[e] + 1])
+
+
+def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
     """Quantizes a stack of sums, or one sum as a stack of one, and
-    returns each sum's lattice law in stack order: offset A0, scale beta
-    and the pmf on 0..top, the highest lattice point the sum reaches
-    (``FFT_MASS_FLOOR`` dust dropped, renormalised).
+    returns their lattice laws in stack order as one ``LatticeLaws``
+    record: each sum's offset A0, scale beta and pmf on 0..top, the
+    highest lattice point the sum reaches (``FFT_MASS_FLOOR`` dust
+    dropped, renormalised).
 
     Each sum keeps its own beta = c0 / span, its own lattice length N
     (the power of two above its summed top) and its own number of fold
     groups; the group size g is the stack's.  The stack's rows are
-    quantized once; then consecutive sums of one N, split or not alike
-    (below), go through as a chunk of up to ``CHUNK_ENTRIES``
-    transformed entries (or one sum), gathered, folded and inverted
-    before the next chunk is gathered, so ``CHUNK_ENTRIES`` bounds the
-    fold as well as the transforms.  Each
+    quantized, and its live rows folded, once; then consecutive sums of
+    one N, split or not alike (below), go through as a chunk of up to
+    ``CHUNK_ENTRIES`` transformed entries (or one sum), whose folded
+    rows are gathered and inverted before the next chunk's, so
+    ``CHUNK_ENTRIES`` bounds the dense rows and the transforms.  Each
     sum keeps its own mass floor and renormalisation, so its pmf is bit
     for bit that of its stack of one.  An empty stack has no laws.
 
-    A chunk gathers each sum's live rows in whole groups of g, as one
-    dense (sums, groups, g, width) array; slots past a sum's rows become
-    point masses at 0 (lattice 0, masses [1, 0, ...]), the identity of
-    convolution.  A folded row's atoms are the outer sums of its members'
-    lattice points and its masses their outer products, so a point mass
-    adds exact zeros to a group, and a group of them folds to the point
-    mass at 0, whose spectrum is exactly 1.  A sum without live rows has
+    The fold takes each sum's live rows in whole groups of g; slots past
+    a group's rows are point masses at 0 (lattice 0, masses [1, 0, ...]),
+    the identity of convolution.  A folded row's atoms are the outer sums
+    of its members' lattice points and its masses their outer products,
+    so a point mass adds exact zeros to a group, and a group of them
+    folds to the point mass at 0, whose spectrum is exactly 1: a chunk
+    pads each sum's folded rows with it up to the chunk's most.  The rows
+    reach ``lattice_invert`` as points and masses, which it checks in
+    that form before it scatters them.  A sum without live rows has
     N = 1 and is that point mass.
 
     Most live rows of a long sum reach a few lattice units into N.  On
@@ -508,11 +618,11 @@ def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
     in row order) whose tops add up to below N / 4, can be inverted on a
     lattice of N / 4: its pmf there, zeroed past the tail's summed top,
     where only round-off lies, is then one more row of the inversion of
-    the head, the other live rows, on N.  A sum is split only where
-    that at least halves the entries it transforms, which depends on its
-    own tops alone.  Both inversions are ``lattice_invert`` calls with
-    all of its checks.  Without a split a sum's live rows are read in row
-    order.
+    the head, the other live rows, on N, its points 0..N/4-1.  A sum is
+    split only where that at least halves the entries it transforms,
+    which depends on its own tops alone.  Both inversions are
+    ``lattice_invert`` calls with all of its checks.  Without a split a
+    sum's live rows are read in row order.
     """
     if not c0 >= 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
@@ -527,9 +637,11 @@ def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
     if overflow.any():
         bad = float(span[np.argmax(overflow)])
         raise ValueError(f"span {bad!r} is too small: beta = c0 / span overflows at c0={c0}")
-    shifted = values - values.min(axis=-1, keepdims=True)
-    lattice = _round_half_away(beta[:, None, None] * shifted).astype(np.intp)
-    tops = lattice.max(axis=-1)
+    shifted = values - _over_atoms(np.minimum, values)[..., None]
+    # rounded half away from zero, independent of locale and of bankers'
+    # rounding: the scaled values are >= 0, so that is floor(x + 0.5)
+    lattice = np.floor(beta[:, None, None] * shifted + 0.5).astype(np.intp)
+    tops = _over_atoms(np.maximum, lattice)
     total_tops = tops.sum(axis=-1)
     ns = np.array([_next_pow2(t + 1) for t in total_tops.tolist()], dtype=np.intp)
     # a row rounded to the point mass at 0 has spectrum 1: the fold reads
@@ -546,10 +658,10 @@ def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
     by_top = np.argsort(key, axis=-1, kind="stable")
     light = np.cumsum(np.take_along_axis(key, by_top, axis=-1), axis=-1) < ns[:, None] // 4
     tails = light.sum(axis=-1)
-    tail_groups = -(-tails // g)
     split = ns >= SPLIT_MIN_N
-    split &= tail_groups + 4 * (-(-(counts - tails) // g) + 1) <= 2 * -(-counts // g)
+    split &= -(-tails // g) + 4 * (-(-(counts - tails) // g) + 1) <= 2 * -(-counts // g)
     tails = np.where(split, tails, 0)
+    tail_groups = -(-tails // g)
     heads = -(-(counts - tails) // g)     # fold groups of all live rows but the tail
     in_tail = np.zeros_like(live)
     np.put_along_axis(in_tail, by_top, np.arange(k) < tails[:, None], axis=-1)
@@ -559,53 +671,74 @@ def la_folds(spec: GpmSpec, c0: float) -> list[LatticeDistribution]:
     order = np.argsort(np.where(in_tail, 0, np.where(live, 1, 2)), axis=-1, kind="stable")
     entries = np.where(split, tail_groups * ns // 4 + (heads + 1) * ns, heads * ns)
 
-    def folded(sums: np.ndarray, first: np.ndarray, stop: np.ndarray, n: int, extra: int = 0):
-        """(sums, G + extra, n) rows: sum s's rows order[s, first[s]:stop[s]]
-        folded g to a row on 0..n-1, in G groups with point masses at 0 in
-        the slots past its rows, then ``extra`` rows of zeros."""
-        most_groups = -(-int((stop - first).max()) // g)
-        slots = most_groups + extra
-        at = first[:, None] + np.arange(most_groups * g)
-        dead = at >= stop[:, None]
-        pick = sums[:, None], order[sums[:, None], np.minimum(at, k - 1)]
+    # the fold, once for the stack: each sum's tail groups, then its head
+    # groups; group i of a run holds the run's rows i g .. i g + g - 1
+    runs = np.stack([tail_groups, heads], axis=1).ravel()
+    run_first = np.stack([np.zeros_like(tails), tails], axis=1).ravel()
+    run_stop = np.stack([tails, counts], axis=1).ravel()
+    first_group = np.cumsum(runs) - runs
+    run = np.repeat(np.arange(runs.size), runs)
+    at = (run_first[run] + (np.arange(run.size) - first_group[run]) * g)[:, None] + np.arange(g)
+    dead = at >= run_stop[run, None]
+    owner = run[:, None] // 2       # each group's sum
+    rows = order[owner, np.minimum(at, k - 1)]
+    # a group a row, then one more row, the point mass at 0, which pads;
+    # its points are held in the least unsigned type that holds N
+    points_type = np.min_scalar_type(ns.max(initial=1))
+    fold_points = np.zeros((run.size + 1, width ** g), dtype=points_type)
+    fold_mass = np.zeros(fold_points.shape)
+    fold_mass[-1, 0] = 1.0
+    for lo in range(0, run.size, FOLD_BLOCK):
+        block = slice(lo, min(lo + FOLD_BLOCK, run.size))
+        pick = owner[block], rows[block]
         atoms, mass = lattice[pick], probs[pick]
-        atoms[dead] = 0
-        mass[dead] = 0.0
-        mass[dead, 0] = 1.0
-        shape = (len(sums), -1, g, width)
-        atoms, mass = atoms.reshape(shape), mass.reshape(shape)
-        fold_atoms, fold_mass = atoms[:, :, 0], mass[:, :, 0]
+        atoms[dead[block]] = 0
+        mass[dead[block]] = 0.0
+        mass[dead[block], 0] = 1.0
+        # (width, g, groups): the outer sums and products run along the
+        # groups, not along a few atoms
+        atoms, mass = atoms.T, mass.T
+        points, masses = atoms[:, 0], mass[:, 0]
         for j in range(1, g):
-            joint = fold_atoms.shape[:2] + (width ** (j + 1),)
-            fold_atoms = (fold_atoms[..., None] + atoms[:, :, j, None]).reshape(joint)
-            fold_mass = (fold_mass[..., None] * mass[:, :, j, None]).reshape(joint)
-        row = np.arange(len(sums))[:, None] * slots + np.arange(most_groups)
-        rows = np.bincount((fold_atoms + row[..., None] * n).ravel(), fold_mass.ravel(),
-                           len(sums) * slots * n)
-        return rows.reshape(len(sums), slots, n)
+            joint = (width ** (j + 1), atoms.shape[-1])
+            points = (points[:, None] + atoms[:, j]).reshape(joint)
+            masses = (masses[:, None] * mass[:, j]).reshape(joint)
+        fold_points[block], fold_mass[block] = points.T, masses.T
 
-    offsets, scales = np.atleast_1d(spec.offset).tolist(), beta.tolist()
-    laws = []
-    # a chunk's sums share N and whether they split, so its dense rows
-    # hold about its entries
+    def gathered(first: np.ndarray, count: np.ndarray):
+        """Each sum's folded rows first[s] .. first[s] + count[s] - 1, then
+        point masses at 0 up to the most: (S, G, A) masses and points."""
+        j = np.arange(int(count.max()))
+        rows = np.where(j < count[:, None], first[:, None] + j, run.size)
+        return fold_mass[rows], fold_points[rows]
+
+    pmf = np.zeros((len(span), int(total_tops.max(initial=0)) + 1))
     for a, b in _chunks(entries.tolist(), list(zip(ns.tolist(), split.tolist()))):
-        n, sums = int(ns[a]), np.arange(a, b)
+        n = int(ns[a])
         if n == 1:      # no live rows: the point mass at 0
-            pmfs = np.ones((b - a, 1))
-        else:
-            rows = folded(sums, tails[a:b], counts[a:b], n, int(split[a]))
-            if split[a]:
-                # the extra slot: each sum's light tail
-                rows[:, -1, :n // 4] = _light_tail(
-                    folded(sums, np.zeros_like(sums), tails[a:b], n // 4), tail_tops[a:b])
-            pmfs = lattice_invert(rows)
-            # FFT round-off leaves ~1e-15 dust on lattice points that carry
-            # no mass; without a floor it would surface as spurious cdf jumps
-            pmfs[pmfs < FFT_MASS_FLOOR] = 0.0
-            pmfs = pmfs / pmfs.sum(axis=1, keepdims=True)
-        laws += (LatticeDistribution(offsets[e], scales[e], pmf[:total_tops[e] + 1])
-                 for e, pmf in zip(range(a, b), pmfs))
-    return laws
+            pmf[a:b, 0] = 1.0
+            continue
+        mass, points = gathered(first_group[2 * a + 1:2 * b:2], heads[a:b])
+        if split[a]:
+            # one more row: each sum's light tail, on points 0..n/4-1
+            tail = _light_tail(*gathered(first_group[2 * a:2 * b:2], tail_groups[a:b]),
+                               n // 4, tail_tops[a:b])
+            head_mass, head_points = mass, points
+            shape = (b - a, head_mass.shape[1] + 1, max(head_mass.shape[2], n // 4))
+            mass, points = np.zeros(shape), np.zeros(shape, dtype=head_points.dtype)
+            mass[:, :-1, :head_mass.shape[2]] = head_mass
+            points[:, :-1, :head_mass.shape[2]] = head_points
+            mass[:, -1, :n // 4] = tail
+            points[:, -1, :n // 4] = np.arange(n // 4)
+        pmfs = lattice_invert(mass, n, points)
+        # FFT round-off leaves ~1e-15 dust on lattice points that carry
+        # no mass; without a floor it would surface as spurious cdf jumps
+        pmfs[pmfs < FFT_MASS_FLOOR] = 0.0
+        pmfs = pmfs / pmfs.sum(axis=1, keepdims=True)
+        w = min(n, pmf.shape[1])
+        np.copyto(pmf[a:b, :w], pmfs[:, :w], where=np.arange(w) <= total_tops[a:b, None])
+    offset = np.array(np.atleast_1d(spec.offset), dtype=float)
+    return object.__new__(LatticeLaws)._hold(offset, beta, total_tops, pmf)
 
 
 def la_cdf(
@@ -653,10 +786,10 @@ def _lattice_counts(tops: np.ndarray, scale, offset, x: np.ndarray, left: bool) 
 
 @dataclass(frozen=True, eq=False)
 class LatticeCdfs:
-    """The cdfs of E lattice laws, read in place on their pmfs: the
-    running sums are built once (:meth:`of`) and read at any abscissae
-    (:meth:`read`), bit for bit the ``eval`` (``eval_left``) of each
-    law's ``to_cdf()``.
+    """The cdfs of the E laws of a ``LatticeLaws`` record, read in place
+    on its pmf matrix: the running sums are built once (:meth:`of`) and
+    read at any abscissae (:meth:`read`), bit for bit the ``eval``
+    (``eval_left``) of each law's ``to_cdf()``.
 
     With m the number of lattice points whose float abscissa
     n / scale + offset, as ``to_cdf`` builds it, lies at or below x
@@ -671,24 +804,18 @@ class LatticeCdfs:
     tops: np.ndarray     # (E,): each law's top lattice point
     scale: np.ndarray    # (E, 1)
     offset: np.ndarray   # (E, 1)
-    cum: np.ndarray      # (E, max top + 2): column n + 1 the mass on 0..n
+    cum: np.ndarray      # (E, W + 1): column n + 1 the mass on 0..n
     total: np.ndarray    # (E, 1): the mass on 0..top
 
     @classmethod
-    def of(cls, laws: Sequence[LatticeDistribution]) -> LatticeCdfs:
-        tops = np.array([law.pmf.size - 1 for law in laws])
-        # the masses added in lattice order
-        cum = np.zeros((len(laws), int(tops.max()) + 2))
-        for row, law in zip(cum, laws):
-            row[1:law.pmf.size + 1] = law.pmf
+    def of(cls, laws: LatticeLaws) -> LatticeCdfs:
+        # the masses added in lattice order, on one copy of the record's
+        # (E, W) matrix after a column of zeros
+        cum = np.zeros((len(laws), laws.pmf.shape[1] + 1))
+        cum[:, 1:] = laws.pmf
         np.cumsum(cum, axis=1, out=cum)
-        return cls(
-            tops,
-            np.array([law.scale for law in laws])[:, None],
-            np.array([law.offset for law in laws])[:, None],
-            cum,
-            cum[np.arange(len(laws)), tops + 1][:, None],
-        )
+        return cls(laws.top, laws.scale[:, None], laws.offset[:, None], cum,
+                   cum[np.arange(len(laws)), laws.top + 1][:, None])
 
     def read(self, x, *, left: bool = False) -> np.ndarray:
         """P{X_e <= x[e, t]}, or P{X_e < x[e, t]} with ``left``, for each

@@ -12,7 +12,7 @@ import numpy as np
 
 from uavcov.channel import LinkTable
 from uavcov.config import load_config
-from uavcov.gpm import GpmSpec, LatticeCdfs
+from uavcov.gpm import GpmSpec, LatticeCdfs, LatticeLaws
 
 
 def load_scenario(directory, body):
@@ -108,14 +108,23 @@ def in_place_probes(laws):
     ]))
 
 
+def law_record(laws):
+    """The ``LatticeLaws`` record of the lattice laws ``laws``, each pmf
+    padded with zeros to the longest."""
+    width = max(law.pmf.size for law in laws)
+    return LatticeLaws([law.offset for law in laws], [law.scale for law in laws],
+                       [law.pmf.size - 1 for law in laws],
+                       [np.pad(law.pmf, (0, width - law.pmf.size)) for law in laws])
+
+
 def assert_reads_stepped_cdfs(laws, probes):
-    """``LatticeCdfs`` of ``laws`` read at every probe, both sides, equals each
-    law's ``to_cdf`` stepped cdf bit for bit."""
+    """``LatticeCdfs`` of the record of ``laws`` read at every probe, both
+    sides, equals each law's ``to_cdf`` stepped cdf bit for bit."""
     x = np.broadcast_to(probes, (len(laws), probes.size))
     for left in (False, True):
         want = np.array([getattr(law.to_cdf(), "eval_left" if left else "eval")(probes)
                          for law in laws])
-        assert LatticeCdfs.of(laws).read(x, left=left).tobytes() == want.tobytes()
+        assert LatticeCdfs.of(law_record(laws)).read(x, left=left).tobytes() == want.tobytes()
 
 
 def counted_mixture_builds(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import default_models, link_table
+from uavcov import channel
 from uavcov.channel import (
     LinkTable,
     ParametricAirGroundModel,
@@ -290,3 +291,30 @@ def test_block_check_shapes():
             LinkTable(**{name: cut(col) for name, col in cols.items()})
     with pytest.raises(ValueError, match="equal length"):
         LinkTable(**dict(cols, p_los=cols["p_los"][:2]))
+
+
+def test_table_holds_its_own_columns(monkeypatch):
+    # a writable column is copied: the caller mutating it moves no table
+    cols = _block_columns()
+    table = LinkTable(**cols)
+    before = {name: getattr(table, name).tobytes() for name in COLUMNS}
+    for col in cols.values():
+        col[...] = 0
+    assert {name: getattr(table, name).tobytes() for name in COLUMNS} == before
+    assert not any(np.shares_memory(getattr(table, name), cols[name]) for name in COLUMNS)
+    # a read-only view does not own its data, so it is copied too
+    frozen = {name: col[1] for name, col in _block_columns().items()}
+    for col in frozen.values():
+        col.flags.writeable = False
+    row = LinkTable(**frozen)
+    assert not any(np.shares_memory(getattr(row, name), frozen[name]) for name in COLUMNS)
+    # a block table holds the columns the block evaluation built, no copy
+    built = []
+    evaluate = channel._link_columns
+    monkeypatch.setattr(channel, "_link_columns", lambda *args: built.append(evaluate(*args))
+                        or built[-1])
+    block = build_link_columns(build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA,
+                               CHANNEL, [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0)], 20.0)
+    held = [getattr(block, name) for name in COLUMNS]
+    assert [a is b for a, b in zip(held, built[0])] == [True] * 5
+    assert all(np.shares_memory(a, b) for a, b in zip(held, built[0]))

@@ -885,9 +885,17 @@ def test_each_law_passes_through_the_per_event_functions(monkeypatch):
         zip(events.serving[gaining].tolist(), events.forced[gaining].tolist()))
     assert [args[0] for _, args, _ in seen[1::2]] == specs
     assert sum(map(len, specs)) == sum(len(event_spec(table, 0.6, events, e)) for e in gaining)
-    # the model holds the lattice law each la_cdf call returned
-    assert sorted(map(id, model.laws)) == sorted(
-        id(lattice) for _, _, (lattice, _) in seen[1::2])
+    # each la_cdf call returned its event's law of the model's record: a
+    # view on its row, no copy, bit for bit what indexing the record reads
+    laws = [lattice for _, _, (lattice, _) in seen[1::2]]
+    assert len(laws) == len(model.laws)
+    for e, lattice in enumerate(laws):
+        row = model.laws[e]
+        assert np.shares_memory(lattice.pmf, model.laws.pmf[e])
+        assert (lattice.offset, lattice.scale, lattice.pmf.tobytes()) == (
+            row.offset, row.scale, row.pmf.tobytes())
+    # negative control: laws handed on in another order are not the rows
+    assert not np.shares_memory(laws[0].pmf, model.laws.pmf[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1041,7 +1049,7 @@ def test_downlink_terms_carry_displacement_bound():
         ]
         assert model.slack.tolist() == want
     silent = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0, c0=1000.0)
-    assert (silent.laws, silent.slack.tolist()) == ((), [0.0])
+    assert (len(silent.laws), silent.slack.tolist()) == (0, [0.0])
 
 
 def test_outage_is_exact_at_both_ends():
@@ -1501,3 +1509,31 @@ def test_block_size_does_not_change_output(tmp_path, monkeypatch, link):
         runs.append(([r.non_outage.tolist() for r in results], aggregate.tolist()))
     assert runs[0] == runs[1] == runs[2]
 
+
+# Downlink coverage recorded while each event's law was still its own
+# object: a change to how the laws are built or read may move them by the
+# round-off of another numpy's FFT, not more (1e-12; the benchmark's own
+# reference is held to 1e-9).
+PINNED_DOWNLINK_MAP = {90.0: 0.9258659905519202, 110.0: 0.9434050298884565}
+PINNED_THRESHOLD_SWEEP = (
+    0.999999937047678, 0.9947992254221337, 0.9512354632488026, 0.7637639971595334,
+    0.6400499189347837, 0.5636548727898467, 0.4947625399576011, 0.43299973250945345,
+    0.3680679310437941, 0.259380313677832,
+)
+
+
+def test_pinned_downlink_coverage(tmp_path):
+    # the default scene at the triangle's centroid (one point, ~50 events
+    # of ~121 interferers at 90-110 m), and the 37-site scene's threshold
+    # sweep over -5..15 dB at 100 m
+    cfg = load_scenario(tmp_path, "[sampling]\nregion = triangle\nresolution = 1\n")
+    for altitude, want in PINNED_DOWNLINK_MAP.items():
+        got = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, altitude=altitude,
+                                   thresholds=[cfg.downlink_threshold]).coverage
+        assert abs(float(got[0]) - want) <= 1e-12, altitude
+    cfg = load_scenario(tmp_path, "[layout]\nradius_m = 1500\n"
+                                  "[sampling]\nregion = triangle\nresolution = 1\n")
+    thresholds = 10.0 ** (np.linspace(-5.0, 15.0, 10) / 10.0)
+    got = coverage_at_altitude(cfg, LinkDirection.DOWNLINK, altitude=100.0,
+                               thresholds=thresholds).coverage
+    assert np.max(np.abs(got - PINNED_THRESHOLD_SWEEP)) <= 1e-12

@@ -9,6 +9,7 @@ frozen examples.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_reads_stepped_cdfs,
     in_place_probes,
+    law_record,
     load_scenario,
     padded_spec,
     random_integer_spec,
@@ -32,6 +34,7 @@ from uavcov.gpm import (
     GpmSpec,
     LatticeCdfs,
     LatticeDistribution,
+    LatticeLaws,
     SteppedCdf,
     cf_sample,
     displacement_bound,
@@ -418,6 +421,88 @@ def test_lattice_invert_rejects_bad_length():
         lattice_invert(np.zeros((1, 0)))
 
 
+def scattered(mass, n, points):
+    """The dense rows of (..., K, A) masses at lattice points on 0..n-1,
+    each entry added to its point in entry order (independent oracle)."""
+    rows = np.zeros(mass.shape[:-1] + (n,))
+    for at in np.ndindex(mass.shape):
+        rows[at[:-1] + (points[at],)] += mass[at]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (3,)]), st.integers(1, 6),
+       st.integers(1, 12), st.integers(1, 7))
+def test_lattice_invert_on_points_equals_dense_call(seed, stack, k, atoms, log_n):
+    # rows given by their atoms, repeated points and zero-mass padding
+    # among them, invert bit for bit as the dense rows they scatter to
+    rng = np.random.default_rng(seed)
+    n = 2 ** log_n
+    shape = stack + (k, atoms)
+    points = rng.integers(0, max(1, n // k), size=shape)
+    mass = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) < 0.8)
+    mass[..., 0] += 1e-3
+    mass /= mass.sum(axis=-1, keepdims=True)
+    want = lattice_invert(scattered(mass, n, points))
+    assert lattice_invert(mass, n, points).tobytes() == want.tobytes()
+    # negative control: one entry's mass moved to the next point
+    moved = points.copy()
+    moved[(0,) * len(stack) + (0, 0)] += 1
+    assume(int(moved.max()) < n)
+    assert lattice_invert(mass, n, moved).tobytes() != want.tobytes()
+
+
+def test_lattice_invert_on_points_refuses_bad_rows():
+    mass, points = np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([[0, 3], [1, 0]])
+    lattice_invert(mass, 8, points)
+    for bad_mass, bad_points, n, message in (
+        (mass, points, 3, "lattice points reach 0..3, outside 0..2"),
+        (mass, points - 1, 8, "lattice points reach -1..2, outside 0..7"),
+        ([[1.5, -0.5], [1.0, 0.0]], points, 8, "not >= 0; rows are not pmfs"),
+        ([[np.nan, 0.5], [1.0, 0.0]], points, 8, "not >= 0; rows are not pmfs"),
+        ([[np.inf, 0.5], [1.0, 0.0]], points, 8, "not finite; rows are not pmfs"),
+        (mass, points, 4, "summed support reaches 4, beyond 0..3"),
+        (mass, points[:1], 8, "equal-shape"),
+        (mass, points, 0, "n >= 1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lattice_invert(bad_mass, n, bad_points)
+
+
+def test_split_sum_aliasing_counts_the_tail_row():
+    # a head whose summed tops fit on 0..15, and a light tail's pmf on the
+    # quarter lattice as one more row on points 0..3: the tail's top alone
+    # carries the sum past 15
+    head_mass, head_points = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0, 7], [0, 6]])
+    lattice_invert(head_mass, 16, head_points)
+    for tail_top, fits in ((2, True), (3, False)):
+        tail = np.zeros(4)
+        tail[[0, tail_top]] = 0.5
+        mass = np.zeros((3, 4))
+        mass[:2, :2], mass[2] = head_mass, tail
+        points = np.zeros((3, 4), dtype=np.intp)
+        points[:2, :2], points[2] = head_points, np.arange(4)
+        if fits:
+            lattice_invert(mass, 16, points)
+        else:
+            with pytest.raises(ValueError, match=r"summed support reaches 16, beyond 0..15"):
+                lattice_invert(mass, 16, points)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lattice_invert([[np.inf, 0.0, 0.0, 0.0]]),
+    lambda: LatticeDistribution(0.0, 1.0, [np.nan]),
+    lambda: LatticeDistribution(np.nan, 1.0, [1.0]),
+    lambda: LatticeDistribution(0.0, np.inf, [1.0]),
+    lambda: SteppedCdf([0.0, 1.0], [np.nan, np.nan]),
+    lambda: SteppedCdf([0.0, np.nan], [0.5, 1.0]),
+], ids=["invert-inf-row", "law-nan-pmf", "law-nan-offset", "law-inf-scale",
+        "stepped-nan-cum", "stepped-nan-jump"])
+def test_non_finite_values_fail_the_lattice_checks(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Stepped cdfs
 # ---------------------------------------------------------------------------
@@ -481,7 +566,7 @@ def test_lattice_cdfs_read_stepped_cdfs_in_place():
         assert_reads_stepped_cdfs([law], probes)
     # the read at an abscissa takes that point's mass, the read below does not
     x = [[10.0, 10.5, 11.0, -np.inf, np.inf]]     # points 10, 10.5 (empty), 11
-    first = LatticeCdfs.of(IN_PLACE_LAWS[:1])
+    first = LatticeCdfs.of(law_record(IN_PLACE_LAWS[:1]))
     assert first.read(x).tolist() == [[0.25, 0.25, 1.0, 0.0, 1.0]]
     assert first.read(x, left=True).tolist() == [[0.0, 0.25, 0.25, 0.0, 1.0]]
 
@@ -538,8 +623,8 @@ def test_la_cdf_leaves_out_rows_rounded_to_zero(monkeypatch):
     assert (padded.offset, padded.span) == (base.offset, base.span)
     inverted_rows = []
     invert = gpm.lattice_invert
-    monkeypatch.setattr(gpm, "lattice_invert",
-                        lambda q: inverted_rows.append(q.shape[-2]) or invert(q))
+    monkeypatch.setattr(gpm, "lattice_invert", lambda mass, n, points:
+                        inverted_rows.append(mass.shape[-2]) or invert(mass, n, points))
     for c0 in (200.0, 1000.0):
         want_dist, want_cdf = la_cdf(base, c0)
         dist, cdf = la_cdf(padded, c0)
@@ -600,22 +685,23 @@ def test_fold_negative_controls(monkeypatch):
     invert = gpm.lattice_invert
     shapes = []
 
-    def counted(rows):
-        shapes.append(rows.shape)
-        return invert(rows)
+    def counted(mass, n, points):
+        shapes.append((mass.shape, n))
+        return invert(mass, n, points)
 
+    # the folded rows reach the inversion as 3 rows of 81 points and masses
     monkeypatch.setattr(gpm, "lattice_invert", counted)
     check_fold(spec)
-    assert shapes == [(1, 3, n)]
+    assert shapes == [((1, 3, 81), n)]
     # without the padded last group the law misses a row
-    monkeypatch.setattr(gpm, "lattice_invert", lambda rows: invert(rows[:, :-1]))
+    monkeypatch.setattr(gpm, "lattice_invert",
+                        lambda mass, n, points: invert(mass[:, :-1], n, points[:, :-1]))
     with pytest.raises(AssertionError):
         check_fold(spec)
 
-    # one group's row offset one point too far carries the sum past its top
-    def shift_first_group(rows):
-        rows[0, 0] = np.roll(rows[0, 0], 1)
-        return invert(rows)
+    # one group's points offset one point too far carry the sum past its top
+    def shift_first_group(mass, n, points):
+        return invert(mass, n, points + (np.arange(points.shape[1]) == 0)[:, None])
 
     monkeypatch.setattr(gpm, "lattice_invert", shift_first_group)
     with pytest.raises(ValueError, match="pmf sums to"):
@@ -627,7 +713,7 @@ def test_fold_negative_controls(monkeypatch):
     shapes.clear()
     with pytest.raises(ValueError, match="aliasing"):
         check_fold(spec)
-    assert shapes == [(1, 3, total_top)]
+    assert shapes == [((1, 3, 81), total_top)]
     monkeypatch.setattr(gpm, "_next_pow2", lambda length: length)
     check_fold(spec)
 
@@ -654,8 +740,8 @@ def tails_split(spec):
     calls = []
     light_tail = gpm._light_tail
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gpm, "_light_tail", lambda rows, tops: calls.append(len(rows))
-                      or light_tail(rows, tops))
+        patch.setattr(gpm, "_light_tail", lambda mass, points, n, tops:
+                      calls.append(len(mass)) or light_tail(mass, points, n, tops))
         la_cdf(spec, spec.span)
     return sum(calls)
 
@@ -687,8 +773,8 @@ def test_split_negative_controls(monkeypatch):
     check_fold(GpmSpec(spec.values, np.where(top, 0.97, np.where(live, rest, 0.0))))
     light_tail = gpm._light_tail
     # without the tail row the law misses the light rows
-    def point_masses(rows, tops):
-        pmfs = np.zeros((len(rows), rows.shape[-1]))
+    def point_masses(mass, points, n, tops):
+        pmfs = np.zeros((len(mass), n))
         pmfs[:, 0] = 1.0
         return pmfs
 
@@ -698,11 +784,92 @@ def test_split_negative_controls(monkeypatch):
     # the tail pmf not zeroed past its summed top: its round-off reaches
     # the quarter lattice's end, and with the head's tops past 3N/4 the
     # head's inversion refuses it
-    monkeypatch.setattr(gpm, "_light_tail", lambda rows, tops: lattice_invert(rows))
+    monkeypatch.setattr(gpm, "_light_tail",
+                        lambda mass, points, n, tops: lattice_invert(mass, n, points))
     with pytest.raises(ValueError, match="aliasing"):
         check_fold(spec)
     monkeypatch.setattr(gpm, "_light_tail", light_tail)
     check_fold(spec)
+
+
+def stacked(specs):
+    """One (E, K, 3) stack of ``specs`` of up to 3 atoms a row, each
+    padded with point masses at 0 up to the most rows."""
+    k = max(len(spec) for spec in specs)
+    values, probs = np.zeros((len(specs), k, 3)), np.zeros((len(specs), k, 3))
+    probs[:, :, 0] = 1.0
+    for e, spec in enumerate(specs):
+        rows, width = spec.values.shape
+        values[e, :rows, :width], probs[e, :rows] = spec.values, 0.0
+        probs[e, :rows, :width] = spec.probs
+    return GpmSpec(values, probs)
+
+
+@pytest.mark.parametrize("c0", [1.0, 40.0, 1000.0])
+def test_record_rows_equal_each_sum_alone(c0):
+    # row e of la_folds' record is la_cdf of sum e alone, bit for bit: its
+    # offset, scale and top, its pmf up to the top and zeros past it; at
+    # c0 = 1000 the last sum inverts its light tail on a quarter lattice
+    rng = np.random.default_rng(73)
+    specs = [random_spec(rng, k) for k in (1, 2, 5, 9, 20)]
+    specs.append(split_lattice_spec(rng, 3, 60, [300, 500], 3))
+    stack = stacked(specs)
+    tails = []
+    light_tail = gpm._light_tail
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpm, "_light_tail", lambda *args: tails.append(1) or light_tail(*args))
+        laws = gpm.la_folds(stack, c0)
+    assert bool(tails) == (c0 == 1000.0)
+    assert len(laws) == len(specs)
+    for e in range(len(specs)):
+        alone, _ = la_cdf(stack[e], c0)
+        top = int(laws.top[e])
+        assert (laws.offset[e], laws.scale[e], top) == (alone.offset, alone.scale,
+                                                        alone.pmf.size - 1)
+        assert laws.pmf[e, :top + 1].tobytes() == alone.pmf.tobytes()
+        assert not laws.pmf[e, top + 1:].any()
+    # negative control: the stack in reverse order reads its rows reversed
+    backwards = gpm.la_folds(stack[np.arange(len(specs))[::-1]], c0)
+    assert backwards.pmf[0].tobytes() != laws.pmf[0].tobytes()
+
+
+def test_law_record_checks_every_law_once(monkeypatch):
+    pmf = [[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]]
+    held = np.array(pmf)
+    laws = LatticeLaws([1.0, 2.0], [0.5, 4.0], [1, 0], held)
+    held[0, 0] = 9.0        # the record holds a read-only copy
+    assert laws.pmf.tolist() == pmf and not laws.pmf.flags.writeable
+    # law e is a read-only view on its row up to its top
+    first = laws[0]
+    assert (first.offset, first.scale, first.pmf.tolist()) == (1.0, 0.5, [0.25, 0.75])
+    assert np.shares_memory(first.pmf, laws.pmf) and not first.pmf.flags.writeable
+    assert [law.pmf.tolist() for law in laws] == [[0.25, 0.75], [1.0]]
+    # la_folds checks its record once; reading its laws checks none again
+    checks = []
+    check = gpm._check_laws
+    monkeypatch.setattr(gpm, "_check_laws", lambda *args: checks.append(1) or check(*args))
+    folded = gpm.la_folds(stacked([random_spec(np.random.default_rng(79), 4)] * 3), 100.0)
+    assert [law.pmf.size for law in folded] and checks == [1]
+    # each check fails NaN and +-inf, naming the law at fault
+    for offset, scale, top, rows, message in (
+        ([1.0, np.nan], [0.5, 4.0], [1, 0], pmf, "offset must be finite, got nan in law 1"),
+        ([1.0, 2.0], [0.5, 0.0], [1, 0], pmf, "scale must be positive, got 0.0 in law 1"),
+        ([1.0, 2.0], [np.inf, 4.0], [1, 0], pmf, "scale must be finite, got inf in law 0"),
+        ([1.0, 2.0], [0.5, np.nan], [1, 0], pmf, "scale must be positive, got nan in law 1"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 1], [pmf[0], [1.5, -0.5, 0.0]],
+         "pmf must be non-negative in law 1"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[np.nan, 0.75, 0.0], pmf[1]],
+         "pmf must be non-negative in law 0"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [pmf[0], [0.5, 0.5, 0.0]],
+         "pmf must be 0 past its top 0 in law 1"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[0.25, 0.5, 0.0], pmf[1]],
+         "pmf sums to np.float64(0.75), not 1 in law 0"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[np.inf, 0.75, 0.0], pmf[1]],
+         "pmf sums to np.float64(inf), not 1 in law 0"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 3], pmf, "W > top"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatticeLaws(offset, scale, top, rows)
 
 
 def test_la_cdf_of_rows_all_rounded_to_zero():
@@ -880,7 +1047,7 @@ def snr_cdf_over(scale, pmf) -> DownlinkSnrCdf:
     the lattice points n / scale, which maps I = 0, 1, 3 to 1, 1/2, 1/4
     and back without rounding."""
     interference = LatticeDistribution(0.0, scale, pmf)
-    return DownlinkSnrCdf(np.ones(1), np.ones(1), np.zeros(1), (interference,), 1.0)
+    return DownlinkSnrCdf(np.ones(1), np.ones(1), np.zeros(1), law_record([interference]), 1.0)
 
 
 def test_kolmogorov_against_stepped_callable():

@@ -21,7 +21,12 @@ arrays, and a block of P positions as one :class:`LinkTable` of (P, n)
 columns, whose row p is the table at position p.  The table's
 constructor is where link columns are converted, frozen and checked.
 :func:`build_link_table` builds one position's table and
-:func:`build_link_columns` a block's, evaluated as whole arrays.
+:func:`build_link_columns` a block's, evaluated as whole arrays.  Only a
+lit link, one the UAV antenna gives a nonzero gain, gets the GBS pattern
+and the pathloss (:meth:`ParametricAirGroundModel.pathloss`); an unlit
+link's gains are exact zeros, bit for bit the product of its zero UAV
+gain, while the LoS probability and the >= 1 m distance check still
+cover every link.
 """
 
 from __future__ import annotations
@@ -88,14 +93,24 @@ class ParametricAirGroundModel:
         z = -self.los_b_per_deg * (elevation_deg - self.los_midpoint_deg)
         return 1.0 / (1.0 + self.los_a * np.exp(z))
 
-    def evaluate(self, elevation_deg, distance_m):
-        """(h_los, h_nlos, p_los) of links at the given elevations and 3D
-        distances (scalars or equal-shape arrays)."""
-        if np.any(np.asarray(distance_m) < 1.0):
-            raise ValueError(f"3D distance must be >= 1 m, got {np.min(distance_m)}")
+    def pathloss(self, distance_m):
+        """(h_los, h_nlos) of links at the given 3D distances (a scalar or
+        an array), each at least 1 m."""
+        _check_distance(distance_m)
         h_los = self.ref_gain_los * distance_m ** (-self.alpha_los)
         h_nlos = self.ref_gain_nlos * distance_m ** (-self.alpha_nlos)
-        return h_los, h_nlos, self.los_probability(elevation_deg)
+        return h_los, h_nlos
+
+    def evaluate(self, elevation_deg, distance_m):
+        """(h_los, h_nlos, p_los) of links at the given elevations and 3D
+        distances (scalars or equal-shape arrays): :meth:`pathloss` and
+        :meth:`los_probability` together."""
+        return (*self.pathloss(distance_m), self.los_probability(elevation_deg))
+
+
+def _check_distance(distance_m) -> None:
+    if np.any(np.asarray(distance_m) < 1.0):
+        raise ValueError(f"3D distance must be >= 1 m, got {np.min(distance_m)}")
 
 
 def default_channel(
@@ -171,8 +186,13 @@ class LinkTable:
             at = np.unravel_index(np.argmax(bad), bad.shape)
             return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
 
+        # each id marks its slot of a seen-mask, an id out of range the
+        # spare slot n: n ids that mark all of 0..n-1 are a permutation
         n = ids.shape[-1]
-        not_permutation = np.sort(ids, axis=-1) != np.arange(n)
+        seen = np.zeros(ids.shape[:-1] + (n + 1,), dtype=bool)
+        row_start = np.arange(len(ids))[:, None] * (n + 1) if ids.ndim == 2 else 0
+        seen.ravel()[np.where((ids >= 0) & (ids < n), ids, n) + row_start] = True
+        not_permutation = ~seen[..., :n].all(axis=-1, keepdims=True)
         if not_permutation.any():
             at, where = first(not_permutation)
             row = ids[at[:-1]].tolist()
@@ -202,17 +222,28 @@ class LinkTable:
 def _link_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height):
     """The five (P, n) link table columns of a (P, 3) block, in walk
     order, each a new read-only array that a ``LinkTable`` holds without
-    a copy."""
+    a copy.
+
+    Only lit links, those the UAV antenna gives a nonzero gain, get the
+    GBS pattern and the pathloss; an unlit link's gains are exact zeros,
+    the product a zero UAV gain gives.  The LoS probability and the
+    distance check cover every link."""
     block = np.asarray(positions, dtype=float)
     r_h, d3, theta = link_geometry(block, layout.x, layout.y, gbs_height)
-    h_los, h_nlos, p_los = channel.evaluate(theta, d3)
-    combined = uav_antenna.gain_at(r_h, block[:, 2], gbs_height) * gbs_pattern(theta)
-    c_los = combined * h_los
+    _check_distance(d3)
+    p_los = channel.los_probability(theta)
+    uav_gain = uav_antenna.gain_at(r_h, block[:, 2], gbs_height)
+    lit = uav_gain != 0.0
+    combined = uav_gain[lit] * gbs_pattern(theta[lit])
+    h_los, h_nlos = channel.pathloss(d3[lit])
+    c_los, c_nlos = np.zeros(d3.shape), np.zeros(d3.shape)
+    c_los[lit] = combined * h_los
+    c_nlos[lit] = combined * h_nlos
     # a site's id is its index, so a stable sort breaks ties by id
     order = np.argsort(-c_los, axis=-1, kind="stable")
-    columns = (order, layout.band[order], *(
-        np.take_along_axis(col, order, axis=-1) for col in (c_los, combined * h_nlos, p_los)
-    ))
+    # one flat index gathers the float columns in walk order
+    flat = order + np.arange(len(order))[:, None] * order.shape[-1]
+    columns = (order, layout.band[order], *(np.take(col, flat) for col in (c_los, c_nlos, p_los)))
     for col in columns:
         col.flags.writeable = False
     return columns

@@ -439,9 +439,11 @@ class LinkDirection(Enum):
 # Positions are scored in blocks of about this many (position, site)
 # entries: the uplink's one (P, n) evaluation and one check per block,
 # each (P, n) array 64 KiB whatever the length of the work list.
-# On the default 367-site scene that is 22 positions; a 240-position
-# uplink sweep builds its tables in 16 ms this way against 56 ms in
-# blocks of one position (2-core x86 host, numpy 2.4).
+# On the default 367-site scene that is 22 positions.  The link tables
+# of a 240-position uplink sweep (24 cell points at 10 altitudes) took
+# 11 ms this way against 32 ms in blocks of one position with the
+# default 90-degree beam, and 5 ms against 25 ms with a 75-degree beam,
+# which lights few links (best of 7, 2-core x86 host, numpy 2.4).
 BLOCK_ENTRIES = 2**13
 
 # Starting, feeding and joining a process pool costs about this much wall

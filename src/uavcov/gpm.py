@@ -104,8 +104,9 @@ ENUMERATION_CAP = 2_000_000
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSummand:
-    """One independent term of the sum: finitely many values with
-    strictly ascending support and positive probabilities summing to 1."""
+    """One independent term of the sum: finitely many finite values with
+    strictly ascending support and positive probabilities summing to 1.
+    Each check is written so that a NaN fails it."""
 
     values: np.ndarray
     probs: np.ndarray
@@ -115,11 +116,13 @@ class DiscreteSummand:
         p = np.asarray(probs, dtype=float)
         if v.ndim != 1 or p.ndim != 1 or v.size != p.size or v.size == 0:
             raise ValueError("values and probs must be equal-length 1-D, non-empty")
-        if np.any(np.diff(v) <= 0):
+        if not np.isfinite(v).all():
+            raise ValueError("summand values must be finite")
+        if not (np.diff(v) > 0).all():
             raise ValueError("summand values must be strictly ascending")
-        if np.any(p <= 0):
+        if not (p > 0).all():
             raise ValueError("summand probabilities must be positive")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
+        if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"summand probabilities sum to {p.sum()!r}, not 1")
         v.setflags(write=False)
         p.setflags(write=False)
@@ -129,9 +132,12 @@ class DiscreteSummand:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DiscreteSummand":
         """Build from (value, prob) pairs, merging duplicate values and
-        dropping zero-probability entries."""
+        dropping zero-probability entries; a NaN value or probability is
+        refused."""
         acc: dict[float, float] = {}
         for value, prob in pairs:
+            if math.isnan(value) or math.isnan(prob):
+                raise ValueError(f"NaN in the pair ({value}, {prob})")
             if prob < 0:
                 raise ValueError(f"negative probability {prob} for value {value}")
             if prob > 0:

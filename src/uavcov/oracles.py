@@ -1,10 +1,11 @@
-"""Exhaustive reference implementations for validation.
+"""Reference implementations for validation.
 
-These recompute the uplink and downlink SNR distributions by brute force
-over every joint channel-state (and interferer-activity) combination.
-They share no code with the production algorithms, so agreement is a
-meaningful check; they are exponential in the network size and refuse to
-run past hard caps.
+The enumerations recompute the uplink and downlink SNR distributions by
+brute force over every joint channel-state (and interferer-activity)
+combination; they are exponential in the network size and refuse to run
+past hard caps.  The Monte Carlo downlink oracle draws the same joint
+states at random and so runs at any scene size.  They share no code with
+the production algorithms, so agreement is a meaningful check.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .gpm import SteppedCdf
 
 UPLINK_STATE_CAP = 2**21
 DOWNLINK_STATE_CAP = 2_000_000
+# Monte Carlo draws made at once, each an (MC_BLOCK, n) array per quantity
+MC_BLOCK = 20_000
 
 
 def _one_position(table: LinkTable, oracle: str) -> None:
@@ -93,3 +96,49 @@ def downlink_cdf_enumeration(table: LinkTable, omega, alpha0: float) -> SteppedC
             acc[snr] = acc.get(snr, 0.0) + state_prob * act_prob
     values = sorted(acc)
     return SteppedCdf.from_pmf(values, [acc[v] for v in values])
+
+
+def _co_channel_others(band: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """(m, n) mask of the rows on the band of each draw's served row,
+    that row left out."""
+    others = band == band[served][:, None]
+    others[np.arange(len(served)), served] = False
+    return others
+
+
+def downlink_outage_mc(table: LinkTable, omega, alpha0: float, thresholds, n: int,
+                       seed) -> np.ndarray:
+    """Downlink outage P{snr < t} at each of the (T,) ``thresholds``, a
+    (T,) array estimated from ``n`` independent draws of the whole joint
+    state, ``MC_BLOCK`` draws at a time from one generator of ``seed``.
+
+    Each draw takes every row's LoS state with its probability and every
+    GBS's activity with its loading (``omega`` as ``loading_by_id`` reads
+    it), serves the row of largest realised gain (the first row on ties,
+    as ``downlink_cdf_enumeration`` does), and takes as interference the
+    realised gains of the active other GBSs of the served band.  A draw
+    whose best gain is 0 has SNR 0.  By the DKW inequality (Massart's
+    constant) the estimate lies within sqrt(ln(2/delta) / (2n)) of the
+    exact outage at every threshold at once, with probability at least
+    1 - delta.
+    """
+    _one_position(table, "downlink_outage_mc")
+    if not len(table):
+        raise ValueError("downlink_outage_mc needs at least one GBS")
+    if not alpha0 > 0:
+        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if n < 1:
+        raise ValueError(f"need at least one draw, got n = {n}")
+    ts = np.asarray(thresholds, dtype=float).ravel()
+    w = loading_by_id(omega, len(table))[table.gbs_id]
+    rng = np.random.default_rng(seed)
+    covered = np.zeros(ts.size)
+    for start in range(0, n, MC_BLOCK):
+        m = min(MC_BLOCK, n - start)
+        gains = np.where(rng.random((m, len(table))) < table.p_los, table.c_los, table.c_nlos)
+        active = rng.random((m, len(table))) < w
+        served = np.argmax(gains, axis=1)
+        interferers = _co_channel_others(table.band, served) & active
+        snr = gains[np.arange(m), served] / (alpha0 + np.sum(gains, axis=1, where=interferers))
+        covered += np.count_nonzero(snr[:, None] >= ts, axis=0)
+    return 1.0 - covered / n

@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import default_models, link_table, load_scenario, padded_spec
 from uavcov.antenna import UlaPattern
@@ -38,7 +39,9 @@ from uavcov.gpm import (
     lattice_invert,
     mc_cdf,
 )
-from uavcov.oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
+from uavcov import oracles
+from uavcov.config import load_config
+from uavcov.oracles import downlink_cdf_enumeration, downlink_outage_mc, uplink_pmf_enumeration
 
 INTER_SITE = 500.0
 GBS_HEIGHT = 20.0
@@ -383,4 +386,90 @@ association_epsilon = 0
         f"coverage at 30m={curve[0]:.4f} < peak={peak:.4f} at "
         f"{altitudes[int(np.argmax(curve))]:.0f}m "
         f"(curve {[f'{c:.3f}' for c in curve]})",
+    )
+
+
+# ---------------------------------------------------------------------------
+# The end-to-end Monte Carlo oracle
+# ---------------------------------------------------------------------------
+
+MC_DRAWS = 200_000
+DKW_DELTA = 1e-6
+
+
+def dkw_radius(n: int) -> float:
+    """DKW radius with Massart's constant: n draws put the empirical law
+    within it of the true one everywhere, with probability 1 - DKW_DELTA."""
+    return math.sqrt(math.log(2.0 / DKW_DELTA) / (2.0 * n))
+
+
+def scene_table(cfg, point, altitude):
+    return build_link_table(cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
+                            cfg.build_channel(), (*point, altitude), cfg.gbs_height)
+
+
+def mc_against_enumeration(tmp_path):
+    """Largest gap, over every atom of the exact law and the float just
+    above it, between the MC outage and the joint enumeration's on the
+    7-site scene."""
+    cfg = load_scenario(tmp_path, "[layout]\nradius_m = 500\n")
+    table = scene_table(cfg, (120.0, -40.0), 90.0)
+    exact = downlink_cdf_enumeration(table, cfg.loading, cfg.alpha0)
+    atoms = exact.xs[exact.xs > 0.0]
+    ts = np.concatenate([atoms, np.nextafter(atoms, np.inf)])
+    mc = downlink_outage_mc(table, cfg.loading, cfg.alpha0, ts, MC_DRAWS, seed=11)
+    return float(np.max(np.abs(mc - exact.eval_left(ts)))), atoms.size
+
+
+def test_downlink_mc_matches_joint_enumeration(tmp_path, monkeypatch):
+    r = dkw_radius(MC_DRAWS)
+    gap, atoms = mc_against_enumeration(tmp_path)
+    # negative control: the served GBS counted among its own interferers
+    monkeypatch.setattr(oracles, "_co_channel_others",
+                        lambda band, served: band == band[served][:, None])
+    control, _ = mc_against_enumeration(tmp_path)
+    ok = gap <= r and control > r
+    report(
+        "downlink-mc-vs-joint-enumeration", ok,
+        f"7 sites, {atoms} atoms: largest gap {gap:.4f} (DKW radius {r:.4f} at "
+        f"{MC_DRAWS} draws, delta {DKW_DELTA:g}); server-as-interferer control "
+        f"{control:.4f} (must exceed {r:.4f})",
+    )
+
+
+def lattice_against_mc(cfg, point, altitude):
+    """Downlink outage at the configured threshold from the lattice
+    mixture and from the MC oracle."""
+    table = scene_table(cfg, point, altitude)
+    t = cfg.downlink_threshold
+    lattice = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, eps=cfg.association_epsilon,
+                               c0=cfg.lattice_target_c0).outage(t)
+    return lattice, float(downlink_outage_mc(table, cfg.loading, cfg.alpha0, [t], MC_DRAWS,
+                                             seed=3)[0])
+
+
+def test_downlink_lattice_matches_mc_at_the_triangle_centroid(tmp_path):
+    cfg = load_scenario(tmp_path, "[sampling]\nresolution = 1\n")
+    (centroid,) = sample_region(cfg.build_region(), cfg.inter_site_distance)
+    lattice, mc = lattice_against_mc(cfg, centroid, 100.0)
+    tol = dkw_radius(MC_DRAWS) + 0.01
+    report(
+        "downlink-lattice-vs-mc-centroid", abs(lattice - mc) <= tol,
+        f"default scene, triangle centroid at 100 m, 2 dB: outage lattice {lattice:.4f}, "
+        f"MC {mc:.4f} (tolerance {tol:.4f})",
+    )
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at 30 m the span lattice puts few lattice units below the read "
+                   "point, and outage reads 0.22 against the MC's 0.62 (ROADMAP items 15, 1)")
+def test_downlink_lattice_matches_mc_at_30_m():
+    cfg = load_config()
+    point = sample_region(cfg.build_region(), cfg.inter_site_distance)[5]
+    lattice, mc = lattice_against_mc(cfg, point, 30.0)
+    tol = dkw_radius(MC_DRAWS) + 0.01
+    report(
+        "downlink-lattice-vs-mc-30m", abs(lattice - mc) <= tol,
+        f"default scene, map point 5 at 30 m, 2 dB: outage lattice {lattice:.4f}, "
+        f"MC {mc:.4f} (tolerance {tol:.4f})",
     )

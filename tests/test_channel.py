@@ -1,10 +1,13 @@
 """Air-to-ground channel model and link tables."""
 
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import default_models, link_table
 from uavcov import channel
@@ -17,7 +20,7 @@ from uavcov.channel import (
     free_space_gain,
 )
 from uavcov.config import load_config
-from uavcov.geometry import NetworkLayout, build_hex_layout
+from uavcov.geometry import NetworkLayout, build_hex_layout, link_geometry
 
 PATTERN, UAV_ANTENNA, CHANNEL = default_models()
 
@@ -244,6 +247,80 @@ def test_block_shapes():
     no_sites = NetworkLayout(np.empty(0), np.empty(0), np.empty(0, dtype=int))
     empty = build_link_columns(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
     assert len(empty) == 2 and [getattr(empty, name).shape for name in COLUMNS] == [(2, 0)] * 5
+
+
+SCENE = build_hex_layout(500.0, 1500.0, 3)
+
+
+def _reference_columns(uav_antenna, positions, inside=operator.le):
+    """The five walk-order columns of a block over ``SCENE``, the GBS
+    pattern and the pathloss evaluated on every link, the UAV cone's
+    footprint test ``inside(r_h, radius)``, then one stable sort."""
+    block = np.asarray(positions, dtype=float)
+    r_h, d3, theta = link_geometry(block, SCENE.x, SCENE.y, 20.0)
+    h_los, h_nlos, p_los = CHANNEL.evaluate(theta, d3)
+    radius = np.array([uav_antenna.footprint_radius(z, 20.0) for z in block[:, 2]])[:, None]
+    uav_gain = np.where(inside(r_h, radius), uav_antenna.mainlobe_gain, uav_antenna.backlobe_gain)
+    combined = uav_gain * PATTERN(theta)
+    c_los = combined * h_los
+    order = np.argsort(-c_los, axis=-1, kind="stable")
+    walk = (np.take_along_axis(col, order, axis=-1) for col in (c_los, combined * h_nlos, p_los))
+    return dict(zip(COLUMNS, (order, SCENE.band[order], *walk))), int((uav_gain != 0.0).sum())
+
+
+def _same_bits(table, want):
+    return all(getattr(table, name).dtype == want[name].dtype
+               and getattr(table, name).tobytes() == want[name].tobytes() for name in COLUMNS)
+
+
+BOUNDARY_BEAM = 40.0
+# site 0, at the origin, exactly on the footprint boundary at 100 m
+BOUNDARY = [(replace(UAV_ANTENNA, half_beamwidth_deg=BOUNDARY_BEAM).footprint_radius(100.0, 20.0),
+             0.0, 100.0)]
+ABOVE_SITE_5 = [(SCENE.x[5], SCENE.y[5], 61.0)]
+
+
+@st.composite
+def link_blocks(draw):
+    """1 to 5 positions over ``SCENE``, each anywhere over it at 25-400 m
+    or straight above one of its sites."""
+    height = st.floats(25.0, 400.0)
+    anywhere = st.tuples(st.floats(-1600.0, 1600.0), st.floats(-1600.0, 1600.0), height)
+    above = st.tuples(st.integers(0, len(SCENE) - 1), height).map(
+        lambda at: (SCENE.x[at[0]], SCENE.y[at[0]], at[1]))
+    return draw(st.lists(anywhere | above, min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@example(10.0, 0.0, [(250.0, 0.0, 100.0)])          # no link lit
+@example(90.0, 0.0, [(120.0, -40.0, 90.0)])         # every link lit, by the mainlobe
+@example(20.0, 0.01, [(300.0, 200.0, 150.0)])       # every link lit, at two gain levels
+@example(30.0, 0.0, ABOVE_SITE_5)                   # lit, but in the GBS element null
+@example(BOUNDARY_BEAM, 0.0, BOUNDARY)
+@example(BOUNDARY_BEAM, 0.0, BOUNDARY + ABOVE_SITE_5 + [(250.0, 0.0, 30.0)])
+@given(st.sampled_from([90.0, 75.0, 45.0]) | st.floats(1e-3, 90.0),
+       st.just(0.0) | st.floats(1e-6, 1.0), link_blocks())
+def test_lit_links_equal_every_link_evaluated(half_beamwidth, backlobe, positions):
+    # pattern and pathloss on lit links only move no bit of any column,
+    # and the GBS pattern sees the lit links alone
+    uav_antenna = replace(UAV_ANTENNA, half_beamwidth_deg=half_beamwidth, backlobe_gain=backlobe)
+    seen = []
+    pattern = lambda theta: seen.append(np.size(theta)) or PATTERN(theta)   # noqa: E731
+    table = build_link_columns(SCENE, pattern, uav_antenna, CHANNEL, positions, 20.0)
+    want, lit = _reference_columns(uav_antenna, positions)
+    assert _same_bits(table, want)
+    assert sum(seen) == lit
+
+
+def test_lit_link_gate_sees_the_footprint_boundary():
+    uav_antenna = replace(UAV_ANTENNA, half_beamwidth_deg=BOUNDARY_BEAM)
+    table = build_link_columns(SCENE, PATTERN, uav_antenna, CHANNEL, BOUNDARY, 20.0)
+    # site 0 on the boundary takes the mainlobe gain, and serves
+    assert table.gbs_id[0, 0] == 0 and table.c_los[0, 0] > 0.0
+    assert (table.c_los[0, 1:] == 0.0).all()
+    assert _same_bits(table, _reference_columns(uav_antenna, BOUNDARY)[0])
+    # negative control: a strict footprint test leaves site 0 unlit
+    assert not _same_bits(table, _reference_columns(uav_antenna, BOUNDARY, operator.lt)[0])
 
 
 def _block_columns():

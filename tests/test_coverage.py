@@ -29,7 +29,11 @@ from uavcov import coverage, gpm
 from uavcov.channel import LinkTable, build_link_table
 from uavcov.config import load_config
 from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
-from uavcov.oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
+from uavcov.oracles import (
+    downlink_cdf_enumeration,
+    downlink_outage_mc,
+    uplink_pmf_enumeration,
+)
 from uavcov.coverage import (
     AssociationEvents,
     DownlinkSnrCdf,
@@ -360,9 +364,10 @@ def test_block_read_refuses_what_its_telescoping_assumes(c_los, p_los, message):
     # pmf summing to 0.25, the downlink one failed inside numpy
     ("uplink_pmf_enumeration", lambda table: uplink_pmf_enumeration(table, 1.0)),
     ("downlink_cdf_enumeration", lambda table: downlink_cdf_enumeration(table, 0.5, 0.1)),
+    ("downlink_outage_mc", lambda table: downlink_outage_mc(table, 0.5, 0.1, [1.0], 10, 0)),
 ], ids=["association_pmf", "uplink_snr_pmf", "downlink_snr_cdf",
         "conditional_interference_specs", "conditional_interference_spec",
-        "uplink_pmf_enumeration", "downlink_cdf_enumeration"])
+        "uplink_pmf_enumeration", "downlink_cdf_enumeration", "downlink_outage_mc"])
 def test_one_position_readers_refuse_a_block(reader, read):
     # the error names the reader of one position the call reached
     table = link_table(MICRO_ROWS)

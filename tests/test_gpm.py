@@ -101,6 +101,16 @@ def test_summand_validation():
         DiscreteSummand([0.0, 1.0], [-0.2, 1.2])
 
 
+def test_summand_refuses_nan():
+    nan = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteSummand([0.0, nan], [0.5, 0.5])
+    with pytest.raises(ValueError, match="positive"):
+        DiscreteSummand([0.0, 1.0], [nan, 0.5])
+    with pytest.raises(ValueError, match="NaN"):
+        DiscreteSummand.from_pairs([(0.0, nan), (1.0, 1.0)])
+
+
 def test_spec_validation():
     GpmSpec([[0.0, 1.0]], [[0.5, 0.5]])
     with pytest.raises(ValueError):

@@ -50,7 +50,6 @@ from .coverage import (
 from .geometry import write_layout_csv
 from .gpm import (
     SteppedCdf,
-    displacement_bound,
     enumerate_cdf,
     envelope_excess,
     gaussian_cdf,
@@ -58,7 +57,7 @@ from .gpm import (
     la_cdf,
     mc_cdf,
 )
-from .oracles import downlink_cdf_enumeration, uplink_pmf_enumeration
+from .oracles import downlink_cdf_enumeration, downlink_outage_mc, uplink_pmf_enumeration
 from .units import db_to_linear
 
 EXIT_OK = 0
@@ -73,7 +72,11 @@ VALIDATE_MODES = {
     "ga-vs-enum": (("event",), None),
     "uplink-vs-bruteforce": (("tolerance",), 1e-12),
     "downlink-vs-joint-enum": (("tolerance",), 0.01),
+    "downlink-vs-mc": (("samples", "seed", "tolerance"), 0.01),
 }
+# downlink-vs-mc holds the Monte Carlo outage to the lattice's within the
+# DKW radius sqrt(ln(2 / delta) / (2 n)) of n draws at this delta
+DKW_DELTA = 1e-6
 # The default of each flag that some form does not read, so its parser
 # default is None; --min-db, --max-db and --points are the threshold sweep's.
 FLAG_DEFAULTS = {"event": 0, "samples": 1_000_000, "min_db": 0.0, "max_db": 20.0, "points": 10}
@@ -269,14 +272,33 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
               f"bound eps + tolerance={eps + tolerance:.3e}")
         return EXIT_OK if ok and read_ok else EXIT_FAIL
 
+    if mode == "downlink-vs-mc":
+        # the outage coverage reads at the configured threshold, against
+        # the MC oracle's, which lies within the DKW radius of the exact
+        # outage with probability 1 - DKW_DELTA
+        table = _configured_table(cfg)
+        t = cfg.downlink_threshold
+        lattice = float(downlink_snr_cdf(table, cfg.loading, cfg.alpha0,
+                                         eps=cfg.association_epsilon,
+                                         c0=cfg.lattice_target_c0).outage(t))
+        mc = float(downlink_outage_mc(table, cfg.loading, cfg.alpha0, [t], args.samples,
+                                      args.seed)[0])
+        gap, radius = abs(lattice - mc), math.sqrt(math.log(2.0 / DKW_DELTA) / (2 * args.samples))
+        ok = gap <= radius + tolerance
+        print(f"{'PASS' if ok else 'FAIL'} downlink-vs-mc: outage lattice={_fmt(lattice)} "
+              f"MC={_fmt(mc)} gap={gap:.3e}, bound DKW radius={radius:.3e} (delta={DKW_DELTA:g}, "
+              f"n={args.samples}, seed={args.seed}) + tolerance={tolerance:.3e}")
+        return EXIT_OK if ok else EXIT_FAIL
+
     if mode == "downlink-vs-joint-enum":
         # The exact law lies between the mixtures at alpha0 -/+ the largest
-        # event slack (widened by 1e-9 relative for float noise); the plain
-        # sup distance reads whole atoms even for an exact mixture.
+        # displacement of its laws (widened by 1e-9 relative for float
+        # noise); the plain sup distance reads whole atoms even for an
+        # exact mixture.
         table = _configured_table(cfg)
         approx = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, c0=cfg.lattice_target_c0)
         oracle = downlink_cdf_enumeration(table, cfg.loading, cfg.alpha0)
-        s = float(approx.slack.max()) * (1.0 + 1e-9)
+        s = float(approx.laws.displacement.max(initial=0.0)) * (1.0 + 1e-9)
         excess = envelope_excess(
             oracle,
             dataclasses.replace(approx, alpha0=cfg.alpha0 - s),
@@ -295,12 +317,13 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     (gbs, _, _), spec = _conditioned_spec(cfg, args.event)
     print(f"conditioning on event {args.event}: serving GBS {gbs}, "
           f"{len(spec)} co-channel GBSs")
-    la = _law("la", spec, cfg, args)
-    # The lattice moves each atom by at most M / (2 beta) and promises no
-    # more, so the oracle is held to the lattice cdf moved that far either
-    # way (widened by 1e-9 relative for float noise); the plain sup distance
-    # reads the mass of any displaced atom and is printed for information.
-    s = displacement_bound(spec, cfg.lattice_target_c0) * (1.0 + 1e-9)
+    law, la = la_cdf(spec, cfg.lattice_target_c0)
+    # The lattice moves each atom by at most its displacement M / (2 beta)
+    # and promises no more, so the oracle is held to the lattice cdf moved
+    # that far either way (widened by 1e-9 relative for float noise); the
+    # plain sup distance reads the mass of any displaced atom and is
+    # printed for information.
+    s = float(law.displacement[0]) * (1.0 + 1e-9)
     lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
     oracle = _law(mode.partition("-vs-")[2], spec, cfg, args)
     dist = envelope_excess(oracle, lo, hi)

@@ -374,8 +374,10 @@ def load_config(path: str | None = None) -> ScenarioConfig:
         raise ConfigError(
             f"[algorithm] association_epsilon must lie in [0, 1), got {association_epsilon}"
         )
-    if lattice_target_c0 < 1:
-        raise ConfigError(f"[algorithm] lattice_target_c0 must be >= 1, got {lattice_target_c0}")
+    if not 1 <= lattice_target_c0 < 2**53:
+        raise ConfigError(
+            f"[algorithm] lattice_target_c0 must be >= 1 and below 2**53, got {lattice_target_c0}"
+        )
     if altitude_points < 1:
         raise ConfigError(f"[sampling] altitude_points must be >= 1, got {altitude_points}")
     if altitude_points > 1 and altitude_max <= altitude_min:

@@ -36,8 +36,10 @@ interferers padded with silent rows to the largest band's; its arrays
 inverts the folded rows of events of one lattice length in chunks of
 one transform each way, a long sum's light tail on a quarter lattice,
 into one :class:`~uavcov.gpm.LatticeLaws` record of the position's
-laws.  Each event's sum, its own rows of the stack
-(``GpmSpec.trimmed``), then goes through
+laws, each with its displacement M / (2 beta), M the event's
+interferers of more than one value (silent padding counts 0).  Each
+event's sum, its own rows of the stack (``GpmSpec.trimmed``), then goes
+through
 :func:`conditional_interference_spec` and its law, row e of the record,
 through :func:`uavcov.gpm.la_cdf`.  Outage at every threshold is read
 from all of the record's laws at once (:class:`uavcov.gpm.LatticeCdfs`).
@@ -315,23 +317,22 @@ def conditional_interference_spec(
 @dataclass(frozen=True, eq=False)
 class DownlinkSnrCdf:
     """Mixture cdf of the downlink SNR over association events: their
-    (E,) ``probability``, ``gain`` and ``slack`` arrays in event order,
-    and the interference ``laws`` of the events of nonzero gain, in order,
-    as one :class:`~uavcov.gpm.LatticeLaws` record.
+    (E,) ``probability`` and ``gain`` arrays in event order, and the
+    interference ``laws`` of the events of nonzero gain, in order, as one
+    :class:`~uavcov.gpm.LatticeLaws` record.
 
     Evaluation is exact given each event's interference law:
     P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}, the terms added
     in event order.  Every law is read at every y in one (L, T) pass, bit
     for bit the stepped cdf (``to_cdf``) of each, from running sums
     (:class:`~uavcov.gpm.LatticeCdfs`) built on the first read and kept
-    for the object's later reads.  With s the largest ``slack`` (an
-    event's displacement bound, 0 without a law), the exact law lies
+    for the object's later reads.  With s the largest displacement of
+    the laws (``laws.displacement.max(initial=0.0)``), the exact law lies
     between the mixtures at alpha0 - s and alpha0 + s.
     """
 
     probability: np.ndarray
     gain: np.ndarray
-    slack: np.ndarray
     laws: LatticeLaws
     alpha0: float
 
@@ -404,10 +405,9 @@ def downlink_snr_cdf(
     :func:`~uavcov.gpm.la_folds` into one record; each event's sum,
     trimmed to its own K_e interferer rows, and its law, row e of the
     record, then pass through :func:`conditional_interference_spec` and
-    :func:`~uavcov.gpm.la_cdf`.  The slacks are K_e * span / (2 c0), the
-    displacement bound of each trimmed sum, in one expression over the
-    stack.  Each law equals that of its stack of one, so the output does
-    not depend on where the chunks end.
+    :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of
+    one, displacement included, so the output does not depend on where
+    the chunks end.
     """
     if not alpha0 > 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
@@ -422,9 +422,7 @@ def downlink_snr_cdf(
                                          specs.trimmed(interferers), laws):
         la_cdf(conditional_interference_spec(table, omega, row, prefix, stacked=stacked), c0,
                fold=law)
-    slack = np.zeros(len(events))
-    slack[gaining] = interferers * specs.span / (2.0 * c0)
-    return DownlinkSnrCdf(events.probability, events.gain, slack, laws, alpha0)
+    return DownlinkSnrCdf(events.probability, events.gain, laws, alpha0)
 
 
 # ---------------------------------------------------------------------------

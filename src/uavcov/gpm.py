@@ -24,9 +24,10 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     scaled so the total span becomes ``c0`` lattice units, and rounded to
     integers (half away from zero); the integer-lattice pmf is then
     inverted by FFT and mapped back through
-    F(x) ~= F_lattice(beta * (x - A0)).  Each summand moves by at most
-    half a lattice unit, so every atom of the sum is displaced by at most
-    M / (2 beta) along the value axis.  Summands that round to the point
+    F(x) ~= F_lattice(beta * (x - A0)).  A summand of more than one value
+    moves by at most half a lattice unit and a one-valued one not at all,
+    so no atom of the sum moves further than the law's ``displacement``
+    M / (2 beta), M the former's number.  Summands that round to the point
     mass at 0 are the identity of convolution: each sum's live rows move
     to the front and are convolved exactly in groups of up to
     ``FOLD_ATOMS`` joint atoms, so one length-N spectrum serves a group
@@ -35,17 +36,17 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     ``GpmSpec`` checks in one pass, each sum keeping its own beta, N and
     number of groups, folds the live rows of all of them once, and
     returns their laws as one checked ``LatticeLaws`` record ((E,)
-    offsets, scales and tops, an (E, W) pmf matrix), whose ``laws[e]``
-    is law e as a ``LatticeDistribution`` view; consecutive sums of one
-    N, split or not alike, are inverted as one ``lattice_invert`` stack
-    of their folded points and masses, up to ``CHUNK_ENTRIES`` entries,
-    the one bound on the dense rows that grow with N.  A long sum's
-    light tail, its live rows of least top that sum below N / 4, is
-    inverted on a lattice of N / 4 and enters the inversion of the other
-    rows as one more row, where that at least halves the entries the sum
-    transforms.  ``la_cdf`` passes a stacked law through; without a
-    stack it inverts its sum as a stack of one, bit for bit the same
-    law.
+    offsets, scales, tops and displacements, an (E, W) pmf matrix),
+    whose ``laws[e]`` is law e as a record of one on views of its row;
+    consecutive sums of one N, split or not alike, are inverted as one
+    ``lattice_invert`` stack of their folded points and masses, up to
+    ``CHUNK_ENTRIES`` entries, the one bound on the dense rows that grow
+    with N.  A long sum's light tail, its live rows of least top that sum
+    below N / 4, is inverted on a lattice of N / 4 and enters the
+    inversion of the other rows as one more row, where that at least
+    halves the entries the sum transforms.  ``la_cdf`` passes a stacked
+    law through; without a stack it inverts its sum as a stack of one,
+    bit for bit the same law.
     ``LatticeCdfs`` reads the cdfs of a record's laws at once, on one
     copy of its pmf matrix, bit for bit their ``to_cdf`` stepped cdfs,
     from running sums built once for any number of reads.
@@ -57,9 +58,8 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
 
   * ``envelope_excess`` is the one accuracy check: how far an oracle cdf
     leaves an envelope [lo, hi].  Lattice laws are held to their own cdf
-    moved by the displacement M / (2 beta) either way
-    (``displacement_bound``); ``kolmogorov_distance`` is the envelope of
-    zero width, the plain sup distance.
+    moved by their ``displacement`` either way; ``kolmogorov_distance``
+    is the envelope of zero width, the plain sup distance.
 
 Cumulative distributions follow the F(x) = P{X <= x} convention
 throughout; ``SteppedCdf.eval_left`` gives the open variant P{X < x}.
@@ -442,16 +442,18 @@ class SteppedCdf:
         return np.diff(self.cum, prepend=0.0)
 
 
-def _check_laws(offset: np.ndarray, scale: np.ndarray, top: np.ndarray, pmf: np.ndarray):
-    """Check E lattice laws in one pass: (E,) ``offset``, ``scale`` and
-    ``top`` and an (E, W) ``pmf`` whose row e is law e on 0..top[e].
-    Offsets must be finite, scales positive and finite, and each row
-    non-negative, 0 past its top and summing to 1 within 1e-9; every
-    check fails NaN and +-inf.  An error names the law at fault when
-    there are several."""
-    if offset.ndim != 1 or not offset.shape == scale.shape == top.shape == pmf.shape[:1] or (
+def _check_laws(offset: np.ndarray, scale: np.ndarray, top: np.ndarray, pmf: np.ndarray,
+                displacement: np.ndarray):
+    """Check E lattice laws in one pass: (E,) ``offset``, ``scale``,
+    ``top`` and ``displacement`` and an (E, W) ``pmf`` whose row e is law
+    e on 0..top[e].  Offsets must be finite, scales positive and finite,
+    displacements finite and >= 0, and each row non-negative, 0 past its
+    top and summing to 1 within 1e-9; every check fails NaN and +-inf.
+    An error names the law at fault when there are several."""
+    shapes = {scale.shape, top.shape, displacement.shape, pmf.shape[:1]}
+    if offset.ndim != 1 or shapes != {offset.shape} or (
             pmf.ndim != 2 or not ((top >= 0) & (top < pmf.shape[1])).all()):
-        raise ValueError("need (E,) offsets, scales and tops and an (E, W) pmf with W > top")
+        raise ValueError("need (E,) fields and an (E, W) pmf with W > top")
 
     past = np.arange(pmf.shape[1]) > top[:, None]
     total = pmf.sum(axis=1)
@@ -459,6 +461,8 @@ def _check_laws(offset: np.ndarray, scale: np.ndarray, top: np.ndarray, pmf: np.
         (~np.isfinite(offset), lambda e: f"offset must be finite, got {offset[e]}"),
         (~(scale > 0.0), lambda e: f"scale must be positive, got {scale[e]}"),
         (~(scale < np.inf), lambda e: f"scale must be finite, got {scale[e]}"),
+        (~(displacement >= 0.0), lambda e: f"displacement must be >= 0, got {displacement[e]}"),
+        (~(displacement < np.inf), lambda e: f"displacement must be finite, got {displacement[e]}"),
         (~(pmf >= 0.0).all(axis=1), lambda e: "pmf must be non-negative"),
         (((pmf != 0.0) & past).any(axis=1), lambda e: f"pmf must be 0 past its top {top[e]}"),
         (~(np.abs(total - 1.0) <= 1e-9), lambda e: f"pmf sums to {total[e]!r}, not 1"),
@@ -466,41 +470,6 @@ def _check_laws(offset: np.ndarray, scale: np.ndarray, top: np.ndarray, pmf: np.
         if bad.any():
             e = int(np.argmax(bad))
             raise ValueError(what(e) + (f" in law {e}" if bad.size > 1 else ""))
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeDistribution:
-    """Integer-lattice image of a real sum: lattice point n carries the
-    mass of values near n / scale + offset.  ``LatticeLaws`` holds many
-    as one record; ``laws[e]`` is one of them, on a view of its row."""
-
-    offset: float
-    scale: float
-    pmf: np.ndarray
-
-    def __init__(self, offset: float, scale: float, pmf) -> None:
-        q = np.asarray(pmf, dtype=float)
-        if q.ndim != 1 or q.size == 0:
-            raise ValueError("pmf must be 1-D and non-empty")
-        _check_laws(np.array([offset], dtype=float), np.array([scale], dtype=float),
-                    np.array([q.size - 1]), q[None])
-        q.setflags(write=False)
-        self._hold(float(offset), float(scale), q)
-
-    def _hold(self, offset: float, scale: float, pmf: np.ndarray) -> LatticeDistribution:
-        vars(self).update(offset=offset, scale=scale, pmf=pmf)
-        return self
-
-    def to_cdf(self) -> SteppedCdf:
-        """Stepped cdf in original value units, jumps at n/scale + offset;
-        evaluating it realises F(x) = F_lattice(scale * (x - offset)).
-        Lattice points that map to the same float share one jump."""
-        support = np.flatnonzero(self.pmf > 0.0)
-        xs = support / self.scale + self.offset
-        cum = np.cumsum(self.pmf[support])
-        last = np.append(xs[1:] > xs[:-1], True)
-        # dividing by the last partial sum makes the cdf end at exactly 1
-        return SteppedCdf(xs[last], cum[last] / cum[-1])
 
 
 def _next_pow2(n: int) -> int:
@@ -558,44 +527,75 @@ def _light_tail(mass: np.ndarray, points: np.ndarray, n: int, tops: np.ndarray) 
 
 @dataclass(frozen=True, eq=False)
 class LatticeLaws:
-    """E lattice laws as one read-only record: (E,) ``offset``, ``scale``
-    and ``top`` arrays and an (E, W) ``pmf`` matrix whose row e is law
-    e's pmf on 0..top[e], zero past it, checked in one pass as
-    ``LatticeDistribution`` checks one law.  ``laws[e]`` is law e as a
-    ``LatticeDistribution`` on a view of its row, not checked again, and
-    iterating yields the laws in order."""
+    """E lattice laws of real sums as one read-only record, checked in one
+    pass: (E,) ``offset``, ``scale``, ``top`` and ``displacement`` arrays
+    and an (E, W) ``pmf`` whose row e, zero past top[e], puts at point n
+    the mass of the sum's values near n / scale[e] + offset[e], none
+    further than displacement[e] from it.  ``laws[e]`` (and iterating)
+    gives law e as an unchecked record of one on views of its row."""
 
     offset: np.ndarray
     scale: np.ndarray
     top: np.ndarray
     pmf: np.ndarray
+    displacement: np.ndarray
 
-    def __init__(self, offset, scale, top, pmf) -> None:
+    def __init__(self, offset, scale, top, pmf, displacement) -> None:
         # copied, to be held read-only
         self._hold(np.array(offset, dtype=float), np.array(scale, dtype=float),
-                   np.array(top, dtype=np.intp), np.array(pmf, dtype=float))
+                   np.array(top, dtype=np.intp), np.array(pmf, dtype=float),
+                   np.array(displacement, dtype=float))
 
-    def _hold(self, offset, scale, top, pmf) -> LatticeLaws:
-        _check_laws(offset, scale, top, pmf)
-        for array in (offset, scale, top, pmf):
+    def _hold(self, offset, scale, top, pmf, displacement) -> LatticeLaws:
+        _check_laws(offset, scale, top, pmf, displacement)
+        for array in (offset, scale, top, pmf, displacement):
             array.setflags(write=False)
-        vars(self).update(offset=offset, scale=scale, top=top, pmf=pmf)
+        vars(self).update(offset=offset, scale=scale, top=top, pmf=pmf, displacement=displacement)
         return self
 
     def __len__(self) -> int:
         return len(self.top)
 
-    def __getitem__(self, e: int) -> LatticeDistribution:
-        return object.__new__(LatticeDistribution)._hold(
-            float(self.offset[e]), float(self.scale[e]), self.pmf[e, :self.top[e] + 1])
+    def __getitem__(self, e: int) -> LatticeLaws:
+        e = range(len(self))[e]     # an IndexError past either end
+        return next(self._views(slice(e, e + 1)))
+
+    def __iter__(self) -> Iterator[LatticeLaws]:
+        return self._views(slice(None))
+
+    def _views(self, rows: slice) -> Iterator[LatticeLaws]:
+        # iterating (n, 1) arrays makes the views in 2/3 of slicing's time
+        columns = (self.offset, self.scale, self.top, self.displacement)
+        for offset, scale, top, displacement, pmf, end in zip(
+                *(column[rows, None] for column in columns), self.pmf[rows, None],
+                (self.top[rows] + 1).tolist()):
+            law = object.__new__(LatticeLaws)
+            vars(law).update(offset=offset, scale=scale, top=top, pmf=pmf[:, :end],
+                             displacement=displacement)
+            yield law
+
+    def to_cdf(self) -> SteppedCdf:
+        """Stepped cdf of a record of one law (a ValueError otherwise) in
+        original value units, jumps at n/scale + offset; evaluating it
+        realises F(x) = F_lattice(scale * (x - offset)).  Lattice points
+        that map to the same float share one jump."""
+        (offset,), (scale,), (pmf,) = self.offset, self.scale, self.pmf
+        support = np.flatnonzero(pmf > 0.0)
+        xs = support / scale + offset
+        cum = np.cumsum(pmf[support])
+        last = np.append(xs[1:] > xs[:-1], True)
+        # dividing by the last partial sum makes the cdf end at exactly 1
+        return SteppedCdf(xs[last], cum[last] / cum[-1])
 
 
 def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
     """Quantizes a stack of sums, or one sum as a stack of one, and
     returns their lattice laws in stack order as one ``LatticeLaws``
-    record: each sum's offset A0, scale beta and pmf on 0..top, the
-    highest lattice point the sum reaches (``FFT_MASS_FLOOR`` dust
-    dropped, renormalised).
+    record: each sum's offset A0, scale beta, pmf on 0..top, the highest
+    lattice point the sum reaches (``FFT_MASS_FLOOR`` dust dropped,
+    renormalised), and displacement M / (2 beta), M the number of its
+    rows of more than one value.  A ``c0`` below 1 or at or above 2**53
+    is refused.
 
     Each sum keeps its own beta = c0 / span, its own lattice length N
     (the power of two above its summed top) and its own number of fold
@@ -632,6 +632,9 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
     """
     if not c0 >= 1:
         raise ValueError(f"lattice target c0 must be >= 1, got {c0}")
+    if not c0 < 2**53:
+        # lattice points up to c0 stay exact integers in a float and an intp
+        raise ValueError(f"lattice target c0 must be below 2**53, got {c0}")
     span = np.atleast_1d(spec.span)
     values = spec.values.reshape(span.shape + spec.values.shape[-2:])
     probs = spec.probs.reshape(values.shape)
@@ -644,6 +647,9 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
         bad = float(span[np.argmax(overflow)])
         raise ValueError(f"span {bad!r} is too small: beta = c0 / span overflows at c0={c0}")
     shifted = values - _over_atoms(np.minimum, values)[..., None]
+    # rounding moves a row of more than one value by up to 1 / (2 beta) =
+    # span / (2 c0), a one-valued row (silent padding, say) not at all
+    displacement = (_over_atoms(np.maximum, shifted) > 0.0).sum(axis=-1) * span / (2.0 * c0)
     # rounded half away from zero, independent of locale and of bankers'
     # rounding: the scaled values are >= 0, so that is floor(x + 0.5)
     lattice = np.floor(beta[:, None, None] * shifted + 0.5).astype(np.intp)
@@ -744,13 +750,14 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
         w = min(n, pmf.shape[1])
         np.copyto(pmf[a:b, :w], pmfs[:, :w], where=np.arange(w) <= total_tops[a:b, None])
     offset = np.array(np.atleast_1d(spec.offset), dtype=float)
-    return object.__new__(LatticeLaws)._hold(offset, beta, total_tops, pmf)
+    return object.__new__(LatticeLaws)._hold(offset, beta, total_tops, pmf, displacement)
 
 
 def la_cdf(
-    spec: GpmSpec, c0: float, *, fold: LatticeDistribution | None = None
-) -> tuple[LatticeDistribution, SteppedCdf | None]:
-    """Lattice-approximated law of the sum and its stepped cdf.
+    spec: GpmSpec, c0: float, *, fold: LatticeLaws | None = None
+) -> tuple[LatticeLaws, SteppedCdf | None]:
+    """Lattice-approximated law of the sum, as a ``LatticeLaws`` record
+    of one, and its stepped cdf.
 
     Offsets each summand to start at 0, scales by beta = c0 / span,
     rounds the scaled values half-away-from-zero to integers, recovers the
@@ -770,7 +777,7 @@ def la_cdf(
     """
     if fold is not None:
         return fold, None
-    (law,) = la_folds(spec, c0)
+    law = la_folds(spec, c0)
     return law, law.to_cdf()
 
 
@@ -829,14 +836,6 @@ class LatticeCdfs:
         count = _lattice_counts(self.tops, self.scale, self.offset,
                                 np.asarray(x, dtype=float), left)
         return np.take_along_axis(self.cum, count, axis=1) / self.total
-
-
-def displacement_bound(spec: GpmSpec, c0: float) -> float | np.ndarray:
-    """M / (2 beta) = M * span / (2 c0), the furthest ``la_cdf(spec, c0)``
-    moves any atom of the sum along the value axis (M summands, each
-    rounded by at most half a lattice unit 1 / beta); of a stack, each
-    sum's bound."""
-    return spec.values.shape[-2] * spec.span / (2.0 * c0)
 
 
 def enumerate_cdf(spec: GpmSpec) -> SteppedCdf:

@@ -98,23 +98,29 @@ def random_integer_spec(rng, n_summands, max_value=5, max_support=4):
     return padded_spec(rows)
 
 
+def one_law(offset, scale, pmf, displacement=0.0):
+    """The ``LatticeLaws`` record of one law, its pmf on 0..len(pmf)-1."""
+    return LatticeLaws([offset], [scale], [len(pmf) - 1], [pmf], [displacement])
+
+
 def in_place_probes(laws):
-    """Every lattice abscissa of ``laws``, its float neighbours, a point
-    below every offset and +-inf."""
+    """Every lattice abscissa of the records of one ``laws``, its float
+    neighbours, a point below every offset and +-inf."""
     on = np.concatenate([np.arange(law.pmf.size) / law.scale + law.offset for law in laws])
     return np.unique(np.concatenate([
         on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
-        [-np.inf, np.inf, min(law.offset for law in laws) - 1.0],
+        [-np.inf, np.inf, min(float(law.offset[0]) for law in laws) - 1.0],
     ]))
 
 
 def law_record(laws):
-    """The ``LatticeLaws`` record of the lattice laws ``laws``, each pmf
-    padded with zeros to the longest."""
+    """The ``LatticeLaws`` record of the records of one ``laws``, each
+    pmf padded with zeros to the longest."""
     width = max(law.pmf.size for law in laws)
-    return LatticeLaws([law.offset for law in laws], [law.scale for law in laws],
-                       [law.pmf.size - 1 for law in laws],
-                       [np.pad(law.pmf, (0, width - law.pmf.size)) for law in laws])
+    return LatticeLaws(*(np.concatenate([getattr(law, name) for law in laws])
+                         for name in ("offset", "scale", "top")),
+                       [np.pad(law.pmf[0], (0, width - law.pmf.size)) for law in laws],
+                       np.concatenate([law.displacement for law in laws]))
 
 
 def assert_reads_stepped_cdfs(laws, probes):

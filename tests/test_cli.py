@@ -15,6 +15,7 @@ from uavcov import coverage
 from uavcov.cli import build_parser, main
 from uavcov.config import load_config
 from uavcov.coverage import LinkDirection, coverage_at_altitude
+from uavcov.geometry import sample_region
 
 TINY = """
 [layout]
@@ -655,6 +656,45 @@ def test_validate_downlink_joint_enum_runs(tmp_path, capsys, monkeypatch):
     # three law objects over one set of terms, the approximation and its
     # two envelope mixtures, each read four times: one build each
     assert len(built) == 3
+
+
+def test_validate_downlink_vs_mc(tmp_path, capsys):
+    # the lattice outage at the configured position and threshold against
+    # 2e5 MC draws: within the DKW radius plus the tolerance on TINY
+    mc = ["validate", "--mode", "downlink-vs-mc", "--seed", "1", "--samples", "200000",
+          "--out", str(tmp_path)]
+    assert main(mc + ["--config", write_cfg(tmp_path, TINY)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS downlink-vs-mc: outage lattice=")
+    assert "DKW radius=6.023e-03 (delta=1e-06, n=200000, seed=1) + tolerance=1.000e-02" in out
+    # negative control: the default scene at map point 5 and 30 m, where
+    # the lattice reads outage 0.219 against the MC's 0.62
+    cfg = load_config()
+    x, y = sample_region(cfg.build_region(), cfg.inter_site_distance)[5].tolist()
+    low = write_cfg(tmp_path, f"[uav]\nx_m = {x!r}\ny_m = {y!r}\naltitude_m = 30\n", "low.ini")
+    assert main(mc + ["--config", low]) == 1
+    assert capsys.readouterr().out.startswith("FAIL downlink-vs-mc: outage lattice=0.219")
+    # it reads --samples, --seed and --tolerance, not --event, and needs a seed
+    with pytest.raises(SystemExit) as exc:
+        main(mc + ["--event", "0"])
+    assert exc.value.code == 2
+    assert main(["validate", "--mode", "downlink-vs-mc", "--out", str(tmp_path)]) == 2
+    assert "--seed is required for validate --mode downlink-vs-mc" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("c0", ["1e19", "1e25", "9007199254740992"])
+def test_lattice_target_beyond_exact_integers_exits_2(tmp_path, capsys, c0):
+    # past 2**53 the lattice points wrap in an intp: at 1e25 the map read
+    # coverage 1, at 1e19 the command died in an OverflowError
+    cfg_path = write_cfg(tmp_path, f"[layout]\nradius_m = 500\n[sampling]\nresolution = 1\n"
+                                   f"[algorithm]\nlattice_target_c0 = {c0}\n")
+    for argv in (["downlink-map"], ["validate", "--mode", "la-vs-enum"]):
+        assert main(argv + ["--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [algorithm] lattice_target_c0 must be >= 1 and "
+                              "below 2**53, got ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_layout_csv_feeds_sites_csv(tmp_path):

@@ -27,6 +27,7 @@ from conftest import (
 )
 from uavcov import coverage, gpm
 from uavcov.channel import LinkTable, build_link_table
+from uavcov.cli import main
 from uavcov.config import load_config
 from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
 from uavcov.oracles import (
@@ -50,7 +51,6 @@ from uavcov.coverage import (
 )
 from uavcov.gpm import (
     SteppedCdf,
-    displacement_bound,
     enumerate_cdf,
     kolmogorov_distance,
     la_cdf,
@@ -548,25 +548,27 @@ def test_interference_refuses_rows_outside_the_table():
 # Stacked interference laws
 # ---------------------------------------------------------------------------
 
-def law_bits(spec, lattice, c0):
-    return lattice.offset, lattice.scale, lattice.pmf.tobytes(), displacement_bound(spec, c0)
+def law_bits(lattice):
+    """The bytes of a record of one law's offset, scale, pmf and displacement."""
+    return tuple(getattr(lattice, name).tobytes()
+                 for name in ("offset", "scale", "pmf", "displacement"))
 
 
 def stacked_laws(table, omega, serving, forced, c0):
-    """Each event's (offset, scale, pmf, slack) from one stack of all the
-    events' sums, each sum trimmed to its own event's rows, its la_cdf
-    passing on its law from one la_folds pass over the stack."""
+    """Each event's law_bits from one stack of all the events' sums, each
+    sum trimmed to its own event's rows, its la_cdf passing on its law
+    from one la_folds pass over the stack."""
     stack = conditional_interference_specs(table, omega, serving, forced)
     sizes = [len(conditional_interference_spec(table, omega, row, prefix))
              for row, prefix in zip(serving.tolist(), forced.tolist())]
-    return [law_bits(spec, la_cdf(spec, c0, fold=law)[0], c0)
+    return [law_bits(la_cdf(spec, c0, fold=law)[0])
             for spec, law in zip(stack.trimmed(sizes), la_folds(stack, c0))]
 
 
 def single_laws(table, omega, events, stack, c0):
-    """Each event's (offset, scale, pmf, slack), built alone: the stack of one."""
+    """Each event's law_bits, built alone: the stack of one."""
     specs = [event_spec(table, omega, events, e) for e in stack]
-    return [law_bits(spec, la_cdf(spec, c0)[0], c0) for spec in specs]
+    return [law_bits(la_cdf(spec, c0)[0]) for spec in specs]
 
 
 def gaining_events(events):
@@ -654,9 +656,7 @@ def check_stacks(rows, omega, c0, size):
                                     c0) == single_laws(table, omega, events, stack, c0)
             # the whole law, whatever the stacks and chunks it builds
             model = downlink_snr_cdf(table, omega, 0.1, c0=c0)
-        got = [(law.offset, law.scale, law.pmf.tobytes(), slack)
-               for law, slack in zip(model.laws, model.slack[model.gain != 0.0].tolist())]
-        assert got == want
+        assert [law_bits(law) for law in model.laws] == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -707,7 +707,7 @@ def test_stack_examples_cover_every_case(monkeypatch):
         stack = conditional_interference_specs(table, omega, events.serving[gaining],
                                                events.forced[gaining])
         split.clear()
-        if len({len(law.pmf) > 1024 for law in la_folds(stack, c0)}) > 1:
+        if len({law.pmf.size > 1024 for law in la_folds(stack, c0)}) > 1:
             seen.add("two lattice lengths in one stack")
         if split:
             seen.add("tail split")
@@ -843,7 +843,7 @@ def test_mixture_builds_its_running_sums_once(monkeypatch):
     assert model.eval(ys).tobytes() == first.tobytes()
     assert built == [3]     # one law per event: two LoS, one terminal
     # another law object over the same arrays and laws builds its own, the same
-    again = DownlinkSnrCdf(model.probability, model.gain, model.slack, model.laws, model.alpha0)
+    again = DownlinkSnrCdf(model.probability, model.gain, model.laws, model.alpha0)
     assert again.eval(ys).tobytes() == first.tobytes()
     assert len(built) == 2
 
@@ -897,8 +897,7 @@ def test_each_law_passes_through_the_per_event_functions(monkeypatch):
     for e, lattice in enumerate(laws):
         row = model.laws[e]
         assert np.shares_memory(lattice.pmf, model.laws.pmf[e])
-        assert (lattice.offset, lattice.scale, lattice.pmf.tobytes()) == (
-            row.offset, row.scale, row.pmf.tobytes())
+        assert law_bits(lattice) == law_bits(row)
     # negative control: laws handed on in another order are not the rows
     assert not np.shares_memory(laws[0].pmf, model.laws.pmf[1])
 
@@ -1040,21 +1039,55 @@ def test_zero_nlos_shortcut_negative_control(monkeypatch):
         test_block_read_matches_enumeration()         # the block read
 
 
-def test_downlink_terms_carry_displacement_bound():
-    # each term's slack is M / (2 beta) of the spec its event conditions
+def test_downlink_laws_carry_their_displacement():
+    # each law's displacement is M / (2 beta) = M span / (2 c0) of the sum
+    # its event conditions, M its interferers of nonzero gain: a zero-gain
+    # row (value 0 whether active or not) is not moved by the rounding
     rng = np.random.default_rng(3141)
+    zero_gain_rows = 0
     for _ in range(20):
         table = random_link_table(rng, int(rng.integers(1, 9)), n_bands=2)
         model = downlink_snr_cdf(table, 0.5, 0.1, c0=500.0)
         events = association_pmf(table)
-        want = [
-            0.0 if events.serving[e] < 0 or events.gain[e] == 0.0
-            else displacement_bound(event_spec(table, 0.5, events, e), 500.0)
-            for e in range(len(events))
-        ]
-        assert model.slack.tolist() == want
+        want = []
+        for e in gaining_events(events):
+            spec = event_spec(table, 0.5, events, e)
+            moved = int(np.count_nonzero(spec.values.max(axis=1)))
+            zero_gain_rows += len(spec) - moved
+            want.append(moved * spec.span / (2.0 * 500.0))
+        assert model.laws.displacement.tolist() == want
+    assert zero_gain_rows > 0
     silent = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0, c0=1000.0)
-    assert (len(silent.laws), silent.slack.tolist()) == (0, [0.0])
+    assert (len(silent.laws), silent.laws.displacement.max(initial=0.0)) == (0, 0.0)
+
+
+def test_silent_interferer_is_not_displaced(tmp_path, capsys):
+    # GBS 1 of the 7-site scene never transmits: every event of its band
+    # but its own has one row that is the point mass at 0, which rounding
+    # cannot move, so its displacement is (K - 1) span / (2 c0), one
+    # span / (2 c0) below the K span / (2 c0) that counts every row
+    body = "[layout]\nradius_m = 500\n[algorithm]\nlattice_target_c0 = 200\n"
+    cfg = load_scenario(tmp_path, body + "[loading]\nomega_site_1 = 0\n")
+    table = build_link_table(cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
+                             cfg.build_channel(), (cfg.uav_x, cfg.uav_y, cfg.uav_altitude),
+                             cfg.gbs_height)
+    model = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, c0=200.0)
+    events = association_pmf(table)
+    gaining = gaining_events(events)
+    specs = [event_spec(table, cfg.loading, events, e) for e in gaining]
+    served = table.gbs_id[events.serving[gaining]]
+    joins = (table.band[events.serving[gaining]] == table.band[table.gbs_id == 1]) & (served != 1)
+    assert 0 < joins.sum() < len(gaining)
+    moved = [len(spec) - int(join) for spec, join in zip(specs, joins)]
+    want = [m * spec.span / (2.0 * 200.0) for m, spec in zip(moved, specs)]
+    assert model.laws.displacement.tolist() == want
+    # negative control: counting the silent row as moved reads every row
+    counted = [len(spec) * spec.span / (2.0 * 200.0) for spec in specs]
+    assert [a != b for a, b in zip(counted, want)] == joins.tolist()
+    # the joint enumeration still lies within the narrower envelope
+    assert main(["validate", "--config", str(tmp_path / "scenario.ini"), "--out",
+                 str(tmp_path), "--mode", "downlink-vs-joint-enum"]) == 0
+    assert "PASS downlink-vs-joint-enum" in capsys.readouterr().out
 
 
 def test_outage_is_exact_at_both_ends():

@@ -21,6 +21,7 @@ from conftest import (
     in_place_probes,
     law_record,
     load_scenario,
+    one_law,
     padded_spec,
     random_integer_spec,
     random_spec,
@@ -33,11 +34,9 @@ from uavcov.gpm import (
     GaussianCdf,
     GpmSpec,
     LatticeCdfs,
-    LatticeDistribution,
     LatticeLaws,
     SteppedCdf,
     cf_sample,
-    displacement_bound,
     enumerate_cdf,
     envelope_excess,
     gaussian_cdf,
@@ -162,7 +161,6 @@ def test_stacked_spec_check_names_event_and_summand(stack_arrays):
     stack = GpmSpec(values, probs)
     assert len(stack) == len(values) and stack.values.shape == values.shape
     assert not (stack.values.flags.writeable or stack.probs.flags.writeable)
-    bounds = displacement_bound(stack, 1000.0)
     picks = np.arange(len(values))[::-1]
     with pytest.MonkeyPatch.context() as patch:
         # a sum of a checked stack is not checked again
@@ -177,7 +175,6 @@ def test_stacked_spec_check_names_event_and_summand(stack_arrays):
             assert got.values.shape == want.values.shape
             assert type(got.offset) is type(got.span) is float
             assert (got.offset, got.span) == (want.offset, want.span)
-            assert displacement_bound(got, 1000.0) == displacement_bound(want, 1000.0) == bounds[e]
             assert not (got.values.flags.writeable or got.probs.flags.writeable)
     if fault is None:
         return
@@ -501,13 +498,15 @@ def test_split_sum_aliasing_counts_the_tail_row():
 
 @pytest.mark.parametrize("build", [
     lambda: lattice_invert([[np.inf, 0.0, 0.0, 0.0]]),
-    lambda: LatticeDistribution(0.0, 1.0, [np.nan]),
-    lambda: LatticeDistribution(np.nan, 1.0, [1.0]),
-    lambda: LatticeDistribution(0.0, np.inf, [1.0]),
+    lambda: one_law(0.0, 1.0, [np.nan]),
+    lambda: one_law(np.nan, 1.0, [1.0]),
+    lambda: one_law(0.0, np.inf, [1.0]),
+    lambda: one_law(0.0, 1.0, [1.0], np.nan),
+    lambda: one_law(0.0, 1.0, [1.0], np.inf),
     lambda: SteppedCdf([0.0, 1.0], [np.nan, np.nan]),
     lambda: SteppedCdf([0.0, np.nan], [0.5, 1.0]),
 ], ids=["invert-inf-row", "law-nan-pmf", "law-nan-offset", "law-inf-scale",
-        "stepped-nan-cum", "stepped-nan-jump"])
+        "law-nan-displacement", "law-inf-displacement", "stepped-nan-cum", "stepped-nan-jump"])
 def test_non_finite_values_fail_the_lattice_checks(build):
     with pytest.raises(ValueError):
         build()
@@ -545,27 +544,30 @@ def test_stepped_cdf_validation():
 
 
 def test_lattice_distribution_to_cdf():
-    dist = LatticeDistribution(10.0, 2.0, [0.25, 0.0, 0.75])
+    dist = one_law(10.0, 2.0, [0.25, 0.0, 0.75])
     cdf = dist.to_cdf()
     assert cdf.xs.tolist() == [10.0, 11.0]     # zero-mass lattice point dropped
     np.testing.assert_allclose(cdf.cum, [0.25, 1.0])
     # lattice points closer than the float spacing at the offset share a jump
-    tiny = LatticeDistribution(1.0, 1e40, [0.25, 0.0, 0.75]).to_cdf()
+    tiny = one_law(1.0, 1e40, [0.25, 0.0, 0.75]).to_cdf()
     assert (tiny.xs.tolist(), tiny.cum.tolist()) == ([1.0], [1.0])
     with pytest.raises(ValueError):
-        LatticeDistribution(0.0, 0.0, [1.0])
+        one_law(0.0, 0.0, [1.0])
     with pytest.raises(ValueError):
-        LatticeDistribution(0.0, 1.0, [0.4, 0.4])
+        one_law(0.0, 1.0, [0.4, 0.4])
+    # a stepped cdf is one law's: a record of two has none
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        law_record([dist, dist]).to_cdf()
 
 
 # lattice laws whose in-place read has a case of its own
 IN_PLACE_LAWS = (
-    LatticeDistribution(10.0, 2.0, [0.25, 0.0, 0.75]),     # a zero-mass point inside
-    LatticeDistribution(1.0, 1e40, [0.25, 0.0, 0.75]),     # all points round to one float
-    LatticeDistribution(-3.0, 0.1, [0.5, 0.5, 0.0, 0.0]),  # mass floored away at the top
-    LatticeDistribution(0.0, 3.0, [0.0, 0.0, 1.0]),        # no mass below the top
-    LatticeDistribution(7.0, 1.0, [1.0]),                  # a point mass
-    LatticeDistribution(0.0, 1000.0 / 3.0, np.full(1000, 1e-3)),  # a long lattice
+    one_law(10.0, 2.0, [0.25, 0.0, 0.75]),     # a zero-mass point inside
+    one_law(1.0, 1e40, [0.25, 0.0, 0.75]),     # all points round to one float
+    one_law(-3.0, 0.1, [0.5, 0.5, 0.0, 0.0]),  # mass floored away at the top
+    one_law(0.0, 3.0, [0.0, 0.0, 1.0]),        # no mass below the top
+    one_law(7.0, 1.0, [1.0]),                  # a point mass
+    one_law(0.0, 1000.0 / 3.0, np.full(1000, 1e-3)),  # a long lattice
 )
 
 
@@ -617,7 +619,7 @@ def test_la_degenerate_span():
     dist, cdf = la_cdf(spec, 1000.0)
     assert cdf.xs.tolist() == [5.5]
     assert cdf.cum.tolist() == [1.0]
-    assert dist.pmf.tolist() == [1.0]
+    assert (dist.pmf.tolist(), dist.displacement.tolist()) == ([[1.0]], [0.0])
 
 
 def test_la_cdf_leaves_out_rows_rounded_to_zero(monkeypatch):
@@ -667,12 +669,12 @@ def check_fold(spec):
     # at c0 = span, beta = 1: la_cdf's lattice is each row's distance from
     # its minimum rounded half up, and its law the rows' iterated np.convolve
     dist, _ = la_cdf(spec, spec.span)
-    assert dist.scale == 1.0
+    assert dist.scale.tolist() == [1.0]
     lattice = GpmSpec(np.floor(spec.values - spec.values.min(axis=1, keepdims=True) + 0.5),
                       spec.probs)
     want = convolve_pmf(lattice, int(lattice.span) + 1)
-    assert dist.pmf.shape == want.shape
-    assert np.max(np.abs(dist.pmf - want)) <= 1e-12
+    assert dist.pmf[0].shape == want.shape
+    assert np.max(np.abs(dist.pmf[0] - want)) <= 1e-12
 
 
 def test_folded_la_cdf_matches_row_by_row_convolution():
@@ -834,8 +836,9 @@ def test_record_rows_equal_each_sum_alone(c0):
     for e in range(len(specs)):
         alone, _ = la_cdf(stack[e], c0)
         top = int(laws.top[e])
-        assert (laws.offset[e], laws.scale[e], top) == (alone.offset, alone.scale,
-                                                        alone.pmf.size - 1)
+        for name in ("offset", "scale", "top", "displacement"):
+            assert getattr(laws, name)[e:e + 1].tobytes() == getattr(alone, name).tobytes()
+        assert alone.pmf.shape == (1, top + 1)
         assert laws.pmf[e, :top + 1].tobytes() == alone.pmf.tobytes()
         assert not laws.pmf[e, top + 1:].any()
     # negative control: the stack in reverse order reads its rows reversed
@@ -846,14 +849,21 @@ def test_record_rows_equal_each_sum_alone(c0):
 def test_law_record_checks_every_law_once(monkeypatch):
     pmf = [[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]]
     held = np.array(pmf)
-    laws = LatticeLaws([1.0, 2.0], [0.5, 4.0], [1, 0], held)
+    laws = LatticeLaws([1.0, 2.0], [0.5, 4.0], [1, 0], held, [0.75, 0.0])
     held[0, 0] = 9.0        # the record holds a read-only copy
     assert laws.pmf.tolist() == pmf and not laws.pmf.flags.writeable
-    # law e is a read-only view on its row up to its top
+    # law e is a record of one on read-only views of its row up to its top
     first = laws[0]
-    assert (first.offset, first.scale, first.pmf.tolist()) == (1.0, 0.5, [0.25, 0.75])
-    assert np.shares_memory(first.pmf, laws.pmf) and not first.pmf.flags.writeable
-    assert [law.pmf.tolist() for law in laws] == [[0.25, 0.75], [1.0]]
+    assert [getattr(first, name).tolist() for name in ("offset", "scale", "top", "displacement")
+            ] == [[1.0], [0.5], [1], [0.75]]
+    assert first.pmf.tolist() == [[0.25, 0.75]]
+    for name in ("offset", "scale", "top", "pmf", "displacement"):
+        view = getattr(first, name)
+        assert np.shares_memory(view, getattr(laws, name)) and not view.flags.writeable
+    assert [law.pmf.tolist() for law in laws] == [[[0.25, 0.75]], [[1.0]]]
+    assert laws[-1].pmf.tolist() == [[1.0]]
+    with pytest.raises(IndexError):
+        laws[2]
     # la_folds checks its record once; reading its laws checks none again
     checks = []
     check = gpm._check_laws
@@ -861,32 +871,43 @@ def test_law_record_checks_every_law_once(monkeypatch):
     folded = gpm.la_folds(stacked([random_spec(np.random.default_rng(79), 4)] * 3), 100.0)
     assert [law.pmf.size for law in folded] and checks == [1]
     # each check fails NaN and +-inf, naming the law at fault
-    for offset, scale, top, rows, message in (
-        ([1.0, np.nan], [0.5, 4.0], [1, 0], pmf, "offset must be finite, got nan in law 1"),
-        ([1.0, 2.0], [0.5, 0.0], [1, 0], pmf, "scale must be positive, got 0.0 in law 1"),
-        ([1.0, 2.0], [np.inf, 4.0], [1, 0], pmf, "scale must be finite, got inf in law 0"),
-        ([1.0, 2.0], [0.5, np.nan], [1, 0], pmf, "scale must be positive, got nan in law 1"),
-        ([1.0, 2.0], [0.5, 4.0], [1, 1], [pmf[0], [1.5, -0.5, 0.0]],
+    moved = [0.75, 0.0]
+    for offset, scale, top, rows, displacement, message in (
+        ([1.0, np.nan], [0.5, 4.0], [1, 0], pmf, moved, "offset must be finite, got nan in law 1"),
+        ([1.0, 2.0], [0.5, 0.0], [1, 0], pmf, moved, "scale must be positive, got 0.0 in law 1"),
+        ([1.0, 2.0], [np.inf, 4.0], [1, 0], pmf, moved, "scale must be finite, got inf in law 0"),
+        ([1.0, 2.0], [0.5, np.nan], [1, 0], pmf, moved, "scale must be positive, got nan in law 1"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], pmf, [0.75, -1e-300],
+         "displacement must be >= 0, got -1e-300 in law 1"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], pmf, [np.nan, 0.0],
+         "displacement must be >= 0, got nan in law 0"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], pmf, [0.75, np.inf],
+         "displacement must be finite, got inf in law 1"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 1], [pmf[0], [1.5, -0.5, 0.0]], moved,
          "pmf must be non-negative in law 1"),
-        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[np.nan, 0.75, 0.0], pmf[1]],
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[np.nan, 0.75, 0.0], pmf[1]], moved,
          "pmf must be non-negative in law 0"),
-        ([1.0, 2.0], [0.5, 4.0], [1, 0], [pmf[0], [0.5, 0.5, 0.0]],
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [pmf[0], [0.5, 0.5, 0.0]], moved,
          "pmf must be 0 past its top 0 in law 1"),
-        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[0.25, 0.5, 0.0], pmf[1]],
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[0.25, 0.5, 0.0], pmf[1]], moved,
          "pmf sums to np.float64(0.75), not 1 in law 0"),
-        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[np.inf, 0.75, 0.0], pmf[1]],
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], [[np.inf, 0.75, 0.0], pmf[1]], moved,
          "pmf sums to np.float64(inf), not 1 in law 0"),
-        ([1.0, 2.0], [0.5, 4.0], [1, 3], pmf, "W > top"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 3], pmf, moved, "W > top"),
+        ([1.0, 2.0], [0.5, 4.0], [1, 0], pmf, [0.75], "W > top"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
-            LatticeLaws(offset, scale, top, rows)
+            LatticeLaws(offset, scale, top, rows, displacement)
 
 
 def test_la_cdf_of_rows_all_rounded_to_zero():
     # span 3 at c0 = 1: beta = 1/3, and every row's top 1/3 rounds to 0
     spec = GpmSpec([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [[0.5, 0.5]] * 3)
     dist, cdf = la_cdf(spec, 1.0)
-    assert (dist.offset, dist.scale, dist.pmf.tolist()) == (3.0, 1.0 / 3.0, [1.0])
+    assert (dist.offset.tolist(), dist.scale.tolist(), dist.pmf.tolist()) == (
+        [3.0], [1.0 / 3.0], [[1.0]])
+    # each row still moves, by up to half a lattice unit of 3
+    assert dist.displacement.tolist() == [3 * 3.0 / 2.0]
     assert (cdf.xs.tolist(), cdf.cum.tolist()) == ([3.0], [1.0])
 
 
@@ -904,6 +925,11 @@ def test_la_rejects_small_c0():
         la_cdf(spec, math.nan)
     with pytest.raises(ValueError, match="c0 must be >= 1, got nan"):
         gpm.la_folds(spec, math.nan)
+    # at 2**53 the lattice points would leave the integers a float and an
+    # intp hold exactly
+    for c0 in (2.0**53, 1e19, 1e25, math.inf):
+        with pytest.raises(ValueError, match="c0 must be below 2\\*\\*53"):
+            gpm.la_folds(spec, c0)
 
 
 def test_la_rejects_span_that_overflows_beta():
@@ -917,11 +943,77 @@ def test_la_quantization_envelope():
     rng = np.random.default_rng(41)
     for _ in range(20):
         spec = random_spec(rng, int(rng.integers(2, 9)))
-        _, la = la_cdf(spec, 1000.0)
+        law, la = la_cdf(spec, 1000.0)
         exact = enumerate_cdf(spec)
-        s = displacement_bound(spec, 1000.0) * (1.0 + 1e-9)
+        s = float(law.displacement[0]) * (1.0 + 1e-9)
         lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
         assert envelope_excess(exact, lo, hi) <= 1e-9
+
+
+@st.composite
+def rounding_stacks(draw):
+    """(E, K, L) values and probs of 1-4 sums of 0-5 summands, values from
+    a pool of up to four random floats, so rows repeat values and some
+    have one; masses with zero padding, and silent padding rows (value 0,
+    mass 1 at 0) at the end of some sums; and a lattice target c0."""
+    e, k, width = draw(st.integers(1, 4)), draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    pool = draw(st.lists(st.floats(-5.0, 50.0).map(lambda v: round(v, 9)),
+                         min_size=1, max_size=4))
+    values = np.reshape(draw(st.lists(st.sampled_from(pool), min_size=e * k * width,
+                                      max_size=e * k * width)), (e, k, width))
+    probs = np.reshape(draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]),
+                                     min_size=e * k * width, max_size=e * k * width)),
+                       (e, k, width))
+    probs[..., 0] += probs.sum(axis=-1) == 0.0     # every row has mass
+    probs /= probs.sum(axis=-1, keepdims=True)
+    silent = np.arange(k) >= np.reshape(draw(st.lists(st.integers(0, k), min_size=e,
+                                                      max_size=e)), (e, 1))
+    values[silent], probs[silent] = 0.0, [1.0] + [0.0] * (width - 1)
+    return values, probs, draw(st.floats(1.0, 2000.0))
+
+
+def check_displacement(values, probs, c0, shrink=1.0):
+    """Each law of the stack's record moves no atom further than
+    ``shrink`` times its displacement: with beta its scale and x = beta v
+    each live value's distance from its row's least one, scaled, the sum
+    over rows of the largest |x - floor(x + 1/2)| / beta, the rounding
+    la_folds makes, widened by 1e-9 relative for float noise.  Its
+    displacement is M span / (2 c0), with M the rows of two or more live
+    values."""
+    spec = GpmSpec(values, probs)
+    laws = gpm.la_folds(spec, c0)
+    live = probs > 0.0
+    least = np.where(live, values, np.inf).min(axis=-1, keepdims=True)
+    x = laws.scale[:, None, None] * np.where(live, values - least, 0.0)
+    realised = (np.abs(x - np.floor(x + 0.5)).max(axis=-1) / laws.scale[:, None]).sum(axis=-1)
+    assert (realised <= shrink * laws.displacement * (1.0 + 1e-9)).all()
+    moved = (np.where(live, values, -np.inf).max(axis=-1) > least[..., 0]).sum(axis=-1)
+    assert laws.displacement.tobytes() == (moved * spec.span / (2.0 * c0)).tobytes()
+
+
+# two rows moved 0.294 lattice units each at beta = 1 / 3.4: 2.0 in all,
+# within their displacement 2 x 3.4 / 2 but beyond half of it
+ROUNDED_APART = (np.array([[[0.0, 1.0], [0.0, 2.4]]]), np.full((1, 2, 2), 0.5), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounding_stacks())
+@example(ROUNDED_APART)
+# a padded stack: sum 0 has one live row and two silent ones, sum 1 two
+# live rows, one of them one-valued (a lone value split in two entries)
+@example((np.array([[[0.0, 3.3], [0.0, 0.0], [0.0, 0.0]], [[1.0, 4.7], [2.5, 2.5], [0.0, 0.0]]]),
+          np.array([[[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]], [[0.3, 0.7], [0.4, 0.6], [1.0, 0.0]]]),
+          7.0))
+@example((np.zeros((2, 3, 3)), np.tile([1.0, 0.0, 0.0], (2, 3, 1)), 1000.0))   # all silent
+def test_displacement_covers_each_law_rounding(stack):
+    check_displacement(*stack)
+
+
+def test_halved_displacement_fails_on_rows_rounded_apart():
+    # negative control: the bound is not slack by half on this stack
+    check_displacement(*ROUNDED_APART)
+    with pytest.raises(AssertionError):
+        check_displacement(*ROUNDED_APART, shrink=0.5)
 
 
 def test_la_moment_preservation():
@@ -929,8 +1021,8 @@ def test_la_moment_preservation():
     for _ in range(10):
         spec = random_spec(rng, int(rng.integers(2, 9)))
         dist, _ = la_cdf(spec, 1000.0)
-        mean_la = float(np.arange(dist.pmf.size) @ dist.pmf) / dist.scale + dist.offset
-        assert abs(mean_la - spec.mean()) <= len(spec) / (2.0 * dist.scale) + 1e-12
+        mean_la = float(np.arange(dist.pmf.size) @ dist.pmf[0]) / dist.scale[0] + dist.offset[0]
+        assert abs(mean_la - spec.mean()) <= dist.displacement[0] + 1e-12
 
 
 def test_la_cdf_monotone_and_normalised():
@@ -1056,8 +1148,7 @@ def snr_cdf_over(scale, pmf) -> DownlinkSnrCdf:
     """A stepped callable cdf: snr = 1 / (1 + I) for one sure event, I on
     the lattice points n / scale, which maps I = 0, 1, 3 to 1, 1/2, 1/4
     and back without rounding."""
-    interference = LatticeDistribution(0.0, scale, pmf)
-    return DownlinkSnrCdf(np.ones(1), np.ones(1), np.zeros(1), law_record([interference]), 1.0)
+    return DownlinkSnrCdf(np.ones(1), np.ones(1), one_law(0.0, scale, pmf), 1.0)
 
 
 def test_kolmogorov_against_stepped_callable():

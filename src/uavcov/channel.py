@@ -101,12 +101,6 @@ class ParametricAirGroundModel:
         h_nlos = self.ref_gain_nlos * distance_m ** (-self.alpha_nlos)
         return h_los, h_nlos
 
-    def evaluate(self, elevation_deg, distance_m):
-        """(h_los, h_nlos, p_los) of links at the given elevations and 3D
-        distances (scalars or equal-shape arrays): :meth:`pathloss` and
-        :meth:`los_probability` together."""
-        return (*self.pathloss(distance_m), self.los_probability(elevation_deg))
-
 
 def _check_distance(distance_m) -> None:
     if np.any(np.asarray(distance_m) < 1.0):
@@ -186,13 +180,9 @@ class LinkTable:
             at = np.unravel_index(np.argmax(bad), bad.shape)
             return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
 
-        # each id marks its slot of a seen-mask, an id out of range the
-        # spare slot n: n ids that mark all of 0..n-1 are a permutation
+        # n ids are a permutation of 0..n-1 iff they sort to 0..n-1
         n = ids.shape[-1]
-        seen = np.zeros(ids.shape[:-1] + (n + 1,), dtype=bool)
-        row_start = np.arange(len(ids))[:, None] * (n + 1) if ids.ndim == 2 else 0
-        seen.ravel()[np.where((ids >= 0) & (ids < n), ids, n) + row_start] = True
-        not_permutation = ~seen[..., :n].all(axis=-1, keepdims=True)
+        not_permutation = (np.sort(ids, axis=-1) != np.arange(n)).any(axis=-1, keepdims=True)
         if not_permutation.any():
             at, where = first(not_permutation)
             row = ids[at[:-1]].tolist()

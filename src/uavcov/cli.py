@@ -40,7 +40,7 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import (
     LinkDirection,
     association_pmf,
-    conditional_interference_spec,
+    conditional_interference_specs,
     coverage_at_altitude,
     coverage_over_altitudes,
     downlink_snr_cdf,
@@ -54,7 +54,7 @@ from .gpm import (
     envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
-    la_cdf,
+    la_folds,
     mc_cdf,
 )
 from .oracles import downlink_cdf_enumeration, downlink_outage_mc, uplink_pmf_enumeration
@@ -197,7 +197,7 @@ def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
         )
     state = "LOS" if events.los[event_index] else "NLOS_MAX"
     event = (int(table.gbs_id[serving]), state, float(events.probability[event_index]))
-    return event, conditional_interference_spec(table, cfg.loading, serving, forced)
+    return event, conditional_interference_specs(table, cfg.loading, [serving], [forced])[0]
 
 
 def _method_names(text: str) -> list[str]:
@@ -208,7 +208,7 @@ def _law(method: str, spec, cfg: ScenarioConfig, args):
     """The law of the spec's sum by one method: the lattice (la), exhaustive
     enumeration (enum), seeded Monte Carlo (mc) or the Gaussian baseline (ga)."""
     if method == "la":
-        return la_cdf(spec, cfg.lattice_target_c0)[1]
+        return la_folds(spec, cfg.lattice_target_c0).to_cdf()
     if method == "enum":
         return enumerate_cdf(spec)
     if method == "mc":
@@ -317,7 +317,8 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     (gbs, _, _), spec = _conditioned_spec(cfg, args.event)
     print(f"conditioning on event {args.event}: serving GBS {gbs}, "
           f"{len(spec)} co-channel GBSs")
-    law, la = la_cdf(spec, cfg.lattice_target_c0)
+    law = la_folds(spec, cfg.lattice_target_c0)
+    la = law.to_cdf()
     # The lattice moves each atom by at most its displacement M / (2 beta)
     # and promises no more, so the oracle is held to the lattice cdf moved
     # that far either way (widened by 1e-9 relative for float noise); the
@@ -486,7 +487,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError, OSError) as exc:
+    # an array too large to allocate, such as the lattice of a target c0
+    # near 2**53, is a runtime failure too
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

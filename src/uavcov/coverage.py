@@ -37,12 +37,13 @@ inverts the folded rows of events of one lattice length in chunks of
 one transform each way, a long sum's light tail on a quarter lattice,
 into one :class:`~uavcov.gpm.LatticeLaws` record of the position's
 laws, each with its displacement M / (2 beta), M the event's
-interferers of more than one value (silent padding counts 0).  Each
-event's sum, its own rows of the stack (``GpmSpec.trimmed``), then goes
-through
-:func:`conditional_interference_spec` and its law, row e of the record,
-through :func:`uavcov.gpm.la_cdf`.  Outage at every threshold is read
-from all of the record's laws at once (:class:`uavcov.gpm.LatticeCdfs`).
+interferers of more than one value (silent padding counts 0).  Outage at
+every threshold is read from all of the record's laws at once
+(:meth:`uavcov.gpm.LatticeLaws.cdf`).  Each event's sum, its own rows of
+the stack (``GpmSpec.trimmed``), and its law, row e of the record, are
+handed through :func:`conditional_interference_spec` and
+:func:`uavcov.gpm.la_cdf`, which return them as they are: the seams where
+the benchmark's tracer counts events.
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
@@ -68,7 +69,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +77,7 @@ import numpy as np
 from .channel import LinkTable, build_link_columns, build_link_table
 from .config import ScenarioConfig
 from .geometry import point_orbits, sample_region
-from .gpm import GpmSpec, LatticeCdfs, LatticeLaws, la_cdf, la_folds
+from .gpm import GpmSpec, LatticeLaws, la_cdf, la_folds
 
 PROB_SUM_TOL = 1e-9
 
@@ -296,22 +297,14 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
     return GpmSpec(values, probs)
 
 
-def conditional_interference_spec(
-    table: LinkTable, omega, serving: int, forced: int, *, stacked: GpmSpec | None = None
-) -> GpmSpec:
-    """Aggregate interference under one association event, served by walk
-    row ``serving`` and forcing the first ``forced`` rows into NLoS: the
-    sum of its stack of one from :func:`conditional_interference_specs`.
-
-    ``stacked`` is the event's sum when the caller has already built it
-    with the rest of its stack, and is returned as it is: every downlink
-    law's sum passes through here once, one event per call, however it
-    was built (the benchmark's tracer counts specs and summands by this
-    function).
-    """
-    if stacked is not None:
-        return stacked
-    return conditional_interference_specs(table, omega, [serving], [forced])[0]
+def conditional_interference_spec(spec: GpmSpec) -> GpmSpec:
+    """Returns ``spec``, one event's interference sum as
+    :func:`conditional_interference_specs` built it.
+    :func:`downlink_snr_cdf` hands each event's sum through here, one
+    event per call, so that the benchmark's tracer can count specs and
+    summands; ROADMAP item 3 deletes this seam with the tracer's
+    per-event counters."""
+    return spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,9 +317,9 @@ class DownlinkSnrCdf:
     Evaluation is exact given each event's interference law:
     P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}, the terms added
     in event order.  Every law is read at every y in one (L, T) pass, bit
-    for bit the stepped cdf (``to_cdf``) of each, from running sums
-    (:class:`~uavcov.gpm.LatticeCdfs`) built on the first read and kept
-    for the object's later reads.  With s the largest displacement of
+    for bit the stepped cdf (``to_cdf``) of each, from the running sums
+    the record builds on its first read (:meth:`~uavcov.gpm.LatticeLaws.cdf`)
+    and keeps for every later one.  With s the largest displacement of
     the laws (``laws.displacement.max(initial=0.0)``), the exact law lies
     between the mixtures at alpha0 - s and alpha0 + s.
     """
@@ -335,12 +328,6 @@ class DownlinkSnrCdf:
     gain: np.ndarray
     laws: LatticeLaws
     alpha0: float
-
-    @cached_property
-    def _cdfs(self) -> LatticeCdfs:
-        """The running sums of ``laws``, built on the first read and kept
-        for every later one."""
-        return LatticeCdfs.of(self.laws)
 
     def _mixture(self, y, strict: bool) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -358,7 +345,7 @@ class DownlinkSnrCdf:
             with np.errstate(over="ignore"):
                 c = self.gain[laws, None] / flat - self.alpha0
             # snr <= y iff I >= c, and snr < y iff I > c
-            below_c = self._cdfs.read(c, left=not strict)
+            below_c = self.laws.cdf(c, left=not strict)
             part[laws] = probability[laws, None] * (1.0 - below_c)
         # running sums add the events strictly in order, whatever the
         # number of thresholds (a sum over an (E, 1) array may pair them)
@@ -404,10 +391,10 @@ def downlink_snr_cdf(
     folded, then inverted in chunks of events of one lattice length, by
     :func:`~uavcov.gpm.la_folds` into one record; each event's sum,
     trimmed to its own K_e interferer rows, and its law, row e of the
-    record, then pass through :func:`conditional_interference_spec` and
-    :func:`~uavcov.gpm.la_cdf`.  Each law equals that of its stack of
-    one, displacement included, so the output does not depend on where
-    the chunks end.
+    record, are then handed through the tracer seams
+    :func:`conditional_interference_spec` and :func:`~uavcov.gpm.la_cdf`.
+    Each law equals that of its stack of one, displacement included, so
+    the output does not depend on where the chunks end.
     """
     if not alpha0 > 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
@@ -417,11 +404,9 @@ def downlink_snr_cdf(
     specs = conditional_interference_specs(table, omega, serving, forced)
     interferers = np.bincount(table.band)[table.band[serving]] - 1
     laws = la_folds(specs, c0)
-    # each event's sum and law pass through the one-event functions as built
-    for row, prefix, stacked, law in zip(serving.tolist(), forced.tolist(),
-                                         specs.trimmed(interferers), laws):
-        la_cdf(conditional_interference_spec(table, omega, row, prefix, stacked=stacked), c0,
-               fold=law)
+    # each event's sum and law pass through the tracer seams as built
+    for spec, law in zip(specs.trimmed(interferers), laws):
+        la_cdf(conditional_interference_spec(spec), law)
     return DownlinkSnrCdf(events.probability, events.gain, laws, alpha0)
 
 

@@ -20,7 +20,7 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     negative output mass beyond ``NEGATIVE_PMF_TOL`` and a total off 1,
     sum by sum.
 
-  * ``la_cdf``: real-valued summands are offset by their minimum value,
+  * ``la_folds``: real-valued summands are offset by their minimum value,
     scaled so the total span becomes ``c0`` lattice units, and rounded to
     integers (half away from zero); the integer-lattice pmf is then
     inverted by FFT and mapped back through
@@ -33,23 +33,22 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     ``FOLD_ATOMS`` joint atoms, so one length-N spectrum serves a group
     instead of a row, and the rest are left out of the inversion.
     ``la_folds`` quantizes a stack of E sums, such as one (E, K, L)
-    ``GpmSpec`` checks in one pass, each sum keeping its own beta, N and
-    number of groups, folds the live rows of all of them once, and
-    returns their laws as one checked ``LatticeLaws`` record ((E,)
-    offsets, scales, tops and displacements, an (E, W) pmf matrix),
-    whose ``laws[e]`` is law e as a record of one on views of its row;
-    consecutive sums of one N, split or not alike, are inverted as one
-    ``lattice_invert`` stack of their folded points and masses, up to
-    ``CHUNK_ENTRIES`` entries, the one bound on the dense rows that grow
-    with N.  A long sum's light tail, its live rows of least top that sum
-    below N / 4, is inverted on a lattice of N / 4 and enters the
-    inversion of the other rows as one more row, where that at least
-    halves the entries the sum transforms.  ``la_cdf`` passes a stacked
-    law through; without a stack it inverts its sum as a stack of one,
-    bit for bit the same law.
-    ``LatticeCdfs`` reads the cdfs of a record's laws at once, on one
-    copy of its pmf matrix, bit for bit their ``to_cdf`` stepped cdfs,
-    from running sums built once for any number of reads.
+    ``GpmSpec`` checks in one pass, or one sum as a stack of one, each
+    sum keeping its own beta, N and number of groups, folds the live rows
+    of all of them once, and returns their laws as one checked
+    ``LatticeLaws`` record ((E,) offsets, scales, tops and displacements,
+    an (E, W) pmf matrix), whose ``laws[e]`` is law e as a record of one
+    on views of its row; consecutive sums of one N, split or not alike,
+    are inverted as one ``lattice_invert`` stack of their folded points
+    and masses, up to ``CHUNK_ENTRIES`` entries, the one bound on the
+    dense rows that grow with N.  A long sum's light tail, its live rows
+    of least top that sum below N / 4, is inverted on a lattice of N / 4
+    and enters the inversion of the other rows as one more row, where
+    that at least halves the entries the sum transforms.
+    ``LatticeLaws.cdf`` reads the cdfs of a record's laws at once, bit for
+    bit their ``to_cdf`` stepped cdfs, from running sums of its pmf
+    matrix built once for any number of reads.  ``la_cdf`` hands a law
+    through unchanged: the one-event seam the benchmark's tracer counts.
 
   * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
     states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
@@ -92,7 +91,7 @@ PROB_SUM_TOL = 1e-12
 # Lattice mass below this is indistinguishable from inversion round-off
 # (observed ~4e-15) and gets dropped before the pmf is renormalised.
 FFT_MASS_FLOOR = 1e-12
-# la_cdf convolves its lattice rows in groups of g, the largest with
+# la_folds convolves its lattice rows in groups of g, the largest with
 # width ** g <= FOLD_ATOMS joint atoms (4 rows of 3 atoms, 6 of 2), before
 # the FFT: a row's top sits a few units into a length-N lattice, so a group
 # costs one length-N spectrum instead of g.
@@ -525,6 +524,22 @@ def _light_tail(mass: np.ndarray, points: np.ndarray, n: int, tops: np.ndarray) 
     return pmfs
 
 
+def _lattice_counts(tops: np.ndarray, scale, offset, x: np.ndarray, left: bool) -> np.ndarray:
+    """For each law e (top ``tops[e]``, lattice point n at the float
+    n / scale[e] + offset[e]) and each entry of its row of ``x``, the
+    number of points 0..top at or below x (below x with ``left``).  The
+    abscissae never decrease in n, so those points are a prefix, found by
+    bisection."""
+    below = np.less if left else np.less_equal
+    count = np.zeros(x.shape, dtype=np.intp)
+    step = 1 << int(tops.max() + 1).bit_length()
+    while step := step >> 1:
+        more = count + step     # are points 0..more-1 all at or below x?
+        take = (more <= tops[:, None] + 1) & below((more - 1) / scale + offset, x)
+        count = np.where(take, more, count)
+    return count
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeLaws:
     """E lattice laws of real sums as one read-only record, checked in one
@@ -532,7 +547,18 @@ class LatticeLaws:
     and an (E, W) ``pmf`` whose row e, zero past top[e], puts at point n
     the mass of the sum's values near n / scale[e] + offset[e], none
     further than displacement[e] from it.  ``laws[e]`` (and iterating)
-    gives law e as an unchecked record of one on views of its row."""
+    gives law e as an unchecked record of one on views of its row.
+
+    ``cdf`` reads every law's cdf in place, bit for bit the ``eval``
+    (``eval_left``) of its ``to_cdf()``.  With m the number of lattice
+    points whose float abscissa n / scale + offset, as ``to_cdf`` builds
+    it, lies at or below x (``_lattice_counts``), the read is the running
+    sum of the pmf over 0..m-1 divided by the sum over 0..top.  Each
+    partial sum adds the masses in lattice order and a zero-mass point
+    adds an exact zero, so it equals ``to_cdf``'s sum over the support;
+    points that round to one float fall on one side of any x together,
+    as ``to_cdf``'s shared jump does.  The running sums are built on the
+    first read and kept, read-only, for every later one."""
 
     offset: np.ndarray
     scale: np.ndarray
@@ -586,6 +612,26 @@ class LatticeLaws:
         last = np.append(xs[1:] > xs[:-1], True)
         # dividing by the last partial sum makes the cdf end at exactly 1
         return SteppedCdf(xs[last], cum[last] / cum[-1])
+
+    @functools.cached_property
+    def _running(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (E, W + 1) running sums of the pmf rows in lattice order,
+        column n + 1 the mass on 0..n, and the (E, 1) mass on 0..top."""
+        cum = np.zeros((len(self), self.pmf.shape[1] + 1))
+        cum[:, 1:] = self.pmf
+        np.cumsum(cum, axis=1, out=cum)
+        total = cum[np.arange(len(self)), self.top + 1][:, None]
+        for array in (cum, total):
+            array.setflags(write=False)
+        return cum, total
+
+    def cdf(self, x, *, left: bool = False) -> np.ndarray:
+        """P{X_e <= x[e, t]}, or P{X_e < x[e, t]} with ``left``, for each
+        law e at each entry of its row of the (E, T) ``x``."""
+        cum, total = self._running
+        count = _lattice_counts(self.top, self.scale[:, None], self.offset[:, None],
+                                np.asarray(x, dtype=float), left)
+        return np.take_along_axis(cum, count, axis=1) / total
 
 
 def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
@@ -753,89 +799,13 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
     return object.__new__(LatticeLaws)._hold(offset, beta, total_tops, pmf, displacement)
 
 
-def la_cdf(
-    spec: GpmSpec, c0: float, *, fold: LatticeLaws | None = None
-) -> tuple[LatticeLaws, SteppedCdf | None]:
-    """Lattice-approximated law of the sum, as a ``LatticeLaws`` record
-    of one, and its stepped cdf.
-
-    Offsets each summand to start at 0, scales by beta = c0 / span,
-    rounds the scaled values half-away-from-zero to integers, recovers the
-    integer-sum pmf by FFT inversion (power-of-two length covering the
-    quantized span) of the summands that do not round to the point mass
-    at 0, folded in groups by ``la_folds``, clamps tiny negative dips,
-    drops ``FFT_MASS_FLOOR`` dust, renormalises, and maps the lattice back
-    to value units.  A spec whose summands are all degenerate has zero
-    span and returns the exact point mass at the offset.
-
-    ``fold`` is the spec's law from ``la_folds`` over a stack that holds
-    it, at the same ``c0``: the call returns it as it is, with None for
-    the stepped cdf, which a stacked caller reads in place
-    (``LatticeCdfs``).  Without one the spec is quantized, folded and
-    inverted as its own stack of one, which gives the same pmf bit for
-    bit, and its stepped cdf is built too.
-    """
-    if fold is not None:
-        return fold, None
-    law = la_folds(spec, c0)
-    return law, law.to_cdf()
-
-
-def _lattice_counts(tops: np.ndarray, scale, offset, x: np.ndarray, left: bool) -> np.ndarray:
-    """For each law e (top ``tops[e]``, lattice point n at the float
-    n / scale[e] + offset[e]) and each entry of its row of ``x``, the
-    number of points 0..top at or below x (below x with ``left``).  The
-    abscissae never decrease in n, so those points are a prefix, found by
-    bisection."""
-    below = np.less if left else np.less_equal
-    count = np.zeros(x.shape, dtype=np.intp)
-    step = 1 << int(tops.max() + 1).bit_length()
-    while step := step >> 1:
-        more = count + step     # are points 0..more-1 all at or below x?
-        take = (more <= tops[:, None] + 1) & below((more - 1) / scale + offset, x)
-        count = np.where(take, more, count)
-    return count
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeCdfs:
-    """The cdfs of the E laws of a ``LatticeLaws`` record, read in place
-    on its pmf matrix: the running sums are built once (:meth:`of`) and
-    read at any abscissae (:meth:`read`), bit for bit the ``eval``
-    (``eval_left``) of each law's ``to_cdf()``.
-
-    With m the number of lattice points whose float abscissa
-    n / scale + offset, as ``to_cdf`` builds it, lies at or below x
-    (``_lattice_counts``), the read is the running sum of the pmf over
-    0..m-1 divided by the sum over 0..top.  Each partial sum adds the
-    masses in lattice order and a zero-mass point adds an exact zero, so
-    it equals ``to_cdf``'s sum over the support; points that round to one
-    float fall on one side of any x together, as ``to_cdf``'s shared jump
-    does.
-    """
-
-    tops: np.ndarray     # (E,): each law's top lattice point
-    scale: np.ndarray    # (E, 1)
-    offset: np.ndarray   # (E, 1)
-    cum: np.ndarray      # (E, W + 1): column n + 1 the mass on 0..n
-    total: np.ndarray    # (E, 1): the mass on 0..top
-
-    @classmethod
-    def of(cls, laws: LatticeLaws) -> LatticeCdfs:
-        # the masses added in lattice order, on one copy of the record's
-        # (E, W) matrix after a column of zeros
-        cum = np.zeros((len(laws), laws.pmf.shape[1] + 1))
-        cum[:, 1:] = laws.pmf
-        np.cumsum(cum, axis=1, out=cum)
-        return cls(laws.top, laws.scale[:, None], laws.offset[:, None], cum,
-                   cum[np.arange(len(laws)), laws.top + 1][:, None])
-
-    def read(self, x, *, left: bool = False) -> np.ndarray:
-        """P{X_e <= x[e, t]}, or P{X_e < x[e, t]} with ``left``, for each
-        law e at each entry of its row of the (E, T) ``x``."""
-        count = _lattice_counts(self.tops, self.scale, self.offset,
-                                np.asarray(x, dtype=float), left)
-        return np.take_along_axis(self.cum, count, axis=1) / self.total
+def la_cdf(spec: GpmSpec, law: LatticeLaws) -> LatticeLaws:
+    """Returns ``law``, the lattice law of the sum ``spec`` as
+    ``la_folds`` built it.  ``downlink_snr_cdf`` hands each event's sum
+    and law through here, one event per call, so that the benchmark's
+    tracer can count them; ROADMAP item 3 deletes this seam with the
+    tracer's per-event counters."""
+    return law
 
 
 def enumerate_cdf(spec: GpmSpec) -> SteppedCdf:

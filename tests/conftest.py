@@ -12,7 +12,7 @@ import numpy as np
 
 from uavcov.channel import LinkTable
 from uavcov.config import load_config
-from uavcov.gpm import GpmSpec, LatticeCdfs, LatticeLaws
+from uavcov.gpm import GpmSpec, LatticeLaws
 
 
 def load_scenario(directory, body):
@@ -124,20 +124,21 @@ def law_record(laws):
 
 
 def assert_reads_stepped_cdfs(laws, probes):
-    """``LatticeCdfs`` of the record of ``laws`` read at every probe, both
+    """The ``cdf`` of the record of ``laws`` read at every probe, both
     sides, equals each law's ``to_cdf`` stepped cdf bit for bit."""
     x = np.broadcast_to(probes, (len(laws), probes.size))
     for left in (False, True):
         want = np.array([getattr(law.to_cdf(), "eval_left" if left else "eval")(probes)
                          for law in laws])
-        assert LatticeCdfs.of(law_record(laws)).read(x, left=left).tobytes() == want.tobytes()
+        assert law_record(laws).cdf(x, left=left).tobytes() == want.tobytes()
 
 
 def counted_mixture_builds(monkeypatch):
-    """A list that grows by one entry, the number of laws, each time the
-    running sums of lattice laws are built (``LatticeCdfs.of``)."""
+    """A list that grows by one entry, the number of laws, each time a
+    ``LatticeLaws`` record builds the running sums its ``cdf`` reads."""
     built = []
-    of = LatticeCdfs.of.__func__
-    monkeypatch.setattr(LatticeCdfs, "of",
-                        classmethod(lambda cls, laws: built.append(len(laws)) or of(cls, laws)))
+    running = LatticeLaws._running.func
+    counted = functools.cached_property(lambda laws: built.append(len(laws)) or running(laws))
+    counted.__set_name__(LatticeLaws, "_running")
+    monkeypatch.setattr(LatticeLaws, "_running", counted)
     return built

@@ -21,7 +21,7 @@ from uavcov.channel import build_link_table
 from uavcov.coverage import (
     LinkDirection,
     association_pmf,
-    conditional_interference_spec,
+    conditional_interference_specs,
     coverage_over_altitudes,
     downlink_snr_cdf,
     uplink_snr_pmf,
@@ -34,7 +34,7 @@ from uavcov.gpm import (
     envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
-    la_cdf,
+    la_folds,
     lattice_invert,
     mc_cdf,
 )
@@ -71,7 +71,7 @@ def first_event_interference(omega):
     layout, pattern, uav, channel = default_scene()
     table = build_link_table(layout, pattern, uav, channel, (150.0, 50.0, 100.0), GBS_HEIGHT)
     events = association_pmf(table)
-    return conditional_interference_spec(table, omega, events.serving[0], events.forced[0])
+    return conditional_interference_specs(table, omega, events.serving[:1], events.forced[:1])[0]
 
 
 def random_table(rng, n_rows):
@@ -162,8 +162,8 @@ def test_lattice_approximation_accuracy():
             rows.append((values, probs / probs.sum()))
         spec = padded_spec(rows)
         exact = enumerate_cdf(spec)
-        _, fine = la_cdf(spec, 1000.0)
-        _, coarse = la_cdf(spec, 100.0)
+        fine = la_folds(spec, 1000.0).to_cdf()
+        coarse = la_folds(spec, 100.0).to_cdf()
         worst_fine = max(worst_fine, kolmogorov_distance(exact, fine))
         worst_coarse = max(worst_coarse, kolmogorov_distance(exact, coarse))
     ok = worst_fine <= 0.01 and worst_coarse <= 0.1
@@ -187,7 +187,8 @@ def test_lattice_vs_monte_carlo_default_scenario():
     for omega in omegas:
         spec = first_event_interference(omega)
         n_co = len(spec)
-        law, la = la_cdf(spec, 1000.0)
+        law = la_folds(spec, 1000.0)
+        la = law.to_cdf()
         mc = mc_cdf(spec, 1_000_000, seed=20260815)
         s = float(law.displacement[0]) * (1.0 + 1e-9)
         envelope = (SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum))
@@ -222,7 +223,7 @@ def test_gaussian_baseline_is_weaker_at_loading_extremes():
     for omega in (0.05, 0.95):
         spec = first_event_interference(omega)
         exact = enumerate_cdf(spec)
-        _, la = la_cdf(spec, 1000.0)
+        la = la_folds(spec, 1000.0).to_cdf()
         la_dist = kolmogorov_distance(exact, la)
         ga_dist = kolmogorov_distance(exact, gaussian_cdf(spec))
         ok = ok and ga_dist > la_dist
@@ -304,14 +305,14 @@ def test_lattice_runtime_scales_linearly_in_summand_count():
     # preempted.
     specs = {m: synth(m) for m in (100, 200, 400)}
     for spec in specs.values():
-        la_cdf(spec, 1000.0)          # warm up
+        la_folds(spec, 1000.0)        # warm up
     timings = dict.fromkeys(specs, math.inf)
     for _ in range(7):
         for m, spec in specs.items():
             calls = 800 // m
             start = time.thread_time()
             for _ in range(calls):
-                la_cdf(spec, 1000.0)
+                la_folds(spec, 1000.0)
             timings[m] = min(timings[m], (time.thread_time() - start) / calls)
     r_fine = timings[400] / timings[200]
     r_coarse = timings[200] / timings[100]

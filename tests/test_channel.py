@@ -37,7 +37,7 @@ def test_default_channel_frozen_values():
     assert m.los_probability(9.6) == pytest.approx(0.09433962264150944, rel=1e-12)
     assert m.los_probability(30.0) == pytest.approx(0.9692382047672473, rel=1e-12)
     assert m.los_probability(90.0) == pytest.approx(0.9999999983951522, rel=1e-12)
-    h_los, h_nlos, p = m.evaluate(9.6, 200.0)
+    (h_los, h_nlos), p = m.pathloss(200.0), m.los_probability(9.6)
     assert h_los == pytest.approx(2.825541531205699e-09, rel=1e-12)
     assert h_nlos == pytest.approx(h_los * 10.0 ** (-1.9), rel=1e-12)
     assert p == pytest.approx(0.09433962264150944, rel=1e-12)
@@ -68,7 +68,7 @@ def test_los_probability_monotone():
 
 def test_pathloss_monotone_in_distance():
     m = CHANNEL
-    hs = [m.evaluate(30.0, d)[0] for d in (1.0, 10.0, 100.0, 1000.0)]
+    hs = [m.pathloss(d)[0] for d in (1.0, 10.0, 100.0, 1000.0)]
     assert all(b < a for a, b in zip(hs, hs[1:]))
 
 
@@ -107,9 +107,9 @@ def test_free_space_gain_rejects_nan():
             free_space_gain(value)
 
 
-def test_evaluate_rejects_tiny_distance():
+def test_pathloss_rejects_tiny_distance():
     with pytest.raises(ValueError):
-        CHANNEL.evaluate(45.0, 0.5)
+        CHANNEL.pathloss(0.5)
 
 
 def _default_table(uav=(150.0, 50.0, 100.0)):
@@ -193,7 +193,7 @@ def test_gain_consistency_with_manual_evaluation():
         dh = math.hypot(120.0 - layout.x[gbs_id], -40.0 - layout.y[gbs_id])
         d3 = math.hypot(dh, 70.0)
         theta = math.degrees(math.asin(70.0 / d3))
-        h_los, h_nlos, p = m.evaluate(theta, d3)
+        (h_los, h_nlos), p = m.pathloss(d3), m.los_probability(theta)
         g = ant.mainlobe_gain * pattern(theta)
         assert c_los == pytest.approx(g * h_los, rel=1e-12)
         assert c_nlos == pytest.approx(g * h_nlos, rel=1e-12)
@@ -258,7 +258,7 @@ def _reference_columns(uav_antenna, positions, inside=operator.le):
     footprint test ``inside(r_h, radius)``, then one stable sort."""
     block = np.asarray(positions, dtype=float)
     r_h, d3, theta = link_geometry(block, SCENE.x, SCENE.y, 20.0)
-    h_los, h_nlos, p_los = CHANNEL.evaluate(theta, d3)
+    (h_los, h_nlos), p_los = CHANNEL.pathloss(d3), CHANNEL.los_probability(theta)
     radius = np.array([uav_antenna.footprint_radius(z, 20.0) for z in block[:, 2]])[:, None]
     uav_gain = np.where(inside(r_h, radius), uav_antenna.mainlobe_gain, uav_antenna.backlobe_gain)
     combined = uav_gain * PATTERN(theta)

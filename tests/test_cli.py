@@ -653,9 +653,10 @@ def test_validate_downlink_joint_enum_runs(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS downlink-vs-joint-enum" in out
-    # three law objects over one set of terms, the approximation and its
-    # two envelope mixtures, each read four times: one build each
-    assert len(built) == 3
+    # three law objects over one record, the approximation and its two
+    # envelope mixtures, each read four times: the record builds its
+    # running sums once for all of them
+    assert built == [8]
 
 
 def test_validate_downlink_vs_mc(tmp_path, capsys):
@@ -694,6 +695,20 @@ def test_lattice_target_beyond_exact_integers_exits_2(tmp_path, capsys, c0):
         err = capsys.readouterr().err
         assert err.startswith("config error: [algorithm] lattice_target_c0 must be >= 1 and "
                               "below 2**53, got ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lattice_target_too_long_to_allocate_exits_1(tmp_path, capsys):
+    # just below 2**53 the target passes the config check, but each 7-site
+    # law's lattice would take 64 PiB: numpy refuses the allocation at once,
+    # which is a runtime failure with one error line and no output, not a
+    # traceback
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 500\n[sampling]\nresolution = 1\n"
+                                   "[algorithm]\nlattice_target_c0 = 9007199254740991\n")
+    for argv in (["downlink-map"], ["validate", "--mode", "la-vs-enum"]):
+        assert main(argv + ["--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

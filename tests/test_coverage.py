@@ -358,16 +358,13 @@ def test_block_read_refuses_what_its_telescoping_assumes(c_los, p_los, message):
     ("association_pmf", lambda table: downlink_snr_cdf(table, 0.5, 0.1, c0=100.0)),
     ("conditional_interference_specs",
      lambda table: conditional_interference_specs(table, 0.5, [0], [0])),
-    ("conditional_interference_specs",
-     lambda table: conditional_interference_spec(table, 0.5, 0, 0)),
     # the oracles: the uplink one read a block as P rows and returned a
     # pmf summing to 0.25, the downlink one failed inside numpy
     ("uplink_pmf_enumeration", lambda table: uplink_pmf_enumeration(table, 1.0)),
     ("downlink_cdf_enumeration", lambda table: downlink_cdf_enumeration(table, 0.5, 0.1)),
     ("downlink_outage_mc", lambda table: downlink_outage_mc(table, 0.5, 0.1, [1.0], 10, 0)),
 ], ids=["association_pmf", "uplink_snr_pmf", "downlink_snr_cdf",
-        "conditional_interference_specs", "conditional_interference_spec",
-        "uplink_pmf_enumeration", "downlink_cdf_enumeration", "downlink_outage_mc"])
+        "conditional_interference_specs", "uplink_pmf_enumeration", "downlink_cdf_enumeration", "downlink_outage_mc"])
 def test_one_position_readers_refuse_a_block(reader, read):
     # the error names the reader of one position the call reached
     table = link_table(MICRO_ROWS)
@@ -447,8 +444,10 @@ def test_block_read_negative_control(monkeypatch, mutant):
 # ---------------------------------------------------------------------------
 
 def event_spec(table, omega, events, e):
-    """The interference spec conditioned on event ``e`` of ``events``."""
-    return conditional_interference_spec(table, omega, events.serving[e], events.forced[e])
+    """The interference spec conditioned on event ``e`` of ``events``, its
+    stack of one."""
+    return conditional_interference_specs(table, omega, [events.serving[e]],
+                                          [events.forced[e]])[0]
 
 
 def test_interference_summand_shapes():
@@ -518,7 +517,7 @@ def test_interference_edge_cases():
     for e in range(len(alone_events)):
         empty = event_spec(alone, 0.5, alone_events, e)
         assert len(empty) == 0 and empty.span == 0.0 and empty.offset == 0.0
-        _, cdf = la_cdf(empty, 1000.0)
+        cdf = la_folds(empty, 1000.0).to_cdf()
         assert cdf.xs.tolist() == [0.0] and cdf.cum.tolist() == [1.0]
     no_server = association_pmf(link_table(((0, 0, 0.0, 0.0, 0.5),)))
     with pytest.raises(ValueError):
@@ -527,21 +526,21 @@ def test_interference_edge_cases():
 
 def test_interference_refuses_rows_outside_the_table():
     # numpy would read serving row -1 as the last row: the raw arrays are
-    # checked against the table's n rows, in a stack and alone
+    # checked against the table's n rows, in a stack and in a stack of one
     table = link_table(MICRO_ROWS)
     n = len(table)
     for serving in (-1, n):
         with pytest.raises(ValueError, match="an event without a serving GBS has no interference law"):
             conditional_interference_specs(table, 0.5, [0, serving], [0, 0])
         with pytest.raises(ValueError, match="an event without a serving GBS"):
-            conditional_interference_spec(table, 0.5, serving, 0)
+            conditional_interference_specs(table, 0.5, [serving], [0])
     for forced in (-1, n + 1):
         with pytest.raises(ValueError, match="forced-NLoS prefix"):
             conditional_interference_specs(table, 0.5, [0, 0], [0, forced])
         with pytest.raises(ValueError, match="forced-NLoS prefix"):
-            conditional_interference_spec(table, 0.5, 0, forced)
+            conditional_interference_specs(table, 0.5, [0], [forced])
     # the ends of both ranges are valid
-    assert len(conditional_interference_spec(table, 0.5, n - 1, n)) == n - 1
+    assert len(conditional_interference_specs(table, 0.5, [n - 1], [n])[0]) == n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +554,16 @@ def law_bits(lattice):
 
 
 def stacked_laws(table, omega, serving, forced, c0):
-    """Each event's law_bits from one stack of all the events' sums, each
-    sum trimmed to its own event's rows, its la_cdf passing on its law
-    from one la_folds pass over the stack."""
+    """Each event's law_bits from one la_folds pass over one stack of all
+    the events' sums."""
     stack = conditional_interference_specs(table, omega, serving, forced)
-    sizes = [len(conditional_interference_spec(table, omega, row, prefix))
-             for row, prefix in zip(serving.tolist(), forced.tolist())]
-    return [law_bits(la_cdf(spec, c0, fold=law)[0])
-            for spec, law in zip(stack.trimmed(sizes), la_folds(stack, c0))]
+    return [law_bits(law) for law in la_folds(stack, c0)]
 
 
 def single_laws(table, omega, events, stack, c0):
     """Each event's law_bits, built alone: the stack of one."""
     specs = [event_spec(table, omega, events, e) for e in stack]
-    return [law_bits(la_cdf(spec, c0)[0]) for spec in specs]
+    return [law_bits(la_folds(spec, c0)) for spec in specs]
 
 
 def gaining_events(events):
@@ -842,10 +837,15 @@ def test_mixture_builds_its_running_sums_once(monkeypatch):
     model.eval_left(ys), model.outage(ys), model.eval(float(ys[3]))
     assert model.eval(ys).tobytes() == first.tobytes()
     assert built == [3]     # one law per event: two LoS, one terminal
-    # another law object over the same arrays and laws builds its own, the same
+    # another law object over the same record reads the record's running
+    # sums, built once; a new record of the same laws builds its own
     again = DownlinkSnrCdf(model.probability, model.gain, model.laws, model.alpha0)
     assert again.eval(ys).tobytes() == first.tobytes()
-    assert len(built) == 2
+    assert built == [3]
+    copied = dataclasses.replace(model.laws)
+    assert DownlinkSnrCdf(model.probability, model.gain, copied,
+                          model.alpha0).eval(ys).tobytes() == first.tobytes()
+    assert built == [3, 3]
 
 
 def test_many_event_mixture_adds_events_in_order():
@@ -865,8 +865,9 @@ def test_many_event_mixture_adds_events_in_order():
 
 def test_each_law_passes_through_the_per_event_functions(monkeypatch):
     # downlink_snr_cdf builds specs and folds one stack per position, but hands
-    # every gaining event's spec and fold to conditional_interference_spec
-    # and la_cdf, one event per call, in event order
+    # every gaining event's spec and law through the seams
+    # conditional_interference_spec and la_cdf, one event per call, in
+    # event order, and each returns what it is handed
     table = link_table(MIXED_ROWS)
     events = association_pmf(table)
     gaining = gaining_events(events)
@@ -883,21 +884,24 @@ def test_each_law_passes_through_the_per_event_functions(monkeypatch):
                         spy("spec", conditional_interference_spec))
     monkeypatch.setattr(coverage, "la_cdf", spy("law", la_cdf))
     model = downlink_snr_cdf(table, 0.6, 0.1, c0=40.0)
-    specs = [result for name, _, result in seen if name == "spec"]
     assert [name for name, _, _ in seen] == ["spec", "law"] * len(gaining)
-    # each spec call's serving row and forced prefix, those of one event
-    assert sorted(args[2:4] for _, args, _ in seen[::2]) == sorted(
-        zip(events.serving[gaining].tolist(), events.forced[gaining].tolist()))
-    assert [args[0] for _, args, _ in seen[1::2]] == specs
-    assert sum(map(len, specs)) == sum(len(event_spec(table, 0.6, events, e)) for e in gaining)
+    assert all(args == (result,) for _, args, result in seen[::2])
+    specs = [result for _, _, result in seen[::2]]
+    assert all(args[0] is spec for (_, args, _), spec in zip(seen[1::2], specs))
+    # each spec is its event's sum, trimmed to its own rows: bit for bit
+    # the event's stack of one
+    for spec, e in zip(specs, gaining):
+        alone = event_spec(table, 0.6, events, e)
+        assert (spec.values.tobytes(), spec.probs.tobytes(), spec.offset, spec.span) == (
+            alone.values.tobytes(), alone.probs.tobytes(), alone.offset, alone.span)
     # each la_cdf call returned its event's law of the model's record: a
     # view on its row, no copy, bit for bit what indexing the record reads
-    laws = [lattice for _, _, (lattice, _) in seen[1::2]]
+    laws = [result for _, args, result in seen[1::2] if result is args[1]]
     assert len(laws) == len(model.laws)
     for e, lattice in enumerate(laws):
         row = model.laws[e]
         assert np.shares_memory(lattice.pmf, model.laws.pmf[e])
-        assert law_bits(lattice) == law_bits(row)
+        assert law_bits(lattice) == law_bits(row) == law_bits(lattice[0])
     # negative control: laws handed on in another order are not the rows
     assert not np.shares_memory(laws[0].pmf, model.laws.pmf[1])
 

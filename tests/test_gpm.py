@@ -33,7 +33,6 @@ from uavcov.gpm import (
     DiscreteSummand,
     GaussianCdf,
     GpmSpec,
-    LatticeCdfs,
     LatticeLaws,
     SteppedCdf,
     cf_sample,
@@ -41,7 +40,7 @@ from uavcov.gpm import (
     envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
-    la_cdf,
+    la_folds,
     lattice_invert,
     mc_cdf,
 )
@@ -215,16 +214,16 @@ def spec_from_rows(rows, width):
 
 
 def la_or_refusal(spec):
-    """(cdf, None), or (None, message) when la_cdf refuses the spec."""
+    """(cdf, None), or (None, message) when la_folds refuses the spec."""
     try:
-        return la_cdf(spec, 200.0)[1], None
+        return la_folds(spec, 200.0).to_cdf(), None
     except ValueError as exc:
         return None, str(exc)
 
 
 @settings(max_examples=60, deadline=None)
 @given(summand_specs(), st.randoms(use_true_random=False), st.floats(-5.0, 20.0))
-# a span this small overflows beta = c0 / span: la_cdf refuses every variant
+# a span this small overflows beta = c0 / span: la_folds refuses every variant
 @example(rows=[([0.0, 3.417961938487541e-307], [1.0, 1.0])], rnd=random.Random(0), pad_value=0.0)
 def test_spec_invariant_under_padding_duplicates_and_permutation(rows, rnd, pad_value):
     base = spec_from_rows(rows, 3)
@@ -578,9 +577,9 @@ def test_lattice_cdfs_read_stepped_cdfs_in_place():
         assert_reads_stepped_cdfs([law], probes)
     # the read at an abscissa takes that point's mass, the read below does not
     x = [[10.0, 10.5, 11.0, -np.inf, np.inf]]     # points 10, 10.5 (empty), 11
-    first = LatticeCdfs.of(law_record(IN_PLACE_LAWS[:1]))
-    assert first.read(x).tolist() == [[0.25, 0.25, 1.0, 0.0, 1.0]]
-    assert first.read(x, left=True).tolist() == [[0.0, 0.25, 0.25, 0.0, 1.0]]
+    first = law_record(IN_PLACE_LAWS[:1])
+    assert first.cdf(x).tolist() == [[0.25, 0.25, 1.0, 0.0, 1.0]]
+    assert first.cdf(x, left=True).tolist() == [[0.0, 0.25, 0.25, 0.0, 1.0]]
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -600,7 +599,7 @@ def test_lattice_cdfs_negative_control(monkeypatch, shift):
 def test_la_cdf_frozen_example():
     # two fair summands on {0,1} and {0,2}: the four equally likely sums
     spec = GpmSpec([[0.0, 1.0], [0.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]])
-    _, cdf = la_cdf(spec, 300.0)
+    cdf = la_folds(spec, 300.0).to_cdf()
     assert cdf.xs.tolist() == pytest.approx([0.0, 1.0, 2.0, 3.0])
     np.testing.assert_allclose(cdf.cum, [0.25, 0.5, 0.75, 1.0], atol=1e-9)
 
@@ -609,14 +608,15 @@ def test_la_exact_when_values_hit_lattice():
     # span 4, c0 1000 -> beta 250: every scaled value is integral, so the
     # approximation must coincide with enumeration to float noise
     spec = GpmSpec([[0.0, 1.0], [0.0, 3.0]], [[0.3, 0.7], [0.6, 0.4]])
-    _, la = la_cdf(spec, 1000.0)
+    la = la_folds(spec, 1000.0).to_cdf()
     exact = enumerate_cdf(spec)
     assert kolmogorov_distance(exact, la) < 1e-9
 
 
 def test_la_degenerate_span():
     spec = GpmSpec([[4.0], [1.5]], [[1.0], [1.0]])
-    dist, cdf = la_cdf(spec, 1000.0)
+    dist = la_folds(spec, 1000.0)
+    cdf = dist.to_cdf()
     assert cdf.xs.tolist() == [5.5]
     assert cdf.cum.tolist() == [1.0]
     assert (dist.pmf.tolist(), dist.displacement.tolist()) == ([[1.0]], [0.0])
@@ -638,8 +638,10 @@ def test_la_cdf_leaves_out_rows_rounded_to_zero(monkeypatch):
     monkeypatch.setattr(gpm, "lattice_invert", lambda mass, n, points:
                         inverted_rows.append(mass.shape[-2]) or invert(mass, n, points))
     for c0 in (200.0, 1000.0):
-        want_dist, want_cdf = la_cdf(base, c0)
-        dist, cdf = la_cdf(padded, c0)
+        want_dist = la_folds(base, c0)
+        want_cdf = want_dist.to_cdf()
+        dist = la_folds(padded, c0)
+        cdf = dist.to_cdf()
         assert np.array_equal(dist.pmf, want_dist.pmf)
         assert np.array_equal(cdf.xs, want_cdf.xs)
         assert np.array_equal(cdf.cum, want_cdf.cum)
@@ -666,9 +668,9 @@ def random_lattice_spec(rng, k, width):
 
 
 def check_fold(spec):
-    # at c0 = span, beta = 1: la_cdf's lattice is each row's distance from
+    # at c0 = span, beta = 1: la_folds' lattice is each row's distance from
     # its minimum rounded half up, and its law the rows' iterated np.convolve
-    dist, _ = la_cdf(spec, spec.span)
+    dist = la_folds(spec, spec.span)
     assert dist.scale.tolist() == [1.0]
     lattice = GpmSpec(np.floor(spec.values - spec.values.min(axis=1, keepdims=True) + 0.5),
                       spec.probs)
@@ -678,7 +680,7 @@ def check_fold(spec):
 
 
 def test_folded_la_cdf_matches_row_by_row_convolution():
-    # la_cdf convolves its rows g to a row before the FFT (g = 6, 4, 3, 3
+    # la_folds convolves its rows g to a row before the FFT (g = 6, 4, 3, 3
     # at widths 2..5); K runs through multiples of g and the rest
     rng = np.random.default_rng(59)
     for width in (2, 3, 4, 5):
@@ -748,13 +750,13 @@ def split_lattice_spec(rng, width, light, heavy_tops, dead):
 
 
 def tails_split(spec):
-    """How many light tails ``la_cdf(spec, span)`` inverts on a quarter lattice."""
+    """How many light tails ``la_folds(spec, span)`` inverts on a quarter lattice."""
     calls = []
     light_tail = gpm._light_tail
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpm, "_light_tail", lambda mass, points, n, tops:
                       calls.append(len(mass)) or light_tail(mass, points, n, tops))
-        la_cdf(spec, spec.span)
+        la_folds(spec, spec.span)
     return sum(calls)
 
 
@@ -819,7 +821,7 @@ def stacked(specs):
 
 @pytest.mark.parametrize("c0", [1.0, 40.0, 1000.0])
 def test_record_rows_equal_each_sum_alone(c0):
-    # row e of la_folds' record is la_cdf of sum e alone, bit for bit: its
+    # row e of la_folds' record is the law of sum e alone, bit for bit: its
     # offset, scale and top, its pmf up to the top and zeros past it; at
     # c0 = 1000 the last sum inverts its light tail on a quarter lattice
     rng = np.random.default_rng(73)
@@ -830,11 +832,11 @@ def test_record_rows_equal_each_sum_alone(c0):
     light_tail = gpm._light_tail
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpm, "_light_tail", lambda *args: tails.append(1) or light_tail(*args))
-        laws = gpm.la_folds(stack, c0)
+        laws = la_folds(stack, c0)
     assert bool(tails) == (c0 == 1000.0)
     assert len(laws) == len(specs)
     for e in range(len(specs)):
-        alone, _ = la_cdf(stack[e], c0)
+        alone = la_folds(stack[e], c0)
         top = int(laws.top[e])
         for name in ("offset", "scale", "top", "displacement"):
             assert getattr(laws, name)[e:e + 1].tobytes() == getattr(alone, name).tobytes()
@@ -842,7 +844,7 @@ def test_record_rows_equal_each_sum_alone(c0):
         assert laws.pmf[e, :top + 1].tobytes() == alone.pmf.tobytes()
         assert not laws.pmf[e, top + 1:].any()
     # negative control: the stack in reverse order reads its rows reversed
-    backwards = gpm.la_folds(stack[np.arange(len(specs))[::-1]], c0)
+    backwards = la_folds(stack[np.arange(len(specs))[::-1]], c0)
     assert backwards.pmf[0].tobytes() != laws.pmf[0].tobytes()
 
 
@@ -868,7 +870,7 @@ def test_law_record_checks_every_law_once(monkeypatch):
     checks = []
     check = gpm._check_laws
     monkeypatch.setattr(gpm, "_check_laws", lambda *args: checks.append(1) or check(*args))
-    folded = gpm.la_folds(stacked([random_spec(np.random.default_rng(79), 4)] * 3), 100.0)
+    folded = la_folds(stacked([random_spec(np.random.default_rng(79), 4)] * 3), 100.0)
     assert [law.pmf.size for law in folded] and checks == [1]
     # each check fails NaN and +-inf, naming the law at fault
     moved = [0.75, 0.0]
@@ -903,7 +905,8 @@ def test_law_record_checks_every_law_once(monkeypatch):
 def test_la_cdf_of_rows_all_rounded_to_zero():
     # span 3 at c0 = 1: beta = 1/3, and every row's top 1/3 rounds to 0
     spec = GpmSpec([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [[0.5, 0.5]] * 3)
-    dist, cdf = la_cdf(spec, 1.0)
+    dist = la_folds(spec, 1.0)
+    cdf = dist.to_cdf()
     assert (dist.offset.tolist(), dist.scale.tolist(), dist.pmf.tolist()) == (
         [3.0], [1.0 / 3.0], [[1.0]])
     # each row still moves, by up to half a lattice unit of 3
@@ -914,28 +917,24 @@ def test_la_cdf_of_rows_all_rounded_to_zero():
 def test_la_rejects_small_c0():
     spec = GpmSpec([[0.0, 1.0]], [[0.5, 0.5]])
     with pytest.raises(ValueError):
-        la_cdf(spec, 0.5)
+        la_folds(spec, 0.5)
     # c0 has no library default: it is [algorithm] lattice_target_c0
     with pytest.raises(TypeError, match="c0"):
-        la_cdf(spec)
-    with pytest.raises(TypeError, match="c0"):
-        gpm.la_folds(spec)
+        la_folds(spec)
     # NaN fails the range check, not the span check after it
     with pytest.raises(ValueError, match="c0 must be >= 1, got nan"):
-        la_cdf(spec, math.nan)
-    with pytest.raises(ValueError, match="c0 must be >= 1, got nan"):
-        gpm.la_folds(spec, math.nan)
+        la_folds(spec, math.nan)
     # at 2**53 the lattice points would leave the integers a float and an
     # intp hold exactly
     for c0 in (2.0**53, 1e19, 1e25, math.inf):
         with pytest.raises(ValueError, match="c0 must be below 2\\*\\*53"):
-            gpm.la_folds(spec, c0)
+            la_folds(spec, c0)
 
 
 def test_la_rejects_span_that_overflows_beta():
     spec = GpmSpec([[0.0, 1e-310]], [[0.5, 0.5]])     # c0 / span is inf
     with pytest.raises(ValueError, match="span 1e-310"):
-        la_cdf(spec, 1000.0)
+        la_folds(spec, 1000.0)
 
 
 def test_la_quantization_envelope():
@@ -943,7 +942,8 @@ def test_la_quantization_envelope():
     rng = np.random.default_rng(41)
     for _ in range(20):
         spec = random_spec(rng, int(rng.integers(2, 9)))
-        law, la = la_cdf(spec, 1000.0)
+        law = la_folds(spec, 1000.0)
+        la = law.to_cdf()
         exact = enumerate_cdf(spec)
         s = float(law.displacement[0]) * (1.0 + 1e-9)
         lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
@@ -981,7 +981,7 @@ def check_displacement(values, probs, c0, shrink=1.0):
     displacement is M span / (2 c0), with M the rows of two or more live
     values."""
     spec = GpmSpec(values, probs)
-    laws = gpm.la_folds(spec, c0)
+    laws = la_folds(spec, c0)
     live = probs > 0.0
     least = np.where(live, values, np.inf).min(axis=-1, keepdims=True)
     x = laws.scale[:, None, None] * np.where(live, values - least, 0.0)
@@ -1020,7 +1020,7 @@ def test_la_moment_preservation():
     rng = np.random.default_rng(43)
     for _ in range(10):
         spec = random_spec(rng, int(rng.integers(2, 9)))
-        dist, _ = la_cdf(spec, 1000.0)
+        dist = la_folds(spec, 1000.0)
         mean_la = float(np.arange(dist.pmf.size) @ dist.pmf[0]) / dist.scale[0] + dist.offset[0]
         assert abs(mean_la - spec.mean()) <= dist.displacement[0] + 1e-12
 
@@ -1029,7 +1029,7 @@ def test_la_cdf_monotone_and_normalised():
     rng = np.random.default_rng(47)
     for _ in range(10):
         spec = random_spec(rng, 6)
-        _, cdf = la_cdf(spec, 500.0)
+        cdf = la_folds(spec, 500.0).to_cdf()
         assert np.all(np.diff(cdf.cum) >= 0)
         assert cdf.cum[-1] == pytest.approx(1.0, abs=1e-9)
 

@@ -35,7 +35,7 @@ class NetworkLayout:
     ``y[n]``) on band ``band[n]``, and its id is n.
 
     The constructor is where a layout is checked: equal-length 1-D
-    columns, finite coordinates and integer bands.
+    columns, finite coordinates and integer bands >= 0.
     """
 
     x: np.ndarray
@@ -58,6 +58,9 @@ class NetworkLayout:
         bad = ~(np.isfinite(self.x) & np.isfinite(self.y))
         if bad.any():
             raise ValueError(f"site {np.argmax(bad)} has a non-finite coordinate")
+        if (self.band < 0).any():
+            n = int(np.argmax(self.band < 0))
+            raise ValueError(f"site {n} has a negative band {self.band[n]}")
 
     def __len__(self) -> int:
         return len(self.x)

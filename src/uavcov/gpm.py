@@ -7,18 +7,18 @@ values share the arrays; a row need not be ordered and may repeat a value
 (the masses add up).  The exact distribution of the
 sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
 
-  * ``lattice_invert``: when row k of a (K, N) matrix is the pmf of
-    summand k on 0..N-1 and the sum stays within 0..N-1, its pmf is
-    *exactly* (up to float roundoff) irfft(prod_k rfft(row_k)), the DFT
-    inversion of the characteristic function ``cf_sample`` (Hong 2013)
-    on real-input spectra of N // 2 + 1 frequencies.  An (E, K, N) stack
-    inverts E sums of one N with one transform each way, and rows may be
-    given by their atoms instead, as masses at lattice points.  It checks
-    its input in the form given, before it scatters or transforms a row,
-    and rejects masses that are negative or not finite, points off the
-    lattice and summed supports that would wrap around (aliasing); then
-    negative output mass beyond ``NEGATIVE_PMF_TOL`` and a total off 1,
-    sum by sum.
+  * ``lattice_invert``: when term k, given by its atoms (masses at
+    points on 0..N-1), has the pmf row_k on the lattice and the sum stays
+    within 0..N-1, the sum's pmf is *exactly* (up to float roundoff)
+    irfft(prod_k rfft(row_k)), the DFT inversion of the characteristic
+    function ``cf_sample`` (Hong 2013) on real-input spectra of N // 2 + 1
+    frequencies.  It takes the (E, K, A) stacks of atoms ``la_folds``
+    folds, inverts E sums of one N with one transform each way, and
+    checks the atoms before it scatters or transforms a row: it rejects
+    masses that are negative or not finite, points off the lattice and
+    summed supports that would wrap around (aliasing); then negative
+    output mass beyond ``NEGATIVE_PMF_TOL`` and a total off 1, naming the
+    sum at fault.
 
   * ``la_folds``: real-valued summands are offset by their minimum value,
     scaled so the total span becomes ``c0`` lattice units, and rounded to
@@ -53,7 +53,8 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
   * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
     states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
     (moment-matched normal truncated to x >= 0) serve as accuracy
-    baselines.
+    baselines.  They and ``GpmSpec.mean``, ``variance`` and ``summands``
+    read one sum and refuse a stack, whose rows they would pool.
 
   * ``envelope_excess`` is the one accuracy check: how far an oracle cdf
     leaves an envelope [lo, hi].  Lattice laws are held to their own cdf
@@ -262,11 +263,17 @@ class GpmSpec:
                 for v, p, offset, span, count in zip(self.values, self.probs, self.offset.tolist(),
                                                      self.span.tolist(), counts.tolist())]
 
+    def _one_sum(self, reader: str) -> GpmSpec:
+        """This spec, if it is one sum: ``reader`` would pool a stack's rows."""
+        if self.values.ndim != 2:
+            raise ValueError(f"{reader} reads one sum, not a stack of {len(self)}; pass stack[e]")
+        return self
+
     @property
     def summands(self) -> tuple[DiscreteSummand, ...]:
-        """Each row as a summand, duplicate values (and padding) merged."""
+        """Each row of one sum as a summand, duplicate values (and padding) merged."""
         terms = []
-        for row_values, row_probs in zip(self.values, self.probs):
+        for row_values, row_probs in zip(self._one_sum("GpmSpec.summands").values, self.probs):
             values, at = np.unique(row_values, return_inverse=True)
             terms.append(DiscreteSummand(values, np.bincount(at, weights=row_probs)))
         return tuple(terms)
@@ -275,10 +282,10 @@ class GpmSpec:
         return self.values.shape[0]
 
     def mean(self) -> float:
-        return float((self.values * self.probs).sum())
+        return float((self._one_sum("GpmSpec.mean").values * self.probs).sum())
 
     def variance(self) -> float:
-        means = (self.values * self.probs).sum(axis=1, keepdims=True)
+        means = (self._one_sum("GpmSpec.variance").values * self.probs).sum(axis=1, keepdims=True)
         return float(((self.values - means) ** 2 * self.probs).sum())
 
 
@@ -291,83 +298,69 @@ def cf_sample(spec: GpmSpec, s) -> np.ndarray:
     return (phase * spec.probs).sum(axis=-1).prod(axis=-1)
 
 
-def lattice_invert(rows, n: int | None = None, points=None) -> np.ndarray:
-    """Exact pmf on 0..N-1 of a sum of independent integer-lattice terms.
+def lattice_invert(mass, n: int, points) -> np.ndarray:
+    """Exact pmfs on 0..``n``-1 of E sums of independent integer-lattice
+    terms, as an (E, n) array.
 
-    Row k of the (K, N) matrix ``rows`` is the pmf of term k on 0..N-1;
-    the sum's pmf is irfft(prod_k rfft(row_k), N) up to float noise.  An
-    (E, K, N) stack holds E such sums, one (K, N) slice each, and gives
-    their (E, N) pmfs from one ``rfft`` of all E * K rows and one
-    ``irfft`` of the E products, each sum bit for bit its own (K, N) call;
-    a sum of fewer terms takes point masses at 0 as its padding rows, and
-    their spectra are exactly 1.
+    Term k of sum e is given by its atoms: ``mass[e, k]`` holds their
+    masses and ``points[e, k]`` their lattice points on 0..n-1, two
+    (E, K, A) arrays of one shape; a point may repeat (the masses add, in
+    entry order) and zero-mass entries are padding.  With row_k the
+    term's pmf scattered onto 0..n-1, sum e's pmf is
+    irfft(prod_k rfft(row_k), n) up to float noise; one ``rfft`` of all
+    E * K rows and one ``irfft`` of the E products give every sum bit for
+    bit as its stack of one.  A sum of fewer terms takes point masses at
+    0 as its padding rows, and their spectra are exactly 1.
 
-    With ``points``, row k is given by its atoms instead: ``rows`` holds
-    their masses and ``points`` their lattice points on 0..``n``-1, two
-    (K, A) or (E, K, A) arrays of one shape; a point may repeat (the
-    masses add, in entry order) and zero-mass entries are padding.  The
-    call is bit for bit the dense call on the rows this scatters.
-
-    Every input check runs on the form given, before any row is
-    scattered: masses finite and >= 0, points on 0..N-1 and summed row
-    tops, each row's largest point of positive mass, at most N - 1 (a
-    larger sum would wrap around: aliasing).  Then it raises on negative
-    output mass below -``NEGATIVE_PMF_TOL`` and on a total off 1, naming
-    the sum at fault in a stack; smaller negative dips are clamped.  One
-    call holds the dense rows and their spectra of N // 2 + 1 complex
+    Every input check runs on the atoms, before any row is scattered:
+    masses finite and >= 0, points on 0..n-1 and summed row tops, each
+    row's largest point of positive mass, at most n - 1 (a larger sum
+    would wrap around: aliasing).  Then it raises on negative output mass
+    below -``NEGATIVE_PMF_TOL`` and on a total off 1; each of these errors
+    names the sum at fault, and smaller negative dips are clamped.  One call
+    holds the scattered rows and their spectra of n // 2 + 1 complex
     entries at once.
     """
-    q = np.asarray(rows, dtype=float)
-    if points is None:
-        if q.ndim not in (2, 3) or q.size == 0:
-            raise ValueError(
-                f"rows must be a non-empty (K, N) or (E, K, N) array, got shape {q.shape}")
-        n = q.shape[-1]
-        at = np.arange(n)
-    else:
-        at = np.asarray(points)
-        if q.ndim not in (2, 3) or at.shape != q.shape or q.size == 0 or not n >= 1:
-            raise ValueError(
-                "masses and points must be equal-shape non-empty (K, A) or (E, K, A) arrays "
-                f"on a lattice of n >= 1 points, got shapes {q.shape}, {at.shape} and n = {n}")
-    stacked = q.ndim == 3
+    q, at = np.asarray(mass, dtype=float), np.asarray(points)
+    if q.ndim != 3 or at.shape != q.shape or q.size == 0 or not n >= 1:
+        raise ValueError(
+            "masses and points must be equal-shape non-empty (E, K, A) arrays "
+            f"on a lattice of n >= 1 points, got shapes {q.shape}, {at.shape} and n = {n}")
 
-    def which(bad: np.ndarray) -> str:
-        return f" in sum {int(np.argmax(bad))}" if stacked else ""
+    def which(bad: np.ndarray) -> int:     # the first sum with a true entry of bad
+        return int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
 
     if not q.min() >= 0.0:      # NaN fails too
-        raise ValueError(
-            f"row entries reach {float(q.min()):.3e}, not >= 0; rows are not pmfs on this lattice"
-        )
+        e = which(~(q >= 0.0))
+        raise ValueError(f"row entries reach {float(q[e].min()):.3e} in sum {e}, not >= 0; "
+                         "rows are not pmfs on this lattice")
     if not q.max() < np.inf:
-        raise ValueError("row entries reach inf, not finite; rows are not pmfs on this lattice")
-    if points is not None and not (at.min() >= 0 and at.max() < n):
-        raise ValueError(f"lattice points reach {int(at.min())}..{int(at.max())}, "
-                         f"outside 0..{n - 1}")
+        raise ValueError(f"row entries reach inf in sum {which(q == np.inf)}, not finite; "
+                         "rows are not pmfs on this lattice")
+    if not (at.min() >= 0 and at.max() < n):
+        e = which((at < 0) | (at >= n))
+        raise ValueError(f"lattice points reach {int(at[e].min())}..{int(at[e].max())} "
+                         f"in sum {e}, outside 0..{n - 1}")
     top = (at * (q > 0.0)).max(axis=-1).sum(axis=-1)
     if (top > n - 1).any():
-        raise ValueError(
-            f"summed support reaches {int(top.max())}, beyond 0..{n - 1} (aliasing)"
-            f"{which(top > n - 1)}"
-        )
-    if points is not None:
-        count = q.size // q.shape[-1]
-        row = np.arange(0, count * n, n).reshape(q.shape[:-1] + (1,))
-        q = np.bincount((at + row).ravel(), q.ravel(), count * n).reshape(q.shape[:-1] + (n,))
+        raise ValueError(f"summed support reaches {int(top.max())}, beyond 0..{n - 1} "
+                         f"(aliasing) in sum {which(top > n - 1)}")
+    count = q.size // q.shape[-1]
+    row = np.arange(0, count * n, n).reshape(q.shape[:-1] + (1,))
+    q = np.bincount((at + row).ravel(), q.ravel(), count * n).reshape(q.shape[:-1] + (n,))
     pmf = np.fft.irfft(np.prod(np.fft.rfft(q, axis=-1), axis=-2), n, axis=-1)
     worst_neg = pmf.min(axis=-1)
     if (worst_neg < -NEGATIVE_PMF_TOL).any():
         raise ValueError(
-            f"negative pmf mass {float(worst_neg.min()):.3e} exceeds {NEGATIVE_PMF_TOL:.0e}"
-            f"{which(worst_neg < -NEGATIVE_PMF_TOL)}; rows are not pmfs on this lattice"
+            f"negative pmf mass {float(worst_neg.min()):.3e} exceeds {NEGATIVE_PMF_TOL:.0e} "
+            f"in sum {which(worst_neg < -NEGATIVE_PMF_TOL)}; rows are not pmfs on this lattice"
         )
     pmf = np.where(pmf < 0.0, 0.0, pmf)
     total = pmf.sum(axis=-1)
     off = ~(np.abs(total - 1.0) <= 1e-9)    # NaN is off too
     if off.any():
         raise ValueError(
-            f"inverted pmf sums to {float(np.ravel(total)[np.argmax(off)])!r}, not 1{which(off)}"
-        )
+            f"inverted pmf sums to {float(total[which(off)])!r}, not 1 in sum {which(off)}")
     return pmf
 
 
@@ -626,11 +619,13 @@ class LatticeLaws:
         return cum, total
 
     def cdf(self, x, *, left: bool = False) -> np.ndarray:
-        """P{X_e <= x[e, t]}, or P{X_e < x[e, t]} with ``left``, for each
-        law e at each entry of its row of the (E, T) ``x``."""
+        """P{X_e <= x[e, t]}, or P{X_e < x[e, t]} with ``left``, for each law e
+        at each entry of its row of the (E, T) ``x``; other shapes are refused."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or len(x) != len(self):
+            raise ValueError(f"x must be an (E, T) array, E = {len(self)}, got shape {x.shape}")
         cum, total = self._running
-        count = _lattice_counts(self.top, self.scale[:, None], self.offset[:, None],
-                                np.asarray(x, dtype=float), left)
+        count = _lattice_counts(self.top, self.scale[:, None], self.offset[:, None], x, left)
         return np.take_along_axis(cum, count, axis=1) / total
 
 
@@ -815,7 +810,7 @@ def enumerate_cdf(spec: GpmSpec) -> SteppedCdf:
     intermediate atom lists are coalesced as they grow, which never
     changes the distribution.
     """
-    summands = spec.summands
+    summands = spec._one_sum("enumerate_cdf").summands
     states = math.prod(s.support_size for s in summands)
     if states > ENUMERATION_CAP:
         raise ValueError(
@@ -839,7 +834,7 @@ def mc_cdf(spec: GpmSpec, n_samples: int, seed: int) -> SteppedCdf:
         raise ValueError(f"need at least 1 sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     total = np.zeros(n_samples)
-    for row_values, row_probs in zip(spec.values, spec.probs):
+    for row_values, row_probs in zip(spec._one_sum("mc_cdf").values, spec.probs):
         idx = rng.choice(row_values.size, size=n_samples, p=row_probs)
         total += row_values[idx]
     values, counts = np.unique(total, return_counts=True)

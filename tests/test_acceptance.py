@@ -130,14 +130,13 @@ def test_fft_inversion_matches_exhaustive_enumeration():
             rows.append((values, probs / probs.sum()))
         spec = padded_spec(rows)
         top = int(np.where(spec.probs > 0, spec.values, 0.0).max(axis=1).sum())
-        rows = np.zeros((len(spec), top + 1))
-        for row, values, probs in zip(rows, spec.values, spec.probs):
-            for v, p in zip(values, probs):
-                row[int(v)] += p
-        pmf = lattice_invert(rows)
+        # the spec's rows are the atoms: masses at their integer values
+        (pmf,) = lattice_invert(spec.probs[None], top + 1, spec.values.astype(np.intp)[None])
         want = np.zeros(top + 1)
         want[0] = 1.0
-        for vec in rows:
+        for values, probs in rows:
+            vec = np.zeros(6)
+            vec[values.astype(np.intp)] = probs
             want = np.convolve(want, vec)[: top + 1]
         worst = max(worst, float(np.max(np.abs(pmf - want))))
     ok = worst <= 1e-9

@@ -712,6 +712,34 @@ def test_lattice_target_too_long_to_allocate_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["downlink-map"],
+    ["validate", "--mode", "downlink-vs-joint-enum"],
+    ["validate", "--mode", "downlink-vs-mc", "--seed", "1"],
+    ["interference-cdf"],
+    ["uplink-map"],
+    ["layout"],
+], ids=["downlink-map", "downlink-vs-joint-enum", "downlink-vs-mc", "interference-cdf",
+        "uplink-map", "layout"])
+def test_negative_band_in_sites_csv_exits_2(tmp_path, capsys, argv):
+    # a band below 0 used to load, and then every downlink command failed
+    # at run time (exit 1) while the uplink ones ran; bands need not be
+    # dense labels, so band 3 among 0..2 loads
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 500\n")
+    assert main(["layout", "--config", cfg_path, "--out", str(tmp_path / "lay")]) == 0
+    rows = (tmp_path / "lay" / "layout.csv").read_text().splitlines()
+    for band, code in (("3", 0), ("-1", 2)):
+        edited = [re.sub(r"^3,(.*),[0-9]+$", rf"3,\1,{band}", row) for row in rows]
+        (tmp_path / "sites.csv").write_text("\n".join(edited) + "\n")
+        sites = write_cfg(tmp_path, f"[layout]\nsites_csv = {tmp_path / 'sites.csv'}\n",
+                          name="sites.ini")
+        capsys.readouterr()
+        out = tmp_path / f"out{band}"
+        assert main(argv + ["--config", sites, "--out", str(out)]) == code
+    assert capsys.readouterr().err == "config error: [layout] site 3 has a negative band -1\n"
+    assert not out.exists()
+
+
 def test_layout_csv_feeds_sites_csv(tmp_path):
     cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 1000\n")
     first = tmp_path / "first"

@@ -353,6 +353,7 @@ def test_layout_csv_rows_in_any_id_order(tmp_path):
     ([0.0, 1.0], [0.0, 0.0], [0.0, 1.0], "integers"),
     ([0.0, 1.0], [0.0], [0, 1], "equal length"),
     ([[0.0, 1.0]], [[0.0, 1.0]], [[0, 1]], "1-D"),
+    ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0, 3, -1], "site 2 has a negative band -1"),
 ])
 def test_layout_constructor_rejects(x, y, band, match):
     with pytest.raises(ValueError, match=match):

@@ -46,22 +46,30 @@ from uavcov.gpm import (
 )
 
 
-def lattice_rows(spec, length):
-    """Row k: summand k's pmf on the integer lattice 0..length-1."""
-    rows = np.zeros((len(spec), length))
-    for k, (values, probs) in enumerate(zip(spec.values, spec.probs)):
-        for v, p in zip(values, probs):
-            rows[k, int(round(v))] += p
-    return rows
-
-
 def convolve_pmf(spec, length):
-    """Exact lattice pmf by iterated convolution (independent oracle)."""
+    """Exact lattice pmf by iterated convolution (independent oracle):
+    each summand's pmf on the integer lattice 0..length-1 in turn."""
     out = np.zeros(length)
     out[0] = 1.0
-    for vec in lattice_rows(spec, length):
+    for values, probs in zip(spec.values, spec.probs):
+        vec = np.zeros(length)
+        for v, p in zip(values, probs):
+            vec[int(round(v))] += p
         out = np.convolve(out, vec)[:length]
     return out
+
+
+def spec_atoms(spec):
+    """An integer spec's rows as ``lattice_invert``'s stack of one sum:
+    (1, K, L) masses, the probs, at lattice points, the values."""
+    return spec.probs[None], spec.values.astype(np.intp)[None]
+
+
+def on_every_point(rows):
+    """(K, N) rows as ``lattice_invert``'s stack of one sum, each entry a
+    mass at its own point: the masses, N and the points."""
+    mass = np.asarray(rows, dtype=float)[None]
+    return mass, mass.shape[-1], np.broadcast_to(np.arange(mass.shape[-1]), mass.shape)
 
 
 def support_top(spec):
@@ -125,6 +133,37 @@ def test_spec_validation():
         GpmSpec([[]], [[]])                          # a row with no entry
     empty = GpmSpec(np.zeros((0, 2)), np.zeros((0, 2)))   # no summand: the sum is 0
     assert (len(empty), empty.offset, empty.span) == (0, 0.0, 0.0)
+
+
+def plain(result):
+    """A one-sum reader's result as plain values, to compare."""
+    if isinstance(result, tuple):       # summands
+        return [(term.values.tolist(), term.probs.tolist()) for term in result]
+    if isinstance(result, SteppedCdf):
+        return result.xs.tolist(), result.cum.tolist()
+    return result
+
+
+@pytest.mark.parametrize("name, read", [
+    ("GpmSpec.mean", lambda spec: spec.mean()),
+    ("GpmSpec.variance", lambda spec: spec.variance()),
+    ("GpmSpec.summands", lambda spec: spec.summands),
+    ("enumerate_cdf", enumerate_cdf),
+    ("mc_cdf", lambda spec: mc_cdf(spec, 100, 7)),
+    ("GpmSpec.mean", gaussian_cdf),
+], ids=["mean", "variance", "summands", "enumerate_cdf", "mc_cdf", "gaussian_cdf"])
+def test_one_sum_readers_refuse_a_stack(name, read):
+    # two sums of means 2 and 4.5: a reader of one sum would pool their
+    # rows (a mean of 6.5), so it refuses the stack and names itself, and
+    # reads each sum of it as that sum built alone
+    values = np.array([[[0.0, 1.0], [1.0, 3.0]], [[2.0, 4.0], [1.0, 2.0]]])
+    probs = np.array([[[0.5, 0.5], [0.75, 0.25]], [[0.5, 0.5], [0.5, 0.5]]])
+    stack = GpmSpec(values, probs)
+    with pytest.raises(ValueError, match=re.escape(f"{name} reads one sum, not a stack of 2")):
+        read(stack)
+    for e, mean in enumerate((2.0, 4.5)):
+        assert plain(read(stack[e])) == plain(read(GpmSpec(values[e], probs[e])))
+        assert stack[e].mean() == mean
 
 
 @st.composite
@@ -355,7 +394,8 @@ def test_lattice_invert_spectrum_is_cf():
     ]
     for spec in [*ODD_LENGTH_SPECS, *random_specs]:
         n = int(spec.values.max(axis=1).sum()) + 1
-        pmf = lattice_invert(lattice_rows(spec, n))
+        mass, points = spec_atoms(spec)
+        (pmf,) = lattice_invert(mass, n, points)
         assert pmf.shape == (n,)
         want = cf_sample(spec, -2.0 * math.pi * np.arange(n) / n)
         assert np.max(np.abs(np.fft.fft(pmf) - want)) < 1e-9
@@ -375,33 +415,32 @@ def test_lattice_invert_matches_convolution():
         lengths.append(n)
         assert support_top(specs[-1]) < n
     for spec, n in zip(specs, lengths):   # exact for any n >= support
-        pmf = lattice_invert(lattice_rows(spec, n))
+        mass, points = spec_atoms(spec)
+        (pmf,) = lattice_invert(mass, n, points)
         assert pmf.shape == (n,)
         want = convolve_pmf(spec, n)
         assert np.max(np.abs(pmf - want)) < 1e-9
     # one row raised to the top of the lattice makes the 64-row sum wrap
-    rows = lattice_rows(specs[-2], 1024)
-    rows[-1] = 0.0
-    rows[-1, [0, 1023]] = 0.5
+    mass, points = (a.copy() for a in spec_atoms(specs[-2]))
+    mass[0, -1] = 0.0
+    mass[0, -1, :2], points[0, -1, :2] = 0.5, [0, 1023]
     with pytest.raises(ValueError, match="aliasing"):
-        lattice_invert(rows)
+        lattice_invert(mass, 1024, points)
 
 
 def test_lattice_invert_point_mass():
-    rows = np.zeros((1, 8))
-    rows[0, 3] = 1.0
-    pmf = lattice_invert(rows)
-    assert np.max(np.abs(pmf - rows[0])) < 1e-12
+    want = np.zeros((1, 8))
+    want[0, 3] = 1.0
+    pmf = lattice_invert([[[1.0]]], 8, [[[3]]])
+    assert np.max(np.abs(pmf - want)) < 1e-12
 
 
 def test_lattice_invert_rejects_short_lattice():
     # tops 3 + 2 = 5 do not fit on 0..4: the sum would wrap around
-    rows = np.zeros((2, 5))
-    rows[0, [0, 3]] = 0.5
-    rows[1, [0, 2]] = 0.5
+    mass, points = [[[0.5, 0.5], [0.5, 0.5]]], [[[0, 3], [0, 2]]]
     with pytest.raises(ValueError, match="aliasing"):
-        lattice_invert(rows)
-    lattice_invert(np.hstack([rows, np.zeros((2, 1))]))   # N = 6 fits
+        lattice_invert(mass, 5, points)
+    lattice_invert(mass, 6, points)   # N = 6 fits
 
 
 def test_lattice_invert_rejects_rows_that_are_not_pmfs():
@@ -413,18 +452,18 @@ def test_lattice_invert_rejects_rows_that_are_not_pmfs():
         [[np.nan, 1.0, 0.0, 0.0]],
     ):
         with pytest.raises(ValueError, match="not >= 0; rows are not pmfs on this lattice"):
-            lattice_invert(rows)
+            lattice_invert(*on_every_point(rows))
     # entries >= 0 but far from a pmf: round-off of the 1e12 entry leaves
     # ~1e-5 of negative mass on the empty lattice points
     with pytest.raises(ValueError, match="negative pmf mass.*not pmfs on this lattice"):
-        lattice_invert([[1e12, 0, 0, 0, 0, 0, 0, 1.0]])
+        lattice_invert(*on_every_point([[1e12, 0, 0, 0, 0, 0, 0, 1.0]]))
     with pytest.raises(ValueError, match="inverted pmf sums to 0.75"):
-        lattice_invert([[0.5, 0.25, 0.0, 0.0]])
+        lattice_invert(*on_every_point([[0.5, 0.25, 0.0, 0.0]]))
 
 
 def test_lattice_invert_rejects_bad_length():
     with pytest.raises(ValueError):
-        lattice_invert(np.zeros((1, 0)))
+        lattice_invert(np.zeros((1, 1, 0)), 4, np.zeros((1, 1, 0), dtype=np.intp))
 
 
 def scattered(mass, n, points):
@@ -437,57 +476,83 @@ def scattered(mass, n, points):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (3,)]), st.integers(1, 6),
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.integers(1, 6),
        st.integers(1, 12), st.integers(1, 7))
-def test_lattice_invert_on_points_equals_dense_call(seed, stack, k, atoms, log_n):
+def test_lattice_invert_equals_transform_of_scattered_rows(seed, stack, k, atoms, log_n):
     # rows given by their atoms, repeated points and zero-mass padding
-    # among them, invert bit for bit as the dense rows they scatter to
+    # among them, invert bit for bit as numpy's transforms of the rows
+    # they scatter to, negative dips clamped; each sum as its stack of one
     rng = np.random.default_rng(seed)
     n = 2 ** log_n
-    shape = stack + (k, atoms)
+    shape = (stack, k, atoms)
     points = rng.integers(0, max(1, n // k), size=shape)
     mass = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) < 0.8)
     mass[..., 0] += 1e-3
     mass /= mass.sum(axis=-1, keepdims=True)
-    want = lattice_invert(scattered(mass, n, points))
-    assert lattice_invert(mass, n, points).tobytes() == want.tobytes()
+    want = np.fft.irfft(np.prod(np.fft.rfft(scattered(mass, n, points), axis=-1), axis=-2),
+                        n, axis=-1)
+    want = np.where(want < 0.0, 0.0, want)
+    got = lattice_invert(mass, n, points)
+    assert got.tobytes() == want.tobytes()
+    for e in range(stack):
+        assert lattice_invert(mass[e:e + 1], n, points[e:e + 1]).tobytes() == got[e].tobytes()
     # negative control: one entry's mass moved to the next point
     moved = points.copy()
-    moved[(0,) * len(stack) + (0, 0)] += 1
+    moved[0, 0, 0] += 1
     assume(int(moved.max()) < n)
     assert lattice_invert(mass, n, moved).tobytes() != want.tobytes()
 
 
 def test_lattice_invert_on_points_refuses_bad_rows():
-    mass, points = np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([[0, 3], [1, 0]])
+    mass, points = np.array([[[0.5, 0.5], [1.0, 0.0]]]), np.array([[[0, 3], [1, 0]]])
     lattice_invert(mass, 8, points)
     for bad_mass, bad_points, n, message in (
-        (mass, points, 3, "lattice points reach 0..3, outside 0..2"),
-        (mass, points - 1, 8, "lattice points reach -1..2, outside 0..7"),
-        ([[1.5, -0.5], [1.0, 0.0]], points, 8, "not >= 0; rows are not pmfs"),
-        ([[np.nan, 0.5], [1.0, 0.0]], points, 8, "not >= 0; rows are not pmfs"),
-        ([[np.inf, 0.5], [1.0, 0.0]], points, 8, "not finite; rows are not pmfs"),
+        (mass, points, 3, "lattice points reach 0..3 in sum 0, outside 0..2"),
+        (mass, points - 1, 8, "lattice points reach -1..2 in sum 0, outside 0..7"),
+        ([[[1.5, -0.5], [1.0, 0.0]]], points, 8, "not >= 0; rows are not pmfs"),
+        ([[[np.nan, 0.5], [1.0, 0.0]]], points, 8, "not >= 0; rows are not pmfs"),
+        ([[[np.inf, 0.5], [1.0, 0.0]]], points, 8, "not finite; rows are not pmfs"),
         (mass, points, 4, "summed support reaches 4, beyond 0..3"),
-        (mass, points[:1], 8, "equal-shape"),
+        (mass, points[:, :1], 8, "equal-shape"),
         (mass, points, 0, "n >= 1"),
+        (mass[0], points[0], 8, "(E, K, A)"),     # one sum, not a stack of one
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             lattice_invert(bad_mass, n, bad_points)
+
+
+@pytest.mark.parametrize("sum_at_fault, mass, points, n, message", [
+    (1, [-0.5, 1.5], [0, 1], 8, "row entries reach -5.000e-01 in sum 1, not >= 0"),
+    (2, [np.inf, 0.0], [0, 1], 8, "row entries reach inf in sum 2, not finite"),
+    (1, [0.5, 0.5], [0, 9], 8, "lattice points reach 0..9 in sum 1, outside 0..7"),
+    (2, [0.5, 0.5], [0, 3], 4, "summed support reaches 4, beyond 0..3 (aliasing) in sum 2"),
+    (1, [1e12, 1.0], [0, 6], 8, "exceeds 1e-08 in sum 1; rows are not pmfs"),
+    (2, [0.5, 0.25], [0, 1], 8, "inverted pmf sums to 0.75, not 1 in sum 2"),
+], ids=["negative-mass", "inf-mass", "point-off-lattice", "aliasing", "negative-output",
+        "total-off-1"])
+def test_lattice_invert_names_the_sum_at_fault(sum_at_fault, mass, points, n, message):
+    # three sums of two rows, each the pmf of a fair coin on {0, 1} but
+    # for one row of the sum at fault
+    stack_mass, stack_points = np.full((3, 2, 2), 0.5), np.tile([0, 1], (3, 2, 1))
+    stack_mass[sum_at_fault, 1], stack_points[sum_at_fault, 1] = mass, points
+    lattice_invert(np.full((3, 2, 2), 0.5), n, np.tile([0, 1], (3, 2, 1)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lattice_invert(stack_mass, n, stack_points)
 
 
 def test_split_sum_aliasing_counts_the_tail_row():
     # a head whose summed tops fit on 0..15, and a light tail's pmf on the
     # quarter lattice as one more row on points 0..3: the tail's top alone
     # carries the sum past 15
-    head_mass, head_points = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0, 7], [0, 6]])
+    head_mass, head_points = np.array([[[0.5, 0.5], [0.5, 0.5]]]), np.array([[[0, 7], [0, 6]]])
     lattice_invert(head_mass, 16, head_points)
     for tail_top, fits in ((2, True), (3, False)):
         tail = np.zeros(4)
         tail[[0, tail_top]] = 0.5
-        mass = np.zeros((3, 4))
-        mass[:2, :2], mass[2] = head_mass, tail
-        points = np.zeros((3, 4), dtype=np.intp)
-        points[:2, :2], points[2] = head_points, np.arange(4)
+        mass = np.zeros((1, 3, 4))
+        mass[0, :2, :2], mass[0, 2] = head_mass[0], tail
+        points = np.zeros((1, 3, 4), dtype=np.intp)
+        points[0, :2, :2], points[0, 2] = head_points[0], np.arange(4)
         if fits:
             lattice_invert(mass, 16, points)
         else:
@@ -496,7 +561,7 @@ def test_split_sum_aliasing_counts_the_tail_row():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: lattice_invert([[np.inf, 0.0, 0.0, 0.0]]),
+    lambda: lattice_invert(*on_every_point([[np.inf, 0.0, 0.0, 0.0]])),
     lambda: one_law(0.0, 1.0, [np.nan]),
     lambda: one_law(np.nan, 1.0, [1.0]),
     lambda: one_law(0.0, np.inf, [1.0]),
@@ -580,6 +645,18 @@ def test_lattice_cdfs_read_stepped_cdfs_in_place():
     first = law_record(IN_PLACE_LAWS[:1])
     assert first.cdf(x).tolist() == [[0.25, 0.25, 1.0, 0.0, 1.0]]
     assert first.cdf(x, left=True).tolist() == [[0.0, 0.25, 0.25, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("x", [
+    [10.0, 1.0], 10.0, np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((2, 4, 1)),
+], ids=["one-per-law", "scalar", "one-row", "one-row-too-many", "3-d"])
+def test_lattice_cdfs_refuse_x_of_another_shape(x):
+    # two laws read only an (E, T) = (2, T) x: one point per law as an
+    # (E,) array used to broadcast to an (E, E) matrix
+    laws = law_record(IN_PLACE_LAWS[:2])
+    assert laws.cdf(np.zeros((2, 3))).shape == (2, 3)
+    with pytest.raises(ValueError, match=re.escape("x must be an (E, T) array")):
+        laws.cdf(x)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])

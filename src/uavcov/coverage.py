@@ -39,11 +39,13 @@ into one :class:`~uavcov.gpm.LatticeLaws` record of the position's
 laws, each with its displacement M / (2 beta), M the event's
 interferers of more than one value (silent padding counts 0).  Outage at
 every threshold is read from all of the record's laws at once
-(:meth:`uavcov.gpm.LatticeLaws.cdf`).  Each event's sum, its own rows of
-the stack (``GpmSpec.trimmed``), and its law, row e of the record, are
-handed through :func:`conditional_interference_spec` and
+(:meth:`uavcov.gpm.LatticeLaws.cdf`).  Each event's sum, its row e of the
+stack, padding included, and its law, row e of the record, are handed
+through :func:`conditional_interference_spec` and
 :func:`uavcov.gpm.la_cdf`, which return them as they are: the seams where
-the benchmark's tracer counts events.
+the benchmark's tracer counts events.  A position whose events carry no
+law (its beam lights no GBS) takes the same path: an empty stack folds
+to a record of no laws, which every read takes as an empty array.
 
 Spatial coverage averages the per-point non-outage probability over a
 deterministic sampling grid, optionally across altitudes by trapezoidal
@@ -261,19 +263,17 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
     The interferers of event e are the other GBSs of its serving band,
     one row each in ascending id order (a GBS alone in its band gets an
     empty sum, interference 0), then silent rows (value 0, mass 1 at 0)
-    up to K, one less than the largest serving band; ``GpmSpec.trimmed``
-    cuts them off again.  Each interferer is silent with probability
+    up to K, one less than the largest serving band.  Each interferer is
+    silent with probability
     1 - omega; when active it contributes its NLoS gain if the event
     forces it NLoS, otherwise its NLoS/LoS gain split by its LoS
     probability.  ``omega`` is a scalar or a per-GBS array indexed by
-    id.  No events give an empty stack.
+    id.  No events give the empty (0, 0, 3) stack.
     """
     if table.c_los.ndim != 1:
         raise ValueError("conditional_interference_specs reads one position's table, not a block")
     serving, forced = np.asarray(serving, dtype=np.intp), np.asarray(forced, dtype=np.intp)
     n = len(table)
-    if serving.size == 0:
-        return GpmSpec(np.zeros((0, 0, 3)), np.zeros((0, 0, 3)))
     if ((serving < 0) | (serving >= n)).any():
         raise ValueError("an event without a serving GBS has no interference law")
     if ((forced < 0) | (forced > n)).any():
@@ -284,7 +284,7 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
     first = np.cumsum(size) - size      # each band's first place in by_band
     band = table.band[serving]
     # event e's interferers: its band's places in by_band but its server's
-    place = first[band, None] + np.arange(size[band].max() - 1)
+    place = first[band, None] + np.arange(size[band].max(initial=1) - 1)
     place += place >= np.argsort(by_band)[table.gbs_id[serving], None]
     real = place < (first + size)[band, None]
     ids = by_band[np.where(real, place, 0)]
@@ -298,8 +298,8 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
 
 
 def conditional_interference_spec(spec: GpmSpec) -> GpmSpec:
-    """Returns ``spec``, one event's interference sum as
-    :func:`conditional_interference_specs` built it.
+    """Returns ``spec``, one event's interference sum, its row of the
+    stack :func:`conditional_interference_specs` built, padding included.
     :func:`downlink_snr_cdf` hands each event's sum through here, one
     event per call, so that the benchmark's tracer can count specs and
     summands; ROADMAP item 3 deletes this seam with the tracer's
@@ -312,14 +312,19 @@ class DownlinkSnrCdf:
     """Mixture cdf of the downlink SNR over association events: their
     (E,) ``probability`` and ``gain`` arrays in event order, and the
     interference ``laws`` of the events of nonzero gain, in order, as one
-    :class:`~uavcov.gpm.LatticeLaws` record.
+    :class:`~uavcov.gpm.LatticeLaws` record, of no laws when no event has
+    a gain.
 
-    Evaluation is exact given each event's interference law:
+    Evaluation is exact given each event's interference law, at any
+    y >= 0 (a negative or NaN y is an error):
     P{snr <= y} = sum_e P_e * P{I_e >= C_e / y - alpha0}, the terms added
-    in event order.  Every law is read at every y in one (L, T) pass, bit
-    for bit the stepped cdf (``to_cdf``) of each, from the running sums
-    the record builds on its first read (:meth:`~uavcov.gpm.LatticeLaws.cdf`)
-    and keeps for every later one.  With s the largest displacement of
+    in event order.  An event of gain 0 has snr 0, so all of its
+    probability is at or below every y >= 0, and below every y > 0.  At
+    y = 0, C_e / 0 = +inf, so ``eval(0)`` is the mass of the events of
+    gain 0 and ``eval_left(0)`` is 0.  Every law is read at every y in
+    one (L, T) pass, bit for bit the stepped cdf (``to_cdf``) of each,
+    from the running sums the record builds on its first read
+    (:meth:`~uavcov.gpm.LatticeLaws.cdf`) and keeps for every later one.  With s the largest displacement of
     the laws (``laws.displacement.max(initial=0.0)``), the exact law lies
     between the mixtures at alpha0 - s and alpha0 + s.
     """
@@ -331,22 +336,22 @@ class DownlinkSnrCdf:
 
     def _mixture(self, y, strict: bool) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        if not np.all(ys > 0):
-            raise ValueError("SNR cdf is evaluated at positive y only")
+        if not np.all(ys >= 0):
+            raise ValueError("SNR cdf is evaluated at y >= 0 only")
         flat = ys.ravel()
         probability = self.probability
-        # each event's part of P{snr <= y}: all of its probability when it
-        # carries no interference law
-        part = np.repeat(probability[:, None], flat.size, axis=1)
-        if len(self.laws):
-            laws = self.gain != 0.0
-            # a y so small that C / y overflows gives c = +inf, the exact
-            # limit: P{I >= inf} = 0
-            with np.errstate(over="ignore"):
-                c = self.gain[laws, None] / flat - self.alpha0
-            # snr <= y iff I >= c, and snr < y iff I > c
-            below_c = self.laws.cdf(c, left=not strict)
-            part[laws] = probability[laws, None] * (1.0 - below_c)
+        # each event's part of P{snr <= y}: an event without an interference
+        # law has snr 0, so all of its probability, but at y = 0 none of it
+        # to P{snr < y}
+        part = probability[:, None] * (np.less if strict else np.less_equal)(0.0, flat)
+        laws = self.gain != 0.0
+        # a y so small that C / y overflows, or y = 0, gives c = +inf, the
+        # exact limit: P{I >= inf} = 0
+        with np.errstate(over="ignore", divide="ignore"):
+            c = self.gain[laws, None] / flat - self.alpha0
+        # snr <= y iff I >= c, and snr < y iff I > c
+        below_c = self.laws.cdf(c, left=not strict)
+        part[laws] = probability[laws, None] * (1.0 - below_c)
         # running sums add the events strictly in order, whatever the
         # number of thresholds (a sum over an (E, 1) array may pair them)
         out = np.cumsum(part, axis=0)[-1] / np.cumsum(probability)[-1]
@@ -389,9 +394,9 @@ def downlink_snr_cdf(
     The events of nonzero gain form one stack of sums, built by
     :func:`conditional_interference_specs`, whose laws are quantized and
     folded, then inverted in chunks of events of one lattice length, by
-    :func:`~uavcov.gpm.la_folds` into one record; each event's sum,
-    trimmed to its own K_e interferer rows, and its law, row e of the
-    record, are then handed through the tracer seams
+    :func:`~uavcov.gpm.la_folds` into one record; each event's sum, its
+    row e of the stack, and its law, row e of the record, are then handed
+    through the tracer seams
     :func:`conditional_interference_spec` and :func:`~uavcov.gpm.la_cdf`.
     Each law equals that of its stack of one, displacement included, so
     the output does not depend on where the chunks end.
@@ -400,12 +405,11 @@ def downlink_snr_cdf(
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     events = association_pmf(table, eps)
     gaining = np.flatnonzero(events.gain != 0.0)
-    serving, forced = events.serving[gaining], events.forced[gaining]
-    specs = conditional_interference_specs(table, omega, serving, forced)
-    interferers = np.bincount(table.band)[table.band[serving]] - 1
+    specs = conditional_interference_specs(table, omega, events.serving[gaining],
+                                           events.forced[gaining])
     laws = la_folds(specs, c0)
-    # each event's sum and law pass through the tracer seams as built
-    for spec, law in zip(specs.trimmed(interferers), laws):
+    # each event's stack row and law pass through the tracer seams as built
+    for spec, law in zip(specs, laws):
         la_cdf(conditional_interference_spec(spec), law)
     return DownlinkSnrCdf(events.probability, events.gain, laws, alpha0)
 

@@ -47,8 +47,10 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     that at least halves the entries the sum transforms.
     ``LatticeLaws.cdf`` reads the cdfs of a record's laws at once, bit for
     bit their ``to_cdf`` stepped cdfs, from running sums of its pmf
-    matrix built once for any number of reads.  ``la_cdf`` hands a law
-    through unchanged: the one-event seam the benchmark's tracer counts.
+    matrix built once for any number of reads; a record of no laws, the
+    laws of an empty stack, reads an (E, T) x of no rows as an empty array.
+    ``la_cdf`` hands an event's stack row and its law through unchanged:
+    the one-event seam the benchmark's tracer counts.
 
   * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
     states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
@@ -246,22 +248,6 @@ class GpmSpec:
         return object.__new__(GpmSpec)._hold(
             self.values[e], self.probs[e], self.offset[e], self.span[e]
         )
-
-    def trimmed(self, counts) -> list[GpmSpec]:
-        """Each sum e of a stack as its first ``counts[e]`` rows.  The
-        rows cut must be point masses at 0 (every value 0), which add
-        exactly 0 to the offset and span, so each sum equals ``GpmSpec``
-        of its rows."""
-        counts = np.asarray(counts, dtype=np.intp)
-        k = self.values.shape[1]
-        if self.values.ndim != 3 or counts.shape != (len(self),) or (
-                (counts < 0) | (counts > k)).any():
-            raise ValueError(f"need a stack and one row count in [0, {k}] per sum")
-        if (self.values[np.arange(k) >= counts[:, None]] != 0.0).any():
-            raise ValueError("only rows that are point masses at 0 can be trimmed off")
-        return [object.__new__(GpmSpec)._hold(v[:count], p[:count], offset, span)
-                for v, p, offset, span, count in zip(self.values, self.probs, self.offset.tolist(),
-                                                     self.span.tolist(), counts.tolist())]
 
     def _one_sum(self, reader: str) -> GpmSpec:
         """This spec, if it is one sum: ``reader`` would pool a stack's rows."""
@@ -525,7 +511,7 @@ def _lattice_counts(tops: np.ndarray, scale, offset, x: np.ndarray, left: bool) 
     bisection."""
     below = np.less if left else np.less_equal
     count = np.zeros(x.shape, dtype=np.intp)
-    step = 1 << int(tops.max() + 1).bit_length()
+    step = 1 << int(tops.max(initial=0) + 1).bit_length()
     while step := step >> 1:
         more = count + step     # are points 0..more-1 all at or below x?
         take = (more <= tops[:, None] + 1) & below((more - 1) / scale + offset, x)
@@ -551,7 +537,8 @@ class LatticeLaws:
     adds an exact zero, so it equals ``to_cdf``'s sum over the support;
     points that round to one float fall on one side of any x together,
     as ``to_cdf``'s shared jump does.  The running sums are built on the
-    first read and kept, read-only, for every later one."""
+    first read and kept, read-only, for every later one.  A record of no
+    laws reads an x of no rows as a (0, T) array."""
 
     offset: np.ndarray
     scale: np.ndarray
@@ -647,7 +634,8 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
     rows are gathered and inverted before the next chunk's, so
     ``CHUNK_ENTRIES`` bounds the dense rows and the transforms.  Each
     sum keeps its own mass floor and renormalisation, so its pmf is bit
-    for bit that of its stack of one.  An empty stack has no laws.
+    for bit that of its stack of one.  An empty stack gives a record of
+    no laws.
 
     The fold takes each sum's live rows in whole groups of g; slots past
     a group's rows are point masses at 0 (lattice 0, masses [1, 0, ...]),
@@ -658,7 +646,8 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
     pads each sum's folded rows with it up to the chunk's most.  The rows
     reach ``lattice_invert`` as points and masses, which it checks in
     that form before it scatters them.  A sum without live rows has
-    N = 1 and is that point mass.
+    N = 1: it gathers one row, that point mass, which is inverted on one
+    point as any other chunk is inverted.
 
     Most live rows of a long sum reach a few lattice units into N.  On
     N >= ``SPLIT_MIN_N`` a sum's tail, its live rows of least top (ties
@@ -760,17 +749,15 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
 
     def gathered(first: np.ndarray, count: np.ndarray):
         """Each sum's folded rows first[s] .. first[s] + count[s] - 1, then
-        point masses at 0 up to the most: (S, G, A) masses and points."""
-        j = np.arange(int(count.max()))
+        point masses at 0 up to the most, and at least one: (S, G, A)
+        masses and points."""
+        j = np.arange(max(1, int(count.max())))
         rows = np.where(j < count[:, None], first[:, None] + j, run.size)
         return fold_mass[rows], fold_points[rows]
 
     pmf = np.zeros((len(span), int(total_tops.max(initial=0)) + 1))
     for a, b in _chunks(entries.tolist(), list(zip(ns.tolist(), split.tolist()))):
         n = int(ns[a])
-        if n == 1:      # no live rows: the point mass at 0
-            pmf[a:b, 0] = 1.0
-            continue
         mass, points = gathered(first_group[2 * a + 1:2 * b:2], heads[a:b])
         if split[a]:
             # one more row: each sum's light tail, on points 0..n/4-1
@@ -796,8 +783,9 @@ def la_folds(spec: GpmSpec, c0: float) -> LatticeLaws:
 
 def la_cdf(spec: GpmSpec, law: LatticeLaws) -> LatticeLaws:
     """Returns ``law``, the lattice law of the sum ``spec`` as
-    ``la_folds`` built it.  ``downlink_snr_cdf`` hands each event's sum
-    and law through here, one event per call, so that the benchmark's
+    ``la_folds`` built it.  ``downlink_snr_cdf`` hands each event's sum,
+    its row of the position's stack, padding included, and its law
+    through here, one event per call, so that the benchmark's
     tracer can count them; ROADMAP item 3 deletes this seam with the
     tracer's per-event counters."""
     return law

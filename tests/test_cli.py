@@ -659,6 +659,17 @@ def test_validate_downlink_joint_enum_runs(tmp_path, capsys, monkeypatch):
     assert built == [8]
 
 
+def test_validate_downlink_joint_enum_where_no_gbs_is_lit(tmp_path, capsys):
+    # a 5-degree beam lights none of the 7 GBSs: the exact law is the point
+    # mass at SNR 0, and the envelope probes the mixture at y = 0
+    cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 500\n"
+                                   "[uav_antenna]\nhalf_beamwidth_deg = 5\n")
+    rc = main(["validate", "--config", cfg_path, "--mode", "downlink-vs-joint-enum"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "PASS downlink-vs-joint-enum" in out and "envelope=0.000e+00" in out
+
+
 def test_validate_downlink_vs_mc(tmp_path, capsys):
     # the lattice outage at the configured position and threshold against
     # 2e5 MC draws: within the DKW radius plus the tolerance on TINY

@@ -50,6 +50,7 @@ from uavcov.coverage import (
     uplink_snr_pmf,
 )
 from uavcov.gpm import (
+    GpmSpec,
     SteppedCdf,
     enumerate_cdf,
     kolmogorov_distance,
@@ -741,12 +742,68 @@ def test_stacked_law_negative_controls():
 
 
 def test_empty_stacks():
+    # no events build the (0, 0, 3) stack by the general path, which folds
+    # to a record of no laws, read as an empty (0, T) array
     table = link_table(MIXED_ROWS)
     empty = conditional_interference_specs(table, 0.5, [], [])
-    assert len(empty) == 0 and empty.values.ndim == 3
-    assert list(la_folds(empty, 1000.0)) == []
+    assert empty.values.shape == empty.probs.shape == (0, 0, 3)
+    assert (empty.offset.shape, empty.span.shape) == ((0,), (0,))
+    laws = la_folds(empty, 1000.0)
+    assert len(laws) == 0 and list(laws) == [] and list(empty) == []
+    for left in (False, True):
+        assert laws.cdf(np.zeros((0, 4)), left=left).shape == (0, 4)
+    # negative controls: the empty record still refuses an x with a row,
+    # and a stack of one event reads one row
+    with pytest.raises(ValueError, match=r"x must be an \(E, T\) array, E = 0"):
+        laws.cdf(np.zeros((1, 4)))
+    one = la_folds(conditional_interference_specs(table, 0.5, [0], [0]), 1000.0)
+    assert one.cdf(np.zeros((1, 4))).shape == (1, 4)
     with pytest.raises(ValueError, match="c0 must be >= 1"):
         la_folds(empty, 0.5)
+
+
+def test_silent_sums_invert_on_one_point_like_any_other(monkeypatch):
+    # at loading 0 every interferer row is the point mass at 0: a sum with
+    # no live rows has N = 1, and its chunk inverts one point-mass row on
+    # n = 1 as any other chunk is inverted, alone and between sums of
+    # other N, whatever the chunk size
+    table = link_table(MIXED_ROWS)
+    events = association_pmf(table)
+    gaining = gaining_events(events)
+    serving, forced = events.serving[gaining], events.forced[gaining]
+    silent = conditional_interference_specs(table, 0.0, serving, forced)
+    busy = conditional_interference_specs(table, 0.6, serving, forced)
+    # silent and busy sums alternate in one stack
+    shape = (-1,) + silent.values.shape[1:]
+    mixed = GpmSpec(np.stack([silent.values, busy.values], axis=1).reshape(shape),
+                    np.stack([silent.probs, busy.probs], axis=1).reshape(shape))
+    lengths = []
+    invert = gpm.lattice_invert
+    monkeypatch.setattr(gpm, "lattice_invert",
+                        lambda mass, n, points: lengths.append(n) or invert(mass, n, points))
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(gpm, "CHUNK_ENTRIES", chunk)
+        for stack, every in ((silent, 1), (mixed, 2)):
+            lengths.clear()
+            laws = la_folds(stack, 40.0)
+            assert 1 in lengths
+            for law in list(laws)[::every]:
+                assert (law.offset.tolist(), law.scale.tolist(), law.top.tolist(),
+                        law.pmf.tolist(), law.displacement.tolist()) == (
+                            [0.0], [1.0], [0], [[1.0]], [0.0])
+            assert not laws.pmf[::every, 1:].any()
+        # each busy sum keeps the law of its stack of one
+        busy_laws = list(la_folds(mixed, 40.0))[1::2]
+        assert [law_bits(law) for law in busy_laws] == [
+            law_bits(la_folds(spec, 40.0)) for spec in busy]
+        # on lattices longer than one point (GBS 6, alone in band 2, has none)
+        assert sum(law.top[0] > 0 for law in busy_laws) == len(busy_laws) - 1
+    # negative control: the point mass comes out of the inversion, not a
+    # branch around it; with no mass from n = 1 the laws fail their check
+    monkeypatch.setattr(gpm, "lattice_invert",
+                        lambda mass, n, points: invert(mass, n, points) * (n > 1))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="pmf must be"):
+        la_folds(silent, 40.0)
 
 
 def test_downlink_builds_one_stack_per_position(monkeypatch):
@@ -888,12 +945,27 @@ def test_each_law_passes_through_the_per_event_functions(monkeypatch):
     assert all(args == (result,) for _, args, result in seen[::2])
     specs = [result for _, _, result in seen[::2]]
     assert all(args[0] is spec for (_, args, _), spec in zip(seen[1::2], specs))
-    # each spec is its event's sum, trimmed to its own rows: bit for bit
-    # the event's stack of one
-    for spec, e in zip(specs, gaining):
-        alone = event_spec(table, 0.6, events, e)
+    # each spec is its event's row of the position's stack, bit for bit:
+    # K rows, one less than the largest band, silent padding included
+    stack = conditional_interference_specs(table, 0.6, events.serving[gaining],
+                                           events.forced[gaining])
+    k = int(np.bincount(table.band).max()) - 1
+    assert len(specs) == len(stack)
+    # its first K_e rows are the event's stack of one, the rest point
+    # masses at 0, which add nothing to its offset and span
+    padded = 0
+    for spec, row, e in zip(specs, stack, gaining):
+        assert len(spec) == k
         assert (spec.values.tobytes(), spec.probs.tobytes(), spec.offset, spec.span) == (
-            alone.values.tobytes(), alone.probs.tobytes(), alone.offset, alone.span)
+            row.values.tobytes(), row.probs.tobytes(), row.offset, row.span)
+        alone = event_spec(table, 0.6, events, e)
+        own = len(alone)
+        padded += own < k
+        assert (spec.values[:own].tobytes(), spec.probs[:own].tobytes(), spec.offset,
+                spec.span) == (alone.values.tobytes(), alone.probs.tobytes(), alone.offset,
+                               alone.span)
+        assert not spec.values[own:].any() and (spec.probs[own:, 0] == 1.0).all()
+    assert padded > 0
     # each la_cdf call returned its event's law of the model's record: a
     # view on its row, no copy, bit for bit what indexing the record reads
     laws = [result for _, args, result in seen[1::2] if result is args[1]]
@@ -996,6 +1068,27 @@ def test_downlink_zero_gain_term():
     model = downlink_snr_cdf(table, 0.5, 1.0, c0=1000.0)
     assert model.eval(1e-6) == 1.0
     assert model.outage(123.0) == 1.0
+
+
+def test_position_that_lights_no_gbs(tmp_path):
+    # a 5-degree UAV beam over the 7-site scene lights no GBS: the one
+    # event has no gain and no law, and the SNR is 0 surely
+    cfg = load_scenario(tmp_path, "[layout]\nradius_m = 500\n"
+                                  "[uav_antenna]\nhalf_beamwidth_deg = 5\n")
+    table = configured_table(cfg, (cfg.uav_x, cfg.uav_y, cfg.uav_altitude))
+    model = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, c0=cfg.lattice_target_c0)
+    assert table.c_los.max() == 0.0 and model.gain.tolist() == [0.0]
+    assert len(model.laws) == 0
+    ts = np.geomspace(1e-9, 1e9, 19)
+    assert model.outage(ts).tolist() == [1.0] * 19
+    assert model.eval(0.0) == 1.0 and model.eval_left(0.0) == model.outage(0.0) == 0.0
+    # negative controls: a law-carrying event reads none of its mass at
+    # y = 0, and the mass of the SNR-0 events is read, not a constant
+    lit = downlink_snr_cdf(link_table(MICRO_ROWS), 0.5, 0.5, c0=960.0)
+    assert len(lit.laws) > 0 and lit.eval(0.0) == 0.0
+    half = downlink_snr_cdf(link_table(NO_NLOS_ROWS), 0.5, 0.1, c0=1000.0)
+    assert half.eval(0.0) == 0.25 and half.eval_left(0.0) == 0.0
+    assert half.outage(1e-12) == 0.25
 
 
 # LoS gain but no NLoS gain: when both rows are NLoS the SNR is 0, else the
@@ -1114,12 +1207,14 @@ def test_downlink_grid_and_validation():
     vals = model.eval(grid)
     assert vals.shape == model.eval_left(grid).shape == (51,)
     assert [model.eval(y) for y in grid[::10]] == vals[::10].tolist()
-    with pytest.raises(ValueError):
-        model.eval(0.0)
-    with pytest.raises(ValueError):
-        model.outage(-1.0)
-    with pytest.raises(ValueError, match="positive y only"):
-        model.outage(np.array([1.0, math.nan]))
+    # every event carries a law, so no SNR is 0: C / 0 reads I >= inf
+    assert model.eval(0.0) == model.eval_left(0.0) == model.outage(0.0) == 0.0
+    assert model.eval(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    for bad in (-1.0, -5e-324, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match=r"y >= 0 only"):
+            model.outage(bad)
+        with pytest.raises(ValueError, match=r"y >= 0 only"):
+            model.eval(bad)
     with pytest.raises(ValueError):
         downlink_snr_cdf(table, 0.5, 0.0, c0=1000.0)
     # NaN passed `alpha0 <= 0` and read outage 1 at every threshold

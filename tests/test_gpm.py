@@ -315,32 +315,6 @@ def test_padding_sits_on_row_minimum():
     assert summand.probs.tolist() == [0.5, 0.5]
 
 
-def test_trimmed_sums_equal_their_rows():
-    # a stack of sums of 4, 2 and 0 rows, padded to K = 4 with point masses
-    # at 0 (padding entries anywhere): each trimmed sum is GpmSpec of its rows
-    rng = np.random.default_rng(71)
-    values, probs = np.zeros((3, 4, 3)), np.zeros((3, 4, 3))
-    probs[:, :, 0] = 1.0
-    for e, k in enumerate((4, 2)):
-        values[e, :k] = rng.uniform(0.0, 5.0, size=(k, 3))
-        probs[e, :k] = rng.dirichlet(np.ones(3), size=k)
-    probs[1, 3] = [0.0, 1.0, 0.0]
-    stack = GpmSpec(values, probs)
-    for e, (spec, k) in enumerate(zip(stack.trimmed([4, 2, 0]), (4, 2, 0))):
-        want = GpmSpec(values[e, :k], probs[e, :k])
-        assert spec.values.tobytes() == want.values.tobytes()
-        assert spec.probs.tobytes() == want.probs.tobytes()
-        assert (spec.offset, spec.span) == (want.offset, want.span)
-    # a row that is not a point mass at 0 cannot be cut, nor a count off the stack
-    with pytest.raises(ValueError, match="point masses at 0"):
-        stack.trimmed([3, 2, 0])
-    for counts in ([4, 2], [4, 2, -1], [5, 2, 0]):
-        with pytest.raises(ValueError, match="one row count in"):
-            stack.trimmed(counts)
-    with pytest.raises(ValueError, match="need a stack"):
-        stack[0].trimmed([4, 4, 4, 4])
-
-
 def test_summand_arrays_read_only():
     s = DiscreteSummand([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import math
 import sys
@@ -48,16 +47,17 @@ from .coverage import (
     uplink_snr_pmf,
 )
 from .geometry import write_layout_csv
-from .gpm import (
-    SteppedCdf,
+from .gpm import la_folds
+from .oracles import (
+    downlink_cdf_enumeration,
+    downlink_outage_mc,
     enumerate_cdf,
     envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
-    la_folds,
     mc_cdf,
+    uplink_pmf_enumeration,
 )
-from .oracles import downlink_cdf_enumeration, downlink_outage_mc, uplink_pmf_enumeration
 from .units import db_to_linear
 
 EXIT_OK = 0
@@ -292,18 +292,12 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
 
     if mode == "downlink-vs-joint-enum":
         # The exact law lies between the mixtures at alpha0 -/+ the largest
-        # displacement of its laws (widened by 1e-9 relative for float
-        # noise); the plain sup distance reads whole atoms even for an
-        # exact mixture.
+        # displacement of its laws; the plain sup distance reads whole
+        # atoms even for an exact mixture.
         table = _configured_table(cfg)
         approx = downlink_snr_cdf(table, cfg.loading, cfg.alpha0, c0=cfg.lattice_target_c0)
         oracle = downlink_cdf_enumeration(table, cfg.loading, cfg.alpha0)
-        s = float(approx.laws.displacement.max(initial=0.0)) * (1.0 + 1e-9)
-        excess = envelope_excess(
-            oracle,
-            dataclasses.replace(approx, alpha0=cfg.alpha0 - s),
-            dataclasses.replace(approx, alpha0=cfg.alpha0 + s),
-        )
+        excess = envelope_excess(oracle, *approx.envelope())
         ok = excess <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} downlink-vs-joint-enum: excess over the "
               f"alpha0 -/+ M/(2 beta) envelope={excess:.3e} tolerance={tolerance:.3e}; "
@@ -321,13 +315,10 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     la = law.to_cdf()
     # The lattice moves each atom by at most its displacement M / (2 beta)
     # and promises no more, so the oracle is held to the lattice cdf moved
-    # that far either way (widened by 1e-9 relative for float noise); the
-    # plain sup distance reads the mass of any displaced atom and is
-    # printed for information.
-    s = float(law.displacement[0]) * (1.0 + 1e-9)
-    lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
+    # that far either way; the plain sup distance reads the mass of any
+    # displaced atom and is printed for information.
     oracle = _law(mode.partition("-vs-")[2], spec, cfg, args)
-    dist = envelope_excess(oracle, lo, hi)
+    dist = envelope_excess(oracle, *law.envelope())
     plain = kolmogorov_distance(oracle, la)
     if mode == "ga-vs-enum":
         ga_dist = kolmogorov_distance(oracle, _law("ga", spec, cfg, args))

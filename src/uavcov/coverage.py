@@ -69,7 +69,7 @@ point of the orbit; downlink laws are built at every point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Sequence
@@ -185,10 +185,10 @@ class UplinkSnrPmf:
         """P{snr < threshold} (strict: mass exactly at the threshold is
         not outage).  Normalised by the total mass, so it is exactly 0 or
         1 when no atom or every atom lies below the threshold; clipped to
-        [0, 1] against float roundoff in between.  A threshold at or
-        below 0 reads 0, exactly; NaN is an error."""
-        if np.isnan(threshold):
-            raise ValueError("SNR threshold must not be NaN")
+        [0, 1] against float roundoff in between.  A threshold of 0
+        reads 0, exactly; a negative or NaN threshold is an error."""
+        if not threshold >= 0:
+            raise ValueError("SNR thresholds must be >= 0 and must not be NaN")
         below = float(self.probs[self.values < threshold].sum())
         return min(1.0, max(0.0, below / float(self.probs.sum())))
 
@@ -225,13 +225,13 @@ def uplink_outage(table: LinkTable, beta0: float, thresholds, eps: float = 0.0) 
     outage(t) = [t > beta0 * C_NL_max] * pre[min(K, stop)], with K the
     number of rows whose LoS atom beta0 * c_los is at or above t.  A
     position whose every gain is 0 reads K = 0, so outage [t > 0].  A
-    NaN threshold is an error.
+    threshold of 0 reads 0; a negative or NaN threshold is an error.
     """
     if not beta0 > 0:
         raise ValueError(f"beta0 must be positive, got {beta0}")
     ts = np.asarray(thresholds, dtype=float)
-    if np.isnan(ts).any():
-        raise ValueError("SNR thresholds must not be NaN")
+    if not (ts >= 0).all():
+        raise ValueError("SNR thresholds must be >= 0 and must not be NaN")
     pre, stop = association_walk(table, eps)
     c_nlos_max = np.max(table.c_nlos, axis=-1, keepdims=True)
     served = _walked_rows_at_or_above(beta0 * table.c_los, stop, ts)
@@ -268,11 +268,15 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
     1 - omega; when active it contributes its NLoS gain if the event
     forces it NLoS, otherwise its NLoS/LoS gain split by its LoS
     probability.  ``omega`` is a scalar or a per-GBS array indexed by
-    id.  No events give the empty (0, 0, 3) stack.
+    id.  No events give the empty (0, 0, 3) stack; ``serving`` and
+    ``forced`` of other shapes or lengths are refused.
     """
     if table.c_los.ndim != 1:
         raise ValueError("conditional_interference_specs reads one position's table, not a block")
     serving, forced = np.asarray(serving, dtype=np.intp), np.asarray(forced, dtype=np.intp)
+    if serving.ndim != 1 or forced.shape != serving.shape:
+        raise ValueError("serving and forced need one entry per event each, got shapes "
+                         f"{serving.shape} and {forced.shape}")
     n = len(table)
     if ((serving < 0) | (serving >= n)).any():
         raise ValueError("an event without a serving GBS has no interference law")
@@ -324,9 +328,9 @@ class DownlinkSnrCdf:
     gain 0 and ``eval_left(0)`` is 0.  Every law is read at every y in
     one (L, T) pass, bit for bit the stepped cdf (``to_cdf``) of each,
     from the running sums the record builds on its first read
-    (:meth:`~uavcov.gpm.LatticeLaws.cdf`) and keeps for every later one.  With s the largest displacement of
-    the laws (``laws.displacement.max(initial=0.0)``), the exact law lies
-    between the mixtures at alpha0 - s and alpha0 + s.
+    (:meth:`~uavcov.gpm.LatticeLaws.cdf`) and keeps for every later one.
+    With s the largest displacement of the laws, the exact law lies
+    between the mixtures at alpha0 - s and alpha0 + s (``envelope``).
     """
 
     probability: np.ndarray
@@ -378,6 +382,13 @@ class DownlinkSnrCdf:
         """P{snr < threshold} (strict), i.e. ``eval_left(threshold)``:
         a float for a scalar threshold, an array for an array of them."""
         return self.eval_left(threshold)
+
+    def envelope(self) -> tuple[DownlinkSnrCdf, DownlinkSnrCdf]:
+        """The mixtures at alpha0 - s and at alpha0 + s, s the largest
+        displacement of the laws (0 for no laws) widened by 1e-9 relative
+        for float noise: the exact law lies between the two."""
+        s = float(self.laws.displacement.max(initial=0.0)) * (1.0 + 1e-9)
+        return replace(self, alpha0=self.alpha0 - s), replace(self, alpha0=self.alpha0 + s)
 
 
 def downlink_snr_cdf(

@@ -49,19 +49,14 @@ sum has up to L^K atoms, so beyond toy sizes it is recovered numerically:
     bit their ``to_cdf`` stepped cdfs, from running sums of its pmf
     matrix built once for any number of reads; a record of no laws, the
     laws of an empty stack, reads an (E, T) x of no rows as an empty array.
+    ``LatticeLaws.envelope`` moves one law's stepped cdf by its
+    displacement either way; the exact cdf lies between the two.
     ``la_cdf`` hands an event's stack row and its law through unchanged:
     the one-event seam the benchmark's tracer counts.
 
-  * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
-    states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
-    (moment-matched normal truncated to x >= 0) serve as accuracy
-    baselines.  They and ``GpmSpec.mean``, ``variance`` and ``summands``
-    read one sum and refuse a stack, whose rows they would pool.
-
-  * ``envelope_excess`` is the one accuracy check: how far an oracle cdf
-    leaves an envelope [lo, hi].  Lattice laws are held to their own cdf
-    moved by their ``displacement`` either way; ``kolmogorov_distance``
-    is the envelope of zero width, the plain sup distance.
+``GpmSpec.mean``, ``variance`` and ``summands`` read one sum and refuse a
+stack, whose rows they would pool.  The reference laws and the accuracy
+check the lattice laws are held to are in ``uavcov.oracles``.
 
 Cumulative distributions follow the F(x) = P{X <= x} convention
 throughout; ``SteppedCdf.eval_left`` gives the open variant P{X < x}.
@@ -76,8 +71,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# Relative spacing below which two atom values are considered one atom.
-VALUE_MERGE_RTOL = 1e-12
 # Inversion noise floor: more negative pmf mass than this means the rows
 # were not pmfs on the lattice, not roundoff.
 NEGATIVE_PMF_TOL = 1e-8
@@ -99,9 +92,6 @@ FFT_MASS_FLOOR = 1e-12
 # the FFT: a row's top sits a few units into a length-N lattice, so a group
 # costs one length-N spectrum instead of g.
 FOLD_ATOMS = 81
-
-# enumerate_cdf refuses specs with more joint states than this.
-ENUMERATION_CAP = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +239,7 @@ class GpmSpec:
             self.values[e], self.probs[e], self.offset[e], self.span[e]
         )
 
-    def _one_sum(self, reader: str) -> GpmSpec:
+    def one_sum(self, reader: str) -> GpmSpec:
         """This spec, if it is one sum: ``reader`` would pool a stack's rows."""
         if self.values.ndim != 2:
             raise ValueError(f"{reader} reads one sum, not a stack of {len(self)}; pass stack[e]")
@@ -259,7 +249,7 @@ class GpmSpec:
     def summands(self) -> tuple[DiscreteSummand, ...]:
         """Each row of one sum as a summand, duplicate values (and padding) merged."""
         terms = []
-        for row_values, row_probs in zip(self._one_sum("GpmSpec.summands").values, self.probs):
+        for row_values, row_probs in zip(self.one_sum("GpmSpec.summands").values, self.probs):
             values, at = np.unique(row_values, return_inverse=True)
             terms.append(DiscreteSummand(values, np.bincount(at, weights=row_probs)))
         return tuple(terms)
@@ -268,10 +258,10 @@ class GpmSpec:
         return self.values.shape[0]
 
     def mean(self) -> float:
-        return float((self._one_sum("GpmSpec.mean").values * self.probs).sum())
+        return float((self.one_sum("GpmSpec.mean").values * self.probs).sum())
 
     def variance(self) -> float:
-        means = (self._one_sum("GpmSpec.variance").values * self.probs).sum(axis=1, keepdims=True)
+        means = (self.one_sum("GpmSpec.variance").values * self.probs).sum(axis=1, keepdims=True)
         return float(((self.values - means) ** 2 * self.probs).sum())
 
 
@@ -380,28 +370,6 @@ class SteppedCdf:
         object.__setattr__(self, "xs", x)
         object.__setattr__(self, "cum", c)
 
-    @classmethod
-    def from_pmf(cls, values, probs) -> "SteppedCdf":
-        """Sort atoms, coalesce values within ``VALUE_MERGE_RTOL``
-        relative spacing, and accumulate."""
-        v = np.asarray(values, dtype=float)
-        p = np.asarray(probs, dtype=float)
-        order = np.argsort(v, kind="stable")
-        v = v[order]
-        p = p[order]
-        keep_v = [v[0]]
-        keep_p = [p[0]]
-        for value, prob in zip(v[1:], p[1:]):
-            tol = VALUE_MERGE_RTOL * max(abs(value), abs(keep_v[-1]))
-            if value - keep_v[-1] <= tol:
-                keep_p[-1] += prob
-            else:
-                keep_v.append(value)
-                keep_p.append(prob)
-        cum = np.cumsum(keep_p)
-        cum /= cum[-1]
-        return cls(np.array(keep_v), cum)
-
     def eval(self, x) -> np.ndarray:
         """P{X <= x} (vectorised)."""
         idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right")
@@ -415,9 +383,6 @@ class SteppedCdf:
         idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="left")
         padded = np.concatenate([[0.0], self.cum])
         return padded[idx]
-
-    def jump_sizes(self) -> np.ndarray:
-        return np.diff(self.cum, prepend=0.0)
 
 
 def _check_laws(offset: np.ndarray, scale: np.ndarray, top: np.ndarray, pmf: np.ndarray,
@@ -592,6 +557,15 @@ class LatticeLaws:
         last = np.append(xs[1:] > xs[:-1], True)
         # dividing by the last partial sum makes the cdf end at exactly 1
         return SteppedCdf(xs[last], cum[last] / cum[-1])
+
+    def envelope(self) -> tuple[SteppedCdf, SteppedCdf]:
+        """The ``to_cdf`` of a record of one law moved by +s and by -s, s
+        its displacement widened by 1e-9 relative for float noise: no atom
+        of the sum lies further than the displacement from its lattice
+        point, so the exact cdf lies between the two."""
+        la = self.to_cdf()
+        s = float(self.displacement[0]) * (1.0 + 1e-9)
+        return SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
 
     @functools.cached_property
     def _running(self) -> tuple[np.ndarray, np.ndarray]:
@@ -790,103 +764,3 @@ def la_cdf(spec: GpmSpec, law: LatticeLaws) -> LatticeLaws:
     tracer's per-event counters."""
     return law
 
-
-def enumerate_cdf(spec: GpmSpec) -> SteppedCdf:
-    """Exact cdf by exhaustive convolution of the summands (oracle).
-
-    Refuses specs with more than ``ENUMERATION_CAP`` joint states;
-    intermediate atom lists are coalesced as they grow, which never
-    changes the distribution.
-    """
-    summands = spec._one_sum("enumerate_cdf").summands
-    states = math.prod(s.support_size for s in summands)
-    if states > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration needs {states} joint states, above the cap of {ENUMERATION_CAP}"
-        )
-    values = np.array([0.0])
-    probs = np.array([1.0])
-    for summand in summands:
-        values = (values[:, None] + summand.values[None, :]).ravel()
-        probs = (probs[:, None] * summand.probs[None, :]).ravel()
-        if values.size > 4096:
-            step = SteppedCdf.from_pmf(values, probs)
-            values = step.xs
-            probs = step.jump_sizes()
-    return SteppedCdf.from_pmf(values, probs)
-
-
-def mc_cdf(spec: GpmSpec, n_samples: int, seed: int) -> SteppedCdf:
-    """Empirical cdf of ``n_samples`` seeded draws of the sum."""
-    if n_samples < 1:
-        raise ValueError(f"need at least 1 sample, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    total = np.zeros(n_samples)
-    for row_values, row_probs in zip(spec._one_sum("mc_cdf").values, spec.probs):
-        idx = rng.choice(row_values.size, size=n_samples, p=row_probs)
-        total += row_values[idx]
-    values, counts = np.unique(total, return_counts=True)
-    return SteppedCdf(values, np.cumsum(counts) / n_samples)
-
-
-# standard normal cdf, elementwise
-_ndtr = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[float])
-
-
-@dataclass(frozen=True)
-class GaussianCdf:
-    """Moment-matched normal baseline, truncated to x >= 0 and rescaled to
-    total probability 1 (callable like a cdf)."""
-
-    mean: float
-    std: float
-
-    def __call__(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        if self.std == 0.0:
-            return (xs >= self.mean).astype(float)
-        tail = _ndtr(-self.mean / self.std)
-        raw = _ndtr((xs - self.mean) / self.std)
-        out = (raw - tail) / (1.0 - tail)
-        return np.where(xs < 0.0, 0.0, np.clip(out, 0.0, 1.0))
-
-    def eval_left(self, x) -> np.ndarray:
-        """The left limit: at std = 0 the point mass's step is not yet
-        taken at the mean; otherwise the cdf is continuous there."""
-        if self.std == 0.0:
-            return (np.asarray(x, dtype=float) > self.mean).astype(float)
-        return self(x)
-
-
-def gaussian_cdf(spec: GpmSpec) -> GaussianCdf:
-    return GaussianCdf(spec.mean(), math.sqrt(spec.variance()))
-
-
-def envelope_excess(oracle: SteppedCdf, lo, hi) -> float:
-    """Largest amount by which the stepped ``oracle`` cdf leaves [lo, hi]:
-    the smallest eps >= 0 with lo - eps <= F_oracle <= hi + eps.
-
-    ``lo`` and ``hi`` are stepped or other callable cdfs.  Each jump x of
-    the oracle is probed from both sides: F_oracle(x) against ``lo(x)``
-    and ``hi(x)``, F_oracle(x-) against their ``eval_left(x)`` where they
-    have one (``SteppedCdf``, ``DownlinkSnrCdf``, ``GaussianCdf``), else
-    their value at x, which is the left limit only where they are
-    continuous.  F_oracle is
-    constant between its jumps, so these probes realise the supremum for
-    non-decreasing right-continuous ``lo`` and ``hi``.
-    """
-    x = oracle.xs
-    f, f_left = oracle.eval(x), oracle.eval_left(x)
-    lo_left = getattr(lo, "eval_left", lo)
-    hi_left = getattr(hi, "eval_left", hi)
-    return float(max(
-        np.max(lo(x) - f), np.max(f - hi(x)),
-        np.max(lo_left(x) - f_left), np.max(f_left - hi_left(x)),
-        0.0,
-    ))
-
-
-def kolmogorov_distance(a: SteppedCdf, b) -> float:
-    """sup |F_a - F_b| for a stepped ``a`` and a stepped or callable ``b``:
-    ``a``'s excess over the envelope [b, b]."""
-    return envelope_excess(a, b, b)

@@ -1,4 +1,4 @@
-"""Reference implementations for validation.
+"""Reference laws and accuracy checks for validation.
 
 The enumerations recompute the uplink and downlink SNR distributions by
 brute force over every joint channel-state (and interferer-activity)
@@ -6,18 +6,40 @@ combination; they are exponential in the network size and refuse to run
 past hard caps.  The Monte Carlo downlink oracle draws the same joint
 states at random and so runs at any scene size.  They share no code with
 the production algorithms, so agreement is a meaningful check.
+
+The sum-level references check the lattice laws of :mod:`uavcov.gpm`:
+
+  * ``enumerate_cdf`` (exhaustive, capped at ``ENUMERATION_CAP`` joint
+    states), ``mc_cdf`` (seeded sampling) and ``gaussian_cdf``
+    (moment-matched normal truncated to x >= 0) serve as accuracy
+    baselines.  They read one sum and refuse a stack, whose rows they
+    would pool.
+
+  * ``envelope_excess`` is the one accuracy check: how far an oracle cdf
+    leaves an envelope [lo, hi].  Lattice laws are held to their own cdf
+    moved by their ``displacement`` either way (``envelope`` of a
+    ``LatticeLaws`` record of one law or of a ``DownlinkSnrCdf``);
+    ``kolmogorov_distance`` is the envelope of zero width, the plain sup
+    distance.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LinkTable
 from .coverage import UplinkSnrPmf, loading_by_id
-from .gpm import SteppedCdf
+from .gpm import GpmSpec, SteppedCdf
 
 UPLINK_STATE_CAP = 2**21
 DOWNLINK_STATE_CAP = 2_000_000
+# enumerate_cdf refuses specs with more joint states than this.
+ENUMERATION_CAP = 2_000_000
+# Relative spacing below which two atom values are considered one atom.
+VALUE_MERGE_RTOL = 1e-12
 # Monte Carlo draws made at once, each an (MC_BLOCK, n) array per quantity
 MC_BLOCK = 20_000
 
@@ -87,15 +109,15 @@ def downlink_cdf_enumeration(table: LinkTable, omega, alpha0: float) -> SteppedC
         ws = w_by_id[table.gbs_id[members]]
         m = len(members)
         for pattern in range(2**m):
-            act = (pattern >> np.arange(m)) & 1 if m else np.zeros(0, dtype=int)
-            act_prob = float(np.prod(np.where(act == 1, ws, 1.0 - ws))) if m else 1.0
+            act = (pattern >> np.arange(m)) & 1
+            act_prob = float(np.prod(np.where(act == 1, ws, 1.0 - ws)))
             if act_prob == 0.0:
                 continue
-            interference = float(gains[act == 1].sum()) if m else 0.0
+            interference = float(gains[act == 1].sum())
             snr = gain / (alpha0 + interference)
             acc[snr] = acc.get(snr, 0.0) + state_prob * act_prob
     values = sorted(acc)
-    return SteppedCdf.from_pmf(values, [acc[v] for v in values])
+    return stepped_cdf_from_pmf(values, [acc[v] for v in values])
 
 
 def _co_channel_others(band: np.ndarray, served: np.ndarray) -> np.ndarray:
@@ -142,3 +164,132 @@ def downlink_outage_mc(table: LinkTable, omega, alpha0: float, thresholds, n: in
         snr = gains[np.arange(m), served] / (alpha0 + np.sum(gains, axis=1, where=interferers))
         covered += np.count_nonzero(snr[:, None] >= ts, axis=0)
     return 1.0 - covered / n
+
+
+def stepped_cdf_from_pmf(values, probs) -> SteppedCdf:
+    """Stepped cdf of the atoms ``values`` of mass ``probs``: sorted, each
+    value within ``VALUE_MERGE_RTOL`` relative spacing of the last value
+    kept merged into it, and accumulated.  Only a value within
+    ``VALUE_MERGE_RTOL`` * max|v| of its predecessor can merge (no kept
+    value is nearer), so the rule is replayed at those entries alone;
+    ``np.bincount`` adds each kept value's masses in sorted order."""
+    v = np.asarray(values, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    p = p[order]
+    keep = np.ones(v.size, dtype=bool)
+    near = np.flatnonzero(np.diff(v) <= VALUE_MERGE_RTOL * np.abs(v).max()) + 1
+    last = kept = None
+    for i in near.tolist():
+        if last != i - 1:   # entry i - 1 is no candidate, so it is kept
+            kept = v[i - 1]
+        if v[i] - kept <= VALUE_MERGE_RTOL * max(abs(v[i]), abs(kept)):
+            keep[i] = False
+        else:
+            kept = v[i]
+        last = i
+    cum = np.cumsum(np.bincount(np.cumsum(keep) - 1, weights=p))
+    cum /= cum[-1]
+    return SteppedCdf(v[keep], cum)
+
+
+def enumerate_cdf(spec: GpmSpec) -> SteppedCdf:
+    """Exact cdf by exhaustive convolution of the summands (oracle).
+
+    Refuses specs with more than ``ENUMERATION_CAP`` joint states;
+    intermediate atom lists are coalesced as they grow, which never
+    changes the distribution.
+    """
+    summands = spec.one_sum("enumerate_cdf").summands
+    states = math.prod(s.support_size for s in summands)
+    if states > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration needs {states} joint states, above the cap of {ENUMERATION_CAP}"
+        )
+    values = np.array([0.0])
+    probs = np.array([1.0])
+    for summand in summands:
+        values = (values[:, None] + summand.values[None, :]).ravel()
+        probs = (probs[:, None] * summand.probs[None, :]).ravel()
+        if values.size > 4096:
+            step = stepped_cdf_from_pmf(values, probs)
+            values = step.xs
+            probs = np.diff(step.cum, prepend=0.0)
+    return stepped_cdf_from_pmf(values, probs)
+
+
+def mc_cdf(spec: GpmSpec, n_samples: int, seed: int) -> SteppedCdf:
+    """Empirical cdf of ``n_samples`` seeded draws of the sum."""
+    if n_samples < 1:
+        raise ValueError(f"need at least 1 sample, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    total = np.zeros(n_samples)
+    for row_values, row_probs in zip(spec.one_sum("mc_cdf").values, spec.probs):
+        idx = rng.choice(row_values.size, size=n_samples, p=row_probs)
+        total += row_values[idx]
+    values, counts = np.unique(total, return_counts=True)
+    return SteppedCdf(values, np.cumsum(counts) / n_samples)
+
+
+# standard normal cdf, elementwise
+_ndtr = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[float])
+
+
+@dataclass(frozen=True)
+class GaussianCdf:
+    """Moment-matched normal baseline, truncated to x >= 0 and rescaled to
+    total probability 1 (callable like a cdf)."""
+
+    mean: float
+    std: float
+
+    def __call__(self, x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float)
+        if self.std == 0.0:
+            return (xs >= self.mean).astype(float)
+        tail = _ndtr(-self.mean / self.std)
+        raw = _ndtr((xs - self.mean) / self.std)
+        out = (raw - tail) / (1.0 - tail)
+        return np.where(xs < 0.0, 0.0, np.clip(out, 0.0, 1.0))
+
+    def eval_left(self, x) -> np.ndarray:
+        """The left limit: at std = 0 the point mass's step is not yet
+        taken at the mean; otherwise the cdf is continuous there."""
+        if self.std == 0.0:
+            return (np.asarray(x, dtype=float) > self.mean).astype(float)
+        return self(x)
+
+
+def gaussian_cdf(spec: GpmSpec) -> GaussianCdf:
+    return GaussianCdf(spec.mean(), math.sqrt(spec.variance()))
+
+
+def envelope_excess(oracle: SteppedCdf, lo, hi) -> float:
+    """Largest amount by which the stepped ``oracle`` cdf leaves [lo, hi]:
+    the smallest eps >= 0 with lo - eps <= F_oracle <= hi + eps.
+
+    ``lo`` and ``hi`` are stepped or other callable cdfs.  Each jump x of
+    the oracle is probed from both sides: F_oracle(x) against ``lo(x)``
+    and ``hi(x)``, F_oracle(x-) against their ``eval_left(x)`` where they
+    have one (``SteppedCdf``, ``DownlinkSnrCdf``, ``GaussianCdf``), else
+    their value at x, which is the left limit only where they are
+    continuous.  F_oracle is
+    constant between its jumps, so these probes realise the supremum for
+    non-decreasing right-continuous ``lo`` and ``hi``.
+    """
+    x = oracle.xs
+    f, f_left = oracle.eval(x), oracle.eval_left(x)
+    lo_left = getattr(lo, "eval_left", lo)
+    hi_left = getattr(hi, "eval_left", hi)
+    return float(max(
+        np.max(lo(x) - f), np.max(f - hi(x)),
+        np.max(lo_left(x) - f_left), np.max(f_left - hi_left(x)),
+        0.0,
+    ))
+
+
+def kolmogorov_distance(a: SteppedCdf, b) -> float:
+    """sup |F_a - F_b| for a stepped ``a`` and a stepped or callable ``b``:
+    ``a``'s excess over the envelope [b, b]."""
+    return envelope_excess(a, b, b)

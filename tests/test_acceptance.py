@@ -7,7 +7,6 @@ enumerations or independent closed forms; nothing here is tuned to make
 a check pass.
 """
 
-import dataclasses
 import itertools
 import math
 import time
@@ -27,20 +26,19 @@ from uavcov.coverage import (
     uplink_snr_pmf,
 )
 from uavcov.geometry import RegionKind, SamplingRegion, build_hex_layout, sample_region
-from uavcov.gpm import (
-    GpmSpec,
-    SteppedCdf,
+from uavcov.gpm import GpmSpec, la_folds, lattice_invert
+from uavcov import oracles
+from uavcov.config import load_config
+from uavcov.oracles import (
+    downlink_cdf_enumeration,
+    downlink_outage_mc,
     enumerate_cdf,
     envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
-    la_folds,
-    lattice_invert,
     mc_cdf,
+    uplink_pmf_enumeration,
 )
-from uavcov import oracles
-from uavcov.config import load_config
-from uavcov.oracles import downlink_cdf_enumeration, downlink_outage_mc, uplink_pmf_enumeration
 
 INTER_SITE = 500.0
 GBS_HEIGHT = 20.0
@@ -189,9 +187,7 @@ def test_lattice_vs_monte_carlo_default_scenario():
         law = la_folds(spec, 1000.0)
         la = law.to_cdf()
         mc = mc_cdf(spec, 1_000_000, seed=20260815)
-        s = float(law.displacement[0]) * (1.0 + 1e-9)
-        envelope = (SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum))
-        laws.append((la, mc, envelope))
+        laws.append((la, mc, law.envelope()))
     details = []
     worst = 0.0
     for omega, (la, mc, envelope) in zip(omegas, laws):
@@ -270,12 +266,10 @@ def test_downlink_mixture_matches_joint_enumeration():
         alpha0 = float(np.median(table.c_nlos)) * 0.3
         approx = downlink_snr_cdf(table, 0.5, alpha0, c0=C0)
         oracle = downlink_cdf_enumeration(table, 0.5, alpha0)
-        s = float(approx.laws.displacement.max(initial=0.0)) * (1.0 + 1e-9)
-        lo = dataclasses.replace(approx, alpha0=alpha0 - s)
-        hi = dataclasses.replace(approx, alpha0=alpha0 + s)
+        lo, hi = approx.envelope()
         worst = max(worst, envelope_excess(oracle, lo, hi))
         worst_sup = max(worst_sup, kolmogorov_distance(oracle, approx))
-        worst_ratio = max(worst_ratio, s / alpha0)
+        worst_ratio = max(worst_ratio, float(approx.laws.displacement.max(initial=0.0)) / alpha0)
         # negative control: the oracle of another loading must leave the
         # same envelope in every scenario
         control = min(control, envelope_excess(

@@ -9,6 +9,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -33,6 +34,8 @@ from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
 from uavcov.oracles import (
     downlink_cdf_enumeration,
     downlink_outage_mc,
+    kolmogorov_distance,
+    stepped_cdf_from_pmf,
     uplink_pmf_enumeration,
 )
 from uavcov.coverage import (
@@ -49,14 +52,7 @@ from uavcov.coverage import (
     uplink_outage,
     uplink_snr_pmf,
 )
-from uavcov.gpm import (
-    GpmSpec,
-    SteppedCdf,
-    enumerate_cdf,
-    kolmogorov_distance,
-    la_cdf,
-    la_folds,
-)
+from uavcov.gpm import GpmSpec, SteppedCdf, la_cdf, la_folds
 
 
 def brute_force_uplink(table, beta0):
@@ -111,7 +107,7 @@ def joint_downlink_oracle(table, omega, alpha0):
             snr = gains[serving] / (alpha0 + interference)
             atoms[snr] = atoms.get(snr, 0.0) + prob
     values = sorted(atoms)
-    return SteppedCdf.from_pmf(values, [atoms[v] for v in values])
+    return stepped_cdf_from_pmf(values, [atoms[v] for v in values])
 
 
 def assert_matches_stepped(model: DownlinkSnrCdf, oracle: SteppedCdf, tol=1e-9):
@@ -274,9 +270,13 @@ def test_uplink_outage_is_strict():
 def test_uplink_pmf_outage_rejects_nan():
     # atoms at 2 (LoS, 0.5) and at 1 (LoS 0.25, terminal 0.25)
     pmf = uplink_snr_pmf(link_table([(0, 0, 2.0, 1.0, 0.5), (1, 0, 1.0, 0.5, 0.5)]), 1.0)
-    assert [pmf.outage(t) for t in (1.5, 0.0, -1.0)] == [0.5, 0.0, 0.0]
+    assert [pmf.outage(t) for t in (1.5, 0.0)] == [0.5, 0.0]
     with pytest.raises(ValueError, match="must not be NaN"):
         pmf.outage(math.nan)
+    # a negative threshold is refused, as DownlinkSnrCdf.outage refuses it
+    for bad in (-1.0, -5e-324):
+        with pytest.raises(ValueError, match="SNR thresholds must be >= 0"):
+            pmf.outage(bad)
 
 
 def test_uplink_truncation_outage_bound():
@@ -335,8 +335,10 @@ def test_block_read_validation():
         block_read(link_table(MICRO_ROWS), 1.0, [1.0], 1.0)
     with pytest.raises(ValueError, match="empty"):
         uplink_outage(LinkTable(*(np.empty((2, 0)) for _ in range(5))), 1.0, [1.0])
-    # thresholds at or below 0 read outage 0 exactly; NaN reads nothing
-    assert uplink_outage(block, 1.0, [0.0, -1.0]).tolist() == [[0.0, 0.0]]
+    # a threshold of 0 reads outage 0 exactly; a negative or NaN one reads nothing
+    assert uplink_outage(block, 1.0, [0.0]).tolist() == [[0.0]]
+    with pytest.raises(ValueError, match="SNR thresholds must be >= 0"):
+        uplink_outage(block, 1.0, [0.0, -1.0])
     with pytest.raises(ValueError, match="must not be NaN"):
         uplink_outage(block, 1.0, [1.5, math.nan])
 
@@ -400,11 +402,13 @@ def micro_tables(draw):
 
 def assert_block_read_matches_enumeration(table, beta0, eps):
     """The block read, and the outage of the walk's atoms, equal the
-    enumerated outage at, and one ulp either side of, every atom: to
-    1e-12 with the exact walk, to eps + 1e-12 with a truncated one."""
+    enumerated outage at, and one ulp either side of, every atom, at the
+    thresholds >= 0 they read: to 1e-12 with the exact walk, to
+    eps + 1e-12 with a truncated one."""
     oracle = uplink_pmf_enumeration(table, beta0)
     on = oracle.values
     ts = np.unique(np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)]))
+    ts = ts[ts >= 0.0]
     want = [oracle.outage(t) for t in ts]
     np.testing.assert_allclose(block_read(table, beta0, ts, eps), want,
                                rtol=0.0, atol=eps + 1e-12)
@@ -542,6 +546,19 @@ def test_interference_refuses_rows_outside_the_table():
             conditional_interference_specs(table, 0.5, [0], [forced])
     # the ends of both ranges are valid
     assert len(conditional_interference_specs(table, 0.5, [n - 1], [n])[0]) == n - 1
+
+
+def test_specs_need_one_forced_prefix_per_event():
+    # one forced prefix for two events was broadcast to both: a (2, 2, 3)
+    # stack, without error
+    table = link_table(MICRO_ROWS)
+    for serving, forced in (([0, 1], [2]), ([0], [2, 2]), ([[0, 1]], [[2, 2]]), (0, 2)):
+        with pytest.raises(ValueError, match=r"one entry per event each, got shapes "
+                           rf"{re.escape(str(np.shape(serving)))} and "
+                           rf"{re.escape(str(np.shape(forced)))}"):
+            conditional_interference_specs(table, 0.5, serving, forced)
+    # negative control: one entry per event each builds the stack
+    assert conditional_interference_specs(table, 0.5, [0, 1], [2, 0]).values.shape == (2, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1156,6 +1173,30 @@ def test_downlink_laws_carry_their_displacement():
     assert zero_gain_rows > 0
     silent = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0, c0=1000.0)
     assert (len(silent.laws), silent.laws.displacement.max(initial=0.0)) == (0, 0.0)
+
+
+def test_mixture_envelope_is_alpha0_moved_by_the_largest_displacement():
+    # the pair validate --mode downlink-vs-joint-enum built by hand: the
+    # mixture at alpha0 -/+ s, s the largest displacement widened by 1e-9
+    # relative, on the same laws
+    rng = np.random.default_rng(4040)
+    ys = np.geomspace(1e-3, 1e3, 61)
+    widest = 0.0
+    for _ in range(10):
+        table = random_link_table(rng, int(rng.integers(2, 6)), n_bands=2)
+        model = downlink_snr_cdf(table, 0.5, 0.1, c0=500.0)
+        s = float(model.laws.displacement.max(initial=0.0)) * (1.0 + 1e-9)
+        widest = max(widest, s)
+        for got, want in zip(model.envelope(), (dataclasses.replace(model, alpha0=0.1 - s),
+                                                dataclasses.replace(model, alpha0=0.1 + s))):
+            assert got.alpha0 == want.alpha0 and got.laws is model.laws
+            assert got.probability is model.probability and got.gain is model.gain
+            for read in ("eval", "eval_left"):
+                assert getattr(got, read)(ys).tobytes() == getattr(want, read)(ys).tobytes()
+    assert widest > 0.0
+    # a mixture of no laws has an envelope of zero width
+    silent = downlink_snr_cdf(link_table(((0, 0, 0.0, 0.0, 0.5),)), 0.5, 1.0, c0=1000.0)
+    assert [side.alpha0 for side in silent.envelope()] == [1.0, 1.0]
 
 
 def test_silent_interferer_is_not_displaced(tmp_path, capsys):

@@ -8,8 +8,11 @@ frozen examples.
 
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,23 +29,26 @@ from conftest import (
     random_integer_spec,
     random_spec,
 )
-from uavcov import gpm
-from uavcov.cli import _write_csv
+from uavcov import gpm, oracles
+from uavcov.cli import _conditioned_spec, _write_csv
 from uavcov.coverage import DownlinkSnrCdf
 from uavcov.gpm import (
     DiscreteSummand,
-    GaussianCdf,
     GpmSpec,
     LatticeLaws,
     SteppedCdf,
     cf_sample,
+    la_folds,
+    lattice_invert,
+)
+from uavcov.oracles import (
+    GaussianCdf,
     enumerate_cdf,
     envelope_excess,
     gaussian_cdf,
     kolmogorov_distance,
-    la_folds,
-    lattice_invert,
     mc_cdf,
+    stepped_cdf_from_pmf,
 )
 
 
@@ -563,13 +569,70 @@ def test_stepped_cdf_eval_semantics():
     assert cdf.eval_left(2.0) == 0.25
     assert cdf.eval(2.0) == 1.0
     assert cdf.eval(99.0) == 1.0
-    np.testing.assert_allclose(cdf.jump_sizes(), [0.25, 0.75])
+    np.testing.assert_allclose(np.diff(cdf.cum, prepend=0.0), [0.25, 0.75])
 
 
 def test_stepped_cdf_from_pmf_coalesces():
-    cdf = SteppedCdf.from_pmf([2.0, 1.0, 2.0 * (1 + 1e-15)], [0.5, 0.25, 0.25])
+    cdf = stepped_cdf_from_pmf([2.0, 1.0, 2.0 * (1 + 1e-15)], [0.5, 0.25, 0.25])
     assert cdf.xs.tolist() == [1.0, 2.0]
     np.testing.assert_allclose(cdf.cum, [0.25, 1.0])
+
+
+def merged_by_loop(values, probs):
+    """The atom merge as a loop over the sorted atoms (independent
+    oracle): each value within ``VALUE_MERGE_RTOL`` relative spacing of
+    the last value kept adds its mass to it, else it is kept."""
+    v = np.asarray(values, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    p = p[order]
+    keep_v = [v[0]]
+    keep_p = [p[0]]
+    for value, prob in zip(v[1:], p[1:]):
+        tol = oracles.VALUE_MERGE_RTOL * max(abs(value), abs(keep_v[-1]))
+        if value - keep_v[-1] <= tol:
+            keep_p[-1] += prob
+        else:
+            keep_v.append(value)
+            keep_p.append(prob)
+    cum = np.cumsum(keep_p)
+    cum /= cum[-1]
+    return np.array(keep_v), cum
+
+
+@st.composite
+def atom_sets(draw):
+    """1-60 atoms: values from a few bases, each repeated or walked in a
+    chain of steps of 0.5e-12 to 3e-12 relative, positive and negative;
+    masses >= 0 with at least one positive."""
+    values = []
+    for _ in range(draw(st.integers(1, 8))):
+        base = draw(st.sampled_from([0.0, 1.0, -1.0, 3.7e-5, -250.0, 1e9]))
+        base += draw(st.floats(-10.0, 10.0))
+        step = draw(st.sampled_from([0.0, 0.5e-12, 1e-12, 2e-12, 3e-12]))
+        values += [base * (1.0 + step * j) + step * j
+                   for j in range(draw(st.integers(1, 8)))]
+    values = draw(st.permutations(values))
+    probs = draw(st.lists(st.sampled_from([0.0, 1e-300, 0.1, 0.25, 0.3, 1.0]),
+                          min_size=len(values), max_size=len(values)))
+    assume(sum(probs) > 0.0)
+    return values, probs
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom_sets())
+@example(([1.0, 1.0 + 2e-12, 1.0 + 4e-12, 1.0 + 6e-12, 5.0], [0.1, 0.2, 0.3, 0.1, 0.3]))
+@example(([-1.0 - 6e-12, -1.0 - 4e-12, -1.0 - 2e-12, -1.0], [0.25] * 4))
+@example(([2.0, 2.0, 2.0, 0.0], [0.1, 0.2, 0.3, 0.4]))
+def test_stepped_cdf_from_pmf_merges_as_the_loop(atoms):
+    # the array merge keeps the values and adds the masses the loop does,
+    # in its order: xs and cum bit for bit
+    values, probs = atoms
+    xs, cum = merged_by_loop(values, probs)
+    cdf = stepped_cdf_from_pmf(values, probs)
+    assert cdf.xs.tobytes() == xs.tobytes()
+    assert cdf.cum.tobytes() == cum.tobytes()
 
 
 def test_stepped_cdf_validation():
@@ -996,9 +1059,33 @@ def test_la_quantization_envelope():
         law = la_folds(spec, 1000.0)
         la = law.to_cdf()
         exact = enumerate_cdf(spec)
-        s = float(law.displacement[0]) * (1.0 + 1e-9)
-        lo, hi = SteppedCdf(la.xs + s, la.cum), SteppedCdf(la.xs - s, la.cum)
-        assert envelope_excess(exact, lo, hi) <= 1e-9
+        assert envelope_excess(exact, *law.envelope()) <= 1e-9
+
+
+def test_envelope_is_the_law_moved_by_its_displacement(tmp_path):
+    # event 0 at the configured position of the 37-site scene, the law
+    # validate --mode la-vs-enum checks: its envelope is the pair that
+    # command built by hand, its stepped cdf moved by +-s, s the
+    # displacement widened by 1e-9 relative
+    cfg = load_scenario(tmp_path, "[layout]\nradius_m = 1500\n")
+    _, spec = _conditioned_spec(cfg, 0)
+    law = la_folds(spec, cfg.lattice_target_c0)
+    la = law.to_cdf()
+    s = float(law.displacement[0]) * (1.0 + 1e-9)
+    assert s > 0.0
+    lo, hi = law.envelope()
+    for side, xs in ((lo, la.xs + s), (hi, la.xs - s)):
+        assert side.xs.tobytes() == xs.tobytes() and side.cum.tobytes() == la.cum.tobytes()
+    exact = enumerate_cdf(spec)
+    assert envelope_excess(exact, lo, hi) <= 1e-9      # 4.7e-12
+    # negative control: with s = 0 the excess is the plain distance, the
+    # mass of an atom the rounding moved (8.0e-02)
+    plain = envelope_excess(exact, la, la)
+    assert plain == kolmogorov_distance(exact, la) > 0.05
+    # a record of several laws has no one stepped cdf to move
+    with pytest.raises(ValueError):
+        la_folds(GpmSpec(np.stack([spec.values] * 2), np.stack([spec.probs] * 2)),
+                 1000.0).envelope()
 
 
 @st.composite
@@ -1089,6 +1176,24 @@ def test_la_cdf_monotone_and_normalised():
 # Baselines
 # ---------------------------------------------------------------------------
 
+# every reference law, baseline and accuracy check, all in uavcov.oracles
+ORACLE_NAMES = ("ENUMERATION_CAP", "VALUE_MERGE_RTOL", "enumerate_cdf", "mc_cdf", "_ndtr",
+                "GaussianCdf", "gaussian_cdf", "envelope_excess", "kolmogorov_distance",
+                "stepped_cdf_from_pmf")
+
+
+def test_gpm_is_the_lattice_engine_alone():
+    # gpm defines no reference law and, in a fresh interpreter, loads none
+    assert [name for name in ORACLE_NAMES if hasattr(gpm, name)] == []
+    assert [name for name in ORACLE_NAMES if not hasattr(oracles, name)] == []
+    assert not hasattr(SteppedCdf, "from_pmf") and not hasattr(SteppedCdf, "jump_sizes")
+    probe = "import sys, uavcov.{}; print(sorted(m for m in sys.modules if m.startswith('uavcov')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for module, loads in (("gpm", False), ("oracles", True)):   # the second a control
+        out = subprocess.run([sys.executable, "-c", probe.format(module)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert ("'uavcov.oracles'" in out) == loads, out
+
 def test_enumerate_matches_product_oracle():
     rng = np.random.default_rng(53)
     for _ in range(10):
@@ -1101,8 +1206,8 @@ def test_enumerate_matches_product_oracle():
 
 
 def test_enumerate_cap():
-    # 3^14 joint states, above gpm.ENUMERATION_CAP; 3^13 are below it
-    assert 3**13 <= gpm.ENUMERATION_CAP < 3**14
+    # 3^14 joint states, above oracles.ENUMERATION_CAP; 3^13 are below it
+    assert 3**13 <= oracles.ENUMERATION_CAP < 3**14
     spec = GpmSpec([[0.0, 1.0, 2.0]] * 14, [[0.3, 0.3, 0.4]] * 14)
     with pytest.raises(ValueError, match="above the cap of 2000000"):
         enumerate_cdf(spec)

@@ -114,14 +114,16 @@ class UavAntenna:
             return math.inf
         return dh * math.tan(math.radians(self.half_beamwidth_deg))
 
-    def gain_at(self, r_h, uav_height, gbs_height: float) -> np.ndarray:
-        """Gain toward GBSs at (P, n) horizontal distances ``r_h`` from UAVs
-        at the (P,) heights ``uav_height``, one row per height.  Points on
-        the footprint boundary get the mainlobe gain."""
-        r_h, heights = np.asarray(r_h), np.asarray(uav_height, dtype=float)
-        if heights.ndim != 1 or r_h.ndim != 2 or len(r_h) != len(heights):
+    def gain_at(self, r2, uav_height, gbs_height: float) -> np.ndarray:
+        """Gain toward GBSs at (P, n) squared horizontal distances ``r2``
+        from UAVs at the (P,) heights ``uav_height``, one row per height.
+        A GBS is inside the footprint when r2 <= radius * radius, so
+        points on its boundary get the mainlobe gain."""
+        r2, heights = np.asarray(r2), np.asarray(uav_height, dtype=float)
+        if heights.ndim != 1 or r2.ndim != 2 or len(r2) != len(heights):
             raise ValueError(
-                f"need (P, n) distances and (P,) heights, got {r_h.shape} and {heights.shape}"
+                f"need (P, n) distances and (P,) heights, got {r2.shape} and {heights.shape}"
             )
         radius = [self.footprint_radius(h, gbs_height) for h in heights.tolist()]
-        return np.where(r_h <= np.array(radius)[:, None], self.mainlobe_gain, self.backlobe_gain)
+        inside = r2 <= np.array([r * r for r in radius])[:, None]
+        return np.where(inside, self.mainlobe_gain, self.backlobe_gain)

@@ -17,16 +17,18 @@ Each parameter is a ``[channel]`` key; its default lives in
 ``config.DEFAULTS``, and a coefficients file is read by ``config``.
 
 A UAV position's links are held as a :class:`LinkTable` of (n,) column
-arrays, and a block of P positions as one :class:`LinkTable` of (P, n)
-columns, whose row p is the table at position p.  The table's
-constructor is where link columns are converted, frozen and checked.
-:func:`build_link_table` builds one position's table and
-:func:`build_link_columns` a block's, evaluated as whole arrays.  Only a
-lit link, one the UAV antenna gives a nonzero gain, gets the GBS pattern
-and the pathloss (:meth:`ParametricAirGroundModel.pathloss`); an unlit
-link's gains are exact zeros, bit for bit the product of its zero UAV
-gain, while the LoS probability and the >= 1 m distance check still
-cover every link.
+arrays, built by :func:`build_link_table`; the lit links of a block of
+P positions, those the UAV antenna gives a nonzero gain, as one
+:class:`LitLinks` block of (P, k) columns, built by
+:func:`build_lit_links`, k the most lit links of any position.  Each
+constructor is where its columns are converted, frozen and checked.
+Both builders run one evaluation: the UAV antenna's footprint test and
+the >= 1 m distance check (:meth:`ParametricAirGroundModel.pathloss`)
+cover every link, and elevation, LoS probability, GBS pattern, pathloss
+and the walk-order sort the chosen ones, every link of a table and the
+lit links of a block.  An unlit link's gains are exact zeros, bit for
+bit the product of its zero UAV gain, so a block's row holds the lit
+rows of its position's table, in the table's order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .antenna import UavAntenna
-from .geometry import NetworkLayout, link_geometry
+from .geometry import NetworkLayout, link_distances, link_elevation
 from .units import db_to_linear
 
 SPEED_OF_LIGHT = 299792458.0
@@ -134,6 +136,43 @@ def default_channel(
 # Link tables
 # ---------------------------------------------------------------------------
 
+def _hold(table, names) -> None:
+    """Hold each column ``name, dtype`` of a frozen table as a read-only
+    array of its dtype that owns its data: as it is if it is one, else a
+    copy."""
+    for name, dtype in names:
+        col = getattr(table, name)
+        if not (isinstance(col, np.ndarray) and col.dtype == dtype and col.flags.owndata
+                and not col.flags.writeable):
+            col = np.array(col, dtype=dtype)
+            col.flags.writeable = False
+            object.__setattr__(table, name, col)
+
+
+def _faults(ids, c, c_nlos, p_los):
+    """The (mask, message) pairs of what no link table holds, in one
+    table's (n,) columns or a block's (P, k): a gain or LoS probability no
+    link has, and a row that does not sort after the one before it in
+    walk order, descending ``c_los`` with ties by ascending id and
+    padding rows (id -1) after every row of gain 0."""
+    pad = ids < 0
+    after = np.ones(ids.shape, dtype=bool)   # row k sorts after row k - 1
+    after[..., 1:] = (c[..., :-1] > c[..., 1:]) | ((c[..., :-1] == c[..., 1:]) & (
+        pad[..., 1:] | (~pad[..., :-1] & (ids[..., :-1] < ids[..., 1:]))))
+    return ((~((p_los >= 0.0) & (p_los <= 1.0)), "LoS probability out of [0, 1] for"),
+            (~((c >= 0.0) & (c_nlos >= 0.0)), "negative gain for"),
+            ((c == 0.0) & (c_nlos != 0.0), "NLoS gain without LoS gain for"),
+            (~after, "link table rows must be sorted by descending c_los, then id; out of order:"))
+
+
+def _refuse(faults, name) -> None:
+    """Raise on the first of ``faults`` found; ``name`` names the row at
+    an index of the columns."""
+    for bad, what in faults:
+        if bad.any():
+            raise ValueError(f"{what} {name(np.unravel_index(np.argmax(bad), bad.shape))}")
+
+
 _COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
             ("c_los", float), ("c_nlos", float), ("p_los", float))
 
@@ -141,8 +180,7 @@ _COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
 @dataclass(frozen=True, eq=False)
 class LinkTable:
     """Combined channel gains of every GBS for one UAV position, as (n,)
-    columns, or for a block of P positions, as (P, n) columns whose row p
-    is the table at position p; ``len`` is n or P.
+    columns; ``len`` is n.
 
     Row k is GBS ``gbs_id[k]`` of band ``band[k]``, with combined power
     gains C = G_uav * G_gbs * h in both channel states (``c_los[k]``,
@@ -151,9 +189,9 @@ class LinkTable:
     order.  The ids are 0..n-1, so per-GBS arrays are indexed by id.  GBSs
     outside the UAV mainlobe with zero backlobe gain have both gains 0
     and sit at the tail.  The columns are read-only, checked on
-    construction: an error names the first GBS at fault and, in a block,
-    its row.  A column handed over as a read-only array of its dtype that
-    owns its data is held as it is; any other is copied.
+    construction: an error names the first GBS at fault.  A column
+    handed over as a read-only array of its dtype that owns its data is
+    held as it is; any other is copied.
     """
 
     gbs_id: np.ndarray
@@ -163,80 +201,97 @@ class LinkTable:
     p_los: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in _COLUMNS:
-            col = getattr(self, name)
-            if not (isinstance(col, np.ndarray) and col.dtype == dtype and col.flags.owndata
-                    and not col.flags.writeable):
-                col = np.array(col, dtype=dtype)
-                col.flags.writeable = False
-                object.__setattr__(self, name, col)
-        ids, c, c_nlos, p_los = self.gbs_id, self.c_los, self.c_nlos, self.p_los
-        if ids.ndim not in (1, 2):
-            raise ValueError(f"link table columns must have shape (n,) or (P, n), got {ids.shape}")
-        if any(col.shape != ids.shape for col in (self.band, c, c_nlos, p_los)):
+        _hold(self, _COLUMNS)
+        ids, c = self.gbs_id, self.c_los
+        if ids.ndim != 1:
+            raise ValueError(f"link table columns must have shape (n,), got {ids.shape}")
+        if any(col.shape != ids.shape for col in (self.band, c, self.c_nlos, self.p_los)):
             raise ValueError("link table columns must have equal length")
-
-        def first(bad: np.ndarray) -> tuple[tuple, str]:
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            return at, (f" in block row {at[0]}" if bad.ndim == 2 else "")
-
         # n ids are a permutation of 0..n-1 iff they sort to 0..n-1
-        n = ids.shape[-1]
-        not_permutation = (np.sort(ids, axis=-1) != np.arange(n)).any(axis=-1, keepdims=True)
-        if not_permutation.any():
-            at, where = first(not_permutation)
-            row = ids[at[:-1]].tolist()
+        n = len(ids)
+        if (np.sort(ids) != np.arange(n)).any():
+            row = ids.tolist()
             gbs = next(g for k, g in enumerate(row) if not 0 <= g < n or g in row[:k])
             raise ValueError(
                 f"link table GBS ids must be a permutation of 0..{n - 1}: "
-                f"GBS {gbs} repeats or is out of range{where}"
+                f"GBS {gbs} repeats or is out of range"
             )
-        after = np.ones(ids.shape, dtype=bool)   # entry k sorts after entry k - 1
-        after[..., 1:] = (c[..., :-1] > c[..., 1:]) | (
-            (c[..., :-1] == c[..., 1:]) & (ids[..., :-1] < ids[..., 1:])
-        )
-        for bad, what in (
-            (~((p_los >= 0.0) & (p_los <= 1.0)), "LoS probability out of [0, 1] for"),
-            (~((c >= 0.0) & (c_nlos >= 0.0)), "negative gain for"),
-            ((c == 0.0) & (c_nlos != 0.0), "NLoS gain without LoS gain for"),
-            (~after, "link table rows must be sorted by descending c_los, then id; out of order:"),
-        ):
-            if bad.any():
-                at, where = first(bad)
-                raise ValueError(f"{what} GBS {ids[at]}{where}")
+        _refuse(_faults(ids, c, self.c_nlos, self.p_los), lambda at: f"GBS {ids[at]}")
 
     def __len__(self) -> int:
         return len(self.gbs_id)
 
 
-def _link_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height):
-    """The five (P, n) link table columns of a (P, 3) block, in walk
-    order, each a new read-only array that a ``LinkTable`` holds without
-    a copy.
+@dataclass(frozen=True, eq=False)
+class LitLinks:
+    """The lit links of a block of P UAV positions, those the UAV antenna
+    gives a nonzero gain, as (P, k) columns; ``len`` is P.
 
-    Only lit links, those the UAV antenna gives a nonzero gain, get the
-    GBS pattern and the pathloss; an unlit link's gains are exact zeros,
-    the product a zero UAV gain gives.  The LoS probability and the
-    distance check cover every link."""
+    Row p holds position p's lit links as its :class:`LinkTable` lists
+    them, in walk order, then padding rows of id -1, gains 0 and LoS
+    probability 0 up to k, the most lit links of any position and at
+    least 1.  A position's unlit links have both gains 0, so the
+    association walk over its rows here reads every outage as over its
+    whole table: with a lit link of gain the walk stops before the first
+    row of gain 0, and with none every threshold t > 0 is in outage.  The
+    columns are read-only, held or copied as a ``LinkTable``'s are, and
+    checked on construction: an error names the first GBS at fault and
+    its block row.
+    """
+
+    gbs_id: np.ndarray
+    c_los: np.ndarray
+    c_nlos: np.ndarray
+    p_los: np.ndarray
+
+    def __post_init__(self) -> None:
+        _hold(self, (column for column in _COLUMNS if column[0] != "band"))
+        ids, c = self.gbs_id, self.c_los
+        if ids.ndim != 2:
+            raise ValueError(f"lit link columns must have shape (P, k), got {ids.shape}")
+        if any(col.shape != ids.shape for col in (c, self.c_nlos, self.p_los)):
+            raise ValueError("lit link columns must have equal shapes")
+        padding = (ids < 0) & ((c != 0.0) | (self.p_los != 0.0))
+        _refuse((*_faults(ids, c, self.c_nlos, self.p_los),
+                 (padding, "padding row of nonzero gain or LoS probability:")),
+                lambda at: f"GBS {ids[at]} in block row {at[0]}")
+
+    def __len__(self) -> int:
+        return len(self.gbs_id)
+
+
+def _walk_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height, every_link):
+    """Evaluate the links of a (P, 3) block: every link of each position,
+    or its lit links only, those the UAV antenna gives a nonzero gain.
+
+    Returns the (gbs_id, c_los, c_nlos, p_los) columns in walk order, new
+    (P, k) arrays, k = n or the most lit links of any position and at
+    least 1, and each position's count of chosen links: past its count a
+    row holds unlit links, whose gains are 0.  The footprint test and the
+    3D distance >= 1 m check cover every link; the rest runs on the
+    (P, k) links.  An unlit link's gains are exact zeros, the product of
+    its zero UAV gain."""
     block = np.asarray(positions, dtype=float)
-    r_h, d3, theta = link_geometry(block, layout.x, layout.y, gbs_height)
-    _check_distance(d3)
-    p_los = channel.los_probability(theta)
-    uav_gain = uav_antenna.gain_at(r_h, block[:, 2], gbs_height)
-    lit = uav_gain != 0.0
-    combined = uav_gain[lit] * gbs_pattern(theta[lit])
-    h_los, h_nlos = channel.pathloss(d3[lit])
-    c_los, c_nlos = np.zeros(d3.shape), np.zeros(d3.shape)
-    c_los[lit] = combined * h_los
-    c_nlos[lit] = combined * h_nlos
-    # a site's id is its index, so a stable sort breaks ties by id
-    order = np.argsort(-c_los, axis=-1, kind="stable")
-    # one flat index gathers the float columns in walk order
-    flat = order + np.arange(len(order))[:, None] * order.shape[-1]
-    columns = (order, layout.band[order], *(np.take(col, flat) for col in (c_los, c_nlos, p_los)))
-    for col in columns:
-        col.flags.writeable = False
-    return columns
+    r2, d2, dh = link_distances(block, layout.x, layout.y, gbs_height)
+    # the 3D distance grows with d2: each position's nearest link is its shortest
+    _check_distance(np.sqrt(d2.min(axis=-1, initial=np.inf)))
+    uav_gain = uav_antenna.gain_at(r2, block[:, 2], gbs_height)
+    chosen = np.ones(r2.shape, dtype=bool) if every_link else uav_gain != 0.0
+    count = chosen.sum(axis=-1)
+    # each position's chosen links by ascending id, then its unlit ones
+    links = np.argsort(~chosen, axis=-1, kind="stable")[:, :max(int(count.max(initial=0)), 1)]
+    # flat indices gather (P, n) arrays at the links, then (P, k) ones in walk order
+    rows = np.arange(len(block))[:, None]
+    at = links + rows * r2.shape[-1]
+    d3, theta = link_elevation(np.take(d2, at), dh[:, None])
+    combined = np.take(uav_gain, at) * gbs_pattern(theta)
+    h_los, h_nlos = channel.pathloss(d3)
+    c_los = combined * h_los
+    # a stable sort keeps tied rows in this order, chosen ones by ascending
+    # id and unlit ones last: the walk order
+    walk = np.argsort(-c_los, axis=-1, kind="stable") + rows * links.shape[-1]
+    columns = (links, c_los, combined * h_nlos, channel.los_probability(theta))
+    return [np.take(col, walk) for col in columns], count
 
 
 def build_link_table(
@@ -253,21 +308,29 @@ def build_link_table(
     in degrees to linear power gains (a :class:`~uavcov.antenna.UlaPattern`
     works).
     """
-    columns = _link_columns(layout, gbs_pattern, uav_antenna, channel, [uav_xyz], gbs_height)
-    return LinkTable(*(col[0] for col in columns))
+    columns, _ = _walk_columns(layout, gbs_pattern, uav_antenna, channel, [uav_xyz], gbs_height,
+                               every_link=True)
+    ids, *gains = (col[0] for col in columns)
+    return LinkTable(ids, layout.band[ids], *gains)
 
 
-def build_link_columns(
+def build_lit_links(
     layout: NetworkLayout,
     gbs_pattern,
     uav_antenna: UavAntenna,
     channel: ParametricAirGroundModel,
     positions,
     gbs_height: float,
-) -> LinkTable:
-    """The link tables of a (P, 3) block of positions as one block
-    :class:`LinkTable` of (P, n) columns, whose row p equals column for
-    column the table :func:`build_link_table` builds at position p.  The
-    block is evaluated as whole arrays and checked once."""
-    return LinkTable(*_link_columns(layout, gbs_pattern, uav_antenna, channel, positions,
-                                    gbs_height))
+) -> LitLinks:
+    """The lit links of a (P, 3) block of positions as one
+    :class:`LitLinks` block, evaluated as whole arrays and checked once:
+    row p holds the lit rows of the table :func:`build_link_table`
+    builds at position p, bit for bit, then padding."""
+    (ids, c_los, c_nlos, p_los), count = _walk_columns(
+        layout, gbs_pattern, uav_antenna, channel, positions, gbs_height, every_link=False)
+    # the unlit links past a position's count are its padding
+    padding = np.arange(ids.shape[-1]) >= count[:, None]
+    ids[padding], p_los[padding] = -1, 0.0
+    for col in (ids, c_los, c_nlos, p_los):
+        col.flags.writeable = False
+    return LitLinks(ids, c_los, c_nlos, p_los)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import build_link_table
+from .channel import build_link_table, build_lit_links
 from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import (
     LinkDirection,
@@ -171,12 +171,16 @@ def cmd_coverage_curve(cfg: ScenarioConfig, args) -> int:
     return EXIT_OK
 
 
+def _models(cfg: ScenarioConfig):
+    """The layout, GBS pattern, UAV antenna and channel of the config."""
+    return (cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
+            cfg.build_channel())
+
+
 def _configured_table(cfg: ScenarioConfig):
     """Link table at the UAV position from the config."""
-    return build_link_table(
-        cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
-        cfg.build_channel(), (cfg.uav_x, cfg.uav_y, cfg.uav_altitude), cfg.gbs_height,
-    )
+    return build_link_table(*_models(cfg), (cfg.uav_x, cfg.uav_y, cfg.uav_altitude),
+                            cfg.gbs_height)
 
 
 def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
@@ -259,12 +263,15 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
         ok = err <= tolerance
         print(f"{'PASS' if ok else 'FAIL'} uplink-vs-bruteforce: "
               f"max pmf error={err:.3e} tolerance={tolerance:.3e}")
-        # the block read coverage runs, at the configured eps, whose
-        # truncation moves outage by less than eps: read at and just above
-        # every atom, so on both sides of every step of the exact law
+        # the block read coverage runs, on the lit links of a block of the
+        # configured position, at the configured eps, whose truncation
+        # moves outage by less than eps: read at and just above every
+        # atom, so on both sides of every step of the exact law
         eps = cfg.association_epsilon
         ts = np.concatenate([oracle.values, np.nextafter(oracle.values, np.inf)])
-        read = uplink_outage(table, cfg.beta0, ts, eps)
+        block = build_lit_links(*_models(cfg), [(cfg.uav_x, cfg.uav_y, cfg.uav_altitude)],
+                                cfg.gbs_height)
+        read = uplink_outage(block, cfg.beta0, ts, eps)[0]
         read_err = float(np.max(np.abs(read - [oracle.outage(t) for t in ts])))
         read_ok = read_err <= eps + tolerance
         print(f"{'PASS' if read_ok else 'FAIL'} uplink-vs-bruteforce: block read at "

@@ -304,12 +304,15 @@ def _resolve(path: str | None) -> tuple[dict[str, dict[str, str]], dict[int, str
     return resolved, omega_keys
 
 
+_KIND_NAMES = {float: "a number", int: "an integer"}
+
+
 def _number(resolved, section: str, key: str, kind=float, linear=None):
     raw = resolved[section][key]
     try:
         value = kind(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a {kind.__name__}, got {raw!r}") from None
+        raise ConfigError(f"[{section}] {key} must be {_KIND_NAMES[kind]}, got {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
     try:

@@ -10,13 +10,14 @@ what happens further down, which closes the walk with a single terminal
 event of mass pre[stop].  An optional probability floor ``eps`` truncates
 the walk early, assigning the remaining mass to the terminal event.
 :func:`association_walk` computes pre and stop as running products in
-walk order, for one position's :class:`~uavcov.channel.LinkTable` or a
-block table of P positions.  Row m's mass is pre[m] - pre[m + 1], so the
+walk order, for one position's :class:`~uavcov.channel.LinkTable` or
+each row of a :class:`~uavcov.channel.LitLinks` block, which holds a
+position's lit rows only.  Row m's mass is pre[m] - pre[m + 1], so the
 mass below a threshold telescopes: with K the number of rows whose LoS
 SNR is at or above t, outage(t) = pre[min(K, stop)] when t exceeds the
 terminal SNR, else 0.  Coverage reads uplink outage this way for a block
-table at every threshold (:func:`uplink_outage`), without an event or
-pmf per position; :func:`association_pmf` reads the walk of one
+of lit links at every threshold (:func:`uplink_outage`), without an
+event or pmf per position; :func:`association_pmf` reads the walk of one
 position's table into one :class:`AssociationEvents` record of (E,)
 event arrays, whose atoms :func:`uplink_snr_pmf` merges.
 
@@ -55,9 +56,10 @@ argument and read the layout, antennas, channel, sampling region,
 loading, ``beta0``/``alpha0``, ``eps`` and ``c0`` from it.  Each
 (altitude, point) position's SNR law is built once and read at every
 threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
-(position, site) pairs: the uplink reads each block's links as one
-(P, n) table from :func:`~uavcov.channel.build_link_columns`, and the
-downlink builds each position's table with
+(position, site) pairs: the uplink reads each block's lit links as one
+(P, k) :class:`~uavcov.channel.LitLinks` block from
+:func:`~uavcov.channel.build_lit_links`, k the most any position has,
+and the downlink builds each position's table with
 :func:`~uavcov.channel.build_link_table`; no position's value depends
 on another's, so the output does not depend on where the blocks end.
 The uplink is read once per orbit of the grid under the hexagon's
@@ -76,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkTable, build_link_columns, build_link_table
+from .channel import LinkTable, LitLinks, build_link_table, build_lit_links
 from .config import ScenarioConfig
 from .geometry import point_orbits, sample_region
 from .gpm import GpmSpec, LatticeLaws, la_cdf, la_folds
@@ -114,9 +116,11 @@ class AssociationEvents:
         return len(self.probability)
 
 
-def association_walk(table: LinkTable, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def association_walk(table: LinkTable | LitLinks, eps: float = 0.0
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The association walk over a link table in walk order: one
-    position's (n,) columns, or each row of a block's (P, n) columns.
+    position's (n,) columns, or each row of a lit-link block's (P, n)
+    columns, n the rows of a position.
 
     Returns ``pre``, of shape (..., n + 1), and ``stop``, of shape (...).
     ``pre[..., k]`` is the probability that rows 0..k-1 are all NLoS, the
@@ -213,9 +217,10 @@ def _walked_rows_at_or_above(snr: np.ndarray, stop: np.ndarray, ts: np.ndarray) 
     return np.minimum(above, stop[..., None])
 
 
-def uplink_outage(table: LinkTable, beta0: float, thresholds, eps: float = 0.0) -> np.ndarray:
+def uplink_outage(table: LinkTable | LitLinks, beta0: float, thresholds,
+                  eps: float = 0.0) -> np.ndarray:
     """P{snr < t} for every threshold t: (T,) for one position's link
-    table, (P, T) for a block of P positions, as
+    table, (P, T) for a block of P positions' lit links, as
     :meth:`UplinkSnrPmf.outage` of :func:`uplink_snr_pmf` reads it to
     within float roundoff, without building either.
 
@@ -435,8 +440,9 @@ class LinkDirection(Enum):
 
 
 # Positions are scored in blocks of about this many (position, site)
-# entries: the uplink's one (P, n) evaluation and one check per block,
-# each (P, n) array 64 KiB whatever the length of the work list.
+# entries: the uplink's one footprint test of every link and one
+# evaluation and check of the lit ones per block, each (P, n) array of
+# the test 64 KiB whatever the length of the work list.
 # On the default 367-site scene that is 22 positions.  The link tables
 # of a 240-position uplink sweep (24 cell points at 10 altitudes) took
 # 11 ms this way against 32 ms in blocks of one position with the
@@ -458,13 +464,13 @@ def _non_outage(
 ) -> np.ndarray:
     """Non-outage probability at each position of a (P, 3) block for
     every threshold, (P, T): the uplink read at once from one evaluation
-    of the block's links, or one link table and one downlink SNR law per
-    position, evaluated T times."""
+    of the block's lit links, or one link table and one downlink SNR law
+    per position, evaluated T times."""
     models = (cfg.build_layout(), cfg.build_gbs_pattern(), cfg.build_uav_antenna(),
               cfg.build_channel())
     if link is LinkDirection.UPLINK:
-        table = build_link_columns(*models, block, cfg.gbs_height)
-        return 1.0 - uplink_outage(table, cfg.beta0, thresholds, cfg.association_epsilon)
+        links = build_lit_links(*models, block, cfg.gbs_height)
+        return 1.0 - uplink_outage(links, cfg.beta0, thresholds, cfg.association_epsilon)
     ts = np.array(thresholds)
     return np.array([
         1.0 - downlink_snr_cdf(

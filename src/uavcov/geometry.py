@@ -115,17 +115,18 @@ def build_hex_layout(
     return NetworkLayout(x[order], y[order], band.reshape(-1))
 
 
-def link_geometry(
+def link_distances(
     positions, xs, ys, gbs_height: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Horizontal distance, 3D distance and elevation angle (degrees) of
-    UAVs at a (P, 3) block of positions (x, y, z) seen from GBS antennas
-    at (xs, ys, gbs_height): (P, n) arrays, one row per position and one
-    entry per site.
+    """Squared horizontal and squared 3D distances of UAVs at a (P, 3)
+    block of positions (x, y, z) from GBS antennas at (xs, ys,
+    gbs_height), as (P, n) arrays with one row per position and one
+    entry per site, and the (P,) heights ``dh`` of the UAVs above the
+    antennas.  Each UAV must be at a finite position strictly above the
+    GBS antennas.
 
-    The elevation is arcsin(dh / d3) with dh the height difference and d3
-    the 3D distance; each UAV must be at a finite position strictly above
-    the GBS antennas, so it lies in (0, 90] with 90 exactly overhead.
+    The squared 3D distance is (dx^2 + dy^2) + dh^2, so of a position's
+    links it grows with the squared horizontal distance.
     """
     block = np.asarray(positions, dtype=float)
     if block.ndim != 2 or block.shape[1] != 3:
@@ -141,8 +142,17 @@ def link_geometry(
     dh = [z - gbs_height for z in heights]
     dx = block[:, :1] - np.asarray(xs, dtype=float)
     dy = block[:, 1:2] - np.asarray(ys, dtype=float)
-    d3 = np.sqrt(dx**2 + dy**2 + np.array([d**2 for d in dh])[:, None])
-    return np.hypot(dx, dy), d3, np.degrees(np.arcsin(np.array(dh)[:, None] / d3))
+    r2 = dx**2 + dy**2
+    return r2, r2 + np.array([d**2 for d in dh])[:, None], np.array(dh)
+
+
+def link_elevation(d2, dh) -> tuple[np.ndarray, np.ndarray]:
+    """3D distance sqrt(d2) and elevation angle arcsin(dh / d3) (degrees)
+    of links at squared 3D distances ``d2`` whose UAV lies ``dh`` > 0
+    above the GBS antenna, arrays that broadcast: the elevation lies in
+    (0, 90], with 90 exactly overhead."""
+    d3 = np.sqrt(d2)
+    return d3, np.degrees(np.arcsin(dh / d3))
 
 
 # ---------------------------------------------------------------------------

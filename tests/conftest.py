@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uavcov.channel import LinkTable
+from uavcov.channel import LinkTable, LitLinks
 from uavcov.config import load_config
 from uavcov.gpm import GpmSpec, LatticeLaws
 
@@ -40,9 +40,10 @@ def link_table(rows):
 
 
 def link_block(*tables):
-    """The block LinkTable whose row p is ``tables[p]``."""
-    return LinkTable(*(np.stack([getattr(table, field.name) for table in tables])
-                       for field in dataclasses.fields(LinkTable)))
+    """The ``LitLinks`` block whose row p holds every row of ``tables[p]``,
+    each read as a lit link; an unlit row is a lit link of gain 0."""
+    return LitLinks(*(np.stack([getattr(table, field.name) for table in tables])
+                      for field in dataclasses.fields(LitLinks)))
 
 
 def random_link_table(rng, n_rows, n_bands=1, zero_row_prob=0.15):

@@ -133,21 +133,22 @@ def test_uav_cone_mainlobe():
     ant = UAV
     assert ant.mainlobe_gain == pytest.approx(7500.0 / 8100.0)
     assert ant.footprint_radius(100.0, 20.0) == math.inf
-    assert ant.gain_at([[1e9]], [100.0], 20.0).tolist() == [[ant.mainlobe_gain]]
+    assert ant.gain_at([[1e18]], [100.0], 20.0).tolist() == [[ant.mainlobe_gain]]
 
     narrow = replace(UAV, half_beamwidth_deg=45.0)
     assert narrow.mainlobe_gain == pytest.approx(7500.0 / 2025.0)
     r = narrow.footprint_radius(100.0, 20.0)
     assert r == pytest.approx(80.0 * math.tan(math.radians(45.0)))
-    # the boundary is inside; one row per height
-    gains = narrow.gain_at([[r, r * 1.000001], [r, r * 1.000001]], [100.0, 120.0], 20.0)
+    # gain_at reads squared distances; the boundary is inside; one row per height
+    out = (r * 1.000001) ** 2
+    gains = narrow.gain_at([[r * r, out], [r * r, out]], [100.0, 120.0], 20.0)
     assert gains.tolist() == [[narrow.mainlobe_gain, 0.0], [narrow.mainlobe_gain] * 2]
 
 
 def test_uav_cone_backlobe():
     ant = replace(UAV, half_beamwidth_deg=30.0, backlobe_gain=0.01)
     r = ant.footprint_radius(120.0, 20.0)
-    assert ant.gain_at([[r, 2 * r]], [120.0], 20.0).tolist() == [[ant.mainlobe_gain, 0.01]]
+    assert ant.gain_at([[r * r, 4 * r * r]], [120.0], 20.0).tolist() == [[ant.mainlobe_gain, 0.01]]
 
 
 def test_uav_cone_validation():

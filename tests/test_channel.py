@@ -13,14 +13,15 @@ from conftest import default_models, link_table
 from uavcov import channel
 from uavcov.channel import (
     LinkTable,
+    LitLinks,
     ParametricAirGroundModel,
-    build_link_columns,
     build_link_table,
+    build_lit_links,
     default_channel,
     free_space_gain,
 )
 from uavcov.config import load_config
-from uavcov.geometry import NetworkLayout, build_hex_layout, link_geometry
+from uavcov.geometry import NetworkLayout, build_hex_layout, link_distances, link_elevation
 
 PATTERN, UAV_ANTENNA, CHANNEL = default_models()
 
@@ -167,14 +168,16 @@ def test_link_table_validation():
         link_table([(0, 0, 1.0, 0.5, 0.5), (1, 0, 2.0, 0.5, 0.5)])
     with pytest.raises(ValueError, match="sorted"):      # tie broken by descending id
         link_table([(1, 0, 1.0, 0.5, 0.5), (0, 0, 1.0, 0.5, 0.5)])
-    for ids in ((0, 2), (1, 1), (-1, 0)):                 # not a permutation of 0..n-1
-        with pytest.raises(ValueError, match="permutation"):
+    # not a permutation of 0..n-1: the error names the GBS at fault
+    for ids, gbs in (((0, 2), 2), ((1, 1), 1), ((-1, 0), -1)):
+        with pytest.raises(ValueError,
+                           match=rf"permutation of 0\.\.1: GBS {gbs} repeats or is out of range$"):
             link_table([(ids[0], 0, 2.0, 0.5, 0.5), (ids[1], 0, 1.0, 0.5, 0.5)])
     with pytest.raises(ValueError, match="equal length"):
         LinkTable([0, 1], [0, 0], [2.0, 1.0], [0.5, 0.5], [0.5])
-    # (P, n) columns are a block of P tables, its length P
-    block = LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
-    assert len(block) == 1 and block.c_los.shape == (1, 1)
+    # a table is one position's: (P, n) columns are refused
+    with pytest.raises(ValueError, match=r"shape \(n,\), got \(1, 1\)"):
+        LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
 
 
 def test_build_rejects_low_altitude():
@@ -201,6 +204,27 @@ def test_gain_consistency_with_manual_evaluation():
 
 
 COLUMNS = ("gbs_id", "band", "c_los", "c_nlos", "p_los")
+LIT_COLUMNS = ("gbs_id", "c_los", "c_nlos", "p_los")
+PADDING = (-1, 0.0, 0.0, 0.0)
+
+
+def _lit_ids(uav_antenna, layout, xyz):
+    """The sites the UAV antenna at ``xyz`` gives a nonzero gain: those
+    inside its footprint, r^2 <= radius^2, or every one with a backlobe."""
+    x, y, z = xyz
+    radius = uav_antenna.footprint_radius(z, 20.0)
+    inside = (layout.x - x) ** 2 + (layout.y - y) ** 2 <= radius * radius
+    return np.flatnonzero(inside | (uav_antenna.backlobe_gain > 0.0)).tolist()
+
+
+def _lit_rows(columns, lit):
+    """Row p of each of the walk-order ``columns``, (P, n) arrays, cut to
+    the rows where ``lit[p]`` holds, then padded with id -1, gains 0 and
+    LoS probability 0 to the most lit rows of any position, at least 1."""
+    width = max(1, max(int(row.sum()) for row in lit))
+    return {name: np.array([np.pad(col[row], (0, width - int(row.sum())), constant_values=pad)
+                            for col, row in zip(columns[name], lit)])
+            for name, pad in zip(LIT_COLUMNS, PADDING)}
 
 
 @pytest.mark.parametrize("uav_antenna", [
@@ -210,67 +234,89 @@ COLUMNS = ("gbs_id", "band", "c_los", "c_nlos", "p_los")
     dict(half_beamwidth_deg=20.0, backlobe_gain=0.01),
 ], ids=["beam90", "beam75", "beam20-backlobe"])
 def test_block_tables_equal_single_position_tables(uav_antenna):
+    # each row of a block holds the lit rows of its position's table, bit
+    # for bit and in the table's order, then padding
     layout = build_hex_layout(500.0, 1500.0, 3)
-    args = (layout, PATTERN, replace(UAV_ANTENNA, **uav_antenna), CHANNEL)
+    ant = replace(UAV_ANTENNA, **uav_antenna)
+    args = (layout, PATTERN, ant, CHANNEL)
     rng = np.random.default_rng(3)
     block = np.column_stack([rng.uniform(-800.0, 800.0, 12), rng.uniform(-800.0, 800.0, 12),
                              rng.uniform(26.0, 300.0, 12)])        # mixed altitudes
     block[4] = (layout.x[5], layout.y[5], 61.0)    # straight above site 5
-    table = build_link_columns(*args, block, 20.0)
-    assert len(table) == 12
-    assert [getattr(table, name).shape for name in COLUMNS] == [(12, 37)] * 5
-    for p, xyz in enumerate(block):
-        single = build_link_table(*args, tuple(xyz.tolist()), 20.0)
-        for name in COLUMNS:
-            got, want = getattr(table, name)[p], getattr(single, name)
-            assert got.shape == want.shape == (37,), name
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-            assert not got.flags.writeable
-    # elevation 90 degrees: the GBS element null leaves site 5 no gain
-    gbs_id, _, c_los, c_nlos, _ = (getattr(table, name)[4] for name in COLUMNS)
-    k = gbs_id.tolist().index(5)
-    assert c_los[k] == c_nlos[k] == 0.0
+    lit = build_lit_links(*args, block, 20.0)
+    assert len(lit) == 12
+    tables = [build_link_table(*args, tuple(xyz.tolist()), 20.0) for xyz in block]
+    rows = [np.isin(table.gbs_id, _lit_ids(ant, layout, xyz)) for table, xyz in zip(tables, block)]
+    want = _lit_rows({name: [getattr(table, name) for table in tables] for name in LIT_COLUMNS},
+                     rows)
+    for name in LIT_COLUMNS:
+        got = getattr(lit, name)
+        assert got.shape == want[name].shape and got.dtype == want[name].dtype, name
+        assert got.tobytes() == want[name].tobytes() and not got.flags.writeable, name
+    if ant.half_beamwidth_deg == 90.0 or ant.backlobe_gain:
+        assert lit.gbs_id.shape == (12, 37)       # every link lit, no padding
+    # elevation 90 degrees: the GBS element null leaves lit site 5 no gain
+    k = lit.gbs_id[4].tolist().index(5)
+    assert lit.c_los[4, k] == lit.c_nlos[4, k] == 0.0
 
 
 def test_block_shapes():
     layout = build_hex_layout(500.0, 500.0, 3)
     args = (layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=75.0), CHANNEL)
-    one = build_link_columns(*args, [(10.0, 20.0, 100.0)], 20.0)
-    assert len(one) == 1 and [getattr(one, name).shape for name in COLUMNS] == [(1, 7)] * 5
-    none = build_link_columns(*args, np.empty((0, 3)), 20.0)
-    assert len(none) == 0 and [getattr(none, name).shape for name in COLUMNS] == [(0, 7)] * 5
+    # a 299 m footprint at 100 m lights site 0 alone
+    one = build_lit_links(*args, [(10.0, 20.0, 100.0)], 20.0)
+    assert len(one) == 1 and [getattr(one, name).shape for name in LIT_COLUMNS] == [(1, 1)] * 4
+    assert one.gbs_id.tolist() == [[0]]
+    # a 5-degree beam lights no site from between them: one padding row
+    dark = build_lit_links(layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=5.0),
+                           CHANNEL, [(250.0, 0.0, 100.0), (250.0, 0.0, 150.0)], 20.0)
+    assert [getattr(dark, name).tolist() for name in LIT_COLUMNS] == [
+        [[pad]] * 2 for pad in PADDING]
+    none = build_lit_links(*args, np.empty((0, 3)), 20.0)
+    assert len(none) == 0 and [getattr(none, name).shape for name in LIT_COLUMNS] == [(0, 1)] * 4
     for bad in ((10.0, 20.0, 100.0), [[(10.0, 20.0, 100.0)]], [(10.0, 20.0)]):
         with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
-            build_link_columns(*args, bad, 20.0)
+            build_lit_links(*args, bad, 20.0)
     with pytest.raises(ValueError, match="must exceed"):    # one low position in the block
-        build_link_columns(*args, [(0.0, 0.0, 100.0), (0.0, 0.0, 20.0)], 20.0)
+        build_lit_links(*args, [(0.0, 0.0, 100.0), (0.0, 0.0, 20.0)], 20.0)
+    # the distance check covers unlit links: 0.5 m above and 0.5 m beside
+    # site 1, outside the 5-degree beam's 4 cm footprint
+    with pytest.raises(ValueError, match=r"3D distance must be >= 1 m, got 0\.7071"):
+        build_lit_links(layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=5.0), CHANNEL,
+                        [(250.0, 0.0, 100.0), (layout.x[1] + 0.5, layout.y[1], 20.5)], 20.0)
     no_sites = NetworkLayout(np.empty(0), np.empty(0), np.empty(0, dtype=int))
-    empty = build_link_columns(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
-    assert len(empty) == 2 and [getattr(empty, name).shape for name in COLUMNS] == [(2, 0)] * 5
+    empty = build_lit_links(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
+    assert len(empty) == 2 and [getattr(empty, name).shape for name in LIT_COLUMNS] == [(2, 0)] * 4
 
 
 SCENE = build_hex_layout(500.0, 1500.0, 3)
 
 
 def _reference_columns(uav_antenna, positions, inside=operator.le):
-    """The five walk-order columns of a block over ``SCENE``, the GBS
-    pattern and the pathloss evaluated on every link, the UAV cone's
-    footprint test ``inside(r_h, radius)``, then one stable sort."""
+    """Every link of a block over ``SCENE`` evaluated, the GBS pattern and
+    the pathloss too, with the UAV cone's footprint test
+    ``inside(r^2, radius^2)``, then one stable sort: the five (P, n)
+    walk-order columns, and their lit rows as a block's columns."""
     block = np.asarray(positions, dtype=float)
-    r_h, d3, theta = link_geometry(block, SCENE.x, SCENE.y, 20.0)
+    r2, d2, dh = link_distances(block, SCENE.x, SCENE.y, 20.0)
+    d3, theta = link_elevation(d2, dh[:, None])
     (h_los, h_nlos), p_los = CHANNEL.pathloss(d3), CHANNEL.los_probability(theta)
     radius = np.array([uav_antenna.footprint_radius(z, 20.0) for z in block[:, 2]])[:, None]
-    uav_gain = np.where(inside(r_h, radius), uav_antenna.mainlobe_gain, uav_antenna.backlobe_gain)
+    uav_gain = np.where(inside(r2, radius * radius), uav_antenna.mainlobe_gain,
+                        uav_antenna.backlobe_gain)
     combined = uav_gain * PATTERN(theta)
     c_los = combined * h_los
     order = np.argsort(-c_los, axis=-1, kind="stable")
-    walk = (np.take_along_axis(col, order, axis=-1) for col in (c_los, combined * h_nlos, p_los))
-    return dict(zip(COLUMNS, (order, SCENE.band[order], *walk))), int((uav_gain != 0.0).sum())
+    *walk, lit = (np.take_along_axis(col, order, axis=-1)
+                  for col in (c_los, combined * h_nlos, p_los, uav_gain != 0.0))
+    every = dict(zip(COLUMNS, (order, SCENE.band[order], *walk)))
+    return every, _lit_rows(every, lit)
 
 
 def _same_bits(table, want):
     return all(getattr(table, name).dtype == want[name].dtype
-               and getattr(table, name).tobytes() == want[name].tobytes() for name in COLUMNS)
+               and getattr(table, name).shape == want[name].shape
+               and getattr(table, name).tobytes() == want[name].tobytes() for name in want)
 
 
 BOUNDARY_BEAM = 40.0
@@ -301,97 +347,114 @@ def link_blocks(draw):
 @given(st.sampled_from([90.0, 75.0, 45.0]) | st.floats(1e-3, 90.0),
        st.just(0.0) | st.floats(1e-6, 1.0), link_blocks())
 def test_lit_links_equal_every_link_evaluated(half_beamwidth, backlobe, positions):
-    # pattern and pathloss on lit links only move no bit of any column,
-    # and the GBS pattern sees the lit links alone
+    # evaluating a block's lit links alone, and a table's every link, moves
+    # no bit of any column from every link evaluated and the lit rows cut
+    # out after; the GBS pattern sees the block's (P, k) links alone
     uav_antenna = replace(UAV_ANTENNA, half_beamwidth_deg=half_beamwidth, backlobe_gain=backlobe)
     seen = []
     pattern = lambda theta: seen.append(np.size(theta)) or PATTERN(theta)   # noqa: E731
-    table = build_link_columns(SCENE, pattern, uav_antenna, CHANNEL, positions, 20.0)
-    want, lit = _reference_columns(uav_antenna, positions)
-    assert _same_bits(table, want)
-    assert sum(seen) == lit
+    block = build_lit_links(SCENE, pattern, uav_antenna, CHANNEL, positions, 20.0)
+    every, want = _reference_columns(uav_antenna, positions)
+    assert _same_bits(block, want)
+    assert seen == [block.gbs_id.size]
+    for p, xyz in enumerate(positions):
+        table = build_link_table(SCENE, PATTERN, uav_antenna, CHANNEL, xyz, 20.0)
+        assert _same_bits(table, {name: col[p] for name, col in every.items()})
 
 
 def test_lit_link_gate_sees_the_footprint_boundary():
     uav_antenna = replace(UAV_ANTENNA, half_beamwidth_deg=BOUNDARY_BEAM)
-    table = build_link_columns(SCENE, PATTERN, uav_antenna, CHANNEL, BOUNDARY, 20.0)
-    # site 0 on the boundary takes the mainlobe gain, and serves
-    assert table.gbs_id[0, 0] == 0 and table.c_los[0, 0] > 0.0
-    assert (table.c_los[0, 1:] == 0.0).all()
-    assert _same_bits(table, _reference_columns(uav_antenna, BOUNDARY)[0])
+    block = build_lit_links(SCENE, PATTERN, uav_antenna, CHANNEL, BOUNDARY, 20.0)
+    # site 0 on the boundary takes the mainlobe gain, and serves; it is
+    # the one site lit
+    assert block.gbs_id.tolist() == [[0]] and block.c_los[0, 0] > 0.0
+    assert _same_bits(block, _reference_columns(uav_antenna, BOUNDARY)[1])
     # negative control: a strict footprint test leaves site 0 unlit
-    assert not _same_bits(table, _reference_columns(uav_antenna, BOUNDARY, operator.lt)[0])
+    assert not _same_bits(block, _reference_columns(uav_antenna, BOUNDARY, operator.lt)[1])
 
 
 def _block_columns():
-    block = build_link_columns(
+    block = build_lit_links(
         build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA, CHANNEL,
         [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)], 20.0,
     )
-    return {name: np.array(getattr(block, name)) for name in COLUMNS}   # writable copies
+    return {name: np.array(getattr(block, name)) for name in LIT_COLUMNS}   # writable copies
 
 
 def _corrupt_row_1(cols, how):
-    c_los, p_los, ids = cols["c_los"][1], cols["p_los"][1], cols["gbs_id"][1]
+    c_los, p_los = cols["c_los"][1], cols["p_los"][1]
     if how == "unsorted":
         c_los[[0, 1]] = c_los[[1, 0]]
-    elif how == "p_los":
-        p_los[4] = 1.5
     else:
-        ids[2] = ids[3]
+        p_los[4] = 1.5
 
 
 @pytest.mark.parametrize("how, message", [
     ("unsorted", r"sorted by descending c_los, then id; out of order: GBS {ids[1]}"),
     ("p_los", r"LoS probability out of \[0, 1\] for GBS {ids[4]}"),
-    ("ids", r"permutation of 0\.\.36: GBS {ids[3]} repeats or is out of range"),
 ])
 def test_block_check_names_the_corrupt_row(how, message):
+    # every link of the default 90-degree beam is lit: each row of the
+    # block is its position's table, bar the band column
     cols = _block_columns()
-    LinkTable(**cols)                               # the untouched block passes
+    LitLinks(**cols)                               # the untouched block passes
     ids = cols["gbs_id"][1].tolist()
     _corrupt_row_1(cols, how)
     with pytest.raises(ValueError, match=message.format(ids=ids) + " in block row 1$"):
-        LinkTable(**cols)
+        LitLinks(**cols)
     # the same row as one table raises the same error, without the row
     with pytest.raises(ValueError, match=message.format(ids=ids) + "$"):
-        LinkTable(**{name: col[1] for name, col in cols.items()})
+        LinkTable(band=np.zeros(37, dtype=int), **{name: col[1] for name, col in cols.items()})
+
+
+@pytest.mark.parametrize("row", [
+    # a lit link after padding, and padding with a gain or a LoS probability
+    [(-1, 0.0, 0.0, 0.0), (3, 0.0, 0.0, 0.5)],
+    [(3, 2.0, 1.0, 0.5), (-1, 1.0, 0.0, 0.0)],
+    [(3, 0.0, 0.0, 0.5), (-1, 0.0, 0.0, 0.5)],
+], ids=["lit-after-padding", "padding-gain", "padding-p_los"])
+def test_block_check_keeps_padding_at_the_tail(row):
+    ok = [(3, 2.0, 1.0, 0.5), (5, 0.0, 0.0, 0.5), (-1, 0.0, 0.0, 0.0), (-1, 0.0, 0.0, 0.0)]
+    LitLinks(*([list(col)] for col in zip(*ok)))
+    with pytest.raises(ValueError, match=r"(out of order|padding row).* GBS -?\d in block row 0$"):
+        LitLinks(*([list(col)] for col in zip(*row)))
 
 
 def test_block_check_shapes():
     cols = _block_columns()
-    # columns are (n,) for one table or (P, n) for a block, never 3-D or 0-D
-    LinkTable(**{name: col[0] for name, col in cols.items()})
-    LinkTable(**cols)
-    for cut in (lambda col: col[None], lambda col: col[0, 0]):
-        with pytest.raises(ValueError, match=r"shape \(n,\) or \(P, n\)"):
-            LinkTable(**{name: cut(col) for name, col in cols.items()})
-    with pytest.raises(ValueError, match="equal length"):
-        LinkTable(**dict(cols, p_los=cols["p_los"][:2]))
+    # a block's columns are (P, k), never 1-D or 3-D; a table's are (n,)
+    LitLinks(**cols)
+    for cut in (lambda col: col[None], lambda col: col[0]):
+        with pytest.raises(ValueError, match=r"shape \(P, k\)"):
+            LitLinks(**{name: cut(col) for name, col in cols.items()})
+    with pytest.raises(ValueError, match="equal shapes"):
+        LitLinks(**dict(cols, p_los=cols["p_los"][:2]))
+    with pytest.raises(ValueError, match=r"shape \(n,\)"):
+        LinkTable(band=np.zeros((3, 37), dtype=int), **cols)
 
 
 def test_table_holds_its_own_columns(monkeypatch):
     # a writable column is copied: the caller mutating it moves no table
     cols = _block_columns()
-    table = LinkTable(**cols)
-    before = {name: getattr(table, name).tobytes() for name in COLUMNS}
+    block = LitLinks(**cols)
+    before = {name: getattr(block, name).tobytes() for name in LIT_COLUMNS}
     for col in cols.values():
         col[...] = 0
-    assert {name: getattr(table, name).tobytes() for name in COLUMNS} == before
-    assert not any(np.shares_memory(getattr(table, name), cols[name]) for name in COLUMNS)
+    assert {name: getattr(block, name).tobytes() for name in LIT_COLUMNS} == before
+    assert not any(np.shares_memory(getattr(block, name), cols[name]) for name in LIT_COLUMNS)
     # a read-only view does not own its data, so it is copied too
     frozen = {name: col[1] for name, col in _block_columns().items()}
     for col in frozen.values():
         col.flags.writeable = False
-    row = LinkTable(**frozen)
-    assert not any(np.shares_memory(getattr(row, name), frozen[name]) for name in COLUMNS)
-    # a block table holds the columns the block evaluation built, no copy
+    row = LinkTable(band=np.zeros(37, dtype=int), **frozen)
+    assert not any(np.shares_memory(getattr(row, name), frozen[name]) for name in LIT_COLUMNS)
+    # a block holds the columns the block evaluation built, no copy
     built = []
-    evaluate = channel._link_columns
-    monkeypatch.setattr(channel, "_link_columns", lambda *args: built.append(evaluate(*args))
+    evaluate = channel._walk_columns
+    monkeypatch.setattr(channel, "_walk_columns",
+                        lambda *args, **kwargs: built.append(evaluate(*args, **kwargs))
                         or built[-1])
-    block = build_link_columns(build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA,
-                               CHANNEL, [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0)], 20.0)
-    held = [getattr(block, name) for name in COLUMNS]
-    assert [a is b for a, b in zip(held, built[0])] == [True] * 5
-    assert all(np.shares_memory(a, b) for a, b in zip(held, built[0]))
+    block = build_lit_links(build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA,
+                            CHANNEL, [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0)], 20.0)
+    held = [getattr(block, name) for name in LIT_COLUMNS]
+    assert [a is b for a, b in zip(held, built[0][0])] == [True] * 4

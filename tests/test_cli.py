@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import counted_mixture_builds
-from uavcov import coverage
+from uavcov import cli, coverage
 from uavcov.cli import build_parser, main
 from uavcov.config import load_config
 from uavcov.coverage import LinkDirection, coverage_at_altitude
@@ -518,6 +518,22 @@ def test_validate_uplink_passes(tmp_path, capsys):
     rc = main(["validate", "--config", cfg_path, "--mode", "uplink-vs-bruteforce"])
     assert rc == 0
     assert "PASS uplink-vs-bruteforce" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("beam, lit", [(90, 7), (75, 1), (5, 0)])
+def test_validate_uplink_reads_the_block_coverage_reads(tmp_path, capsys, monkeypatch, beam,
+                                                         lit):
+    # the block read is of the lit links of a block of the configured
+    # position, as coverage builds them: all 7 GBSs of TINY, one, or none
+    built = []
+    build = cli.build_lit_links
+    monkeypatch.setattr(cli, "build_lit_links", lambda *args: built.append(build(*args))
+                        or built[-1])
+    cfg_path = write_cfg(tmp_path, TINY + f"[uav_antenna]\nhalf_beamwidth_deg = {beam}\n")
+    assert main(["validate", "--config", cfg_path, "--mode", "uplink-vs-bruteforce"]) == 0
+    assert capsys.readouterr().out.count("PASS uplink-vs-bruteforce") == 2
+    [block] = built
+    assert len(block) == 1 and int((block.gbs_id >= 0).sum()) == lit
 
 
 def test_validate_uplink_holds_the_truncated_read(tmp_path, capsys, monkeypatch):

@@ -133,10 +133,14 @@ def test_strict_sections_and_keys(tmp_path):
         load_config(write_ini(tmp_path, "[DEFAULT]\nradius_m = 500\n"))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.ini"))
-    with pytest.raises(ConfigError, match="must be a float"):
+    with pytest.raises(ConfigError, match="^\\[layout\\] radius_m must be a number, got 'five'$"):
         load_config(write_ini(tmp_path, "[layout]\nradius_m = five\n"))
-    with pytest.raises(ConfigError, match="must be a int"):
+    with pytest.raises(ConfigError,
+                       match="^\\[sampling\\] resolution must be an integer, got '2.5'$"):
         load_config(write_ini(tmp_path, "[sampling]\nresolution = 2.5\n"))
+    with pytest.raises(ConfigError,
+                       match="^\\[sampling\\] altitude_points must be an integer, got '10.0'$"):
+        load_config(write_ini(tmp_path, "[sampling]\naltitude_points = 10.0\n"))
 
 
 @pytest.mark.parametrize("body", [
@@ -298,7 +302,7 @@ def test_coefficient_file_errors(tmp_path):
         (COEFFICIENTS.replace("15.0", "inf"),
          "[los_probability] midpoint_deg must be finite, got 'inf'"),
         (COEFFICIENTS.replace("1.3e-4", "big"),
-         "[pathloss] ref_gain_los must be a float, got 'big'"),
+         "[pathloss] ref_gain_los must be a number, got 'big'"),
         # the model's own checks
         (COEFFICIENTS.replace("2.0e-6", "1.0"),
          "reference gains must satisfy 0 < ref_gain_nlos < ref_gain_los, got 1.0, 0.00013"),

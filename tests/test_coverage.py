@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_reads_stepped_cdfs,
     counted_mixture_builds,
+    default_models,
     in_place_probes,
     link_block,
     link_table,
@@ -27,10 +28,11 @@ from conftest import (
     random_link_table,
 )
 from uavcov import coverage, gpm
-from uavcov.channel import LinkTable, build_link_table
+from uavcov.antenna import UavAntenna
+from uavcov.channel import LinkTable, LitLinks, build_link_table, build_lit_links
 from uavcov.cli import main
 from uavcov.config import load_config
-from uavcov.geometry import NetworkLayout, point_orbits, write_layout_csv
+from uavcov.geometry import NetworkLayout, build_hex_layout, point_orbits, write_layout_csv
 from uavcov.oracles import (
     downlink_cdf_enumeration,
     downlink_outage_mc,
@@ -334,7 +336,7 @@ def test_block_read_validation():
     with pytest.raises(ValueError, match="eps"):
         block_read(link_table(MICRO_ROWS), 1.0, [1.0], 1.0)
     with pytest.raises(ValueError, match="empty"):
-        uplink_outage(LinkTable(*(np.empty((2, 0)) for _ in range(5))), 1.0, [1.0])
+        uplink_outage(LitLinks(*(np.empty((2, 0)) for _ in range(4))), 1.0, [1.0])
     # a threshold of 0 reads outage 0 exactly; a negative or NaN one reads nothing
     assert uplink_outage(block, 1.0, [0.0]).tolist() == [[0.0]]
     with pytest.raises(ValueError, match="SNR thresholds must be >= 0"):
@@ -352,7 +354,7 @@ def test_block_read_validation():
 ], ids=["unsorted", "p_los"])
 def test_block_read_refuses_what_its_telescoping_assumes(c_los, p_los, message):
     with pytest.raises(ValueError, match=message + ".* in block row 0$"):
-        uplink_outage(LinkTable([[0, 1]], [[0, 0]], c_los, [[0.5, 0.5]], p_los), 1.0, [2.0])
+        uplink_outage(LitLinks([[0, 1]], c_los, [[0.5, 0.5]], p_los), 1.0, [2.0])
 
 
 @pytest.mark.parametrize("reader, read", [
@@ -442,6 +444,107 @@ def test_block_read_negative_control(monkeypatch, mutant):
                         lambda *args: mutant(*args, count))
     with pytest.raises(AssertionError):
         test_block_read_matches_enumeration()
+
+
+LIT_LAYOUT = build_hex_layout(500.0, 1500.0, 3)
+CONES = {beam: dataclasses.replace(default_models()[1], half_beamwidth_deg=beam)
+         for beam in (5.0, 45.0)}
+# 250 m from the nearest site, under a 5-degree footprint of at most 16 m
+DARK = [(250.0, 0.0, 30.0), (250.0, 144.3, 200.0), (-250.0, 0.0, 35.0)]
+# straight above site 5, and 1 m above site 0: a lit link in the GBS
+# element null, of gain 0
+ABOVE = [(LIT_LAYOUT.x[5], LIT_LAYOUT.y[5], 61.0), (0.0, 0.0, 21.0)]
+# site 0, at the origin, on the 45-degree footprint's boundary
+EDGE = [(CONES[45.0].footprint_radius(h, 20.0), 0.0, h) for h in (100.0, 37.5)]
+
+
+def assert_lit_block_reads_as_tables(layout, antenna, positions, eps, block_antenna=None,
+                                     padded=True):
+    """1 - uplink_outage of the lit links of a block of ``positions``
+    (``block_antenna``'s, ``antenna``'s by default) equals, bit for bit,
+    that of each position's complete table, at and one ulp either side of
+    every gain times beta0 and at a few thresholds between.  Unpadded, the
+    block keeps only as many rows as the most lit links of a position."""
+    pattern, _, channel_model = default_models()
+    beta0 = load_config().beta0
+    block = build_lit_links(layout, pattern, block_antenna or antenna, channel_model, positions,
+                            20.0)
+    if not padded:
+        lit = int((block.gbs_id >= 0).sum(axis=-1).max())
+        block = LitLinks(*(getattr(block, field.name)[:, :lit]
+                           for field in dataclasses.fields(LitLinks)))
+    tables = [build_link_table(layout, pattern, antenna, channel_model, xyz, 20.0)
+              for xyz in positions]
+    atoms = beta0 * np.concatenate([[1e-3, 1.0, 1e3]] + [np.concatenate([t.c_los, t.c_nlos])
+                                                          for t in tables])
+    ts = np.unique(np.concatenate([[0.0], atoms, np.nextafter(atoms, -np.inf),
+                                   np.nextafter(atoms, np.inf)]))
+    ts = ts[ts >= 0.0]
+    read = 1.0 - uplink_outage(block, beta0, ts, eps)
+    want = np.array([1.0 - uplink_outage(table, beta0, ts, eps) for table in tables])
+    assert read.tobytes() == want.tobytes()
+
+
+@st.composite
+def lit_scenes(draw):
+    """A hexagonal layout of random spacing, extent and reuse, a UAV cone
+    of half-beamwidth 5, 20, 45, 75 or 90 degrees and backlobe 0 or 0.01,
+    and 1 to 6 positions at 21-400 m: anywhere over the layout, straight
+    above a site (elevation 90: a lit link in the GBS element null), or
+    with site 0, at the origin, on the footprint's boundary."""
+    isd = draw(st.floats(100.0, 800.0))
+    layout = build_hex_layout(isd, draw(st.floats(0.0, 3.0)) * isd,
+                              draw(st.sampled_from([1, 3, 4, 7])))
+    beam = draw(st.sampled_from([5.0, 20.0, 45.0, 75.0, 90.0]))
+    antenna = dataclasses.replace(default_models()[1], half_beamwidth_deg=beam,
+                                  backlobe_gain=draw(st.sampled_from([0.0, 0.01])))
+    height = st.floats(21.0, 400.0)
+    anywhere = st.tuples(st.floats(-4.0 * isd, 4.0 * isd), st.floats(-4.0 * isd, 4.0 * isd),
+                         height)
+    above = st.tuples(st.integers(0, len(layout) - 1), height).map(
+        lambda at: (float(layout.x[at[0]]), float(layout.y[at[0]]), at[1]))
+
+    def edge(h, direction):
+        # the 90-degree footprint has no boundary: straight above site 0 then
+        radius = antenna.footprint_radius(h, 20.0)
+        radius = 0.0 if math.isinf(radius) else radius
+        return radius * direction[0], radius * direction[1], h
+
+    on_edge = st.builds(edge, height, st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]))
+    return layout, antenna, draw(st.lists(anywhere | above | on_edge, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@example((LIT_LAYOUT, CONES[5.0], DARK), 0.0)            # no position lights a GBS
+@example((LIT_LAYOUT, CONES[45.0], ABOVE + DARK), 1e-6)
+@example((LIT_LAYOUT, CONES[45.0], EDGE + ABOVE), 0.0)
+@example((LIT_LAYOUT, dataclasses.replace(CONES[45.0], backlobe_gain=0.01), EDGE + DARK), 0.3)
+@given(lit_scenes(), st.sampled_from([0.0, 1e-6, 0.3]))
+def test_lit_link_blocks_read_as_whole_tables(scene, eps):
+    assert_lit_block_reads_as_tables(*scene, eps)
+
+
+class _StrictCone(UavAntenna):
+    """The UAV cone with a strict footprint test: its boundary is out."""
+
+    def gain_at(self, r2, uav_height, gbs_height):
+        radius = np.array([self.footprint_radius(h, gbs_height) for h in uav_height])
+        inside = np.asarray(r2) < (radius * radius)[:, None]
+        return np.where(inside, self.mainlobe_gain, self.backlobe_gain)
+
+
+def test_lit_link_blocks_negative_controls():
+    # a block whose footprint test is strict leaves site 0 unlit on the
+    # boundary, where its table serves from it
+    cone = CONES[45.0]
+    strict = _StrictCone(cone.half_beamwidth_deg, cone.mainlobe_constant, cone.backlobe_gain)
+    assert_lit_block_reads_as_tables(LIT_LAYOUT, cone, EDGE, 0.0, block_antenna=cone)
+    with pytest.raises(AssertionError):
+        assert_lit_block_reads_as_tables(LIT_LAYOUT, cone, EDGE, 0.0, block_antenna=strict)
+    # with no padding row a block that lights nothing has no row to walk
+    assert_lit_block_reads_as_tables(LIT_LAYOUT, CONES[5.0], DARK, 0.0)
+    with pytest.raises(ValueError, match="cannot associate against an empty link table"):
+        assert_lit_block_reads_as_tables(LIT_LAYOUT, CONES[5.0], DARK, 0.0, padded=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1415,9 +1518,9 @@ def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
     # reads its block's columns and counts a position at the block read,
     # the downlink a table and a law per position
     laws = 3 if link is LinkDirection.UPLINK else 24
-    tables = "build_link_columns" if link is LinkDirection.UPLINK else "build_link_table"
+    tables = "build_lit_links" if link is LinkDirection.UPLINK else "build_link_table"
     positions = {
-        "build_link_columns": len,
+        "build_lit_links": len,
         "build_link_table": lambda table: 1,
         "uplink_outage": len,
         "downlink_snr_cdf": lambda cdf: 1,

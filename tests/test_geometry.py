@@ -23,7 +23,8 @@ from uavcov.geometry import (
     build_hex_layout,
     NetworkLayout,
     hexagon_corners,
-    link_geometry,
+    link_distances,
+    link_elevation,
     point_orbits,
     read_layout_csv,
     sample_region,
@@ -183,27 +184,34 @@ def test_layout_rejects_nan(args, message):
         build_hex_layout(*(math.inf if math.isnan(a) else a for a in args))
 
 
+def _elevations(positions, xs, ys):
+    _, d2, dh = link_distances(positions, xs, ys, 20.0)
+    return link_elevation(d2, dh[:, None])[1]
+
+
 def test_elevation_angle():
     # sites at the origin and 100 m east, seen from straight above the origin
-    _, _, theta = link_geometry([(0.0, 0.0, 120.0)], [0.0, 100.0], [0.0, 0.0], 20.0)
+    theta = _elevations([(0.0, 0.0, 120.0)], [0.0, 100.0], [0.0, 0.0])
     assert theta == pytest.approx(np.array([[90.0, 45.0]]))   # overhead; offset = height
     # monotone in altitude at fixed horizontal offset, one row per position
     heights = (30.0, 60.0, 120.0, 240.0)
-    _, _, angles = link_geometry([(300.0, 40.0, h) for h in heights], [0.0], [0.0], 20.0)
+    angles = _elevations([(300.0, 40.0, h) for h in heights], [0.0], [0.0])
     assert angles.shape == (4, 1)
     assert angles[:, 0].tolist() == sorted(angles[:, 0].tolist())
     for h in (20.0, 10.0):
         with pytest.raises(ValueError, match="must exceed the GBS antenna height"):
-            link_geometry([(0.0, 0.0, h)], [0.0], [0.0], 20.0)
+            link_distances([(0.0, 0.0, h)], [0.0], [0.0], 20.0)
     # positions come as a (P, 3) block, one or more rows
     with pytest.raises(ValueError, match=r"must have shape \(P, 3\), got \(3,\)"):
-        link_geometry((0.0, 0.0, 120.0), [0.0], [0.0], 20.0)
+        link_distances((0.0, 0.0, 120.0), [0.0], [0.0], 20.0)
 
 
 def test_distance_3d():
-    r_h, d3, _ = link_geometry([(3.0, 4.0, 32.0)], [0.0, 3.0], [0.0, 4.0], 20.0)
-    assert r_h == pytest.approx(np.array([[5.0, 0.0]]))
-    assert d3 == pytest.approx(np.array([[13.0, 12.0]]))
+    r2, d2, dh = link_distances([(3.0, 4.0, 32.0)], [0.0, 3.0], [0.0, 4.0], 20.0)
+    assert r2.tolist() == [[25.0, 0.0]] and dh.tolist() == [12.0]
+    # squared 3D distance (dx^2 + dy^2) + dh^2, dh^2 the height's square
+    assert d2.tolist() == [[169.0, 144.0]]
+    assert link_elevation(d2, dh[:, None])[0].tolist() == [[13.0, 12.0]]
 
 
 def test_hexagon_corners():

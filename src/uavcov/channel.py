@@ -16,19 +16,19 @@ The default parametric model combines
 Each parameter is a ``[channel]`` key; its default lives in
 ``config.DEFAULTS``, and a coefficients file is read by ``config``.
 
-A UAV position's links are held as a :class:`LinkTable` of (n,) column
-arrays, built by :func:`build_link_table`; the lit links of a block of
-P positions, those the UAV antenna gives a nonzero gain, as one
-:class:`LitLinks` block of (P, k) columns, built by
-:func:`build_lit_links`, k the most lit links of any position.  Each
-constructor is where its columns are converted, frozen and checked.
-Both builders run one evaluation: the UAV antenna's footprint test and
-the >= 1 m distance check (:meth:`ParametricAirGroundModel.pathloss`)
-cover every link, and elevation, LoS probability, GBS pattern, pathloss
-and the walk-order sort the chosen ones, every link of a table and the
-lit links of a block.  An unlit link's gains are exact zeros, bit for
-bit the product of its zero UAV gain, so a block's row holds the lit
-rows of its position's table, in the table's order.
+A UAV position's links are held as a :class:`LinkTable` of its lit
+links, those the UAV antenna gives a nonzero gain, as (k,) columns, built
+by :func:`build_link_table`; a block of P positions as one
+:class:`LinkTable` of (P, k) columns, built by :func:`build_lit_links`,
+k the most lit links of any position.  The constructor is where the
+columns are converted, frozen and checked.  Both builders run one
+evaluation: the UAV antenna's footprint test and the >= 1 m distance
+check (:meth:`ParametricAirGroundModel.pathloss`) cover every link, and
+elevation, LoS probability, GBS pattern, pathloss and the walk-order sort
+the lit ones.  An unlit link's gains are exact zeros, bit for bit the
+product of its zero UAV gain, so it can neither serve nor interfere: a
+table lists the lit links alone, and every law reads over it as over the
+table of every link.
 """
 
 from __future__ import annotations
@@ -150,27 +150,29 @@ def _hold(table, names) -> None:
 
 
 def _faults(ids, c, c_nlos, p_los):
-    """The (mask, message) pairs of what no link table holds, in one
-    table's (n,) columns or a block's (P, k): a gain or LoS probability no
-    link has, and a row that does not sort after the one before it in
-    walk order, descending ``c_los`` with ties by ascending id and
-    padding rows (id -1) after every row of gain 0."""
+    """The (mask, message, ids) triples of what no link table holds, in
+    one position's (k,) columns or a block's (P, k): a gain or LoS
+    probability no link has, a padding row (id -1) with a gain or a LoS
+    probability, a row that does not sort after the one before it in walk
+    order, descending ``c_los`` with ties by ascending id and padding rows
+    after every row of gain 0, and a GBS a position lists twice.  Where a
+    mask holds, its ids name the GBS at fault."""
     pad = ids < 0
     after = np.ones(ids.shape, dtype=bool)   # row k sorts after row k - 1
     after[..., 1:] = (c[..., :-1] > c[..., 1:]) | ((c[..., :-1] == c[..., 1:]) & (
         pad[..., 1:] | (~pad[..., :-1] & (ids[..., :-1] < ids[..., 1:]))))
-    return ((~((p_los >= 0.0) & (p_los <= 1.0)), "LoS probability out of [0, 1] for"),
-            (~((c >= 0.0) & (c_nlos >= 0.0)), "negative gain for"),
-            ((c == 0.0) & (c_nlos != 0.0), "NLoS gain without LoS gain for"),
-            (~after, "link table rows must be sorted by descending c_los, then id; out of order:"))
-
-
-def _refuse(faults, name) -> None:
-    """Raise on the first of ``faults`` found; ``name`` names the row at
-    an index of the columns."""
-    for bad, what in faults:
-        if bad.any():
-            raise ValueError(f"{what} {name(np.unravel_index(np.argmax(bad), bad.shape))}")
+    # a position's real ids are distinct iff no two neighbours of its
+    # sorted ids are equal
+    ranked = np.sort(ids, axis=-1)
+    return ((~((p_los >= 0.0) & (p_los <= 1.0)), "LoS probability out of [0, 1] for", ids),
+            (~((c >= 0.0) & (c_nlos >= 0.0)), "negative gain for", ids),
+            ((c == 0.0) & (c_nlos != 0.0), "NLoS gain without LoS gain for", ids),
+            (~after, "link table rows must be sorted by descending c_los, then id; out of order:",
+             ids),
+            (pad & ((c != 0.0) | (p_los != 0.0)),
+             "padding row of nonzero gain or LoS probability:", ids),
+            ((ranked[..., 1:] == ranked[..., :-1]) & (ranked[..., 1:] >= 0),
+             "link table GBS ids must be distinct; repeated:", ranked[..., 1:]))
 
 
 _COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
@@ -179,19 +181,26 @@ _COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
 
 @dataclass(frozen=True, eq=False)
 class LinkTable:
-    """Combined channel gains of every GBS for one UAV position, as (n,)
-    columns; ``len`` is n.
+    """The lit links of one UAV position, those the UAV antenna gives a
+    nonzero gain, as (k,) columns, or of a block of P positions as (P, k)
+    columns, row p position p's; ``len`` is k for a position and P for a
+    block.
 
-    Row k is GBS ``gbs_id[k]`` of band ``band[k]``, with combined power
-    gains C = G_uav * G_gbs * h in both channel states (``c_los[k]``,
-    ``c_nlos[k]``) and LoS probability ``p_los[k]``.  Rows are sorted by
-    descending LoS gain, ties by ascending id: the association walk's
-    order.  The ids are 0..n-1, so per-GBS arrays are indexed by id.  GBSs
-    outside the UAV mainlobe with zero backlobe gain have both gains 0
-    and sit at the tail.  The columns are read-only, checked on
-    construction: an error names the first GBS at fault.  A column
-    handed over as a read-only array of its dtype that owns its data is
-    held as it is; any other is copied.
+    A position's row j is GBS ``gbs_id[j]`` of band ``band[j]``, with
+    combined power gains C = G_uav * G_gbs * h in both channel states
+    (``c_los[j]``, ``c_nlos[j]``) and LoS probability ``p_los[j]``.  Its
+    lit links come first in walk order, sorted by descending LoS gain,
+    ties by ascending id; then padding rows of id -1, gains 0 and LoS
+    probability 0 up to k, at least 1 (no reader reads a padding row's
+    band; the builders write -1).  Its ids are distinct, and per-GBS
+    arrays are indexed by id.  A GBS a position does not list is
+    unlit: both its gains are 0, so it neither serves nor interferes, and
+    every law reads the same as over a table that lists it with those
+    gains.  A lit link may still have gain 0, in a GBS element null.  The
+    columns are read-only, checked on construction: an error names the
+    first GBS at fault, and its block row.  A column handed over as a
+    read-only array of its dtype that owns its data is held as it is; any
+    other is copied.
     """
 
     gbs_id: np.ndarray
@@ -203,83 +212,37 @@ class LinkTable:
     def __post_init__(self) -> None:
         _hold(self, _COLUMNS)
         ids, c = self.gbs_id, self.c_los
-        if ids.ndim != 1:
-            raise ValueError(f"link table columns must have shape (n,), got {ids.shape}")
+        if ids.ndim not in (1, 2) or ids.shape[-1] == 0:
+            raise ValueError("link table columns must have shape (k,) or (P, k) with k >= 1 "
+                             f"(one padding row when no link is lit), got {ids.shape}")
         if any(col.shape != ids.shape for col in (self.band, c, self.c_nlos, self.p_los)):
-            raise ValueError("link table columns must have equal length")
-        # n ids are a permutation of 0..n-1 iff they sort to 0..n-1
-        n = len(ids)
-        if (np.sort(ids) != np.arange(n)).any():
-            row = ids.tolist()
-            gbs = next(g for k, g in enumerate(row) if not 0 <= g < n or g in row[:k])
-            raise ValueError(
-                f"link table GBS ids must be a permutation of 0..{n - 1}: "
-                f"GBS {gbs} repeats or is out of range"
-            )
-        _refuse(_faults(ids, c, self.c_nlos, self.p_los), lambda at: f"GBS {ids[at]}")
+            raise ValueError("link table columns must have equal shapes")
+        for bad, what, named in _faults(ids, c, self.c_nlos, self.p_los):
+            if bad.any():
+                at = np.unravel_index(np.argmax(bad), bad.shape)
+                row = f" in block row {at[0]}" if ids.ndim == 2 else ""
+                raise ValueError(f"{what} GBS {named[at]}{row}")
 
     def __len__(self) -> int:
         return len(self.gbs_id)
 
 
-@dataclass(frozen=True, eq=False)
-class LitLinks:
-    """The lit links of a block of P UAV positions, those the UAV antenna
-    gives a nonzero gain, as (P, k) columns; ``len`` is P.
-
-    Row p holds position p's lit links as its :class:`LinkTable` lists
-    them, in walk order, then padding rows of id -1, gains 0 and LoS
-    probability 0 up to k, the most lit links of any position and at
-    least 1.  A position's unlit links have both gains 0, so the
-    association walk over its rows here reads every outage as over its
-    whole table: with a lit link of gain the walk stops before the first
-    row of gain 0, and with none every threshold t > 0 is in outage.  The
-    columns are read-only, held or copied as a ``LinkTable``'s are, and
-    checked on construction: an error names the first GBS at fault and
-    its block row.
-    """
-
-    gbs_id: np.ndarray
-    c_los: np.ndarray
-    c_nlos: np.ndarray
-    p_los: np.ndarray
-
-    def __post_init__(self) -> None:
-        _hold(self, (column for column in _COLUMNS if column[0] != "band"))
-        ids, c = self.gbs_id, self.c_los
-        if ids.ndim != 2:
-            raise ValueError(f"lit link columns must have shape (P, k), got {ids.shape}")
-        if any(col.shape != ids.shape for col in (c, self.c_nlos, self.p_los)):
-            raise ValueError("lit link columns must have equal shapes")
-        padding = (ids < 0) & ((c != 0.0) | (self.p_los != 0.0))
-        _refuse((*_faults(ids, c, self.c_nlos, self.p_los),
-                 (padding, "padding row of nonzero gain or LoS probability:")),
-                lambda at: f"GBS {ids[at]} in block row {at[0]}")
-
-    def __len__(self) -> int:
-        return len(self.gbs_id)
-
-
-def _walk_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height, every_link):
-    """Evaluate the links of a (P, 3) block: every link of each position,
-    or its lit links only, those the UAV antenna gives a nonzero gain.
-
-    Returns the (gbs_id, c_los, c_nlos, p_los) columns in walk order, new
-    (P, k) arrays, k = n or the most lit links of any position and at
-    least 1, and each position's count of chosen links: past its count a
-    row holds unlit links, whose gains are 0.  The footprint test and the
-    3D distance >= 1 m check cover every link; the rest runs on the
-    (P, k) links.  An unlit link's gains are exact zeros, the product of
-    its zero UAV gain."""
+def _walk_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height):
+    """The five (P, k) columns of the lit links of a (P, 3) block, new
+    read-only arrays, k the most lit links of any position and at least
+    1.  The footprint test and the 3D distance >= 1 m check cover every
+    link; the rest runs on the (P, k) links: each position's lit links by
+    ascending id, then as many of its unlit ones as pad it to k, whose
+    gains are exact zeros, the product of their zero UAV gain, and which
+    become its padding rows."""
     block = np.asarray(positions, dtype=float)
     r2, d2, dh = link_distances(block, layout.x, layout.y, gbs_height)
     # the 3D distance grows with d2: each position's nearest link is its shortest
     _check_distance(np.sqrt(d2.min(axis=-1, initial=np.inf)))
     uav_gain = uav_antenna.gain_at(r2, block[:, 2], gbs_height)
-    chosen = np.ones(r2.shape, dtype=bool) if every_link else uav_gain != 0.0
-    count = chosen.sum(axis=-1)
-    # each position's chosen links by ascending id, then its unlit ones
-    links = np.argsort(~chosen, axis=-1, kind="stable")[:, :max(int(count.max(initial=0)), 1)]
+    lit = uav_gain != 0.0
+    count = lit.sum(axis=-1)
+    links = np.argsort(~lit, axis=-1, kind="stable")[:, :max(int(count.max(initial=0)), 1)]
     # flat indices gather (P, n) arrays at the links, then (P, k) ones in walk order
     rows = np.arange(len(block))[:, None]
     at = links + rows * r2.shape[-1]
@@ -287,11 +250,19 @@ def _walk_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_heig
     combined = np.take(uav_gain, at) * gbs_pattern(theta)
     h_los, h_nlos = channel.pathloss(d3)
     c_los = combined * h_los
-    # a stable sort keeps tied rows in this order, chosen ones by ascending
+    # a stable sort keeps tied rows in this order, lit ones by ascending
     # id and unlit ones last: the walk order
     walk = np.argsort(-c_los, axis=-1, kind="stable") + rows * links.shape[-1]
-    columns = (links, c_los, combined * h_nlos, channel.los_probability(theta))
-    return [np.take(col, walk) for col in columns], count
+    ids, c_los, c_nlos, p_los = (np.take(col, walk) for col in (
+        links, c_los, combined * h_nlos, channel.los_probability(theta)))
+    band = np.take(layout.band, ids)
+    # the unlit links past a position's count are its padding
+    padding = np.arange(ids.shape[-1]) >= count[:, None]
+    ids[padding], band[padding], p_los[padding] = -1, -1, 0.0
+    columns = (ids, band, c_los, c_nlos, p_los)
+    for col in columns:
+        col.flags.writeable = False
+    return columns
 
 
 def build_link_table(
@@ -302,16 +273,16 @@ def build_link_table(
     uav_xyz: Sequence[float],
     gbs_height: float,
 ) -> LinkTable:
-    """Evaluate geometry, antennas and channel for every site at once.
+    """The lit links of the one position ``uav_xyz`` as a (k,)
+    :class:`LinkTable`, bit for bit row 0 of the block
+    :func:`build_lit_links` builds of it alone.
 
     ``gbs_pattern`` is any callable mapping an array of elevation angles
     in degrees to linear power gains (a :class:`~uavcov.antenna.UlaPattern`
     works).
     """
-    columns, _ = _walk_columns(layout, gbs_pattern, uav_antenna, channel, [uav_xyz], gbs_height,
-                               every_link=True)
-    ids, *gains = (col[0] for col in columns)
-    return LinkTable(ids, layout.band[ids], *gains)
+    columns = _walk_columns(layout, gbs_pattern, uav_antenna, channel, [uav_xyz], gbs_height)
+    return LinkTable(*(col[0] for col in columns))
 
 
 def build_lit_links(
@@ -321,16 +292,10 @@ def build_lit_links(
     channel: ParametricAirGroundModel,
     positions,
     gbs_height: float,
-) -> LitLinks:
-    """The lit links of a (P, 3) block of positions as one
-    :class:`LitLinks` block, evaluated as whole arrays and checked once:
-    row p holds the lit rows of the table :func:`build_link_table`
-    builds at position p, bit for bit, then padding."""
-    (ids, c_los, c_nlos, p_los), count = _walk_columns(
-        layout, gbs_pattern, uav_antenna, channel, positions, gbs_height, every_link=False)
-    # the unlit links past a position's count are its padding
-    padding = np.arange(ids.shape[-1]) >= count[:, None]
-    ids[padding], p_los[padding] = -1, 0.0
-    for col in (ids, c_los, c_nlos, p_los):
-        col.flags.writeable = False
-    return LitLinks(ids, c_los, c_nlos, p_los)
+) -> LinkTable:
+    """The lit links of a (P, 3) block of positions as one (P, k)
+    :class:`LinkTable`, evaluated as whole arrays and checked once: row p
+    holds the table :func:`build_link_table` builds at position p, bit
+    for bit, then padding up to k."""
+    return LinkTable(*_walk_columns(layout, gbs_pattern, uav_antenna, channel, positions,
+                                    gbs_height))

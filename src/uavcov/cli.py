@@ -186,7 +186,7 @@ def _configured_table(cfg: ScenarioConfig):
 def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
     """One association event at the configured UAV position, as (serving
     GBS id, ``LOS`` or ``NLOS_MAX``, probability), and the interference
-    spec conditioned on it (one row per co-channel GBS)."""
+    spec conditioned on it (one row per lit co-channel GBS)."""
     table = _configured_table(cfg)
     events = association_pmf(table, cfg.association_epsilon)
     if not 0 <= event_index < len(events):

@@ -10,20 +10,20 @@ what happens further down, which closes the walk with a single terminal
 event of mass pre[stop].  An optional probability floor ``eps`` truncates
 the walk early, assigning the remaining mass to the terminal event.
 :func:`association_walk` computes pre and stop as running products in
-walk order, for one position's :class:`~uavcov.channel.LinkTable` or
-each row of a :class:`~uavcov.channel.LitLinks` block, which holds a
-position's lit rows only.  Row m's mass is pre[m] - pre[m + 1], so the
-mass below a threshold telescopes: with K the number of rows whose LoS
+walk order, over a :class:`~uavcov.channel.LinkTable` of one position's
+lit links or over each position of a block of them.  Row m's mass is
+pre[m] - pre[m + 1], so the mass below a threshold telescopes: with K the number of rows whose LoS
 SNR is at or above t, outage(t) = pre[min(K, stop)] when t exceeds the
 terminal SNR, else 0.  Coverage reads uplink outage this way for a block
-of lit links at every threshold (:func:`uplink_outage`), without an
+of positions at every threshold (:func:`uplink_outage`), without an
 event or pmf per position; :func:`association_pmf` reads the walk of one
 position's table into one :class:`AssociationEvents` record of (E,)
 event arrays, whose atoms :func:`uplink_snr_pmf` merges.
 
-Downlink: conditioned on an association event, every other GBS in the
-serving GBS's band interferes when active (probability ``omega`` per
-site).  Each interferer is one row of values [0, C_NL, C_L] with
+Downlink: conditioned on an association event, every other lit GBS in
+the serving GBS's band interferes when active (probability ``omega`` per
+site); an unlit one has gain 0 in both states, so it adds nothing, and
+no table lists it.  Each interferer is one row of values [0, C_NL, C_L] with
 probabilities [1 - omega, omega (1 - p_L), omega p_L], where p_L is 0 for
 GBSs the event forces into NLoS (always a prefix of the walk order, so an
 event stores only its length); the conditional interference cdf is then
@@ -57,9 +57,9 @@ loading, ``beta0``/``alpha0``, ``eps`` and ``c0`` from it.  Each
 (altitude, point) position's SNR law is built once and read at every
 threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
 (position, site) pairs: the uplink reads each block's lit links as one
-(P, k) :class:`~uavcov.channel.LitLinks` block from
+(P, k) :class:`~uavcov.channel.LinkTable` from
 :func:`~uavcov.channel.build_lit_links`, k the most any position has,
-and the downlink builds each position's table with
+and the downlink builds each position's (k,) table with
 :func:`~uavcov.channel.build_link_table`; no position's value depends
 on another's, so the output does not depend on where the blocks end.
 The uplink is read once per orbit of the grid under the hexagon's
@@ -78,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkTable, LitLinks, build_link_table, build_lit_links
+from .channel import LinkTable, build_link_table, build_lit_links
 from .config import ScenarioConfig
 from .geometry import point_orbits, sample_region
 from .gpm import GpmSpec, LatticeLaws, la_cdf, la_folds
@@ -116,11 +116,12 @@ class AssociationEvents:
         return len(self.probability)
 
 
-def association_walk(table: LinkTable | LitLinks, eps: float = 0.0
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def association_walk(table: LinkTable, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The association walk over a link table in walk order: one
-    position's (n,) columns, or each row of a lit-link block's (P, n)
-    columns, n the rows of a position.
+    position's (n,) columns, or each row of a block's (P, n) columns, n
+    the rows of a position, padding included.  A padding row has gain 0
+    and LoS probability 0, so it moves no mass and the walk serves no
+    event there.
 
     Returns ``pre``, of shape (..., n + 1), and ``stop``, of shape (...).
     ``pre[..., k]`` is the probability that rows 0..k-1 are all NLoS, the
@@ -133,8 +134,6 @@ def association_walk(table: LinkTable | LitLinks, eps: float = 0.0
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     n = table.c_los.shape[-1]
-    if n == 0:
-        raise ValueError("cannot associate against an empty link table")
     pre = np.ones(table.c_los.shape[:-1] + (n + 1,))
     np.cumprod(1.0 - table.p_los, axis=-1, out=pre[..., 1:])
     taken = (table.c_los >= table.c_nlos.max(axis=-1, keepdims=True)) & (pre[..., :-1] >= eps)
@@ -217,10 +216,10 @@ def _walked_rows_at_or_above(snr: np.ndarray, stop: np.ndarray, ts: np.ndarray) 
     return np.minimum(above, stop[..., None])
 
 
-def uplink_outage(table: LinkTable | LitLinks, beta0: float, thresholds,
+def uplink_outage(table: LinkTable, beta0: float, thresholds,
                   eps: float = 0.0) -> np.ndarray:
     """P{snr < t} for every threshold t: (T,) for one position's link
-    table, (P, T) for a block of P positions' lit links, as
+    table, (P, T) for a block of P positions, as
     :meth:`UplinkSnrPmf.outage` of :func:`uplink_snr_pmf` reads it to
     within float roundoff, without building either.
 
@@ -247,34 +246,48 @@ def uplink_outage(table: LinkTable | LitLinks, beta0: float, thresholds,
 # Downlink
 # ---------------------------------------------------------------------------
 
-def loading_by_id(omega, n: int) -> np.ndarray:
-    """Loading of each of ``n`` GBSs, indexed by id: ``omega`` is one
-    scalar for every GBS or an array with one entry per id."""
-    w = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+def loading_by_id(omega, ids) -> np.ndarray:
+    """Loading of each GBS of ``ids``: ``omega`` is one scalar for every
+    GBS or a 1-D array indexed by id.  Every entry must lie in [0, 1],
+    and an array must have an entry for every id asked for."""
+    w = np.asarray(omega, dtype=float)
+    ids = np.asarray(ids, dtype=np.intp)
+    if w.ndim > 1:
+        raise ValueError(f"loading must be a scalar or one entry per GBS id, got shape {w.shape}")
     bad = ~((w >= 0.0) & (w <= 1.0))
     if bad.any():
-        gbs_id = int(np.argmax(bad))
-        raise ValueError(f"loading factor for GBS {gbs_id} must lie in [0, 1], got {w[gbs_id]}")
-    return w
+        gbs = f"GBS {np.argmax(bad)}" if w.ndim else "every GBS"
+        raise ValueError(f"loading factor for {gbs} must lie in [0, 1], got {w[bad][0]}")
+    if w.ndim == 0:
+        return np.full(ids.shape, float(w))
+    missing = (ids < 0) | (ids >= len(w))
+    if missing.any():
+        raise ValueError(f"loading has no entry for GBS {ids[missing][0]}: it has "
+                         f"{len(w)} entries, for ids 0..{len(w) - 1}")
+    return w[ids]
 
 
 def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> GpmSpec:
     """Aggregate interference under each of E association events: one
     (E, K, 3) stack of sums (:class:`~uavcov.gpm.GpmSpec`), built and
     checked as one array.  Event e is served by walk row ``serving[e]`` of
-    ``table`` and forces the first ``forced[e]`` rows into NLoS: the (E,)
-    slices of an :class:`AssociationEvents` record.
+    ``table``, one position's lit links, and forces the first
+    ``forced[e]`` rows into NLoS: the (E,) slices of an
+    :class:`AssociationEvents` record.
 
-    The interferers of event e are the other GBSs of its serving band,
-    one row each in ascending id order (a GBS alone in its band gets an
-    empty sum, interference 0), then silent rows (value 0, mass 1 at 0)
-    up to K, one less than the largest serving band.  Each interferer is
-    silent with probability
-    1 - omega; when active it contributes its NLoS gain if the event
-    forces it NLoS, otherwise its NLoS/LoS gain split by its LoS
-    probability.  ``omega`` is a scalar or a per-GBS array indexed by
-    id.  No events give the empty (0, 0, 3) stack; ``serving`` and
-    ``forced`` of other shapes or lengths are refused.
+    The interferers of event e are the other lit GBSs of its serving
+    band, one row each in ascending id order (a GBS alone in its band gets
+    an empty sum, interference 0), then silent rows (value 0, mass 1 at 0)
+    up to K, one less than the most lit GBSs of a serving band.  An unlit
+    GBS would be a row of values [0, 0, 0], which adds nothing to the sum
+    and moves no lattice law, so the table need not list it.  Each
+    interferer is silent with probability 1 - omega; when active it
+    contributes its NLoS gain if the event forces it NLoS, otherwise its
+    NLoS/LoS gain split by its LoS probability.  ``omega`` is a scalar or
+    a per-GBS array indexed by id (:func:`loading_by_id`), with an entry
+    for every GBS the table lists.  No events give the empty (0, 0, 3)
+    stack; ``serving`` and ``forced`` of other shapes or lengths, and a
+    serving row that is padding, are refused.
     """
     if table.c_los.ndim != 1:
         raise ValueError("conditional_interference_specs reads one position's table, not a block")
@@ -283,24 +296,25 @@ def conditional_interference_specs(table: LinkTable, omega, serving, forced) -> 
         raise ValueError("serving and forced need one entry per event each, got shapes "
                          f"{serving.shape} and {forced.shape}")
     n = len(table)
-    if ((serving < 0) | (serving >= n)).any():
+    # the table's real rows, its lit links, come before its padding
+    lit = int(np.count_nonzero(table.gbs_id >= 0))
+    if ((serving < 0) | (serving >= lit)).any():
         raise ValueError("an event without a serving GBS has no interference law")
     if ((forced < 0) | (forced > n)).any():
         raise ValueError(f"a forced-NLoS prefix must lie in [0, {n}], got {forced}")
-    row_of = np.argsort(table.gbs_id)   # walk position of each id
-    by_band = np.argsort(table.band[row_of], kind="stable")   # ids by band, then by id
-    size = np.bincount(table.band)
-    first = np.cumsum(size) - size      # each band's first place in by_band
-    band = table.band[serving]
+    ids, bands = table.gbs_id[:lit], table.band[:lit]
+    by_band = np.lexsort((ids, bands))   # the lit rows by band, then by id
+    size = np.bincount(bands)
+    first = np.cumsum(size) - size       # each band's first place in by_band
+    band = bands[serving]
     # event e's interferers: its band's places in by_band but its server's
     place = first[band, None] + np.arange(size[band].max(initial=1) - 1)
-    place += place >= np.argsort(by_band)[table.gbs_id[serving], None]
+    place += place >= np.argsort(by_band)[serving, None]
     real = place < (first + size)[band, None]
-    ids = by_band[np.where(real, place, 0)]
-    w = np.where(real, loading_by_id(omega, n)[ids], 0.0)
-    at = row_of[ids]
+    at = by_band[np.where(real, place, 0)]
+    w = np.where(real, loading_by_id(omega, ids)[at], 0.0)
     p = np.where(at < forced[:, None], 0.0, table.p_los[at])
-    values = np.stack([np.zeros(ids.shape), np.where(real, table.c_nlos[at], 0.0),
+    values = np.stack([np.zeros(at.shape), np.where(real, table.c_nlos[at], 0.0),
                        np.where(real, table.c_los[at], 0.0)], axis=-1)
     probs = np.stack([1.0 - w, w * (1.0 - p), w * p], axis=-1)
     return GpmSpec(values, probs)

@@ -2,10 +2,13 @@
 
 The enumerations recompute the uplink and downlink SNR distributions by
 brute force over every joint channel-state (and interferer-activity)
-combination; they are exponential in the network size and refuse to run
-past hard caps.  The Monte Carlo downlink oracle draws the same joint
-states at random and so runs at any scene size.  They share no code with
-the production algorithms, so agreement is a meaningful check.
+combination of the lit links of one position's link table; they are
+exponential in the number of lit links and refuse to run past hard caps.
+The Monte Carlo downlink oracle draws the same joint states at random and
+so runs at any scene size.  Each reads the table's lit rows and skips its
+padding; an unlit GBS, which the table does not list, has gain 0 in both
+states and so moves no law.  They share no code with the production
+algorithms, so agreement is a meaningful check.
 
 The sum-level references check the lattice laws of :mod:`uavcov.gpm`:
 
@@ -44,18 +47,22 @@ VALUE_MERGE_RTOL = 1e-12
 MC_BLOCK = 20_000
 
 
-def _one_position(table: LinkTable, oracle: str) -> None:
+def _lit_rows(table: LinkTable, oracle: str) -> np.ndarray:
+    """The mask of the rows of one position's table that are lit links,
+    not padding."""
     if table.c_los.ndim != 1:
         raise ValueError(f"{oracle} reads one position's table, not a block")
+    return table.gbs_id >= 0
 
 
 def uplink_pmf_enumeration(table: LinkTable, beta0: float) -> UplinkSnrPmf:
-    """Uplink SNR pmf over all 2^B LoS/NLoS state vectors."""
-    _one_position(table, "uplink_pmf_enumeration")
-    b = len(table)
+    """Uplink SNR pmf over all 2^B LoS/NLoS state vectors of the B lit
+    links; with none the SNR is 0 surely."""
+    lit = _lit_rows(table, "uplink_pmf_enumeration")
+    c_los, c_nlos, p_los = table.c_los[lit], table.c_nlos[lit], table.p_los[lit]
+    b = len(c_los)
     if 2**b > UPLINK_STATE_CAP:
         raise ValueError(f"enumeration needs 2^{b} states, above the cap of {UPLINK_STATE_CAP}")
-    c_los, c_nlos, p_los = table.c_los, table.c_nlos, table.p_los
     acc: dict[float, float] = {}
     for mask in range(2**b):
         bits = (mask >> np.arange(b)) & 1
@@ -63,7 +70,7 @@ def uplink_pmf_enumeration(table: LinkTable, beta0: float) -> UplinkSnrPmf:
         prob = float(np.prod(np.where(bits == 1, p_los, 1.0 - p_los)))
         if prob == 0.0:
             continue
-        snr = beta0 * float(realized.max())
+        snr = beta0 * float(realized.max(initial=0.0))
         acc[snr] = acc.get(snr, 0.0) + prob
     values = np.array(sorted(acc))
     return UplinkSnrPmf(values, np.array([acc[v] for v in sorted(acc)]))
@@ -73,16 +80,18 @@ def downlink_cdf_enumeration(table: LinkTable, omega, alpha0: float) -> SteppedC
     """Exact downlink SNR cdf over every joint (channel state, activity)
     combination.
 
-    For each LoS/NLoS vector the serving GBS is the realised-gain argmax
-    (first row in table order on ties); the other GBSs of its band are
-    then swept over all active/silent patterns, each active interferer
-    contributing its own realised gain.
+    For each LoS/NLoS vector of the lit links the serving GBS is the
+    realised-gain argmax (first row in table order on ties); the other
+    lit GBSs of its band are then swept over all active/silent patterns,
+    each active interferer contributing its own realised gain.  With no
+    lit link the SNR is 0 surely.
     """
-    _one_position(table, "downlink_cdf_enumeration")
-    b = len(table)
-    c_los, c_nlos, p_los = table.c_los, table.c_nlos, table.p_los
-    w_by_id = loading_by_id(omega, b)
-    _, band_sizes = np.unique(table.band, return_counts=True)
+    lit = _lit_rows(table, "downlink_cdf_enumeration")
+    ids, bands, c_los, c_nlos, p_los = (
+        col[lit] for col in (table.gbs_id, table.band, table.c_los, table.c_nlos, table.p_los))
+    b = len(ids)
+    w = loading_by_id(omega, ids)
+    _, band_sizes = np.unique(bands, return_counts=True)
     max_band = int(band_sizes.max(initial=1))
     if 2**b * 2**max_band > DOWNLINK_STATE_CAP:
         raise ValueError(
@@ -97,16 +106,16 @@ def downlink_cdf_enumeration(table: LinkTable, omega, alpha0: float) -> SteppedC
         state_prob = float(np.prod(np.where(bits == 1, p_los, 1.0 - p_los)))
         if state_prob == 0.0:
             continue
-        s = int(np.argmax(realized))
-        gain = float(realized[s])
+        gain = float(realized.max(initial=0.0))
         if gain == 0.0:
             acc[0.0] = acc.get(0.0, 0.0) + state_prob
             continue
+        s = int(np.argmax(realized))
         # the other rows of the serving band, in ascending id order
-        members = np.flatnonzero((table.band == table.band[s]) & (np.arange(b) != s))
-        members = members[np.argsort(table.gbs_id[members])]
+        members = np.flatnonzero((bands == bands[s]) & (np.arange(b) != s))
+        members = members[np.argsort(ids[members])]
         gains = realized[members]
-        ws = w_by_id[table.gbs_id[members]]
+        ws = w[members]
         m = len(members)
         for pattern in range(2**m):
             act = (pattern >> np.arange(m)) & 1
@@ -135,24 +144,24 @@ def downlink_outage_mc(table: LinkTable, omega, alpha0: float, thresholds, n: in
     state, ``MC_BLOCK`` draws at a time from one generator of ``seed``.
 
     Each draw takes every row's LoS state with its probability and every
-    GBS's activity with its loading (``omega`` as ``loading_by_id`` reads
-    it), serves the row of largest realised gain (the first row on ties,
-    as ``downlink_cdf_enumeration`` does), and takes as interference the
+    lit GBS's activity with its loading (``omega`` as ``loading_by_id``
+    reads it; a padding row is never active and never gains), serves
+    the row of largest realised gain (the first row on ties, as
+    ``downlink_cdf_enumeration`` does), and takes as interference the
     realised gains of the active other GBSs of the served band.  A draw
     whose best gain is 0 has SNR 0.  By the DKW inequality (Massart's
     constant) the estimate lies within sqrt(ln(2/delta) / (2n)) of the
     exact outage at every threshold at once, with probability at least
     1 - delta.
     """
-    _one_position(table, "downlink_outage_mc")
-    if not len(table):
-        raise ValueError("downlink_outage_mc needs at least one GBS")
+    lit = _lit_rows(table, "downlink_outage_mc")
     if not alpha0 > 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     if n < 1:
         raise ValueError(f"need at least one draw, got n = {n}")
     ts = np.asarray(thresholds, dtype=float).ravel()
-    w = loading_by_id(omega, len(table))[table.gbs_id]
+    w = np.zeros(len(table))
+    w[lit] = loading_by_id(omega, table.gbs_id[lit])
     rng = np.random.default_rng(seed)
     covered = np.zeros(ts.size)
     for start in range(0, n, MC_BLOCK):

@@ -6,12 +6,14 @@ own seed; nothing here owns global state.
 
 import dataclasses
 import functools
+import operator
 from pathlib import Path
 
 import numpy as np
 
-from uavcov.channel import LinkTable, LitLinks
+from uavcov.channel import LinkTable
 from uavcov.config import load_config
+from uavcov.geometry import link_distances, link_elevation
 from uavcov.gpm import GpmSpec, LatticeLaws
 
 
@@ -40,10 +42,42 @@ def link_table(rows):
 
 
 def link_block(*tables):
-    """The ``LitLinks`` block whose row p holds every row of ``tables[p]``,
-    each read as a lit link; an unlit row is a lit link of gain 0."""
-    return LitLinks(*(np.stack([getattr(table, field.name) for table in tables])
-                      for field in dataclasses.fields(LitLinks)))
+    """The (P, k) ``LinkTable`` block whose row p holds every row of
+    ``tables[p]``, tables of one length k."""
+    return LinkTable(*(np.stack([getattr(table, field.name) for table in tables])
+                       for field in dataclasses.fields(LinkTable)))
+
+
+def every_link_columns(layout, uav_antenna, positions, inside=operator.le):
+    """Every link of a (P, 3) block of positions over ``layout`` evaluated,
+    with the default GBS pattern and channel, GBS antennas at 20 m and
+    the UAV cone's footprint test ``inside(r^2, radius^2)``, then one
+    stable sort: the five (P, n) walk-order columns by name, an unlit
+    link listed as a link of gain 0 and its LoS probability, and the
+    (P, n) mask of the lit ones."""
+    pattern, _, channel = default_models()
+    block = np.asarray(positions, dtype=float)
+    r2, d2, dh = link_distances(block, layout.x, layout.y, 20.0)
+    d3, theta = link_elevation(d2, dh[:, None])
+    (h_los, h_nlos), p_los = channel.pathloss(d3), channel.los_probability(theta)
+    radius = np.array([uav_antenna.footprint_radius(z, 20.0) for z in block[:, 2]])[:, None]
+    uav_gain = np.where(inside(r2, radius * radius), uav_antenna.mainlobe_gain,
+                        uav_antenna.backlobe_gain)
+    combined = uav_gain * pattern(theta)
+    c_los = combined * h_los
+    order = np.argsort(-c_los, axis=-1, kind="stable")
+    *walk, lit = (np.take_along_axis(col, order, axis=-1)
+                  for col in (c_los, combined * h_nlos, p_los, uav_gain != 0.0))
+    names = ("gbs_id", "band", "c_los", "c_nlos", "p_los")
+    return dict(zip(names, (order, layout.band[order], *walk))), lit
+
+
+def complete_table(layout, uav_antenna, xyz):
+    """The link table of every link at the position ``xyz``, as
+    ``every_link_columns`` evaluates them: the lit links and, listed as
+    links of gain 0, the unlit ones."""
+    every, _ = every_link_columns(layout, uav_antenna, [xyz])
+    return LinkTable(*(col[0] for col in every.values()))
 
 
 def random_link_table(rng, n_rows, n_bands=1, zero_row_prob=0.15):

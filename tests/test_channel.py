@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import default_models, link_table
+from conftest import complete_table, default_models, every_link_columns, link_table
 from uavcov import channel
 from uavcov.channel import (
     LinkTable,
-    LitLinks,
     ParametricAirGroundModel,
     build_link_table,
     build_lit_links,
@@ -21,7 +20,7 @@ from uavcov.channel import (
     free_space_gain,
 )
 from uavcov.config import load_config
-from uavcov.geometry import NetworkLayout, build_hex_layout, link_distances, link_elevation
+from uavcov.geometry import NetworkLayout, build_hex_layout
 
 PATTERN, UAV_ANTENNA, CHANNEL = default_models()
 
@@ -131,19 +130,17 @@ def test_link_table_shape_and_order():
 
 def test_link_table_narrow_beam_zero_rows():
     # 45-degree cone at 100 m covers an 80 m disc: only the origin site
-    # can be inside from this position, everything else must be zeroed
-    table = _default_table()
-    narrow = build_link_table(
-        build_hex_layout(500.0, 1500.0, 3), PATTERN,
-        replace(UAV_ANTENNA, half_beamwidth_deg=45.0), CHANNEL, (30.0, 0.0, 100.0), 20.0,
-    )
-    zero = narrow.c_los == 0.0
-    assert zero.sum() == 36
-    assert np.all(narrow.c_nlos[zero] == 0.0)
-    # zero rows keep the true LoS probability of their geometry
-    assert np.all((narrow.p_los[zero] > 0.0) & (narrow.p_los[zero] < 1.0))
-    assert narrow.gbs_id[~zero].tolist() == [0]
-    assert table.c_los[0] > 0.0
+    # can be inside from this position, so the table lists it alone; the
+    # table of every link has the other 36 as rows of gain 0
+    layout, cone = build_hex_layout(500.0, 1500.0, 3), replace(UAV_ANTENNA, half_beamwidth_deg=45.0)
+    narrow = build_link_table(layout, PATTERN, cone, CHANNEL, (30.0, 0.0, 100.0), 20.0)
+    assert narrow.gbs_id.tolist() == [0] and narrow.c_los[0] > 0.0
+    every = complete_table(layout, cone, (30.0, 0.0, 100.0))
+    zero = every.c_los == 0.0
+    assert zero.sum() == 36 and np.all(every.c_nlos[zero] == 0.0)
+    assert every.gbs_id[~zero].tolist() == [0]
+    for name in COLUMNS:
+        assert getattr(narrow, name).tobytes() == getattr(every, name)[:1].tobytes(), name
 
 
 def test_link_table_band_members():
@@ -168,16 +165,19 @@ def test_link_table_validation():
         link_table([(0, 0, 1.0, 0.5, 0.5), (1, 0, 2.0, 0.5, 0.5)])
     with pytest.raises(ValueError, match="sorted"):      # tie broken by descending id
         link_table([(1, 0, 1.0, 0.5, 0.5), (0, 0, 1.0, 0.5, 0.5)])
-    # not a permutation of 0..n-1: the error names the GBS at fault
-    for ids, gbs in (((0, 2), 2), ((1, 1), 1), ((-1, 0), -1)):
-        with pytest.raises(ValueError,
-                           match=rf"permutation of 0\.\.1: GBS {gbs} repeats or is out of range$"):
-            link_table([(ids[0], 0, 2.0, 0.5, 0.5), (ids[1], 0, 1.0, 0.5, 0.5)])
-    with pytest.raises(ValueError, match="equal length"):
+    # a table lists the lit links alone, so its ids need not be 0..n-1;
+    # they must be distinct, and padding (id -1) has no gain and sits last
+    link_table([(0, 0, 2.0, 0.5, 0.5), (2, 0, 1.0, 0.5, 0.5)])
+    with pytest.raises(ValueError, match=r"ids must be distinct; repeated: GBS 1$"):
+        link_table([(1, 0, 2.0, 0.5, 0.5), (1, 0, 1.0, 0.5, 0.5)])
+    with pytest.raises(ValueError, match=r"padding row of nonzero gain .* GBS -1$"):
+        link_table([(-1, 0, 2.0, 0.5, 0.5), (0, 0, 1.0, 0.5, 0.5)])
+    with pytest.raises(ValueError, match="equal shapes"):
         LinkTable([0, 1], [0, 0], [2.0, 1.0], [0.5, 0.5], [0.5])
-    # a table is one position's: (P, n) columns are refused
-    with pytest.raises(ValueError, match=r"shape \(n,\), got \(1, 1\)"):
-        LinkTable([[0]], [[0]], [[2.0]], [[0.5]], [[0.5]])
+    # a position's table has at least one row, a padding row when no link
+    # is lit
+    with pytest.raises(ValueError, match=r"k >= 1 .*, got \(0,\)"):
+        link_table(())
 
 
 def test_build_rejects_low_altitude():
@@ -204,8 +204,7 @@ def test_gain_consistency_with_manual_evaluation():
 
 
 COLUMNS = ("gbs_id", "band", "c_los", "c_nlos", "p_los")
-LIT_COLUMNS = ("gbs_id", "c_los", "c_nlos", "p_los")
-PADDING = (-1, 0.0, 0.0, 0.0)
+PADDING = (-1, -1, 0.0, 0.0, 0.0)
 
 
 def _lit_ids(uav_antenna, layout, xyz):
@@ -219,12 +218,13 @@ def _lit_ids(uav_antenna, layout, xyz):
 
 def _lit_rows(columns, lit):
     """Row p of each of the walk-order ``columns``, (P, n) arrays, cut to
-    the rows where ``lit[p]`` holds, then padded with id -1, gains 0 and
-    LoS probability 0 to the most lit rows of any position, at least 1."""
+    the rows where ``lit[p]`` holds, then padded with id -1, band -1,
+    gains 0 and LoS probability 0 to the most lit rows of any position,
+    at least 1."""
     width = max(1, max(int(row.sum()) for row in lit))
     return {name: np.array([np.pad(col[row], (0, width - int(row.sum())), constant_values=pad)
                             for col, row in zip(columns[name], lit)])
-            for name, pad in zip(LIT_COLUMNS, PADDING)}
+            for name, pad in zip(COLUMNS, PADDING)}
 
 
 @pytest.mark.parametrize("uav_antenna", [
@@ -234,8 +234,9 @@ def _lit_rows(columns, lit):
     dict(half_beamwidth_deg=20.0, backlobe_gain=0.01),
 ], ids=["beam90", "beam75", "beam20-backlobe"])
 def test_block_tables_equal_single_position_tables(uav_antenna):
-    # each row of a block holds the lit rows of its position's table, bit
-    # for bit and in the table's order, then padding
+    # each row of a block holds its position's table, bit for bit and in
+    # the table's order, then padding; a table lists the sites the
+    # footprint lights
     layout = build_hex_layout(500.0, 1500.0, 3)
     ant = replace(UAV_ANTENNA, **uav_antenna)
     args = (layout, PATTERN, ant, CHANNEL)
@@ -246,10 +247,11 @@ def test_block_tables_equal_single_position_tables(uav_antenna):
     lit = build_lit_links(*args, block, 20.0)
     assert len(lit) == 12
     tables = [build_link_table(*args, tuple(xyz.tolist()), 20.0) for xyz in block]
-    rows = [np.isin(table.gbs_id, _lit_ids(ant, layout, xyz)) for table, xyz in zip(tables, block)]
-    want = _lit_rows({name: [getattr(table, name) for table in tables] for name in LIT_COLUMNS},
-                     rows)
-    for name in LIT_COLUMNS:
+    for table, xyz in zip(tables, block):
+        assert sorted(table.gbs_id[table.gbs_id >= 0].tolist()) == _lit_ids(ant, layout, xyz)
+    want = _lit_rows({name: [getattr(table, name) for table in tables] for name in COLUMNS},
+                     [table.gbs_id >= 0 for table in tables])
+    for name in COLUMNS:
         got = getattr(lit, name)
         assert got.shape == want[name].shape and got.dtype == want[name].dtype, name
         assert got.tobytes() == want[name].tobytes() and not got.flags.writeable, name
@@ -265,15 +267,15 @@ def test_block_shapes():
     args = (layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=75.0), CHANNEL)
     # a 299 m footprint at 100 m lights site 0 alone
     one = build_lit_links(*args, [(10.0, 20.0, 100.0)], 20.0)
-    assert len(one) == 1 and [getattr(one, name).shape for name in LIT_COLUMNS] == [(1, 1)] * 4
+    assert len(one) == 1 and [getattr(one, name).shape for name in COLUMNS] == [(1, 1)] * 5
     assert one.gbs_id.tolist() == [[0]]
     # a 5-degree beam lights no site from between them: one padding row
     dark = build_lit_links(layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=5.0),
                            CHANNEL, [(250.0, 0.0, 100.0), (250.0, 0.0, 150.0)], 20.0)
-    assert [getattr(dark, name).tolist() for name in LIT_COLUMNS] == [
+    assert [getattr(dark, name).tolist() for name in COLUMNS] == [
         [[pad]] * 2 for pad in PADDING]
     none = build_lit_links(*args, np.empty((0, 3)), 20.0)
-    assert len(none) == 0 and [getattr(none, name).shape for name in LIT_COLUMNS] == [(0, 1)] * 4
+    assert len(none) == 0 and [getattr(none, name).shape for name in COLUMNS] == [(0, 1)] * 5
     for bad in ((10.0, 20.0, 100.0), [[(10.0, 20.0, 100.0)]], [(10.0, 20.0)]):
         with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
             build_lit_links(*args, bad, 20.0)
@@ -284,9 +286,11 @@ def test_block_shapes():
     with pytest.raises(ValueError, match=r"3D distance must be >= 1 m, got 0\.7071"):
         build_lit_links(layout, PATTERN, replace(UAV_ANTENNA, half_beamwidth_deg=5.0), CHANNEL,
                         [(250.0, 0.0, 100.0), (layout.x[1] + 0.5, layout.y[1], 20.5)], 20.0)
+    # a layout of no sites has no link to list, not even an unlit one to
+    # pad a table with
     no_sites = NetworkLayout(np.empty(0), np.empty(0), np.empty(0, dtype=int))
-    empty = build_lit_links(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
-    assert len(empty) == 2 and [getattr(empty, name).shape for name in LIT_COLUMNS] == [(2, 0)] * 4
+    with pytest.raises(ValueError, match=r"k >= 1 .*, got \(2, 0\)"):
+        build_lit_links(no_sites, *args[1:], [(0.0, 0.0, 100.0), (1.0, 1.0, 120.0)], 20.0)
 
 
 SCENE = build_hex_layout(500.0, 1500.0, 3)
@@ -294,22 +298,9 @@ SCENE = build_hex_layout(500.0, 1500.0, 3)
 
 def _reference_columns(uav_antenna, positions, inside=operator.le):
     """Every link of a block over ``SCENE`` evaluated, the GBS pattern and
-    the pathloss too, with the UAV cone's footprint test
-    ``inside(r^2, radius^2)``, then one stable sort: the five (P, n)
-    walk-order columns, and their lit rows as a block's columns."""
-    block = np.asarray(positions, dtype=float)
-    r2, d2, dh = link_distances(block, SCENE.x, SCENE.y, 20.0)
-    d3, theta = link_elevation(d2, dh[:, None])
-    (h_los, h_nlos), p_los = CHANNEL.pathloss(d3), CHANNEL.los_probability(theta)
-    radius = np.array([uav_antenna.footprint_radius(z, 20.0) for z in block[:, 2]])[:, None]
-    uav_gain = np.where(inside(r2, radius * radius), uav_antenna.mainlobe_gain,
-                        uav_antenna.backlobe_gain)
-    combined = uav_gain * PATTERN(theta)
-    c_los = combined * h_los
-    order = np.argsort(-c_los, axis=-1, kind="stable")
-    *walk, lit = (np.take_along_axis(col, order, axis=-1)
-                  for col in (c_los, combined * h_nlos, p_los, uav_gain != 0.0))
-    every = dict(zip(COLUMNS, (order, SCENE.band[order], *walk)))
+    the pathloss too: the five (P, n) walk-order columns, and their lit
+    rows as a block's columns."""
+    every, lit = every_link_columns(SCENE, uav_antenna, positions, inside)
     return every, _lit_rows(every, lit)
 
 
@@ -347,9 +338,10 @@ def link_blocks(draw):
 @given(st.sampled_from([90.0, 75.0, 45.0]) | st.floats(1e-3, 90.0),
        st.just(0.0) | st.floats(1e-6, 1.0), link_blocks())
 def test_lit_links_equal_every_link_evaluated(half_beamwidth, backlobe, positions):
-    # evaluating a block's lit links alone, and a table's every link, moves
-    # no bit of any column from every link evaluated and the lit rows cut
-    # out after; the GBS pattern sees the block's (P, k) links alone
+    # evaluating the lit links alone, of a block or of one position,
+    # moves no bit of any column from every link evaluated and the lit
+    # rows cut out after; the GBS pattern sees the block's (P, k) links
+    # alone
     uav_antenna = replace(UAV_ANTENNA, half_beamwidth_deg=half_beamwidth, backlobe_gain=backlobe)
     seen = []
     pattern = lambda theta: seen.append(np.size(theta)) or PATTERN(theta)   # noqa: E731
@@ -357,9 +349,10 @@ def test_lit_links_equal_every_link_evaluated(half_beamwidth, backlobe, position
     every, want = _reference_columns(uav_antenna, positions)
     assert _same_bits(block, want)
     assert seen == [block.gbs_id.size]
-    for p, xyz in enumerate(positions):
+    for xyz in positions:
         table = build_link_table(SCENE, PATTERN, uav_antenna, CHANNEL, xyz, 20.0)
-        assert _same_bits(table, {name: col[p] for name, col in every.items()})
+        assert _same_bits(table, {name: col[0] for name, col in
+                                  _reference_columns(uav_antenna, [xyz])[1].items()})
 
 
 def test_lit_link_gate_sees_the_footprint_boundary():
@@ -378,7 +371,7 @@ def _block_columns():
         build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA, CHANNEL,
         [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0), (0.0, 700.0, 180.0)], 20.0,
     )
-    return {name: np.array(getattr(block, name)) for name in LIT_COLUMNS}   # writable copies
+    return {name: np.array(getattr(block, name)) for name in COLUMNS}   # writable copies
 
 
 def _corrupt_row_1(cols, how):
@@ -394,67 +387,80 @@ def _corrupt_row_1(cols, how):
     ("p_los", r"LoS probability out of \[0, 1\] for GBS {ids[4]}"),
 ])
 def test_block_check_names_the_corrupt_row(how, message):
-    # every link of the default 90-degree beam is lit: each row of the
-    # block is its position's table, bar the band column
+    # every link of the default 90-degree beam is lit: no row of the
+    # block has padding
     cols = _block_columns()
-    LitLinks(**cols)                               # the untouched block passes
+    LinkTable(**cols)                              # the untouched block passes
     ids = cols["gbs_id"][1].tolist()
     _corrupt_row_1(cols, how)
     with pytest.raises(ValueError, match=message.format(ids=ids) + " in block row 1$"):
-        LitLinks(**cols)
-    # the same row as one table raises the same error, without the row
+        LinkTable(**cols)
+    # the same row as one position's table raises the same error, without the row
     with pytest.raises(ValueError, match=message.format(ids=ids) + "$"):
-        LinkTable(band=np.zeros(37, dtype=int), **{name: col[1] for name, col in cols.items()})
+        LinkTable(**{name: col[1] for name, col in cols.items()})
 
 
 @pytest.mark.parametrize("row", [
     # a lit link after padding, and padding with a gain or a LoS probability
-    [(-1, 0.0, 0.0, 0.0), (3, 0.0, 0.0, 0.5)],
-    [(3, 2.0, 1.0, 0.5), (-1, 1.0, 0.0, 0.0)],
-    [(3, 0.0, 0.0, 0.5), (-1, 0.0, 0.0, 0.5)],
+    [(-1, -1, 0.0, 0.0, 0.0), (3, 0, 0.0, 0.0, 0.5)],
+    [(3, 0, 2.0, 1.0, 0.5), (-1, -1, 1.0, 0.0, 0.0)],
+    [(3, 0, 0.0, 0.0, 0.5), (-1, -1, 0.0, 0.0, 0.5)],
 ], ids=["lit-after-padding", "padding-gain", "padding-p_los"])
 def test_block_check_keeps_padding_at_the_tail(row):
-    ok = [(3, 2.0, 1.0, 0.5), (5, 0.0, 0.0, 0.5), (-1, 0.0, 0.0, 0.0), (-1, 0.0, 0.0, 0.0)]
-    LitLinks(*([list(col)] for col in zip(*ok)))
+    ok = [(3, 0, 2.0, 1.0, 0.5), (5, 1, 0.0, 0.0, 0.5), (-1, -1, 0.0, 0.0, 0.0),
+          (-1, -1, 0.0, 0.0, 0.0)]
+    LinkTable(*([list(col)] for col in zip(*ok)))
     with pytest.raises(ValueError, match=r"(out of order|padding row).* GBS -?\d in block row 0$"):
-        LitLinks(*([list(col)] for col in zip(*row)))
+        LinkTable(*([list(col)] for col in zip(*row)))
 
 
 def test_block_check_shapes():
     cols = _block_columns()
-    # a block's columns are (P, k), never 1-D or 3-D; a table's are (n,)
-    LitLinks(**cols)
-    for cut in (lambda col: col[None], lambda col: col[0]):
-        with pytest.raises(ValueError, match=r"shape \(P, k\)"):
-            LitLinks(**{name: cut(col) for name, col in cols.items()})
+    # a block's columns are (P, k) and a position's (k,), never 3-D, and
+    # k >= 1
+    LinkTable(**cols)
+    LinkTable(**{name: col[0] for name, col in cols.items()})
+    for cut in (lambda col: col[None], lambda col: col[:, :0]):
+        with pytest.raises(ValueError, match=r"shape \(k,\) or \(P, k\) with k >= 1"):
+            LinkTable(**{name: cut(col) for name, col in cols.items()})
     with pytest.raises(ValueError, match="equal shapes"):
-        LitLinks(**dict(cols, p_los=cols["p_los"][:2]))
-    with pytest.raises(ValueError, match=r"shape \(n,\)"):
-        LinkTable(band=np.zeros((3, 37), dtype=int), **cols)
+        LinkTable(**dict(cols, p_los=cols["p_los"][:2]))
+    with pytest.raises(ValueError, match="equal shapes"):
+        LinkTable(**dict(cols, band=cols["band"][0]))
+
+
+def test_block_check_names_a_repeated_gbs():
+    # a position lists each GBS once; the error names the GBS and its row
+    cols = _block_columns()
+    cols["gbs_id"][2, 7] = cols["gbs_id"][2, 3]
+    with pytest.raises(ValueError, match=rf"distinct; repeated: GBS {cols['gbs_id'][2, 3]} "
+                                         r"in block row 2$"):
+        LinkTable(**cols)
+    # padding rows repeat id -1: no fault
+    LinkTable(*([list(col)] for col in zip((3, 0, 2.0, 1.0, 0.5), *[PADDING] * 2)))
 
 
 def test_table_holds_its_own_columns(monkeypatch):
     # a writable column is copied: the caller mutating it moves no table
     cols = _block_columns()
-    block = LitLinks(**cols)
-    before = {name: getattr(block, name).tobytes() for name in LIT_COLUMNS}
+    block = LinkTable(**cols)
+    before = {name: getattr(block, name).tobytes() for name in COLUMNS}
     for col in cols.values():
         col[...] = 0
-    assert {name: getattr(block, name).tobytes() for name in LIT_COLUMNS} == before
-    assert not any(np.shares_memory(getattr(block, name), cols[name]) for name in LIT_COLUMNS)
+    assert {name: getattr(block, name).tobytes() for name in COLUMNS} == before
+    assert not any(np.shares_memory(getattr(block, name), cols[name]) for name in COLUMNS)
     # a read-only view does not own its data, so it is copied too
     frozen = {name: col[1] for name, col in _block_columns().items()}
     for col in frozen.values():
         col.flags.writeable = False
-    row = LinkTable(band=np.zeros(37, dtype=int), **frozen)
-    assert not any(np.shares_memory(getattr(row, name), frozen[name]) for name in LIT_COLUMNS)
+    row = LinkTable(**frozen)
+    assert not any(np.shares_memory(getattr(row, name), frozen[name]) for name in COLUMNS)
     # a block holds the columns the block evaluation built, no copy
     built = []
     evaluate = channel._walk_columns
     monkeypatch.setattr(channel, "_walk_columns",
-                        lambda *args, **kwargs: built.append(evaluate(*args, **kwargs))
-                        or built[-1])
+                        lambda *args: built.append(evaluate(*args)) or built[-1])
     block = build_lit_links(build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA,
                             CHANNEL, [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0)], 20.0)
-    held = [getattr(block, name) for name in LIT_COLUMNS]
-    assert [a is b for a, b in zip(held, built[0][0])] == [True] * 4
+    held = [getattr(block, name) for name in COLUMNS]
+    assert [a is b for a, b in zip(held, built[0])] == [True] * 5

@@ -536,6 +536,23 @@ def test_validate_uplink_reads_the_block_coverage_reads(tmp_path, capsys, monkey
     assert len(block) == 1 and int((block.gbs_id >= 0).sum()) == lit
 
 
+def test_validate_enumerates_the_lit_links_of_the_default_scene(tmp_path, capsys, monkeypatch):
+    # a 75-degree beam at 200 m lights 7 of the 367 GBSs: both enumerations
+    # run over the 7 lit links, far below the state caps the 367 would break
+    built = []
+    build = cli.build_link_table
+    monkeypatch.setattr(cli, "build_link_table", lambda *args: built.append(build(*args))
+                        or built[-1])
+    cfg_path = write_cfg(tmp_path,
+                         "[uav_antenna]\nhalf_beamwidth_deg = 75\n[uav]\naltitude_m = 200\n")
+    for mode in ("uplink-vs-bruteforce", "downlink-vs-joint-enum"):
+        argv = ["validate", "--config", cfg_path, "--out", str(tmp_path), "--mode", mode]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"PASS {mode}") and "FAIL" not in out, out
+    assert [len(table) for table in built] == [7, 7]
+
+
 def test_validate_uplink_holds_the_truncated_read(tmp_path, capsys, monkeypatch):
     # at eps = 0.5 the walk on 7 sites stops early: the block read moves
     # off the exact law, by less than eps

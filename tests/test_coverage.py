@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_reads_stepped_cdfs,
+    complete_table,
     counted_mixture_builds,
     default_models,
     in_place_probes,
@@ -29,7 +30,7 @@ from conftest import (
 )
 from uavcov import coverage, gpm
 from uavcov.antenna import UavAntenna
-from uavcov.channel import LinkTable, LitLinks, build_link_table, build_lit_links
+from uavcov.channel import LinkTable, build_link_table, build_lit_links
 from uavcov.cli import main
 from uavcov.config import load_config
 from uavcov.geometry import NetworkLayout, build_hex_layout, point_orbits, write_layout_csv
@@ -335,8 +336,9 @@ def test_block_read_validation():
         block_read(link_table(MICRO_ROWS), math.nan, [1.0], 0.0)
     with pytest.raises(ValueError, match="eps"):
         block_read(link_table(MICRO_ROWS), 1.0, [1.0], 1.0)
-    with pytest.raises(ValueError, match="empty"):
-        uplink_outage(LitLinks(*(np.empty((2, 0)) for _ in range(4))), 1.0, [1.0])
+    # a position that lights no GBS is one padding row: outage at every t > 0
+    dark = link_table([(-1, -1, 0.0, 0.0, 0.0)])
+    assert uplink_outage(link_block(dark, dark), 1.0, [0.0, 1.0]).tolist() == [[0.0, 1.0]] * 2
     # a threshold of 0 reads outage 0 exactly; a negative or NaN one reads nothing
     assert uplink_outage(block, 1.0, [0.0]).tolist() == [[0.0]]
     with pytest.raises(ValueError, match="SNR thresholds must be >= 0"):
@@ -354,7 +356,7 @@ def test_block_read_validation():
 ], ids=["unsorted", "p_los"])
 def test_block_read_refuses_what_its_telescoping_assumes(c_los, p_los, message):
     with pytest.raises(ValueError, match=message + ".* in block row 0$"):
-        uplink_outage(LitLinks([[0, 1]], c_los, [[0.5, 0.5]], p_los), 1.0, [2.0])
+        uplink_outage(LinkTable([[0, 1]], [[0, 0]], c_los, [[0.5, 0.5]], p_los), 1.0, [2.0])
 
 
 @pytest.mark.parametrize("reader, read", [
@@ -462,19 +464,19 @@ def assert_lit_block_reads_as_tables(layout, antenna, positions, eps, block_ante
                                      padded=True):
     """1 - uplink_outage of the lit links of a block of ``positions``
     (``block_antenna``'s, ``antenna``'s by default) equals, bit for bit,
-    that of each position's complete table, at and one ulp either side of
-    every gain times beta0 and at a few thresholds between.  Unpadded, the
-    block keeps only as many rows as the most lit links of a position."""
+    that of each position's complete table, every link evaluated
+    (``complete_table``), at and one ulp either side of every gain times
+    beta0 and at a few thresholds between.  Unpadded, the block keeps
+    only as many rows as the most lit links of a position."""
     pattern, _, channel_model = default_models()
     beta0 = load_config().beta0
     block = build_lit_links(layout, pattern, block_antenna or antenna, channel_model, positions,
                             20.0)
     if not padded:
         lit = int((block.gbs_id >= 0).sum(axis=-1).max())
-        block = LitLinks(*(getattr(block, field.name)[:, :lit]
-                           for field in dataclasses.fields(LitLinks)))
-    tables = [build_link_table(layout, pattern, antenna, channel_model, xyz, 20.0)
-              for xyz in positions]
+        block = LinkTable(*(getattr(block, field.name)[:, :lit]
+                            for field in dataclasses.fields(LinkTable)))
+    tables = [complete_table(layout, antenna, xyz) for xyz in positions]
     atoms = beta0 * np.concatenate([[1e-3, 1.0, 1e3]] + [np.concatenate([t.c_los, t.c_nlos])
                                                           for t in tables])
     ts = np.unique(np.concatenate([[0.0], atoms, np.nextafter(atoms, -np.inf),
@@ -541,9 +543,10 @@ def test_lit_link_blocks_negative_controls():
     assert_lit_block_reads_as_tables(LIT_LAYOUT, cone, EDGE, 0.0, block_antenna=cone)
     with pytest.raises(AssertionError):
         assert_lit_block_reads_as_tables(LIT_LAYOUT, cone, EDGE, 0.0, block_antenna=strict)
-    # with no padding row a block that lights nothing has no row to walk
+    # without its padding row a block that lights nothing has no row to
+    # walk, which no link table has
     assert_lit_block_reads_as_tables(LIT_LAYOUT, CONES[5.0], DARK, 0.0)
-    with pytest.raises(ValueError, match="cannot associate against an empty link table"):
+    with pytest.raises(ValueError, match=r"k >= 1 .*, got \(3, 0\)"):
         assert_lit_block_reads_as_tables(LIT_LAYOUT, CONES[5.0], DARK, 0.0, padded=False)
 
 
@@ -1378,6 +1381,127 @@ def test_downlink_truncation_outage_bound():
         cut = downlink_snr_cdf(table, 0.5, 0.5, eps=eps, c0=960.0)
         for y in (0.5, 2.0, 8.0):
             assert abs(cut.outage(y) - exact.outage(y)) <= eps + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Lit tables against tables of every link
+# ---------------------------------------------------------------------------
+
+def without_row(table, row):
+    """``table`` with its row ``row`` left out and a padding row added at
+    the tail."""
+    keep = np.arange(len(table)) != row
+    return LinkTable(*(np.append(getattr(table, field.name)[keep], pad)
+                       for field, pad in zip(dataclasses.fields(LinkTable),
+                                             (-1, -1, 0.0, 0.0, 0.0))))
+
+
+def lit_and_complete_tables(layout, antenna, xyz, drop=None):
+    """The lit table :func:`build_link_table` builds at ``xyz``, its row
+    ``drop`` left out if one is named, and the table of every link there
+    (``complete_table``), the unlit ones listed as links of gain 0."""
+    pattern, _, channel_model = default_models()
+    lit = build_link_table(layout, pattern, antenna, channel_model, xyz, 20.0)
+    if drop is not None:
+        lit = without_row(lit, drop)
+    return lit, complete_table(layout, antenna, xyz)
+
+
+def assert_lit_table_reads_as_complete(layout, antenna, xyz, omega, eps, drop=None):
+    """The downlink outage of the lit table at ``xyz`` equals, bit for
+    bit, that of the table of every link, at y = 0 and at every read point
+    of either model's laws and one ulp either side of it (``snr_probes``)."""
+    cfg = load_config()
+    models = [downlink_snr_cdf(table, omega, cfg.alpha0, eps=eps, c0=cfg.lattice_target_c0)
+              for table in lit_and_complete_tables(layout, antenna, xyz, drop)]
+    ys = np.unique(np.concatenate([[0.0]] + [snr_probes(model) for model in models]))
+    lit, complete = (model.outage(ys) for model in models)
+    assert lit.tobytes() == complete.tobytes()
+
+
+@st.composite
+def loaded_lit_scenes(draw):
+    """A scene of ``lit_scenes`` and its loading: one factor for every
+    GBS, or one per site, some of them exactly 0 or 1."""
+    layout, antenna, positions = draw(lit_scenes())
+    factor = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    per_site = st.lists(factor, min_size=len(layout), max_size=len(layout)).map(np.array)
+    return layout, antenna, positions, draw(factor | per_site)
+
+
+# one band of 7 sites: the joint enumeration of a table of every link
+# stays within its state cap and fast
+ONE_BAND = build_hex_layout(500.0, 500.0, 1)
+# a 672 m footprint from between site 0 and site 7, of its band: both lit,
+# with 4 more of the 37 sites
+WIDE_CONE = dataclasses.replace(default_models()[1], half_beamwidth_deg=75.0)
+BETWEEN = (433.0, 250.0, 200.0)
+
+
+@settings(max_examples=60, deadline=None)
+@example((LIT_LAYOUT, WIDE_CONE, [BETWEEN], np.linspace(0.1, 0.9, len(LIT_LAYOUT))), 0.0)
+@example((LIT_LAYOUT, CONES[45.0], EDGE + ABOVE + DARK, 0.5), 1e-6)
+@example((ONE_BAND, WIDE_CONE, [(250.0, 0.0, 100.0)], np.linspace(0.0, 1.0, 7)), 0.0)
+@example((ONE_BAND, CONES[5.0], [(250.0, 0.0, 100.0)], 0.5), 1e-6)
+@given(loaded_lit_scenes(), st.sampled_from([0.0, 1e-6]))
+def test_lit_tables_read_as_tables_of_every_link(scene, eps):
+    # an unlit GBS has gain 0 in both states, so it neither serves nor
+    # interferes: the downlink and the enumeration oracles read a table
+    # of the lit links as the table that lists every link
+    layout, antenna, positions, omega = scene
+    for xyz in positions:
+        assert_lit_table_reads_as_complete(layout, antenna, xyz, omega, eps)
+    if len(layout) > len(ONE_BAND):
+        return
+    cfg = load_config()
+    lit, complete = lit_and_complete_tables(layout, antenna, positions[0])
+    up = [uplink_pmf_enumeration(table, cfg.beta0) for table in (lit, complete)]
+    assert up[0].values.tobytes() == up[1].values.tobytes()
+    np.testing.assert_allclose(up[0].probs, up[1].probs, rtol=0.0, atol=1e-12)
+    down = [downlink_cdf_enumeration(table, omega, cfg.alpha0) for table in (lit, complete)]
+    assert down[0].xs.tobytes() == down[1].xs.tobytes()
+    np.testing.assert_allclose(down[0].cum, down[1].cum, rtol=0.0, atol=1e-12)
+
+
+def test_lit_tables_negative_control():
+    # site 7 is the one lit interferer in site 0's band: a table without
+    # it reads another outage
+    lit, _ = lit_and_complete_tables(LIT_LAYOUT, WIDE_CONE, BETWEEN)
+    row = int(np.flatnonzero(lit.gbs_id == 7)[0])
+    assert lit.band[row] == lit.band[0] and lit.c_los[row] > 0.0
+    omega = np.linspace(0.1, 0.9, len(LIT_LAYOUT))
+    assert_lit_table_reads_as_complete(LIT_LAYOUT, WIDE_CONE, BETWEEN, omega, 0.0)
+    with pytest.raises(AssertionError):
+        assert_lit_table_reads_as_complete(LIT_LAYOUT, WIDE_CONE, BETWEEN, omega, 0.0, drop=row)
+
+
+def test_per_site_loading_reads_the_lit_links(tmp_path):
+    # a 75-degree beam from between sites 0 and 7 lights 6 of the 37: a
+    # loading on an unlit GBS moves no outage, one on a lit interferer
+    # does, in the lattice law and in both oracles
+    body = ("[layout]\nradius_m = 1500\n[uav_antenna]\nhalf_beamwidth_deg = 75\n"
+            "[uav]\nx_m = 433\ny_m = 250\naltitude_m = 200\n")
+    cfg = load_scenario(tmp_path, body)
+    table = configured_table(cfg, (cfg.uav_x, cfg.uav_y, cfg.uav_altitude))
+    assert table.gbs_id.tolist() == [0, 1, 2, 14, 13, 7]
+    ys = np.geomspace(1e-3, 1e6, 37)
+    readers = (
+        lambda w: downlink_snr_cdf(table, w, cfg.alpha0, c0=cfg.lattice_target_c0).outage(ys),
+        lambda w: downlink_cdf_enumeration(table, w, cfg.alpha0).eval(ys),
+        lambda w: downlink_outage_mc(table, w, cfg.alpha0, ys, 4000, seed=1),
+    )
+    busy = {site: load_scenario(tmp_path, body + f"[loading]\nomega_site_{site} = 0.9\n").loading
+            for site in (36, 7)}
+    for read in readers:
+        want = read(cfg.loading)
+        assert read(busy[36]).tobytes() == want.tobytes()
+        assert (read(busy[7]) > want).any()
+        # a loading array with no entry for a GBS the table lists fails,
+        # naming the first such GBS in walk order
+        for short in (cfg.loading[:14], cfg.loading[:7]):
+            with pytest.raises(ValueError, match=rf"loading has no entry for GBS 14: it has "
+                                                 rf"{len(short)} entries"):
+                read(short)
 
 
 # ---------------------------------------------------------------------------

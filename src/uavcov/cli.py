@@ -186,7 +186,8 @@ def _configured_table(cfg: ScenarioConfig):
 def _conditioned_spec(cfg: ScenarioConfig, event_index: int):
     """One association event at the configured UAV position, as (serving
     GBS id, ``LOS`` or ``NLOS_MAX``, probability), and the interference
-    spec conditioned on it (one row per lit co-channel GBS)."""
+    spec conditioned on it: one row per lit co-channel interferer, the lit
+    GBSs of the serving band other than the server."""
     table = _configured_table(cfg)
     events = association_pmf(table, cfg.association_epsilon)
     if not 0 <= event_index < len(events):
@@ -231,7 +232,7 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
 
     (gbs, state, probability), spec = _conditioned_spec(cfg, args.event)
     print(f"event {args.event}: serving GBS {gbs} ({state}), "
-          f"P={_fmt(probability)}, {len(spec)} co-channel GBSs, "
+          f"P={_fmt(probability)}, {len(spec)} lit co-channel interferers, "
           f"interference mean={_fmt(spec.mean())}")
 
     la = _law("la", spec, cfg, args)
@@ -317,7 +318,7 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     # Gaussian baseline, expected to be the weaker approximation.
     (gbs, _, _), spec = _conditioned_spec(cfg, args.event)
     print(f"conditioning on event {args.event}: serving GBS {gbs}, "
-          f"{len(spec)} co-channel GBSs")
+          f"{len(spec)} lit co-channel interferers")
     law = la_folds(spec, cfg.lattice_target_c0)
     la = law.to_cdf()
     # The lattice moves each atom by at most its displacement M / (2 beta)

@@ -62,10 +62,10 @@ threshold.  Positions are scored in blocks of about ``BLOCK_ENTRIES``
 and the downlink builds each position's (k,) table with
 :func:`~uavcov.channel.build_link_table`; no position's value depends
 on another's, so the output does not depend on where the blocks end.
-The uplink is read once per orbit of the grid under the hexagon's
-rotations and reflections that the layout verifiably has
-(:func:`~uavcov.geometry.point_orbits`), and its value copied to every
-point of the orbit; downlink laws are built at every point.
+The uplink is read once per class of points whose sorted distances to
+the sites match (:func:`~uavcov.geometry.point_orbits`), and its value
+copied to every point of the class; downlink laws are built at every
+point.
 """
 
 from __future__ import annotations
@@ -518,8 +518,9 @@ def _coverage(
     """One :class:`CoverageResult` per altitude.  Every (altitude, point)
     position goes on one work list, so each position's SNR law is built
     once whatever the number of thresholds; for the uplink the list holds
-    the first point of each orbit only.  The list is cut into blocks
-    of positions scored together, about ``BLOCK_ENTRIES`` entries each.
+    the first point of each class of matching site distances only.  The
+    list is cut into blocks of positions scored together, about
+    ``BLOCK_ENTRIES`` entries each.
     With ``workers`` > 1 the first position is scored in this process
     and its CPU time taken: when that time, times the positions left,
     times 1 - 1/``workers``, exceeds ``POOL_START_S``, the rest go in
@@ -534,13 +535,13 @@ def _coverage(
         if not 0.0 < t < np.inf:    # NaN fails both
             raise ValueError(f"SNR thresholds must be finite and positive, got {t}")
     points = sample_region(cfg.build_region(), cfg.inter_site_distance)
-    orbit = np.arange(len(points))
-    # the uplink law depends only on the ordered (c_los, c_nlos, p_los)
-    # rows; the downlink's also on bands, loading and the walk's id
-    # tie-break, which a symmetry can move at points on its axis
+    rep = np.arange(len(points))
+    # the uplink law depends on a point only through its sorted site
+    # distances, which fix the ordered (c_los, c_nlos, p_los) rows; the
+    # downlink's also on bands, loading and the walk's id tie-break
     if link is LinkDirection.UPLINK:
-        orbit = point_orbits(points, cfg.build_layout())
-    scored, inverse = np.unique(orbit, return_inverse=True)
+        rep = point_orbits(points, cfg.build_layout())
+    scored, inverse = np.unique(rep, return_inverse=True)
     positions = np.array([(x, y, h) for h in altitudes for x, y in points[scored]])
     size = max(1, BLOCK_ENTRIES // len(cfg.build_layout()))
     score = partial(_non_outage, cfg, link, ts)

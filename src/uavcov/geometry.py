@@ -229,74 +229,44 @@ def sample_region(region: SamplingRegion, inter_site_distance: float) -> np.ndar
     ])
 
 
-# Two positions match when each coordinate differs by at most
-# _MATCH_TOLERANCE times the largest coordinate of their set: far above
-# the roundoff of a rotated lattice point, far below any spacing of sites
-# or grid points.  Candidates are paired by their coordinates rounded to
-# multiples of _KEY_STEP times that scale, a step coarse enough that
-# roundoff almost never carries a coordinate across a rounding boundary.
+# Two points match when each of their sorted site distances differs by at
+# most _MATCH_TOLERANCE times the largest coordinate of the points and
+# sites: far above the roundoff of a distance, far below any spacing of
+# sites or grid points.  Candidates pair by their distances rounded to
+# multiples of _KEY_STEP times that scale, a step so coarse that roundoff
+# almost never carries a distance across a rounding boundary.
 _MATCH_TOLERANCE = 1e-9
 _KEY_STEP = 1e-6
 
 
-def _hexagon_isometries() -> np.ndarray:
-    """The 11 isometries of the hexagon about the origin other than the
-    identity, as (11, 2, 2) matrices: the rotations by 60k degrees and
-    the reflections in the lines at 30k degrees."""
-    maps = []
-    for k in range(6):
-        c, s = math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)
-        maps += [((c, -s), (s, c)), ((c, s), (s, -c))]
-    return np.array(maps[1:])
-
-
-def _keys(xy: np.ndarray, scale: float) -> np.ndarray:
-    """One int64 per position of ``xy`` (..., 2): its two coordinates
-    rounded to multiples of ``_KEY_STEP * scale``.  Each rounded value is
-    at most sqrt(2) / _KEY_STEP in magnitude (an image under an isometry
-    lies within sqrt(2) * scale of the origin), far below 2**31."""
-    k = np.rint(xy / (_KEY_STEP * scale)).astype(np.int64)
-    return k[..., 0] * 2**32 + k[..., 1]
-
-
 def point_orbits(points, layout: NetworkLayout) -> np.ndarray:
-    """Index of each point's representative: the first point of its orbit
-    under the symmetries of the hexagon that the layout verifiably has.
+    """Index of each point's representative: the least-index point whose
+    distances to the sites, sorted, match its own within the match
+    tolerance.
 
-    An isometry of the hexagon about the origin is used when it maps the
-    whole grid onto itself, moving at least one point, and maps the sites
-    one to one onto sites, both within the match tolerance.  It then
-    leaves each site's distance from a point unchanged, so a point and
-    its image see the same sites at the same distances, only relabelled.
-    The isometries used form a group, so a point's orbit is its images
-    under them and its representative the least of their indices.  A
-    match missed to roundoff drops an isometry and splits orbits, which
-    costs evaluations and never moves a value.  A grid of fewer than two
-    points never looks at the sites.
+    Two such points see the same multiset of site distances, so every
+    law that depends on a point only through them (as the uplink's does)
+    is the same at both.  A point is paired with the first point of its
+    rounded distances and kept only if every distance matches; otherwise
+    it represents itself, so a match missed to roundoff costs an
+    evaluation and never moves a value.  A grid of fewer than two points
+    never looks at the sites.
     """
     pts = np.asarray(points, dtype=float)
     rep = np.arange(len(pts))
     if len(pts) < 2:
         return rep
-    isometries = _hexagon_isometries()
-    scale = float(np.abs(pts).max()) or 1.0
-    keys = _keys(pts, scale)
-    order = np.argsort(keys)
-    images = pts @ isometries.transpose(0, 2, 1)   # (11, P, 2)
-    found = order[np.minimum(np.searchsorted(keys, _keys(images, scale), sorter=order),
-                             len(pts) - 1)]
-    onto_grid = np.abs(images - pts[found]).max(axis=(1, 2)) <= _MATCH_TOLERANCE * scale
-    used = np.flatnonzero(onto_grid & (found != rep).any(axis=1))
-    if used.size:
-        sites = np.column_stack((layout.x, layout.y))
-        scale = float(np.abs(sites).max(initial=0.0)) or 1.0   # 0: no site off the origin
-        site_images = sites @ isometries[used].transpose(0, 2, 1)   # (U, n, 2)
-        rank = np.argsort(_keys(site_images, scale), axis=1)
-        ranked = site_images.reshape(-1, 2)[rank + len(sites) * np.arange(len(used))[:, None]]
-        error = np.abs(ranked - sites[np.argsort(_keys(sites, scale))]).max(
-            axis=(1, 2), initial=0.0)
-        used = used[error <= _MATCH_TOLERANCE * scale]
-    return np.vstack([rep, found[used]]).min(axis=0)
+    scale = float(np.abs(np.concatenate((pts.ravel(), layout.x, layout.y))).max()) or 1.0
+    dist = np.subtract.outer(pts[:, 0], layout.x) ** 2
+    dist += np.subtract.outer(pts[:, 1], layout.y) ** 2
+    dist.sort(axis=1)           # sorting the squares sorts the distances
+    np.sqrt(dist, out=dist)
+    keys = dist / (_KEY_STEP * scale)
+    np.rint(keys, out=keys)
+    first: dict[bytes, int] = {}
+    found = np.array([first.setdefault(key.tobytes(), i) for i, key in enumerate(keys)])
+    error = np.abs(dist - dist[found]).max(axis=1, initial=0.0)
+    return np.where(error <= _MATCH_TOLERANCE * scale, found, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,9 @@ class DiscreteSummand:
     probs: np.ndarray
 
     def __init__(self, values, probs) -> None:
-        v = np.asarray(values, dtype=float)
-        p = np.asarray(probs, dtype=float)
+        # copied, to be held read-only
+        v = np.array(values, dtype=float)
+        p = np.array(probs, dtype=float)
         if v.ndim != 1 or p.ndim != 1 or v.size != p.size or v.size == 0:
             raise ValueError("values and probs must be equal-length 1-D, non-empty")
         if not np.isfinite(v).all():
@@ -352,8 +353,9 @@ class SteppedCdf:
     cum: np.ndarray
 
     def __init__(self, xs, cum) -> None:
-        x = np.asarray(xs, dtype=float)
-        c = np.asarray(cum, dtype=float)
+        # copied, to be held read-only
+        x = np.array(xs, dtype=float)
+        c = np.array(cum, dtype=float)
         if x.ndim != 1 or c.shape != x.shape or x.size == 0:
             raise ValueError("xs and cum must be equal-length 1-D, non-empty")
         # each check is written so that NaN fails it

@@ -80,6 +80,22 @@ def complete_table(layout, uav_antenna, xyz):
     return LinkTable(*(col[0] for col in every.values()))
 
 
+def distance_classes(points, layout, tolerance=1e-9):
+    """Each point's least-index partner among the points whose site
+    distances, each point's sorted on its own, all agree with its own
+    within ``tolerance`` times the largest coordinate of the points and
+    sites: every pair of points compared, O(P^2 n)."""
+    pts = np.asarray(points, dtype=float)
+    rows = np.array([np.sort(np.hypot(layout.x - x, layout.y - y)) for x, y in pts.tolist()])
+    scale = max(np.abs(pts).max(initial=0.0), np.abs(layout.x).max(initial=0.0),
+                np.abs(layout.y).max(initial=0.0)) or 1.0
+    return np.array([
+        int(np.argmax(np.abs(rows[:i + 1] - rows[i]).max(axis=1, initial=0.0)
+                      <= tolerance * scale))
+        for i in range(len(rows))
+    ], dtype=int)
+
+
 def random_link_table(rng, n_rows, n_bands=1, zero_row_prob=0.15):
     """Random but valid link table: log-spread gains, c_nlos below c_los,
     occasional zero-gain rows (out-of-mainlobe sites)."""

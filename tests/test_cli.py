@@ -607,7 +607,7 @@ def test_validate_la_vs_enum_passes_on_37_sites(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "[layout]\nradius_m = 1500\n")
     assert main(["validate", "--config", cfg_path, "--mode", "la-vs-enum"]) == 0
     out = capsys.readouterr().out
-    assert "11 co-channel GBSs" in out and "PASS la-vs-enum" in out
+    assert "11 lit co-channel interferers" in out and "PASS la-vs-enum" in out
 
 
 def test_shared_parser_is_not_mutated_across_calls(tmp_path, capsys):

@@ -22,6 +22,7 @@ from conftest import (
     complete_table,
     counted_mixture_builds,
     default_models,
+    distance_classes,
     in_place_probes,
     link_block,
     link_table,
@@ -1637,10 +1638,10 @@ def sweep_scene(tmp_path, link):
 ])
 def test_threshold_sweep_builds_each_law_once(tmp_path, monkeypatch, link, law):
     # one link table row per scored position, whatever the blocks, and one
-    # law each: the uplink scores the 3 orbits of the 24 points under the
-    # 7-site layout's 12 symmetries, the downlink every point.  The uplink
-    # reads its block's columns and counts a position at the block read,
-    # the downlink a table and a law per position
+    # law each: the uplink scores the 3 classes of matching site distances
+    # of the 24 points on the 7-site layout, the downlink every point.
+    # The uplink reads its block's columns and counts a position at the
+    # block read, the downlink a table and a law per position
     laws = 3 if link is LinkDirection.UPLINK else 24
     tables = "build_lit_links" if link is LinkDirection.UPLINK else "build_link_table"
     positions = {
@@ -1708,8 +1709,9 @@ def off_footprint_edges(cfg, points, altitude):
 def test_uplink_orbits_match_direct_evaluation(
     spacing, rings, reuse, region, res, altitude, beam, thresholds_db
 ):
-    # every built layout has the hexagon's 12 symmetries, so the cell's
-    # 6 r^2 points and the triangle's r^2 both fall in (r^2 + r)/2 orbits
+    # every built layout has the hexagon's 12 symmetries, and at these
+    # resolutions only they make site distances match, so the cell's
+    # 6 r^2 points and the triangle's r^2 both fall in (r^2 + r)/2 classes
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_scenario(tmp, f"""
 [layout]
@@ -1763,14 +1765,83 @@ association_epsilon = 0
     result, laws = counted_uplink(cfg, 60.0, thresholds)
     points = result.points
     rep = point_orbits(points, cfg.build_layout())
+    assert rep.tolist() == distance_classes(points, cfg.build_layout()).tolist()
+    assert laws == len(set(rep.tolist()))
     if mirror_only:
         mirror = [int(np.argmin(np.hypot(*(points - (x, -y)).T))) for x, y in points.tolist()]
         assert rep.tolist() == [min(i, m) for i, m in enumerate(mirror)]
-        assert laws == len(set(rep.tolist())) < 24
+        assert laws < 24
+    elif remove:
+        # no symmetry is left, but points 10 and 18 lie equidistant from
+        # the removed site, as do 6 and 22, so each pair sees the same
+        # site distances
+        assert [(i, r) for i, r in enumerate(rep.tolist()) if r != i] == [(18, 10), (22, 6)]
+        assert laws == 22
     else:
         assert rep.tolist() == list(range(24)) and laws == 24
     direct = direct_uplink(cfg, points, 60.0, thresholds)
     assert ((direct > 0.0) & (direct < 1.0)).any()
+    np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
+
+
+def test_one_site_pairs_equal_radii_no_symmetry_relates(tmp_path):
+    # with one site the signature is the distance from it: of the 150
+    # points of a cell raster at resolution 5, the hexagon's symmetries
+    # leave 15 orbits, and two of them lie at one radius
+    cfg = load_scenario(tmp_path, """
+[layout]
+radius_m = 100
+[sampling]
+region = cell
+resolution = 5
+[algorithm]
+association_epsilon = 0
+""")
+    assert len(cfg.build_layout()) == 1
+    thresholds = [10.0 ** (db / 10.0) for db in (-10.0, 0.0, 10.0, 20.0)]
+    result, laws = counted_uplink(cfg, 100.0, thresholds)
+    rep = point_orbits(result.points, cfg.build_layout())
+    assert rep.tolist() == distance_classes(result.points, cfg.build_layout()).tolist()
+    assert laws == len(set(rep.tolist())) == 14
+    direct = direct_uplink(cfg, result.points, 100.0, thresholds)
+    assert ((direct > 0.0) & (direct < 1.0)).any()
+    np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sets(st.integers(0, 36), min_size=1, max_size=3), st.sampled_from(["triangle", "cell"]),
+    st.integers(1, 3), st.floats(25.0, 300.0), st.floats(10.0, 90.0),
+    st.lists(st.floats(-40.0, 30.0), min_size=1, max_size=3),
+)
+def test_uplink_on_random_sites_csv_layouts_matches_direct_evaluation(
+    removed, region, res, altitude, beam, thresholds_db
+):
+    # the 37-site layout less one to three sites, read from a sites_csv:
+    # some symmetries survive, and some site distances match by chance
+    layout = build_hex_layout(500.0, 1500.0, 3)
+    keep = np.delete(np.arange(len(layout)), sorted(removed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/sites.csv"
+        write_layout_csv(NetworkLayout(layout.x[keep], layout.y[keep], layout.band[keep]), path)
+        cfg = load_scenario(tmp, f"""
+[layout]
+sites_csv = {path}
+[uav_antenna]
+half_beamwidth_deg = {beam!r}
+[sampling]
+region = {region}
+resolution = {res}
+[algorithm]
+association_epsilon = 0
+""")
+    thresholds = [10.0 ** (db / 10.0) for db in thresholds_db]
+    result, laws = counted_uplink(cfg, altitude, thresholds)
+    assume(off_footprint_edges(cfg, result.points, altitude))
+    classes = distance_classes(result.points, cfg.build_layout())
+    assert point_orbits(result.points, cfg.build_layout()).tolist() == classes.tolist()
+    assert laws == len(set(classes.tolist()))
+    direct = direct_uplink(cfg, result.points, altitude, thresholds)
     np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
 
 

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import distance_classes
 from uavcov import geometry
 from uavcov.geometry import (
     RegionKind,
@@ -297,8 +298,9 @@ def test_cell_points_are_rotated_triangle_points():
 @pytest.mark.parametrize("kind", list(RegionKind))
 @pytest.mark.parametrize("res", [1, 2, 3, 4])
 def test_point_orbits_of_a_hexagonal_layout(kind, res):
-    # a built layout has the hexagon's 12 symmetries: the cell's 6 r^2
-    # points fall in (r^2 + r)/2 orbits, and so do the triangle's r^2
+    # a built layout has the hexagon's 12 symmetries, and at these
+    # resolutions only they make site distances match: the cell's 6 r^2
+    # points fall in (r^2 + r)/2 classes, and so do the triangle's r^2
     # under its mirror alone
     pts = sample_region(SamplingRegion(kind, res), D)
     rep = point_orbits(pts, build_hex_layout(D, 5000.0, 3))
@@ -311,6 +313,85 @@ def test_point_orbits_of_a_hexagonal_layout(kind, res):
 def test_point_orbits_of_one_point_never_read_the_layout():
     pts = sample_region(SamplingRegion(RegionKind.TRIANGLE, 1), D)
     assert point_orbits(pts, None).tolist() == [0]
+
+
+def hexagon_orbits(points):
+    """Each point's least-index image under the hexagon's 12 rotations and
+    reflections about the origin, among the points within 1e-9 of the
+    coordinates' scale: the orbits of a layout with all 12 symmetries."""
+    tol = 1e-9 * np.abs(points).max()
+    maps = []
+    for k in range(6):
+        c, s = math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)
+        maps += [np.array([[c, -s], [s, c]]), np.array([[c, s], [s, -c]])]
+    return np.array([
+        min(int(j) for m in maps for j in np.flatnonzero(np.abs(points - m @ p).max(axis=1) <= tol))
+        for p in points
+    ])
+
+
+@pytest.mark.parametrize("radius", [1000.0, 1500.0, 5000.0, 10000.0])
+def test_point_orbits_of_built_layouts_are_the_hexagon_orbits(radius):
+    # on every multi-site built layout, matching sorted site distances
+    # pair exactly the points that a symmetry of the hexagon relates
+    for kind in RegionKind:
+        for res in range(1, 7):
+            pts = sample_region(SamplingRegion(kind, res), D)
+            want = hexagon_orbits(pts).tolist()
+            for reuse in (1, 3, 4, 7):
+                assert point_orbits(pts, build_hex_layout(D, radius, reuse)).tolist() == want
+
+
+def removed_site_layout():
+    """The 37-site layout without its site at (1250, 433.01)."""
+    layout = build_hex_layout(D, 1500.0, 3)
+    keep = np.hypot(layout.x - 1250.0, layout.y - 250.0 * math.sqrt(3.0)) > 1.0
+    assert keep.sum() == 36
+    return NetworkLayout(layout.x[keep], layout.y[keep], layout.band[keep])
+
+
+@pytest.mark.parametrize("layout, res, classes", [
+    (removed_site_layout(), 2, 22),
+    (build_hex_layout(D, 100.0, 3), 5, 14),     # one site: equal radii match
+], ids=["site-removed", "one-site"])
+def test_point_orbits_equal_the_pairwise_oracle(layout, res, classes):
+    pts = sample_region(SamplingRegion(RegionKind.CELL, res), D)
+    rep = point_orbits(pts, layout)
+    assert rep.tolist() == distance_classes(pts, layout).tolist()
+    assert (rep <= np.arange(len(pts))).all() and (rep[rep] == rep).all()
+    assert len(np.unique(rep)) == classes
+
+
+@pytest.mark.parametrize("layout, res", [
+    (removed_site_layout(), 2),
+    (build_hex_layout(D, 1500.0, 3), 5),
+], ids=["site-removed", "built"])
+def test_distance_from_the_origin_alone_fails_the_oracle(layout, res):
+    # negative control: grouping the points by their distance from the
+    # origin, the classes of a one-site layout, pairs points whose other
+    # site distances differ
+    pts = sample_region(SamplingRegion(RegionKind.CELL, res), D)
+    by_radius = distance_classes(pts, build_hex_layout(D, 0.0, 3))
+    assert len(np.unique(by_radius)) < len(np.unique(distance_classes(pts, layout)))
+
+
+def test_point_orbits_equal_the_pairwise_oracle_on_random_layouts():
+    # the 37-site layout less one to three random sites keeps some of its
+    # symmetries, and other points' site distances match by coincidence
+    rng = np.random.default_rng(39)
+    full = build_hex_layout(D, 1500.0, 3)
+    merged = 0
+    for _ in range(60):
+        keep = np.delete(np.arange(len(full)), rng.choice(len(full), size=int(rng.integers(1, 4)),
+                                                          replace=False))
+        layout = NetworkLayout(full.x[keep], full.y[keep], full.band[keep])
+        region = SamplingRegion(RegionKind(rng.choice(["triangle", "cell"])),
+                                int(rng.integers(1, 5)))
+        pts = sample_region(region, D)
+        rep = point_orbits(pts, layout)
+        assert rep.tolist() == distance_classes(pts, layout).tolist()
+        merged += len(np.unique(rep)) < len(pts)
+    assert merged >= 10, merged
 
 
 def test_region_validation():

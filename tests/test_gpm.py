@@ -330,6 +330,15 @@ def test_summand_arrays_read_only():
         spec.probs[0, 0] = 1.0
 
 
+def test_summand_leaves_the_callers_arrays_writeable():
+    values, probs = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+    s = DiscreteSummand(values, probs)
+    assert values.flags.writeable and probs.flags.writeable
+    assert not (s.values.flags.writeable or s.probs.flags.writeable)
+    values[0] = -1.0
+    assert s.values.tolist() == [0.0, 1.0]
+
+
 def test_spec_moments_match_enumeration():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -559,6 +568,15 @@ def test_non_finite_values_fail_the_lattice_checks(build):
 # ---------------------------------------------------------------------------
 # Stepped cdfs
 # ---------------------------------------------------------------------------
+
+def test_stepped_cdf_leaves_the_callers_arrays_writeable():
+    xs, cum = np.array([1.0, 2.0]), np.array([0.25, 1.0])
+    cdf = SteppedCdf(xs, cum)
+    assert xs.flags.writeable and cum.flags.writeable
+    assert not (cdf.xs.flags.writeable or cdf.cum.flags.writeable)
+    cum[0] = 0.5
+    assert cdf.cum.tolist() == [0.25, 1.0]
+
 
 def test_stepped_cdf_eval_semantics():
     cdf = SteppedCdf([1.0, 2.0], [0.25, 1.0])

@@ -20,15 +20,17 @@ A UAV position's links are held as a :class:`LinkTable` of its lit
 links, those the UAV antenna gives a nonzero gain, as (k,) columns, built
 by :func:`build_link_table`; a block of P positions as one
 :class:`LinkTable` of (P, k) columns, built by :func:`build_lit_links`,
-k the most lit links of any position.  The constructor is where the
-columns are converted, frozen and checked.  Both builders run one
-evaluation: the UAV antenna's footprint test and the >= 1 m distance
-check (:meth:`ParametricAirGroundModel.pathloss`) cover every link, and
-elevation, LoS probability, GBS pattern, pathloss and the walk-order sort
-the lit ones.  An unlit link's gains are exact zeros, bit for bit the
-product of its zero UAV gain, so it can neither serve nor interfere: a
-table lists the lit links alone, and every law reads over it as over the
-table of every link.
+k the most lit links of any position.  The constructor copies every
+column into a new array of its dtype, and the builders hand over the
+arrays they made; either way the table freezes and checks its columns
+once.  Both builders run one evaluation: the UAV antenna's footprint
+test and the >= 1 m distance check
+(:meth:`ParametricAirGroundModel.pathloss`) cover every link, and
+elevation, LoS probability, GBS pattern, pathloss and the walk-order
+sort the lit ones.  An unlit link's gains are exact zeros, bit for bit
+the product of its zero UAV gain, so it can neither serve nor interfere:
+a table lists the lit links alone, and every law reads over it as over
+the table of every link.
 """
 
 from __future__ import annotations
@@ -136,19 +138,6 @@ def default_channel(
 # Link tables
 # ---------------------------------------------------------------------------
 
-def _hold(table, names) -> None:
-    """Hold each column ``name, dtype`` of a frozen table as a read-only
-    array of its dtype that owns its data: as it is if it is one, else a
-    copy."""
-    for name, dtype in names:
-        col = getattr(table, name)
-        if not (isinstance(col, np.ndarray) and col.dtype == dtype and col.flags.owndata
-                and not col.flags.writeable):
-            col = np.array(col, dtype=dtype)
-            col.flags.writeable = False
-            object.__setattr__(table, name, col)
-
-
 def _faults(ids, c, c_nlos, p_los):
     """The (mask, message, ids) triples of what no link table holds, in
     one position's (k,) columns or a block's (P, k): a gain or LoS
@@ -175,11 +164,7 @@ def _faults(ids, c, c_nlos, p_los):
              "link table GBS ids must be distinct; repeated:", ranked[..., 1:]))
 
 
-_COLUMNS = (("gbs_id", np.intp), ("band", np.intp),
-            ("c_los", float), ("c_nlos", float), ("p_los", float))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinkTable:
     """The lit links of one UAV position, those the UAV antenna gives a
     nonzero gain, as (k,) columns, or of a block of P positions as (P, k)
@@ -198,9 +183,8 @@ class LinkTable:
     every law reads the same as over a table that lists it with those
     gains.  A lit link may still have gain 0, in a GBS element null.  The
     columns are read-only, checked on construction: an error names the
-    first GBS at fault, and its block row.  A column handed over as a
-    read-only array of its dtype that owns its data is held as it is; any
-    other is copied.
+    first GBS at fault, and its block row.  The constructor copies every
+    column; the builders hand over the arrays they made.
     """
 
     gbs_id: np.ndarray
@@ -209,19 +193,27 @@ class LinkTable:
     c_nlos: np.ndarray
     p_los: np.ndarray
 
-    def __post_init__(self) -> None:
-        _hold(self, _COLUMNS)
-        ids, c = self.gbs_id, self.c_los
-        if ids.ndim not in (1, 2) or ids.shape[-1] == 0:
+    def __init__(self, gbs_id, band, c_los, c_nlos, p_los) -> None:
+        # copied, to be held read-only
+        self._hold(np.array(gbs_id, dtype=np.intp), np.array(band, dtype=np.intp),
+                   np.array(c_los, dtype=float), np.array(c_nlos, dtype=float),
+                   np.array(p_los, dtype=float))
+
+    def _hold(self, gbs_id, band, c_los, c_nlos, p_los) -> LinkTable:
+        for col in (gbs_id, band, c_los, c_nlos, p_los):
+            col.setflags(write=False)
+        vars(self).update(gbs_id=gbs_id, band=band, c_los=c_los, c_nlos=c_nlos, p_los=p_los)
+        if gbs_id.ndim not in (1, 2) or gbs_id.shape[-1] == 0:
             raise ValueError("link table columns must have shape (k,) or (P, k) with k >= 1 "
-                             f"(one padding row when no link is lit), got {ids.shape}")
-        if any(col.shape != ids.shape for col in (self.band, c, self.c_nlos, self.p_los)):
+                             f"(one padding row when no link is lit), got {gbs_id.shape}")
+        if any(col.shape != gbs_id.shape for col in (band, c_los, c_nlos, p_los)):
             raise ValueError("link table columns must have equal shapes")
-        for bad, what, named in _faults(ids, c, self.c_nlos, self.p_los):
+        for bad, what, named in _faults(gbs_id, c_los, c_nlos, p_los):
             if bad.any():
                 at = np.unravel_index(np.argmax(bad), bad.shape)
-                row = f" in block row {at[0]}" if ids.ndim == 2 else ""
+                row = f" in block row {at[0]}" if gbs_id.ndim == 2 else ""
                 raise ValueError(f"{what} GBS {named[at]}{row}")
+        return self
 
     def __len__(self) -> int:
         return len(self.gbs_id)
@@ -229,9 +221,9 @@ class LinkTable:
 
 def _walk_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height):
     """The five (P, k) columns of the lit links of a (P, 3) block, new
-    read-only arrays, k the most lit links of any position and at least
-    1.  The footprint test and the 3D distance >= 1 m check cover every
-    link; the rest runs on the (P, k) links: each position's lit links by
+    arrays, k the most lit links of any position and at least 1.  The
+    footprint test and the 3D distance >= 1 m check cover every link; the
+    rest runs on the (P, k) links: each position's lit links by
     ascending id, then as many of its unlit ones as pad it to k, whose
     gains are exact zeros, the product of their zero UAV gain, and which
     become its padding rows."""
@@ -259,10 +251,7 @@ def _walk_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_heig
     # the unlit links past a position's count are its padding
     padding = np.arange(ids.shape[-1]) >= count[:, None]
     ids[padding], band[padding], p_los[padding] = -1, -1, 0.0
-    columns = (ids, band, c_los, c_nlos, p_los)
-    for col in columns:
-        col.flags.writeable = False
-    return columns
+    return ids, band, c_los, c_nlos, p_los
 
 
 def build_link_table(
@@ -282,7 +271,7 @@ def build_link_table(
     works).
     """
     columns = _walk_columns(layout, gbs_pattern, uav_antenna, channel, [uav_xyz], gbs_height)
-    return LinkTable(*(col[0] for col in columns))
+    return object.__new__(LinkTable)._hold(*(col[0] for col in columns))
 
 
 def build_lit_links(
@@ -297,5 +286,5 @@ def build_lit_links(
     :class:`LinkTable`, evaluated as whole arrays and checked once: row p
     holds the table :func:`build_link_table` builds at position p, bit
     for bit, then padding up to k."""
-    return LinkTable(*_walk_columns(layout, gbs_pattern, uav_antenna, channel, positions,
-                                    gbs_height))
+    return object.__new__(LinkTable)._hold(
+        *_walk_columns(layout, gbs_pattern, uav_antenna, channel, positions, gbs_height))

@@ -242,7 +242,7 @@ def cmd_interference_cdf(cfg: ScenarioConfig, args) -> int:
     laws = {}
     for method in methods:
         law = la if method == "la" else _law(method, spec, cfg, args)
-        laws[method] = ([(float(x), float(law(x))) for x in la.xs] if method == "ga"
+        laws[method] = ([(float(x), float(law.eval(x))) for x in la.xs] if method == "ga"
                         else zip(law.xs, law.cum))
     for method, rows in laws.items():
         path = _out_path(args, f"interference_cdf_{method}.csv")
@@ -477,17 +477,12 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None and "seed" not in unread:
             raise ConfigError(f"--seed is required for {what}")
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(cfg, args)
+        return args.func(load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # an array too large to allocate, such as the lattice of a target c0
-    # near 2**53, is a runtime failure too
+    # near 2**53 or the layout of a huge radius, is a runtime failure too
     except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

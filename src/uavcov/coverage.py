@@ -390,8 +390,6 @@ class DownlinkSnrCdf:
         clipped to [0, 1] against float roundoff."""
         return self._mixture(y, strict=False)
 
-    __call__ = eval
-
     def eval_left(self, y) -> np.ndarray:
         """P{snr < y} (vectorised), the left limit of ``eval``:
         sum_e P_e * P{I_e > C_e / y - alpha0}."""

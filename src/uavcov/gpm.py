@@ -378,8 +378,6 @@ class SteppedCdf:
         padded = np.concatenate([[0.0], self.cum])
         return padded[idx]
 
-    __call__ = eval
-
     def eval_left(self, x) -> np.ndarray:
         """P{X < x} (vectorised)."""
         idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="left")

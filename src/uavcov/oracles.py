@@ -248,12 +248,13 @@ _ndtr = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[flo
 @dataclass(frozen=True)
 class GaussianCdf:
     """Moment-matched normal baseline, truncated to x >= 0 and rescaled to
-    total probability 1 (callable like a cdf)."""
+    total probability 1."""
 
     mean: float
     std: float
 
-    def __call__(self, x) -> np.ndarray:
+    def eval(self, x) -> np.ndarray:
+        """P{X <= x} (vectorised)."""
         xs = np.asarray(x, dtype=float)
         if self.std == 0.0:
             return (xs >= self.mean).astype(float)
@@ -267,7 +268,7 @@ class GaussianCdf:
         taken at the mean; otherwise the cdf is continuous there."""
         if self.std == 0.0:
             return (np.asarray(x, dtype=float) > self.mean).astype(float)
-        return self(x)
+        return self.eval(x)
 
 
 def gaussian_cdf(spec: GpmSpec) -> GaussianCdf:
@@ -278,27 +279,24 @@ def envelope_excess(oracle: SteppedCdf, lo, hi) -> float:
     """Largest amount by which the stepped ``oracle`` cdf leaves [lo, hi]:
     the smallest eps >= 0 with lo - eps <= F_oracle <= hi + eps.
 
-    ``lo`` and ``hi`` are stepped or other callable cdfs.  Each jump x of
-    the oracle is probed from both sides: F_oracle(x) against ``lo(x)``
-    and ``hi(x)``, F_oracle(x-) against their ``eval_left(x)`` where they
-    have one (``SteppedCdf``, ``DownlinkSnrCdf``, ``GaussianCdf``), else
-    their value at x, which is the left limit only where they are
-    continuous.  F_oracle is
-    constant between its jumps, so these probes realise the supremum for
-    non-decreasing right-continuous ``lo`` and ``hi``.
+    ``lo`` and ``hi`` are cdfs with ``eval`` and ``eval_left``
+    (``SteppedCdf``, ``DownlinkSnrCdf``, ``GaussianCdf``).  Each jump x of
+    the oracle is probed from both sides: F_oracle(x) against
+    ``lo.eval(x)`` and ``hi.eval(x)``, F_oracle(x-) against their
+    ``eval_left(x)``.  F_oracle is constant between its jumps, so these
+    probes realise the supremum for non-decreasing right-continuous
+    ``lo`` and ``hi``.
     """
     x = oracle.xs
     f, f_left = oracle.eval(x), oracle.eval_left(x)
-    lo_left = getattr(lo, "eval_left", lo)
-    hi_left = getattr(hi, "eval_left", hi)
     return float(max(
-        np.max(lo(x) - f), np.max(f - hi(x)),
-        np.max(lo_left(x) - f_left), np.max(f_left - hi_left(x)),
+        np.max(lo.eval(x) - f), np.max(f - hi.eval(x)),
+        np.max(lo.eval_left(x) - f_left), np.max(f_left - hi.eval_left(x)),
         0.0,
     ))
 
 
 def kolmogorov_distance(a: SteppedCdf, b) -> float:
-    """sup |F_a - F_b| for a stepped ``a`` and a stepped or callable ``b``:
-    ``a``'s excess over the envelope [b, b]."""
+    """sup |F_a - F_b| for a stepped ``a`` and a cdf ``b`` with ``eval``
+    and ``eval_left``: ``a``'s excess over the envelope [b, b]."""
     return envelope_excess(a, b, b)

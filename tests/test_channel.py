@@ -440,8 +440,17 @@ def test_block_check_names_a_repeated_gbs():
     LinkTable(*([list(col)] for col in zip((3, 0, 2.0, 1.0, 0.5), *[PADDING] * 2)))
 
 
+def _recorded_walks(monkeypatch):
+    """The list every later ``_walk_columns`` call appends its columns to."""
+    built = []
+    evaluate = channel._walk_columns
+    monkeypatch.setattr(channel, "_walk_columns",
+                        lambda *args: built.append(evaluate(*args)) or built[-1])
+    return built
+
+
 def test_table_holds_its_own_columns(monkeypatch):
-    # a writable column is copied: the caller mutating it moves no table
+    # the constructor copies every column: the caller mutating one moves no table
     cols = _block_columns()
     block = LinkTable(**cols)
     before = {name: getattr(block, name).tobytes() for name in COLUMNS}
@@ -449,18 +458,42 @@ def test_table_holds_its_own_columns(monkeypatch):
         col[...] = 0
     assert {name: getattr(block, name).tobytes() for name in COLUMNS} == before
     assert not any(np.shares_memory(getattr(block, name), cols[name]) for name in COLUMNS)
-    # a read-only view does not own its data, so it is copied too
+    # a read-only view is copied too
     frozen = {name: col[1] for name, col in _block_columns().items()}
     for col in frozen.values():
         col.flags.writeable = False
     row = LinkTable(**frozen)
     assert not any(np.shares_memory(getattr(row, name), frozen[name]) for name in COLUMNS)
     # a block holds the columns the block evaluation built, no copy
-    built = []
-    evaluate = channel._walk_columns
-    monkeypatch.setattr(channel, "_walk_columns",
-                        lambda *args: built.append(evaluate(*args)) or built[-1])
+    built = _recorded_walks(monkeypatch)
     block = build_lit_links(build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA,
                             CHANNEL, [(150.0, 50.0, 100.0), (-220.0, 310.0, 60.0)], 20.0)
     held = [getattr(block, name) for name in COLUMNS]
     assert [a is b for a, b in zip(held, built[0])] == [True] * 5
+    assert not any(col.flags.writeable for col in held)
+
+
+def test_table_copies_a_callers_owned_read_only_column():
+    # an array the caller owns and froze is still the caller's: set
+    # writeable again and written, it moves no checked table
+    cols = {name: col[0].copy() for name, col in _block_columns().items()}
+    for col in cols.values():
+        col.flags.writeable = False
+    table = LinkTable(**cols)
+    before = {name: getattr(table, name).tobytes() for name in COLUMNS}
+    for col in cols.values():
+        col.flags.writeable = True
+        col[...] = -5
+    assert {name: getattr(table, name).tobytes() for name in COLUMNS} == before
+
+
+def test_one_position_table_holds_row_0_views(monkeypatch):
+    # build_link_table hands over row 0 of the (1, k) block it evaluated, no copy
+    built = _recorded_walks(monkeypatch)
+    table = build_link_table(build_hex_layout(500.0, 1500.0, 3), PATTERN, UAV_ANTENNA,
+                             CHANNEL, (150.0, 50.0, 100.0), 20.0)
+    for name, col in zip(COLUMNS, built[0]):
+        held = getattr(table, name)
+        assert held.base is col
+        assert held.shape == col.shape[1:] and held.tobytes() == col[0].tobytes()
+        assert not held.flags.writeable

@@ -756,6 +756,21 @@ def test_lattice_target_too_long_to_allocate_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_load_that_cannot_allocate_exits_1(tmp_path, capsys, monkeypatch):
+    # the layout is built while the config loads: an allocation it cannot
+    # make (a radius_m of 1e9 asks for 155 TiB) is a runtime failure as it
+    # is inside a command, with one error line, no traceback and no output
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 155. TiB")
+
+    monkeypatch.setattr("uavcov.config.build_hex_layout", refuse)
+    out = tmp_path / "lay"
+    assert main(["layout", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["downlink-map"],
     ["validate", "--mode", "downlink-vs-joint-enum"],

@@ -1734,13 +1734,10 @@ association_epsilon = 0
     np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("site, remove, mirror_only", [
-    ((1250.0, 250.0 * math.sqrt(3.0)), False, False),   # off every mirror line
-    ((1250.0, 250.0 * math.sqrt(3.0)), True, False),
-    ((500.0, 0.0), False, True),   # moved along the x axis, keeping y -> -y
-])
-def test_broken_symmetries_are_not_used(tmp_path, site, remove, mirror_only):
-    # the 37-site layout with one site moved 1 m along x, or removed
+def broken_scene(tmp_path, site, remove, beam):
+    """The 37-site layout with the site nearest ``site`` moved 1 m along
+    x, or removed, as a one-band ``sites_csv`` scored on a resolution-2
+    cell raster under a ``beam``-degree UAV beam, eps = 0."""
     layout = scene(tmp_path, radius=1500).build_layout()
     xy = np.column_stack((layout.x, layout.y))
     k = int(np.argmin(np.hypot(*(xy - site).T)))
@@ -1750,17 +1747,27 @@ def test_broken_symmetries_are_not_used(tmp_path, site, remove, mirror_only):
         xy[k, 0] += 1.0
     path = tmp_path / "sites.csv"
     write_layout_csv(NetworkLayout(xy[:, 0], xy[:, 1], np.zeros(len(xy), dtype=int)), path)
-    cfg = load_scenario(tmp_path, f"""
+    return load_scenario(tmp_path, f"""
 [layout]
 sites_csv = {path}
 [uav_antenna]
-half_beamwidth_deg = 75
+half_beamwidth_deg = {beam}
 [sampling]
 region = cell
 resolution = 2
 [algorithm]
 association_epsilon = 0
 """)
+
+
+@pytest.mark.parametrize("site, remove, mirror_only", [
+    ((1250.0, 250.0 * math.sqrt(3.0)), False, False),   # off every mirror line
+    ((1250.0, 250.0 * math.sqrt(3.0)), True, False),
+    ((500.0, 0.0), False, True),   # moved along the x axis, keeping y -> -y
+])
+def test_broken_symmetries_are_not_used(tmp_path, site, remove, mirror_only):
+    # the 37-site layout with one site moved 1 m along x, or removed
+    cfg = broken_scene(tmp_path, site, remove, 75)
     thresholds = [10.0 ** (db / 10.0) for db in (-20.0, -10.0, 0.0)]
     result, laws = counted_uplink(cfg, 60.0, thresholds)
     points = result.points
@@ -1782,6 +1789,24 @@ association_epsilon = 0
     direct = direct_uplink(cfg, points, 60.0, thresholds)
     assert ((direct > 0.0) & (direct < 1.0)).any()
     np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
+
+
+def test_site_removed_reuse_is_checked_where_every_link_is_lit(tmp_path):
+    # at 60 m under the 75-degree beam the removed site is lit from few
+    # points, and reusing values by distance from the origin alone reads
+    # within 1e-15 of direct evaluation; under the 90-degree beam at 100 m
+    # every link is lit, so a wrong reuse shows in the values
+    cfg = broken_scene(tmp_path, (1250.0, 250.0 * math.sqrt(3.0)), True, 90)
+    thresholds = [10.0 ** (db / 10.0) for db in range(-30, 31)]
+    result, laws = counted_uplink(cfg, 100.0, thresholds)
+    points = result.points
+    assert laws == 22
+    direct = direct_uplink(cfg, points, 100.0, thresholds)
+    np.testing.assert_allclose(result.non_outage, direct, rtol=0.0, atol=1e-12)
+    # negative control: each point's values copied from the first point at
+    # its distance from the origin, the classes of a one-site layout
+    by_radius = distance_classes(points, build_hex_layout(500.0, 0.0, 3))
+    assert np.abs(direct[:, by_radius] - direct).max() > 1e-3
 
 
 def test_one_site_pairs_equal_radii_no_symmetry_relates(tmp_path):

@@ -13,6 +13,8 @@ import random
 import re
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1257,13 +1259,13 @@ def test_gaussian_cdf_shape():
     assert g.mean == pytest.approx(1.5)
     assert g.std == pytest.approx(math.sqrt(0.25 + 1.0))
     xs = np.linspace(-1.0, 6.0, 200)
-    ys = g(xs)
+    ys = g.eval(xs)
     assert np.all(np.diff(ys) >= -1e-15)
     assert np.all(ys[xs < 0.0] == 0.0)
-    assert g(6.0) > 0.999
+    assert g.eval(6.0) > 0.999
     # degenerate spread collapses to a step
     step = GaussianCdf(2.0, 0.0)
-    assert step(1.9) == 0.0 and step(2.0) == 1.0
+    assert step.eval(1.9) == 0.0 and step.eval(2.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1307,15 +1309,16 @@ def test_gaussian_point_mass_has_a_left_limit():
     spec = GpmSpec([[0.0, 2.0, 5.0]] * 3, [[1.0, 0.0, 0.0]] * 3)
     ga = gaussian_cdf(spec)
     assert (ga.mean, ga.std) == (0.0, 0.0)
-    assert (ga(0.0), ga.eval_left(0.0), ga.eval_left(1e-300)) == (1.0, 0.0, 1.0)
+    assert (ga.eval(0.0), ga.eval_left(0.0), ga.eval_left(1e-300)) == (1.0, 0.0, 1.0)
     exact = enumerate_cdf(spec)
     assert kolmogorov_distance(exact, ga) == 0.0
     # negative control: probing the step's left side with its value at 0
-    assert envelope_excess(exact, ga.__call__, ga.__call__) == 1.0
+    at_value = SimpleNamespace(eval=ga.eval, eval_left=ga.eval)
+    assert envelope_excess(exact, at_value, at_value) == 1.0
     # away from std 0 the normal is continuous: the left limit is the value
     wide = gaussian_cdf(GpmSpec([[0.0, 1.0]] * 4, [[0.5, 0.5]] * 4))
     grid = np.linspace(-1.0, 5.0, 13)
-    assert wide.eval_left(grid).tolist() == wide(grid).tolist()
+    assert wide.eval_left(grid).tolist() == wide.eval(grid).tolist()
 
 
 def snr_cdf_over(scale, pmf) -> DownlinkSnrCdf:
@@ -1375,3 +1378,20 @@ def test_write_cdf_csv(tmp_path):
     assert lines[2] == "0.5,0.25"
     assert lines[3] == "1.5,1"
     assert len(lines) == 4
+
+
+# ---------------------------------------------------------------------------
+# Warning filters
+# ---------------------------------------------------------------------------
+
+def test_a_deprecation_raised_in_uavcov_fails_the_suite():
+    # pyproject's filterwarnings turns a DeprecationWarning attributed to
+    # uavcov code into an error, before a later numpy turns it into one
+    with pytest.raises(DeprecationWarning, match="in uavcov"):
+        warnings.warn_explicit("in uavcov", DeprecationWarning, "gpm.py", 1,
+                               module="uavcov.gpm")
+    # negative control: one attributed to numpy only warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.warn_explicit("in numpy", DeprecationWarning, "core.py", 1,
+                               module="numpy.core")
+    assert [(w.category, str(w.message)) for w in caught] == [(DeprecationWarning, "in numpy")]

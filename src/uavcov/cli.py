@@ -456,6 +456,9 @@ def _unread_flags(args) -> tuple[str, tuple[str, ...]]:
         return "interference-cdf without the mc method", ("samples", "seed")
     if args.command == "coverage-curve" and args.sweep == "altitude":
         return "coverage-curve --sweep altitude", ("altitude", "min_db", "max_db", "points")
+    if args.command == "coverage-curve" and args.points == 1:
+        # a sweep of one threshold is --min-db alone
+        return "coverage-curve --points 1", ("max_db",)
     return args.command, ()
 
 

@@ -452,25 +452,41 @@ def test_downlink_lattice_matches_mc_at_the_triangle_centroid(tmp_path):
     )
 
 
-@pytest.mark.parametrize("point", [
-    pytest.param(3, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="at 30 m the span lattice puts few lattice units below the read point: "
-        "map point 3 reads 0.0195 off the MC at 2 dB and 0.676 at 10 dB (ROADMAP items 15, 1)")),
-    pytest.param(5, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="at 30 m the span lattice puts few lattice units below the read point: "
-        "map point 5 reads 0.402 off the MC at 2 dB and 0.150 at 10 dB (ROADMAP items 15, 1)")),
+# Map points where the span lattice puts few lattice units below a read
+# point: points 3 and 5 at 30 m, the default altitude sweep's third
+# altitude at 2 dB, and 100 m at the top of a 0..20 dB threshold sweep. At
+# 100 m and 11.1 dB (the sweep's sixth threshold) point 1 passes, as the
+# control.
+def _lattice_gap(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"{reason} (ROADMAP items 15, 1)")
+
+
+@pytest.mark.parametrize(("point", "altitude", "thresholds_db"), [
+    pytest.param(3, 30.0, (2.0, 10.0), marks=_lattice_gap(
+        "at 30 m map point 3 reads 0.0195 off the MC at 2 dB and 0.676 at 10 dB"),
+        id="30m-point3"),
+    pytest.param(5, 30.0, (2.0, 10.0), marks=_lattice_gap(
+        "at 30 m map point 5 reads 0.402 off the MC at 2 dB and 0.150 at 10 dB"),
+        id="30m-point5"),
+    pytest.param(10, float(np.linspace(30.0, 200.0, 10)[2]), (2.0,), marks=_lattice_gap(
+        "at 67.8 m map point 10 reads 0.053 off the MC at 2 dB"),
+        id="67.8m-point10-2dB"),
+    pytest.param(1, 100.0, (20.0,), marks=_lattice_gap(
+        "at 100 m map point 1 reads 0.187 off the MC at 20 dB"),
+        id="100m-point1-20dB"),
+    pytest.param(1, 100.0, (float(np.linspace(0.0, 20.0, 10)[5]),), id="100m-point1-11.1dB"),
 ])
-def test_downlink_lattice_matches_mc_at_30_m(point):
+def test_downlink_lattice_matches_mc_on_the_map(point, altitude, thresholds_db):
     cfg = load_config()
     xy = sample_region(cfg.build_region(), cfg.inter_site_distance)[point]
-    lattice, mc = lattice_against_mc(cfg, xy, 30.0, [10.0 ** 0.2, 10.0])
+    lattice, mc = lattice_against_mc(cfg, xy, altitude, 10.0 ** (np.array(thresholds_db) / 10.0))
     tol = dkw_radius(MC_DRAWS) + 0.01
     gaps = np.abs(lattice - mc)
     report(
-        "downlink-lattice-vs-mc-30m", bool((gaps <= tol).all()),
-        f"default scene, map point {point} at 30 m: outage lattice "
-        f"{lattice[0]:.4f} / {lattice[1]:.4f}, MC {mc[0]:.4f} / {mc[1]:.4f} at 2 / 10 dB, "
-        f"gaps {gaps[0]:.4f} / {gaps[1]:.4f} (tolerance {tol:.4f})",
+        "downlink-lattice-vs-mc-map", bool((gaps <= tol).all()),
+        f"default scene, map point {point} at {altitude:.2f} m, "
+        + ", ".join(f"{db:.1f} dB: outage lattice {la:.4f}, MC {m:.4f}, gap {g:.4f}"
+                    for db, la, m, g in zip(thresholds_db, lattice, mc, gaps))
+        + f" (tolerance {tol:.4f})",
     )

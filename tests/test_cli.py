@@ -415,6 +415,22 @@ def test_threshold_sweep_flags_and_their_defaults(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
+def test_one_point_threshold_sweep_does_not_read_max_db(tmp_path, capsys):
+    # np.linspace(min, max, 1) is [min]: a sweep of one threshold reads no
+    # --max-db, so giving one is a usage error that writes nothing
+    cfg_path = write_cfg(tmp_path, TINY)
+    sweep = ["coverage-curve", "--config", cfg_path, "--sweep", "threshold", "--points", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(sweep + ["--out", str(tmp_path / "one"), "--min-db", "0", "--max-db", "20"])
+    assert exc.value.code == 2
+    assert "coverage-curve --points 1 does not read --max-db" in capsys.readouterr().err
+    assert not (tmp_path / "one").exists()
+    # negative control: without --max-db the one threshold is --min-db
+    assert main(sweep + ["--out", str(tmp_path), "--min-db", "5"]) == 0
+    _, rows = read_rows(tmp_path / "coverage_curve.csv")
+    assert [float(r[0]) for r in rows] == [5.0]
+
+
 def test_coverage_curve_altitude_sweep(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, TINY.replace("resolution = 2", "resolution = 1"))
     rc = main(["coverage-curve", "--config", cfg_path, "--out", str(tmp_path),
